@@ -44,7 +44,7 @@
 
 use crate::analysis::AnalysisConfig;
 use crate::cluster::{run_cluster, ClusterConfig, ClusterResult};
-use crate::error::AnalysisError;
+use crate::error::{AnalysisError, TransportError};
 use crate::observe::OverloadCounters;
 use crate::streaming::{IngestSummary, StreamAnalysis, StreamEvent, StreamResult};
 use faultline_sim::ScenarioData;
@@ -495,7 +495,7 @@ pub fn run_overloaded_cluster(
     cluster: &ClusterConfig,
     admission: &AdmissionConfig,
     schedule: SimSchedule,
-) -> Result<(ClusterResult, OverloadCounters), AnalysisError> {
+) -> Result<(ClusterResult, OverloadCounters), TransportError> {
     let (survivors, mut counters) = shed_survivors(events, admission, schedule);
     let result = run_cluster(data, &survivors, cluster)?;
     let quarantined =

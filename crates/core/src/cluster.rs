@@ -79,7 +79,7 @@
 //!   (`tests/cluster_reshard.rs`).
 
 use crate::analysis::{self, AnalysisConfig};
-use crate::error::{AnalysisError, RecoveryError, TransportError};
+use crate::error::{RecoveryError, TransportError};
 use crate::intern::Sym;
 use crate::linktable::{self, LinkIx, LinkTable};
 use crate::matching::FailureMatching;
@@ -1046,7 +1046,7 @@ pub fn run_cluster(
     data: &ScenarioData,
     events: &[StreamEvent],
     cfg: &ClusterConfig,
-) -> Result<ClusterResult, AnalysisError> {
+) -> Result<ClusterResult, TransportError> {
     let started = Instant::now();
     // Validate configuration and input ordering once; shard workers then
     // construct engines infallibly with the same inputs.
@@ -1070,11 +1070,9 @@ pub fn run_cluster(
         (result, transport.counters())
     });
     // A worker panic re-raises at scope exit above, exactly as the
-    // former join-based runtime did; a transport-level anomaly with no
-    // panic behind it is a dispatcher bug.
-    let (outputs, shard_reports, events_per_shard) = driven
-        .0
-        .unwrap_or_else(|e| panic!("in-process shard transport failed: {e}"));
+    // former join-based runtime did; anything else the transport
+    // reports is the caller's to handle, as in the subprocess twin.
+    let (outputs, shard_reports, events_per_shard) = driven.0?;
     let shard_wall = t_shards.elapsed();
 
     let t_merge = Instant::now();
@@ -1376,7 +1374,7 @@ pub fn run_reshard_cluster(
     events: &[StreamEvent],
     cfg: &ClusterConfig,
     split_at: usize,
-) -> Result<ReshardRun, AnalysisError> {
+) -> Result<ReshardRun, TransportError> {
     let started = Instant::now();
     analysis::validate_inputs(data, &cfg.analysis)?;
     let shards = cfg.shards.max(1);
@@ -1402,9 +1400,7 @@ pub fn run_reshard_cluster(
         let result = drive_reshard(&mut transport, &table, pre, post, grow_spec);
         (result, transport.counters())
     });
-    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) = driven
-        .0
-        .unwrap_or_else(|e| panic!("in-process shard transport failed: {e}"));
+    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) = driven.0?;
     let shard_wall = t_shards.elapsed();
 
     Ok(assemble_reshard(

@@ -207,6 +207,90 @@ impl fmt::Display for AnalysisError {
 
 impl Error for AnalysisError {}
 
+/// Why [`crate::codec`] could not decode a binary event run. Decoding is
+/// total: whatever the bytes, the answer is the events or one of these —
+/// never a panic, and never an allocation sized by a count or length the
+/// input could not back. Offsets are byte positions in the run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// The input ended inside a field.
+    Truncated {
+        /// Where the field starts.
+        offset: usize,
+        /// Bytes the field needs.
+        needed: usize,
+        /// Bytes left in the input.
+        available: usize,
+    },
+    /// A tag or enum byte names no variant.
+    BadTag {
+        /// Which field the byte belongs to.
+        field: &'static str,
+        /// The byte found.
+        found: u8,
+        /// Where it sits.
+        offset: usize,
+    },
+    /// A varint runs past ten bytes or overflows a `u64`.
+    VarintOverflow {
+        /// Where the varint starts.
+        offset: usize,
+    },
+    /// A string's bytes are not UTF-8.
+    BadUtf8 {
+        /// Where the string (its length prefix) starts.
+        offset: usize,
+    },
+    /// The run header claims more events than the rest of the input
+    /// could hold at the minimum event size; nothing was reserved.
+    CountExceedsInput {
+        /// Events the header claims.
+        claimed: u64,
+        /// The most the remaining bytes could encode.
+        max: usize,
+    },
+    /// Bytes remain after the last event of the run.
+    TrailingBytes {
+        /// How many.
+        extra: usize,
+    },
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Truncated {
+                offset,
+                needed,
+                available,
+            } => write!(
+                f,
+                "event run truncated at byte {offset}: field needs {needed} bytes, {available} left"
+            ),
+            CodecError::BadTag {
+                field,
+                found,
+                offset,
+            } => write!(f, "invalid {field} byte {found:#04x} at byte {offset}"),
+            CodecError::VarintOverflow { offset } => {
+                write!(f, "varint at byte {offset} overflows 64 bits")
+            }
+            CodecError::BadUtf8 { offset } => {
+                write!(f, "string at byte {offset} is not UTF-8")
+            }
+            CodecError::CountExceedsInput { claimed, max } => write!(
+                f,
+                "run claims {claimed} events but its bytes can hold at most {max}"
+            ),
+            CodecError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after the last event of the run")
+            }
+        }
+    }
+}
+
+impl Error for CodecError {}
+
 /// Why one [`crate::transport::ShardMsg`] frame could not be written or
 /// read. The frame codec shares the checkpoint discipline from
 /// [`crate::recovery`]: every frame is length-prefixed, versioned, and
@@ -245,15 +329,23 @@ pub enum FrameError {
         /// The bound the codec enforces.
         max: u64,
     },
-    /// The payload's FNV-1a hash does not match the header.
+    /// The header's payload-kind byte names neither a JSON message nor
+    /// a binary event run.
+    UnknownKind {
+        /// The kind byte found.
+        found: u8,
+    },
+    /// The FNV-1a hash over the kind byte and payload does not match
+    /// the header.
     HashMismatch {
         /// Hash recorded in the frame header.
         expected: u64,
-        /// Hash computed over the received payload.
+        /// Hash computed over the received kind byte and payload.
         found: u64,
     },
-    /// The payload hashed correctly but did not decode as a
-    /// [`crate::transport::ShardMsg`] (or could not be encoded).
+    /// The payload hashed correctly but did not decode as the
+    /// [`crate::transport::ShardMsg`] its kind byte promised (or could
+    /// not be encoded).
     Malformed {
         /// The decoder/encoder's explanation.
         detail: String,
@@ -283,6 +375,9 @@ impl fmt::Display for FrameError {
                     f,
                     "declared payload length {len} exceeds the {max}-byte bound"
                 )
+            }
+            FrameError::UnknownKind { found } => {
+                write!(f, "unknown frame payload kind {found:#04x}")
             }
             FrameError::HashMismatch { expected, found } => {
                 write!(
@@ -493,6 +588,10 @@ mod tests {
         assert!(format!("{hash}").contains("hash mismatch"));
         let io: FrameError = std::io::Error::other("pipe burst").into();
         assert!(io.source().is_some());
+        let kind = FrameError::UnknownKind { found: 0x7F };
+        assert!(format!("{kind}").contains("0x7f"));
+        let codec = CodecError::TrailingBytes { extra: 3 };
+        assert!(format!("{codec}").contains("3 trailing"));
     }
 
     #[test]

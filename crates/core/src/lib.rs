@@ -48,7 +48,9 @@
 //! by consistent-hashing the interned link key and deterministically
 //! merges the shard outputs back into the single-process answer — with
 //! a shard supervisor that recovers a killed shard without touching
-//! healthy ones. When traffic exceeds capacity, [`admission`] bounds
+//! healthy ones; between processes, event batches cross the shard wire
+//! ([`transport`]) in the binary row layout that [`codec`] alone
+//! defines. When traffic exceeds capacity, [`admission`] bounds
 //! memory in front of either driver: a fixed-size priority queue that
 //! blocks (backpressure) or sheds deterministically — chatter first,
 //! IS-IS last — with every dropped event accounted for exactly in
@@ -67,6 +69,7 @@ pub mod admission;
 pub mod analysis;
 pub mod arena;
 pub mod cluster;
+pub mod codec;
 pub mod error;
 pub mod export;
 pub mod flap;
@@ -99,7 +102,7 @@ pub use cluster::{
     run_reshard_cluster_subprocess, shard_dir, shard_of_key, shard_of_link, ClusterConfig,
     ClusterResult, DurableClusterRun, ReshardReport, ReshardRun, ShardRecovery, SubprocessOptions,
 };
-pub use error::{AnalysisError, FrameError, RecoveryError, TransportError};
+pub use error::{AnalysisError, CodecError, FrameError, RecoveryError, TransportError};
 pub use intern::{Sym, SymbolTable};
 pub use linktable::{LinkIx, LinkTable};
 pub use observe::{

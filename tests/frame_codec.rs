@@ -2,7 +2,9 @@
 //!
 //! The wire between a dispatcher and its workers carries every message
 //! of the cluster protocol as a length-prefixed, FNV-hashed frame
-//! (`faultline_core::transport`). The contract under test mirrors the
+//! (`faultline_core::transport`, wire version 2: an explicit payload-kind
+//! byte, event batches as binary `faultline_core::codec` runs, everything
+//! else as JSON). The contract under test mirrors the
 //! syslog parser's fuzz corpus (`crates/syslog/tests/fuzz_parse.rs`):
 //!
 //! 1. real protocol messages — including a live lane migration exported
@@ -11,9 +13,16 @@
 //!    arbitrary garbage bytes decode to a *typed* [`FrameError`], never
 //!    a panic and never a silently wrong message;
 //! 3. frames are self-delimiting: two frames written back to back read
-//!    back as exactly those two messages.
+//!    back as exactly those two messages;
+//! 4. the kind byte is law: a version-1 frame, an unknown kind, and a
+//!    payload that is not what its kind byte says are each a typed
+//!    error — nothing is sniffed, and events never travel as JSON;
+//! 5. a header that lies about its length costs what actually arrived.
 
-use faultline_core::transport::{read_frame, write_frame, ScenarioSpec, ShardMsg, WorkerSpec};
+use faultline_core::transport::{
+    read_frame, write_frame, ScenarioSpec, ShardMsg, WorkerSpec, FRAME_HEADER_LEN,
+    MAX_FRAME_PAYLOAD,
+};
 use faultline_core::{
     scenario_event_stream, AnalysisConfig, FrameError, LaneMigration, StreamAnalysis,
 };
@@ -66,6 +75,29 @@ fn encode(msg: &ShardMsg) -> Vec<u8> {
     );
     buf
 }
+
+/// The frame hash, re-derived here so the tests below can forge frames
+/// that are damaged in exactly one respect.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A well-formed version-2 frame around an arbitrary kind and payload.
+fn forge(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut hashed = vec![kind];
+    hashed.extend_from_slice(payload);
+    let mut frame = Vec::from(faultline_core::FRAME_MAGIC);
+    frame.extend_from_slice(&faultline_core::WIRE_VERSION.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
+    frame.extend_from_slice(&hashed);
+    frame
+}
+
+const KIND_MESSAGE: u8 = 1;
+const KIND_EVENTS: u8 = 2;
 
 #[test]
 fn corpus_round_trips_byte_exactly() {
@@ -178,6 +210,13 @@ fn header_field_damage_maps_to_its_own_error() {
         Err(FrameError::TooLarge { .. })
     ));
 
+    let mut bad_kind = buf.clone();
+    bad_kind[FRAME_HEADER_LEN - 1] = 0x7F;
+    assert!(matches!(
+        read_frame(&mut bad_kind.as_slice()),
+        Err(FrameError::UnknownKind { found: 0x7F })
+    ));
+
     let mut bad_payload = buf.clone();
     let last = bad_payload.len() - 1;
     bad_payload[last] ^= 0x01;
@@ -185,6 +224,102 @@ fn header_field_damage_maps_to_its_own_error() {
         read_frame(&mut bad_payload.as_slice()),
         Err(FrameError::HashMismatch { .. })
     ));
+}
+
+#[test]
+fn a_version_1_frame_is_unsupported_not_sniffed() {
+    // What the previous build wrote: 18-byte header, no kind byte, the
+    // hash over a JSON payload — including for event batches.
+    let payload = br#"{"Events":[]}"#;
+    let mut v1 = Vec::from(faultline_core::FRAME_MAGIC);
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v1.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    v1.extend_from_slice(payload);
+    assert!(matches!(
+        read_frame(&mut v1.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 1,
+            expected: 2
+        })
+    ));
+}
+
+#[test]
+fn a_payload_must_be_what_its_kind_byte_says() {
+    let msgs = corpus();
+    let batch = encode(&msgs[2]);
+    let run = &batch[FRAME_HEADER_LEN..];
+    let json = serde_json::to_string(&ShardMsg::Flush).unwrap();
+    let json_events = serde_json::to_string(&msgs[2]).unwrap();
+
+    // The forger itself is sound: honest frames decode.
+    assert_eq!(forge(KIND_EVENTS, run), batch);
+    assert!(matches!(
+        read_frame(&mut forge(KIND_MESSAGE, json.as_bytes()).as_slice()),
+        Ok((ShardMsg::Flush, _))
+    ));
+
+    for (what, frame) in [
+        (
+            "JSON under the events kind",
+            forge(KIND_EVENTS, json.as_bytes()),
+        ),
+        ("a binary run under the JSON kind", forge(KIND_MESSAGE, run)),
+        (
+            "events as JSON",
+            forge(KIND_MESSAGE, json_events.as_bytes()),
+        ),
+        (
+            "a run with a trailing byte",
+            forge(KIND_EVENTS, &[run, &[0]].concat()),
+        ),
+    ] {
+        match read_frame(&mut frame.as_slice()) {
+            Err(FrameError::Malformed { .. }) => {}
+            Err(other) => panic!("{what}: expected malformed, got {other}"),
+            Ok((msg, _)) => panic!("{what}: decoded as {}", msg.kind()),
+        }
+    }
+}
+
+/// A reader that records the largest buffer it was ever asked to fill.
+struct Metered<'a> {
+    bytes: &'a [u8],
+    largest_request: usize,
+}
+
+impl std::io::Read for Metered<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest_request = self.largest_request.max(buf.len());
+        self.bytes.read(buf)
+    }
+}
+
+#[test]
+fn a_lying_length_costs_what_arrived_not_what_it_claims() {
+    let mut frame = encode(&ShardMsg::Flush);
+    let arrived = frame.len() - FRAME_HEADER_LEN;
+    frame[6..10].copy_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+    let mut reader = Metered {
+        bytes: &frame,
+        largest_request: 0,
+    };
+    match read_frame(&mut reader) {
+        Err(FrameError::Torn { expected, got }) => {
+            assert_eq!(expected, MAX_FRAME_PAYLOAD as usize);
+            assert_eq!(got, arrived);
+        }
+        other => panic!(
+            "expected a torn frame, got {:?}",
+            other.map(|(m, _)| m.kind())
+        ),
+    }
+    assert!(
+        reader.largest_request <= 64 * 1024,
+        "a {arrived}-byte payload behind a 1 GiB claim made the reader size a {}-byte buffer",
+        reader.largest_request
+    );
 }
 
 proptest! {
