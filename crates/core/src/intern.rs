@@ -27,7 +27,7 @@
 //! It is *not* DoS-resistant and must only be used for keys derived from
 //! trusted scenario data, never for attacker-controlled input.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Serializer, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -50,8 +50,8 @@ impl Sym {
 }
 
 impl Serialize for Sym {
-    fn serialize_value(&self) -> Value {
-        self.0.serialize_value()
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        self.0.serialize(s)
     }
 }
 
@@ -170,13 +170,8 @@ impl Eq for SymbolTable {}
 impl Serialize for SymbolTable {
     /// Serializes as the id-ordered string array — index `i` of the
     /// array is the string for `Sym(i)`.
-    fn serialize_value(&self) -> Value {
-        Value::Array(
-            self.syms
-                .iter()
-                .map(|s| Value::String(s.as_ref().to_string()))
-                .collect(),
-        )
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        self.syms.serialize(s)
     }
 }
 
@@ -303,7 +298,7 @@ mod tests {
         for s in ["lax", "sac", "fre", "oak"] {
             t.intern(s);
         }
-        let back = SymbolTable::deserialize_value(&t.serialize_value()).unwrap();
+        let back = SymbolTable::deserialize_value(&serde_json::to_value(&t).unwrap()).unwrap();
         assert_eq!(back, t);
         for (sym, s) in t.iter() {
             assert_eq!(back.lookup(s), Some(sym));
@@ -312,7 +307,7 @@ mod tests {
 
     #[test]
     fn serde_rejects_duplicates() {
-        let v = vec!["x".to_string(), "x".to_string()].serialize_value();
+        let v = serde_json::json!(["x", "x"]);
         assert!(SymbolTable::deserialize_value(&v).is_err());
     }
 

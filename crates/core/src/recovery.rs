@@ -316,31 +316,36 @@ fn write_snapshot_atomic(
     Ok((header.len() + payload.len() + 1) as u64)
 }
 
-/// Atomically write one full checkpoint file. Returns the file's size
-/// in bytes.
-fn write_checkpoint_file(dir: &Path, payload: &str, seq: u64) -> Result<u64, RecoveryError> {
+/// Atomically write one full checkpoint file. `payload_fnv` is the
+/// caller's [`fnv1a64`] of `payload` — hashed once per snapshot, not once
+/// per attempt. Returns the file's size in bytes.
+fn write_checkpoint_file(
+    dir: &Path,
+    payload: &str,
+    payload_fnv: u64,
+    seq: u64,
+) -> Result<u64, RecoveryError> {
     let header = format!(
-        "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":{seq},\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
+        "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":{seq},\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
         payload.len(),
-        fnv1a64(payload.as_bytes()),
     );
     write_snapshot_atomic(dir, &checkpoint_name(seq), &header, payload)
 }
 
 /// Atomically write one delta file whose header chains it to its parent
-/// snapshot (`parent_seq` + the parent's payload hash). Returns the
-/// file's size in bytes.
+/// snapshot (`parent_seq` + the parent's payload hash); `payload_fnv` as
+/// for [`write_checkpoint_file`]. Returns the file's size in bytes.
 fn write_delta_file(
     dir: &Path,
     payload: &str,
+    payload_fnv: u64,
     seq: u64,
     parent_seq: u64,
     parent_fnv: u64,
 ) -> Result<u64, RecoveryError> {
     let header = format!(
-        "{{\"magic\":\"{DELTA_MAGIC}\",\"version\":{DELTA_VERSION},\"seq\":{seq},\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
+        "{{\"magic\":\"{DELTA_MAGIC}\",\"version\":{DELTA_VERSION},\"seq\":{seq},\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
         payload.len(),
-        fnv1a64(payload.as_bytes()),
     );
     write_snapshot_atomic(dir, &delta_name(seq), &header, payload)
 }
@@ -648,10 +653,10 @@ fn corrupt_journal(path: &Path, seq: u64, reason: impl Into<String>) -> Recovery
 /// if the line is damaged (torn write or bit rot — the caller decides
 /// whether that is a recoverable tail).
 fn parse_record(line: &str) -> Option<(u64, StreamEvent)> {
-    let v: serde::Value = serde_json::from_str(line).ok()?;
+    let mut v: serde::Value = serde_json::from_str(line).ok()?;
     let seq = v["seq"].as_u64()?;
+    let event_value = v.as_object_mut()?.remove("event")?;
     let expect_fnv = v["fnv"].as_str()?;
-    let event_value = v.as_object()?.get("event")?.clone();
     // The writer rendered the event with this same serializer, so a
     // clean parse → re-render round-trips to the original bytes and the
     // checksum can be verified without storing the raw substring.
@@ -1007,12 +1012,13 @@ fn write_one(
             write_delta_file(
                 dir,
                 &payload,
+                fnv,
                 seq,
                 parent_seq.expect("delta job"),
                 parent_fnv,
             )
         } else {
-            write_checkpoint_file(dir, &payload, seq)
+            write_checkpoint_file(dir, &payload, fnv, seq)
         };
         match outcome {
             Ok(bytes) => {
@@ -1539,6 +1545,7 @@ impl<'a> DurableStream<'a> {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
             )
         })?;
+        let fnv = fnv1a64(payload.as_bytes());
         let max_attempts = self.policy.retry.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
@@ -1562,13 +1569,14 @@ impl<'a> DurableStream<'a> {
                     write_delta_file(
                         &self.dir,
                         &payload,
+                        fnv,
                         seq,
                         // Invariant: `use_delta` requires both.
                         self.tip_seq.expect("delta requires a parent"),
                         self.tip_fnv.expect("sync delta requires the parent hash"),
                     )
                 } else {
-                    write_checkpoint_file(&self.dir, &payload, seq)
+                    write_checkpoint_file(&self.dir, &payload, fnv, seq)
                 };
                 write.map(|bytes| (bytes, t.elapsed()))
             };
@@ -1589,7 +1597,7 @@ impl<'a> DurableStream<'a> {
                     self.engine.mark_clean();
                     self.last_checkpoint_seq = seq;
                     self.tip_seq = Some(seq);
-                    self.tip_fnv = Some(fnv1a64(payload.as_bytes()));
+                    self.tip_fnv = Some(fnv);
                     self.deltas_since_full = if use_delta {
                         self.deltas_since_full + 1
                     } else {
@@ -1746,7 +1754,13 @@ mod tests {
         }
         let ckpt = stream.checkpoint();
         let payload = serde_json::to_string(&ckpt).unwrap();
-        let bytes = write_checkpoint_file(tmp.path(), &payload, ckpt.seq()).unwrap();
+        let bytes = write_checkpoint_file(
+            tmp.path(),
+            &payload,
+            fnv1a64(payload.as_bytes()),
+            ckpt.seq(),
+        )
+        .unwrap();
         assert!(bytes > payload.len() as u64);
         let listed = list_snapshots(tmp.path()).unwrap();
         assert_eq!(listed.len(), 1);
@@ -1766,7 +1780,7 @@ mod tests {
         let data = run(&ScenarioParams::tiny(4));
         let stream = StreamAnalysis::new(&data, AnalysisConfig::default());
         let payload = serde_json::to_string(&stream.checkpoint()).unwrap();
-        write_checkpoint_file(tmp.path(), &payload, 0).unwrap();
+        write_checkpoint_file(tmp.path(), &payload, fnv1a64(payload.as_bytes()), 0).unwrap();
         let path = tmp.path().join(checkpoint_name(0));
 
         // Flip one payload byte: hash mismatch.
@@ -1782,7 +1796,7 @@ mod tests {
         // Truncate: torn payload.
         let full = {
             fs::write(&path, []).unwrap();
-            write_checkpoint_file(tmp.path(), &payload, 0).unwrap();
+            write_checkpoint_file(tmp.path(), &payload, fnv1a64(payload.as_bytes()), 0).unwrap();
             fs::read(&path).unwrap()
         };
         fs::write(&path, &full[..full.len() / 2]).unwrap();

@@ -22,8 +22,8 @@ use std::str::FromStr;
 pub struct SystemId(pub [u8; 6]);
 
 impl Serialize for SystemId {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::String(self.to_string())
+    fn serialize<S: serde::Serializer + ?Sized>(&self, s: &mut S) {
+        s.str(&self.to_string())
     }
 }
 
