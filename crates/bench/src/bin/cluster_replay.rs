@@ -36,10 +36,10 @@ use faultline_bench::{
     write_bench_json,
 };
 use faultline_core::cluster::{
-    run_cluster, run_cluster_subprocess, ClusterConfig, ClusterResult, SubprocessOptions,
+    run_cluster, ClusterConfig, ClusterResult, SubprocessOptions, Workers,
 };
 use faultline_core::transport::{locate_worker_bin, ScenarioSpec};
-use faultline_core::{scenario_event_stream, AnalysisConfig, PipelineReport, StreamEvent};
+use faultline_core::{scenario_event_stream, PipelineReport, StreamEvent};
 use faultline_sim::scenario::{run, ScenarioData, ScenarioParams};
 use serde_json::json;
 
@@ -73,19 +73,19 @@ fn main() {
     if run_subprocess {
         match locate_worker_bin() {
             Some(worker_bin) => {
-                let opts = SubprocessOptions {
+                let workers = Workers::Subprocess(SubprocessOptions {
                     worker_bin,
                     scenario: ScenarioSpec::Params(Box::new(paper_params())),
-                };
+                });
                 for shards in [2u32, 4, 8] {
                     let label = format!("paper_subprocess_shards_{shards}");
                     let cfg = ClusterConfig {
-                        shards,
-                        analysis: AnalysisConfig::default(),
                         chunk: 4096,
+                        workers: workers.clone(),
+                        ..ClusterConfig::new(shards)
                     };
-                    let result = run_cluster_subprocess(&data, &events, &cfg, &opts)
-                        .expect("valid subprocess cluster run");
+                    let result =
+                        run_cluster(&data, &events, &cfg).expect("valid subprocess cluster run");
                     let merged =
                         serde_json::to_string(&result.output).expect("serialize merged output");
                     assert_eq!(
@@ -229,9 +229,8 @@ fn cluster_run(
     expected: Option<&str>,
 ) -> (String, serde_json::Value, f64) {
     let cfg = ClusterConfig {
-        shards,
-        analysis: AnalysisConfig::default(),
         chunk: 4096,
+        ..ClusterConfig::new(shards)
     };
     let result = run_cluster(data, events, &cfg).expect("valid cluster run");
     if let Some(expected) = expected {

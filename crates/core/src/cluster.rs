@@ -7,9 +7,10 @@
 //! links), the stream can be *partitioned by link* across N independent
 //! worker shards, each running the ordinary streaming driver over its
 //! substream, and the per-shard answers can be merged back into the
-//! exact single-process answer. This module is that runtime, built as a
-//! **dispatcher + N workers speaking a serializable protocol** over a
-//! [`ShardTransport`] (see [`crate::transport`]):
+//! exact single-process answer. This module is that runtime: **one
+//! runner, [`run_cluster`]**, a dispatcher + N workers speaking a
+//! serializable protocol over a [`ShardTransport`] (see
+//! [`crate::transport`]):
 //!
 //! ```text
 //!               ShardMsg over a ShardTransport
@@ -22,6 +23,19 @@
 //!              └────────────────────────────────────────────┘
 //! ```
 //!
+//! What kind of run it is — where the workers live, whether they are
+//! durable, whether the cluster grows mid-stream — is three *values* of
+//! [`ClusterConfig`], not three functions:
+//!
+//! | field | value | what changes |
+//! |---|---|---|
+//! | [`ClusterConfig::workers`] | [`Workers::InProcess`] (default) / [`Workers::Subprocess`] | scoped threads behind bounded channels, or `faultline-shard-worker` processes over hashed stdio frames |
+//! | [`ClusterConfig::durability`] | `None` / `Some(`[`ClusterDurability`]`)` | every worker journals under its own `shard-{i}/`; a lost worker is respawned and recovered instead of failing the run |
+//! | [`ClusterConfig::reshard_at`] | `None` / `Some(event index)` | the cluster grows N → N+1 at that event boundary, migrating exactly the lanes jump-hash reassigns |
+//!
+//! Every combination goes through the same dispatcher loop and comes
+//! back as the same [`ClusterResult`] under the same [`TransportError`].
+//!
 //! - **Partitioner.** [`route_event`] resolves each event to its link
 //!   exactly as the kernel's classify stage would, then hashes the
 //!   link's interned `(Sym, Sym)` key ([`crate::linktable::LinkTable::shard_key`])
@@ -33,16 +47,12 @@
 //!   deterministic fallback shard — they only increment counters, which
 //!   sum shard-wise, so any deterministic placement preserves the merge.
 //! - **Workers.** Each worker owns an unmodified [`crate::streaming::StreamAnalysis`]
-//!   (or [`crate::recovery::DurableStream`] in the durable runtime) and interacts with
+//!   (or [`crate::recovery::DurableStream`] on a durable run) and interacts with
 //!   the dispatcher *only* through [`crate::transport::ShardMsg`]
 //!   frames: `Ready`, `Events`, `Flush`/`Flushed`, `Fatal`. A shard's
 //!   substream preserves global time order, and a link's entire history
 //!   lands on exactly one shard, so every per-link state machine sees
-//!   byte-for-byte the history it would see in a single process. The
-//!   default [`crate::transport::InProcessTransport`] runs workers as
-//!   scoped threads behind bounded channels (messages move by value);
-//!   [`run_cluster_subprocess`] runs the same protocol against
-//!   `faultline-shard-worker` child processes over hashed stdio frames.
+//!   byte-for-byte the history it would see in a single process.
 //! - **Aggregator.** [`merge_outputs`] rebuilds the global
 //!   [`StreamOutput`] from the shard outputs *in worker-index order*:
 //!   counter structs are field-wise sums (each offered event is counted
@@ -56,30 +66,33 @@
 //!   tested shard count, seed, and chaos preset;
 //!   `tests/cluster_process.rs` asserts the same across the subprocess
 //!   transport.
-//! - **Supervisor.** In the durable runtime ([`run_durable_cluster`])
-//!   every shard journals and checkpoints under its own `shard-{i}/`
-//!   directory. When a worker dies mid-run — a deterministic
-//!   [`faultline_sim::chaos::ShardKill`] abort, or a real `SIGKILL` of a
-//!   subprocess worker — the dispatcher observes the loss through the
-//!   transport (a dead channel in-process, EOF on the pipe for a
-//!   subprocess), respawns *that worker only*, recovers it through the
-//!   ordinary [`crate::recovery::DurableStream::recover`] ladder, re-feeds the
-//!   unconsumed tail of its substream, and the merged answer is still
-//!   byte-identical; healthy shards never restart
-//!   (`tests/cluster_recovery.rs`, `tests/cluster_process.rs`).
-//! - **Live resharding.** [`run_reshard_cluster`] grows a running
-//!   cluster N → N+1 at an event boundary: dispatch pauses, the lanes
-//!   of exactly the links jump-hash reassigns are detached from their
-//!   old workers ([`crate::transport::ShardMsg::ExportLanes`]), shipped
-//!   as serialized lane snapshots
+//! - **Supervisor.** With [`ClusterConfig::durability`] set, a worker
+//!   that dies mid-run — a [`faultline_sim::chaos::ShardKill`] abort
+//!   inside the worker, or the dispatcher killing it outright (channel
+//!   teardown in-process, a real `SIGKILL` for a subprocess) — is
+//!   observed through the transport (a dead channel, EOF on the pipe)
+//!   and *recorded* rather than returned. Once the healthy workers have
+//!   flushed, the dispatcher respawns *that worker only*, recovers it
+//!   through the ordinary [`crate::recovery::DurableStream::recover`]
+//!   ladder, re-feeds the unconsumed tail of its substream, and the
+//!   merged answer is still byte-identical; healthy shards never restart
+//!   (`tests/cluster_recovery.rs`, `tests/cluster_process.rs`). Without
+//!   durability any worker loss is the run's error.
+//! - **Live resharding.** With [`ClusterConfig::reshard_at`] set,
+//!   dispatch pauses at that event boundary, the lanes of exactly the
+//!   links jump-hash reassigns are detached from their old workers
+//!   ([`crate::transport::ShardMsg::ExportLanes`]), shipped as
+//!   serialized lane snapshots
 //!   ([`crate::transport::ShardMsg::LaneMigrate`]), attached by the new
 //!   worker, and dispatch resumes at N+1 routing. Because every
 //!   per-link derived state lives in its lane and moves whole, the
 //!   merged output is byte-identical to a from-scratch N+1 run
-//!   (`tests/cluster_reshard.rs`).
+//!   (`tests/cluster_reshard.rs`). Durable workers refuse lane
+//!   migration, so combining the two is a typed
+//!   [`TransportError::WorkerReported`].
 
 use crate::analysis::{self, AnalysisConfig};
-use crate::error::{RecoveryError, TransportError};
+use crate::error::TransportError;
 use crate::intern::Sym;
 use crate::linktable::{self, LinkIx, LinkTable};
 use crate::matching::FailureMatching;
@@ -100,7 +113,6 @@ use faultline_isis::listener::{ReachabilityKind, TransitionSubject};
 use faultline_sim::chaos::ShardKill;
 use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -197,48 +209,6 @@ pub fn partition_events(
         routed[route_event(table, event, n) as usize].push(event.clone());
     }
     routed
-}
-
-/// Partition a stream directly into per-shard queues of `chunk`-sized
-/// [`ShardMsg::Events`] batches — one clone per event, moved (never
-/// re-serialized or re-copied) through the in-process transport.
-fn partition_batches(
-    table: &LinkTable,
-    events: &[StreamEvent],
-    shards: u32,
-    chunk: usize,
-) -> Vec<VecDeque<Vec<StreamEvent>>> {
-    let n = shards.max(1);
-    let chunk = chunk.max(1);
-    let cap = chunk.min(events.len());
-    // The per-event loop touches only a flat `Vec` per shard (one bounds
-    // check + push); full batches rotate into the queue on the chunk
-    // boundary, keeping the partitioner as cheap as the pre-transport
-    // flat `partition_events` despite producing ready-to-send batches.
-    let mut queues: Vec<VecDeque<Vec<StreamEvent>>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut current: Vec<Vec<StreamEvent>> = (0..n).map(|_| Vec::with_capacity(cap)).collect();
-    for event in events {
-        let shard = route_event(table, event, n) as usize;
-        let batch = &mut current[shard];
-        batch.push(event.clone());
-        if batch.len() >= chunk {
-            let full = std::mem::replace(batch, Vec::with_capacity(cap));
-            queues[shard].push_back(full);
-        }
-    }
-    for (shard, batch) in current.into_iter().enumerate() {
-        if !batch.is_empty() {
-            queues[shard].push_back(batch);
-        }
-    }
-    queues
-}
-
-fn batch_counts(batches: &[VecDeque<Vec<StreamEvent>>]) -> Vec<u64> {
-    batches
-        .iter()
-        .map(|q| q.iter().map(|b| b.len() as u64).sum())
-        .collect()
 }
 
 fn add_resolve(into: &mut SyslogResolveStats, from: &SyslogResolveStats) {
@@ -471,8 +441,10 @@ pub fn merge_outputs(shards: Vec<StreamOutput>) -> StreamOutput {
         counters,
     }
 }
-
-/// How a sharded cluster run is shaped.
+/// How a sharded cluster run is shaped: how many workers, where they
+/// run, whether they are durable, and whether the cluster grows
+/// mid-stream. [`run_cluster`] is the only runner; everything that
+/// distinguishes one kind of run from another is a value here.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Worker shards (clamped to at least 1).
@@ -483,22 +455,119 @@ pub struct ClusterConfig {
     /// Micro-batch size of each [`ShardMsg::Events`] frame the
     /// dispatcher sends.
     pub chunk: usize,
+    /// Where the workers run.
+    pub workers: Workers,
+    /// When present, every worker journals and checkpoints under its own
+    /// `shard-{i}/` directory, and a worker lost mid-run is respawned
+    /// and recovered instead of failing the run.
+    pub durability: Option<ClusterDurability>,
+    /// When present, the cluster grows from `shards` to `shards + 1`
+    /// workers at this event-stream position (clamped to the stream
+    /// length): events before it are dispatched at N-shard routing,
+    /// exactly the lanes jump-hash reassigns migrate to the new worker,
+    /// and the rest is dispatched at (N+1)-shard routing.
+    pub reshard_at: Option<usize>,
 }
 
 impl ClusterConfig {
-    /// A cluster of `shards` workers with the default analysis
-    /// configuration and micro-batch size.
+    /// A cluster of `shards` in-process, non-durable workers with the
+    /// default analysis configuration and micro-batch size.
     pub fn new(shards: u32) -> Self {
         ClusterConfig {
             shards,
             analysis: AnalysisConfig::default(),
             chunk: 2048,
+            workers: Workers::InProcess,
+            durability: None,
+            reshard_at: None,
         }
     }
 }
 
+/// Where a cluster's workers run. The protocol, the dispatcher and the
+/// answer are identical either way.
+#[derive(Debug, Clone)]
+pub enum Workers {
+    /// Scoped threads behind bounded channels, borrowing the
+    /// dispatcher's scenario; messages move by value.
+    InProcess,
+    /// `faultline-shard-worker` child processes speaking hashed frames
+    /// over stdio.
+    Subprocess(SubprocessOptions),
+}
+
+/// How to run cluster workers as `faultline-shard-worker` subprocesses.
+#[derive(Debug, Clone)]
+pub struct SubprocessOptions {
+    /// The worker binary (see [`crate::transport::locate_worker_bin`]).
+    pub worker_bin: PathBuf,
+    /// How each worker materializes its own copy of the scenario —
+    /// must describe the same data the dispatcher routes with
+    /// ([`ScenarioSpec::Params`] or [`ScenarioSpec::Inline`]).
+    pub scenario: ScenarioSpec,
+}
+
+/// Durability for a cluster run, plus the chaos hooks that only make
+/// sense when there is durable state to recover from.
+#[derive(Debug, Clone)]
+pub struct ClusterDurability {
+    /// The cluster's durability root; shard `i` owns [`shard_dir`]`(root, i)`.
+    /// Must not hold prior durable state.
+    pub root: PathBuf,
+    /// Checkpoint cadence, retention, fsync, and retry policy of every shard.
+    pub policy: DurabilityPolicy,
+    /// Deterministic in-worker aborts: the named worker consumes exactly
+    /// `after_events` of its substream, then dies without a word — the
+    /// engine is dropped mid-run, no flush, no farewell message.
+    pub kills: Vec<ShardKill>,
+    /// Dispatcher-side kills: once exactly `after_events` of the named
+    /// worker's substream have been sent, the dispatcher kills it
+    /// through the transport — channel teardown in-process, a genuine
+    /// `SIGKILL` for a subprocess, which gets no chance to flush buffers.
+    pub hard_kills: Vec<ShardKill>,
+}
+
+/// The durability directory of one shard under the cluster root:
+/// `root/shard-{i}/` — each shard journals and checkpoints entirely
+/// within its own directory, which is what lets the supervisor recover
+/// it without touching any other shard's state.
+pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
+    root.join(format!("shard-{shard}"))
+}
+
+/// One supervisor recovery: which shard died and what
+/// [`crate::recovery::DurableStream::recover`] found in its `shard-{i}/` directory.
+#[derive(Debug, Clone)]
+pub struct ShardRecovery {
+    /// The shard that was recovered.
+    pub shard: u32,
+    /// The recovery ladder's findings for that shard.
+    pub report: RecoveryReport,
+}
+
+/// The migration ledger of one live reshard.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ReshardReport {
+    /// Shard count before the grow.
+    pub from_shards: u32,
+    /// Shard count after the grow (`from_shards + 1`).
+    pub to_shards: u32,
+    /// The event-stream position the reshard happened at.
+    pub split_at: usize,
+    /// Exactly the links jump-hash reassigned — every one maps to the
+    /// new shard, pinned by `tests/cluster_reshard.rs` against an
+    /// independent recomputation.
+    pub moved_links: Vec<LinkIx>,
+    /// Live lanes actually shipped (moved links whose lane had opened;
+    /// the rest are state-free and start fresh on the new worker).
+    pub lanes_moved: u64,
+    /// Wall-clock cost of the pause: grow + export + ship + import.
+    pub migration_micros: u64,
+}
+
 /// What a cluster run produces: the merged (single-process-identical)
-/// output, the cluster-level report, and each shard's own report.
+/// output, the cluster-level report, each shard's own report, and the
+/// ledgers of whatever adversity the run was configured with.
 pub struct ClusterResult {
     /// The merged derived surface — byte-identical to the single-process
     /// answer on the same stream.
@@ -510,9 +579,18 @@ pub struct ClusterResult {
     pub report: PipelineReport,
     /// Every shard's own [`PipelineReport`], in worker-index order.
     pub shard_reports: Vec<PipelineReport>,
+    /// Every recovery the supervisor performed, in shard order; empty
+    /// when no worker was lost.
+    pub recoveries: Vec<ShardRecovery>,
+    /// Per-shard `DurabilityCounters::restores` on a durable run (empty
+    /// otherwise) — the healthy-shards-never-restart contract is
+    /// `restores == 0` for every shard not named in a [`ShardKill`].
+    pub shard_restores: Vec<u64>,
+    /// What moved and what it cost, when the run resharded.
+    pub reshard: Option<ReshardReport>,
 }
 
-/// Wall-clock attribution for [`assemble_result`].
+/// Wall-clock attribution for [`cluster_report`].
 struct ClusterWalls {
     dispatch: std::time::Duration,
     shard_ingest: std::time::Duration,
@@ -520,19 +598,20 @@ struct ClusterWalls {
     total: std::time::Duration,
 }
 
-/// Fold shard outputs + reports into a [`ClusterResult`] (the merge has
-/// already run; this builds the accounting around it).
+/// Fold the merged output + shard reports into the cluster-level
+/// [`PipelineReport`] (the merge has already run; this builds the
+/// accounting around it).
 #[allow(clippy::too_many_arguments)]
-fn assemble_result(
-    output: StreamOutput,
-    shard_reports: Vec<PipelineReport>,
+fn cluster_report(
+    output: &StreamOutput,
+    shard_reports: &[PipelineReport],
     events_per_shard: Vec<u64>,
     links_per_shard: Vec<u64>,
     walls: ClusterWalls,
     recovery_events: u64,
     durability: Option<DurabilityCounters>,
-    transport: Option<TransportCounters>,
-) -> ClusterResult {
+    transport: TransportCounters,
+) -> PipelineReport {
     let shards = events_per_shard.len() as u32;
     let total_events: u64 = events_per_shard.iter().sum();
     let max_shard_events = events_per_shard.iter().copied().max().unwrap_or(0);
@@ -612,36 +691,143 @@ fn assemble_result(
         recovery_events,
         merge_micros: walls.merge.as_micros() as u64,
     });
-    report.transport = transport;
+    report.transport = Some(transport);
     report.total_micros = walls.total.as_micros() as u64;
     observe::narrate(|| {
         format!(
             "cluster done: {shards} shards, {total_events} events, skew {skew:.2}, {recovery_events} recoveries"
         )
     });
-    ClusterResult {
-        output,
-        report,
-        shard_reports,
+    report
+}
+
+/// Every link's shard at one shard count, hashed once up front — the
+/// per-event loop then routes with one table probe plus an array index
+/// instead of re-running FNV + jump-hash 170k+ times for a 300-link
+/// keyspace. Agrees with [`route_event`] for every event (a debug
+/// assertion on the hot path, a unit test below).
+struct Assignment {
+    shards: u32,
+    by_link: Vec<u32>,
+    unrouted: u32,
+}
+
+impl Assignment {
+    fn new(table: &LinkTable, shards: u32) -> Self {
+        Assignment {
+            shards,
+            by_link: table
+                .iter()
+                .map(|ix| shard_of_link(table, ix, shards))
+                .collect(),
+            unrouted: shard_of_key(UNROUTED_KEY, shards),
+        }
+    }
+
+    fn worker_of(&self, table: &LinkTable, event: &StreamEvent) -> usize {
+        let shard = match link_of_event(table, event) {
+            Some(link) => self.by_link[link.0 as usize],
+            None => self.unrouted,
+        };
+        debug_assert_eq!(shard, route_event(table, event, self.shards));
+        shard as usize
+    }
+
+    /// Links assigned to each shard.
+    fn links_per_shard(&self) -> Vec<u64> {
+        let mut counts = vec![0u64; self.shards as usize];
+        for &shard in &self.by_link {
+            counts[shard as usize] += 1;
+        }
+        counts
     }
 }
 
-/// Links assigned to each shard by the partitioner.
-fn links_per_shard(table: &LinkTable, shards: u32) -> Vec<u64> {
-    let mut counts = vec![0u64; shards.max(1) as usize];
-    for ix in table.iter() {
-        counts[shard_of_link(table, ix, shards) as usize] += 1;
-    }
-    counts
+/// Which workers were lost mid-run. Only a durable run may lose one:
+/// its supervisor pass brings the worker back from its `shard-{i}/`
+/// directory. A non-durable worker has no state to recover, so there
+/// the loss is the run's error.
+struct Losses {
+    recoverable: bool,
+    dead: Vec<bool>,
 }
 
-// ---------------------------------------------------------------------------
-// Transport-generic drivers
-// ---------------------------------------------------------------------------
+impl Losses {
+    /// Pass `result` through, unless it is a worker loss this run can
+    /// recover from: then record it and carry on without that worker.
+    fn absorb<T>(
+        &mut self,
+        worker: usize,
+        result: Result<T, TransportError>,
+    ) -> Result<Option<T>, TransportError> {
+        match result {
+            Ok(value) => Ok(Some(value)),
+            Err(e) if self.recoverable && e.is_worker_loss() => {
+                self.dead[worker] = true;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// The spec of worker `shard` in a cluster of `shards`: fresh, or —
+/// for the supervisor's respawn — recovering from its own directory. A
+/// recovering worker never inherits the abort hook that killed its
+/// predecessor.
+fn worker_spec(cfg: &ClusterConfig, shard: u32, shards: u32, recover: bool) -> WorkerSpec {
+    let scenario = match &cfg.workers {
+        Workers::InProcess => ScenarioSpec::Attached,
+        Workers::Subprocess(opts) => opts.scenario.clone(),
+    };
+    let mut spec = WorkerSpec::new(shard, shards, cfg.analysis.clone(), scenario);
+    if let Some(d) = &cfg.durability {
+        spec.durable = Some(DurableSpec {
+            dir: shard_dir(&d.root, shard).display().to_string(),
+            policy: d.policy,
+            recover,
+        });
+        if !recover {
+            spec.abort_after_events = kill_point(&d.kills, shard);
+        }
+    }
+    spec
+}
+
+fn kill_point(kills: &[ShardKill], shard: u32) -> Option<u64> {
+    kills
+        .iter()
+        .find(|k| k.shard == shard)
+        .map(|k| k.after_events)
+}
+
+/// Start the configured workers and hand `drive` the transport that
+/// reaches them — the one place the two transports are named. Returns
+/// what `drive` returned plus the transport's ledger. An in-process
+/// worker panic re-raises at scope exit.
+fn with_workers<R>(
+    data: &ScenarioData,
+    workers: &Workers,
+    specs: Vec<WorkerSpec>,
+    drive: impl FnOnce(&mut dyn ShardTransport) -> R,
+) -> Result<(R, TransportCounters), TransportError> {
+    match workers {
+        Workers::InProcess => Ok(std::thread::scope(|scope| {
+            let mut transport = InProcessTransport::start(scope, data, specs);
+            let driven = drive(&mut transport);
+            (driven, transport.counters())
+        })),
+        Workers::Subprocess(opts) => {
+            let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
+            let driven = drive(&mut transport);
+            Ok((driven, transport.counters()))
+        }
+    }
+}
 
 /// Receive a worker's next message and require it to be [`ShardMsg::Ready`].
-fn expect_ready<T: ShardTransport + ?Sized>(
-    transport: &mut T,
+fn expect_ready(
+    transport: &mut dyn ShardTransport,
     worker: usize,
 ) -> Result<ReadyMsg, TransportError> {
     match transport.recv(worker)? {
@@ -655,8 +841,8 @@ fn expect_ready<T: ShardTransport + ?Sized>(
 }
 
 /// Receive a worker's next message and require it to be [`ShardMsg::Flushed`].
-fn expect_flushed<T: ShardTransport + ?Sized>(
-    transport: &mut T,
+fn expect_flushed(
+    transport: &mut dyn ShardTransport,
     worker: usize,
 ) -> Result<(StreamOutput, PipelineReport), TransportError> {
     match transport.recv(worker)? {
@@ -669,266 +855,17 @@ fn expect_flushed<T: ShardTransport + ?Sized>(
     }
 }
 
-/// Round-robin the queued [`ShardMsg::Events`] batches out to the
-/// workers; bounded transport channels provide the backpressure.
-fn feed_round_robin<T: ShardTransport + ?Sized>(
-    transport: &mut T,
-    batches: &mut [VecDeque<Vec<StreamEvent>>],
-) -> Result<(), TransportError> {
-    loop {
-        let mut any = false;
-        for (worker, queue) in batches.iter_mut().enumerate() {
-            if let Some(batch) = queue.pop_front() {
-                any = true;
-                transport.send(worker, ShardMsg::Events(batch))?;
-            }
-        }
-        if !any {
-            return Ok(());
-        }
-    }
-}
-
-/// The plain (non-durable) dispatcher: Ready barrier, then a single
-/// fused pass that routes each event and sends every batch the moment
-/// it fills — the batch the worker ingests is the one the dispatcher
-/// just wrote, still cache-warm, and on multi-core hosts routing
-/// overlaps worker ingest instead of running as a separate
-/// materialize-everything pass. Flush and collect in worker-index
-/// order. Any worker loss is an error — a non-durable worker has no
-/// state to recover. Returns outputs, reports, and the per-shard event
-/// counts the fused pass tallied.
-#[allow(clippy::type_complexity)]
-fn drive_stream_feed<T: ShardTransport + ?Sized>(
-    transport: &mut T,
+/// The reshard pause: [`ShardTransport::grow`] worker N, detach exactly
+/// the lanes jump-hash reassigns from their old workers and attach them
+/// to the new one. The caller has already sent every pre-split event.
+fn grow_and_migrate(
+    transport: &mut dyn ShardTransport,
     table: &LinkTable,
-    events: &[StreamEvent],
-    chunk: usize,
-) -> Result<(Vec<StreamOutput>, Vec<PipelineReport>, Vec<u64>), TransportError> {
-    let workers = transport.workers();
-    let n = workers as u32;
-    let chunk = chunk.max(1);
-    let cap = chunk.min(events.len());
-    for worker in 0..workers {
-        expect_ready(transport, worker)?;
-    }
-    // Hash every *link* to its shard once up front — the per-event loop
-    // then routes with one table probe plus an array index instead of
-    // re-running FNV + jump-hash 170k+ times for a 300-link keyspace.
-    let assign: Vec<u32> = table.iter().map(|ix| shard_of_link(table, ix, n)).collect();
-    let unrouted = shard_of_key(UNROUTED_KEY, n);
-    let mut current: Vec<Vec<StreamEvent>> =
-        (0..workers).map(|_| Vec::with_capacity(cap)).collect();
-    let mut counts = vec![0u64; workers];
-    for event in events {
-        let shard = match link_of_event(table, event) {
-            Some(link) => assign[link.0 as usize],
-            None => unrouted,
-        } as usize;
-        debug_assert_eq!(shard as u32, route_event(table, event, n));
-        counts[shard] += 1;
-        let batch = &mut current[shard];
-        batch.push(event.clone());
-        if batch.len() >= chunk {
-            let full = std::mem::replace(batch, Vec::with_capacity(cap));
-            transport.send(shard, ShardMsg::Events(full))?;
-        }
-    }
-    for (shard, batch) in current.into_iter().enumerate() {
-        if !batch.is_empty() {
-            transport.send(shard, ShardMsg::Events(batch))?;
-        }
-    }
-    for worker in 0..workers {
-        transport.send(worker, ShardMsg::Flush)?;
-    }
-    let mut outputs = Vec::with_capacity(workers);
-    let mut reports = Vec::with_capacity(workers);
-    for worker in 0..workers {
-        let (output, report) = expect_flushed(transport, worker)?;
-        outputs.push(output);
-        reports.push(report);
-    }
-    Ok((outputs, reports, counts))
-}
-
-/// The durable dispatcher: like [`drive_feed_flush`], but worker losses
-/// during feed/flush/collect are *expected* (deterministic aborts and
-/// real SIGKILLs both surface as a dead transport endpoint). Dead
-/// workers are respawned with their recovery spec, resumed from the
-/// `resumed_at_seq` their recovery ladder reports, re-fed only the
-/// unconsumed tail of their substream, and flushed; a second loss of
-/// the same worker propagates. `hard_kills` makes the *dispatcher*
-/// kill the named worker at the first send boundary at or past
-/// `after_events` — a genuine SIGKILL for subprocess transports.
-#[allow(clippy::type_complexity)]
-fn drive_durable<T: ShardTransport + ?Sized>(
-    transport: &mut T,
-    routed: &[Vec<StreamEvent>],
-    chunk: usize,
-    hard_kills: &[ShardKill],
-    respawn_spec: &dyn Fn(u32) -> WorkerSpec,
-) -> Result<(Vec<StreamOutput>, Vec<PipelineReport>, Vec<ShardRecovery>), TransportError> {
-    let workers = transport.workers();
-    debug_assert_eq!(workers, routed.len());
-    let chunk = chunk.max(1);
-    for worker in 0..workers {
-        expect_ready(transport, worker)?;
-    }
-
-    let mut dead = vec![false; workers];
-    let mut pos = vec![0usize; workers];
-    let mut hard: Vec<Option<u64>> = (0..workers)
-        .map(|w| {
-            hard_kills
-                .iter()
-                .find(|k| k.shard == w as u32)
-                .map(|k| k.after_events)
-        })
-        .collect();
-    loop {
-        let mut any = false;
-        for w in 0..workers {
-            if dead[w] {
-                continue;
-            }
-            if let Some(at) = hard[w] {
-                if pos[w] as u64 >= at {
-                    transport.kill(w)?;
-                    observe::narrate(|| {
-                        format!("cluster: shard {w} hard-killed after {at} events")
-                    });
-                    dead[w] = true;
-                    hard[w] = None;
-                    continue;
-                }
-            }
-            if pos[w] >= routed[w].len() {
-                continue;
-            }
-            any = true;
-            let mut end = (pos[w] + chunk).min(routed[w].len());
-            if let Some(at) = hard[w] {
-                // Land the kill exactly on its event boundary.
-                end = end.min(at as usize);
-            }
-            match transport.send(w, ShardMsg::Events(routed[w][pos[w]..end].to_vec())) {
-                Ok(()) => pos[w] = end,
-                Err(e) if e.is_worker_loss() => dead[w] = true,
-                Err(e) => return Err(e),
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-
-    let mut outputs: Vec<Option<StreamOutput>> = (0..workers).map(|_| None).collect();
-    let mut reports: Vec<Option<PipelineReport>> = (0..workers).map(|_| None).collect();
-    for (w, is_dead) in dead.iter_mut().enumerate() {
-        if *is_dead {
-            continue;
-        }
-        match transport.send(w, ShardMsg::Flush) {
-            Ok(()) => {}
-            Err(e) if e.is_worker_loss() => *is_dead = true,
-            Err(e) => return Err(e),
-        }
-    }
-    for w in 0..workers {
-        if dead[w] {
-            continue;
-        }
-        match expect_flushed(transport, w) {
-            Ok((output, report)) => {
-                outputs[w] = Some(output);
-                reports[w] = Some(report);
-            }
-            Err(e) if e.is_worker_loss() => dead[w] = true,
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Supervisor pass: every dead worker is respawned against its own
-    // shard-{i}/ directory and recovered through the ordinary ladder;
-    // healthy workers are never touched.
-    let mut recoveries = Vec::new();
-    for w in 0..workers {
-        if !dead[w] {
-            continue;
-        }
-        transport.respawn(w, respawn_spec(w as u32))?;
-        let ready = expect_ready(transport, w)?;
-        let report = ready.recovery.ok_or_else(|| TransportError::Protocol {
-            worker: w,
-            detail: "respawned worker reported no recovery".to_string(),
-        })?;
-        observe::narrate(|| {
-            format!(
-                "cluster: supervisor recovered shard {w} at seq {}",
-                report.resumed_at_seq
-            )
-        });
-        let mut p = (report.resumed_at_seq as usize).min(routed[w].len());
-        while p < routed[w].len() {
-            let end = (p + chunk).min(routed[w].len());
-            transport.send(w, ShardMsg::Events(routed[w][p..end].to_vec()))?;
-            p = end;
-        }
-        transport.send(w, ShardMsg::Flush)?;
-        let (output, shard_report) = expect_flushed(transport, w)?;
-        outputs[w] = Some(output);
-        reports[w] = Some(shard_report);
-        recoveries.push(ShardRecovery {
-            shard: w as u32,
-            report,
-        });
-    }
-
-    let outputs = outputs
-        .into_iter()
-        .map(|o| o.expect("every dead shard recovered above"))
-        .collect();
-    let reports = reports
-        .into_iter()
-        .map(|r| r.expect("every dead shard recovered above"))
-        .collect();
-    Ok((outputs, reports, recoveries))
-}
-
-/// The live-reshard dispatcher: feed the pre-split stream at N-shard
-/// routing, pause at the boundary, [`ShardTransport::grow`] worker N,
-/// detach exactly the lanes jump-hash reassigns from their old workers
-/// and attach them to the new one, then resume at (N+1)-shard routing.
-/// Returns the flushed outputs plus the migration ledger.
-#[allow(clippy::type_complexity)]
-fn drive_reshard<T: ShardTransport + ?Sized>(
-    transport: &mut T,
-    table: &LinkTable,
-    pre: Vec<VecDeque<Vec<StreamEvent>>>,
-    post: Vec<VecDeque<Vec<StreamEvent>>>,
     grow_spec: WorkerSpec,
-) -> Result<
-    (
-        Vec<StreamOutput>,
-        Vec<PipelineReport>,
-        Vec<LinkIx>,
-        u64,
-        u64,
-    ),
-    TransportError,
-> {
-    let old_workers = transport.workers();
-    debug_assert_eq!(old_workers, pre.len());
-    debug_assert_eq!(old_workers + 1, post.len());
-    for worker in 0..old_workers {
-        expect_ready(transport, worker)?;
-    }
-    let mut pre = pre;
-    feed_round_robin(transport, &mut pre)?;
-
-    // --- the pause: grow, migrate exactly the reassigned lanes ---
+    split_at: usize,
+) -> Result<ReshardReport, TransportError> {
     let t_migrate = Instant::now();
+    let old_workers = transport.workers();
     let new_worker = transport.grow(grow_spec)?;
     expect_ready(transport, new_worker)?;
     let before_shards = old_workers as u32;
@@ -951,11 +888,11 @@ fn drive_reshard<T: ShardTransport + ?Sized>(
     // before it, and its LaneMigrate reply is the synchronization point:
     // once it arrives, that worker has consumed every pre-split event.
     let mut migration = LaneMigration::default();
-    for (w, links) in moving.iter().enumerate() {
+    for (w, links) in moving.into_iter().enumerate() {
         if links.is_empty() {
             continue;
         }
-        transport.send(w, ShardMsg::ExportLanes(links.clone()))?;
+        transport.send(w, ShardMsg::ExportLanes(links))?;
         match transport.recv(w)? {
             ShardMsg::LaneMigrate(part) => migration.merge(part),
             ShardMsg::Fatal { detail } => {
@@ -993,183 +930,227 @@ fn drive_reshard<T: ShardTransport + ?Sized>(
             moved_links.len()
         )
     });
-
-    // --- resume dispatch at N+1 routing ---
-    let mut post = post;
-    feed_round_robin(transport, &mut post)?;
-    let workers = transport.workers();
-    for worker in 0..workers {
-        transport.send(worker, ShardMsg::Flush)?;
-    }
-    let mut outputs = Vec::with_capacity(workers);
-    let mut reports = Vec::with_capacity(workers);
-    for worker in 0..workers {
-        let (output, report) = expect_flushed(transport, worker)?;
-        outputs.push(output);
-        reports.push(report);
-    }
-    Ok((outputs, reports, moved_links, lanes_moved, migration_micros))
+    Ok(ReshardReport {
+        from_shards: before_shards,
+        to_shards: after_shards,
+        split_at,
+        moved_links,
+        lanes_moved,
+        migration_micros,
+    })
 }
 
-// ---------------------------------------------------------------------------
-// In-process entry points
-// ---------------------------------------------------------------------------
-
-fn fresh_specs(shards: u32, cfg: &ClusterConfig, scenario: &ScenarioSpec) -> Vec<WorkerSpec> {
-    (0..shards)
-        .map(|shard| WorkerSpec::new(shard, shards, cfg.analysis.clone(), scenario.clone()))
-        .collect()
+/// What one pass of the dispatcher hands back.
+struct Dispatched {
+    /// Every worker's flushed output and report, in worker-index order.
+    flushed: Vec<(StreamOutput, PipelineReport)>,
+    /// Events routed to each worker over the whole run.
+    events_per_shard: Vec<u64>,
+    /// Links each worker holds under the routing the run ended with.
+    links_per_shard: Vec<u64>,
+    recoveries: Vec<ShardRecovery>,
+    reshard: Option<ReshardReport>,
 }
 
-/// Run the in-memory sharded cluster: partition `events` by link across
-/// `cfg.shards` workers, run each shard as an independent
-/// [`crate::streaming::StreamAnalysis`] behind the in-process transport,
-/// and merge the shard outputs into the single-process answer.
-///
-/// # Examples
-///
-/// ```
-/// use faultline_core::cluster::{run_cluster, ClusterConfig};
-/// use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
-/// use faultline_sim::scenario::{run, ScenarioParams};
-///
-/// let data = run(&ScenarioParams::tiny(42));
-/// let events = scenario_event_stream(&data);
-/// let clustered = run_cluster(&data, &events, &ClusterConfig::new(4)).unwrap();
-/// let batch = Analysis::run(&data, AnalysisConfig::default());
-/// assert_eq!(
-///     serde_json::to_string(&clustered.output).unwrap(),
-///     serde_json::to_string(&batch.output).unwrap(),
-/// );
-/// ```
-pub fn run_cluster(
-    data: &ScenarioData,
+/// The dispatcher — the only one. Ready barrier; then a single fused
+/// pass that routes each event and sends every batch the moment it
+/// fills (the batch the worker ingests is the one the dispatcher just
+/// wrote, still cache-warm, and on multi-core hosts routing overlaps
+/// worker ingest), pausing once at `cfg.reshard_at` to grow the cluster
+/// and firing each hard kill when exactly its `after_events` of the
+/// victim's substream have been sent; Flush, collect in worker-index
+/// order; then the supervisor pass over whatever was lost.
+fn dispatch(
+    transport: &mut dyn ShardTransport,
+    table: &LinkTable,
     events: &[StreamEvent],
     cfg: &ClusterConfig,
-) -> Result<ClusterResult, TransportError> {
-    let started = Instant::now();
-    // Validate configuration and input ordering once; shard workers then
-    // construct engines infallibly with the same inputs.
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
+) -> Result<Dispatched, TransportError> {
+    let chunk = cfg.chunk.max(1);
+    let cap = chunk.min(events.len());
+    let hard_kills = cfg.durability.as_ref().map_or(&[][..], |d| &d.hard_kills);
 
-    // The dispatch stage covers the routing side inputs (link table +
-    // per-shard link assignment); the per-event route+send work is
-    // fused into the feed inside `drive_stream_feed`, so it lands in
-    // the shard_ingest wall it actually overlaps with.
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &ScenarioSpec::Attached);
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_stream_feed(&mut transport, &table, events, cfg.chunk);
-        (result, transport.counters())
-    });
-    // A worker panic re-raises at scope exit above, exactly as the
-    // former join-based runtime did; anything else the transport
-    // reports is the caller's to handle, as in the subprocess twin.
-    let (outputs, shard_reports, events_per_shard) = driven.0?;
-    let shard_wall = t_shards.elapsed();
-
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    Ok(assemble_result(
-        output,
-        shard_reports,
-        events_per_shard,
-        per_shard_links,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: merge_wall,
-            total: started.elapsed(),
-        },
-        0,
-        None,
-        Some(driven.1),
-    ))
-}
-
-/// The durability directory of one shard under the cluster root:
-/// `root/shard-{i}/` — each shard journals and checkpoints entirely
-/// within its own directory, which is what lets the supervisor recover
-/// it without touching any other shard's state.
-pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
-    root.join(format!("shard-{shard}"))
-}
-
-/// One supervisor recovery: which shard died and what
-/// [`crate::recovery::DurableStream::recover`] found in its `shard-{i}/` directory.
-#[derive(Debug, Clone)]
-pub struct ShardRecovery {
-    /// The shard that was recovered.
-    pub shard: u32,
-    /// The recovery ladder's findings for that shard.
-    pub report: RecoveryReport,
-}
-
-/// What [`run_durable_cluster`] hands back: the merged result plus the
-/// supervisor's recovery ledger.
-pub struct DurableClusterRun {
-    /// The merged cluster result (byte-identical to single-process).
-    pub result: ClusterResult,
-    /// Every recovery the supervisor performed, in shard order; empty
-    /// when no shard was killed.
-    pub recoveries: Vec<ShardRecovery>,
-    /// Per-shard `DurabilityCounters::restores` — the
-    /// healthy-shards-never-restart contract is `restores == 0` for every
-    /// shard not named in a [`ShardKill`].
-    pub shard_restores: Vec<u64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn durable_spec(
-    root: &Path,
-    shard: u32,
-    shards: u32,
-    cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    scenario: &ScenarioSpec,
-    recover: bool,
-    abort_after_events: Option<u64>,
-) -> WorkerSpec {
-    WorkerSpec {
-        shard,
-        shards,
-        config: cfg.analysis.clone(),
-        scenario: scenario.clone(),
-        durable: Some(DurableSpec {
-            dir: shard_dir(root, shard).display().to_string(),
-            policy: *policy,
-            recover,
-        }),
-        abort_after_events,
+    let mut workers = transport.workers();
+    for worker in 0..workers {
+        expect_ready(transport, worker)?;
     }
+    let mut assign = Assignment::new(table, workers as u32);
+    let mut current: Vec<Vec<StreamEvent>> =
+        (0..workers).map(|_| Vec::with_capacity(cap)).collect();
+    let mut counts = vec![0u64; workers];
+    let mut losses = Losses {
+        recoverable: cfg.durability.is_some(),
+        dead: vec![false; workers],
+    };
+    let mut kill_at: Vec<Option<u64>> = (0..workers)
+        .map(|w| kill_point(hard_kills, w as u32))
+        .collect();
+    for (w, at) in kill_at.iter().enumerate() {
+        if *at == Some(0) {
+            hard_kill(transport, &mut losses, w, 0)?;
+        }
+    }
+
+    let split = cfg
+        .reshard_at
+        .map_or(events.len(), |at| at.min(events.len()));
+    let (pre, post) = events.split_at(split);
+    let mut reshard = None;
+    // One loop body for both halves; without a reshard `post` is empty.
+    for (segment, grow_first) in [(pre, false), (post, cfg.reshard_at.is_some())] {
+        if grow_first {
+            send_partials(transport, &mut current, &mut losses)?;
+            let shards = workers as u32;
+            let grow_spec = worker_spec(cfg, shards, shards + 1, false);
+            reshard = Some(grow_and_migrate(transport, table, grow_spec, split)?);
+            workers += 1;
+            assign = Assignment::new(table, workers as u32);
+            current.push(Vec::with_capacity(cap));
+            counts.push(0);
+            losses.dead.push(false);
+            kill_at.push(None);
+        }
+        for event in segment {
+            let w = assign.worker_of(table, event);
+            counts[w] += 1;
+            if losses.dead[w] {
+                // Withheld; the supervisor pass re-feeds it.
+                continue;
+            }
+            let batch = &mut current[w];
+            batch.push(event.clone());
+            // Cutting the batch here lands the kill exactly on its
+            // event boundary.
+            let kill_due = kill_at[w] == Some(counts[w]);
+            if batch.len() >= chunk || kill_due {
+                let full = std::mem::replace(batch, Vec::with_capacity(cap));
+                losses.absorb(w, transport.send(w, ShardMsg::Events(full)))?;
+            }
+            if kill_due && !losses.dead[w] {
+                hard_kill(transport, &mut losses, w, counts[w])?;
+            }
+        }
+    }
+    send_partials(transport, &mut current, &mut losses)?;
+
+    for w in 0..workers {
+        if !losses.dead[w] {
+            losses.absorb(w, transport.send(w, ShardMsg::Flush))?;
+        }
+    }
+    let mut flushed: Vec<Option<(StreamOutput, PipelineReport)>> =
+        (0..workers).map(|_| None).collect();
+    for (w, answer) in flushed.iter_mut().enumerate() {
+        if !losses.dead[w] {
+            *answer = losses.absorb(w, expect_flushed(transport, w))?;
+        }
+    }
+
+    // Supervisor pass: every lost worker is respawned against its own
+    // shard-{i}/ directory and recovered through the ordinary ladder;
+    // healthy workers are never touched. A second loss of the same
+    // worker propagates. (Durable workers refuse lane migration, so a
+    // run that reaches this point never resharded and `assign` is the
+    // routing the whole stream was dispatched with.)
+    let mut recoveries = Vec::new();
+    for (w, answer) in flushed.iter_mut().enumerate() {
+        if !losses.dead[w] {
+            continue;
+        }
+        transport.respawn(w, worker_spec(cfg, w as u32, workers as u32, true))?;
+        let ready = expect_ready(transport, w)?;
+        let report = ready.recovery.ok_or_else(|| TransportError::Protocol {
+            worker: w,
+            detail: "respawned worker reported no recovery".to_string(),
+        })?;
+        observe::narrate(|| {
+            format!(
+                "cluster: supervisor recovered shard {w} at seq {}",
+                report.resumed_at_seq
+            )
+        });
+        // The worker's substream is the stream filtered through the same
+        // routing; the ladder already brought back its first
+        // `resumed_at_seq` events.
+        let resumed = usize::try_from(report.resumed_at_seq).unwrap_or(usize::MAX);
+        let tail = events
+            .iter()
+            .filter(|event| assign.worker_of(table, event) == w)
+            .skip(resumed);
+        let mut batch = Vec::with_capacity(cap);
+        for event in tail {
+            batch.push(event.clone());
+            if batch.len() >= chunk {
+                let full = std::mem::replace(&mut batch, Vec::with_capacity(cap));
+                transport.send(w, ShardMsg::Events(full))?;
+            }
+        }
+        if !batch.is_empty() {
+            transport.send(w, ShardMsg::Events(batch))?;
+        }
+        transport.send(w, ShardMsg::Flush)?;
+        *answer = Some(expect_flushed(transport, w)?);
+        recoveries.push(ShardRecovery {
+            shard: w as u32,
+            report,
+        });
+    }
+
+    Ok(Dispatched {
+        flushed: flushed
+            .into_iter()
+            .map(|f| f.expect("every lost worker was recovered above"))
+            .collect(),
+        events_per_shard: counts,
+        links_per_shard: assign.links_per_shard(),
+        recoveries,
+        reshard,
+    })
 }
 
-fn transport_to_recovery_error(e: TransportError) -> RecoveryError {
-    RecoveryError::WorkerFailed {
-        shard: e.worker().unwrap_or(0) as u32,
-        detail: e.to_string(),
+/// Send every worker its partial batch, if it holds one.
+fn send_partials(
+    transport: &mut dyn ShardTransport,
+    current: &mut [Vec<StreamEvent>],
+    losses: &mut Losses,
+) -> Result<(), TransportError> {
+    for (w, batch) in current.iter_mut().enumerate() {
+        if !batch.is_empty() {
+            let partial = std::mem::take(batch);
+            losses.absorb(w, transport.send(w, ShardMsg::Events(partial)))?;
+        }
     }
+    Ok(())
+}
+
+/// Kill worker `w` through the transport, `at` events into its substream.
+fn hard_kill(
+    transport: &mut dyn ShardTransport,
+    losses: &mut Losses,
+    w: usize,
+    at: u64,
+) -> Result<(), TransportError> {
+    transport.kill(w)?;
+    observe::narrate(|| format!("cluster: shard {w} hard-killed after {at} events"));
+    losses.dead[w] = true;
+    Ok(())
 }
 
 /// Aggregate per-shard durability counters into the cluster-wide figure
 /// (sums, except high-water marks and rates which take the worst shard)
-/// and collect the per-shard restore counts.
-fn fold_durability(reports: &[PipelineReport]) -> (DurabilityCounters, Vec<u64>) {
+/// and collect the per-shard restore counts. The reports arrived in
+/// `Flushed` frames — from another process, for subprocess workers — so
+/// one without the section is a protocol violation, not a panic.
+fn fold_durability(
+    reports: &[PipelineReport],
+) -> Result<(DurabilityCounters, Vec<u64>), TransportError> {
     let mut durability = DurabilityCounters::default();
     let mut shard_restores = Vec::with_capacity(reports.len());
-    for report in reports {
-        let d = report
-            .durability
-            .expect("durable shards always report durability");
+    for (worker, report) in reports.iter().enumerate() {
+        let d = report.durability.ok_or_else(|| TransportError::Protocol {
+            worker,
+            detail: "durable worker flushed a report with no durability section".to_string(),
+        })?;
         shard_restores.push(d.restores);
         durability.checkpoints_written += d.checkpoints_written;
         durability.checkpoint_bytes_last = durability
@@ -1200,441 +1181,121 @@ fn fold_durability(reports: &[PipelineReport]) -> (DurabilityCounters, Vec<u64>)
             .snapshot_stall_rate_per_sec
             .max(d.snapshot_stall_rate_per_sec);
     }
-    (durability, shard_restores)
+    Ok((durability, shard_restores))
 }
 
-/// Run the durable sharded cluster: like [`run_cluster`], but every
-/// worker owns a [`crate::recovery::DurableStream`] journaling and checkpointing under
-/// its own `shard-{i}/` directory beneath `root` (which must not hold
-/// prior durable state). `kills` is the chaos hook: each [`ShardKill`]
-/// makes the named worker die after consuming exactly `after_events` of
-/// its substream — the engine is dropped mid-run, no flush, no farewell
-/// message. The dispatcher observes the loss through the transport,
-/// respawns the worker, recovers it independently through the ordinary
-/// [`crate::recovery::DurableStream::recover`] ladder (checkpoint fallback + journal
-/// replay + compaction), re-feeds the unconsumed tail of its substream,
-/// and merges as usual. Healthy workers are never restarted or re-fed.
-pub fn run_durable_cluster(
-    root: &Path,
+/// Run a sharded cluster — the only runner. Partition `events` by link
+/// across `cfg.shards` workers, run each shard as an independent
+/// [`crate::streaming::StreamAnalysis`] behind the transport
+/// `cfg.workers` names, and merge the shard outputs into the
+/// single-process answer.
+///
+/// Durability and a mid-stream grow are read from `cfg` too (see
+/// [`ClusterConfig`]); whatever the combination, the merged output is
+/// byte-identical to [`crate::analysis::Analysis::run`] on the same
+/// stream. Configuration and input ordering are validated once, before
+/// any worker starts or any directory is created.
+///
+/// # Examples
+///
+/// ```
+/// use faultline_core::cluster::{run_cluster, ClusterConfig};
+/// use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
+/// use faultline_sim::scenario::{run, ScenarioParams};
+///
+/// let data = run(&ScenarioParams::tiny(42));
+/// let events = scenario_event_stream(&data);
+/// // Grow 3 -> 4 workers half way through the stream.
+/// let cfg = ClusterConfig {
+///     reshard_at: Some(events.len() / 2),
+///     ..ClusterConfig::new(3)
+/// };
+/// let clustered = run_cluster(&data, &events, &cfg).unwrap();
+/// let batch = Analysis::run(&data, AnalysisConfig::default());
+/// assert_eq!(
+///     serde_json::to_string(&clustered.output).unwrap(),
+///     serde_json::to_string(&batch.output).unwrap(),
+/// );
+/// assert_eq!(clustered.reshard.unwrap().to_shards, 4);
+/// ```
+pub fn run_cluster(
     data: &ScenarioData,
     events: &[StreamEvent],
     cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    kills: &[ShardKill],
-) -> Result<DurableClusterRun, RecoveryError> {
-    let started = Instant::now();
-    let shards = cfg.shards.max(1);
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let routed = partition_events(&table, events, shards);
-    let events_per_shard: Vec<u64> = routed.iter().map(|r| r.len() as u64).collect();
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let scenario = ScenarioSpec::Attached;
-    let specs: Vec<WorkerSpec> = (0..shards)
-        .map(|shard| {
-            let abort = kills
-                .iter()
-                .find(|k| k.shard == shard)
-                .map(|k| k.after_events);
-            durable_spec(root, shard, shards, cfg, policy, &scenario, false, abort)
-        })
-        .collect();
-
-    let t_shards = Instant::now();
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_durable(&mut transport, &routed, cfg.chunk, &[], &|shard| {
-            durable_spec(root, shard, shards, cfg, policy, &scenario, true, None)
-        });
-        (result, transport.counters())
-    });
-    let (outputs, shard_reports, recoveries) = driven.0.map_err(transport_to_recovery_error)?;
-    let shard_wall = t_shards.elapsed();
-
-    let (durability, shard_restores) = fold_durability(&shard_reports);
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    let recovery_events = recoveries.len() as u64;
-    Ok(DurableClusterRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            per_shard_links,
-            ClusterWalls {
-                dispatch: dispatch_wall,
-                shard_ingest: shard_wall,
-                merge: merge_wall,
-                total: started.elapsed(),
-            },
-            recovery_events,
-            Some(durability),
-            Some(driven.1),
-        ),
-        recoveries,
-        shard_restores,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Live resharding
-// ---------------------------------------------------------------------------
-
-/// The migration ledger of one live reshard.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReshardReport {
-    /// Shard count before the grow.
-    pub from_shards: u32,
-    /// Shard count after the grow (`from_shards + 1`).
-    pub to_shards: u32,
-    /// The event-stream position the reshard happened at.
-    pub split_at: usize,
-    /// Exactly the links jump-hash reassigned — every one maps to the
-    /// new shard, pinned by `tests/cluster_reshard.rs` against an
-    /// independent recomputation.
-    pub moved_links: Vec<LinkIx>,
-    /// Live lanes actually shipped (moved links whose lane had opened;
-    /// the rest are state-free and start fresh on the new worker).
-    pub lanes_moved: u64,
-    /// Wall-clock cost of the pause: grow + export + ship + import.
-    pub migration_micros: u64,
-}
-
-/// What [`run_reshard_cluster`] hands back: the merged result (still
-/// byte-identical to batch and to a from-scratch N+1 run) plus the
-/// migration ledger.
-pub struct ReshardRun {
-    /// The merged cluster result at `to_shards` workers.
-    pub result: ClusterResult,
-    /// What moved, and what it cost.
-    pub reshard: ReshardReport,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble_reshard(
-    outputs: Vec<StreamOutput>,
-    shard_reports: Vec<PipelineReport>,
-    events_per_shard: Vec<u64>,
-    table: &LinkTable,
-    after_shards: u32,
-    walls: ClusterWalls,
-    counters: TransportCounters,
-    reshard: ReshardReport,
-) -> ReshardRun {
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-    let walls = ClusterWalls {
-        merge: merge_wall,
-        ..walls
-    };
-    ReshardRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            links_per_shard(table, after_shards),
-            walls,
-            0,
-            None,
-            Some(counters),
-        ),
-        reshard,
-    }
-}
-
-/// Per-worker event totals for a reshard run: pre-split counts at N
-/// routing plus post-split counts at N+1 routing.
-fn reshard_event_counts(
-    pre: &[VecDeque<Vec<StreamEvent>>],
-    post: &[VecDeque<Vec<StreamEvent>>],
-) -> Vec<u64> {
-    let mut counts = batch_counts(post);
-    for (w, c) in batch_counts(pre).into_iter().enumerate() {
-        counts[w] += c;
-    }
-    counts
-}
-
-/// Grow a live in-process cluster from `cfg.shards` to `cfg.shards + 1`
-/// workers at event boundary `split_at` (clamped to the stream length):
-/// the first `split_at` events are dispatched at N-shard routing, the
-/// cluster pauses at the boundary, exactly the lanes jump-hash
-/// reassigns migrate to the new worker as serialized snapshots, and the
-/// rest of the stream is dispatched at (N+1)-shard routing. The merged
-/// output is byte-identical to a from-scratch N+1 run — and therefore
-/// to the single-process batch answer (`tests/cluster_reshard.rs`).
-pub fn run_reshard_cluster(
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    split_at: usize,
-) -> Result<ReshardRun, TransportError> {
-    let started = Instant::now();
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
-    let split = split_at.min(events.len());
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let pre = partition_batches(&table, &events[..split], shards, cfg.chunk);
-    let post = partition_batches(&table, &events[split..], shards + 1, cfg.chunk);
-    let events_per_shard = reshard_event_counts(&pre, &post);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &ScenarioSpec::Attached);
-    let grow_spec = WorkerSpec::new(
-        shards,
-        shards + 1,
-        cfg.analysis.clone(),
-        ScenarioSpec::Attached,
-    );
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_reshard(&mut transport, &table, pre, post, grow_spec);
-        (result, transport.counters())
-    });
-    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) = driven.0?;
-    let shard_wall = t_shards.elapsed();
-
-    Ok(assemble_reshard(
-        outputs,
-        shard_reports,
-        events_per_shard,
-        &table,
-        shards + 1,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: std::time::Duration::ZERO,
-            total: started.elapsed(),
-        },
-        driven.1,
-        ReshardReport {
-            from_shards: shards,
-            to_shards: shards + 1,
-            split_at: split,
-            moved_links,
-            lanes_moved,
-            migration_micros,
-        },
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Subprocess entry points
-// ---------------------------------------------------------------------------
-
-/// How to run cluster workers as `faultline-shard-worker` subprocesses.
-#[derive(Debug, Clone)]
-pub struct SubprocessOptions {
-    /// The worker binary (see [`crate::transport::locate_worker_bin`]).
-    pub worker_bin: PathBuf,
-    /// How each worker materializes its own copy of the scenario —
-    /// must describe the same data the dispatcher routes with
-    /// ([`ScenarioSpec::Params`] or [`ScenarioSpec::Inline`]).
-    pub scenario: ScenarioSpec,
-}
-
-/// [`run_cluster`], but every worker is a `faultline-shard-worker`
-/// subprocess speaking hashed frames over stdio. The merged output is
-/// byte-identical to the in-process cluster and to batch
-/// (`tests/cluster_process.rs`). Worker death is an error here — the
-/// non-durable cluster has no state to recover.
-pub fn run_cluster_subprocess(
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    opts: &SubprocessOptions,
 ) -> Result<ClusterResult, TransportError> {
     let started = Instant::now();
+    // Validate configuration and input ordering once; shard workers then
+    // construct engines infallibly with the same inputs.
     analysis::validate_inputs(data, &cfg.analysis)?;
     let shards = cfg.shards.max(1);
 
+    // The dispatch stage covers the routing side input (the link
+    // table); the per-link shard assignment and the per-event route+send
+    // work are fused into the feed inside `dispatch`, so they land in
+    // the shard_ingest wall they actually overlap with.
     let t_dispatch = Instant::now();
     let table = linktable::from_scenario(data);
-    let per_shard_links = links_per_shard(&table, shards);
     let dispatch_wall = t_dispatch.elapsed();
 
     let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &opts.scenario);
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
-    let (outputs, shard_reports, events_per_shard) =
-        drive_stream_feed(&mut transport, &table, events, cfg.chunk)?;
-    let counters = transport.counters();
-    drop(transport);
+    let specs = (0..shards)
+        .map(|shard| worker_spec(cfg, shard, shards, false))
+        .collect();
+    let (driven, transport) = with_workers(data, &cfg.workers, specs, |transport| {
+        dispatch(transport, &table, events, cfg)
+    })?;
+    let run = driven?;
     let shard_wall = t_shards.elapsed();
 
+    let (outputs, shard_reports): (Vec<_>, Vec<_>) = run.flushed.into_iter().unzip();
+    let (durability, shard_restores) = match &cfg.durability {
+        Some(_) => Some(fold_durability(&shard_reports)?),
+        None => None,
+    }
+    .unzip();
     let t_merge = Instant::now();
     let output = merge_outputs(outputs);
     let merge_wall = t_merge.elapsed();
 
-    Ok(assemble_result(
-        output,
-        shard_reports,
-        events_per_shard,
-        per_shard_links,
+    let report = cluster_report(
+        &output,
+        &shard_reports,
+        run.events_per_shard,
+        run.links_per_shard,
         ClusterWalls {
             dispatch: dispatch_wall,
             shard_ingest: shard_wall,
             merge: merge_wall,
             total: started.elapsed(),
         },
-        0,
-        None,
-        Some(counters),
-    ))
-}
-
-/// [`run_durable_cluster`] over subprocess workers. `kills` are the
-/// deterministic in-worker aborts ([`ShardKill`] semantics identical to
-/// the in-process runtime); `hard_kills` make the dispatcher SIGKILL
-/// the named worker's process at the first send boundary at or past
-/// `after_events` — the worker gets no chance to flush buffers or say
-/// goodbye, and the supervisor recovers it purely from its `shard-{i}/`
-/// directory.
-#[allow(clippy::too_many_arguments)]
-pub fn run_durable_cluster_subprocess(
-    root: &Path,
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    opts: &SubprocessOptions,
-    kills: &[ShardKill],
-    hard_kills: &[ShardKill],
-) -> Result<DurableClusterRun, RecoveryError> {
-    let started = Instant::now();
-    let shards = cfg.shards.max(1);
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let routed = partition_events(&table, events, shards);
-    let events_per_shard: Vec<u64> = routed.iter().map(|r| r.len() as u64).collect();
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let specs: Vec<WorkerSpec> = (0..shards)
-        .map(|shard| {
-            let abort = kills
-                .iter()
-                .find(|k| k.shard == shard)
-                .map(|k| k.after_events);
-            durable_spec(
-                root,
-                shard,
-                shards,
-                cfg,
-                policy,
-                &opts.scenario,
-                false,
-                abort,
-            )
-        })
-        .collect();
-
-    let t_shards = Instant::now();
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)
-        .map_err(transport_to_recovery_error)?;
-    let driven = drive_durable(&mut transport, &routed, cfg.chunk, hard_kills, &|shard| {
-        durable_spec(root, shard, shards, cfg, policy, &opts.scenario, true, None)
-    });
-    let counters = transport.counters();
-    drop(transport);
-    let (outputs, shard_reports, recoveries) = driven.map_err(transport_to_recovery_error)?;
-    let shard_wall = t_shards.elapsed();
-
-    let (durability, shard_restores) = fold_durability(&shard_reports);
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    let recovery_events = recoveries.len() as u64;
-    Ok(DurableClusterRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            per_shard_links,
-            ClusterWalls {
-                dispatch: dispatch_wall,
-                shard_ingest: shard_wall,
-                merge: merge_wall,
-                total: started.elapsed(),
-            },
-            recovery_events,
-            Some(durability),
-            Some(counters),
-        ),
-        recoveries,
-        shard_restores,
+        run.recoveries.len() as u64,
+        durability,
+        transport,
+    );
+    Ok(ClusterResult {
+        output,
+        report,
+        shard_reports,
+        recoveries: run.recoveries,
+        shard_restores: shard_restores.unwrap_or_default(),
+        reshard: run.reshard,
     })
 }
 
-/// [`run_reshard_cluster`] over subprocess workers: the migrated lanes
-/// genuinely cross process boundaries as hashed frames.
-pub fn run_reshard_cluster_subprocess(
+/// [`run_cluster`] with `cfg.workers` overridden to
+/// [`Workers::Subprocess`]`(opts)` — an older spelling kept for callers
+/// that compile against it. New code sets [`ClusterConfig::workers`].
+pub fn run_cluster_subprocess(
     data: &ScenarioData,
     events: &[StreamEvent],
     cfg: &ClusterConfig,
-    split_at: usize,
     opts: &SubprocessOptions,
-) -> Result<ReshardRun, TransportError> {
-    let started = Instant::now();
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
-    let split = split_at.min(events.len());
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let pre = partition_batches(&table, &events[..split], shards, cfg.chunk);
-    let post = partition_batches(&table, &events[split..], shards + 1, cfg.chunk);
-    let events_per_shard = reshard_event_counts(&pre, &post);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &opts.scenario);
-    let grow_spec = WorkerSpec::new(
-        shards,
-        shards + 1,
-        cfg.analysis.clone(),
-        opts.scenario.clone(),
-    );
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
-    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) =
-        drive_reshard(&mut transport, &table, pre, post, grow_spec)?;
-    let counters = transport.counters();
-    drop(transport);
-    let shard_wall = t_shards.elapsed();
-
-    Ok(assemble_reshard(
-        outputs,
-        shard_reports,
-        events_per_shard,
-        &table,
-        shards + 1,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: std::time::Duration::ZERO,
-            total: started.elapsed(),
-        },
-        counters,
-        ReshardReport {
-            from_shards: shards,
-            to_shards: shards + 1,
-            split_at: split,
-            moved_links,
-            lanes_moved,
-            migration_micros,
-        },
-    ))
+) -> Result<ClusterResult, TransportError> {
+    let cfg = ClusterConfig {
+        workers: Workers::Subprocess(opts.clone()),
+        ..cfg.clone()
+    };
+    run_cluster(data, events, &cfg)
 }
 
 #[cfg(test)]
@@ -1697,26 +1358,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_partition_agrees_with_the_flat_partition() {
+    fn precomputed_assignment_agrees_with_route_event() {
         let data = run(&ScenarioParams::tiny(11));
         let table = linktable::from_scenario(&data);
         let events = crate::streaming::scenario_event_stream(&data);
         for n in [1u32, 3, 7] {
-            for chunk in [1usize, 5, 4096, usize::MAX] {
-                let flat = partition_events(&table, &events, n);
-                let batched = partition_batches(&table, &events, n, chunk);
-                assert_eq!(flat.len(), batched.len());
-                for (f, q) in flat.iter().zip(&batched) {
-                    let rejoined: Vec<StreamEvent> =
-                        q.iter().flat_map(|b| b.iter().cloned()).collect();
-                    assert_eq!(
-                        serde_json::to_string(f).unwrap(),
-                        serde_json::to_string(&rejoined).unwrap(),
-                        "{n} shards, chunk {chunk}"
-                    );
-                    assert!(q.iter().all(|b| b.len() <= chunk), "chunk bound respected");
-                }
+            let assign = Assignment::new(&table, n);
+            for (i, event) in events.iter().enumerate() {
+                assert_eq!(
+                    assign.worker_of(&table, event),
+                    route_event(&table, event, n) as usize,
+                    "event {i} at {n} shards"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn a_flushed_report_without_durability_is_a_protocol_error() {
+        let durable = PipelineReport {
+            durability: Some(DurabilityCounters {
+                restores: 1,
+                ..DurabilityCounters::default()
+            }),
+            ..PipelineReport::default()
+        };
+        let (folded, restores) =
+            fold_durability(&[durable.clone(), durable.clone()]).expect("both sections present");
+        assert_eq!((folded.restores, restores), (2, vec![1, 1]));
+
+        // What a misbehaving subprocess worker could answer with.
+        match fold_durability(&[durable, PipelineReport::default()]) {
+            Err(TransportError::Protocol { worker: 1, detail }) => {
+                assert!(detail.contains("durability"), "{detail}")
+            }
+            other => panic!("expected a protocol error naming worker 1, got {other:?}"),
         }
     }
 }

@@ -83,15 +83,6 @@ pub enum RecoveryError {
     /// The restored checkpoint or its embedded configuration failed the
     /// same validation [`crate::Analysis::try_run`] applies.
     InvalidState(AnalysisError),
-    /// A cluster shard worker reported a fatal condition (or its
-    /// transport failed) and the supervisor could not bring the shard
-    /// back through the recovery ladder.
-    WorkerFailed {
-        /// The shard index of the failed worker.
-        shard: u32,
-        /// What the worker (or its transport) reported.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -139,9 +130,6 @@ impl fmt::Display for RecoveryError {
                 )
             }
             RecoveryError::InvalidState(e) => write!(f, "restored state is invalid: {e}"),
-            RecoveryError::WorkerFailed { shard, detail } => {
-                write!(f, "shard worker {shard} failed: {detail}")
-            }
         }
     }
 }
@@ -563,12 +551,6 @@ mod tests {
             reason: "checksum mismatch".into(),
         };
         assert!(format!("{torn}").contains("record 7"));
-
-        let worker = RecoveryError::WorkerFailed {
-            shard: 3,
-            detail: "pipe closed".into(),
-        };
-        assert!(format!("{worker}").contains("shard worker 3"));
     }
 
     #[test]

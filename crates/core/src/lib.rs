@@ -97,10 +97,9 @@ pub use admission::{
 pub use analysis::{Analysis, AnalysisConfig};
 pub use arena::EventArena;
 pub use cluster::{
-    merge_outputs, partition_events, route_event, run_cluster, run_cluster_subprocess,
-    run_durable_cluster, run_durable_cluster_subprocess, run_reshard_cluster,
-    run_reshard_cluster_subprocess, shard_dir, shard_of_key, shard_of_link, ClusterConfig,
-    ClusterResult, DurableClusterRun, ReshardReport, ReshardRun, ShardRecovery, SubprocessOptions,
+    merge_outputs, partition_events, route_event, run_cluster, run_cluster_subprocess, shard_dir,
+    shard_of_key, shard_of_link, ClusterConfig, ClusterDurability, ClusterResult, ReshardReport,
+    ShardRecovery, SubprocessOptions, Workers,
 };
 pub use error::{AnalysisError, CodecError, FrameError, RecoveryError, TransportError};
 pub use intern::{Sym, SymbolTable};

@@ -355,7 +355,7 @@ pub struct PipelineReport {
     #[serde(default)]
     pub robustness: RobustnessCounters,
     /// Sharded-cluster counters; `None` unless the run came from
-    /// [`crate::cluster::run_cluster`] or its durable sibling.
+    /// [`crate::cluster::run_cluster`].
     #[serde(default)]
     pub cluster: Option<ShardCounters>,
     /// Shard-transport counters; `None` unless the run's shards spoke

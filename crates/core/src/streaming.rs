@@ -310,8 +310,8 @@ impl StreamDelta {
 }
 
 /// A set of per-link lanes in flight between two engines — the payload
-/// of live resharding ([`crate::cluster::run_reshard_cluster`]). Each
-/// lane ships as the same full `LaneDelta` encoding the incremental
+/// of live resharding ([`crate::cluster::ClusterConfig::reshard_at`]).
+/// Each lane ships as the same full `LaneDelta` encoding the incremental
 /// checkpoint layer uses, captured by [`StreamAnalysis::export_lanes`]
 /// on the source engine and replayed by
 /// [`StreamAnalysis::import_lanes`] on the destination. The lane list

@@ -54,8 +54,8 @@
 //! consumes [`ShardMsg::Events`] until [`ShardMsg::Flush`], answering
 //! with [`ShardMsg::Flushed`] and exiting. [`ShardMsg::ExportLanes`] /
 //! [`ShardMsg::LaneMigrate`] implement live resharding (see
-//! [`crate::cluster::run_reshard_cluster`]); any unrecoverable worker
-//! condition travels as [`ShardMsg::Fatal`].
+//! [`crate::cluster::ClusterConfig::reshard_at`]); any unrecoverable
+//! worker condition travels as [`ShardMsg::Fatal`].
 
 use crate::analysis::AnalysisConfig;
 use crate::codec;
@@ -521,7 +521,7 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
     let abort_at = spec.abort_after_events;
     let mut ready = ReadyMsg::default();
     // The dispatcher validated configuration and input ordering once
-    // before spawning anyone (`run_cluster*` call `validate_inputs`
+    // before spawning anyone (`run_cluster` calls `validate_inputs`
     // first), so workers construct infallibly — re-validating here
     // would rescan the whole archive once per worker.
     let mut engine = match &spec.durable {
@@ -792,7 +792,13 @@ impl ShardTransport for InProcessTransport<'_, '_> {
     }
 
     fn respawn(&mut self, worker: usize, spec: WorkerSpec) -> Result<(), TransportError> {
-        self.port(worker)?;
+        let port = self.port(worker)?;
+        // Hang up, then wait for the old thread's answer channel to
+        // close, which happens only after it dropped its engine: a
+        // killed worker may still be draining queued batches into the
+        // very shard directory its replacement recovers from.
+        port.tx = None;
+        while port.rx.recv().is_ok() {}
         self.ports[worker] = spawn_inproc(self.scope, self.data, spec);
         self.counters.workers_spawned += 1;
         self.counters.worker_restarts += 1;

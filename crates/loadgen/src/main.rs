@@ -19,8 +19,8 @@ use faultline_bench::{paper_event_workload, paper_params, write_bench_json};
 use faultline_core::admission::{run_overloaded, AdmissionConfig, SimSchedule};
 use faultline_core::transport::{locate_worker_bin, ScenarioSpec};
 use faultline_core::{
-    run_cluster, run_cluster_subprocess, AnalysisConfig, ClusterConfig, DurabilityPolicy,
-    DurableStream, StreamAnalysis, StreamEvent, SubprocessOptions,
+    run_cluster, AnalysisConfig, ClusterConfig, DurabilityPolicy, DurableStream, StreamAnalysis,
+    StreamEvent, SubprocessOptions, Workers,
 };
 use faultline_loadgen::{
     calibrated_ramp, deterministic_capacity, jv, measure_drift, paced_ramp, percentile,
@@ -161,13 +161,15 @@ fn measure_cluster_subprocess(
     shards: u32,
 ) -> Option<f64> {
     let worker_bin = locate_worker_bin()?;
-    let opts = SubprocessOptions {
-        worker_bin,
-        scenario: ScenarioSpec::Params(Box::new(paper_params())),
+    let cfg = ClusterConfig {
+        workers: Workers::Subprocess(SubprocessOptions {
+            worker_bin,
+            scenario: ScenarioSpec::Params(Box::new(paper_params())),
+        }),
+        ..ClusterConfig::new(shards)
     };
     let t0 = Instant::now();
-    let result = run_cluster_subprocess(data, events, &ClusterConfig::new(shards), &opts)
-        .expect("subprocess cluster run");
+    let result = run_cluster(data, events, &cfg).expect("subprocess cluster run");
     let wall = t0.elapsed().as_secs_f64();
     drop(result);
     let rate = events.len() as f64 / wall.max(1e-9);

@@ -36,8 +36,8 @@ use crate::workload::{LinkWindow, WorkloadParams};
 use faultline_isis::listener::{Listener, ListenerStats, OfflineSpan, Transition};
 use faultline_isis::lsp::Lsp;
 use faultline_syslog::collector::Collector;
+use faultline_syslog::delivery::{LossyTransport, TransportConfig, TransportStats};
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
-use faultline_syslog::transport::{LossyTransport, TransportConfig, TransportStats};
 use faultline_topology::generator::CenicParams;
 use faultline_topology::link::LinkId;
 use faultline_topology::osi::SystemId;

@@ -9,9 +9,9 @@
 //! drivers can shard simulation across threads while funneling into one
 //! log, mirroring the single central facility CENIC runs.
 
+use crate::delivery::Delivery;
 use crate::message::SyslogMessage;
 use crate::parse::ParseStats;
-use crate::transport::Delivery;
 use faultline_topology::time::Timestamp;
 use parking_lot::Mutex;
 
@@ -102,8 +102,8 @@ pub fn parse_records(records: &[LogRecord]) -> (Vec<SyslogMessage>, ParseStats) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::{LossyTransport, TransportConfig};
     use crate::message::{LinkEvent, LinkEventKind};
-    use crate::transport::{LossyTransport, TransportConfig};
     use faultline_topology::interface::InterfaceName;
     use faultline_topology::router::RouterOs;
 

@@ -18,7 +18,7 @@
 //!   `%LINEPROTO-5-UPDOWN`), rendered inside RFC 3164 framing;
 //! * [`parse`] — the parser that recovers structured events from raw
 //!   lines, tolerant of unknown mnemonics;
-//! * [`transport`] — the lossy UDP path: base loss, *flap-amplified* loss
+//! * [`delivery`] — the lossy UDP path: base loss, *flap-amplified* loss
 //!   (rate-limited emission during bursts, §4.1), delivery jitter, and
 //!   spurious retransmissions (§4.3);
 //! * [`collector`] — the central logging server.
@@ -28,14 +28,14 @@
 
 pub mod caltime;
 pub mod collector;
+pub mod delivery;
 pub mod message;
 pub mod parse;
-pub mod transport;
 
 pub use collector::{Collector, LogRecord};
+pub use delivery::{LossyTransport, TransportConfig};
 pub use message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
 pub use parse::{
     parse_bytes, LinkEventKindRef, ParseError, ParseOutcome, ParseOutcomeRef, ParseStats,
     SyslogMessageRef,
 };
-pub use transport::{LossyTransport, TransportConfig};

@@ -1,9 +1,9 @@
 //! Property-based tests for the syslog substrate.
 
 use faultline_syslog::caltime;
+use faultline_syslog::delivery::{LossyTransport, TransportConfig};
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
 use faultline_syslog::parse::{parse_line, Parsed};
-use faultline_syslog::transport::{LossyTransport, TransportConfig};
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;

@@ -12,8 +12,8 @@ use faultline_core::reconstruct::{reconstruct, AmbiguityStrategy};
 use faultline_core::transitions::LinkTransition;
 use faultline_isis::listener::TransitionDirection;
 use faultline_syslog::collector::Collector;
+use faultline_syslog::delivery::{LossyTransport, TransportConfig};
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
-use faultline_syslog::transport::{LossyTransport, TransportConfig};
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;

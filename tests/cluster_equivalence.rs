@@ -28,9 +28,9 @@ fn batch_json(data: &ScenarioData, config: &AnalysisConfig) -> String {
 fn cluster_json(data: &ScenarioData, config: &AnalysisConfig, shards: u32, chunk: usize) -> String {
     let events = scenario_event_stream(data);
     let cfg = ClusterConfig {
-        shards,
         analysis: config.clone(),
         chunk,
+        ..ClusterConfig::new(shards)
     };
     let result = run_cluster(data, &events, &cfg).expect("valid cluster run");
     serde_json::to_string(&result.output).unwrap()
@@ -197,12 +197,12 @@ fn cluster_validates_like_the_single_process_drivers() {
     let data = run(&ScenarioParams::tiny(42));
     let events = scenario_event_stream(&data);
     let cfg = ClusterConfig {
-        shards: 4,
         analysis: AnalysisConfig {
             match_window: faultline_topology::time::Duration::ZERO,
             ..AnalysisConfig::default()
         },
         chunk: 64,
+        ..ClusterConfig::new(4)
     };
     assert!(run_cluster(&data, &events, &cfg).is_err());
     // Zero shards is clamped, not rejected — a degenerate cluster is the

@@ -15,8 +15,7 @@
 //!    silent partial answer.
 
 use faultline_core::cluster::{
-    partition_events, run_cluster_subprocess, run_durable_cluster_subprocess, ClusterConfig,
-    SubprocessOptions,
+    partition_events, run_cluster, ClusterConfig, ClusterDurability, SubprocessOptions, Workers,
 };
 use faultline_core::linktable::from_scenario;
 use faultline_core::recovery::DurabilityPolicy;
@@ -68,10 +67,19 @@ fn tight_policy() -> DurabilityPolicy {
 /// Each worker materializes its own copy of the scenario from the same
 /// seeded parameters the dispatcher used — nothing is shared but the
 /// spec.
-fn opts_for(params: &ScenarioParams) -> SubprocessOptions {
-    SubprocessOptions {
+fn workers_for(params: &ScenarioParams) -> Workers {
+    Workers::Subprocess(SubprocessOptions {
         worker_bin: worker_bin(),
         scenario: ScenarioSpec::Params(Box::new(params.clone())),
+    })
+}
+
+fn durability(root: &Path, kills: &[ShardKill], hard_kills: &[ShardKill]) -> ClusterDurability {
+    ClusterDurability {
+        root: root.to_path_buf(),
+        policy: tight_policy(),
+        kills: kills.to_vec(),
+        hard_kills: hard_kills.to_vec(),
     }
 }
 
@@ -96,12 +104,12 @@ fn subprocess_grid_is_byte_identical_to_batch() {
             };
             for shards in [1u32, 2, 4, 7] {
                 let cfg = ClusterConfig {
-                    shards,
                     analysis: config.clone(),
                     chunk: 256,
+                    workers: workers_for(&params),
+                    ..ClusterConfig::new(shards)
                 };
-                let result = run_cluster_subprocess(&data, &events, &cfg, &opts_for(&params))
-                    .expect("subprocess cluster run");
+                let result = run_cluster(&data, &events, &cfg).expect("subprocess cluster run");
                 assert_eq!(
                     expected,
                     serde_json::to_string(&result.output).unwrap(),
@@ -134,7 +142,10 @@ fn aborted_subprocess_worker_recovers_byte_identical() {
         let batch = Analysis::run(&data, AnalysisConfig::default());
         serde_json::to_string(&batch.output).unwrap()
     };
-    let cfg = ClusterConfig::new(4);
+    let cfg = ClusterConfig {
+        workers: workers_for(&params),
+        ..ClusterConfig::new(4)
+    };
     let table = from_scenario(&data);
     let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
         .iter()
@@ -143,21 +154,15 @@ fn aborted_subprocess_worker_recovers_byte_identical() {
     let kill = shard_kill_seeded(42, &shard_events).expect("a killable shard");
 
     let tmp = TempDir::new("abort");
-    let run_result = run_durable_cluster_subprocess(
-        tmp.path(),
-        &data,
-        &events,
-        &cfg,
-        &tight_policy(),
-        &opts_for(&params),
-        &[kill],
-        &[],
-    )
-    .expect("durable subprocess cluster");
+    let cfg = ClusterConfig {
+        durability: Some(durability(tmp.path(), &[kill], &[])),
+        ..cfg
+    };
+    let run_result = run_cluster(&data, &events, &cfg).expect("durable subprocess cluster");
 
     assert_eq!(
         expected,
-        serde_json::to_string(&run_result.result.output).unwrap(),
+        serde_json::to_string(&run_result.output).unwrap(),
         "post-recovery merged output diverged from batch"
     );
     assert_eq!(run_result.recoveries.len(), 1);
@@ -170,7 +175,7 @@ fn aborted_subprocess_worker_recovers_byte_identical() {
         let expected_restores = u64::from(shard as u32 == kill.shard);
         assert_eq!(restores, expected_restores, "shard {shard} restores");
     }
-    let t = run_result.result.report.transport.expect("ledger");
+    let t = run_result.report.transport.expect("ledger");
     assert_eq!(t.worker_restarts, 1, "exactly the dead worker respawned");
 }
 
@@ -189,6 +194,7 @@ fn sigkilled_subprocess_worker_recovers_byte_identical() {
     };
     let cfg = ClusterConfig {
         chunk: 32,
+        workers: workers_for(&params),
         ..ClusterConfig::new(3)
     };
     let table = from_scenario(&data);
@@ -205,21 +211,16 @@ fn sigkilled_subprocess_worker_recovers_byte_identical() {
     };
 
     let tmp = TempDir::new("sigkill");
-    let run_result = run_durable_cluster_subprocess(
-        tmp.path(),
-        &data,
-        &events,
-        &cfg,
-        &tight_policy(),
-        &opts_for(&params),
-        &[],
-        &[hard_kill],
-    )
-    .expect("durable subprocess cluster with a SIGKILLed worker");
+    let cfg = ClusterConfig {
+        durability: Some(durability(tmp.path(), &[], &[hard_kill])),
+        ..cfg
+    };
+    let run_result = run_cluster(&data, &events, &cfg)
+        .expect("durable subprocess cluster with a SIGKILLed worker");
 
     assert_eq!(
         expected,
-        serde_json::to_string(&run_result.result.output).unwrap(),
+        serde_json::to_string(&run_result.output).unwrap(),
         "post-SIGKILL merged output diverged from batch"
     );
     assert_eq!(run_result.recoveries.len(), 1);
@@ -229,7 +230,7 @@ fn sigkilled_subprocess_worker_recovers_byte_identical() {
         "a SIGKILLed worker resumes from its durable state, never past the kill"
     );
     assert_eq!(run_result.shard_restores[victim as usize], 1);
-    let t = run_result.result.report.transport.expect("ledger");
+    let t = run_result.report.transport.expect("ledger");
     assert_eq!(t.workers_killed, 1);
     assert_eq!(t.worker_restarts, 1);
 }
@@ -278,11 +279,14 @@ fn missing_worker_binary_is_a_spawn_error() {
     let params = ScenarioParams::tiny(3);
     let data = run(&params);
     let events = scenario_event_stream(&data);
-    let opts = SubprocessOptions {
-        worker_bin: PathBuf::from("/nonexistent/faultline-shard-worker"),
-        scenario: ScenarioSpec::Params(Box::new(params)),
+    let cfg = ClusterConfig {
+        workers: Workers::Subprocess(SubprocessOptions {
+            worker_bin: PathBuf::from("/nonexistent/faultline-shard-worker"),
+            scenario: ScenarioSpec::Params(Box::new(params)),
+        }),
+        ..ClusterConfig::new(2)
     };
-    match run_cluster_subprocess(&data, &events, &ClusterConfig::new(2), &opts) {
+    match run_cluster(&data, &events, &cfg) {
         Ok(_) => panic!("spawning a missing binary must fail"),
         Err(err) => assert!(
             matches!(err, faultline_core::TransportError::Spawn { .. }),

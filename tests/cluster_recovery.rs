@@ -10,7 +10,7 @@
 //! never rebuilt.
 
 use faultline_core::cluster::{
-    partition_events, run_cluster, run_durable_cluster, shard_dir, ClusterConfig,
+    partition_events, run_cluster, shard_dir, ClusterConfig, ClusterDurability,
 };
 use faultline_core::linktable::from_scenario;
 use faultline_core::recovery::DurabilityPolicy;
@@ -53,6 +53,19 @@ fn tight_policy() -> DurabilityPolicy {
     }
 }
 
+/// `cfg` made durable under `root`, with these in-worker aborts.
+fn durable_cfg(cfg: &ClusterConfig, root: &Path, kills: &[ShardKill]) -> ClusterConfig {
+    ClusterConfig {
+        durability: Some(ClusterDurability {
+            root: root.to_path_buf(),
+            policy: tight_policy(),
+            kills: kills.to_vec(),
+            hard_kills: Vec::new(),
+        }),
+        ..cfg.clone()
+    }
+}
+
 /// Kill one seeded shard at several seeded event boundaries; after
 /// supervisor recovery the merged output is byte-identical to batch, the
 /// recovery ledger names exactly the killed shard, and every healthy
@@ -75,12 +88,11 @@ fn killed_shard_recovers_byte_identical() {
         let kill = shard_kill_seeded(kill_seed, &shard_events)
             .expect("tiny scenario shards always hold >1 events");
         let tmp = TempDir::new(&format!("kill-{kill_seed}"));
-        let durable =
-            run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
-                .expect("durable cluster run");
+        let durable = run_cluster(&data, &events, &durable_cfg(&cfg, tmp.path(), &[kill]))
+            .expect("durable cluster run");
         assert_eq!(
             expected,
-            serde_json::to_string(&durable.result.output).unwrap(),
+            serde_json::to_string(&durable.output).unwrap(),
             "merged output diverged after killing shard {} at {}",
             kill.shard,
             kill.after_events
@@ -98,16 +110,7 @@ fn killed_shard_recovers_byte_identical() {
                 assert_eq!(restores, 0, "healthy shard {i} must never restart");
             }
         }
-        assert_eq!(
-            durable
-                .result
-                .report
-                .cluster
-                .as_ref()
-                .unwrap()
-                .recovery_events,
-            1
-        );
+        assert_eq!(durable.report.cluster.as_ref().unwrap().recovery_events, 1);
     }
 }
 
@@ -140,12 +143,11 @@ fn arbitrary_kill_boundaries_under_chaos_stay_byte_identical() {
             shard: victim,
             after_events: point,
         };
-        let durable =
-            run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
-                .expect("durable cluster run");
+        let durable = run_cluster(&data, &events, &durable_cfg(&cfg, tmp.path(), &[kill]))
+            .expect("durable cluster run");
         assert_eq!(
             expected,
-            serde_json::to_string(&durable.result.output).unwrap(),
+            serde_json::to_string(&durable.output).unwrap(),
             "kill at boundary {point} diverged"
         );
         assert_eq!(durable.recoveries.len(), 1);
@@ -187,12 +189,9 @@ fn two_simultaneous_shard_deaths_recover_independently() {
         })
         .collect();
     let tmp = TempDir::new("double-kill");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &kills)
+    let durable = run_cluster(&data, &events, &durable_cfg(&cfg, tmp.path(), &kills))
         .expect("durable cluster run");
-    assert_eq!(
-        expected,
-        serde_json::to_string(&durable.result.output).unwrap()
-    );
+    assert_eq!(expected, serde_json::to_string(&durable.output).unwrap());
     assert_eq!(durable.recoveries.len(), 2);
     let restored: u64 = durable.shard_restores.iter().sum();
     assert_eq!(restored, 2, "exactly the two victims restore");
@@ -240,11 +239,11 @@ fn killed_shard_recovers_through_delta_chain() {
         shard_events[victim as usize]
     );
     let tmp = TempDir::new("delta-chain-kill");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
+    let durable = run_cluster(&data, &events, &durable_cfg(&cfg, tmp.path(), &[kill]))
         .expect("durable cluster run");
     assert_eq!(
         expected,
-        serde_json::to_string(&durable.result.output).unwrap(),
+        serde_json::to_string(&durable.output).unwrap(),
         "merged output diverged recovering shard {victim} through a delta chain"
     );
     assert_eq!(durable.recoveries.len(), 1);
@@ -254,7 +253,6 @@ fn killed_shard_recovers_through_delta_chain() {
         durable.recoveries[0].report
     );
     let d = durable
-        .result
         .report
         .durability
         .expect("durable cluster reports durability");
@@ -275,11 +273,11 @@ fn healthy_durable_cluster_matches_in_memory_cluster() {
     let cfg = ClusterConfig::new(3);
     let in_memory = run_cluster(&data, &events, &cfg).unwrap();
     let tmp = TempDir::new("healthy");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[])
+    let durable = run_cluster(&data, &events, &durable_cfg(&cfg, tmp.path(), &[]))
         .expect("durable cluster run");
     assert_eq!(
         serde_json::to_string(&in_memory.output).unwrap(),
-        serde_json::to_string(&durable.result.output).unwrap(),
+        serde_json::to_string(&durable.output).unwrap(),
     );
     assert!(durable.recoveries.is_empty());
     assert!(durable.shard_restores.iter().all(|&r| r == 0));
@@ -290,10 +288,123 @@ fn healthy_durable_cluster_matches_in_memory_cluster() {
         );
     }
     let d = durable
-        .result
         .report
         .durability
         .expect("durable cluster reports durability");
     assert_eq!(d.restores, 0);
     assert!(d.journal_records > 0, "shards journal their substreams");
+}
+
+/// The dispatcher killing an in-process worker outright (channel
+/// teardown — the in-process stand-in for SIGKILL), at the edges and the
+/// middle of the victim's substream: the kill lands on its exact event
+/// boundary, the supervisor recovers that worker only, and the merged
+/// answer is byte-identical to batch.
+#[test]
+fn in_process_hard_kill_lands_on_its_boundary_and_recovers_byte_identical() {
+    let data = run(&ScenarioParams::tiny(11));
+    let events = scenario_event_stream(&data);
+    let expected = {
+        let batch = Analysis::run(&data, AnalysisConfig::default());
+        serde_json::to_string(&batch.output).unwrap()
+    };
+    let base = ClusterConfig {
+        chunk: 32,
+        ..ClusterConfig::new(3)
+    };
+    let table = from_scenario(&data);
+    let shard_events: Vec<u64> = partition_events(&table, &events, base.shards)
+        .iter()
+        .map(|s| s.len() as u64)
+        .collect();
+    let victim = (0..base.shards)
+        .max_by_key(|&i| shard_events[i as usize])
+        .unwrap();
+    let len = shard_events[victim as usize];
+    for after_events in [0, 1, len / 2, len] {
+        let tmp = TempDir::new(&format!("hard-kill-{after_events}"));
+        let mut cfg = durable_cfg(&base, tmp.path(), &[]);
+        cfg.durability.as_mut().unwrap().hard_kills = vec![ShardKill {
+            shard: victim,
+            after_events,
+        }];
+        let durable = run_cluster(&data, &events, &cfg).expect("durable cluster run");
+        assert_eq!(
+            expected,
+            serde_json::to_string(&durable.output).unwrap(),
+            "hard kill of shard {victim} after {after_events}/{len} events diverged"
+        );
+        assert_eq!(durable.recoveries.len(), 1, "exactly one recovery");
+        assert_eq!(durable.recoveries[0].shard, victim);
+        assert!(
+            durable.recoveries[0].report.resumed_at_seq <= after_events,
+            "a killed worker never resumes past its kill boundary {after_events}: {:?}",
+            durable.recoveries[0].report
+        );
+        for (i, &restores) in durable.shard_restores.iter().enumerate() {
+            assert_eq!(
+                restores,
+                u64::from(i as u32 == victim),
+                "shard {i} restores (kill after {after_events})"
+            );
+        }
+        let t = durable.report.transport.expect("transport ledger");
+        assert_eq!(t.workers_killed, 1);
+        assert_eq!(t.worker_restarts, 1);
+        assert_eq!(
+            durable.report.cluster.as_ref().unwrap().events_per_shard,
+            shard_events,
+            "events withheld from the dead worker still count toward its shard"
+        );
+    }
+}
+
+/// An invalid analysis configuration is refused before any worker is
+/// spawned or any `shard-{i}/` directory created — the same typed error
+/// the non-durable run gives.
+#[test]
+fn invalid_config_on_a_durable_cluster_is_refused_before_any_worker_starts() {
+    let data = run(&ScenarioParams::tiny(42));
+    let events = scenario_event_stream(&data);
+    let base = ClusterConfig {
+        analysis: AnalysisConfig {
+            match_window: faultline_topology::time::Duration::ZERO,
+            ..AnalysisConfig::default()
+        },
+        ..ClusterConfig::new(3)
+    };
+    let tmp = TempDir::new("invalid-config");
+    match run_cluster(&data, &events, &durable_cfg(&base, tmp.path(), &[])) {
+        Err(faultline_core::TransportError::Analysis(_)) => {}
+        Err(other) => panic!("expected an analysis error, got {other}"),
+        Ok(_) => panic!("a zero match window must be refused"),
+    }
+    assert_eq!(
+        fs::read_dir(tmp.path()).unwrap().count(),
+        0,
+        "no shard directory may exist after a refused run"
+    );
+}
+
+/// Durable workers do not migrate lanes, so durability + resharding is
+/// the worker's own typed refusal — never a panic or a hang.
+#[test]
+fn durable_reshard_is_a_typed_worker_refusal() {
+    let data = run(&ScenarioParams::tiny(42));
+    let events = scenario_event_stream(&data);
+    for split in [0, events.len() / 2, events.len()] {
+        let tmp = TempDir::new(&format!("durable-reshard-{split}"));
+        let cfg = ClusterConfig {
+            reshard_at: Some(split),
+            ..durable_cfg(&ClusterConfig::new(2), tmp.path(), &[])
+        };
+        match run_cluster(&data, &events, &cfg) {
+            Err(faultline_core::TransportError::WorkerReported { detail, .. }) => assert!(
+                detail.contains("durable workers do not support lane migration"),
+                "{detail}"
+            ),
+            Err(other) => panic!("expected the worker's refusal, got {other}"),
+            Ok(_) => panic!("durable workers cannot reshard (split {split})"),
+        }
+    }
 }

@@ -10,8 +10,7 @@
 //!    batch answer, for splits at the stream's ends and middle alike.
 
 use faultline_core::cluster::{
-    run_cluster, run_reshard_cluster, run_reshard_cluster_subprocess, shard_of_link, ClusterConfig,
-    SubprocessOptions,
+    run_cluster, shard_of_link, ClusterConfig, SubprocessOptions, Workers,
 };
 use faultline_core::linktable::{from_scenario, LinkIx};
 use faultline_core::transport::ScenarioSpec;
@@ -50,9 +49,9 @@ fn reshard_grid_is_byte_identical_and_moves_exactly_the_predicted_links() {
         let predicted = predicted_moves(&data, n);
         let scratch = {
             let cfg = ClusterConfig {
-                shards: n + 1,
                 analysis: config.clone(),
                 chunk: 128,
+                ..ClusterConfig::new(n + 1)
             };
             let result = run_cluster(&data, &events, &cfg).expect("from-scratch N+1 run");
             serde_json::to_string(&result.output).unwrap()
@@ -66,21 +65,23 @@ fn reshard_grid_is_byte_identical_and_moves_exactly_the_predicted_links() {
             events.len(),
         ] {
             let cfg = ClusterConfig {
-                shards: n,
                 analysis: config.clone(),
                 chunk: 128,
+                reshard_at: Some(split),
+                ..ClusterConfig::new(n)
             };
-            let grown = run_reshard_cluster(&data, &events, &cfg, split).expect("reshard run");
+            let grown = run_cluster(&data, &events, &cfg).expect("reshard run");
+            let reshard = grown.reshard.as_ref().expect("a resharded run reports it");
             assert_eq!(
                 batch,
-                serde_json::to_string(&grown.result.output).unwrap(),
+                serde_json::to_string(&grown.output).unwrap(),
                 "reshard {n} -> {} at split {split} diverged",
                 n + 1
             );
-            assert_eq!(grown.reshard.from_shards, n);
-            assert_eq!(grown.reshard.to_shards, n + 1);
-            assert_eq!(grown.reshard.split_at, split);
-            let mut moved = grown.reshard.moved_links.clone();
+            assert_eq!(reshard.from_shards, n);
+            assert_eq!(reshard.to_shards, n + 1);
+            assert_eq!(reshard.split_at, split);
+            let mut moved = reshard.moved_links.clone();
             moved.sort();
             let mut expected_moves = predicted.clone();
             expected_moves.sort();
@@ -91,7 +92,7 @@ fn reshard_grid_is_byte_identical_and_moves_exactly_the_predicted_links() {
                 n + 1
             );
             let table = from_scenario(&data);
-            for &link in &grown.reshard.moved_links {
+            for &link in &reshard.moved_links {
                 assert_eq!(
                     shard_of_link(&table, link, n + 1),
                     n,
@@ -100,13 +101,13 @@ fn reshard_grid_is_byte_identical_and_moves_exactly_the_predicted_links() {
             }
             // Only links whose lanes had opened ship state; the rest
             // start fresh on the new worker.
-            assert!(grown.reshard.lanes_moved <= grown.reshard.moved_links.len() as u64);
-            let t = grown.result.report.transport.expect("transport ledger");
-            assert_eq!(t.lanes_migrated, grown.reshard.lanes_moved);
+            assert!(reshard.lanes_moved <= reshard.moved_links.len() as u64);
+            let t = grown.report.transport.expect("transport ledger");
+            assert_eq!(t.lanes_migrated, reshard.lanes_moved);
             assert_eq!(t.workers_spawned, u64::from(n) + 1, "N at start + 1 grown");
             if split == 0 {
                 assert_eq!(
-                    grown.reshard.lanes_moved, 0,
+                    reshard.lanes_moved, 0,
                     "nothing has happened yet, so no lane holds state"
                 );
             }
@@ -127,31 +128,31 @@ fn subprocess_reshard_is_byte_identical() {
         let analysis = Analysis::run(&data, AnalysisConfig::default());
         serde_json::to_string(&analysis.output).unwrap()
     };
-    let opts = SubprocessOptions {
-        worker_bin: PathBuf::from(env!("CARGO_BIN_EXE_faultline-shard-worker")),
-        scenario: ScenarioSpec::Params(Box::new(params)),
-    };
     let n = 2u32;
     let split = events.len() / 2;
     let cfg = ClusterConfig {
-        shards: n,
         chunk: 256,
+        workers: Workers::Subprocess(SubprocessOptions {
+            worker_bin: PathBuf::from(env!("CARGO_BIN_EXE_faultline-shard-worker")),
+            scenario: ScenarioSpec::Params(Box::new(params)),
+        }),
+        reshard_at: Some(split),
         ..ClusterConfig::new(n)
     };
-    let grown =
-        run_reshard_cluster_subprocess(&data, &events, &cfg, split, &opts).expect("reshard");
+    let grown = run_cluster(&data, &events, &cfg).expect("reshard");
+    let reshard = grown.reshard.as_ref().expect("a resharded run reports it");
     assert_eq!(
         batch,
-        serde_json::to_string(&grown.result.output).unwrap(),
+        serde_json::to_string(&grown.output).unwrap(),
         "subprocess reshard diverged from batch"
     );
-    let mut moved = grown.reshard.moved_links.clone();
+    let mut moved = reshard.moved_links.clone();
     moved.sort();
     let mut predicted = predicted_moves(&data, n);
     predicted.sort();
     assert_eq!(moved, predicted);
-    let t = grown.result.report.transport.expect("transport ledger");
-    assert_eq!(t.lanes_migrated, grown.reshard.lanes_moved);
+    let t = grown.report.transport.expect("transport ledger");
+    assert_eq!(t.lanes_migrated, reshard.lanes_moved);
     assert!(
         t.bytes_sent > 0,
         "migrated lanes really crossed the wire: {t:?}"

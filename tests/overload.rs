@@ -16,7 +16,8 @@ use faultline_core::admission::{
     run_overloaded, run_overloaded_cluster, shed_survivors, AdmissionConfig, EventClass,
     SimSchedule,
 };
-use faultline_core::cluster::ClusterConfig;
+use faultline_core::cluster::{ClusterConfig, SubprocessOptions, Workers};
+use faultline_core::transport::ScenarioSpec;
 use faultline_core::{
     scenario_event_stream, AnalysisConfig, ParallelismConfig, StreamAnalysis, StreamEvent,
 };
@@ -269,6 +270,39 @@ fn survivors_replayed_standalone_equal_the_overloaded_run() {
         serde_json::to_string(&overloaded.output).unwrap(),
         "shedding is upstream of analysis"
     );
+}
+
+/// Shedding runs upstream of the partitioner, so where the workers live
+/// cannot matter: subprocess workers give the in-process answer and the
+/// same overload ledger.
+#[test]
+fn overloaded_cluster_over_subprocess_workers_equals_in_process() {
+    let params = ScenarioParams::tiny(42);
+    let data = run(&params);
+    let events = scenario_event_stream(&data);
+    let schedule = SimSchedule::new(2 * SERVICE_PER_TICK, SERVICE_PER_TICK);
+    let admission = AdmissionConfig::shedding(QUEUE, 7);
+    let in_process = ClusterConfig::new(2);
+    let subprocess = ClusterConfig {
+        workers: Workers::Subprocess(SubprocessOptions {
+            worker_bin: env!("CARGO_BIN_EXE_faultline-shard-worker").into(),
+            scenario: ScenarioSpec::Params(Box::new(params)),
+        }),
+        ..in_process.clone()
+    };
+    let (expected, expected_counters) =
+        run_overloaded_cluster(&data, &events, &in_process, &admission, schedule).unwrap();
+    let (result, counters) =
+        run_overloaded_cluster(&data, &events, &subprocess, &admission, schedule).unwrap();
+    assert!(counters.shed > 0, "the schedule must actually shed");
+    assert_eq!(
+        serde_json::to_string(&expected.output).unwrap(),
+        serde_json::to_string(&result.output).unwrap()
+    );
+    assert_eq!(expected_counters, counters);
+    assert_eq!(result.report.overload, Some(counters));
+    let t = result.report.transport.expect("transport ledger");
+    assert!(t.bytes_sent > 0, "survivors really crossed a pipe: {t:?}");
 }
 
 proptest! {
