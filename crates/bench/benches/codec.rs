@@ -10,7 +10,7 @@ use faultline_isis::lsp::Lsp;
 use faultline_isis::tlv::{IpReachEntry, IsReachEntry};
 use faultline_syslog::caltime;
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
-use faultline_syslog::parse::parse_line;
+use faultline_syslog::parse::{parse_bytes, parse_line};
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::osi::SystemId;
 use faultline_topology::router::RouterOs;
@@ -93,6 +93,17 @@ fn bench_syslog(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(line.len() as u64));
     g.bench_function("render", |b| b.iter(|| black_box(&msg).render()));
     g.bench_function("parse", |b| b.iter(|| parse_line(black_box(&line))));
+    // Four archive lines in five are not link events: the walk that
+    // rejects one is the collector's common case.
+    let noise = format!(
+        "<189>4242: lax-agg-01: {}: %SEC-6-IPACCESSLOGP: list 101 denied tcp \
+         10.1.2.3(4242) -> 10.3.2.1(22), 1 packet",
+        caltime::render(msg.event.at)
+    );
+    g.throughput(Throughput::Bytes(noise.len() as u64));
+    g.bench_function("parse_bytes/irrelevant", |b| {
+        b.iter(|| parse_bytes(black_box(noise.as_bytes())))
+    });
     g.finish();
 
     let ts = Timestamp::from_millis(123_456_789);
@@ -100,6 +111,9 @@ fn bench_syslog(c: &mut Criterion) {
     let mut g = c.benchmark_group("caltime");
     g.bench_function("render", |b| b.iter(|| caltime::render(black_box(ts))));
     g.bench_function("parse", |b| b.iter(|| caltime::parse(black_box(&text))));
+    g.bench_function("parse_bytes", |b| {
+        b.iter(|| caltime::parse_bytes(black_box(text.as_bytes())))
+    });
     g.finish();
 }
 

@@ -6,21 +6,42 @@
 //! `Oct 20 2010 04:12:33.123`), which keeps parsing unambiguous — classic
 //! year-less RFC 3164 timestamps would be ambiguous across the 13-month
 //! window.
+//!
+//! # What the reader accepts
+//!
+//! [`parse_bytes`] is the only reader ([`parse`] hands it the string's
+//! bytes). It accepts more than [`render`] writes, and the set is pinned
+//! by the differential tests in `tests/props.rs`:
+//!
+//! * exactly four fields — month, day, year, `H:M:S.mmm` — separated by
+//!   runs of Unicode `White_Space` (tab and U+2003 count), with leading
+//!   and trailing runs ignored; any other byte outside the fields' own
+//!   alphabets, so all text that is not valid UTF-8, is rejected;
+//! * the month is one of `Jan` … `Dec`, case-sensitive;
+//! * every number is an optional `+` and one or more ASCII digits, as
+//!   `str::parse` reads them: any digit count (`+05` and `0005` are both
+//!   5), a `u32` for the year and a `u8` for day, hour, minute and second;
+//! * the time field splits at its first two `:` and the first `.` after
+//!   them; the millisecond part is exactly three *bytes*, read the same
+//!   way (`+12` is 12, `12` is rejected);
+//! * hour ≤ 23, minute ≤ 59, second ≤ 59, 1 ≤ day ≤ the month's length
+//!   in that year, and the instant is not before the epoch and fits a
+//!   millisecond count in `u64`.
 
-use faultline_topology::time::Timestamp;
+use faultline_topology::time::{Duration, Timestamp};
 
 /// Month abbreviations in Cisco/RFC 3164 style.
 const MONTHS: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 ];
 
-/// Days per month for a non-leap and a leap year.
-fn days_in_month(year: u32, month0: usize) -> u64 {
-    const D: [u64; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
-    if month0 == 1 && is_leap(year) {
+/// Days in `month` (1–12) of `year`.
+fn days_in_month(year: u32, month: u8) -> u8 {
+    const D: [u8; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
+    if month == 2 && is_leap(year) {
         29
     } else {
-        D[month0]
+        D[month as usize - 1]
     }
 }
 
@@ -30,8 +51,26 @@ fn is_leap(year: u32) -> bool {
 
 /// The calendar date of the scenario epoch.
 const EPOCH_YEAR: u32 = 2010;
-const EPOCH_MONTH0: usize = 9; // October
-const EPOCH_DAY: u64 = 20;
+const EPOCH_MONTH: u8 = 10;
+const EPOCH_DAY: u8 = 20;
+
+const DAY_MS: u64 = Duration::DAY.as_millis();
+/// Days in 400 Gregorian years, the calendar's period.
+const DAYS_PER_ERA: u64 = 146_097;
+/// The epoch on the day count [`civil_day`] uses.
+const EPOCH_CIVIL_DAY: u64 = civil_day(EPOCH_YEAR, EPOCH_MONTH, EPOCH_DAY);
+
+/// Days from 0000-03-01 to the given proleptic-Gregorian date, for
+/// `year >= 1`. Counting years from March puts the leap day last, so a
+/// month's offset is linear in its index: `(153 * m + 2) / 5` is the
+/// number of days before month `m` (March = 0).
+const fn civil_day(year: u32, month: u8, day: u8) -> u64 {
+    let y = year as u64 - (month <= 2) as u64;
+    let year_of_era = y % 400;
+    let m = (month as u64 + 9) % 12;
+    let day_of_year = (153 * m + 2) / 5 + day as u64 - 1;
+    y / 400 * DAYS_PER_ERA + year_of_era * 365 + year_of_era / 4 - year_of_era / 100 + day_of_year
+}
 
 /// A broken-down calendar instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,33 +91,24 @@ pub struct CalTime {
     pub millis: u16,
 }
 
-/// Convert a simulation timestamp to calendar form.
+/// Convert a simulation timestamp to calendar form. Constant time for
+/// every `Timestamp`: closed-form civil-date arithmetic (the inverse of
+/// the private `civil_day`), not a month walk.
 pub fn to_calendar(ts: Timestamp) -> CalTime {
-    let mut days = ts.as_millis() / 86_400_000;
-    let rem_ms = ts.as_millis() % 86_400_000;
-    let mut year = EPOCH_YEAR;
-    let mut month0 = EPOCH_MONTH0;
-    let mut day = EPOCH_DAY; // 1-based
-    while days > 0 {
-        let dim = days_in_month(year, month0);
-        let left_in_month = dim - day;
-        if days <= left_in_month {
-            day += days;
-            days = 0;
-        } else {
-            days -= left_in_month + 1;
-            day = 1;
-            month0 += 1;
-            if month0 == 12 {
-                month0 = 0;
-                year += 1;
-            }
-        }
-    }
+    let rem_ms = ts.as_millis() % DAY_MS;
+    let z = ts.as_millis() / DAY_MS + EPOCH_CIVIL_DAY;
+    let day_of_era = z % DAYS_PER_ERA;
+    let year_of_era =
+        (day_of_era - day_of_era / 1_460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+    let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+    let m = (5 * day_of_year + 2) / 153;
+    let month = if m < 10 { m + 3 } else { m - 9 };
+    // `u64::MAX` ms is in year 584,556,060: inside `u32`.
+    let year = z / DAYS_PER_ERA * 400 + year_of_era + (month <= 2) as u64;
     CalTime {
-        year,
-        month: month0 as u8 + 1,
-        day: day as u8,
+        year: year as u32,
+        month: month as u8,
+        day: (day_of_year - (153 * m + 2) / 5 + 1) as u8,
         hour: (rem_ms / 3_600_000) as u8,
         minute: (rem_ms / 60_000 % 60) as u8,
         second: (rem_ms / 1_000 % 60) as u8,
@@ -88,36 +118,28 @@ pub fn to_calendar(ts: Timestamp) -> CalTime {
 
 /// Convert a calendar instant back to a simulation timestamp.
 ///
-/// Returns `None` for dates before the epoch.
+/// Returns `None` for a field outside its range (month 1–12, day 1 to the
+/// month's length in that year, 23:59:59.999 at most), for dates before
+/// the epoch, and for instants whose millisecond count does not fit `u64`
+/// (the year is a `u32` off the wire). Constant time for every input.
 pub fn from_calendar(c: &CalTime) -> Option<Timestamp> {
-    // Count days from the epoch date to the given date.
-    let mut days: i64 = 0;
-    let (mut y, mut m0, mut d) = (EPOCH_YEAR, EPOCH_MONTH0, EPOCH_DAY);
-    let target = (c.year, c.month as usize - 1, c.day as u64);
-    if (c.year, c.month as usize - 1, c.day as u64) < (y, m0, d) {
+    let in_range = (1..=12).contains(&c.month)
+        && (1..=days_in_month(c.year, c.month)).contains(&c.day)
+        && c.hour <= 23
+        && c.minute <= 59
+        && c.second <= 59
+        && c.millis <= 999;
+    if !in_range || (c.year, c.month, c.day) < (EPOCH_YEAR, EPOCH_MONTH, EPOCH_DAY) {
         return None;
     }
-    while (y, m0, d) < target {
-        // Jump whole months where possible for efficiency.
-        if (y, m0) < (target.0, target.1) {
-            days += (days_in_month(y, m0) - d + 1) as i64;
-            d = 1;
-            m0 += 1;
-            if m0 == 12 {
-                m0 = 0;
-                y += 1;
-            }
-        } else {
-            days += (target.2 - d) as i64;
-            d = target.2;
-        }
-    }
-    let ms = days as u64 * 86_400_000
-        + c.hour as u64 * 3_600_000
+    let days = civil_day(c.year, c.month, c.day) - EPOCH_CIVIL_DAY;
+    let in_day = c.hour as u64 * 3_600_000
         + c.minute as u64 * 60_000
         + c.second as u64 * 1_000
         + c.millis as u64;
-    Some(Timestamp::from_millis(ms))
+    days.checked_mul(DAY_MS)?
+        .checked_add(in_day)
+        .map(Timestamp::from_millis)
 }
 
 /// Render in Cisco `datetime msec year` style: `Oct 20 2010 04:12:33.123`.
@@ -135,40 +157,104 @@ pub fn render(ts: Timestamp) -> String {
     )
 }
 
-/// Parse the output of [`render`]. Returns `None` on any malformation.
+/// Parse the output of [`render`]. Returns `None` on any malformation;
+/// the module docs list exactly what is accepted.
 pub fn parse(text: &str) -> Option<Timestamp> {
-    let mut parts = text.split_whitespace();
-    let mon = parts.next()?;
-    let day: u8 = parts.next()?.parse().ok()?;
-    let year: u32 = parts.next()?.parse().ok()?;
-    let hms = parts.next()?;
-    if parts.next().is_some() {
+    parse_bytes(text.as_bytes())
+}
+
+/// [`parse`] over wire bytes: the line parser's timestamp field goes
+/// through here without a UTF-8 check or a `&str` in between. One pass,
+/// left to right; each step names the only byte that may follow it, which
+/// is what makes the field splits of the module docs implicit.
+pub fn parse_bytes(text: &[u8]) -> Option<Timestamp> {
+    let (month, text) = skip_whitespace(text).split_first_chunk::<3>()?;
+    let (day, text) = leading_uint(gap(text)?)?;
+    let (year, text) = leading_uint(gap(text)?)?;
+    let (hour, text) = leading_uint(gap(text)?)?;
+    let (minute, text) = leading_uint(text.strip_prefix(b":")?)?;
+    let (second, text) = leading_uint(text.strip_prefix(b":")?)?;
+    let (millis, text) = text.strip_prefix(b".")?.split_first_chunk::<3>()?;
+    if !skip_whitespace(text).is_empty() {
         return None;
     }
-    let month = MONTHS.iter().position(|m| *m == mon)? as u8 + 1;
-    let (h, rest) = hms.split_once(':')?;
-    let (m, rest) = rest.split_once(':')?;
-    let (s, ms) = rest.split_once('.')?;
-    if ms.len() != 3 {
-        return None;
+    from_calendar(&CalTime {
+        year: year.try_into().ok()?,
+        month: MONTHS.iter().position(|m| m.as_bytes() == month)? as u8 + 1,
+        day: day.try_into().ok()?,
+        hour: hour.try_into().ok()?,
+        minute: minute.try_into().ok()?,
+        second: second.try_into().ok()?,
+        millis: parse_uint(millis)? as u16,
+    })
+}
+
+/// Decode an unsigned decimal exactly as `str::parse::<u64>` would: an
+/// optional leading `+`, then one or more ASCII digits and nothing else;
+/// `None` on overflow. Narrower integer types are this plus a range check
+/// at the caller.
+pub(crate) fn parse_uint(text: &[u8]) -> Option<u64> {
+    match leading_uint(text)? {
+        (n, []) => Some(n),
+        _ => None,
     }
-    let c = CalTime {
-        year,
-        month,
-        day,
-        hour: h.parse().ok()?,
-        minute: m.parse().ok()?,
-        second: s.parse().ok()?,
-        millis: ms.parse().ok()?,
-    };
-    // Validate field ranges by round-tripping through the converter.
-    if c.hour > 23 || c.minute > 59 || c.second > 59 || c.day == 0 {
-        return None;
+}
+
+/// The number `text` starts with, as [`parse_uint`] reads one, and what
+/// follows its last digit.
+pub(crate) fn leading_uint(text: &[u8]) -> Option<(u64, &[u8])> {
+    let digits = text.strip_prefix(b"+").unwrap_or(text);
+    let mut n = 0u64;
+    let mut len = 0;
+    while let Some(d) = digits.get(len).map(|b| b.wrapping_sub(b'0')) {
+        if d > 9 {
+            break;
+        }
+        n = n.checked_mul(10)?.checked_add(d as u64)?;
+        len += 1;
     }
-    if c.month as usize > 12 || c.day as u64 > days_in_month(c.year, c.month as usize - 1) {
-        return None;
+    (len > 0).then_some((n, &digits[len..]))
+}
+
+/// Byte length of the `White_Space` character `text` starts with, 0 if it
+/// starts with anything else. Matching whole encodings means a match is
+/// always a well-formed character, and the lead bytes here are never
+/// continuation bytes, so on valid UTF-8 this is `char::is_whitespace`.
+/// Every other byte ≥ 0x80 is left for a field decoder to reject, which
+/// is also what rejects text that is not UTF-8.
+fn whitespace_len(text: &[u8]) -> usize {
+    match text {
+        [0x09..=0x0D | b' ', ..] => 1,
+        // U+0085, U+00A0
+        [0xC2, 0x85 | 0xA0, ..] => 2,
+        // U+1680; U+2000–200A, U+2028, U+2029, U+202F; U+205F; U+3000
+        [0xE1, 0x9A, 0x80, ..]
+        | [0xE2, 0x80, 0x80..=0x8A | 0xA8 | 0xA9 | 0xAF, ..]
+        | [0xE2, 0x81, 0x9F, ..]
+        | [0xE3, 0x80, 0x80, ..] => 3,
+        _ => 0,
     }
-    from_calendar(&c)
+}
+
+fn skip_whitespace(mut text: &[u8]) -> &[u8] {
+    // Every encoding in the table starts at or below b' ' or at a
+    // multi-byte lead, so a stamp's own letters and digits skip it.
+    while let Some(&first) = text.first() {
+        if first > b' ' && first < 0xC2 {
+            break;
+        }
+        match whitespace_len(text) {
+            0 => break,
+            n => text = &text[n..],
+        }
+    }
+    text
+}
+
+/// The separator between two fields: at least one whitespace character.
+fn gap(text: &[u8]) -> Option<&[u8]> {
+    let rest = skip_whitespace(text);
+    (rest.len() < text.len()).then_some(rest)
 }
 
 #[cfg(test)]

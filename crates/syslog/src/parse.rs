@@ -5,8 +5,40 @@
 //! (§3.3). Production logs contain plenty of other mnemonics, so the
 //! parser distinguishes three outcomes: a structured link-state event, a
 //! recognizable-but-irrelevant message, and garbage.
+//!
+//! # The walk
+//!
+//! A line is `<PRI>SEQ: HOST: TIMESTAMP: %BODY`, read left to right, and
+//! a malformed one is counted under the *first* field that fails
+//! ([`ParseError`]) — so a line nobody would study still reads as
+//! `BadTimestamp` if its stamp is bad, and the chaos goldens count on it.
+//! There are two implementations of the one grammar: [`classify_line`]
+//! over `&str`, written with `str::split_once` and `str::parse` and kept
+//! as the reference, and [`parse_bytes`] over `&[u8]`, which is what the
+//! collector runs ([`parse_archive_stats_bytes`]): plain byte searches,
+//! one integer reader, no allocation, no `&str` built for a field that is
+//! only ever checked. `tests/fuzz_parse.rs` holds them equal.
+//!
+//! Field by field, both accept exactly:
+//!
+//! * `PRI` — the text between `<` and the first `>`, a `u8` as
+//!   `str::parse` reads one (optional `+`, ASCII digits, any number of
+//!   leading zeros);
+//! * `SEQ` — up to the first `": "`, a `u64` read the same way;
+//! * `HOST` — up to the next `": "`, any text (valid UTF-8);
+//! * `TIMESTAMP` — up to the first `": %"`, whatever
+//!   [`caltime::parse_bytes`] accepts: month name, day, year and
+//!   `H:M:S.mmm` separated by runs of Unicode whitespace, leading and
+//!   trailing runs allowed; `Jan`…`Dec` case-sensitive; each number an
+//!   optional `+` and any count of ASCII digits; the millisecond part
+//!   exactly three bytes; a real calendar instant at or after Oct 20
+//!   2010 whose millisecond count fits a `u64` (the [`caltime`] module
+//!   docs give the full list);
+//! * `BODY` — one of the four studied mnemonics with its exact payload
+//!   grammar, else anything whose text before the first `:` looks like
+//!   `FACILITY-SEVERITY-NAME` with a `u8` severity ([`Parsed::Irrelevant`]).
 
-use crate::caltime;
+use crate::caltime::{self, leading_uint, parse_uint};
 use crate::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
@@ -196,11 +228,31 @@ pub struct ParseStats {
 impl ParseStats {
     /// Account for one classification.
     pub fn note(&mut self, outcome: &ParseOutcome) {
-        self.lines += 1;
         match outcome {
-            ParseOutcome::Event(_) => self.events += 1,
-            ParseOutcome::Irrelevant => self.irrelevant += 1,
-            ParseOutcome::Malformed(e) => {
+            ParseOutcome::Event(_) => self.tally(Ok(true)),
+            ParseOutcome::Irrelevant => self.tally(Ok(false)),
+            ParseOutcome::Malformed(e) => self.tally(Err(*e)),
+        }
+    }
+
+    /// Account for one classification straight from [`parse_bytes`]'s
+    /// borrowed outcome: the same counts as [`ParseStats::note`] on its
+    /// owned form, without building one.
+    pub fn note_ref(&mut self, outcome: &ParseOutcomeRef<'_>) {
+        match outcome {
+            ParseOutcomeRef::Event(_) => self.tally(Ok(true)),
+            ParseOutcomeRef::Irrelevant => self.tally(Ok(false)),
+            ParseOutcomeRef::Malformed(e) => self.tally(Err(*e)),
+        }
+    }
+
+    /// One line: `Ok(is_event)` for a well-formed one, else the cause.
+    fn tally(&mut self, line: Result<bool, ParseError>) {
+        self.lines += 1;
+        match line {
+            Ok(true) => self.events += 1,
+            Ok(false) => self.irrelevant += 1,
+            Err(e) => {
                 self.malformed += 1;
                 match e {
                     ParseError::MissingPri => self.missing_pri += 1,
@@ -433,6 +485,8 @@ fn parse_adjchange(
 /// every grammar separator is ASCII, byte-wise splitting agrees exactly
 /// with the `&str` splitting in [`classify_line`]; for any input that is
 /// valid UTF-8, `parse_bytes(line).to_owned() == classify_line(line)`.
+/// Numbers and the timestamp are decoded from the bytes directly; only
+/// the fields an event hands back as `&str` are ever UTF-8-checked.
 ///
 /// Inputs that are *not* valid UTF-8 are still classified totally: a field
 /// whose bytes cannot be decoded reports the same [`ParseError`] that an
@@ -464,23 +518,12 @@ pub fn parse_bytes(line: &[u8]) -> ParseOutcomeRef<'_> {
     let Some(rest) = line.strip_prefix(b"<") else {
         return ParseOutcomeRef::Malformed(ParseError::MissingPri);
     };
-    let Some((pri, rest)) = split_once_bytes(rest, b">") else {
-        return ParseOutcomeRef::Malformed(ParseError::MissingPri);
+    let rest = match leading_uint(rest) {
+        Some((0..=255, [b'>', rest @ ..])) => rest,
+        _ if rest.contains(&b'>') => return ParseOutcomeRef::Malformed(ParseError::BadPri),
+        _ => return ParseOutcomeRef::Malformed(ParseError::MissingPri),
     };
-    if std::str::from_utf8(pri)
-        .ok()
-        .and_then(|p| p.parse::<u8>().ok())
-        .is_none()
-    {
-        return ParseOutcomeRef::Malformed(ParseError::BadPri);
-    }
-    let Some((seq, rest)) = split_once_bytes(rest, b": ") else {
-        return ParseOutcomeRef::Malformed(ParseError::BadSeq);
-    };
-    let Some(seq) = std::str::from_utf8(seq)
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    else {
+    let Some((seq, [b':', b' ', rest @ ..])) = leading_uint(rest) else {
         return ParseOutcomeRef::Malformed(ParseError::BadSeq);
     };
     let Some((host, rest)) = split_once_bytes(rest, b": ") else {
@@ -494,19 +537,51 @@ pub fn parse_bytes(line: &[u8]) -> ParseOutcomeRef<'_> {
     let Some((ts_text, body)) = split_once_bytes(rest, b": %") else {
         return ParseOutcomeRef::Malformed(ParseError::MissingBody);
     };
-    let Some(at) = std::str::from_utf8(ts_text).ok().and_then(caltime::parse) else {
+    let Some(at) = caltime::parse_bytes(ts_text) else {
         return ParseOutcomeRef::Malformed(ParseError::BadTimestamp);
     };
 
     parse_body_bytes(at, host, body, seq)
 }
 
-/// Byte-slice analogue of `str::split_once` for an ASCII needle. On valid
-/// UTF-8 input this agrees with `str::split_once` because an ASCII needle
-/// can never match starting inside a multi-byte sequence.
-fn split_once_bytes<'a>(haystack: &'a [u8], needle: &[u8]) -> Option<(&'a [u8], &'a [u8])> {
-    let pos = haystack.windows(needle.len()).position(|w| w == needle)?;
-    Some((&haystack[..pos], &haystack[pos + needle.len()..]))
+/// Byte-slice analogue of `str::split_once` for a non-empty ASCII needle
+/// of constant length: scan for its *last* byte and check the ones before
+/// it, which finds the same first occurrence and makes `": %"` one scan
+/// (a stamp has three `:` and no `%`). On valid UTF-8 input this agrees
+/// with `str::split_once` because an ASCII needle can never match
+/// starting inside a multi-byte sequence.
+fn split_once_bytes<'a, const N: usize>(
+    haystack: &'a [u8],
+    needle: &[u8; N],
+) -> Option<(&'a [u8], &'a [u8])> {
+    let (&last, head) = needle.split_last()?;
+    let mut from = head.len();
+    loop {
+        let end = from + find_byte(haystack.get(from..)?, last)?;
+        if haystack[..end].ends_with(head) {
+            return Some((&haystack[..end - head.len()], &haystack[end + 1..]));
+        }
+        from = end + 1;
+    }
+}
+
+/// Index of the first `byte` in `haystack`, eight bytes a step: XOR turns
+/// a match into a zero byte, and `(x - 0x01…) & !x & 0x80…` is non-zero
+/// exactly when `x` has one, its lowest set bit in the first of them.
+fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut rest = haystack;
+    while let Some((chunk, tail)) = rest.split_first_chunk::<8>() {
+        let x = u64::from_le_bytes(*chunk) ^ (LOW * byte as u64);
+        let zeros = x.wrapping_sub(LOW) & !x & HIGH;
+        if zeros != 0 {
+            return Some(haystack.len() - rest.len() + zeros.trailing_zeros() as usize / 8);
+        }
+        rest = tail;
+    }
+    let at = rest.iter().position(|&b| b == byte)?;
+    Some(haystack.len() - rest.len() + at)
 }
 
 fn parse_body_bytes<'a>(
@@ -515,70 +590,71 @@ fn parse_body_bytes<'a>(
     body: &'a [u8],
     seq: u64,
 ) -> ParseOutcomeRef<'a> {
-    if let Some(rest) = body.strip_prefix(b"CLNS-5-ADJCHANGE: ISIS: Adjacency to ") {
-        return parse_adjchange_bytes(at, host, rest, seq, RouterOs::Ios);
-    }
-    if let Some(rest) = body.strip_prefix(b"ROUTING-ISIS-4-ADJCHANGE: Adjacency to ") {
-        return parse_adjchange_bytes(at, host, rest, seq, RouterOs::IosXr);
-    }
-    if let Some(rest) = body.strip_prefix(b"LINK-3-UPDOWN: Interface ") {
-        // "IFACE, changed state to Down"
-        let Some((iface, up)) = parse_updown_bytes(rest) else {
-            return ParseOutcomeRef::Malformed(ParseError::MalformedBody);
-        };
-        return ParseOutcomeRef::Event(SyslogMessageRef {
-            seq,
-            at,
-            host,
-            interface: iface,
-            kind: LinkEventKindRef::Link,
-            up,
-            os: RouterOs::Ios,
-        });
-    }
-    if let Some(rest) = body.strip_prefix(b"LINEPROTO-5-UPDOWN: Line protocol on Interface ") {
-        let Some((iface, up)) = parse_updown_bytes(rest) else {
-            return ParseOutcomeRef::Malformed(ParseError::MalformedBody);
-        };
-        return ParseOutcomeRef::Event(SyslogMessageRef {
-            seq,
-            at,
-            host,
-            interface: iface,
-            kind: LinkEventKindRef::LineProtocol,
-            up,
-            os: RouterOs::Ios,
-        });
+    // The mnemonic runs to the first ':'. The studied four are told apart
+    // on it alone, so an irrelevant line pays one scan, not four prefix
+    // compares; a studied mnemonic with another payload falls through.
+    let mnemonic_end = find_byte(body, b':').unwrap_or(body.len());
+    let (mnemonic, payload) = body.split_at(mnemonic_end);
+    let studied = match mnemonic {
+        b"CLNS-5-ADJCHANGE" => payload
+            .strip_prefix(b": ISIS: Adjacency to ")
+            .map(|rest| parse_adjchange_bytes(at, host, rest, seq, RouterOs::Ios)),
+        b"ROUTING-ISIS-4-ADJCHANGE" => payload
+            .strip_prefix(b": Adjacency to ")
+            .map(|rest| parse_adjchange_bytes(at, host, rest, seq, RouterOs::IosXr)),
+        b"LINK-3-UPDOWN" => payload
+            .strip_prefix(b": Interface ")
+            .map(|rest| parse_updown_bytes(at, host, rest, seq, LinkEventKindRef::Link)),
+        b"LINEPROTO-5-UPDOWN" => payload
+            .strip_prefix(b": Line protocol on Interface ")
+            .map(|rest| parse_updown_bytes(at, host, rest, seq, LinkEventKindRef::LineProtocol)),
+        _ => None,
+    };
+    if let Some(outcome) = studied {
+        return outcome;
     }
     // Anything else with a plausible mnemonic shape is irrelevant, not
-    // garbage.
-    let mnemonic_end = body.iter().position(|&b| b == b':').unwrap_or(body.len());
-    let mut parts = body[..mnemonic_end].split(|&b| b == b'-');
-    if matches!(
-        (parts.next(), parts.next(), parts.next()),
-        (Some(f), Some(s), Some(_))
-            if !f.is_empty()
-                && std::str::from_utf8(s)
-                    .ok()
-                    .and_then(|s| s.parse::<u8>().ok())
-                    .is_some()
-    ) {
-        return ParseOutcomeRef::Irrelevant;
+    // garbage: `FACILITY-SEVERITY-` with something, anything, after it.
+    if let Some((facility, rest)) = split_once_bytes(mnemonic, b"-") {
+        if let Some((severity, _)) = split_once_bytes(rest, b"-") {
+            let is_u8 = parse_uint(severity).is_some_and(|n| n <= u8::MAX as u64);
+            if !facility.is_empty() && is_u8 {
+                return ParseOutcomeRef::Irrelevant;
+            }
+        }
     }
     ParseOutcomeRef::Malformed(ParseError::UnrecognizedBody)
 }
 
 /// Parse the shared `"IFACE, changed state to STATE"` tail of the two
-/// UPDOWN families, returning the borrowed interface text and the state.
-fn parse_updown_bytes(rest: &[u8]) -> Option<(&str, bool)> {
-    let (iface, state) = split_once_bytes(rest, b", changed state to ")?;
+/// UPDOWN families.
+fn parse_updown_bytes<'a>(
+    at: Timestamp,
+    host: &'a str,
+    rest: &'a [u8],
+    seq: u64,
+    kind: LinkEventKindRef<'a>,
+) -> ParseOutcomeRef<'a> {
+    let Some((iface, state)) = split_once_bytes(rest, b", changed state to ") else {
+        return ParseOutcomeRef::Malformed(ParseError::MalformedBody);
+    };
     let up = match state {
         b"Up" | b"up" => true,
         b"Down" | b"down" => false,
-        _ => return None,
+        _ => return ParseOutcomeRef::Malformed(ParseError::MalformedBody),
     };
-    let iface = std::str::from_utf8(iface).ok()?;
-    Some((iface, up))
+    let Ok(interface) = std::str::from_utf8(iface) else {
+        return ParseOutcomeRef::Malformed(ParseError::MalformedBody);
+    };
+    ParseOutcomeRef::Event(SyslogMessageRef {
+        seq,
+        at,
+        host,
+        interface,
+        kind,
+        up,
+        os: RouterOs::Ios,
+    })
 }
 
 fn parse_adjchange_bytes<'a>(
@@ -688,13 +764,10 @@ pub fn parse_archive_stats_bytes<'a>(
     let mut events = Vec::new();
     let mut stats = ParseStats::default();
     for line in lines {
-        match parse_bytes(line) {
-            ParseOutcomeRef::Event(m) => {
-                stats.lines += 1;
-                stats.events += 1;
-                events.push(m.to_owned());
-            }
-            outcome => stats.note(&outcome.to_owned()),
+        let outcome = parse_bytes(line);
+        stats.note_ref(&outcome);
+        if let ParseOutcomeRef::Event(m) = outcome {
+            events.push(m.to_owned());
         }
     }
     (events, stats)
