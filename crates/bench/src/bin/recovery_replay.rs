@@ -25,9 +25,9 @@
 //!    every 64 records, isolating what journal durability costs per
 //!    ingested event;
 //! 4. **Delta-vs-full cost curve** — the same killed-at-90% run under
-//!    (a) the legacy full-only synchronous snapshot policy and (b) the
-//!    base+delta chain policy with off-thread snapshots, recording
-//!    snapshot bytes, ingest-stall time, and recovery time for each.
+//!    (a) a full-only snapshot policy and (b) the default base+delta
+//!    chain policy, both on the writer thread, recording snapshot
+//!    bytes, ingest-stall time, and recovery time for each.
 //!    The headline `delta_size_ratio` (average full bytes / average
 //!    delta bytes) is asserted ≥ 5 and gated against the committed
 //!    baseline in CI.
@@ -112,8 +112,8 @@ fn headline_from(delta_curve: &[serde_json::Value], events: usize) -> serde_json
             .find(|p| p["policy"].as_str() == Some(name))
             .unwrap_or_else(|| panic!("missing {name} datapoint"))
     };
-    let delta = point("delta_async");
-    let full = point("full_sync");
+    let delta = point("delta_chain");
+    let full = point("full_only");
     let avg_full = delta["avg_full_bytes"].as_f64().expect("avg_full_bytes");
     let avg_delta = delta["avg_delta_bytes"].as_f64().expect("avg_delta_bytes");
     let ratio = avg_full / avg_delta.max(1.0);
@@ -127,7 +127,7 @@ fn headline_from(delta_curve: &[serde_json::Value], events: usize) -> serde_json
     };
     println!(
         "headline: delta {avg_delta:.0} B vs full {avg_full:.0} B ({ratio:.1}x smaller), \
-         ingest stall {:.3} µs/event (full-sync policy: {:.3})",
+         ingest stall {:.3} µs/event (full-only policy: {:.3})",
         stall(delta),
         stall(full),
     );
@@ -136,7 +136,7 @@ fn headline_from(delta_curve: &[serde_json::Value], events: usize) -> serde_json
         "avg_full_bytes": (avg_full),
         "avg_delta_bytes": (avg_delta),
         "delta_ingest_stall_micros_per_event": (stall(delta)),
-        "full_sync_ingest_stall_micros_per_event": (stall(full)),
+        "full_only_ingest_stall_micros_per_event": (stall(full)),
     })
 }
 
@@ -297,9 +297,9 @@ fn fsync_cost_curve(
     points
 }
 
-/// Arm 4: one kill-at-90% run per snapshot policy — the legacy
-/// full-only synchronous writer vs the base+delta chain on the
-/// off-thread writer — recording what each policy pays while ingesting
+/// Arm 4: one kill-at-90% run per snapshot policy — every snapshot a
+/// full base vs the default base+delta chain, both written by the
+/// writer thread — recording what each policy pays while ingesting
 /// (snapshot bytes, ingest-stall time) and at recovery (chain walked,
 /// recovery wall time). Both runs must still finish byte-identical to
 /// batch.
@@ -311,16 +311,15 @@ fn delta_vs_full_cost_curve(
     let kill_at = (events.len() * 9 / 10).max(1);
     let variants = [
         (
-            "full_sync",
+            "full_only",
             DurabilityPolicy {
                 checkpoint_interval: DELTA_CURVE_INTERVAL,
                 full_every_n_checkpoints: 0,
-                offload_snapshots: false,
                 ..DurabilityPolicy::default()
             },
         ),
         (
-            "delta_async",
+            "delta_chain",
             DurabilityPolicy {
                 checkpoint_interval: DELTA_CURVE_INTERVAL,
                 ..DurabilityPolicy::default()

@@ -110,7 +110,7 @@ pub use observe::{
 };
 pub use par::ParallelismConfig;
 pub use reconstruct::{AmbiguityStrategy, Failure};
-pub use recovery::{AsyncFaultHook, DurabilityPolicy, DurableStream, RecoveryReport, RetryPolicy};
+pub use recovery::{DurabilityPolicy, DurableStream, FaultHook, RecoveryReport, RetryPolicy};
 pub use streaming::{
     scenario_event_stream, IngestOutcome, IngestSummary, LaneMigration, StreamAnalysis,
     StreamCheckpoint, StreamDelta, StreamEvent, StreamOutput, StreamResult,

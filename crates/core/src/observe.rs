@@ -122,8 +122,9 @@ pub struct DurabilityCounters {
     pub checkpoints_written: u64,
     /// Size in bytes of the most recent checkpoint payload.
     pub checkpoint_bytes_last: u64,
-    /// Slowest single checkpoint write, microseconds (serialize + fsync
-    /// + rename, excluding retries' backoff).
+    /// Slowest single snapshot write, microseconds: serialize + hash +
+    /// write (fsync, rename), with any retries and the retention pass —
+    /// the same quantity whichever thread did the writing.
     pub checkpoint_write_micros_max: u64,
     /// Checkpoint write attempts that failed and were retried.
     pub checkpoint_retries: u64,
@@ -164,13 +165,13 @@ pub struct DurabilityCounters {
     /// bounded hand-off queue was full (backpressure).
     #[serde(default)]
     pub snapshot_thread_stalls: u64,
-    /// Cadence snapshots forced onto the synchronous write path after
-    /// the off-thread writer exhausted its retries.
+    /// Cadence snapshots written on the ingest thread because the
+    /// writer thread had given up on an earlier one.
     #[serde(default)]
     pub snapshot_sync_fallbacks: u64,
     /// Wall-clock time the ingest thread spent inside the snapshot
-    /// section (capture + hand-off on the offloaded path; the whole
-    /// write when synchronous), microseconds.
+    /// section (capture + hand-off to the writer thread; the whole
+    /// write once it has fallen back to writing inline), microseconds.
     #[serde(default)]
     pub ingest_stall_micros: u64,
     /// [`DurabilityCounters::snapshot_thread_stalls`] per wall-clock

@@ -23,16 +23,16 @@
 //!    file is hashed (FNV-1a 64) and written via temp-file-and-rename so
 //!    a torn write can never replace a good snapshot; each delta's
 //!    header additionally chains back to its parent (parent seq +
-//!    parent payload hash). Cadence is
-//!    [`DurabilityPolicy::full_every_n_checkpoints`] capped by
-//!    [`DurabilityPolicy::max_chain_len`]. With
-//!    [`DurabilityPolicy::offload_snapshots`] (the default), capture is
-//!    a cheap in-memory clone on the ingest thread and serialization +
-//!    fsync + rename happen on a dedicated writer thread behind a
-//!    bounded hand-off queue; after a write exhausts its
-//!    [`RetryPolicy`], the stream falls back to synchronous full
-//!    snapshots (counted in
-//!    [`DurabilityCounters::snapshot_sync_fallbacks`]).
+//!    parent payload hash). [`DurabilityPolicy::full_every_n_checkpoints`]
+//!    sets how many snapshots one base anchors. A cadence snapshot
+//!    costs the ingest thread an in-memory capture; serialization,
+//!    hashing, the chain stamp, write + fsync + rename, retries and
+//!    pruning are one function, `SnapshotSink::write`, run by a
+//!    dedicated writer thread behind a bounded hand-off queue.
+//!    [`DurableStream::checkpoint_now`], post-recovery compaction and
+//!    the fallback after the writer gives up on a snapshot (counted in
+//!    [`DurabilityCounters::snapshot_sync_fallbacks`]) call that same
+//!    function on the ingest thread.
 //! 3. **Recover by chain-aware fallback ladder.**
 //!    [`DurableStream::recover`] tries snapshots newest→oldest as chain
 //!    *tips*: a full base restores directly; a delta walks parent
@@ -133,23 +133,14 @@ pub struct DurabilityPolicy {
     /// checkpoint files". Keeping more than one chain is what makes the
     /// fallback ladder possible.
     pub retain_checkpoints: usize,
-    /// Write a full base every this many snapshots; the snapshots in
-    /// between are incremental deltas chained to the previous one. `0`
-    /// or `1` disables deltas entirely (every snapshot is a full
-    /// checkpoint — the pre-chain behavior, and what an old serialized
-    /// policy deserializes to).
+    /// One full base anchors this many snapshots: the base itself and
+    /// the `n - 1` incremental deltas chained behind it, after which the
+    /// next snapshot is a base again. This is also the bound on
+    /// recovery's chain walk and on what a lost base costs. `0` or `1`
+    /// disables deltas entirely (every snapshot is a full checkpoint —
+    /// what an old serialized policy deserializes to).
     #[serde(default)]
     pub full_every_n_checkpoints: u64,
-    /// Hard cap on consecutive deltas between bases, bounding both
-    /// recovery's chain walk and the blast radius of a lost base. `0`
-    /// disables deltas.
-    #[serde(default)]
-    pub max_chain_len: u64,
-    /// Serialize and write snapshots on a dedicated writer thread (the
-    /// ingest thread only pays for an in-memory state clone). `false`
-    /// keeps every write synchronous on the ingest path.
-    #[serde(default)]
-    pub offload_snapshots: bool,
     /// Group-commit cadence for the journal: `fsync` the active segment
     /// after every this many appended records (and on segment rotation).
     /// `0` — the default — never fsyncs, matching the original
@@ -169,9 +160,7 @@ impl Default for DurabilityPolicy {
             checkpoint_interval: 10_000,
             segment_max_records: 8_192,
             retain_checkpoints: 2,
-            full_every_n_checkpoints: 8,
-            max_chain_len: 6,
-            offload_snapshots: true,
+            full_every_n_checkpoints: 7,
             fsync_every_n_records: 0,
             retry: RetryPolicy::default(),
         }
@@ -215,30 +204,15 @@ pub struct RecoveryReport {
     pub recover_micros: u64,
 }
 
-/// Injected checkpoint-write fault: called with `(seq, attempt)` before
-/// each write attempt; returning `true` makes that attempt fail with a
-/// transient I/O error. Wired to chaos presets by the test harness.
-/// While a hook is installed, cadence snapshots take the synchronous
-/// path so injected failures surface deterministically on the ingest
-/// thread.
-pub type CheckpointFaultHook = Box<dyn FnMut(u64, u32) -> bool + Send>;
-
-/// Injected write fault for the **off-thread** snapshot writer: same
-/// `(seq, attempt)` contract as [`CheckpointFaultHook`], but shareable
-/// across threads because the writer evaluates it.
-pub type AsyncFaultHook = Arc<dyn Fn(u64, u32) -> bool + Send + Sync>;
+/// Injected snapshot-write fault: called with `(seq, attempt)` before
+/// each write attempt, on whichever thread is writing that snapshot;
+/// returning `true` makes the attempt fail with a transient error.
+/// Wired to chaos presets by the test harness.
+pub type FaultHook = Arc<dyn Fn(u64, u32) -> bool + Send + Sync>;
 
 // ---------------------------------------------------------------------
-// Checkpoint files
+// Snapshot files
 // ---------------------------------------------------------------------
-
-fn checkpoint_name(seq: u64) -> String {
-    format!("ckpt-{seq:012}.ckpt")
-}
-
-fn delta_name(seq: u64) -> String {
-    format!("delta-{seq:012}.dckpt")
-}
 
 /// What kind of snapshot file a directory entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -250,6 +224,58 @@ enum SnapKind {
     /// (post-compaction, both can exist at one sequence).
     Full,
 }
+
+impl SnapKind {
+    /// The header's magic string and format version.
+    fn stamp(self) -> (&'static str, u32) {
+        match self {
+            SnapKind::Full => (MAGIC, CHECKPOINT_VERSION),
+            SnapKind::Delta => (DELTA_MAGIC, DELTA_VERSION),
+        }
+    }
+
+    /// What a file name wraps around the zero-padded sequence.
+    fn affixes(self) -> (&'static str, &'static str) {
+        match self {
+            SnapKind::Full => ("ckpt-", ".ckpt"),
+            SnapKind::Delta => ("delta-", ".dckpt"),
+        }
+    }
+
+    fn file_name(self, seq: u64) -> String {
+        let (prefix, suffix) = self.affixes();
+        format!("{prefix}{seq:012}{suffix}")
+    }
+}
+
+/// One snapshot of the engine, as captured for writing or as loaded for
+/// recovery: a full base or a delta on the snapshot before it.
+enum Snapshot {
+    Full(Box<StreamCheckpoint>),
+    Delta(Box<StreamDelta>),
+}
+
+impl Snapshot {
+    /// The stream position the snapshot represents.
+    fn seq(&self) -> u64 {
+        match self {
+            Snapshot::Full(ckpt) => ckpt.seq(),
+            Snapshot::Delta(delta) => delta.seq(),
+        }
+    }
+
+    /// The position of the snapshot a delta diffs against.
+    fn parent_seq(&self) -> Option<u64> {
+        match self {
+            Snapshot::Full(_) => None,
+            Snapshot::Delta(delta) => Some(delta.parent_seq()),
+        }
+    }
+}
+
+/// `(seq, payload hash)` of a snapshot on disk — what a delta's header
+/// names as its parent.
+type ChainAnchor = (u64, u64);
 
 /// One snapshot file on disk — a candidate chain link.
 #[derive(Debug, Clone)]
@@ -272,17 +298,14 @@ fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
         let entry = entry.map_err(|e| io_err("list snapshots", dir, e))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let parsed = name
-            .strip_prefix("ckpt-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-            .map(|stem| (SnapKind::Full, stem))
-            .or_else(|| {
-                name.strip_prefix("delta-")
-                    .and_then(|s| s.strip_suffix(".dckpt"))
-                    .map(|stem| (SnapKind::Delta, stem))
+        let parsed = [SnapKind::Full, SnapKind::Delta]
+            .into_iter()
+            .find_map(|kind| {
+                let (prefix, suffix) = kind.affixes();
+                let stem = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+                Some((kind, stem.parse::<u64>().ok()?))
             });
-        let Some((kind, stem)) = parsed else { continue };
-        if let Ok(seq) = stem.parse::<u64>() {
+        if let Some((kind, seq)) = parsed {
             out.push(SnapFile {
                 seq,
                 kind,
@@ -294,16 +317,35 @@ fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
     Ok(out)
 }
 
-/// The atomic write shared by both snapshot kinds: temp file in the
-/// same directory, `sync_all`, then rename over the final name. Returns
-/// the file's size in bytes.
-fn write_snapshot_atomic(
+/// Atomically write one snapshot file — the only place a snapshot header
+/// is built. `parent` makes it a delta whose header chains to that
+/// snapshot; without one it is a full base. `payload_fnv` is the
+/// caller's [`fnv1a64`] of `payload`, hashed once per snapshot, not once
+/// per attempt. The file goes to a temp name in the same directory, is
+/// `sync_all`ed, then renamed over the final name, so a torn write can
+/// never replace a good snapshot. Returns the file's size in bytes.
+fn write_snapshot_file(
     dir: &Path,
-    name: &str,
-    header: &str,
+    seq: u64,
+    parent: Option<ChainAnchor>,
     payload: &str,
+    payload_fnv: u64,
 ) -> Result<u64, RecoveryError> {
-    let final_path = dir.join(name);
+    let kind = if parent.is_some() {
+        SnapKind::Delta
+    } else {
+        SnapKind::Full
+    };
+    let (magic, version) = kind.stamp();
+    let chain = parent.map_or(String::new(), |(parent_seq, parent_fnv)| {
+        format!("\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",")
+    });
+    let header = format!(
+        "{{\"magic\":\"{magic}\",\"version\":{version},\"seq\":{seq},{chain}\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
+        payload.len(),
+    );
+    let name = kind.file_name(seq);
+    let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
     let mut f = File::create(&tmp_path).map_err(|e| io_err("write checkpoint", &tmp_path, e))?;
     f.write_all(header.as_bytes())
@@ -316,40 +358,6 @@ fn write_snapshot_atomic(
     Ok((header.len() + payload.len() + 1) as u64)
 }
 
-/// Atomically write one full checkpoint file. `payload_fnv` is the
-/// caller's [`fnv1a64`] of `payload` — hashed once per snapshot, not once
-/// per attempt. Returns the file's size in bytes.
-fn write_checkpoint_file(
-    dir: &Path,
-    payload: &str,
-    payload_fnv: u64,
-    seq: u64,
-) -> Result<u64, RecoveryError> {
-    let header = format!(
-        "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":{seq},\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
-        payload.len(),
-    );
-    write_snapshot_atomic(dir, &checkpoint_name(seq), &header, payload)
-}
-
-/// Atomically write one delta file whose header chains it to its parent
-/// snapshot (`parent_seq` + the parent's payload hash); `payload_fnv` as
-/// for [`write_checkpoint_file`]. Returns the file's size in bytes.
-fn write_delta_file(
-    dir: &Path,
-    payload: &str,
-    payload_fnv: u64,
-    seq: u64,
-    parent_seq: u64,
-    parent_fnv: u64,
-) -> Result<u64, RecoveryError> {
-    let header = format!(
-        "{{\"magic\":\"{DELTA_MAGIC}\",\"version\":{DELTA_VERSION},\"seq\":{seq},\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
-        payload.len(),
-    );
-    write_snapshot_atomic(dir, &delta_name(seq), &header, payload)
-}
-
 fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     RecoveryError::CorruptCheckpoint {
         path: path.display().to_string(),
@@ -357,22 +365,28 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     }
 }
 
-/// A parsed-and-verified snapshot file: its header fields and the
-/// hash-checked payload text.
-struct VerifiedSnapshot {
-    header: serde::Value,
-    payload_fnv: u64,
-    payload: String,
+/// A header field holding a 64-bit hash as hex text.
+fn hex64(field: &serde::Value) -> Option<u64> {
+    field.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
 }
 
-/// Shared validation for both snapshot kinds: magic, version, payload
-/// length, and integrity hash. `magic`/`version` select the expected
-/// format.
-fn load_verified(
-    path: &Path,
-    magic: &str,
-    version_expected: u32,
-) -> Result<VerifiedSnapshot, RecoveryError> {
+/// A fully validated snapshot file.
+struct LoadedSnapshot {
+    body: Snapshot,
+    /// The verified payload hash — what a delta child's `parent_fnv`
+    /// must match during a chain walk.
+    payload_fnv: u64,
+    /// The parent a delta's header chains to; `None` for a full base.
+    parent: Option<ChainAnchor>,
+}
+
+/// Load and fully validate one snapshot file of the kind its name
+/// claims: magic, version, payload length, integrity hash and
+/// header/payload sequence agreement; for a delta also header/payload
+/// agreement on the parent pointer and parent monotonicity
+/// (`parent_seq < seq` — a chain can never loop).
+fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, RecoveryError> {
+    let (magic, version_expected) = kind.stamp();
     let text = fs::read_to_string(path).map_err(|e| io_err("read checkpoint", path, e))?;
     let Some((header_line, rest)) = text.split_once('\n') else {
         return Err(corrupt(path, "missing header line"));
@@ -382,7 +396,11 @@ fn load_verified(
     if header["magic"].as_str() != Some(magic) {
         return Err(corrupt(path, "bad magic"));
     }
-    let version = header["version"].as_u64().unwrap_or(0) as u32;
+    // A version too large for `u32` saturates: it is reported as
+    // unsupported, never truncated into one this build accepts.
+    let version = header["version"]
+        .as_u64()
+        .map_or(0, |v| u32::try_from(v).unwrap_or(u32::MAX));
     if version != version_expected {
         return Err(RecoveryError::UnsupportedVersion {
             found: version,
@@ -395,14 +413,16 @@ fn load_verified(
     let Some(expect_fnv) = header["payload_fnv"].as_str() else {
         return Err(corrupt(path, "header missing payload_fnv"));
     };
-    let payload_len = payload_len as usize;
-    if rest.len() < payload_len {
+    if (rest.len() as u64) < payload_len {
         return Err(corrupt(
             path,
             format!("torn payload: {} of {payload_len} bytes", rest.len()),
         ));
     }
-    let payload = &rest[..payload_len];
+    // `get`, not indexing: a damaged length can land inside a character.
+    let Some(payload) = rest.get(..payload_len as usize) else {
+        return Err(corrupt(path, "payload_len splits a character"));
+    };
     let payload_fnv = fnv1a64(payload.as_bytes());
     let got_fnv = format!("{payload_fnv:016x}");
     if got_fnv != expect_fnv {
@@ -411,96 +431,45 @@ fn load_verified(
             format!("payload hash mismatch: header {expect_fnv}, payload {got_fnv}"),
         ));
     }
-    Ok(VerifiedSnapshot {
-        header,
-        payload_fnv,
-        payload: payload.to_string(),
-    })
-}
-
-/// Load and fully validate one checkpoint file: magic, version, payload
-/// length, integrity hash, and header/payload sequence agreement.
-pub fn load_checkpoint(path: &Path) -> Result<StreamCheckpoint, RecoveryError> {
-    load_checkpoint_with_fnv(path).map(|(ckpt, _)| ckpt)
-}
-
-/// [`load_checkpoint`] plus the verified payload hash — what a delta
-/// child's `parent_fnv` must match during a chain walk.
-fn load_checkpoint_with_fnv(path: &Path) -> Result<(StreamCheckpoint, u64), RecoveryError> {
-    let v = load_verified(path, MAGIC, CHECKPOINT_VERSION)?;
-    let ckpt: StreamCheckpoint = serde_json::from_str(&v.payload)
-        .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    if v.header["seq"].as_u64() != Some(ckpt.seq()) {
+    let body = match kind {
+        SnapKind::Full => serde_json::from_str(payload).map(|c| Snapshot::Full(Box::new(c))),
+        SnapKind::Delta => serde_json::from_str(payload).map(|d| Snapshot::Delta(Box::new(d))),
+    }
+    .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
+    if header["seq"].as_u64() != Some(body.seq()) {
         return Err(corrupt(path, "header/payload sequence disagreement"));
     }
-    Ok((ckpt, v.payload_fnv))
-}
-
-/// A fully validated delta file plus the chain fields recovery needs.
-struct LoadedDelta {
-    delta: StreamDelta,
-    parent_seq: u64,
-    parent_fnv: u64,
-    payload_fnv: u64,
-}
-
-/// Load and fully validate one delta file: everything
-/// [`load_checkpoint`] checks, plus header/payload agreement on both
-/// the sequence and the parent pointer, and parent monotonicity
-/// (`parent_seq < seq` — a chain can never loop).
-fn load_delta(path: &Path) -> Result<LoadedDelta, RecoveryError> {
-    let v = load_verified(path, DELTA_MAGIC, DELTA_VERSION)?;
-    let delta: StreamDelta = serde_json::from_str(&v.payload)
-        .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    if v.header["seq"].as_u64() != Some(delta.seq()) {
-        return Err(corrupt(path, "header/payload sequence disagreement"));
-    }
-    if v.header["parent_seq"].as_u64() != Some(delta.parent_seq()) {
-        return Err(corrupt(path, "header/payload parent disagreement"));
-    }
-    let Some(parent_fnv) = v.header["parent_fnv"]
-        .as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-    else {
-        return Err(corrupt(path, "header missing parent_fnv"));
+    let parent = match body.parent_seq() {
+        None => None,
+        Some(parent_seq) => {
+            if header["parent_seq"].as_u64() != Some(parent_seq) {
+                return Err(corrupt(path, "header/payload parent disagreement"));
+            }
+            let Some(parent_fnv) = hex64(&header["parent_fnv"]) else {
+                return Err(corrupt(path, "header missing parent_fnv"));
+            };
+            if parent_seq >= body.seq() {
+                return Err(corrupt(path, "non-monotonic parent pointer"));
+            }
+            Some((parent_seq, parent_fnv))
+        }
     };
-    if delta.parent_seq() >= delta.seq() {
-        return Err(corrupt(path, "non-monotonic parent pointer"));
-    }
-    Ok(LoadedDelta {
-        parent_seq: delta.parent_seq(),
-        parent_fnv,
-        payload_fnv: v.payload_fnv,
-        delta,
+    Ok(LoadedSnapshot {
+        body,
+        payload_fnv,
+        parent,
     })
 }
 
-/// Read just a snapshot file's header line and return its declared
-/// payload hash — enough to pick the right parent among same-sequence
-/// candidates and to resolve chains during pruning without reading full
-/// payloads. `None` on any damage (the caller treats that link as
-/// missing).
-fn peek_payload_fnv(path: &Path) -> Option<u64> {
+/// Read just a snapshot file's header line — enough to pick the right
+/// parent among same-sequence candidates and to resolve chains during
+/// pruning without reading payloads. `None` on any damage (the caller
+/// treats that link as missing).
+fn peek_header(path: &Path) -> Option<serde::Value> {
     let file = File::open(path).ok()?;
     let mut line = String::new();
     std::io::BufReader::new(file).read_line(&mut line).ok()?;
-    let header: serde::Value = serde_json::from_str(line.trim_end()).ok()?;
-    header["payload_fnv"]
-        .as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-/// Read just a delta file's header line and return its declared parent
-/// sequence. `None` for non-delta files or any damage.
-fn peek_parent_seq(path: &Path) -> Option<u64> {
-    let file = File::open(path).ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(file).read_line(&mut line).ok()?;
-    let header: serde::Value = serde_json::from_str(line.trim_end()).ok()?;
-    if header["magic"].as_str() != Some(DELTA_MAGIC) {
-        return None;
-    }
-    header["parent_seq"].as_u64()
+    serde_json::from_str(line.trim_end()).ok()
 }
 
 // ---------------------------------------------------------------------
@@ -763,79 +732,67 @@ fn restore_chain<'a>(
     snaps: &[SnapFile],
     tip: &SnapFile,
 ) -> Result<(StreamAnalysis<'a>, u64, u64), RecoveryError> {
+    // Newest first: each delta met on the way down to the base.
     let mut deltas: Vec<(PathBuf, StreamDelta)> = Vec::new();
+    // The first delta's hash; a chain that is only a base has none.
     let mut tip_fnv: Option<u64> = None;
     let mut cur = tip.clone();
     // A child's declared parent hash constrains the next file down.
     let mut expect_fnv: Option<u64> = None;
-    let base = loop {
+    let (base, base_fnv) = loop {
         if deltas.len() > snaps.len() {
             return Err(corrupt(&cur.path, "chain longer than the snapshot set"));
         }
-        match cur.kind {
-            SnapKind::Full => {
-                let (ckpt, fnv) = load_checkpoint_with_fnv(&cur.path)?;
-                if ckpt.seq() != cur.seq {
-                    // A renamed or content-swapped file: internally
-                    // consistent, but it is not the snapshot its name
-                    // claims, so the chain built on that name is a lie.
-                    return Err(corrupt(
-                        &cur.path,
-                        "file name / content sequence disagreement",
-                    ));
-                }
-                if expect_fnv.is_some_and(|e| e != fnv) {
-                    return Err(corrupt(&cur.path, "chain parent hash mismatch"));
-                }
-                tip_fnv.get_or_insert(fnv);
-                break ckpt;
-            }
-            SnapKind::Delta => {
-                let loaded = load_delta(&cur.path)?;
-                if loaded.delta.seq() != cur.seq {
-                    return Err(corrupt(
-                        &cur.path,
-                        "file name / content sequence disagreement",
-                    ));
-                }
-                if expect_fnv.is_some_and(|e| e != loaded.payload_fnv) {
-                    return Err(corrupt(&cur.path, "chain parent hash mismatch"));
-                }
-                tip_fnv.get_or_insert(loaded.payload_fnv);
-                // The parent is whichever same-sequence file carries the
-                // hash this delta declares (post-compaction a full and a
-                // delta can share a sequence number).
-                let parent = snaps
-                    .iter()
-                    .filter(|s| s.seq == loaded.parent_seq)
-                    .find(|s| peek_payload_fnv(&s.path) == Some(loaded.parent_fnv));
-                let Some(parent) = parent else {
-                    return Err(corrupt(
-                        &cur.path,
-                        format!("missing parent snapshot at seq {}", loaded.parent_seq),
-                    ));
-                };
-                let next = parent.clone();
-                deltas.push((cur.path.clone(), loaded.delta));
-                expect_fnv = Some(loaded.parent_fnv);
-                cur = next;
-            }
+        let loaded = load_snapshot(&cur.path, cur.kind)?;
+        if loaded.body.seq() != cur.seq {
+            // A renamed or content-swapped file: internally consistent,
+            // but it is not the snapshot its name claims, so the chain
+            // built on that name is a lie.
+            return Err(corrupt(
+                &cur.path,
+                "file name / content sequence disagreement",
+            ));
         }
+        if expect_fnv.is_some_and(|e| e != loaded.payload_fnv) {
+            return Err(corrupt(&cur.path, "chain parent hash mismatch"));
+        }
+        let delta = match loaded.body {
+            Snapshot::Full(ckpt) => break (*ckpt, loaded.payload_fnv),
+            Snapshot::Delta(delta) => *delta,
+        };
+        let Some((parent_seq, parent_fnv)) = loaded.parent else {
+            return Err(corrupt(&cur.path, "delta without a parent pointer"));
+        };
+        // The parent is whichever same-sequence file carries the hash
+        // this delta declares (post-compaction a full and a delta can
+        // share a sequence number).
+        let parent = snaps.iter().filter(|s| s.seq == parent_seq).find(|s| {
+            peek_header(&s.path).and_then(|h| hex64(&h["payload_fnv"])) == Some(parent_fnv)
+        });
+        let Some(parent) = parent else {
+            return Err(corrupt(
+                &cur.path,
+                format!("missing parent snapshot at seq {parent_seq}"),
+            ));
+        };
+        let parent = parent.clone();
+        deltas.push((cur.path, delta));
+        tip_fnv.get_or_insert(loaded.payload_fnv);
+        expect_fnv = Some(parent_fnv);
+        cur = parent;
     };
-    let mut engine = StreamAnalysis::restore(data, base).map_err(RecoveryError::from)?;
     let chain_len = deltas.len() as u64;
+    let mut engine = StreamAnalysis::restore(data, base).map_err(RecoveryError::from)?;
     for (path, delta) in deltas.into_iter().rev() {
         engine
             .apply_delta(delta)
             .map_err(|reason| corrupt(&path, reason))?;
     }
-    // Invariant: the loop set `tip_fnv` on its first iteration.
-    let tip_fnv = tip_fnv.expect("chain walk visited at least the tip");
-    Ok((engine, tip_fnv, chain_len))
+    Ok((engine, tip_fnv.unwrap_or(base_fnv), chain_len))
 }
 
 // ---------------------------------------------------------------------
-// Off-thread snapshot writer
+// Snapshot writer
 // ---------------------------------------------------------------------
 
 /// Bound on snapshots queued to the writer thread before the ingest
@@ -843,70 +800,116 @@ fn restore_chain<'a>(
 /// [`DurabilityCounters::snapshot_thread_stalls`]).
 const SNAPSHOT_QUEUE_DEPTH: usize = 2;
 
-/// A frozen state capture handed to the writer thread.
-enum SnapJob {
-    Full {
-        seq: u64,
-        ckpt: Box<StreamCheckpoint>,
-    },
-    Delta {
-        seq: u64,
-        parent_seq: u64,
-        delta: Box<StreamDelta>,
-    },
-}
-
-/// What the writer thread reports back for one job, in submission
-/// order.
+/// What one [`SnapshotSink::write`] did.
 struct SnapResult {
-    seq: u64,
     is_delta: bool,
-    ok: bool,
-    bytes: u64,
+    /// The file's size in bytes, or why the snapshot was given up on.
+    written: Result<u64, String>,
+    /// Serialize + hash + write, retries and the retention pass included.
     wall_micros: u64,
-    /// Failed attempts (mirrors the sync path's per-attempt retry
-    /// counting).
-    retries: u64,
-    /// Payload hash of the written file (chain anchor for the next
-    /// delta). Meaningless when `!ok`.
-    fnv: u64,
+    /// Failed attempts.
+    retries: u32,
 }
 
-/// The dedicated snapshot writer: owns serialization, hashing,
-/// chain-stamping, atomic writes, retries, and post-write pruning, so
-/// the ingest thread only pays for the in-memory capture. Dropping the
-/// writer closes the queue and **joins** the thread — queued snapshots
-/// finish before a drop-kill "crash" completes, which keeps the
-/// drop-at-any-boundary tests deterministic.
+/// Where snapshots go and how hard to try: everything a snapshot write
+/// needs except the chain anchor, which moves with whichever thread is
+/// writing.
+#[derive(Clone)]
+struct SnapshotSink {
+    dir: PathBuf,
+    journal_dir: PathBuf,
+    retry: RetryPolicy,
+    retain: usize,
+    fault: Option<FaultHook>,
+}
+
+impl SnapshotSink {
+    /// The one way a snapshot reaches disk: serialize, hash, stamp a
+    /// delta with its parent, write with retries, prune on success.
+    /// `anchor` is the last snapshot written and is advanced on success.
+    /// A delta must chain to exactly that snapshot; once a write has
+    /// failed, the deltas queued behind it are refused rather than
+    /// written with a dangling parent (the stream restarts the chain on
+    /// a full base).
+    fn write(&self, anchor: &mut Option<ChainAnchor>, snap: &Snapshot) -> SnapResult {
+        let t0 = Instant::now();
+        let seq = snap.seq();
+        let mut retries = 0u32;
+        let written = (|| -> Result<u64, String> {
+            let payload = match snap {
+                Snapshot::Full(ckpt) => serde_json::to_string(ckpt.as_ref()),
+                Snapshot::Delta(delta) => serde_json::to_string(delta.as_ref()),
+            }
+            .map_err(|e| format!("serialize snapshot: {e}"))?;
+            let parent = match snap.parent_seq() {
+                None => None,
+                Some(p) => Some(
+                    anchor
+                        .filter(|&(last, _)| last == p)
+                        .ok_or_else(|| format!("parent snapshot at seq {p} was not written"))?,
+                ),
+            };
+            let fnv = fnv1a64(payload.as_bytes());
+            loop {
+                let attempt = retries + 1;
+                let outcome = if self.fault.as_ref().is_some_and(|hook| hook(seq, attempt)) {
+                    Err("injected transient write failure".to_string())
+                } else {
+                    write_snapshot_file(&self.dir, seq, parent, &payload, fnv)
+                        .map_err(|e| e.to_string())
+                };
+                match outcome {
+                    Ok(bytes) => {
+                        *anchor = Some((seq, fnv));
+                        prune_snapshots(&self.dir, &self.journal_dir, self.retain);
+                        return Ok(bytes);
+                    }
+                    Err(e) => {
+                        retries = attempt;
+                        if attempt >= self.retry.max_attempts {
+                            return Err(e);
+                        }
+                        let backoff = self.retry.backoff_base_ms << (attempt - 1);
+                        std::thread::sleep(std::time::Duration::from_millis(backoff));
+                    }
+                }
+            }
+        })();
+        SnapResult {
+            is_delta: snap.parent_seq().is_some(),
+            written,
+            wall_micros: t0.elapsed().as_micros() as u64,
+            retries,
+        }
+    }
+}
+
+/// The dedicated writer thread: runs [`SnapshotSink::write`] for each
+/// queued snapshot, so the ingest thread only pays for the in-memory
+/// capture. It holds the chain anchor while it runs and hands it back
+/// when joined. Dropping the writer closes the queue and **joins** the
+/// thread — queued snapshots finish before a drop-kill "crash"
+/// completes, which keeps the drop-at-any-boundary tests deterministic.
 struct SnapshotWriter {
-    tx: Option<mpsc::SyncSender<SnapJob>>,
+    tx: Option<mpsc::SyncSender<Snapshot>>,
+    /// One result per snapshot, in submission order.
     rx: mpsc::Receiver<SnapResult>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Jobs submitted but not yet acknowledged via `rx`.
+    handle: Option<std::thread::JoinHandle<Option<ChainAnchor>>>,
+    /// Snapshots submitted but not yet acknowledged via `rx`.
     pending: usize,
 }
 
 impl SnapshotWriter {
-    fn spawn(
-        dir: PathBuf,
-        journal_dir: PathBuf,
-        retry: RetryPolicy,
-        retain: usize,
-        init_tip: Option<(u64, u64)>,
-        fault: Option<AsyncFaultHook>,
-    ) -> SnapshotWriter {
-        let (tx, job_rx) = mpsc::sync_channel::<SnapJob>(SNAPSHOT_QUEUE_DEPTH);
-        let (result_tx, rx) = mpsc::channel::<SnapResult>();
+    fn spawn(sink: SnapshotSink, mut anchor: Option<ChainAnchor>) -> SnapshotWriter {
+        let (tx, queue) = mpsc::sync_channel::<Snapshot>(SNAPSHOT_QUEUE_DEPTH);
+        let (results, rx) = mpsc::channel::<SnapResult>();
         let handle = std::thread::spawn(move || {
-            // (seq, payload hash) of the last successfully written
-            // snapshot — what a delta job's parent must equal.
-            let mut last: Option<(u64, u64)> = init_tip;
-            while let Ok(job) = job_rx.recv() {
-                let result = write_one(&dir, &journal_dir, retry, retain, &mut last, &fault, job);
-                if result_tx.send(result).is_err() {
+            while let Ok(snap) = queue.recv() {
+                if results.send(sink.write(&mut anchor, &snap)).is_err() {
                     break;
                 }
             }
+            anchor
         });
         SnapshotWriter {
             tx: Some(tx),
@@ -916,130 +919,19 @@ impl SnapshotWriter {
         }
     }
 
-    /// Close the queue, join the thread, and return every outstanding
-    /// result in submission order.
-    fn shutdown(&mut self) -> Vec<SnapResult> {
+    /// Close the queue and join the thread (every queued snapshot is
+    /// written first); returns the chain anchor it held — none if it
+    /// panicked, which makes the next snapshot a full base. The
+    /// remaining results are still readable from `rx`.
+    fn join(&mut self) -> Option<ChainAnchor> {
         self.tx = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        let mut out = Vec::with_capacity(self.pending);
-        while let Ok(r) = self.rx.try_recv() {
-            out.push(r);
-        }
-        self.pending = 0;
-        out
+        self.handle.take().and_then(|h| h.join().ok()).flatten()
     }
 }
 
 impl Drop for SnapshotWriter {
     fn drop(&mut self) {
-        self.tx = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One writer-thread job: serialize, verify chain order, write with
-/// retries, prune on success.
-fn write_one(
-    dir: &Path,
-    journal_dir: &Path,
-    retry: RetryPolicy,
-    retain: usize,
-    last: &mut Option<(u64, u64)>,
-    fault: &Option<AsyncFaultHook>,
-    job: SnapJob,
-) -> SnapResult {
-    let t0 = Instant::now();
-    let (seq, is_delta, parent_seq, payload) = match &job {
-        SnapJob::Full { seq, ckpt } => (*seq, false, None, serde_json::to_string(ckpt.as_ref())),
-        SnapJob::Delta {
-            seq,
-            parent_seq,
-            delta,
-        } => (
-            *seq,
-            true,
-            Some(*parent_seq),
-            serde_json::to_string(delta.as_ref()),
-        ),
-    };
-    let mut result = SnapResult {
-        seq,
-        is_delta,
-        ok: false,
-        bytes: 0,
-        wall_micros: 0,
-        retries: 0,
-        fnv: 0,
-    };
-    let Ok(payload) = payload else {
-        result.wall_micros = t0.elapsed().as_micros() as u64;
-        return result;
-    };
-    // A delta must chain to the writer's last success; after any
-    // failure the queued descendants are rejected rather than written
-    // with a dangling parent (the stream falls back to a full base).
-    let parent = match parent_seq {
-        Some(p) => match *last {
-            Some((last_seq, last_fnv)) if last_seq == p => Some(last_fnv),
-            _ => {
-                result.wall_micros = t0.elapsed().as_micros() as u64;
-                return result;
-            }
-        },
-        None => None,
-    };
-    let fnv = fnv1a64(payload.as_bytes());
-    let max_attempts = retry.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let injected = fault.as_ref().is_some_and(|hook| hook(seq, attempt));
-        let outcome = if injected {
-            Err(io_err(
-                "write checkpoint",
-                &dir.join(checkpoint_name(seq)),
-                std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    "injected transient write failure",
-                ),
-            ))
-        } else if let Some(parent_fnv) = parent {
-            // Invariant: `parent` is `Some` exactly for delta jobs.
-            write_delta_file(
-                dir,
-                &payload,
-                fnv,
-                seq,
-                parent_seq.expect("delta job"),
-                parent_fnv,
-            )
-        } else {
-            write_checkpoint_file(dir, &payload, fnv, seq)
-        };
-        match outcome {
-            Ok(bytes) => {
-                *last = Some((seq, fnv));
-                prune_snapshots(dir, journal_dir, retain);
-                result.ok = true;
-                result.bytes = bytes;
-                result.fnv = fnv;
-                result.wall_micros = t0.elapsed().as_micros() as u64;
-                return result;
-            }
-            Err(_) => {
-                result.retries += 1;
-                if attempt >= max_attempts {
-                    result.wall_micros = t0.elapsed().as_micros() as u64;
-                    return result;
-                }
-                let backoff = retry.backoff_base_ms << (attempt - 1);
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
-        }
+        self.join();
     }
 }
 
@@ -1054,25 +946,23 @@ fn write_one(
 /// for the full contract.
 pub struct DurableStream<'a> {
     engine: StreamAnalysis<'a>,
-    dir: PathBuf,
     journal: JournalWriter,
     policy: DurabilityPolicy,
-    fault_hook: Option<CheckpointFaultHook>,
-    async_fault_hook: Option<AsyncFaultHook>,
     counters: DurabilityCounters,
     last_checkpoint_seq: u64,
-    /// The off-thread writer, spawned lazily on the first offloaded
-    /// snapshot and shut down before any synchronous write.
+    sink: SnapshotSink,
+    /// The last snapshot written — `None` before the first one, and
+    /// while the writer thread is running, which holds it instead.
+    anchor: Option<ChainAnchor>,
+    /// The writer thread, spawned by the first cadence snapshot and
+    /// joined before any snapshot is written on this thread.
     writer: Option<SnapshotWriter>,
-    /// An offloaded write exhausted its retries: every later cadence
-    /// snapshot takes the synchronous fallback path.
-    async_dead: bool,
-    /// Sequence of the newest snapshot captured (written or queued).
+    /// The writer gave up on a snapshot: every later cadence snapshot
+    /// is written on this thread.
+    writer_gave_up: bool,
+    /// Sequence of the newest snapshot captured (written or queued);
+    /// `None` once one failed, so the next is a full base.
     tip_seq: Option<u64>,
-    /// Payload hash of the newest snapshot — `None` while its write is
-    /// still in flight on the writer thread. Settled whenever the
-    /// writer is flushed, which every synchronous write does first.
-    tip_fnv: Option<u64>,
     /// Consecutive deltas since the last full base.
     deltas_since_full: u64,
     /// When this process's durable run began (create or recover) —
@@ -1099,28 +989,48 @@ impl<'a> DurableStream<'a> {
             });
         }
         let engine = StreamAnalysis::try_new(data, config)?;
-        let journal = JournalWriter::new(
-            journal_dir,
-            1,
-            policy.segment_max_records,
-            policy.fsync_every_n_records,
-        );
-        Ok(DurableStream {
+        let counters = DurabilityCounters::default();
+        Ok(Self::assemble(engine, dir, 1, policy, counters, None, 0))
+    }
+
+    /// A stream over `engine` whose next journal record is `next_seq`
+    /// and whose snapshot chain so far ends at `tip`, `chain_length`
+    /// deltas above its base.
+    fn assemble(
+        engine: StreamAnalysis<'a>,
+        dir: &Path,
+        next_seq: u64,
+        policy: DurabilityPolicy,
+        counters: DurabilityCounters,
+        tip: Option<ChainAnchor>,
+        chain_length: u64,
+    ) -> Self {
+        let journal_dir = dir.join("journal");
+        DurableStream {
             engine,
-            dir: dir.to_path_buf(),
-            journal,
+            sink: SnapshotSink {
+                dir: dir.to_path_buf(),
+                journal_dir: journal_dir.clone(),
+                retry: policy.retry,
+                retain: policy.retain_checkpoints,
+                fault: None,
+            },
+            journal: JournalWriter::new(
+                journal_dir,
+                next_seq,
+                policy.segment_max_records,
+                policy.fsync_every_n_records,
+            ),
             policy,
-            fault_hook: None,
-            async_fault_hook: None,
-            counters: DurabilityCounters::default(),
-            last_checkpoint_seq: 0,
+            counters,
+            last_checkpoint_seq: tip.map_or(0, |(seq, _)| seq),
+            anchor: tip,
             writer: None,
-            async_dead: false,
-            tip_seq: None,
-            tip_fnv: None,
-            deltas_since_full: 0,
+            writer_gave_up: false,
+            tip_seq: tip.map(|(seq, _)| seq),
+            deltas_since_full: chain_length,
             started: Instant::now(),
-        })
+        }
     }
 
     /// Rebuild a durable stream from whatever `dir` holds: the newest
@@ -1153,7 +1063,7 @@ impl<'a> DurableStream<'a> {
 
         let mut report = RecoveryReport::default();
         let mut engine: Option<StreamAnalysis<'a>> = None;
-        let mut tip_fnv: Option<u64> = None;
+        let mut anchor: Option<ChainAnchor> = None;
         let snaps = list_snapshots(dir)?;
         for tip in snaps.iter().rev() {
             match restore_chain(data, &snaps, tip) {
@@ -1167,7 +1077,7 @@ impl<'a> DurableStream<'a> {
                     });
                     report.checkpoint_seq = Some(tip.seq);
                     report.chain_length = chain_len;
-                    tip_fnv = Some(fnv);
+                    anchor = Some((tip.seq, fnv));
                     engine = Some(e);
                     break;
                 }
@@ -1221,16 +1131,6 @@ impl<'a> DurableStream<'a> {
             )
         });
 
-        let last_checkpoint_seq = report.checkpoint_seq.unwrap_or(0);
-        // New records go to a fresh segment starting right after the
-        // replayed prefix; the torn tail (if any) stays behind in the old
-        // segment, and the next recovery's contiguity rule handles it.
-        let journal = JournalWriter::new(
-            journal_dir,
-            report.resumed_at_seq + 1,
-            policy.segment_max_records,
-            policy.fsync_every_n_records,
-        );
         let counters = DurabilityCounters {
             restores: 1,
             events_replayed: replay.replayed,
@@ -1238,63 +1138,49 @@ impl<'a> DurableStream<'a> {
             chain_length_at_recovery: report.chain_length,
             ..DurabilityCounters::default()
         };
-        let mut stream = DurableStream {
+        // New records go to a fresh segment starting right after the
+        // replayed prefix; the torn tail (if any) stays behind in the old
+        // segment, and the next recovery's contiguity rule handles it.
+        let next_seq = report.resumed_at_seq + 1;
+        let mut stream = Self::assemble(
             engine,
-            dir: dir.to_path_buf(),
-            journal,
+            dir,
+            next_seq,
             policy,
-            fault_hook: None,
-            async_fault_hook: None,
             counters,
-            last_checkpoint_seq,
-            writer: None,
-            async_dead: false,
-            tip_seq: report.checkpoint_seq,
-            tip_fnv,
-            deltas_since_full: report.chain_length,
-            started: Instant::now(),
-        };
+            anchor,
+            report.chain_length,
+        );
         if replay.replayed > 0 {
-            report.compacted = stream.compact_after_recovery();
+            // Snapshot compaction: fold the journal prefix this recovery
+            // just replayed into a fresh base at the resumed sequence;
+            // the write's retention pass then prunes the chains and
+            // journal segments it supersedes. Repeated crash/recover
+            // cycles therefore pay the replay cost once per crash, not
+            // cumulatively. Best-effort: a failed write prunes nothing
+            // and leaves the files the ladder just proved recoverable.
+            report.compacted = stream.snapshot_inline(true).is_ok();
+            if report.compacted {
+                observe::narrate(|| {
+                    format!(
+                        "recovery: compacted journal prefix into checkpoint seq {}",
+                        report.resumed_at_seq
+                    )
+                });
+            }
         }
         Ok((stream, report))
     }
 
-    /// Snapshot compaction: fold the journal prefix this recovery just
-    /// replayed into a fresh checkpoint at the resumed sequence, then
-    /// let the usual retention pass prune checkpoints and the journal
-    /// segments every retained checkpoint has absorbed. Repeated
-    /// crash/recover cycles therefore pay the replay cost once per
-    /// crash, not cumulatively, and the journal directory stays bounded.
-    ///
-    /// Best-effort by design: a failed checkpoint write leaves the
-    /// pre-compaction files exactly as the recovery ladder already
-    /// proved them recoverable, so nothing is pruned and `false` is
-    /// returned.
-    fn compact_after_recovery(&mut self) -> bool {
-        let seq = self.engine.events_ingested();
-        if self.checkpoint_sync(true).is_err() {
-            return false;
-        }
-        observe::narrate(|| {
-            format!("recovery: compacted journal prefix into checkpoint seq {seq}")
-        });
-        true
-    }
-
-    /// Inject transient checkpoint-write failures (chaos testing). The
+    /// Inject transient snapshot-write failures (chaos testing). The
     /// hook sees `(seq, attempt)` and returns `true` to fail that
-    /// attempt. While installed, cadence snapshots take the synchronous
-    /// path so failures surface deterministically.
-    pub fn set_fault_hook(&mut self, hook: Option<CheckpointFaultHook>) {
-        self.fault_hook = hook;
-    }
-
-    /// Inject transient write failures into the **off-thread** snapshot
-    /// writer (chaos testing). Takes effect when the writer is next
-    /// spawned, so install it before ingesting.
-    pub fn set_async_fault_hook(&mut self, hook: Option<AsyncFaultHook>) {
-        self.async_fault_hook = hook;
+    /// attempt; it is consulted by the one write function, on the writer
+    /// thread for cadence snapshots and on this thread otherwise, so
+    /// installing one does not change which of them runs.
+    pub fn set_fault_hook(&mut self, hook: Option<FaultHook>) {
+        // The running writer holds a copy of the sink; bring it home.
+        self.flush_writer();
+        self.sink.fault = hook;
     }
 
     /// The wrapped engine (read-only).
@@ -1330,10 +1216,10 @@ impl<'a> DurableStream<'a> {
     /// Journal the event, then feed it to the engine (write-ahead: a
     /// crash between the two replays the event on recovery, which is
     /// idempotent because replay re-derives the identical outcome), then
-    /// snapshot if the cadence says so — offloaded to the writer thread
-    /// unless the policy (or an installed fault hook, or a dead writer)
-    /// forces the synchronous path. Time the ingest thread spends in the
-    /// snapshot section is accounted in
+    /// snapshot if the cadence says so: the capture is handed to the
+    /// writer thread, unless the writer has given up on a snapshot
+    /// before, in which case it is written here. Time the ingest thread
+    /// spends in the snapshot section is accounted in
     /// [`DurabilityCounters::ingest_stall_micros`].
     pub fn ingest(&mut self, event: &StreamEvent) -> Result<IngestOutcome, RecoveryError> {
         self.journal.append(event)?;
@@ -1350,279 +1236,152 @@ impl<'a> DurableStream<'a> {
         Ok(outcome)
     }
 
-    /// Whether the next snapshot may be an incremental delta: the policy
-    /// enables chains, the cadence has room before the next full base,
-    /// and there is a parent snapshot strictly behind the current
-    /// position to chain to.
-    fn delta_allowed(&self, seq: u64) -> bool {
-        self.policy.full_every_n_checkpoints > 1
-            && self.policy.max_chain_len > 0
+    /// Freeze the engine's current state as the chain's next snapshot —
+    /// a delta when `chain` allows one, the cadence has room before the
+    /// next full base, and there is a parent strictly behind the current
+    /// position to chain to — and start the next diff window from it.
+    fn capture(&mut self, chain: bool) -> Snapshot {
+        let seq = self.engine.events_ingested();
+        let delta = chain
             && self.deltas_since_full + 1 < self.policy.full_every_n_checkpoints
-            && self.deltas_since_full < self.policy.max_chain_len
-            && self.tip_seq.is_some_and(|tip| tip < seq)
+            && self.tip_seq.is_some_and(|tip| tip < seq);
+        let snap = if delta {
+            self.deltas_since_full += 1;
+            Snapshot::Delta(Box::new(self.engine.checkpoint_delta()))
+        } else {
+            self.deltas_since_full = 0;
+            Snapshot::Full(Box::new(self.engine.checkpoint()))
+        };
+        self.engine.mark_clean();
+        self.last_checkpoint_seq = seq;
+        self.tip_seq = Some(seq);
+        snap
     }
 
-    /// Fold one writer-thread result into the counters and chain state.
-    fn note_result(&mut self, r: SnapResult) {
-        self.counters.checkpoint_retries += r.retries;
+    /// Fold one write's result into the counters — the only place they
+    /// learn about snapshots — and, on failure, into the chain state.
+    fn note_result(&mut self, r: SnapResult) -> Result<(), RecoveryError> {
+        self.counters.checkpoint_retries += u64::from(r.retries);
         self.counters.checkpoint_write_micros_max =
             self.counters.checkpoint_write_micros_max.max(r.wall_micros);
-        if r.ok {
-            self.counters.checkpoints_written += 1;
-            self.counters.checkpoint_bytes_last = r.bytes;
-            if r.is_delta {
-                self.counters.deltas_written += 1;
-                self.counters.delta_bytes_total += r.bytes;
-            } else {
-                self.counters.full_bytes_total += r.bytes;
+        match r.written {
+            Ok(bytes) => {
+                self.counters.checkpoints_written += 1;
+                self.counters.checkpoint_bytes_last = bytes;
+                if r.is_delta {
+                    self.counters.deltas_written += 1;
+                    self.counters.delta_bytes_total += bytes;
+                } else {
+                    self.counters.full_bytes_total += bytes;
+                }
+                Ok(())
             }
-            if self.tip_seq == Some(r.seq) {
-                self.tip_fnv = Some(r.fnv);
+            Err(last_error) => {
+                // Nothing may chain to a snapshot that is not on disk:
+                // the next one is a full base. The journal still covers
+                // everything since the last durable snapshot, so nothing
+                // is lost.
+                self.tip_seq = None;
+                Err(RecoveryError::RetriesExhausted {
+                    op: "write checkpoint",
+                    attempts: r.retries,
+                    last_error,
+                })
             }
-        } else {
-            // The writer gave up on this snapshot (and rejects every
-            // queued descendant). Clearing the tip forces the next
-            // snapshot to be a full base on the synchronous path; the
-            // journal still covers everything since the last durable
-            // snapshot, so nothing is lost.
-            self.async_dead = true;
-            self.tip_seq = None;
-            self.tip_fnv = None;
-            self.deltas_since_full = 0;
         }
     }
 
-    /// Drain every already-completed writer result without blocking.
-    fn drain_writer(&mut self) {
+    /// Fold in the writer thread's finished results without blocking —
+    /// or, with `wait`, after blocking for the oldest one in flight.
+    fn collect(&mut self, wait: bool) {
         let Some(writer) = self.writer.as_mut() else {
             return;
         };
-        let mut drained = Vec::new();
-        while let Ok(r) = writer.rx.try_recv() {
-            writer.pending -= 1;
-            drained.push(r);
-        }
-        for r in drained {
-            self.note_result(r);
-        }
-    }
-
-    /// Shut the writer down (joining its thread) and fold in every
-    /// outstanding result; the tip hash is settled afterwards.
-    fn flush_writer(&mut self) {
-        if let Some(mut writer) = self.writer.take() {
-            for r in writer.shutdown() {
-                self.note_result(r);
+        let mut done = Vec::new();
+        if wait {
+            match writer.rx.recv() {
+                Ok(r) => done.push(r),
+                Err(_) => self.writer_gave_up = true,
             }
         }
+        done.extend(writer.rx.try_iter());
+        writer.pending -= done.len();
+        self.absorb(done);
     }
 
-    /// A cadence-due snapshot. The offloaded path captures a frozen
-    /// in-memory state view, hands it to the writer thread, and returns
-    /// immediately; backpressure (a full hand-off queue) blocks on one
-    /// result and is counted. Synchronous writes handle everything else.
-    fn cadence_checkpoint(&mut self) -> Result<(), RecoveryError> {
-        if !self.policy.offload_snapshots || self.fault_hook.is_some() {
-            self.flush_writer();
-            return self.checkpoint_sync(false);
+    /// Join the writer thread — every queued snapshot is written first —
+    /// and take the chain anchor back from it.
+    fn flush_writer(&mut self) {
+        if let Some(mut writer) = self.writer.take() {
+            self.anchor = writer.join();
+            self.absorb(writer.rx.try_iter().collect());
         }
-        self.drain_writer();
-        while !self.async_dead
+    }
+
+    /// Results from the writer thread: a snapshot it gave up on (it
+    /// refuses the deltas queued behind that one, too) moves every later
+    /// cadence snapshot onto this thread.
+    fn absorb(&mut self, results: Vec<SnapResult>) {
+        for r in results {
+            self.writer_gave_up |= self.note_result(r).is_err();
+        }
+    }
+
+    /// A cadence-due snapshot: capture a frozen in-memory view of the
+    /// state, hand it to the writer thread, and return immediately;
+    /// backpressure (a full hand-off queue) blocks on one result and is
+    /// counted.
+    fn cadence_checkpoint(&mut self) -> Result<(), RecoveryError> {
+        self.collect(false);
+        while !self.writer_gave_up
             && self
                 .writer
                 .as_ref()
                 .is_some_and(|w| w.pending >= SNAPSHOT_QUEUE_DEPTH)
         {
             self.counters.snapshot_thread_stalls += 1;
-            let received = {
-                // Invariant: checked above.
-                let writer = self.writer.as_mut().expect("writer exists");
-                match writer.rx.recv() {
-                    Ok(r) => {
-                        writer.pending -= 1;
-                        Some(r)
-                    }
-                    Err(_) => None,
-                }
-            };
-            match received {
-                Some(r) => self.note_result(r),
-                None => self.async_dead = true,
-            }
+            self.collect(true);
         }
-        if self.async_dead {
-            self.counters.snapshot_sync_fallbacks += 1;
-            self.flush_writer();
-            return self.checkpoint_sync(false);
-        }
-        let seq = self.engine.events_ingested();
-        let use_delta = self.delta_allowed(seq);
-        let job = if use_delta {
-            SnapJob::Delta {
-                seq,
-                // Invariant: `delta_allowed` requires a tip.
-                parent_seq: self.tip_seq.expect("delta requires a parent"),
-                delta: Box::new(self.engine.checkpoint_delta()),
+        if !self.writer_gave_up {
+            let snap = self.capture(true);
+            let writer = self.writer.get_or_insert_with(|| {
+                SnapshotWriter::spawn(self.sink.clone(), self.anchor.take())
+            });
+            if writer.tx.as_ref().is_some_and(|tx| tx.send(snap).is_ok()) {
+                writer.pending += 1;
+                return Ok(());
             }
-        } else {
-            SnapJob::Full {
-                seq,
-                ckpt: Box::new(self.engine.checkpoint()),
-            }
-        };
-        if self.writer.is_none() {
-            self.writer = Some(SnapshotWriter::spawn(
-                self.dir.clone(),
-                self.journal.dir.clone(),
-                self.policy.retry,
-                self.policy.retain_checkpoints,
-                self.tip_seq.zip(self.tip_fnv),
-                self.async_fault_hook.clone(),
-            ));
+            // The thread is gone (it can only have panicked) and took
+            // the capture with it; the inline write recaptures.
+            self.writer_gave_up = true;
         }
-        let send_failed = {
-            // Invariant: spawned above.
-            let writer = self.writer.as_mut().expect("writer spawned above");
-            match writer.tx.as_ref() {
-                Some(tx) => match tx.send(job) {
-                    Ok(()) => {
-                        writer.pending += 1;
-                        false
-                    }
-                    Err(_) => true,
-                },
-                None => true,
-            }
-        };
-        if send_failed {
-            // The writer shut down underneath us; fall back. The moved
-            // capture is lost, but the sync path recaptures fresh state.
-            self.counters.snapshot_sync_fallbacks += 1;
-            self.async_dead = true;
-            self.flush_writer();
-            return self.checkpoint_sync(false);
-        }
-        self.engine.mark_clean();
-        self.last_checkpoint_seq = seq;
-        self.tip_seq = Some(seq);
-        self.tip_fnv = None;
-        self.deltas_since_full = if use_delta {
-            self.deltas_since_full + 1
-        } else {
-            0
-        };
-        Ok(())
+        self.counters.snapshot_sync_fallbacks += 1;
+        self.snapshot_inline(false)
     }
 
     /// Write a snapshot of the current state **now**, on this thread,
     /// retrying transient failures per [`RetryPolicy`], then prune
     /// chains and fully absorbed journal segments beyond the retention
-    /// policy. Any in-flight offloaded snapshots are flushed first so
+    /// policy. Snapshots still queued to the writer thread land first so
     /// the chain stays ordered.
     pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
+        self.snapshot_inline(false)
+    }
+
+    /// The writer's function called on this thread — by
+    /// [`DurableStream::checkpoint_now`], post-recovery compaction
+    /// (`force_full` restarts the chain on a fresh base) and the cadence
+    /// once the writer thread has given up. Joining the writer first
+    /// brings the chain anchor home, so a delta is possible exactly when
+    /// everything before it reached disk.
+    fn snapshot_inline(&mut self, force_full: bool) -> Result<(), RecoveryError> {
         self.flush_writer();
-        self.checkpoint_sync(false)
+        let snap = self.capture(!force_full && self.anchor.is_some());
+        let result = self.sink.write(&mut self.anchor, &snap);
+        self.note_result(result)
     }
 
-    /// The synchronous write path shared by [`DurableStream::checkpoint_now`],
-    /// the sync-fallback ladder, and post-recovery compaction
-    /// (`force_full` resets the chain on a fresh base).
-    fn checkpoint_sync(&mut self, force_full: bool) -> Result<(), RecoveryError> {
-        let seq = self.engine.events_ingested();
-        // A synchronous delta needs the parent hash on this thread; the
-        // writer was flushed before every sync write, so a known tip
-        // hash is exactly chain-consistency.
-        let use_delta = !force_full && self.delta_allowed(seq) && self.tip_fnv.is_some();
-        let payload = if use_delta {
-            serde_json::to_string(&self.engine.checkpoint_delta())
-        } else {
-            serde_json::to_string(&self.engine.checkpoint())
-        };
-        let payload = payload.map_err(|e| {
-            io_err(
-                "serialize checkpoint",
-                &self.dir,
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-            )
-        })?;
-        let fnv = fnv1a64(payload.as_bytes());
-        let max_attempts = self.policy.retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let injected = self
-                .fault_hook
-                .as_mut()
-                .is_some_and(|hook| hook(seq, attempt));
-            let outcome = if injected {
-                Err(io_err(
-                    "write checkpoint",
-                    &self.dir.join(checkpoint_name(seq)),
-                    std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "injected transient write failure",
-                    ),
-                ))
-            } else {
-                let t = Instant::now();
-                let write = if use_delta {
-                    write_delta_file(
-                        &self.dir,
-                        &payload,
-                        fnv,
-                        seq,
-                        // Invariant: `use_delta` requires both.
-                        self.tip_seq.expect("delta requires a parent"),
-                        self.tip_fnv.expect("sync delta requires the parent hash"),
-                    )
-                } else {
-                    write_checkpoint_file(&self.dir, &payload, fnv, seq)
-                };
-                write.map(|bytes| (bytes, t.elapsed()))
-            };
-            match outcome {
-                Ok((bytes, wall)) => {
-                    self.counters.checkpoints_written += 1;
-                    self.counters.checkpoint_bytes_last = bytes;
-                    self.counters.checkpoint_write_micros_max = self
-                        .counters
-                        .checkpoint_write_micros_max
-                        .max(wall.as_micros() as u64);
-                    if use_delta {
-                        self.counters.deltas_written += 1;
-                        self.counters.delta_bytes_total += bytes;
-                    } else {
-                        self.counters.full_bytes_total += bytes;
-                    }
-                    self.engine.mark_clean();
-                    self.last_checkpoint_seq = seq;
-                    self.tip_seq = Some(seq);
-                    self.tip_fnv = Some(fnv);
-                    self.deltas_since_full = if use_delta {
-                        self.deltas_since_full + 1
-                    } else {
-                        0
-                    };
-                    prune_snapshots(&self.dir, &self.journal.dir, self.policy.retain_checkpoints);
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.counters.checkpoint_retries += 1;
-                    if attempt >= max_attempts {
-                        return Err(RecoveryError::RetriesExhausted {
-                            op: "write checkpoint",
-                            attempts: attempt,
-                            last_error: e.to_string(),
-                        });
-                    }
-                    let backoff = self.policy.retry.backoff_base_ms << (attempt - 1);
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
-        }
-    }
-
-    /// End of stream: flush any in-flight offloaded snapshots,
+    /// End of stream: let the writer thread finish its queue,
     /// group-commit the journal tail (when the fsync policy is on),
     /// flush the engine, and stamp this run's [`DurabilityCounters`]
     /// into the report.
@@ -1667,7 +1426,7 @@ fn prune_snapshots(dir: &Path, journal_dir: &Path, retain: usize) {
     let parents: std::collections::BTreeMap<u64, u64> = snaps
         .iter()
         .filter(|s| s.kind == SnapKind::Delta)
-        .filter_map(|s| peek_parent_seq(&s.path).map(|p| (s.seq, p)))
+        .filter_map(|s| Some((s.seq, peek_header(&s.path)?["parent_seq"].as_u64()?)))
         .collect();
     let root_of = |mut seq: u64| -> Option<u64> {
         for _ in 0..=snaps.len() {
@@ -1754,19 +1513,20 @@ mod tests {
         }
         let ckpt = stream.checkpoint();
         let payload = serde_json::to_string(&ckpt).unwrap();
-        let bytes = write_checkpoint_file(
-            tmp.path(),
-            &payload,
-            fnv1a64(payload.as_bytes()),
-            ckpt.seq(),
-        )
-        .unwrap();
+        let fnv = fnv1a64(payload.as_bytes());
+        let bytes = write_snapshot_file(tmp.path(), ckpt.seq(), None, &payload, fnv).unwrap();
         assert!(bytes > payload.len() as u64);
         let listed = list_snapshots(tmp.path()).unwrap();
         assert_eq!(listed.len(), 1);
-        assert_eq!(listed[0].seq, ckpt.seq());
-        let loaded = load_checkpoint(&listed[0].path).unwrap();
-        assert_eq!(loaded.seq(), ckpt.seq());
+        assert_eq!(
+            (listed[0].seq, listed[0].kind),
+            (ckpt.seq(), SnapKind::Full)
+        );
+        let loaded = load_snapshot(&listed[0].path, SnapKind::Full).unwrap();
+        assert_eq!((loaded.payload_fnv, loaded.parent), (fnv, None));
+        let Snapshot::Full(loaded) = loaded.body else {
+            panic!("a full base loads as one");
+        };
         assert_eq!(
             serde_json::to_string(&loaded).unwrap(),
             payload,
@@ -1780,44 +1540,76 @@ mod tests {
         let data = run(&ScenarioParams::tiny(4));
         let stream = StreamAnalysis::new(&data, AnalysisConfig::default());
         let payload = serde_json::to_string(&stream.checkpoint()).unwrap();
-        write_checkpoint_file(tmp.path(), &payload, fnv1a64(payload.as_bytes()), 0).unwrap();
-        let path = tmp.path().join(checkpoint_name(0));
+        let fnv = fnv1a64(payload.as_bytes());
+        write_snapshot_file(tmp.path(), 0, None, &payload, fnv).unwrap();
+        let path = tmp.path().join(SnapKind::Full.file_name(0));
+        let full = fs::read(&path).unwrap();
+        let load = || load_snapshot(&path, SnapKind::Full).map(|_| ());
 
         // Flip one payload byte: hash mismatch.
-        let mut bytes = fs::read(&path).unwrap();
+        let mut bytes = full.clone();
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load(),
             Err(RecoveryError::CorruptCheckpoint { .. })
         ));
 
         // Truncate: torn payload.
-        let full = {
-            fs::write(&path, []).unwrap();
-            write_checkpoint_file(tmp.path(), &payload, fnv1a64(payload.as_bytes()), 0).unwrap();
-            fs::read(&path).unwrap()
-        };
         fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load(),
             Err(RecoveryError::CorruptCheckpoint { .. })
         ));
 
-        // Future version.
-        let future = format!(
-            "{{\"magic\":\"{MAGIC}\",\"version\":99,\"seq\":0,\"payload_len\":0,\"payload_fnv\":\"{:016x}\"}}\n",
-            fnv1a64(b"")
+        // Future version — and one that would truncate to ours as `u32`.
+        for (declared, found) in [(99u64, 99u32), ((1 << 32) + 1, u32::MAX)] {
+            let future = format!(
+                "{{\"magic\":\"{MAGIC}\",\"version\":{declared},\"seq\":0,\"payload_len\":0,\"payload_fnv\":\"{:016x}\"}}\n",
+                fnv1a64(b"")
+            );
+            fs::write(&path, future).unwrap();
+            match load() {
+                Err(RecoveryError::UnsupportedVersion { found: f, expected }) => {
+                    assert_eq!((f, expected), (found, CHECKPOINT_VERSION));
+                }
+                other => panic!("version {declared}: {other:?}"),
+            }
+        }
+    }
+
+    /// A damaged `payload_len` that lands inside a multi-byte character
+    /// is corruption like any other: typed on a direct load, and one
+    /// rejected rung on the recovery ladder — not a slicing panic.
+    #[test]
+    fn payload_len_inside_a_character_is_corrupt_not_a_panic() {
+        let tmp = TempDir::new("ckpt-split-char");
+        let path = tmp.path().join(SnapKind::Full.file_name(5));
+        let header = format!(
+            "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":5,\"payload_len\":1,\"payload_fnv\":\"{:016x}\"}}\n",
+            fnv1a64(&"é".as_bytes()[..1])
         );
-        fs::write(&path, future).unwrap();
-        assert!(matches!(
-            load_checkpoint(&path),
-            Err(RecoveryError::UnsupportedVersion {
-                found: 99,
-                expected: CHECKPOINT_VERSION
-            })
-        ));
+        fs::write(&path, format!("{header}é\n")).unwrap();
+        match load_snapshot(&path, SnapKind::Full).map(|_| ()) {
+            Err(RecoveryError::CorruptCheckpoint { reason, .. }) => {
+                assert!(reason.contains("splits a character"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+
+        let data = run(&ScenarioParams::tiny(4));
+        let (stream, report) = DurableStream::recover(
+            tmp.path(),
+            &data,
+            AnalysisConfig::default(),
+            DurabilityPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
+        assert!(report.rejected[0].contains("splits a character"));
+        assert!(report.started_fresh);
+        assert_eq!(stream.events_ingested(), 0);
     }
 
     #[test]
@@ -1975,7 +1767,7 @@ mod tests {
         };
         let mut durable =
             DurableStream::create(tmp.path(), &data, AnalysisConfig::default(), policy).unwrap();
-        durable.set_fault_hook(Some(Box::new(|_seq, _attempt| true)));
+        durable.set_fault_hook(Some(Arc::new(|_seq, _attempt| true)));
         let err = durable.checkpoint_now().unwrap_err();
         assert!(matches!(
             err,
@@ -1984,7 +1776,7 @@ mod tests {
         assert_eq!(durable.counters().checkpoint_retries, 2);
 
         // Transient (first attempt only) failures succeed on retry.
-        durable.set_fault_hook(Some(Box::new(|_seq, attempt| attempt == 1)));
+        durable.set_fault_hook(Some(Arc::new(|_seq, attempt| attempt == 1)));
         durable.checkpoint_now().unwrap();
         let c = durable.counters();
         assert_eq!(c.checkpoints_written, 1);
@@ -2004,7 +1796,6 @@ mod tests {
             // behavior (newest-N files); chain-aware retention is
             // covered by `tests/crash_recovery.rs`.
             full_every_n_checkpoints: 0,
-            offload_snapshots: false,
             ..DurabilityPolicy::default()
         };
         let mut durable =
@@ -2028,7 +1819,7 @@ mod tests {
         }
     }
 
-    /// The default policy (delta chains + off-thread writer): a
+    /// A chain policy on the cadence path (the off-thread writer): a
     /// drop-killed run leaves base+delta files behind, recovery walks
     /// the chain, and the resumed run is byte-identical to batch.
     #[test]
@@ -2044,10 +1835,8 @@ mod tests {
             segment_max_records: 64,
             retain_checkpoints: 2,
             full_every_n_checkpoints: 4,
-            max_chain_len: 3,
             ..DurabilityPolicy::default()
         };
-        assert!(policy.offload_snapshots, "offload is the default");
         let kill_at = events.len() * 3 / 4;
         {
             let mut durable =
@@ -2077,9 +1866,9 @@ mod tests {
         assert!(d.deltas_written > 0, "the resumed run keeps writing deltas");
     }
 
-    /// Exhausting the off-thread writer's retries is not fatal: the
-    /// stream falls back to synchronous full snapshots, keeps running,
-    /// and counts the fallback.
+    /// The writer thread giving up on a snapshot is not fatal: the
+    /// stream writes the following cadence snapshots itself, restarting
+    /// the chain on a full base, keeps running, and counts the fallback.
     #[test]
     fn async_write_exhaustion_falls_back_to_sync() {
         let tmp = TempDir::new("async-fallback");
@@ -2095,9 +1884,9 @@ mod tests {
         };
         let mut durable =
             DurableStream::create(tmp.path(), &data, AnalysisConfig::default(), policy).unwrap();
-        // Every offloaded attempt fails; the synchronous fallback path
-        // (no async hook) succeeds.
-        durable.set_async_fault_hook(Some(std::sync::Arc::new(|_seq, _attempt| true)));
+        // Every attempt at the first snapshot fails, on the writer
+        // thread; the inline writes that follow meet a healthy disk.
+        durable.set_fault_hook(Some(Arc::new(|seq, _attempt| seq == 10)));
         let n = events.len().min(120);
         for e in &events[..n] {
             durable.ingest(e).unwrap();
@@ -2109,9 +1898,15 @@ mod tests {
         );
         assert!(
             d.checkpoints_written > 0,
-            "the sync path still produces snapshots"
+            "the inline path still produces snapshots"
         );
-        assert!(d.checkpoint_retries > 0, "failed attempts are counted");
+        assert_eq!(d.checkpoint_retries, 2, "failed attempts are counted");
+        let snaps = list_snapshots(tmp.path()).unwrap();
+        assert!(snaps.iter().all(|s| s.seq != 10), "seq 10 never landed");
+        assert!(
+            snaps.iter().any(|s| s.kind == SnapKind::Delta),
+            "the inline path chains deltas once a base is down"
+        );
     }
 
     /// `checkpoint_delta` + `apply_delta` round-trip at the engine

@@ -28,16 +28,15 @@ non_recovery_sources() {
 }
 
 # Format-owning tokens: file magics, the header hash fields, the hash
-# implementation, and the two snapshot writers.
+# implementation, the one snapshot writer and the one snapshot loader.
 tokens=(
     'faultline-checkpoint'
     'faultline-delta'
     'payload_fnv'
     'parent_fnv'
     'fn fnv1a64'
-    'fn write_checkpoint_file'
-    'fn write_delta_file'
-    'fn write_snapshot_atomic'
+    'fn write_snapshot_file'
+    'fn load_snapshot'
 )
 for tok in "${tokens[@]}"; do
     if ! grep -q -F "$tok" "$RECOVERY"; then
@@ -50,6 +49,15 @@ for tok in "${tokens[@]}"; do
         fail=1
     fi
 done
+
+# One way out: a snapshot write is retried in exactly one place (the
+# backoff sleep marks the retry loop; a second one is a second write
+# path with its own idea of counters, fault hooks and pruning).
+retry_loops=$(sed '/^#\[cfg(test)\]/,$d' "$RECOVERY" | grep -c 'thread::sleep' || true)
+if [ "$retry_loops" -ne 1 ]; then
+    echo "TRIPWIRE: $RECOVERY has $retry_loops snapshot retry loops (backoff sleeps) outside its tests; there must be exactly one, in SnapshotSink::write" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "snapshot single-source check FAILED — the durable format must live only in $RECOVERY" >&2

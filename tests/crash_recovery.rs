@@ -18,7 +18,10 @@
 //!   stray temp file → fall back; torn journal tail → replay good
 //!   prefix; mid-journal damage → typed `CorruptJournal`;
 //! - chaos-injected transient checkpoint-write failures: retries absorb
-//!   them, an exhausted budget surfaces `RetriesExhausted`.
+//!   them on the writer thread, an exhausted budget surfaces
+//!   `RetriesExhausted`;
+//! - the on-disk format pin: header lines, a journal record and the
+//!   default cadence's file-name sequence, byte for byte.
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
 use faultline_core::{
@@ -29,6 +32,7 @@ use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{crash_points_seeded, ChainFault, ChaosConfig, DurabilityChaos};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Self-cleaning scratch directory (no tempfile crate in this offline
 /// workspace).
@@ -261,11 +265,10 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
         checkpoint_interval: 50,
         segment_max_records: 32,
         retain_checkpoints: 3,
-        // Full-only, synchronous snapshots: this test's contract is the
-        // single-file fallback (corrupt ONE base, reject ONE ladder
-        // entry). Chain behaviour has its own tests below.
+        // Full-only snapshots: this test's contract is the single-file
+        // fallback (corrupt ONE base, reject ONE ladder entry). Chain
+        // behaviour has its own tests below.
         full_every_n_checkpoints: 0,
-        offload_snapshots: false,
         ..DurabilityPolicy::default()
     };
     let kill_at = events.len().min(180);
@@ -311,9 +314,8 @@ fn torn_checkpoint_and_stray_tmp_fall_back_cleanly() {
         checkpoint_interval: 40,
         segment_max_records: 32,
         retain_checkpoints: 3,
-        // Full-only, synchronous: see corrupted_newest_checkpoint above.
+        // Full-only: see corrupted_newest_checkpoint above.
         full_every_n_checkpoints: 0,
-        offload_snapshots: false,
         ..DurabilityPolicy::default()
     };
     let kill_at = events.len().min(150);
@@ -447,9 +449,9 @@ fn chaos_injected_checkpoint_faults_are_retried_and_counted() {
         ..DurabilityPolicy::default()
     };
     let mut durable = DurableStream::create(tmp.path(), &data, config.clone(), policy).unwrap();
-    let mut plan = DurabilityChaos::flaky(13).plan();
-    durable.set_fault_hook(Some(Box::new(move |seq, attempt| {
-        plan.should_fail(seq, attempt)
+    let plan = Mutex::new(DurabilityChaos::flaky(13).plan());
+    durable.set_fault_hook(Some(Arc::new(move |seq, attempt| {
+        plan.lock().unwrap().should_fail(seq, attempt)
     })));
     for e in &events {
         durable.ingest(e).unwrap();
@@ -462,9 +464,15 @@ fn chaos_injected_checkpoint_faults_are_retried_and_counted() {
         "the flaky preset must actually exercise the retry path"
     );
     assert!(d.checkpoints_written > 0);
+    assert_eq!(
+        d.snapshot_sync_fallbacks, 0,
+        "the writer thread absorbed every streak: the hook did not move the run off the production path"
+    );
 
     // With a budget of one attempt, the same flakiness is fatal — but
-    // typed, and the state on disk stays recoverable.
+    // typed, and the state on disk stays recoverable. The writer thread
+    // meets the failure first; the error surfaces from the inline write
+    // the cadence falls back to, an event or more later.
     let tmp2 = TempDir::new("flaky-exhausted");
     let policy2 = DurabilityPolicy {
         checkpoint_interval: 1,
@@ -475,7 +483,7 @@ fn chaos_injected_checkpoint_faults_are_retried_and_counted() {
         ..policy
     };
     let mut durable2 = DurableStream::create(tmp2.path(), &data, config.clone(), policy2).unwrap();
-    durable2.set_fault_hook(Some(Box::new(|_, _| true)));
+    durable2.set_fault_hook(Some(Arc::new(|_, _| true)));
     let err = (|| -> Result<(), RecoveryError> {
         for e in &events {
             durable2.ingest(e)?;
@@ -487,10 +495,12 @@ fn chaos_injected_checkpoint_faults_are_retried_and_counted() {
         matches!(err, RecoveryError::RetriesExhausted { attempts: 1, .. }),
         "got: {err}"
     );
+    let journaled = durable2.events_ingested();
+    assert!(durable2.counters().snapshot_sync_fallbacks > 0);
     drop(durable2);
     let (_durable3, report) = DurableStream::recover(tmp2.path(), &data, config, policy2).unwrap();
     assert!(report.started_fresh, "journal alone still rebuilds");
-    assert_eq!(report.events_replayed, 1);
+    assert_eq!(report.events_replayed, journaled);
 }
 
 // ---------------------------------------------------------------------
@@ -530,16 +540,14 @@ fn rewrite_header(path: &Path, mutate: impl FnOnce(&mut serde_json::Value)) {
     .unwrap();
 }
 
-/// A policy that writes delta chains on the off-thread writer: fulls
-/// every 3rd snapshot, chains up to 4 deltas, 3 bases retained.
+/// A policy that writes short delta chains: a full base every 3rd
+/// snapshot, 3 bases retained.
 fn chain_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         checkpoint_interval: 15,
         segment_max_records: 32,
         retain_checkpoints: 3,
         full_every_n_checkpoints: 3,
-        max_chain_len: 4,
-        offload_snapshots: true,
         ..DurabilityPolicy::default()
     }
 }
@@ -775,4 +783,112 @@ fn pruning_never_orphans_a_retained_delta() {
     let (_durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
     assert_eq!(report.resumed_at_seq, events.len() as u64);
     assert_eq!(report.checkpoints_rejected, 0, "{:?}", report.rejected);
+}
+
+// ---------------------------------------------------------------------
+// Format pin
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64, restated here so the pin does not lean on the code it pins.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A snapshot file split into its header line (newline included) and its
+/// payload (the file's trailing newline checked and removed).
+fn header_and_payload(path: &Path) -> (String, String) {
+    let text = fs::read_to_string(path).unwrap();
+    let (header, rest) = text.split_once('\n').expect("header line");
+    let payload = rest
+        .strip_suffix('\n')
+        .expect("payload ends in one newline");
+    assert!(!payload.contains('\n'), "the payload is one line");
+    (format!("{header}\n"), payload.to_string())
+}
+
+/// The on-disk format, byte for byte: the snapshot header lines (key
+/// order, zero-padded hex hashes, trailing newline), one journal record,
+/// and the file-name sequence the default cadence writes. A refactor of
+/// the writer must leave this test alone; a format change re-blesses it
+/// on purpose.
+#[test]
+fn on_disk_format_is_pinned() {
+    let data = run(&ScenarioParams::tiny(9));
+    let events = scenario_event_stream(&data);
+    // The default cadence, at an interval this scenario reaches 20
+    // times, with retention wide enough that nothing is pruned.
+    let policy = DurabilityPolicy {
+        checkpoint_interval: 10,
+        retain_checkpoints: 64,
+        ..DurabilityPolicy::default()
+    };
+    assert!(events.len() >= 205);
+    let tmp = TempDir::new("format-pin");
+    let mut durable =
+        DurableStream::create(tmp.path(), &data, AnalysisConfig::default(), policy).unwrap();
+    for e in &events[..205] {
+        durable.ingest(e).unwrap();
+    }
+    drop(durable.finish());
+
+    // File names: six deltas per full base, zero-padded sequences.
+    let mut names: Vec<String> = fs::read_dir(tmp.path())
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n != "journal")
+        .collect();
+    names.sort_by_key(|n| {
+        n.trim_start_matches(|c: char| !c.is_ascii_digit())
+            .to_string()
+    });
+    let expected: Vec<String> = (1..=20u64)
+        .map(|i| match (i - 1) % 7 {
+            0 => format!("ckpt-{:012}.ckpt", i * 10),
+            _ => format!("delta-{:012}.dckpt", i * 10),
+        })
+        .collect();
+    assert_eq!(names, expected);
+
+    // A full base's header.
+    let (base_header, base_payload) = header_and_payload(&tmp.path().join(&names[7]));
+    let base_fnv = fnv1a64(base_payload.as_bytes());
+    assert_eq!(
+        base_header,
+        format!(
+            "{{\"magic\":\"faultline-checkpoint\",\"version\":1,\"seq\":80,\"payload_len\":{},\"payload_fnv\":\"{base_fnv:016x}\"}}\n",
+            base_payload.len()
+        )
+    );
+    assert!(base_payload.starts_with("{\"seq\":80,\"config\":{"));
+
+    // The delta chained to it: parent pointer and parent hash first.
+    let (delta_header, delta_payload) = header_and_payload(&tmp.path().join(&names[8]));
+    assert_eq!(
+        delta_header,
+        format!(
+            "{{\"magic\":\"faultline-delta\",\"version\":1,\"seq\":90,\"parent_seq\":80,\"parent_fnv\":\"{base_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
+            delta_payload.len(),
+            fnv1a64(delta_payload.as_bytes())
+        )
+    );
+    assert!(delta_payload.starts_with("{\"seq\":90,\"parent_seq\":80,"));
+
+    // The first journal record, rebuilt from the event and as a literal.
+    let journal = fs::read_to_string(tmp.path().join("journal/seg-000000000001.jl")).unwrap();
+    let first = journal.split_inclusive('\n').next().unwrap();
+    let event = serde_json::to_string(&events[0]).unwrap();
+    assert_eq!(
+        first,
+        format!(
+            "{{\"seq\":1,\"fnv\":\"{:016x}\",\"event\":{event}}}\n",
+            fnv1a64(event.as_bytes())
+        )
+    );
+    assert_eq!(
+        first,
+        "{\"seq\":1,\"fnv\":\"c29e8b8327f946d2\",\"event\":{\"Syslog\":{\"seq\":1,\"event\":{\"at\":43510756,\"host\":\"sdg-agg-01\",\"interface\":\"TenGigE0/0/0/0\",\"kind\":\"Link\",\"up\":false},\"os\":\"Ios\"}}}\n"
+    );
 }
