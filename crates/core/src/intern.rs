@@ -27,7 +27,7 @@
 //! It is *not* DoS-resistant and must only be used for keys derived from
 //! trusted scenario data, never for attacker-controlled input.
 
-use serde::{Deserialize, Error, Serialize, Serializer, Value};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -56,8 +56,8 @@ impl Serialize for Sym {
 }
 
 impl Deserialize for Sym {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        u32::deserialize_value(value).map(Sym)
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, Error> {
+        u32::deserialize(d).map(Sym)
     }
 }
 
@@ -176,12 +176,12 @@ impl Serialize for SymbolTable {
 }
 
 impl Deserialize for SymbolTable {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        let strings: Vec<String> = Vec::deserialize_value(value)?;
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, Error> {
         let mut t = SymbolTable::new();
-        for (i, s) in strings.iter().enumerate() {
-            let sym = t.intern(s);
-            if sym.index() != i {
+        d.begin_array()?;
+        while d.next_element()? {
+            let expected = t.len();
+            if t.intern(d.str()?).index() != expected {
                 return Err(Error::custom("duplicate string in symbol table"));
             }
         }
@@ -298,7 +298,7 @@ mod tests {
         for s in ["lax", "sac", "fre", "oak"] {
             t.intern(s);
         }
-        let back = SymbolTable::deserialize_value(&serde_json::to_value(&t).unwrap()).unwrap();
+        let back: SymbolTable = serde_json::from_value(serde_json::to_value(&t).unwrap()).unwrap();
         assert_eq!(back, t);
         for (sym, s) in t.iter() {
             assert_eq!(back.lookup(s), Some(sym));
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn serde_rejects_duplicates() {
         let v = serde_json::json!(["x", "x"]);
-        assert!(SymbolTable::deserialize_value(&v).is_err());
+        assert!(serde_json::from_value::<SymbolTable>(v).is_err());
     }
 
     #[test]

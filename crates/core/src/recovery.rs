@@ -365,9 +365,21 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     }
 }
 
-/// A header field holding a 64-bit hash as hex text.
+/// A 64-bit hash as the writers print it (`{:016x}`): exactly sixteen
+/// lowercase hex digits, so comparing the number is comparing the text.
+fn parse_hex64(text: &str) -> Option<u64> {
+    let well_formed = text.len() == 16
+        && text
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    well_formed
+        .then(|| u64::from_str_radix(text, 16).ok())
+        .flatten()
+}
+
+/// A header field holding such a hash.
 fn hex64(field: &serde::Value) -> Option<u64> {
-    field.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
+    field.as_str().and_then(parse_hex64)
 }
 
 /// A fully validated snapshot file.
@@ -410,7 +422,7 @@ fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, Recovery
     let Some(payload_len) = header["payload_len"].as_u64() else {
         return Err(corrupt(path, "header missing payload_len"));
     };
-    let Some(expect_fnv) = header["payload_fnv"].as_str() else {
+    let Some(expect_fnv) = hex64(&header["payload_fnv"]) else {
         return Err(corrupt(path, "header missing payload_fnv"));
     };
     if (rest.len() as u64) < payload_len {
@@ -424,11 +436,10 @@ fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, Recovery
         return Err(corrupt(path, "payload_len splits a character"));
     };
     let payload_fnv = fnv1a64(payload.as_bytes());
-    let got_fnv = format!("{payload_fnv:016x}");
-    if got_fnv != expect_fnv {
+    if payload_fnv != expect_fnv {
         return Err(corrupt(
             path,
-            format!("payload hash mismatch: header {expect_fnv}, payload {got_fnv}"),
+            format!("payload hash mismatch: header {expect_fnv:016x}, payload {payload_fnv:016x}"),
         ));
     }
     let body = match kind {
@@ -618,24 +629,35 @@ fn corrupt_journal(path: &Path, seq: u64, reason: impl Into<String>) -> Recovery
     }
 }
 
+/// A journal record's stored hash, read without keeping its text.
+struct Hex64(u64);
+
+impl Deserialize for Hex64 {
+    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
+        parse_hex64(d.str()?)
+            .map(Hex64)
+            .ok_or_else(|| serde::Error::custom("expected sixteen lowercase hex digits"))
+    }
+}
+
+/// One journal line, as [`JournalWriter::append`] writes it.
+#[derive(Deserialize)]
+struct JournalRecord {
+    seq: u64,
+    fnv: Hex64,
+    event: StreamEvent,
+}
+
 /// Parse and verify one journal line; returns `(seq, event)`, or `None`
 /// if the line is damaged (torn write or bit rot — the caller decides
 /// whether that is a recoverable tail).
 fn parse_record(line: &str) -> Option<(u64, StreamEvent)> {
-    let mut v: serde::Value = serde_json::from_str(line).ok()?;
-    let seq = v["seq"].as_u64()?;
-    let event_value = v.as_object_mut()?.remove("event")?;
-    let expect_fnv = v["fnv"].as_str()?;
+    let record: JournalRecord = serde_json::from_str(line).ok()?;
     // The writer rendered the event with this same serializer, so a
     // clean parse → re-render round-trips to the original bytes and the
     // checksum can be verified without storing the raw substring.
-    let rendered = serde_json::to_string(&event_value).ok()?;
-    if format!("{:016x}", fnv1a64(rendered.as_bytes())) != expect_fnv {
-        return None;
-    }
-    serde_json::from_value::<StreamEvent>(event_value)
-        .ok()
-        .map(|e| (seq, e))
+    let rendered = serde_json::to_string(&record.event).ok()?;
+    (fnv1a64(rendered.as_bytes()) == record.fnv.0).then_some((record.seq, record.event))
 }
 
 /// Replay every journal record with sequence `> after_seq` through

@@ -21,56 +21,13 @@ use faultline_syslog::parse::{
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// `alloc` + `realloc` calls made by this thread. Const-initialized
-    /// and without a destructor, so touching it never allocates.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_one() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone; those calls are nobody's measurement.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that never
-// allocates and is not touched by `dealloc`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: as for `alloc`; `System` implements `realloc` itself.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Allocations this thread makes while `f` runs, and what `f` returned
-/// (kept alive past the count, so dropping it is not part of it either
-/// way — frees are not counted).
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
-}
 
 fn message(kind: LinkEventKind, os: RouterOs) -> SyslogMessage {
     SyslogMessage {

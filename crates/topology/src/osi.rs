@@ -28,9 +28,9 @@ impl Serialize for SystemId {
 }
 
 impl Deserialize for SystemId {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let text = String::deserialize_value(v)?;
-        text.parse()
+    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
+        d.str()?
+            .parse()
             .map_err(|e: ParseOsiError| serde::Error::custom(e.to_string()))
     }
 }
@@ -98,14 +98,13 @@ impl FromStr for SystemId {
 
     /// Parses `xxxx.xxxx.xxxx` (dot-separated hex quartets).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 3 {
+        if s.split('.').count() != 3 {
             return Err(ParseOsiError {
                 reason: "expected three dot-separated groups",
             });
         }
         let mut bytes = [0u8; 6];
-        for (i, part) in parts.iter().enumerate() {
+        for (i, part) in s.split('.').enumerate() {
             if part.len() != 4 {
                 return Err(ParseOsiError {
                     reason: "each group must be four hex digits",

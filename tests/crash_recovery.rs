@@ -304,6 +304,64 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
     );
 }
 
+/// A snapshot nested past `serde_json::MAX_DEPTH` — in its header line,
+/// or in a payload field this build would skip, under a header whose
+/// length and hash are honest — is one more corrupt file on the ladder.
+/// Either used to overflow the reader's stack and abort the process.
+#[test]
+fn nesting_bombs_in_a_snapshot_are_rejected_checkpoints_not_an_abort() {
+    let data = run(&ScenarioParams::tiny(5));
+    let config = AnalysisConfig::default();
+    let events = scenario_event_stream(&data);
+    let reference = stream_json_over(&data, &config, &events);
+    let policy = DurabilityPolicy {
+        checkpoint_interval: 50,
+        segment_max_records: 32,
+        retain_checkpoints: 3,
+        full_every_n_checkpoints: 0,
+        ..DurabilityPolicy::default()
+    };
+    let kill_at = events.len().min(180);
+    let tmp = TempDir::new("nesting-bombs");
+    run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+
+    let mut ckpts = snapshot_files(tmp.path(), "ckpt");
+    assert!(
+        ckpts.len() >= 3,
+        "three rungs: two to sabotage, one to land on"
+    );
+    let bomb = "[{\"k\":".repeat(500_000);
+    let in_header = ckpts.pop().unwrap();
+    let (_, payload) = header_and_payload(&in_header);
+    fs::write(&in_header, format!("{bomb}\n{payload}\n")).unwrap();
+    let in_payload = ckpts.pop().unwrap();
+    let payload = format!("{{\"from the future\":{bomb}");
+    rewrite_header(&in_payload, |header| {
+        header["payload_len"] = serde_json::json!(payload.len());
+        header["payload_fnv"] = serde_json::json!(format!("{:016x}", fnv1a64(payload.as_bytes())));
+    });
+    let (header, _) = header_and_payload(&in_payload);
+    fs::write(&in_payload, format!("{header}{payload}\n")).unwrap();
+
+    let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
+    assert_eq!(report.checkpoints_rejected, 2, "{:?}", report.rejected);
+    for (reason, part) in report.rejected.iter().zip(["header", "payload"]) {
+        assert!(
+            reason.contains(&format!("unparseable {part}: recursion limit exceeded")),
+            "{reason}"
+        );
+    }
+    assert!(report.checkpoint_seq.is_some(), "the third rung restored");
+    assert_eq!(report.resumed_at_seq, kill_at as u64);
+    for e in &events[kill_at..] {
+        durable.ingest(e).unwrap();
+    }
+    assert_eq!(
+        reference,
+        serde_json::to_string(&durable.finish().output).unwrap()
+    );
+}
+
 #[test]
 fn torn_checkpoint_and_stray_tmp_fall_back_cleanly() {
     let data = run(&ScenarioParams::tiny(6));

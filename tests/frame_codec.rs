@@ -274,6 +274,19 @@ fn a_payload_must_be_what_its_kind_byte_says() {
             "a run with a trailing byte",
             forge(KIND_EVENTS, &[run, &[0]].concat()),
         ),
+        // Nesting past `serde_json::MAX_DEPTH`, in a field this build
+        // would skip: it used to overflow the reader's stack and abort.
+        (
+            "a nesting bomb",
+            forge(
+                KIND_MESSAGE,
+                format!(
+                    "{{\"Fatal\":{{\"detail\":\"x\",\"from the future\":{}",
+                    "[{\"k\":".repeat(500_000)
+                )
+                .as_bytes(),
+            ),
+        ),
     ] {
         match read_frame(&mut frame.as_slice()) {
             Err(FrameError::Malformed { .. }) => {}

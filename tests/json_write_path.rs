@@ -3,11 +3,12 @@
 //! `serde_json::to_string(x)` streams `x` straight into the text sink;
 //! `serde_json::to_value(x)` builds a tree through the other sink, and
 //! rendering that tree replays it into the first. The journal verifies a
-//! record by parsing it to a tree and re-rendering (`parse_record`), and
-//! the dispatcher decodes `Flushed` through a tree, so the two routes
-//! must give the same bytes for every type that reaches a file or a
-//! frame: snapshots, deltas, journal events, reports, scenario archives
-//! and every JSON shard message.
+//! record by reading its event and rendering it again (`parse_record`),
+//! and tools and tests hold snapshots and answers as trees, so the two
+//! routes must give the same bytes for every type that reaches a file or
+//! a frame: snapshots, deltas, journal events, reports, scenario archives
+//! and every JSON shard message. (`tests/json_read_path.rs` is the same
+//! check for the way back in.)
 
 use faultline_core::transport::{ScenarioSpec, ShardMsg, WorkerOutput, WorkerSpec};
 use faultline_core::{scenario_event_stream, AnalysisConfig, LaneMigration, StreamAnalysis};
@@ -15,8 +16,8 @@ use faultline_sim::scenario::{run, ScenarioParams};
 use serde::{Deserialize, Serialize};
 
 /// Direct and via-tree renderings agree, compact and pretty, and the text
-/// read back — as a bare tree, which is the journal's check, and as the
-/// type — renders the same bytes again.
+/// read back — as a bare tree, and as the type, which is the journal's
+/// check — renders the same bytes again.
 fn same_bytes_both_ways<T: Serialize + Deserialize>(what: &str, x: &T) {
     let tree = serde_json::to_value(x).unwrap();
     let compact = serde_json::to_string(x).unwrap();
