@@ -3,16 +3,17 @@
 //!
 //! The shard wire ([`crate::transport`]) carries every
 //! [`crate::transport::ShardMsg::Events`] batch as one *run* in this
-//! layout; `scripts/check_codec_single_source.sh` fails CI if the tag
-//! constants or the encode/decode functions appear in any other module.
-//! The codec does no framing and no integrity hashing of its own — the
-//! container (today the frame header) owns length and FNV — so the same
-//! records can sit behind any envelope.
+//! layout, and the write-ahead journal ([`crate::recovery`]) stores each
+//! event as one *record*; `scripts/check_codec_single_source.sh` fails
+//! CI if the tag constants or the encode/decode functions appear in any
+//! other module. The codec does no framing and no integrity hashing of
+//! its own — the [`crate::envelope`] around it owns length and FNV.
 //!
 //! # Layout
 //!
 //! ```text
-//! run      := count:varint event{count}
+//! run      := count:varint event{count}       a frame's event batch
+//! record   := seq:varint event                  one journal record
 //! event    := 0x01 syslog | 0x02 isis
 //! syslog   := seq:varint at:varint host:str interface:str family up:u8 os:u8
 //! family   := 0x00 neighbor:str detail:u8      IS-IS adjacency change
@@ -150,6 +151,12 @@ pub fn encode_events(events: &[StreamEvent], out: &mut Vec<u8>) {
     for event in events {
         encode_event(event, out);
     }
+}
+
+/// Append one journal record — `seq` and the event — to `out`.
+pub fn encode_record(seq: u64, event: &StreamEvent, out: &mut Vec<u8>) {
+    put_varint(out, seq);
+    encode_event(event, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,6 +323,18 @@ pub fn decode_event(bytes: &[u8]) -> Result<(StreamEvent, usize), CodecError> {
     Ok((event, cursor.pos))
 }
 
+/// Decode one journal record — all of `bytes` — into its sequence number
+/// and event. Allocates exactly the event's own strings.
+pub fn decode_record(bytes: &[u8]) -> Result<(u64, StreamEvent), CodecError> {
+    let mut cursor = Cursor { bytes, pos: 0 };
+    let seq = cursor.varint()?;
+    let event = cursor.event()?;
+    match bytes.len() - cursor.pos {
+        0 => Ok((seq, event)),
+        extra => Err(CodecError::TrailingBytes { extra }),
+    }
+}
+
 /// Decode one run — all of `bytes` — appending its events to `out`. On
 /// error `out` keeps whatever decoded before the damage; callers that
 /// care truncate it back.
@@ -400,6 +419,21 @@ mod tests {
             assert_eq!(used, singles.len() - start);
         }
         assert_eq!(singles, run, "a run is its count followed by its events");
+    }
+
+    #[test]
+    fn a_record_is_its_sequence_then_its_event() {
+        for (seq, event) in samples().into_iter().enumerate() {
+            let seq = 300 * seq as u64;
+            let mut record = Vec::new();
+            encode_record(seq, &event, &mut record);
+            assert_eq!(decode_record(&record), Ok((seq, event.clone())));
+            record.push(0);
+            assert_eq!(
+                decode_record(&record),
+                Err(CodecError::TrailingBytes { extra: 1 })
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub enum RecoveryError {
         /// Why it was rejected.
         reason: String,
     },
-    /// The checkpoint was written by an incompatible format version.
+    /// A checkpoint, delta or journal file was written in a format
+    /// version this build does not read.
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,
@@ -97,7 +98,7 @@ impl fmt::Display for RecoveryError {
             RecoveryError::UnsupportedVersion { found, expected } => {
                 write!(
                     f,
-                    "checkpoint format version {found} is not supported (this build reads {expected})"
+                    "durable file format version {found} is not supported (this build reads {expected})"
                 )
             }
             RecoveryError::CorruptJournal {
@@ -279,46 +280,45 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// Why one [`crate::transport::ShardMsg`] frame could not be written or
-/// read. The frame codec shares the checkpoint discipline from
-/// [`crate::recovery`]: every frame is length-prefixed, versioned, and
-/// integrity-hashed, so damage surfaces as a typed value here — never a
-/// panic, and never a silently wrong message.
+/// Why one [`crate::envelope`] — a [`crate::transport::ShardMsg`] frame,
+/// a journal record or a snapshot file — could not be written or read.
+/// Every envelope is length-prefixed, versioned, and integrity-hashed,
+/// so damage surfaces as a typed value here — never a panic, and never
+/// a silently wrong message.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The stream ended cleanly at a frame boundary (EOF before the
+    /// The stream ended cleanly at an envelope boundary (EOF before the
     /// first header byte). For a subprocess worker this is how the
-    /// supervisor observes death.
+    /// supervisor observes death; for a journal segment, its end.
     Closed,
-    /// The stream ended mid-frame: a header or payload was cut short.
+    /// The stream ended mid-envelope: a header or payload was cut short.
     Torn {
-        /// Bytes the reader expected to complete the frame section.
+        /// Bytes the reader expected to complete the header or payload.
         expected: usize,
         /// Bytes actually available before EOF.
         got: usize,
     },
-    /// The frame did not start with the shard-message magic.
+    /// The envelope did not start with its format's magic.
     BadMagic {
         /// The four bytes found where the magic should be.
         found: [u8; 4],
     },
-    /// The frame was written by an incompatible wire version.
+    /// The envelope was written by an incompatible format version.
     UnsupportedVersion {
-        /// Version found in the frame header.
+        /// Version found in the header.
         found: u16,
         /// Version this build speaks.
         expected: u16,
     },
-    /// The declared payload length exceeds the codec's sanity bound —
-    /// almost certainly a corrupt or misaligned header.
+    /// The payload length exceeds the format's sanity bound — almost
+    /// certainly a corrupt or misaligned header.
     TooLarge {
         /// Declared payload length.
         len: u64,
-        /// The bound the codec enforces.
+        /// The bound the format enforces.
         max: u64,
     },
-    /// The header's payload-kind byte names neither a JSON message nor
-    /// a binary event run.
+    /// The header's payload-kind byte names no kind of its format.
     UnknownKind {
         /// The kind byte found.
         found: u8,
@@ -326,7 +326,7 @@ pub enum FrameError {
     /// The FNV-1a hash over the kind byte and payload does not match
     /// the header.
     HashMismatch {
-        /// Hash recorded in the frame header.
+        /// Hash recorded in the header.
         expected: u64,
         /// Hash computed over the received kind byte and payload.
         found: u64,
@@ -345,17 +345,17 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::Closed => write!(f, "stream closed at a frame boundary"),
+            FrameError::Closed => write!(f, "stream closed at an envelope boundary"),
             FrameError::Torn { expected, got } => {
-                write!(f, "torn frame: expected {expected} bytes, got {got}")
+                write!(f, "torn envelope: expected {expected} bytes, got {got}")
             }
             FrameError::BadMagic { found } => {
-                write!(f, "bad frame magic {found:02x?}")
+                write!(f, "bad magic {found:02x?}")
             }
             FrameError::UnsupportedVersion { found, expected } => {
                 write!(
                     f,
-                    "frame wire version {found} is not supported (this build speaks {expected})"
+                    "envelope version {found} is not supported (this build speaks {expected})"
                 )
             }
             FrameError::TooLarge { len, max } => {
@@ -365,12 +365,12 @@ impl fmt::Display for FrameError {
                 )
             }
             FrameError::UnknownKind { found } => {
-                write!(f, "unknown frame payload kind {found:#04x}")
+                write!(f, "unknown payload kind {found:#04x}")
             }
             FrameError::HashMismatch { expected, found } => {
                 write!(
                     f,
-                    "frame payload hash mismatch: header says {expected:#018x}, payload hashes to {found:#018x}"
+                    "payload hash mismatch: header says {expected:#018x}, payload hashes to {found:#018x}"
                 )
             }
             FrameError::Malformed { detail } => write!(f, "malformed frame payload: {detail}"),
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn frame_errors_name_the_damage() {
-        assert!(format!("{}", FrameError::Closed).contains("frame boundary"));
+        assert!(format!("{}", FrameError::Closed).contains("boundary"));
         let torn = FrameError::Torn {
             expected: 20,
             got: 3,

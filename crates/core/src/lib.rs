@@ -50,7 +50,9 @@
 //! a shard supervisor that recovers a killed shard without touching
 //! healthy ones; between processes, event batches cross the shard wire
 //! ([`transport`]) in the binary row layout that [`codec`] alone
-//! defines. When traffic exceeds capacity, [`admission`] bounds
+//! defines — the same rows the journal stores — inside the one integrity
+//! header ([`envelope`]) every frame, journal record and snapshot file
+//! wears. When traffic exceeds capacity, [`admission`] bounds
 //! memory in front of either driver: a fixed-size priority queue that
 //! blocks (backpressure) or sheds deterministically — chatter first,
 //! IS-IS last — with every dropped event accounted for exactly in
@@ -70,6 +72,7 @@ pub mod analysis;
 pub mod arena;
 pub mod cluster;
 pub mod codec;
+pub mod envelope;
 pub mod error;
 pub mod export;
 pub mod flap;

@@ -3,47 +3,40 @@
 //! them back into a running [`StreamAnalysis`].
 //!
 //! The paper's core complaint about syslog is that the collection path
-//! dies ungracefully — UDP drops, collector restarts — and the history is
-//! silently lossy afterwards. [`StreamAnalysis`] alone has the same flaw:
-//! all per-link state lives in memory, so a crash mid-replay loses every
-//! open DOWN interval. This module removes that flaw with the classic
-//! write-ahead discipline:
+//! dies ungracefully and the history is silently lossy afterwards.
+//! [`StreamAnalysis`] alone has the same flaw: a crash loses every open
+//! DOWN interval. This module removes it with the classic write-ahead
+//! discipline. Every file it writes is [`crate::envelope`]d (magic,
+//! version, length, FNV-1a 64, kind):
 //!
 //! 1. **Journal first.** Every offered event is appended to a rotating
-//!    journal segment (`journal/seg-<first_seq>.jl`, one checksummed
-//!    JSON record per line) *before* the engine sees it. After a crash,
-//!    the journal's tail is the part of the stream the checkpoint has
-//!    not absorbed yet.
-//! 2. **Checkpoint incrementally.** Every `checkpoint_interval` events
-//!    a snapshot is captured. A periodic **full base**
-//!    ([`StreamCheckpoint`], `ckpt-<seq>.ckpt`) serializes the whole
-//!    engine; between bases, **deltas** ([`StreamDelta`],
-//!    `delta-<seq>.dckpt`) serialize only the lanes the kernel dirtied
-//!    since the previous snapshot plus the appended message tail. Every
-//!    file is hashed (FNV-1a 64) and written via temp-file-and-rename so
-//!    a torn write can never replace a good snapshot; each delta's
-//!    header additionally chains back to its parent (parent seq +
-//!    parent payload hash). [`DurabilityPolicy::full_every_n_checkpoints`]
-//!    sets how many snapshots one base anchors. A cadence snapshot
-//!    costs the ingest thread an in-memory capture; serialization,
-//!    hashing, the chain stamp, write + fsync + rename, retries and
-//!    pruning are one function, `SnapshotSink::write`, run by a
-//!    dedicated writer thread behind a bounded hand-off queue.
+//!    segment (`journal/seg-<first_seq>.jl`, one envelope per record
+//!    around the event's [`crate::codec`] row) *before* the engine sees
+//!    it, so the journal's tail is what no checkpoint has absorbed yet.
+//! 2. **Checkpoint incrementally.** Every `checkpoint_interval` events a
+//!    snapshot is captured: a periodic **full base** ([`StreamCheckpoint`],
+//!    `ckpt-<seq>.ckpt`), and between bases **deltas** ([`StreamDelta`],
+//!    `delta-<seq>.dckpt`) holding only the lanes dirtied since the
+//!    previous snapshot plus the appended message tail; a delta's chain
+//!    block names its parent (seq + hash) inside the hashed region.
+//!    [`DurabilityPolicy::full_every_n_checkpoints`] sets how many
+//!    snapshots one base anchors. The ingest thread pays an in-memory
+//!    capture; encoding, write + fsync + rename (a torn write never
+//!    replaces a good snapshot), retries and pruning are one function,
+//!    `SnapshotSink::write`, run by a writer thread behind a bounded
+//!    queue — or on the ingest thread for
 //!    [`DurableStream::checkpoint_now`], post-recovery compaction and
-//!    the fallback after the writer gives up on a snapshot (counted in
-//!    [`DurabilityCounters::snapshot_sync_fallbacks`]) call that same
-//!    function on the ingest thread.
+//!    the fallback after the writer gives up (counted in
+//!    [`DurabilityCounters::snapshot_sync_fallbacks`]).
 //! 3. **Recover by chain-aware fallback ladder.**
 //!    [`DurableStream::recover`] tries snapshots newest→oldest as chain
-//!    *tips*: a full base restores directly; a delta walks parent
-//!    pointers down to its base, validating every link's payload hash
-//!    and the child-declared parent hash on the way, then re-applies the
-//!    deltas oldest→newest. Any torn, corrupt, missing, or
-//!    future-version link rejects the whole chain and the ladder moves
-//!    to the next tip. The journal tail is then replayed — tolerating a
-//!    torn final record per segment — and the run resumes. If no
-//!    snapshot survives but the journal reaches back to the first
-//!    event, it rebuilds from scratch.
+//!    *tips*: a delta walks parent pointers down to its base, validating
+//!    every link's hash and the child-declared parent hash, then
+//!    re-applies the deltas oldest→newest. Any torn, corrupt, missing or
+//!    other-version link rejects the whole chain and the ladder moves on.
+//!    The journal tail is then replayed — tolerating a torn tail per
+//!    segment — and the run resumes; with no snapshot but a journal from
+//!    the first event, it rebuilds from scratch.
 //!
 //! The contract, proven by `tests/crash_recovery.rs` at every event
 //! boundary: a killed-and-recovered run flushes a [`StreamOutput`]
@@ -54,7 +47,9 @@
 //! [`StreamOutput`]: crate::streaming::StreamOutput
 
 use crate::analysis::AnalysisConfig;
-use crate::error::RecoveryError;
+use crate::codec;
+use crate::envelope::{Format, HEADER_LEN};
+use crate::error::{FrameError, RecoveryError};
 use crate::observe::{self, DurabilityCounters};
 use crate::streaming::{
     IngestOutcome, StreamAnalysis, StreamCheckpoint, StreamDelta, StreamEvent, StreamResult,
@@ -62,35 +57,43 @@ use crate::streaming::{
 use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Checkpoint format version this build writes and reads. Version 1
+/// was a JSON header line; every durable file's version 1 did the same.
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Delta-snapshot format version this build writes and reads.
-pub const DELTA_VERSION: u32 = 1;
+pub const DELTA_VERSION: u16 = 2;
 
-/// Magic string opening every full-checkpoint header.
-const MAGIC: &str = "faultline-checkpoint";
+/// Journal format version this build writes and reads. Version 1 was
+/// one JSON line per record.
+pub const JOURNAL_VERSION: u16 = 2;
 
-/// Magic string opening every delta-snapshot header.
-const DELTA_MAGIC: &str = "faultline-delta";
+/// The one payload kind each durable format defines: for a snapshot, a
+/// chain block then JSON; for a journal record, one
+/// [`codec::encode_record`] row.
+const KIND: u8 = 1;
 
-/// FNV-1a 64-bit — the integrity hash for checkpoint payloads and
-/// journal records (fast, dependency-free, and deterministic across
-/// platforms; corruption detection, not cryptography).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// One journal record.
+const JOURNAL: Format = Format {
+    magic: *b"FLJR",
+    version: JOURNAL_VERSION,
+    max_len: 1 << 16,
+    kinds: &[KIND],
+};
+
+/// What the journal's record buffer starts with: room for any record
+/// at paper scale (≈ 55 bytes), so a steady stream never regrows it.
+const RECORD_CAPACITY: usize = 256;
+
+/// A snapshot payload opens with its chain block: `seq`, `parent_seq`,
+/// `parent_fnv`, u64 LE each (both parent fields 0 in a full base).
+const CHAIN_LEN: usize = 3 * 8;
 
 fn io_err(op: &'static str, path: &Path, source: std::io::Error) -> RecoveryError {
     RecoveryError::Io {
@@ -143,11 +146,9 @@ pub struct DurabilityPolicy {
     pub full_every_n_checkpoints: u64,
     /// Group-commit cadence for the journal: `fsync` the active segment
     /// after every this many appended records (and on segment rotation).
-    /// `0` — the default — never fsyncs, matching the original
-    /// OS-buffered behavior: an in-*process* kill still loses nothing,
-    /// but a whole-machine crash may drop the buffered tail. The cost of
-    /// each cadence is measured by the `fsync_cost_curve` arm of
-    /// `recovery_replay`.
+    /// `0` — the default — never fsyncs (OS-buffered): an in-*process*
+    /// kill still loses nothing, but a whole-machine crash may drop the
+    /// buffered tail.
     #[serde(default)]
     pub fsync_every_n_records: u64,
     /// Retry discipline for checkpoint writes.
@@ -187,7 +188,10 @@ pub struct RecoveryReport {
     pub started_fresh: bool,
     /// Journal records replayed into the engine.
     pub events_replayed: u64,
-    /// Torn trailing journal records discarded during replay.
+    /// Torn journal tails discarded during replay: one per segment whose
+    /// replay stopped at a cut or damaged record, however many records
+    /// the discarded bytes held (past the damage, record boundaries
+    /// cannot be trusted, so they are not counted).
     pub journal_truncated_records: u64,
     /// The engine's event position after recovery: the caller resumes
     /// feeding from source position `resumed_at_seq` (0-based) onward.
@@ -226,11 +230,17 @@ enum SnapKind {
 }
 
 impl SnapKind {
-    /// The header's magic string and format version.
-    fn stamp(self) -> (&'static str, u32) {
-        match self {
-            SnapKind::Full => (MAGIC, CHECKPOINT_VERSION),
-            SnapKind::Delta => (DELTA_MAGIC, DELTA_VERSION),
+    /// The file's envelope.
+    fn format(self) -> Format {
+        let (magic, version) = match self {
+            SnapKind::Full => (*b"FLCK", CHECKPOINT_VERSION),
+            SnapKind::Delta => (*b"FLDT", DELTA_VERSION),
+        };
+        Format {
+            magic,
+            version,
+            max_len: u32::MAX,
+            kinds: &[KIND],
         }
     }
 
@@ -264,6 +274,13 @@ impl Snapshot {
         }
     }
 
+    fn kind(&self) -> SnapKind {
+        match self {
+            Snapshot::Full(_) => SnapKind::Full,
+            Snapshot::Delta(_) => SnapKind::Delta,
+        }
+    }
+
     /// The position of the snapshot a delta diffs against.
     fn parent_seq(&self) -> Option<u64> {
         match self {
@@ -273,8 +290,8 @@ impl Snapshot {
     }
 }
 
-/// `(seq, payload hash)` of a snapshot on disk — what a delta's header
-/// names as its parent.
+/// `(seq, envelope hash)` of a snapshot on disk — what a delta's chain
+/// block names as its parent.
 type ChainAnchor = (u64, u64);
 
 /// One snapshot file on disk — a candidate chain link.
@@ -285,77 +302,97 @@ struct SnapFile {
     path: PathBuf,
 }
 
-/// Every snapshot file (full bases and deltas), ascending by sequence
-/// then kind. Temp files and foreign names are ignored.
-fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
-    let mut out = Vec::new();
+/// The files in `dir` whose names `parse` accepts, ascending by what it
+/// read out of them; a missing directory holds none.
+fn list_files<K: Ord>(
+    dir: &Path,
+    op: &'static str,
+    parse: impl Fn(&str) -> Option<K>,
+) -> Result<Vec<(K, PathBuf)>, RecoveryError> {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err("list snapshots", dir, e)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err(op, dir, e)),
     };
+    let mut out = Vec::new();
     for entry in entries {
-        let entry = entry.map_err(|e| io_err("list snapshots", dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let parsed = [SnapKind::Full, SnapKind::Delta]
-            .into_iter()
-            .find_map(|kind| {
-                let (prefix, suffix) = kind.affixes();
-                let stem = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
-                Some((kind, stem.parse::<u64>().ok()?))
-            });
-        if let Some((kind, seq)) = parsed {
-            out.push(SnapFile {
-                seq,
-                kind,
-                path: entry.path(),
-            });
+        let entry = entry.map_err(|e| io_err(op, dir, e))?;
+        if let Some(key) = entry.file_name().to_str().and_then(&parse) {
+            out.push((key, entry.path()));
         }
     }
-    out.sort_by_key(|s| (s.seq, s.kind));
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)
 }
 
-/// Atomically write one snapshot file — the only place a snapshot header
-/// is built. `parent` makes it a delta whose header chains to that
-/// snapshot; without one it is a full base. `payload_fnv` is the
-/// caller's [`fnv1a64`] of `payload`, hashed once per snapshot, not once
-/// per attempt. The file goes to a temp name in the same directory, is
-/// `sync_all`ed, then renamed over the final name, so a torn write can
-/// never replace a good snapshot. Returns the file's size in bytes.
+/// The zero-padded sequence in a `{prefix}{seq}{suffix}` file name.
+fn numbered(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
+    name.strip_prefix(prefix)?
+        .strip_suffix(suffix)?
+        .parse()
+        .ok()
+}
+
+/// Every snapshot file (full bases and deltas), ascending by sequence
+/// then kind. Temp files and foreign names are ignored.
+fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
+    let files = list_files(dir, "list snapshots", |name| {
+        [SnapKind::Full, SnapKind::Delta]
+            .into_iter()
+            .find_map(|kind| Some((numbered(name, kind.affixes())?, kind)))
+    })?;
+    Ok(files
+        .into_iter()
+        .map(|((seq, kind), path)| SnapFile { seq, kind, path })
+        .collect())
+}
+
+/// Encode one snapshot file — the only place a snapshot is laid out:
+/// its envelope around the chain block and the JSON payload. `parent`
+/// makes it a delta chained to that snapshot; without one it is a full
+/// base. Returns the bytes and their envelope hash. The header and chain
+/// block go in front of the rendered JSON in its own allocation, so a
+/// multi-megabyte snapshot is never held twice.
+fn encode_snapshot(snap: &Snapshot, parent: Option<ChainAnchor>) -> Result<(Vec<u8>, u64), String> {
+    let format = snap.kind().format();
+    let mut head = Vec::with_capacity(HEADER_LEN + CHAIN_LEN);
+    format.open(&mut head, KIND);
+    let (parent_seq, parent_fnv) = parent.unwrap_or((0, 0));
+    for field in [snap.seq(), parent_seq, parent_fnv] {
+        head.extend_from_slice(&field.to_le_bytes());
+    }
+    let mut file = match snap {
+        Snapshot::Full(ckpt) => serde_json::to_string(ckpt.as_ref()),
+        Snapshot::Delta(delta) => serde_json::to_string(delta.as_ref()),
+    }
+    .map_err(|e| format!("serialize snapshot: {e}"))?
+    .into_bytes();
+    file.splice(0..0, head);
+    let fnv = format
+        .seal(&mut file)
+        .map_err(|e| format!("seal snapshot: {e}"))?;
+    Ok((file, fnv))
+}
+
+/// Atomically write one encoded snapshot file: to a temp name in the
+/// same directory, `sync_all`ed, then renamed over the final name, so a
+/// torn write can never replace a good snapshot. Returns its size.
 fn write_snapshot_file(
     dir: &Path,
+    kind: SnapKind,
     seq: u64,
-    parent: Option<ChainAnchor>,
-    payload: &str,
-    payload_fnv: u64,
+    bytes: &[u8],
 ) -> Result<u64, RecoveryError> {
-    let kind = if parent.is_some() {
-        SnapKind::Delta
-    } else {
-        SnapKind::Full
-    };
-    let (magic, version) = kind.stamp();
-    let chain = parent.map_or(String::new(), |(parent_seq, parent_fnv)| {
-        format!("\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",")
-    });
-    let header = format!(
-        "{{\"magic\":\"{magic}\",\"version\":{version},\"seq\":{seq},{chain}\"payload_len\":{},\"payload_fnv\":\"{payload_fnv:016x}\"}}\n",
-        payload.len(),
-    );
     let name = kind.file_name(seq);
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
     let mut f = File::create(&tmp_path).map_err(|e| io_err("write checkpoint", &tmp_path, e))?;
-    f.write_all(header.as_bytes())
-        .and_then(|()| f.write_all(payload.as_bytes()))
-        .and_then(|()| f.write_all(b"\n"))
+    f.write_all(bytes)
         .and_then(|()| f.sync_all())
         .map_err(|e| io_err("write checkpoint", &tmp_path, e))?;
     drop(f);
     fs::rename(&tmp_path, &final_path).map_err(|e| io_err("commit checkpoint", &final_path, e))?;
-    Ok((header.len() + payload.len() + 1) as u64)
+    Ok(bytes.len() as u64)
 }
 
 fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
@@ -365,166 +402,122 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     }
 }
 
-/// A 64-bit hash as the writers print it (`{:016x}`): exactly sixteen
-/// lowercase hex digits, so comparing the number is comparing the text.
-fn parse_hex64(text: &str) -> Option<u64> {
-    let well_formed = text.len() == 16
-        && text
-            .bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
-    well_formed
-        .then(|| u64::from_str_radix(text, 16).ok())
-        .flatten()
+/// The envelope errors that mean "another format version", not damage:
+/// a version this build does not read, and version 1 of every durable
+/// file, which was JSON text (`{"` where the magic now stands).
+fn unsupported(e: &FrameError, format: &Format) -> Option<RecoveryError> {
+    let found = match e {
+        FrameError::UnsupportedVersion { found, .. } => *found,
+        FrameError::BadMagic {
+            found: [b'{', b'"', ..],
+        } => 1,
+        _ => return None,
+    };
+    Some(RecoveryError::UnsupportedVersion {
+        found: u32::from(found),
+        expected: u32::from(format.version),
+    })
 }
 
-/// A header field holding such a hash.
-fn hex64(field: &serde::Value) -> Option<u64> {
-    field.as_str().and_then(parse_hex64)
+/// `seq`, `parent_seq`, `parent_fnv` from a snapshot's chain block.
+fn chain_fields(block: &[u8; CHAIN_LEN]) -> [u64; 3] {
+    std::array::from_fn(|i| u64::from_le_bytes(std::array::from_fn(|j| block[8 * i + j])))
 }
 
 /// A fully validated snapshot file.
 struct LoadedSnapshot {
     body: Snapshot,
-    /// The verified payload hash — what a delta child's `parent_fnv`
+    /// The verified envelope hash — what a delta child's `parent_fnv`
     /// must match during a chain walk.
-    payload_fnv: u64,
-    /// The parent a delta's header chains to; `None` for a full base.
+    fnv: u64,
+    /// The parent a delta's chain block names; `None` for a full base.
     parent: Option<ChainAnchor>,
 }
 
 /// Load and fully validate one snapshot file of the kind its name
-/// claims: magic, version, payload length, integrity hash and
-/// header/payload sequence agreement; for a delta also header/payload
-/// agreement on the parent pointer and parent monotonicity
-/// (`parent_seq < seq` — a chain can never loop).
+/// claims: the envelope (magic, version, length, integrity hash), then
+/// chain block/payload agreement on the sequence; for a delta also on
+/// the parent pointer, and parent monotonicity (`parent_seq < seq` — a
+/// chain can never loop).
 fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, RecoveryError> {
-    let (magic, version_expected) = kind.stamp();
-    let text = fs::read_to_string(path).map_err(|e| io_err("read checkpoint", path, e))?;
-    let Some((header_line, rest)) = text.split_once('\n') else {
-        return Err(corrupt(path, "missing header line"));
+    let format = kind.format();
+    let mut file = File::open(path).map_err(|e| io_err("read checkpoint", path, e))?;
+    let mut body = Vec::new();
+    let header = format.read(&mut file, &mut body).map_err(|e| match e {
+        FrameError::Io(e) => io_err("read checkpoint", path, e),
+        e => unsupported(&e, &format).unwrap_or_else(|| corrupt(path, e.to_string())),
+    })?;
+    let Some((block, payload)) = body.split_first_chunk::<CHAIN_LEN>() else {
+        return Err(corrupt(path, "payload shorter than its chain block"));
     };
-    let header: serde::Value = serde_json::from_str(header_line)
-        .map_err(|e| corrupt(path, format!("unparseable header: {e}")))?;
-    if header["magic"].as_str() != Some(magic) {
-        return Err(corrupt(path, "bad magic"));
-    }
-    // A version too large for `u32` saturates: it is reported as
-    // unsupported, never truncated into one this build accepts.
-    let version = header["version"]
-        .as_u64()
-        .map_or(0, |v| u32::try_from(v).unwrap_or(u32::MAX));
-    if version != version_expected {
-        return Err(RecoveryError::UnsupportedVersion {
-            found: version,
-            expected: version_expected,
-        });
-    }
-    let Some(payload_len) = header["payload_len"].as_u64() else {
-        return Err(corrupt(path, "header missing payload_len"));
-    };
-    let Some(expect_fnv) = hex64(&header["payload_fnv"]) else {
-        return Err(corrupt(path, "header missing payload_fnv"));
-    };
-    if (rest.len() as u64) < payload_len {
-        return Err(corrupt(
-            path,
-            format!("torn payload: {} of {payload_len} bytes", rest.len()),
-        ));
-    }
-    // `get`, not indexing: a damaged length can land inside a character.
-    let Some(payload) = rest.get(..payload_len as usize) else {
-        return Err(corrupt(path, "payload_len splits a character"));
-    };
-    let payload_fnv = fnv1a64(payload.as_bytes());
-    if payload_fnv != expect_fnv {
-        return Err(corrupt(
-            path,
-            format!("payload hash mismatch: header {expect_fnv:016x}, payload {payload_fnv:016x}"),
-        ));
-    }
+    let [seq, parent_seq, parent_fnv] = chain_fields(block);
     let body = match kind {
-        SnapKind::Full => serde_json::from_str(payload).map(|c| Snapshot::Full(Box::new(c))),
-        SnapKind::Delta => serde_json::from_str(payload).map(|d| Snapshot::Delta(Box::new(d))),
+        SnapKind::Full => serde_json::from_slice(payload).map(|c| Snapshot::Full(Box::new(c))),
+        SnapKind::Delta => serde_json::from_slice(payload).map(|d| Snapshot::Delta(Box::new(d))),
     }
     .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    if header["seq"].as_u64() != Some(body.seq()) {
-        return Err(corrupt(path, "header/payload sequence disagreement"));
+    if seq != body.seq() {
+        return Err(corrupt(path, "chain block/payload sequence disagreement"));
     }
     let parent = match body.parent_seq() {
         None => None,
-        Some(parent_seq) => {
-            if header["parent_seq"].as_u64() != Some(parent_seq) {
-                return Err(corrupt(path, "header/payload parent disagreement"));
-            }
-            let Some(parent_fnv) = hex64(&header["parent_fnv"]) else {
-                return Err(corrupt(path, "header missing parent_fnv"));
-            };
-            if parent_seq >= body.seq() {
-                return Err(corrupt(path, "non-monotonic parent pointer"));
-            }
-            Some((parent_seq, parent_fnv))
+        Some(p) if p != parent_seq => {
+            return Err(corrupt(path, "chain block/payload parent disagreement"))
         }
+        Some(_) if parent_seq >= seq => return Err(corrupt(path, "non-monotonic parent pointer")),
+        Some(_) => Some((parent_seq, parent_fnv)),
     };
     Ok(LoadedSnapshot {
         body,
-        payload_fnv,
+        fnv: header.fnv,
         parent,
     })
 }
 
-/// Read just a snapshot file's header line — enough to pick the right
-/// parent among same-sequence candidates and to resolve chains during
-/// pruning without reading payloads. `None` on any damage (the caller
-/// treats that link as missing).
-fn peek_header(path: &Path) -> Option<serde::Value> {
-    let file = File::open(path).ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(file).read_line(&mut line).ok()?;
-    serde_json::from_str(line.trim_end()).ok()
+/// Read just a snapshot file's envelope header and chain block — enough
+/// to pick the right parent among same-sequence candidates and to
+/// resolve chains during pruning without reading payloads. Returns the
+/// stored hash and `[seq, parent_seq, parent_fnv]`; `None` on any damage
+/// (the caller treats that link as missing).
+fn peek_header(path: &Path, kind: SnapKind) -> Option<(u64, [u64; 3])> {
+    let mut file = File::open(path).ok()?;
+    let header = kind.format().read_header(&mut file, &mut Vec::new()).ok()?;
+    let mut block = [0u8; CHAIN_LEN];
+    file.read_exact(&mut block).ok()?;
+    Some((header.fnv, chain_fields(&block)))
 }
 
 // ---------------------------------------------------------------------
 // Write-ahead journal
 // ---------------------------------------------------------------------
 
+/// What a segment's name wraps around its zero-padded first sequence.
+const SEGMENT_AFFIXES: (&str, &str) = ("seg-", ".jl");
+
 fn segment_name(first_seq: u64) -> String {
-    format!("seg-{first_seq:012}.jl")
+    let (prefix, suffix) = SEGMENT_AFFIXES;
+    format!("{prefix}{first_seq:012}{suffix}")
 }
 
 /// Journal segments on disk, ascending by first sequence number.
 fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, RecoveryError> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err("list journal segments", dir, e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list journal segments", dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".jl"))
-        else {
-            continue;
-        };
-        if let Ok(seq) = stem.parse::<u64>() {
-            out.push((seq, entry.path()));
-        }
-    }
-    out.sort_by_key(|&(seq, _)| seq);
-    Ok(out)
+    list_files(dir, "list journal segments", |name| {
+        numbered(name, SEGMENT_AFFIXES)
+    })
 }
 
-/// Appends checksummed event records to rotating journal segments. Each
-/// record is a single unbuffered `write_all`, so an in-process "kill"
-/// leaves exactly the records written so far — plus, at worst, one torn
-/// trailing line, which replay discards.
+/// Appends event records to rotating journal segments, each one
+/// [`JOURNAL`] envelope around a [`codec::encode_record`] row, built in
+/// one reused buffer and written with a single unbuffered `write_all`.
+/// An in-process "kill" therefore leaves exactly the records written so
+/// far — plus, at worst, one torn trailing record, which replay
+/// discards.
 struct JournalWriter {
     dir: PathBuf,
     file: Option<File>,
     segment_path: PathBuf,
+    /// The record being written, reused across records.
+    buf: Vec<u8>,
     records_in_segment: u64,
     next_seq: u64,
     max_records: u64,
@@ -542,6 +535,7 @@ impl JournalWriter {
             segment_path: dir.clone(),
             dir,
             file: None,
+            buf: Vec::with_capacity(RECORD_CAPACITY),
             records_in_segment: 0,
             next_seq,
             max_records: max_records.max(1),
@@ -570,55 +564,54 @@ impl JournalWriter {
         Ok(())
     }
 
-    fn open_segment(&mut self) -> Result<(), RecoveryError> {
-        // The outgoing segment is never written again; make its tail
-        // durable before moving on so rotation is also a commit point.
-        self.sync()?;
+    fn open_segment(&mut self) -> Result<File, RecoveryError> {
         let path = self.dir.join(segment_name(self.next_seq));
         let file = File::create(&path).map_err(|e| io_err("open journal segment", &path, e))?;
-        self.file = Some(file);
         self.segment_path = path;
         self.records_in_segment = 0;
         self.segments_opened += 1;
-        Ok(())
+        Ok(file)
     }
 
+    /// Append one record. On any error the segment is let go: a failed
+    /// write may have left a torn record in it, and nothing may land
+    /// behind a tear. The next append opens a fresh segment at the
+    /// unadvanced sequence, which replay's contiguity rule accepts.
     fn append(&mut self, event: &StreamEvent) -> Result<(), RecoveryError> {
-        if self.file.is_none() || self.records_in_segment >= self.max_records {
-            self.open_segment()?;
+        self.write_record(event).inspect_err(|_| self.file = None)
+    }
+
+    fn write_record(&mut self, event: &StreamEvent) -> Result<(), RecoveryError> {
+        if self.records_in_segment >= self.max_records {
+            // The outgoing segment is never written again; make its tail
+            // durable before moving on so rotation is also a commit point.
+            self.sync()?;
+            self.file = None;
         }
-        let ev = serde_json::to_string(event).map_err(|e| {
-            io_err(
-                "serialize journal record",
-                &self.segment_path,
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-            )
+        JOURNAL.open(&mut self.buf, KIND);
+        codec::encode_record(self.next_seq, event, &mut self.buf);
+        JOURNAL.seal(&mut self.buf).map_err(|e| {
+            let e = std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+            io_err("encode journal record", &self.segment_path, e)
         })?;
-        let line = format!(
-            "{{\"seq\":{},\"fnv\":\"{:016x}\",\"event\":{ev}}}\n",
-            self.next_seq,
-            fnv1a64(ev.as_bytes()),
-        );
-        // Invariant: `file` was opened above — not data-dependent.
-        let file = self.file.as_mut().expect("segment opened above");
-        file.write_all(line.as_bytes())
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => self.open_segment()?,
+        };
+        self.file
+            .insert(file)
+            .write_all(&self.buf)
             .map_err(|e| io_err("append journal record", &self.segment_path, e))?;
         self.records_in_segment += 1;
         self.next_seq += 1;
         self.records_written += 1;
-        self.bytes_written += line.len() as u64;
+        self.bytes_written += self.buf.len() as u64;
         self.records_since_sync += 1;
         if self.fsync_every > 0 && self.records_since_sync >= self.fsync_every {
             self.sync()?;
         }
         Ok(())
     }
-}
-
-/// What a journal replay recovered.
-struct ReplayOutcome {
-    replayed: u64,
-    truncated_records: u64,
 }
 
 fn corrupt_journal(path: &Path, seq: u64, reason: impl Into<String>) -> RecoveryError {
@@ -629,54 +622,27 @@ fn corrupt_journal(path: &Path, seq: u64, reason: impl Into<String>) -> Recovery
     }
 }
 
-/// A journal record's stored hash, read without keeping its text.
-struct Hex64(u64);
-
-impl Deserialize for Hex64 {
-    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
-        parse_hex64(d.str()?)
-            .map(Hex64)
-            .ok_or_else(|| serde::Error::custom("expected sixteen lowercase hex digits"))
-    }
-}
-
-/// One journal line, as [`JournalWriter::append`] writes it.
-#[derive(Deserialize)]
-struct JournalRecord {
-    seq: u64,
-    fnv: Hex64,
-    event: StreamEvent,
-}
-
-/// Parse and verify one journal line; returns `(seq, event)`, or `None`
-/// if the line is damaged (torn write or bit rot — the caller decides
-/// whether that is a recoverable tail).
-fn parse_record(line: &str) -> Option<(u64, StreamEvent)> {
-    let record: JournalRecord = serde_json::from_str(line).ok()?;
-    // The writer rendered the event with this same serializer, so a
-    // clean parse → re-render round-trips to the original bytes and the
-    // checksum can be verified without storing the raw substring.
-    let rendered = serde_json::to_string(&record.event).ok()?;
-    (fnv1a64(rendered.as_bytes()) == record.fnv.0).then_some((record.seq, record.event))
-}
-
 /// Replay every journal record with sequence `> after_seq` through
 /// `apply`, in order. Within each segment, records must be contiguous
 /// from the segment's first sequence; a damaged record ends the segment
-/// (a torn tail — its discarded lines are counted) and the next segment
+/// (a torn tail, counted once) and the next segment
 /// must continue exactly where the good prefix stopped, otherwise the
 /// journal is reported corrupt. Sequence gaps *between* the checkpoint
 /// and the first needed record are likewise corrupt: the events are
-/// simply gone.
+/// simply gone. A record of another format version is
+/// [`RecoveryError::UnsupportedVersion`], never read as damage. Returns
+/// the records replayed and the torn tails discarded.
 fn replay_journal(
     journal_dir: &Path,
     after_seq: u64,
     mut apply: impl FnMut(&StreamEvent),
-) -> Result<ReplayOutcome, RecoveryError> {
+) -> Result<(u64, u64), RecoveryError> {
     let segments = list_segments(journal_dir)?;
     let mut next_needed = after_seq + 1;
     let mut replayed = 0u64;
     let mut truncated = 0u64;
+    // One record's payload at a time, reused across every record.
+    let mut body = Vec::new();
     for (i, (first_seq, path)) in segments.iter().enumerate() {
         // A segment whose whole range predates the checkpoint is skipped
         // without reading (its extent is bounded by the next segment's
@@ -693,45 +659,42 @@ fn replay_journal(
                 format!("segment gap: needed {next_needed}, segment starts at {first_seq}"),
             ));
         }
-        let text = fs::read_to_string(path).map_err(|e| io_err("read journal segment", path, e))?;
+        let bytes = fs::read(path).map_err(|e| io_err("read journal segment", path, e))?;
+        let mut rest = bytes.as_slice();
         let mut expected = *first_seq;
-        let mut torn_here = false;
-        for line in text.lines() {
-            if torn_here {
-                truncated += 1;
-                continue;
+        // A damaged, cut or out-of-sequence record ends the segment: past
+        // it no record boundary can be trusted, so the rest is one torn
+        // tail. Whether the journal as a whole is recoverable depends on
+        // where the next segment picks up (the contiguity rule above).
+        let torn = loop {
+            let (seq, event) = match JOURNAL.read(&mut rest, &mut body) {
+                Err(FrameError::Closed) => break false,
+                Err(e) => match unsupported(&e, &JOURNAL) {
+                    Some(e) => return Err(e),
+                    None => break true,
+                },
+                Ok(_) => match codec::decode_record(&body) {
+                    Ok(record) if record.0 == expected => record,
+                    _ => break true,
+                },
+            };
+            expected += 1;
+            if seq > next_needed {
+                return Err(corrupt_journal(
+                    path,
+                    next_needed,
+                    format!("record gap: needed {next_needed}, found {seq}"),
+                ));
             }
-            match parse_record(line) {
-                Some((seq, event)) if seq == expected => {
-                    if seq == next_needed {
-                        apply(&event);
-                        replayed += 1;
-                        next_needed = seq + 1;
-                    } else if seq > next_needed {
-                        return Err(corrupt_journal(
-                            path,
-                            next_needed,
-                            format!("record gap: needed {next_needed}, found {seq}"),
-                        ));
-                    }
-                    expected = seq + 1;
-                }
-                _ => {
-                    // Damaged or out-of-sequence record: everything from
-                    // here to the end of this segment is a torn tail.
-                    // Whether the journal as a whole is recoverable
-                    // depends on where the next segment picks up, checked
-                    // by the contiguity rule on the next iteration.
-                    torn_here = true;
-                    truncated += 1;
-                }
+            if seq == next_needed {
+                apply(&event);
+                replayed += 1;
+                next_needed += 1;
             }
-        }
+        };
+        truncated += u64::from(torn);
     }
-    Ok(ReplayOutcome {
-        replayed,
-        truncated_records: truncated,
-    })
+    Ok((replayed, truncated))
 }
 
 // ---------------------------------------------------------------------
@@ -739,14 +702,14 @@ fn replay_journal(
 // ---------------------------------------------------------------------
 
 /// Resolve and restore the snapshot chain ending at `tip`: walk parent
-/// pointers down to a full base — validating every file's payload hash
-/// and every child's declared parent hash on the way — then rebuild the
+/// pointers down to a full base — validating every file's hash and
+/// every child's declared parent hash on the way — then rebuild the
 /// engine from the base and re-apply the deltas oldest→newest. Any bad
 /// link (torn, corrupt, missing, future-version, hash-mismatched)
 /// rejects the **whole** chain with a typed error; the caller's ladder
 /// moves on to the next tip.
 ///
-/// Returns the restored engine, the tip's payload hash (the parent hash
+/// Returns the restored engine, the tip's hash (the parent hash
 /// the next delta written by the resumed run must chain to), and the
 /// chain length (deltas applied on top of the base).
 fn restore_chain<'a>(
@@ -775,11 +738,11 @@ fn restore_chain<'a>(
                 "file name / content sequence disagreement",
             ));
         }
-        if expect_fnv.is_some_and(|e| e != loaded.payload_fnv) {
+        if expect_fnv.is_some_and(|e| e != loaded.fnv) {
             return Err(corrupt(&cur.path, "chain parent hash mismatch"));
         }
         let delta = match loaded.body {
-            Snapshot::Full(ckpt) => break (*ckpt, loaded.payload_fnv),
+            Snapshot::Full(ckpt) => break (*ckpt, loaded.fnv),
             Snapshot::Delta(delta) => *delta,
         };
         let Some((parent_seq, parent_fnv)) = loaded.parent else {
@@ -788,9 +751,10 @@ fn restore_chain<'a>(
         // The parent is whichever same-sequence file carries the hash
         // this delta declares (post-compaction a full and a delta can
         // share a sequence number).
-        let parent = snaps.iter().filter(|s| s.seq == parent_seq).find(|s| {
-            peek_header(&s.path).and_then(|h| hex64(&h["payload_fnv"])) == Some(parent_fnv)
-        });
+        let parent = snaps
+            .iter()
+            .filter(|s| s.seq == parent_seq)
+            .find(|s| peek_header(&s.path, s.kind).is_some_and(|(fnv, _)| fnv == parent_fnv));
         let Some(parent) = parent else {
             return Err(corrupt(
                 &cur.path,
@@ -799,7 +763,7 @@ fn restore_chain<'a>(
         };
         let parent = parent.clone();
         deltas.push((cur.path, delta));
-        tip_fnv.get_or_insert(loaded.payload_fnv);
+        tip_fnv.get_or_insert(loaded.fnv);
         expect_fnv = Some(parent_fnv);
         cur = parent;
     };
@@ -858,11 +822,6 @@ impl SnapshotSink {
         let seq = snap.seq();
         let mut retries = 0u32;
         let written = (|| -> Result<u64, String> {
-            let payload = match snap {
-                Snapshot::Full(ckpt) => serde_json::to_string(ckpt.as_ref()),
-                Snapshot::Delta(delta) => serde_json::to_string(delta.as_ref()),
-            }
-            .map_err(|e| format!("serialize snapshot: {e}"))?;
             let parent = match snap.parent_seq() {
                 None => None,
                 Some(p) => Some(
@@ -871,13 +830,13 @@ impl SnapshotSink {
                         .ok_or_else(|| format!("parent snapshot at seq {p} was not written"))?,
                 ),
             };
-            let fnv = fnv1a64(payload.as_bytes());
+            let (file, fnv) = encode_snapshot(snap, parent)?;
             loop {
                 let attempt = retries + 1;
                 let outcome = if self.fault.as_ref().is_some_and(|hook| hook(seq, attempt)) {
                     Err("injected transient write failure".to_string())
                 } else {
-                    write_snapshot_file(&self.dir, seq, parent, &payload, fnv)
+                    write_snapshot_file(&self.dir, snap.kind(), seq, &file)
                         .map_err(|e| e.to_string())
                 };
                 match outcome {
@@ -1131,7 +1090,7 @@ impl<'a> DurableStream<'a> {
             debug_assert!(now >= watermark, "replay must never regress the watermark");
             watermark = now;
         });
-        let replay = match replay {
+        let (replayed, torn) = match replay {
             Ok(r) => r,
             Err(e) if started_fresh && report.checkpoints_rejected > 0 => {
                 // Every checkpoint was rejected AND the journal cannot
@@ -1142,8 +1101,8 @@ impl<'a> DurableStream<'a> {
             }
             Err(e) => return Err(e),
         };
-        report.events_replayed = replay.replayed;
-        report.journal_truncated_records = replay.truncated_records;
+        report.events_replayed = replayed;
+        report.journal_truncated_records = torn;
         report.resumed_at_seq = engine.events_ingested();
         report.recover_micros = t0.elapsed().as_micros() as u64;
         observe::narrate(|| {
@@ -1155,8 +1114,8 @@ impl<'a> DurableStream<'a> {
 
         let counters = DurabilityCounters {
             restores: 1,
-            events_replayed: replay.replayed,
-            journal_truncated_records: replay.truncated_records,
+            events_replayed: replayed,
+            journal_truncated_records: torn,
             chain_length_at_recovery: report.chain_length,
             ..DurabilityCounters::default()
         };
@@ -1173,7 +1132,7 @@ impl<'a> DurableStream<'a> {
             anchor,
             report.chain_length,
         );
-        if replay.replayed > 0 {
+        if replayed > 0 {
             // Snapshot compaction: fold the journal prefix this recovery
             // just replayed into a fresh base at the resumed sequence;
             // the write's retention pass then prunes the chains and
@@ -1448,7 +1407,7 @@ fn prune_snapshots(dir: &Path, journal_dir: &Path, retain: usize) {
     let parents: std::collections::BTreeMap<u64, u64> = snaps
         .iter()
         .filter(|s| s.kind == SnapKind::Delta)
-        .filter_map(|s| Some((s.seq, peek_header(&s.path)?["parent_seq"].as_u64()?)))
+        .filter_map(|s| Some((s.seq, peek_header(&s.path, s.kind)?.1[1])))
         .collect();
     let root_of = |mut seq: u64| -> Option<u64> {
         for _ in 0..=snaps.len() {
@@ -1517,14 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn checkpoint_file_round_trips_and_validates() {
         let tmp = TempDir::new("ckpt-roundtrip");
         let data = run(&ScenarioParams::tiny(3));
@@ -1535,17 +1486,22 @@ mod tests {
         }
         let ckpt = stream.checkpoint();
         let payload = serde_json::to_string(&ckpt).unwrap();
-        let fnv = fnv1a64(payload.as_bytes());
-        let bytes = write_snapshot_file(tmp.path(), ckpt.seq(), None, &payload, fnv).unwrap();
-        assert!(bytes > payload.len() as u64);
+        let snap = Snapshot::Full(Box::new(ckpt));
+        let (file, fnv) = encode_snapshot(&snap, None).unwrap();
+        let bytes = write_snapshot_file(tmp.path(), SnapKind::Full, snap.seq(), &file).unwrap();
+        assert_eq!(bytes as usize, HEADER_LEN + CHAIN_LEN + payload.len());
         let listed = list_snapshots(tmp.path()).unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(
             (listed[0].seq, listed[0].kind),
-            (ckpt.seq(), SnapKind::Full)
+            (snap.seq(), SnapKind::Full)
+        );
+        assert_eq!(
+            peek_header(&listed[0].path, SnapKind::Full),
+            Some((fnv, [snap.seq(), 0, 0]))
         );
         let loaded = load_snapshot(&listed[0].path, SnapKind::Full).unwrap();
-        assert_eq!((loaded.payload_fnv, loaded.parent), (fnv, None));
+        assert_eq!((loaded.fnv, loaded.parent), (fnv, None));
         let Snapshot::Full(loaded) = loaded.body else {
             panic!("a full base loads as one");
         };
@@ -1561,77 +1517,107 @@ mod tests {
         let tmp = TempDir::new("ckpt-corrupt");
         let data = run(&ScenarioParams::tiny(4));
         let stream = StreamAnalysis::new(&data, AnalysisConfig::default());
-        let payload = serde_json::to_string(&stream.checkpoint()).unwrap();
-        let fnv = fnv1a64(payload.as_bytes());
-        write_snapshot_file(tmp.path(), 0, None, &payload, fnv).unwrap();
+        let snap = Snapshot::Full(Box::new(stream.checkpoint()));
+        let (full, _) = encode_snapshot(&snap, None).unwrap();
         let path = tmp.path().join(SnapKind::Full.file_name(0));
-        let full = fs::read(&path).unwrap();
-        let load = || load_snapshot(&path, SnapKind::Full).map(|_| ());
+        let load = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            load_snapshot(&path, SnapKind::Full).map(|_| ())
+        };
 
         // Flip one payload byte: hash mismatch.
         let mut bytes = full.clone();
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load(),
-            Err(RecoveryError::CorruptCheckpoint { .. })
-        ));
-
-        // Truncate: torn payload.
-        fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(matches!(
-            load(),
-            Err(RecoveryError::CorruptCheckpoint { .. })
-        ));
-
-        // Future version — and one that would truncate to ours as `u32`.
-        for (declared, found) in [(99u64, 99u32), ((1 << 32) + 1, u32::MAX)] {
-            let future = format!(
-                "{{\"magic\":\"{MAGIC}\",\"version\":{declared},\"seq\":0,\"payload_len\":0,\"payload_fnv\":\"{:016x}\"}}\n",
-                fnv1a64(b"")
-            );
-            fs::write(&path, future).unwrap();
-            match load() {
-                Err(RecoveryError::UnsupportedVersion { found: f, expected }) => {
-                    assert_eq!((f, expected), (found, CHECKPOINT_VERSION));
-                }
-                other => panic!("version {declared}: {other:?}"),
-            }
-        }
-    }
-
-    /// A damaged `payload_len` that lands inside a multi-byte character
-    /// is corruption like any other: typed on a direct load, and one
-    /// rejected rung on the recovery ladder — not a slicing panic.
-    #[test]
-    fn payload_len_inside_a_character_is_corrupt_not_a_panic() {
-        let tmp = TempDir::new("ckpt-split-char");
-        let path = tmp.path().join(SnapKind::Full.file_name(5));
-        let header = format!(
-            "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":5,\"payload_len\":1,\"payload_fnv\":\"{:016x}\"}}\n",
-            fnv1a64(&"é".as_bytes()[..1])
-        );
-        fs::write(&path, format!("{header}é\n")).unwrap();
-        match load_snapshot(&path, SnapKind::Full).map(|_| ()) {
+        match load(&bytes) {
             Err(RecoveryError::CorruptCheckpoint { reason, .. }) => {
-                assert!(reason.contains("splits a character"), "{reason}");
+                assert!(reason.contains("hash mismatch"), "{reason}");
             }
             other => panic!("{other:?}"),
         }
 
-        let data = run(&ScenarioParams::tiny(4));
-        let (stream, report) = DurableStream::recover(
-            tmp.path(),
-            &data,
-            AnalysisConfig::default(),
-            DurabilityPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
-        assert!(report.rejected[0].contains("splits a character"));
-        assert!(report.started_fresh);
-        assert_eq!(stream.events_ingested(), 0);
+        // Truncate: torn payload.
+        assert!(matches!(
+            load(&full[..full.len() / 2]),
+            Err(RecoveryError::CorruptCheckpoint { .. })
+        ));
+
+        // A future version, and version 1 — a JSON header line.
+        let mut future = full.clone();
+        future[4..6].copy_from_slice(&99u16.to_le_bytes());
+        let v1 = b"{\"magic\":\"faultline-checkpoint\",\"version\":1,\"seq\":0}\n{}\n";
+        for (bytes, found) in [(&future[..], 99), (&v1[..], 1)] {
+            match load(bytes) {
+                Err(RecoveryError::UnsupportedVersion { found: f, expected }) => {
+                    assert_eq!((f, expected), (found, u32::from(CHECKPOINT_VERSION)));
+                }
+                other => panic!("version {found}: {other:?}"),
+            }
+        }
+    }
+
+    /// A journal write that fails part-way leaves a torn record behind.
+    /// The next append must not land after it: it opens a fresh segment
+    /// at the unacknowledged sequence, so after a rotation and a crash
+    /// every acknowledged event still replays.
+    #[test]
+    fn a_failed_append_never_strands_later_records() {
+        let tmp = TempDir::new("failed-append");
+        let data = run(&ScenarioParams::tiny(16));
+        let config = AnalysisConfig::default();
+        let events = scenario_event_stream(&data);
+        let policy = DurabilityPolicy {
+            checkpoint_interval: 0,
+            segment_max_records: 4,
+            ..DurabilityPolicy::default()
+        };
+        let n = events.len().min(20);
+        let mut durable = DurableStream::create(tmp.path(), &data, config.clone(), policy).unwrap();
+        for e in &events[..2] {
+            durable.ingest(e).unwrap();
+        }
+        // What a write that died part-way (ENOSPC, EIO) leaves behind: the
+        // head of record 3 in the active segment, and a handle that
+        // refuses the write.
+        let segment = durable.journal.segment_path.clone();
+        let mut torn = Vec::new();
+        JOURNAL.open(&mut torn, KIND);
+        codec::encode_record(3, &events[2], &mut torn);
+        JOURNAL.seal(&mut torn).unwrap();
+        fs::OpenOptions::new()
+            .append(true)
+            .open(&segment)
+            .unwrap()
+            .write_all(&torn[..torn.len() / 2])
+            .unwrap();
+        durable.journal.file = Some(File::open(&segment).unwrap());
+        assert!(durable.ingest(&events[2]).is_err(), "the write must fail");
+        // The disk recovers: a handle the writer had kept would now write
+        // again, right behind the tear.
+        if durable.journal.file.is_some() {
+            let writable = fs::OpenOptions::new().append(true).open(&segment).unwrap();
+            durable.journal.file = Some(writable);
+        }
+        // Events 3.. are acknowledged now, across at least one rotation.
+        for e in &events[2..n] {
+            durable.ingest(e).unwrap();
+        }
+        drop(durable);
+
+        let (durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
+        assert_eq!(report.events_replayed, n as u64, "{report:?}");
+        assert_eq!(report.journal_truncated_records, 1, "the tear is counted");
+        let reference = {
+            let mut stream = StreamAnalysis::new(&data, AnalysisConfig::default());
+            for e in &events[..n] {
+                stream.ingest(e);
+            }
+            serde_json::to_string(&stream.flush().output).unwrap()
+        };
+        assert_eq!(
+            reference,
+            serde_json::to_string(&durable.finish().output).unwrap()
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Single-source tripwire for the durable snapshot format.
 #
-# Every byte that reaches a checkpoint, delta, or journal file — magic
-# strings, version stamps, header layout, FNV hashing, atomic
-# write-temp-then-rename — is produced and parsed in
-# crates/core/src/recovery.rs and NOWHERE else. The moment a second
-# writer (or a hand-rolled header parser) appears in another module, two
-# format definitions can drift apart and a checkpoint written by one
-# path becomes unreadable by the other. This script fails CI when any
-# format-owning token shows up in crate sources outside recovery.rs.
+# Every byte that reaches a checkpoint, delta, or journal file — file
+# magics, format versions, the snapshot chain block, the one snapshot
+# encoder and loader, atomic write-temp-then-rename — is produced and
+# parsed in crates/core/src/recovery.rs and NOWHERE else (the envelope
+# header and its hash around them belong to crates/core/src/envelope.rs,
+# guarded by check_envelope_single_source.sh). The moment a second
+# writer (or a hand-rolled chain-block parser) appears in another
+# module, two format definitions can drift apart and a checkpoint
+# written by one path becomes unreadable by the other. This script fails
+# CI when any format-owning token shows up in crate sources outside
+# recovery.rs.
 #
 # Top-level tests/ are deliberately out of scope: the fault-injection
 # harnesses mangle snapshot headers on purpose, and reading the format
@@ -27,16 +30,17 @@ non_recovery_sources() {
     find crates src -name '*.rs' ! -path "$RECOVERY" -print
 }
 
-# Format-owning tokens: file magics, the header hash fields, the hash
-# implementation, the one snapshot writer and the one snapshot loader.
+# Format-owning tokens: the three file magics, the chain block's parent
+# hash, the one snapshot encoder, writer, loader and header peek.
 tokens=(
-    'faultline-checkpoint'
-    'faultline-delta'
-    'payload_fnv'
+    '*b"FLCK"'
+    '*b"FLDT"'
+    '*b"FLJR"'
     'parent_fnv'
-    'fn fnv1a64'
+    'fn encode_snapshot'
     'fn write_snapshot_file'
     'fn load_snapshot'
+    'fn peek_header'
 )
 for tok in "${tokens[@]}"; do
     if ! grep -q -F "$tok" "$RECOVERY"; then

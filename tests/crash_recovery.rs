@@ -20,8 +20,8 @@
 //! - chaos-injected transient checkpoint-write failures: retries absorb
 //!   them on the writer thread, an exhausted budget surfaces
 //!   `RetriesExhausted`;
-//! - the on-disk format pin: header lines, a journal record and the
-//!   default cadence's file-name sequence, byte for byte.
+//! - the on-disk format pin: the snapshot envelopes, a journal record
+//!   and the default cadence's file-name sequence, byte for byte.
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
 use faultline_core::{
@@ -304,10 +304,11 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
     );
 }
 
-/// A snapshot nested past `serde_json::MAX_DEPTH` — in its header line,
-/// or in a payload field this build would skip, under a header whose
-/// length and hash are honest — is one more corrupt file on the ladder.
-/// Either used to overflow the reader's stack and abort the process.
+/// A snapshot nested past `serde_json::MAX_DEPTH` in a payload field
+/// this build would skip, under an envelope whose length and hash are
+/// honest, is one more corrupt file on the ladder — it used to overflow
+/// the reader's stack and abort the process. So is the same bomb where
+/// the envelope should stand.
 #[test]
 fn nesting_bombs_in_a_snapshot_are_rejected_checkpoints_not_an_abort() {
     let data = run(&ScenarioParams::tiny(5));
@@ -331,25 +332,22 @@ fn nesting_bombs_in_a_snapshot_are_rejected_checkpoints_not_an_abort() {
         "three rungs: two to sabotage, one to land on"
     );
     let bomb = "[{\"k\":".repeat(500_000);
-    let in_header = ckpts.pop().unwrap();
-    let (_, payload) = header_and_payload(&in_header);
-    fs::write(&in_header, format!("{bomb}\n{payload}\n")).unwrap();
+    let in_place_of_header = ckpts.pop().unwrap();
+    fs::write(&in_place_of_header, format!("{bomb}\n")).unwrap();
     let in_payload = ckpts.pop().unwrap();
-    let payload = format!("{{\"from the future\":{bomb}");
-    rewrite_header(&in_payload, |header| {
-        header["payload_len"] = serde_json::json!(payload.len());
-        header["payload_fnv"] = serde_json::json!(format!("{:016x}", fnv1a64(payload.as_bytes())));
+    reseal(&in_payload, |payload| {
+        payload.truncate(CHAIN_LEN);
+        payload.extend_from_slice(format!("{{\"from the future\":{bomb}").as_bytes());
     });
-    let (header, _) = header_and_payload(&in_payload);
-    fs::write(&in_payload, format!("{header}{payload}\n")).unwrap();
 
     let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
     assert_eq!(report.checkpoints_rejected, 2, "{:?}", report.rejected);
-    for (reason, part) in report.rejected.iter().zip(["header", "payload"]) {
-        assert!(
-            reason.contains(&format!("unparseable {part}: recursion limit exceeded")),
-            "{reason}"
-        );
+    for (reason, cause) in report
+        .rejected
+        .iter()
+        .zip(["bad magic", "unparseable payload: recursion limit exceeded"])
+    {
+        assert!(reason.contains(cause), "{reason}");
     }
     assert!(report.checkpoint_seq.is_some(), "the third rung restored");
     assert_eq!(report.resumed_at_seq, kill_at as u64);
@@ -419,8 +417,8 @@ fn torn_journal_tail_recovers_good_prefix_and_resumes() {
     let tmp = TempDir::new("torn-journal");
     run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
 
-    // Cut the single segment mid-record: drop the last line's tail and
-    // leave the partial record behind.
+    // Cut the single segment inside a record: drop that record's tail
+    // and leave its head behind.
     let journal = tmp.path().join("journal");
     let seg = fs::read_dir(&journal)
         .unwrap()
@@ -428,22 +426,28 @@ fn torn_journal_tail_recovers_good_prefix_and_resumes() {
         .map(|e| e.path())
         .next()
         .expect("one journal segment");
-    let text = fs::read_to_string(&seg).unwrap();
-    let cut = text.len() - text.len() / 10;
-    fs::write(&seg, &text.as_bytes()[..cut]).unwrap();
-    let whole_lines = text[..cut].matches('\n').count();
-    assert!(whole_lines < kill_at, "the cut must tear real records");
+    let bytes = fs::read(&seg).unwrap();
+    let ends = record_ends(&bytes);
+    assert_eq!((ends.len(), ends.last()), (kill_at, Some(&bytes.len())));
+    let cut = bytes.len() - bytes.len() / 10;
+    assert!(!ends.contains(&cut), "the cut must land inside a record");
+    fs::write(&seg, &bytes[..cut]).unwrap();
+    let whole_records = ends.iter().filter(|&&end| end <= cut).count();
+    assert!(whole_records < kill_at, "the cut must tear real records");
 
     let (mut durable, report) =
         DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
     assert!(report.started_fresh);
     assert_eq!(
-        report.resumed_at_seq, whole_lines as u64,
+        report.resumed_at_seq, whole_records as u64,
         "every intact record replays, the torn one is discarded"
     );
-    assert!(report.journal_truncated_records >= 1);
+    assert_eq!(
+        report.journal_truncated_records, 1,
+        "one torn tail, counted once"
+    );
     // Re-feed everything the tear lost, then the rest of the stream.
-    for e in &events[whole_lines..] {
+    for e in &events[whole_records..] {
         durable.ingest(e).unwrap();
     }
     let result = durable.finish();
@@ -471,14 +475,15 @@ fn mid_journal_damage_is_a_typed_error_not_a_panic() {
     let tmp = TempDir::new("mid-journal");
     run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
 
-    // Damage a record in the FIRST segment; the later segments cannot
-    // bridge the hole, so the journal is unrecoverable and must say so.
+    // Damage record 2 in the FIRST segment (one payload byte); the later
+    // segments cannot bridge the hole, so the journal is unrecoverable
+    // and must say so.
     let first_seg = tmp.path().join("journal").join("seg-000000000001.jl");
-    let text = fs::read_to_string(&first_seg).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 3);
-    lines[1] = "{\"seq\":2,\"fnv\":\"0000000000000000\",\"event\":null}";
-    fs::write(&first_seg, format!("{}\n", lines.join("\n"))).unwrap();
+    let mut bytes = fs::read(&first_seg).unwrap();
+    let ends = record_ends(&bytes);
+    assert!(ends.len() >= 3);
+    bytes[ends[0] + HEADER_LEN + 1] ^= 0x20;
+    fs::write(&first_seg, &bytes).unwrap();
 
     let err = match DurableStream::recover(tmp.path(), &data, config, policy) {
         Ok(_) => panic!("mid-journal damage must not recover silently"),
@@ -578,24 +583,22 @@ fn snapshot_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
     files
 }
 
-/// First line of a snapshot file, parsed as the JSON header.
-fn header_json(path: &Path) -> serde_json::Value {
-    let text = fs::read_to_string(path).unwrap();
-    let line = text.lines().next().expect("header line");
-    serde_json::from_str(line).expect("parseable header")
+/// `[seq, parent_seq, parent_fnv]`: a snapshot file's chain block.
+fn chain_block(path: &Path) -> [u64; 3] {
+    let bytes = fs::read(path).unwrap();
+    let block = &bytes[HEADER_LEN..HEADER_LEN + CHAIN_LEN];
+    std::array::from_fn(|i| u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap()))
 }
 
-/// Rewrite a snapshot file's header in place (payload untouched).
-fn rewrite_header(path: &Path, mutate: impl FnOnce(&mut serde_json::Value)) {
-    let text = fs::read_to_string(path).unwrap();
-    let (line, payload) = text.split_once('\n').expect("header + payload");
-    let mut header: serde_json::Value = serde_json::from_str(line).unwrap();
-    mutate(&mut header);
-    fs::write(
-        path,
-        format!("{}\n{payload}", serde_json::to_string(&header).unwrap()),
-    )
-    .unwrap();
+/// Rewrite a snapshot file's payload (chain block + JSON) in place and
+/// re-seal its envelope, so the file is internally consistent again.
+fn reseal(path: &Path, mutate: impl FnOnce(&mut Vec<u8>)) {
+    let bytes = fs::read(path).unwrap();
+    let mut payload = bytes[HEADER_LEN..].to_vec();
+    mutate(&mut payload);
+    let magic: [u8; 4] = bytes[..4].try_into().unwrap();
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    fs::write(path, envelope(magic, version, bytes[18], &payload)).unwrap();
 }
 
 /// A policy that writes short delta chains: a full base every 3rd
@@ -721,10 +724,10 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
                 fs::write(b, ab).unwrap();
             }
             ChainFault::CorruptParentHash => {
-                // The newest delta's header lies about its parent hash;
-                // both payloads stay intact.
-                rewrite_header(deltas.last().unwrap(), |h| {
-                    h["parent_fnv"] = serde_json::Value::String("deadbeefdeadbeef".into());
+                // The newest delta lies about its parent hash, under an
+                // honest envelope; both JSON payloads stay intact.
+                reseal(deltas.last().unwrap(), |payload| {
+                    payload[16..24].copy_from_slice(&0xdead_beef_dead_beef_u64.to_le_bytes());
                 });
             }
         }
@@ -765,7 +768,9 @@ fn future_version_delta_is_skipped_not_fatal() {
     run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
     let deltas = snapshot_files(tmp.path(), "dckpt");
     let victim = deltas.last().expect("fixture writes deltas");
-    rewrite_header(victim, |h| h["version"] = serde_json::json!(99));
+    let mut bytes = fs::read(victim).unwrap();
+    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
+    fs::write(victim, bytes).unwrap();
 
     let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy)
         .expect("a future-version delta must not abort recovery");
@@ -816,23 +821,19 @@ fn pruning_never_orphans_a_retained_delta() {
         "retention still bounds the number of bases"
     );
     // Every retained delta's transitive parent chain ends at an on-disk
-    // base: follow parent_seq header pointers through the delta set.
-    let delta_by_seq: std::collections::BTreeMap<u64, &PathBuf> = deltas
-        .iter()
-        .map(|p| (header_json(p)["seq"].as_u64().unwrap(), p))
-        .collect();
-    let base_seqs: std::collections::BTreeSet<u64> = bases
-        .iter()
-        .map(|p| header_json(p)["seq"].as_u64().unwrap())
-        .collect();
+    // base: follow parent_seq pointers through the delta set.
+    let delta_by_seq: std::collections::BTreeMap<u64, &PathBuf> =
+        deltas.iter().map(|p| (chain_block(p)[0], p)).collect();
+    let base_seqs: std::collections::BTreeSet<u64> =
+        bases.iter().map(|p| chain_block(p)[0]).collect();
     for path in &deltas {
-        let mut cur = header_json(path)["parent_seq"].as_u64().unwrap();
+        let mut cur = chain_block(path)[1];
         let mut hops = 0;
         while !base_seqs.contains(&cur) {
             let parent = delta_by_seq
                 .get(&cur)
                 .unwrap_or_else(|| panic!("{} orphaned: no snapshot at seq {cur}", path.display()));
-            cur = header_json(parent)["parent_seq"].as_u64().unwrap();
+            cur = chain_block(parent)[1];
             hops += 1;
             assert!(hops <= deltas.len(), "parent walk must terminate");
         }
@@ -854,23 +855,42 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A snapshot file split into its header line (newline included) and its
-/// payload (the file's trailing newline checked and removed).
-fn header_and_payload(path: &Path) -> (String, String) {
-    let text = fs::read_to_string(path).unwrap();
-    let (header, rest) = text.split_once('\n').expect("header line");
-    let payload = rest
-        .strip_suffix('\n')
-        .expect("payload ends in one newline");
-    assert!(!payload.contains('\n'), "the payload is one line");
-    (format!("{header}\n"), payload.to_string())
+/// The envelope every durable file wears, restated: magic, version
+/// (u16 LE), payload length (u32 LE), FNV-1a 64 of kind + payload
+/// (u64 LE), kind, payload.
+const HEADER_LEN: usize = 19;
+
+/// A snapshot payload's chain block: `seq`, `parent_seq`, `parent_fnv`.
+const CHAIN_LEN: usize = 24;
+
+fn envelope(magic: [u8; 4], version: u16, kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut hashed = vec![kind];
+    hashed.extend_from_slice(payload);
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
+    out.extend_from_slice(&hashed);
+    out
 }
 
-/// The on-disk format, byte for byte: the snapshot header lines (key
-/// order, zero-padded hex hashes, trailing newline), one journal record,
-/// and the file-name sequence the default cadence writes. A refactor of
-/// the writer must leave this test alone; a format change re-blesses it
-/// on purpose.
+/// Where each record of a journal segment ends, read from the length
+/// fields alone.
+fn record_ends(segment: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while at + HEADER_LEN <= segment.len() {
+        let len = u32::from_le_bytes(segment[at + 6..at + 10].try_into().unwrap());
+        at += HEADER_LEN + len as usize;
+        ends.push(at);
+    }
+    ends
+}
+
+/// The on-disk format, byte for byte: the snapshot envelopes (magic,
+/// version, hash, chain block), one journal record, and the file-name
+/// sequence the default cadence writes. A refactor of the writer must
+/// leave this test alone; a format change re-blesses it on purpose.
 #[test]
 fn on_disk_format_is_pinned() {
     let data = run(&ScenarioParams::tiny(9));
@@ -910,43 +930,57 @@ fn on_disk_format_is_pinned() {
         .collect();
     assert_eq!(names, expected);
 
-    // A full base's header.
-    let (base_header, base_payload) = header_and_payload(&tmp.path().join(&names[7]));
-    let base_fnv = fnv1a64(base_payload.as_bytes());
+    // A full base: envelope "FLCK" version 2, kind 1 (chain block +
+    // JSON), its chain block naming no parent.
+    let base = fs::read(tmp.path().join(&names[7])).unwrap();
+    let base_json = &base[HEADER_LEN + CHAIN_LEN..];
+    let chain = [80u64, 0, 0].map(u64::to_le_bytes).concat();
     assert_eq!(
-        base_header,
-        format!(
-            "{{\"magic\":\"faultline-checkpoint\",\"version\":1,\"seq\":80,\"payload_len\":{},\"payload_fnv\":\"{base_fnv:016x}\"}}\n",
-            base_payload.len()
-        )
+        base,
+        envelope(*b"FLCK", 2, 1, &[&chain[..], base_json].concat())
     );
-    assert!(base_payload.starts_with("{\"seq\":80,\"config\":{"));
+    assert_eq!(&base[..6], b"FLCK\x02\x00");
+    assert!(base_json.starts_with(b"{\"seq\":80,\"config\":{"));
+    let base_fnv = u64::from_le_bytes(base[10..18].try_into().unwrap());
 
-    // The delta chained to it: parent pointer and parent hash first.
-    let (delta_header, delta_payload) = header_and_payload(&tmp.path().join(&names[8]));
+    // The delta chained to it: "FLDT" version 2, parent pointer and the
+    // parent's envelope hash in its chain block.
+    let delta = fs::read(tmp.path().join(&names[8])).unwrap();
+    let delta_json = &delta[HEADER_LEN + CHAIN_LEN..];
+    let chain = [90u64, 80, base_fnv].map(u64::to_le_bytes).concat();
     assert_eq!(
-        delta_header,
-        format!(
-            "{{\"magic\":\"faultline-delta\",\"version\":1,\"seq\":90,\"parent_seq\":80,\"parent_fnv\":\"{base_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
-            delta_payload.len(),
-            fnv1a64(delta_payload.as_bytes())
-        )
+        delta,
+        envelope(*b"FLDT", 2, 1, &[&chain[..], delta_json].concat())
     );
-    assert!(delta_payload.starts_with("{\"seq\":90,\"parent_seq\":80,"));
+    assert!(delta_json.starts_with(b"{\"seq\":90,\"parent_seq\":80,"));
 
-    // The first journal record, rebuilt from the event and as a literal.
-    let journal = fs::read_to_string(tmp.path().join("journal/seg-000000000001.jl")).unwrap();
-    let first = journal.split_inclusive('\n').next().unwrap();
-    let event = serde_json::to_string(&events[0]).unwrap();
+    // The first journal record: envelope "FLJR" version 2, kind 1, around
+    // seq 1 (varint) and the event's codec row — rebuilt from the event
+    // and as a literal.
+    let journal = fs::read(tmp.path().join("journal/seg-000000000001.jl")).unwrap();
+    let first = &journal[..record_ends(&journal)[0]];
+    let mut row = vec![1u8];
+    faultline_core::codec::encode_event(&events[0], &mut row);
+    assert_eq!(first, envelope(*b"FLJR", 2, 1, &row));
     assert_eq!(
-        first,
-        format!(
-            "{{\"seq\":1,\"fnv\":\"{:016x}\",\"event\":{event}}}\n",
-            fnv1a64(event.as_bytes())
-        )
+        hex(first),
+        [
+            "464c4a52",                       // magic "FLJR"
+            "0200",                           // version 2
+            "24000000",                       // payload: 36 bytes
+            "680c406f438497b7",               // FNV-1a 64 of kind + payload
+            "01",                             // kind: one record
+            "01",                             // seq 1
+            "01",                             // syslog event
+            "01e4d7df14",                     // router seq 1, at 43510756 ms
+            "0a7364672d6167672d3031",         // host "sdg-agg-01"
+            "0e54656e47696745302f302f302f30", // interface "TenGigE0/0/0/0"
+            "010000",                         // %LINK-3-UPDOWN, down, IOS
+        ]
+        .concat()
     );
-    assert_eq!(
-        first,
-        "{\"seq\":1,\"fnv\":\"c29e8b8327f946d2\",\"event\":{\"Syslog\":{\"seq\":1,\"event\":{\"at\":43510756,\"host\":\"sdg-agg-01\",\"interface\":\"TenGigE0/0/0/0\",\"kind\":\"Link\",\"up\":false},\"os\":\"Ios\"}}}\n"
-    );
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
