@@ -1,9 +1,10 @@
 //! Crash-recovery benchmark: run the paper-scale scenario through
 //! [`faultline_core::DurableStream`], measure checkpoint size and write
 //! latency along an uninterrupted run, then kill the run at several
-//! points and measure how long recovery (checkpoint load + journal
-//! replay) takes — proving every resumed run byte-identical to the
-//! batch pipeline. Datapoints land in `results/BENCH_recovery.json`.
+//! points and measure how long recovery (checkpoint load, journal replay
+//! and the compaction checkpoint) takes — proving every resumed run
+//! byte-identical to the batch pipeline. Datapoints land in
+//! `results/BENCH_recovery.json`.
 //!
 //! ```sh
 //! cargo run --release --bin recovery_replay
@@ -13,12 +14,15 @@
 //!
 //! 1. **Checkpoint cost curve** — an uninterrupted durable run that
 //!    checkpoints manually every `CKPT_EVERY` events, recording each
-//!    snapshot's serialized size and wall-clock write latency;
+//!    snapshot file's size and wall-clock write latency;
 //! 2. **Recovery-time curve** — independent runs killed (dropped
 //!    without flush) at 10/30/50/70/90% of the stream under the
 //!    automatic checkpoint cadence, then recovered; each datapoint
 //!    records which checkpoint the supervisor landed on, how many
-//!    journal records it replayed, and the end-to-end recovery time;
+//!    journal records it replayed, and the end-to-end recovery time
+//!    (`RecoveryReport::recover_micros`, which includes the compaction
+//!    checkpoint written after a replay; baselines recorded before it
+//!    did left that write out);
 //! 3. **Fsync cost curve** — uninterrupted runs with checkpoints off
 //!    and the journal's group-commit cadence
 //!    (`DurabilityPolicy::fsync_every_n_records`) swept from never to

@@ -1,15 +1,17 @@
-//! The binary event codec: the one place that knows the byte layout of
-//! a [`StreamEvent`].
+//! The binary codec: the one place that knows the byte layout of a
+//! [`StreamEvent`] and of a snapshot payload.
 //!
 //! The shard wire ([`crate::transport`]) carries every
 //! [`crate::transport::ShardMsg::Events`] batch as one *run* in this
-//! layout, and the write-ahead journal ([`crate::recovery`]) stores each
-//! event as one *record*; `scripts/check_codec_single_source.sh` fails
-//! CI if the tag constants or the encode/decode functions appear in any
-//! other module. The codec does no framing and no integrity hashing of
-//! its own — the [`crate::envelope`] around it owns length and FNV.
+//! layout, the write-ahead journal ([`crate::recovery`]) stores each
+//! event as one *record*, and every checkpoint and delta file stores its
+//! [`StreamCheckpoint`] or [`StreamDelta`] as one *snapshot payload*;
+//! `scripts/check_codec_single_source.sh` fails CI if the tag constants
+//! or the event encode/decode functions appear in any other module. The
+//! codec does no framing and no integrity hashing of its own — the
+//! [`crate::envelope`] around it owns length and FNV.
 //!
-//! # Layout
+//! # Event layout
 //!
 //! ```text
 //! run      := count:varint event{count}       a frame's event batch
@@ -34,22 +36,107 @@
 //!
 //! A run is **self-contained**: no dictionary or base timestamp carries
 //! over from an earlier run, so a respawned or resharded worker can
-//! decode whichever frame it sees first. Decoding is **total**: every
-//! malformed input is a typed [`CodecError`], never a panic, and nothing
-//! is allocated on the word of a length or count the remaining input
-//! could not possibly back.
+//! decode whichever frame it sees first.
+//!
+//! # Snapshot layout
+//!
+//! A snapshot payload is a host dictionary, then one row. A struct's row
+//! is its fields in declaration order, each in its type's layout, with
+//! no names and no tags: the file's format version pins the struct
+//! definitions it was written against. Each struct's field list is
+//! written once, in a `rows!` invocation next to the struct (private
+//! fields) or in this module (public ones); encoding destructures
+//! without `..` and decoding builds a struct literal, so a field added
+//! to a struct does not compile until its row lists it.
+//!
+//! ```text
+//! payload    := hosts:vec<str> (checkpoint | delta)
+//! checkpoint := seq:u64 config watermark:opt<time> messages:vec<message>
+//!               resolve_stats is_stats:merge_stats ip_stats:merge_stats
+//!               events_syslog events_isis batches late_events open_items
+//!               open_items_hwm quarantined_syslog quarantined_isis:u64
+//!               lanes:vec<lane>
+//! delta      := seq parent_seq:u64 watermark:opt<time>
+//!               messages_base_len:u64 messages_tail:vec<message>
+//!               resolve_stats is_stats ip_stats   the eight u64 counters
+//!               of a checkpoint, in its order     lanes:vec<lane_delta>
+//! config     := match_window dedup_window flap_gap flap_pad long_threshold
+//!               ticket_slack short_fp_threshold:time strategy:u8
+//!               threads chunk_size:usize quarantine_horizon:opt<time>
+//! message    := at:time link:u32 direction:u8 family:u8 host detail:opt<u8>
+//! host       := index:varint                    into the payload's hosts
+//! lane       := link:u32 link_id:opt<u32> resolvable:bool
+//!               dedup_last:opt<(time direction:u8)> is_merge ip_merge:merge
+//!               is_emitted ip_emitted syslog_emitted:vec<transition>
+//!               isis_recon syslog_recon:recon isis_sanitize syslog_sanitize:sanitize
+//!               san_isis san_syslog:vec<failure> seg_start_isis seg_start_syslog:usize
+//!               seg_max_end:opt<time> matched partial:vec<(usize usize)>
+//!               segments_closed:u64 flap_last_end:opt<time> flap_run:u32
+//!               flap_episodes:u64
+//! lane_delta := 0x00 lane | 0x01 lane_tail
+//! lane_tail  := a lane whose recons are recon_tails and whose vec fields
+//!               (`is_emitted` … `partial`) are each `v_base:u64 v_tail:vec<…>`
+//! merge      := advertised:vec<(sysid:6 up:bool)> down_count:u32 inconsistent:u64
+//! recon      := open last_at:opt<time> last_dir:opt<u8> pending:opt<failure>
+//!               failures:vec<failure> ambiguous:vec<ambiguous> boundary_ups:u32
+//! recon_tail := open last_at last_dir pending failures_base:u64 failures_tail
+//!               ambiguous_base:u64 ambiguous_tail boundary_ups
+//! transition := at:time link:u32 direction:u8
+//! failure    := link:u32 start end:time
+//! ambiguous  := link:u32 first second:time direction:u8
+//! sanitize   := removed_offline removed_offline_ms long_checked long_removed
+//!               long_removed_ms:u64
+//! resolve_stats := isis_resolved physical_resolved lineproto_skipped unresolved:u64
+//! merge_stats   := raw unresolvable_multilink unknown inconsistent emitted:u64
+//! opt<T>     := 0x00 | 0x01 T
+//! vec<T>     := count:varint T{count}
+//! time, u64, u32, usize := varint           milliseconds for a time
+//! bool       := 0x00 | 0x01
+//! ```
+//!
+//! The enum bytes are the event layout's, plus `family`: 0 IS-IS
+//! adjacency / 1 physical media, and `strategy`: 0 previous state /
+//! 1 assume down / 2 assume up. **Hostnames** are the one string a
+//! snapshot repeats — every resolved message names its reporting router
+//! — so each distinct host is spelled once, in `hosts`, and a message
+//! stores its index there. The dictionary is the payload's own: a file
+//! decodes without the scenario, and the writer thread, which has no
+//! link table, builds it while it encodes. Decoding makes one `Arc<str>`
+//! per entry and shares it across every message that names it.
+//!
+//! # Totality
+//!
+//! Decoding is **total**: every malformed input is a typed
+//! [`CodecError`], never a panic. A count is checked against the bytes
+//! left (at its element's shortest row) before anything is reserved, so
+//! nothing is allocated on the word of a count or length the remaining
+//! input could not back. Every enum byte, dictionary index and
+//! `u32`/`usize` narrowing is checked, and bytes after the last row are
+//! an error.
 
+use crate::analysis::AnalysisConfig;
 use crate::error::CodecError;
-use crate::streaming::StreamEvent;
+use crate::intern::FastMap;
+use crate::kernel::{LaneDelta, LaneSnapshot, LaneTail};
+use crate::linktable::LinkIx;
+use crate::par::ParallelismConfig;
+use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure};
+use crate::sanitize::SanitizeReport;
+use crate::streaming::{StreamCheckpoint, StreamDelta, StreamEvent};
+use crate::transitions::{
+    IsisMergeStats, LinkTransition, MessageFamily, ResolvedMessage, SyslogResolveStats,
+};
 use faultline_isis::listener::{
     ReachabilityKind, Transition, TransitionDirection, TransitionSubject,
 };
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
 use faultline_topology::interface::InterfaceName;
+use faultline_topology::link::LinkId;
 use faultline_topology::osi::SystemId;
 use faultline_topology::router::RouterOs;
-use faultline_topology::time::Timestamp;
+use faultline_topology::time::{Duration, Timestamp};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 const TAG_SYSLOG: u8 = 0x01;
 const TAG_ISIS: u8 = 0x02;
@@ -61,6 +148,9 @@ const FAMILY_LINEPROTO: u8 = 0x02;
 const SUBJECT_ADJACENCY: u8 = 0x00;
 const SUBJECT_PREFIX: u8 = 0x01;
 
+const LANE_FULL: u8 = 0x00;
+const LANE_TAIL: u8 = 0x01;
+
 /// The shortest encoding any event can have (a syslog event with empty
 /// strings and one-byte varints). A run's declared count is checked
 /// against `remaining / MIN_EVENT_LEN` before anything is reserved.
@@ -69,6 +159,60 @@ const MIN_EVENT_LEN: usize = 8;
 /// Rough bytes per event at paper scale, used only to pre-size the
 /// output buffer.
 const TYPICAL_EVENT_LEN: usize = 40;
+
+/// A fieldless enum stored as one byte, checked on the way in.
+trait Tag: Copy {
+    /// What a byte naming no variant is reported as.
+    const FIELD: &'static str;
+    fn tag(self) -> u8;
+    fn from_tag(byte: u8) -> Option<Self>;
+}
+
+/// Give each listed enum its byte per variant — the one table for both
+/// layouts — and, as a snapshot row, that byte.
+macro_rules! tags {
+    ($($ty:ident as $field:literal { $($variant:ident = $byte:literal),+ $(,)? })*) => {$(
+        impl Tag for $ty {
+            const FIELD: &'static str = $field;
+            fn tag(self) -> u8 {
+                match self {
+                    $($ty::$variant => $byte,)+
+                }
+            }
+            fn from_tag(byte: u8) -> Option<Self> {
+                match byte {
+                    $($byte => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl Row for $ty {
+            const MIN_LEN: usize = 1;
+            fn put(&self, w: &mut RowWriter<'_>) {
+                w.out.push(self.tag());
+            }
+            fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+                r.cur.tag()
+            }
+        }
+    )*};
+}
+
+tags! {
+    AdjChangeDetail as "adjacency detail" {
+        NewAdjacency = 0,
+        HoldTimeExpired = 1,
+        InterfaceDown = 2,
+        AdjacencyReset = 3,
+        Other = 4,
+    }
+    RouterOs as "router os" { Ios = 0, IosXr = 1 }
+    ReachabilityKind as "reachability kind" { IsReach = 0, IpReach = 1 }
+    TransitionDirection as "transition direction" { Down = 0, Up = 1 }
+    MessageFamily as "message family" { IsisAdjacency = 0, PhysicalMedia = 1 }
+    AmbiguityStrategy as "ambiguity strategy" { PreviousState = 0, AssumeDown = 1, AssumeUp = 2 }
+}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -100,31 +244,19 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
                 LinkEventKind::IsisAdjacency { neighbor, detail } => {
                     out.push(FAMILY_ADJACENCY);
                     put_str(out, neighbor);
-                    out.push(match detail {
-                        AdjChangeDetail::NewAdjacency => 0,
-                        AdjChangeDetail::HoldTimeExpired => 1,
-                        AdjChangeDetail::InterfaceDown => 2,
-                        AdjChangeDetail::AdjacencyReset => 3,
-                        AdjChangeDetail::Other => 4,
-                    });
+                    out.push(detail.tag());
                 }
                 LinkEventKind::Link => out.push(FAMILY_LINK),
                 LinkEventKind::LineProtocol => out.push(FAMILY_LINEPROTO),
             }
             out.push(u8::from(m.event.up));
-            out.push(match m.os {
-                RouterOs::Ios => 0,
-                RouterOs::IosXr => 1,
-            });
+            out.push(m.os.tag());
         }
         StreamEvent::Isis(t) => {
             out.push(TAG_ISIS);
             put_varint(out, t.at.as_millis());
             out.extend_from_slice(&t.source.0);
-            out.push(match t.kind {
-                ReachabilityKind::IsReach => 0,
-                ReachabilityKind::IpReach => 1,
-            });
+            out.push(t.kind.tag());
             match t.subject {
                 TransitionSubject::Adjacency { neighbor } => {
                     out.push(SUBJECT_ADJACENCY);
@@ -136,10 +268,7 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
                     out.push(prefix_len);
                 }
             }
-            out.push(match t.direction {
-                TransitionDirection::Down => 0,
-                TransitionDirection::Up => 1,
-            });
+            out.push(t.direction.tag());
         }
     }
 }
@@ -204,6 +333,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    fn tag<T: Tag>(&mut self) -> Result<T, CodecError> {
+        let found = self.byte()?;
+        T::from_tag(found).ok_or_else(|| self.bad_tag(T::FIELD, found))
+    }
+
     fn varint(&mut self) -> Result<u64, CodecError> {
         let offset = self.pos;
         let mut v = 0u64;
@@ -222,15 +356,42 @@ impl<'a> Cursor<'a> {
         Err(CodecError::VarintOverflow { offset })
     }
 
-    fn string(&mut self) -> Result<String, CodecError> {
+    /// A varint that must fit the narrower integer `T`.
+    fn narrow<T: TryFrom<u64>>(&mut self) -> Result<T, CodecError> {
+        let offset = self.pos;
+        let value = self.varint()?;
+        T::try_from(value).map_err(|_| CodecError::OutOfRange { value, offset })
+    }
+
+    /// A count of items of at least `min_len` bytes each, refused before
+    /// anything is reserved if the rest of the input could not hold them.
+    fn count(&mut self, min_len: usize) -> Result<usize, CodecError> {
+        let claimed = self.varint()?;
+        let max = (self.bytes.len() - self.pos) / min_len.max(1);
+        if claimed > max as u64 {
+            return Err(CodecError::CountExceedsInput { claimed, max });
+        }
+        Ok(claimed as usize)
+    }
+
+    fn str(&mut self) -> Result<&'a str, CodecError> {
         let offset = self.pos;
         let len = self.varint()?;
         // A length no input could back fails here, before any allocation.
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         let bytes = self.take(len)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => Err(CodecError::BadUtf8 { offset }),
+        std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8 { offset })
+    }
+
+    fn string(&mut self) -> Result<String, CodecError> {
+        self.str().map(str::to_owned)
+    }
+
+    /// The input must end here.
+    fn end(&self) -> Result<(), CodecError> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            extra => Err(CodecError::TrailingBytes { extra }),
         }
     }
 
@@ -244,14 +405,7 @@ impl<'a> Cursor<'a> {
                 let kind = match self.byte()? {
                     FAMILY_ADJACENCY => LinkEventKind::IsisAdjacency {
                         neighbor: self.string()?,
-                        detail: match self.byte()? {
-                            0 => AdjChangeDetail::NewAdjacency,
-                            1 => AdjChangeDetail::HoldTimeExpired,
-                            2 => AdjChangeDetail::InterfaceDown,
-                            3 => AdjChangeDetail::AdjacencyReset,
-                            4 => AdjChangeDetail::Other,
-                            found => return Err(self.bad_tag("adjacency detail", found)),
-                        },
+                        detail: self.tag()?,
                     },
                     FAMILY_LINK => LinkEventKind::Link,
                     FAMILY_LINEPROTO => LinkEventKind::LineProtocol,
@@ -262,11 +416,7 @@ impl<'a> Cursor<'a> {
                     1 => true,
                     found => return Err(self.bad_tag("up flag", found)),
                 };
-                let os = match self.byte()? {
-                    0 => RouterOs::Ios,
-                    1 => RouterOs::IosXr,
-                    found => return Err(self.bad_tag("router os", found)),
-                };
+                let os = self.tag()?;
                 Ok(StreamEvent::Syslog(SyslogMessage {
                     seq,
                     event: LinkEvent {
@@ -282,11 +432,7 @@ impl<'a> Cursor<'a> {
             TAG_ISIS => {
                 let at = Timestamp::from_millis(self.varint()?);
                 let source = SystemId(self.array()?);
-                let kind = match self.byte()? {
-                    0 => ReachabilityKind::IsReach,
-                    1 => ReachabilityKind::IpReach,
-                    found => return Err(self.bad_tag("reachability kind", found)),
-                };
+                let kind = self.tag()?;
                 let subject = match self.byte()? {
                     SUBJECT_ADJACENCY => TransitionSubject::Adjacency {
                         neighbor: SystemId(self.array()?),
@@ -297,11 +443,7 @@ impl<'a> Cursor<'a> {
                     },
                     found => return Err(self.bad_tag("transition subject", found)),
                 };
-                let direction = match self.byte()? {
-                    0 => TransitionDirection::Down,
-                    1 => TransitionDirection::Up,
-                    found => return Err(self.bad_tag("transition direction", found)),
-                };
+                let direction = self.tag()?;
                 Ok(StreamEvent::Isis(Transition {
                     at,
                     source,
@@ -329,10 +471,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<(u64, StreamEvent), CodecError> {
     let mut cursor = Cursor { bytes, pos: 0 };
     let seq = cursor.varint()?;
     let event = cursor.event()?;
-    match bytes.len() - cursor.pos {
-        0 => Ok((seq, event)),
-        extra => Err(CodecError::TrailingBytes { extra }),
-    }
+    cursor.end()?;
+    Ok((seq, event))
 }
 
 /// Decode one run — all of `bytes` — appending its events to `out`. On
@@ -340,19 +480,349 @@ pub fn decode_record(bytes: &[u8]) -> Result<(u64, StreamEvent), CodecError> {
 /// care truncate it back.
 pub fn decode_events(bytes: &[u8], out: &mut Vec<StreamEvent>) -> Result<(), CodecError> {
     let mut cursor = Cursor { bytes, pos: 0 };
-    let claimed = cursor.varint()?;
-    let max = (bytes.len() - cursor.pos) / MIN_EVENT_LEN;
-    if claimed > max as u64 {
-        return Err(CodecError::CountExceedsInput { claimed, max });
-    }
-    out.reserve(claimed as usize);
-    for _ in 0..claimed {
+    let count = cursor.count(MIN_EVENT_LEN)?;
+    out.reserve(count);
+    for _ in 0..count {
         out.push(cursor.event()?);
     }
-    match bytes.len() - cursor.pos {
-        0 => Ok(()),
-        extra => Err(CodecError::TrailingBytes { extra }),
+    cursor.end()
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot rows
+// ---------------------------------------------------------------------------
+
+/// A value with one row layout in a snapshot payload.
+pub(crate) trait Row: Sized {
+    /// The fewest bytes any value's row takes: what a count of these is
+    /// checked against before anything is reserved. At least 1.
+    const MIN_LEN: usize;
+    fn put(&self, w: &mut RowWriter<'_>);
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError>;
+}
+
+/// Where rows are encoded: the output, and the host dictionary built on
+/// the way.
+pub(crate) struct RowWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Every distinct host met so far, in dictionary order.
+    hosts: Vec<Arc<str>>,
+    index: FastMap<Arc<str>, u64>,
+}
+
+/// Where rows are decoded from: the input, and the payload's dictionary.
+pub(crate) struct RowReader<'a> {
+    cur: Cursor<'a>,
+    hosts: Vec<Arc<str>>,
+}
+
+/// `T::MIN_LEN` for the field `_field` reads — lets `rows!` sum a
+/// struct's minimum from its field names alone.
+pub(crate) const fn min_len<S, T: Row>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_LEN
+}
+
+/// Give each listed struct its row: the named fields, in the order
+/// listed, which is the declaration order. Invoke it where the fields
+/// are visible.
+macro_rules! rows {
+    ($($ty:ident { $($field:ident),+ $(,)? })*) => {$(
+        impl $crate::codec::Row for $ty {
+            const MIN_LEN: usize = 0 $(+ $crate::codec::min_len(|s: &$ty| &s.$field))+;
+            fn put(&self, w: &mut $crate::codec::RowWriter<'_>) {
+                let $ty { $($field),+ } = self;
+                $($crate::codec::Row::put($field, w);)+
+            }
+            fn get(
+                r: &mut $crate::codec::RowReader<'_>,
+            ) -> Result<Self, $crate::error::CodecError> {
+                Ok($ty {
+                    $($field: $crate::codec::Row::get(r)?,)+
+                })
+            }
+        }
+    )*};
+}
+pub(crate) use rows;
+
+impl Row for u64 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, *self);
     }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.varint()
+    }
+}
+
+impl Row for u32 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, u64::from(*self));
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.narrow()
+    }
+}
+
+impl Row for usize {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, *self as u64);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.narrow()
+    }
+}
+
+impl Row for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        w.out.push(u8::from(*self));
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        match r.cur.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            found => Err(r.cur.bad_tag("bool", found)),
+        }
+    }
+}
+
+impl Row for Timestamp {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, self.as_millis());
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.varint().map(Timestamp::from_millis)
+    }
+}
+
+impl Row for Duration {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, self.as_millis());
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.varint().map(Duration::from_millis)
+    }
+}
+
+impl Row for LinkIx {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        self.0.put(w);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.narrow().map(LinkIx)
+    }
+}
+
+impl Row for LinkId {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        self.0.put(w);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.narrow().map(LinkId)
+    }
+}
+
+impl Row for SystemId {
+    const MIN_LEN: usize = 6;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        w.out.extend_from_slice(&self.0);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        r.cur.array().map(SystemId)
+    }
+}
+
+/// A hostname: its index in the payload's dictionary.
+impl Row for Arc<str> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        let index = match w.index.get(&**self) {
+            Some(&index) => index,
+            None => {
+                let index = w.hosts.len() as u64;
+                w.hosts.push(Arc::clone(self));
+                w.index.insert(Arc::clone(self), index);
+                index
+            }
+        };
+        put_varint(w.out, index);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        let offset = r.cur.pos;
+        let index = r.cur.varint()?;
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| r.hosts.get(i))
+            .map(Arc::clone)
+            .ok_or(CodecError::BadReference {
+                index,
+                len: r.hosts.len(),
+                offset,
+            })
+    }
+}
+
+impl<T: Row> Row for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        match self {
+            None => w.out.push(0),
+            Some(v) => {
+                w.out.push(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        match r.cur.byte()? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            found => Err(r.cur.bad_tag("option", found)),
+        }
+    }
+}
+
+impl<T: Row> Row for Vec<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        put_varint(w.out, self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        let count = r.cur.count(T::MIN_LEN)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Row, B: Row> Row for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, w: &mut RowWriter<'_>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl Row for LaneDelta {
+    const MIN_LEN: usize = 1 + if LaneSnapshot::MIN_LEN < LaneTail::MIN_LEN {
+        LaneSnapshot::MIN_LEN
+    } else {
+        LaneTail::MIN_LEN
+    };
+    fn put(&self, w: &mut RowWriter<'_>) {
+        match self {
+            LaneDelta::Full(lane) => {
+                w.out.push(LANE_FULL);
+                lane.put(w);
+            }
+            LaneDelta::Tail(tail) => {
+                w.out.push(LANE_TAIL);
+                tail.put(w);
+            }
+        }
+    }
+    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
+        match r.cur.byte()? {
+            LANE_FULL => LaneSnapshot::get(r).map(LaneDelta::Full),
+            LANE_TAIL => LaneTail::get(r).map(LaneDelta::Tail),
+            found => Err(r.cur.bad_tag("lane delta", found)),
+        }
+    }
+}
+
+rows! {
+    AnalysisConfig {
+        match_window,
+        dedup_window,
+        flap_gap,
+        flap_pad,
+        long_threshold,
+        ticket_slack,
+        short_fp_threshold,
+        strategy,
+        parallelism,
+        quarantine_horizon,
+    }
+    ParallelismConfig { threads, chunk_size }
+    SyslogResolveStats { isis_resolved, physical_resolved, lineproto_skipped, unresolved }
+    IsisMergeStats { raw, unresolvable_multilink, unknown, inconsistent, emitted }
+    SanitizeReport { removed_offline, removed_offline_ms, long_checked, long_removed, long_removed_ms }
+    LinkTransition { at, link, direction }
+    Failure { link, start, end }
+    AmbiguousPeriod { link, first, second, direction }
+    ResolvedMessage { at, link, direction, family, host, detail }
+}
+
+/// Append `value`'s snapshot payload to `out`: the host dictionary, then
+/// its row. The row is encoded in place and the dictionary, known only
+/// once the row is done, is slid in front of it.
+fn encode_payload<T: Row>(value: &T, out: &mut Vec<u8>) {
+    let start = out.len();
+    let mut w = RowWriter {
+        out,
+        hosts: Vec::new(),
+        index: FastMap::default(),
+    };
+    value.put(&mut w);
+    let RowWriter { out, hosts, .. } = w;
+    let mut dictionary = Vec::new();
+    put_varint(&mut dictionary, hosts.len() as u64);
+    for host in &hosts {
+        put_str(&mut dictionary, host);
+    }
+    out.splice(start..start, dictionary);
+}
+
+/// Decode one snapshot payload — all of `bytes`.
+fn decode_payload<T: Row>(bytes: &[u8]) -> Result<T, CodecError> {
+    let mut r = RowReader {
+        cur: Cursor { bytes, pos: 0 },
+        hosts: Vec::new(),
+    };
+    let count = r.cur.count(1)?;
+    r.hosts.reserve_exact(count);
+    for _ in 0..count {
+        let host = r.cur.str()?;
+        r.hosts.push(Arc::from(host));
+    }
+    let value = T::get(&mut r)?;
+    r.cur.end()?;
+    Ok(value)
+}
+
+/// Append a full checkpoint's snapshot payload to `out`.
+pub fn encode_checkpoint(ckpt: &StreamCheckpoint, out: &mut Vec<u8>) {
+    encode_payload(ckpt, out);
+}
+
+/// Decode a full checkpoint's snapshot payload — all of `bytes`.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<StreamCheckpoint, CodecError> {
+    decode_payload(bytes)
+}
+
+/// Append a delta's snapshot payload to `out`.
+pub fn encode_delta(delta: &StreamDelta, out: &mut Vec<u8>) {
+    encode_payload(delta, out);
+}
+
+/// Decode a delta's snapshot payload — all of `bytes`.
+pub fn decode_delta(bytes: &[u8]) -> Result<StreamDelta, CodecError> {
+    decode_payload(bytes)
 }
 
 #[cfg(test)]
@@ -520,5 +990,119 @@ mod tests {
             decode_events(&bad_utf8, &mut out),
             Err(CodecError::BadUtf8 { offset: 4 })
         ));
+    }
+
+    fn message(at: u64, host: &str) -> ResolvedMessage {
+        ResolvedMessage {
+            at: Timestamp::from_millis(at),
+            link: LinkIx(at as u32 % 3),
+            direction: TransitionDirection::Down,
+            family: MessageFamily::IsisAdjacency,
+            host: Arc::from(host),
+            detail: Some(AdjChangeDetail::InterfaceDown),
+        }
+    }
+
+    #[test]
+    fn each_host_is_spelled_once_and_shared_on_the_way_back() {
+        let hosts = ["lax-agg-01", "sac-agg-01", "lax-agg-01", "lax-agg-01"];
+        let messages: Vec<ResolvedMessage> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, h)| message(1_000 * i as u64, h))
+            .collect();
+        let mut out = vec![0xAA];
+        encode_payload(&messages, &mut out);
+        assert_eq!(out[0], 0xAA, "the payload is appended");
+        let payload = &out[1..];
+        assert_eq!(
+            &payload[..2],
+            &[2, 10],
+            "two hosts, the first ten bytes long"
+        );
+        assert_eq!(
+            payload
+                .windows(b"lax-agg-01".len())
+                .filter(|w| w == b"lax-agg-01")
+                .count(),
+            1
+        );
+        let back: Vec<ResolvedMessage> = decode_payload(payload).unwrap();
+        assert_eq!(back, messages);
+        assert!(Arc::ptr_eq(&back[0].host, &back[3].host));
+    }
+
+    #[test]
+    fn hostile_payloads_are_typed_errors() {
+        let mut good = Vec::new();
+        encode_payload(&vec![message(5, "a")], &mut good);
+        // hosts: 1 "a"; messages: 1; at 5, link 2, down, adjacency,
+        // host 0, detail Some(interface down).
+        assert_eq!(good, [1, 1, b'a', 1, 5, 2, 0, 0, 0, 1, 2]);
+        let decode = |bytes: &[u8]| decode_payload::<Vec<ResolvedMessage>>(bytes);
+        assert!(decode(&good).is_ok());
+
+        let mut index = good.clone();
+        index[8] = 1;
+        assert_eq!(
+            decode(&index),
+            Err(CodecError::BadReference {
+                index: 1,
+                len: 1,
+                offset: 8
+            })
+        );
+        let mut direction = good.clone();
+        direction[6] = 2;
+        assert!(matches!(
+            decode(&direction),
+            Err(CodecError::BadTag {
+                field: "transition direction",
+                found: 2,
+                offset: 6
+            })
+        ));
+        let mut link = good.clone();
+        link.splice(5..6, [0x80, 0x80, 0x80, 0x80, 0x10]);
+        assert!(matches!(
+            decode(&link),
+            Err(CodecError::OutOfRange {
+                value: 0x1_0000_0000,
+                offset: 5
+            })
+        ));
+        let mut bomb = vec![0];
+        put_varint(&mut bomb, 1 << 32);
+        bomb.extend_from_slice(&[0; 10]);
+        assert_eq!(
+            decode(&bomb),
+            Err(CodecError::CountExceedsInput {
+                claimed: 1 << 32,
+                max: 10 / ResolvedMessage::MIN_LEN
+            })
+        );
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(
+            decode(&trailing),
+            Err(CodecError::TrailingBytes { extra: 1 })
+        );
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_row_has_a_positive_minimum() {
+        for min in [
+            StreamCheckpoint::MIN_LEN,
+            StreamDelta::MIN_LEN,
+            LaneDelta::MIN_LEN,
+            ResolvedMessage::MIN_LEN,
+        ] {
+            assert!(min >= 1);
+        }
+        assert_eq!(ResolvedMessage::MIN_LEN, 6);
+        assert_eq!(Failure::MIN_LEN, 3);
     }
 }

@@ -196,10 +196,11 @@ impl fmt::Display for AnalysisError {
 
 impl Error for AnalysisError {}
 
-/// Why [`crate::codec`] could not decode a binary event run. Decoding is
-/// total: whatever the bytes, the answer is the events or one of these —
-/// never a panic, and never an allocation sized by a count or length the
-/// input could not back. Offsets are byte positions in the run.
+/// Why [`crate::codec`] could not decode an event run, a journal record
+/// or a snapshot payload. Decoding is total: whatever the bytes, the
+/// answer is the value or one of these — never a panic, and never an
+/// allocation sized by a count or length the input could not back.
+/// Offsets are byte positions in the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended inside a field.
@@ -230,18 +231,35 @@ pub enum CodecError {
         /// Where the string (its length prefix) starts.
         offset: usize,
     },
-    /// The run header claims more events than the rest of the input
-    /// could hold at the minimum event size; nothing was reserved.
+    /// A count claims more items than the rest of the input could hold
+    /// at the item's minimum size; nothing was reserved.
     CountExceedsInput {
-        /// Events the header claims.
+        /// Items the count claims.
         claimed: u64,
         /// The most the remaining bytes could encode.
         max: usize,
     },
-    /// Bytes remain after the last event of the run.
+    /// Bytes remain after the last event of a run or the row of a
+    /// record or payload.
     TrailingBytes {
         /// How many.
         extra: usize,
+    },
+    /// A snapshot payload's host index names no entry of its dictionary.
+    BadReference {
+        /// The index found.
+        index: u64,
+        /// Entries the dictionary holds.
+        len: usize,
+        /// Where the index sits.
+        offset: usize,
+    },
+    /// A varint holds more than its field's integer type can.
+    OutOfRange {
+        /// The value found.
+        value: u64,
+        /// Where the varint starts.
+        offset: usize,
     },
 }
 
@@ -254,7 +272,7 @@ impl fmt::Display for CodecError {
                 available,
             } => write!(
                 f,
-                "event run truncated at byte {offset}: field needs {needed} bytes, {available} left"
+                "truncated at byte {offset}: field needs {needed} bytes, {available} left"
             ),
             CodecError::BadTag {
                 field,
@@ -269,10 +287,17 @@ impl fmt::Display for CodecError {
             }
             CodecError::CountExceedsInput { claimed, max } => write!(
                 f,
-                "run claims {claimed} events but its bytes can hold at most {max}"
+                "count claims {claimed} items but the bytes left can hold at most {max}"
             ),
             CodecError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the last event of the run")
+                write!(f, "{extra} trailing bytes after the last row")
+            }
+            CodecError::BadReference { index, len, offset } => write!(
+                f,
+                "host index {index} at byte {offset} is past the {len}-entry dictionary"
+            ),
+            CodecError::OutOfRange { value, offset } => {
+                write!(f, "varint {value} at byte {offset} overflows its field")
             }
         }
     }

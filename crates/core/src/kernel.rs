@@ -34,6 +34,7 @@
 
 use crate::analysis::AnalysisConfig;
 use crate::arena::EventArena;
+use crate::codec::rows;
 use crate::intern::FastMap;
 use crate::linktable::{self, LinkIx, LinkTable};
 use crate::matching::{match_failures, FailureMatching};
@@ -633,6 +634,83 @@ pub(crate) struct MergeSnapshot {
     inconsistent: u64,
 }
 
+// The snapshot payload's rows for this module's images (see
+// `crate::codec`'s snapshot layout).
+rows! {
+    MergeSnapshot { advertised, down_count, inconsistent }
+    ReconSnapshot { open, last_at, last_dir, pending, failures, ambiguous, boundary_ups }
+    LaneSnapshot {
+        link,
+        link_id,
+        resolvable,
+        dedup_last,
+        is_merge,
+        ip_merge,
+        is_emitted,
+        ip_emitted,
+        syslog_emitted,
+        isis_recon,
+        syslog_recon,
+        isis_sanitize,
+        syslog_sanitize,
+        san_isis,
+        san_syslog,
+        seg_start_isis,
+        seg_start_syslog,
+        seg_max_end,
+        matched,
+        partial,
+        segments_closed,
+        flap_last_end,
+        flap_run,
+        flap_episodes,
+    }
+    ReconTail {
+        open,
+        last_at,
+        last_dir,
+        pending,
+        failures_base,
+        failures_tail,
+        ambiguous_base,
+        ambiguous_tail,
+        boundary_ups,
+    }
+    LaneTail {
+        link,
+        link_id,
+        resolvable,
+        dedup_last,
+        is_merge,
+        ip_merge,
+        is_emitted_base,
+        is_emitted_tail,
+        ip_emitted_base,
+        ip_emitted_tail,
+        syslog_emitted_base,
+        syslog_emitted_tail,
+        isis_recon,
+        syslog_recon,
+        isis_sanitize,
+        syslog_sanitize,
+        san_isis_base,
+        san_isis_tail,
+        san_syslog_base,
+        san_syslog_tail,
+        seg_start_isis,
+        seg_start_syslog,
+        seg_max_end,
+        matched_base,
+        matched_tail,
+        partial_base,
+        partial_tail,
+        segments_closed,
+        flap_last_end,
+        flap_run,
+        flap_episodes,
+    }
+}
+
 impl MergeState {
     fn snapshot(&self) -> MergeSnapshot {
         let mut advertised: Vec<(SystemId, bool)> =
@@ -693,9 +771,9 @@ impl ReconLane {
 }
 
 /// Serializable image of one [`LinkLane`] (field-for-field; the merge
-/// maps go through [`MergeSnapshot`] for deterministic bytes). The serde
-/// field names are a stable checkpoint-format contract — they predate the
-/// kernel extraction and must not drift with internal renames.
+/// maps go through [`MergeSnapshot`] for deterministic bytes). Its
+/// snapshot row is its fields in declaration order, so reordering them
+/// is a checkpoint-format change.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct LaneSnapshot {
     pub(crate) link: LinkIx,
@@ -976,8 +1054,7 @@ impl ReconLane {
 /// Incremental image of one [`LinkLane`] relative to the parent
 /// snapshot: bounded scalars and open state verbatim, every append-only
 /// history vector as a `(base length, tail)` pair. Like
-/// [`LaneSnapshot`], the serde field names are a stable delta-format
-/// contract.
+/// [`LaneSnapshot`], its field order is the delta format's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct LaneTail {
     pub(crate) link: LinkIx,

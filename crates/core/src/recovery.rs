@@ -48,7 +48,7 @@
 
 use crate::analysis::AnalysisConfig;
 use crate::codec;
-use crate::envelope::{Format, HEADER_LEN};
+use crate::envelope::Format;
 use crate::error::{FrameError, RecoveryError};
 use crate::observe::{self, DurabilityCounters};
 use crate::streaming::{
@@ -64,19 +64,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Checkpoint format version this build writes and reads. Version 1
-/// was a JSON header line; every durable file's version 1 did the same.
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// was a JSON header line (every durable file's version 1 did the same);
+/// version 2 was this envelope and chain block around a JSON payload.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
-/// Delta-snapshot format version this build writes and reads.
-pub const DELTA_VERSION: u16 = 2;
+/// Delta-snapshot format version this build writes and reads; its
+/// versions 1 and 2 were the checkpoint's.
+pub const DELTA_VERSION: u16 = 3;
 
 /// Journal format version this build writes and reads. Version 1 was
 /// one JSON line per record.
 pub const JOURNAL_VERSION: u16 = 2;
 
 /// The one payload kind each durable format defines: for a snapshot, a
-/// chain block then JSON; for a journal record, one
-/// [`codec::encode_record`] row.
+/// chain block then the [`codec`] snapshot payload (host dictionary and
+/// row); for a journal record, one [`codec::encode_record`] row.
 const KIND: u8 = 1;
 
 /// One journal record.
@@ -204,7 +206,8 @@ pub struct RecoveryReport {
     /// recovers fine).
     #[serde(default)]
     pub compacted: bool,
-    /// Wall-clock cost of the whole recovery (load + replay), in µs.
+    /// Wall-clock cost of the whole recovery (load, replay and the
+    /// compaction checkpoint), in µs.
     pub recover_micros: u64,
 }
 
@@ -348,26 +351,21 @@ fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
 }
 
 /// Encode one snapshot file — the only place a snapshot is laid out:
-/// its envelope around the chain block and the JSON payload. `parent`
-/// makes it a delta chained to that snapshot; without one it is a full
-/// base. Returns the bytes and their envelope hash. The header and chain
-/// block go in front of the rendered JSON in its own allocation, so a
-/// multi-megabyte snapshot is never held twice.
+/// its envelope around the chain block and the [`codec`] payload.
+/// `parent` makes it a delta chained to that snapshot; without one it is
+/// a full base. Returns the bytes and their envelope hash.
 fn encode_snapshot(snap: &Snapshot, parent: Option<ChainAnchor>) -> Result<(Vec<u8>, u64), String> {
     let format = snap.kind().format();
-    let mut head = Vec::with_capacity(HEADER_LEN + CHAIN_LEN);
-    format.open(&mut head, KIND);
+    let mut file = Vec::new();
+    format.open(&mut file, KIND);
     let (parent_seq, parent_fnv) = parent.unwrap_or((0, 0));
     for field in [snap.seq(), parent_seq, parent_fnv] {
-        head.extend_from_slice(&field.to_le_bytes());
+        file.extend_from_slice(&field.to_le_bytes());
     }
-    let mut file = match snap {
-        Snapshot::Full(ckpt) => serde_json::to_string(ckpt.as_ref()),
-        Snapshot::Delta(delta) => serde_json::to_string(delta.as_ref()),
+    match snap {
+        Snapshot::Full(ckpt) => codec::encode_checkpoint(ckpt, &mut file),
+        Snapshot::Delta(delta) => codec::encode_delta(delta, &mut file),
     }
-    .map_err(|e| format!("serialize snapshot: {e}"))?
-    .into_bytes();
-    file.splice(0..0, head);
     let fnv = format
         .seal(&mut file)
         .map_err(|e| format!("seal snapshot: {e}"))?;
@@ -452,10 +450,10 @@ fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, Recovery
     };
     let [seq, parent_seq, parent_fnv] = chain_fields(block);
     let body = match kind {
-        SnapKind::Full => serde_json::from_slice(payload).map(|c| Snapshot::Full(Box::new(c))),
-        SnapKind::Delta => serde_json::from_slice(payload).map(|d| Snapshot::Delta(Box::new(d))),
+        SnapKind::Full => codec::decode_checkpoint(payload).map(|c| Snapshot::Full(Box::new(c))),
+        SnapKind::Delta => codec::decode_delta(payload).map(|d| Snapshot::Delta(Box::new(d))),
     }
-    .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
+    .map_err(|e| corrupt(path, format!("undecodable payload: {e}")))?;
     if seq != body.seq() {
         return Err(corrupt(path, "chain block/payload sequence disagreement"));
     }
@@ -1104,7 +1102,6 @@ impl<'a> DurableStream<'a> {
         report.events_replayed = replayed;
         report.journal_truncated_records = torn;
         report.resumed_at_seq = engine.events_ingested();
-        report.recover_micros = t0.elapsed().as_micros() as u64;
         observe::narrate(|| {
             format!(
                 "recovery: resumed at seq {} ({} replayed, {} torn)",
@@ -1150,6 +1147,7 @@ impl<'a> DurableStream<'a> {
                 });
             }
         }
+        report.recover_micros = t0.elapsed().as_micros() as u64;
         Ok((stream, report))
     }
 
@@ -1452,6 +1450,7 @@ fn prune_snapshots(dir: &Path, journal_dir: &Path, retain: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::HEADER_LEN;
     use crate::streaming::scenario_event_stream;
     use crate::Analysis;
     use faultline_sim::scenario::{run, ScenarioParams};
@@ -1485,7 +1484,9 @@ mod tests {
             stream.ingest(e);
         }
         let ckpt = stream.checkpoint();
-        let payload = serde_json::to_string(&ckpt).unwrap();
+        let json = serde_json::to_string(&ckpt).unwrap();
+        let mut payload = Vec::new();
+        codec::encode_checkpoint(&ckpt, &mut payload);
         let snap = Snapshot::Full(Box::new(ckpt));
         let (file, fnv) = encode_snapshot(&snap, None).unwrap();
         let bytes = write_snapshot_file(tmp.path(), SnapKind::Full, snap.seq(), &file).unwrap();
@@ -1507,7 +1508,7 @@ mod tests {
         };
         assert_eq!(
             serde_json::to_string(&loaded).unwrap(),
-            payload,
+            json,
             "loading is lossless"
         );
     }

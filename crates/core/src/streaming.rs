@@ -69,6 +69,7 @@
 
 use crate::analysis::{self, AnalysisConfig};
 use crate::arena::EventArena;
+use crate::codec::rows;
 use crate::error::AnalysisError;
 use crate::kernel::{Kernel, LaneEvent, LinkLane};
 use crate::observe::{self, PipelineReport, StreamingCounters};
@@ -201,9 +202,10 @@ pub struct StreamResult {
 /// that died, not the state, and they are not part of the
 /// [`StreamOutput`] equivalence surface.
 ///
-/// Serialization is deterministic for a given state (maps are flattened
-/// sorted), so a checkpoint's bytes can carry an integrity hash — see
-/// [`crate::recovery`] for the durable file format around this payload.
+/// Encoding is deterministic for a given state (maps are flattened
+/// sorted), so a checkpoint's bytes can carry an integrity hash. On disk
+/// it is one [`crate::codec`] row (`codec::encode_checkpoint`); see
+/// [`crate::recovery`] for the durable file format around that payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
     seq: u64,
@@ -290,6 +292,47 @@ pub struct StreamDelta {
     /// plus only what its append-only history vectors grew — and a lane
     /// born inside the window ships whole.
     lanes: Vec<LaneDelta>,
+}
+
+// The snapshot payload's rows (see `crate::codec`'s snapshot layout).
+rows! {
+    StreamCheckpoint {
+        seq,
+        config,
+        watermark,
+        messages,
+        resolve_stats,
+        is_stats,
+        ip_stats,
+        events_syslog,
+        events_isis,
+        batches,
+        late_events,
+        open_items,
+        open_items_hwm,
+        quarantined_syslog,
+        quarantined_isis,
+        lanes,
+    }
+    StreamDelta {
+        seq,
+        parent_seq,
+        watermark,
+        messages_base_len,
+        messages_tail,
+        resolve_stats,
+        is_stats,
+        ip_stats,
+        events_syslog,
+        events_isis,
+        batches,
+        late_events,
+        open_items,
+        open_items_hwm,
+        quarantined_syslog,
+        quarantined_isis,
+        lanes,
+    }
 }
 
 impl StreamDelta {

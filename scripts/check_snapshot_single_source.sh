@@ -11,7 +11,8 @@
 # module, two format definitions can drift apart and a checkpoint
 # written by one path becomes unreadable by the other. This script fails
 # CI when any format-owning token shows up in crate sources outside
-# recovery.rs.
+# recovery.rs, or when serde_json shows up in recovery.rs's non-test
+# code (the payload rows themselves belong to crates/core/src/codec.rs).
 #
 # Top-level tests/ are deliberately out of scope: the fault-injection
 # harnesses mangle snapshot headers on purpose, and reading the format
@@ -60,6 +61,15 @@ done
 retry_loops=$(sed '/^#\[cfg(test)\]/,$d' "$RECOVERY" | grep -c 'thread::sleep' || true)
 if [ "$retry_loops" -ne 1 ]; then
     echo "TRIPWIRE: $RECOVERY has $retry_loops snapshot retry loops (backoff sleeps) outside its tests; there must be exactly one, in SnapshotSink::write" >&2
+    fail=1
+fi
+
+# No JSON on disk: snapshot payloads are codec rows and journal records
+# codec rows, so serde_json has no business in recovery.rs outside its
+# tests (which render outputs and snapshots as JSON to compare them).
+if hits=$(sed '/^#\[cfg(test)\]/,$d' "$RECOVERY" | grep -n 'serde_json') && [ -n "$hits" ]; then
+    echo "TRIPWIRE: serde_json in non-test $RECOVERY — a durable file is being written or read as JSON:" >&2
+    echo "$hits" >&2
     fail=1
 fi
 

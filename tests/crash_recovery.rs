@@ -15,8 +15,9 @@
 //! - a seeds × chaos-presets × thread-counts × kill-points sweep over
 //!   full streams, compared against the batch pipeline;
 //! - the corruption ladder: corrupt newest → fall back; torn newest +
-//!   stray temp file → fall back; torn journal tail → replay good
-//!   prefix; mid-journal damage → typed `CorruptJournal`;
+//!   stray temp file → fall back; a hostile payload under an honest
+//!   envelope → fall back; torn journal tail → replay good prefix;
+//!   mid-journal damage → typed `CorruptJournal`;
 //! - chaos-injected transient checkpoint-write failures: retries absorb
 //!   them on the writer thread, an exhausted budget surfaces
 //!   `RetriesExhausted`;
@@ -285,7 +286,8 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
     let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
     assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
     assert!(
-        report.rejected[0].contains("hash mismatch") || report.rejected[0].contains("unparseable"),
+        report.rejected[0].contains("hash mismatch")
+            || report.rejected[0].contains("undecodable payload"),
         "rejection names the cause: {}",
         report.rejected[0]
     );
@@ -304,17 +306,59 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
     );
 }
 
-/// A snapshot nested past `serde_json::MAX_DEPTH` in a payload field
-/// this build would skip, under an envelope whose length and hash are
-/// honest, is one more corrupt file on the ladder — it used to overflow
-/// the reader's stack and abort the process. So is the same bomb where
-/// the envelope should stand.
+fn varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A full checkpoint's payload up to its message count, restated from
+/// the codec's snapshot layout: the host dictionary, `seq`, the default
+/// `AnalysisConfig` (seven times in ms, previous-state strategy, threads
+/// 0, chunk 16, no quarantine horizon) and no watermark.
+fn checkpoint_head(hosts: &[&str], seq: u64) -> Vec<u8> {
+    let mut p = Vec::new();
+    varint(&mut p, hosts.len() as u64);
+    for host in hosts {
+        varint(&mut p, host.len() as u64);
+        p.extend_from_slice(host.as_bytes());
+    }
+    varint(&mut p, seq);
+    for ms in [
+        10_000, 10_000, 600_000, 30_000, 86_400_000, 10_800_000, 10_000,
+    ] {
+        varint(&mut p, ms);
+    }
+    p.extend_from_slice(&[0, 0, 16, 0]);
+    p.push(0);
+    p
+}
+
+/// The same payload through its scalars: no messages, zeroed resolve,
+/// IS and IP merge stats and the eight counters — what precedes the
+/// lane count.
+fn checkpoint_head_to_lanes(seq: u64) -> Vec<u8> {
+    let mut p = checkpoint_head(&[], seq);
+    p.push(0);
+    p.extend_from_slice(&[0; 4 + 5 + 5 + 8]);
+    p
+}
+
+/// Hash-valid snapshot payloads that lie, each under an honest envelope:
+/// a count no input could back (messages and lanes, 2^32 items over 10
+/// bytes; a vector inside a lane, 2^32 items over the bytes one lane
+/// needs), a host index past the dictionary, a bad enum byte, and one
+/// trailing byte. Each is one more rejected rung of the ladder — a count
+/// is refused before anything is reserved on its word — and the run
+/// resumes byte-identical to batch from the rung below.
 #[test]
-fn nesting_bombs_in_a_snapshot_are_rejected_checkpoints_not_an_abort() {
+fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
     let data = run(&ScenarioParams::tiny(5));
     let config = AnalysisConfig::default();
     let events = scenario_event_stream(&data);
-    let reference = stream_json_over(&data, &config, &events);
+    let reference = batch_json(&data, &config);
     let policy = DurabilityPolicy {
         checkpoint_interval: 50,
         segment_max_records: 32,
@@ -323,41 +367,80 @@ fn nesting_bombs_in_a_snapshot_are_rejected_checkpoints_not_an_abort() {
         ..DurabilityPolicy::default()
     };
     let kill_at = events.len().min(180);
-    let tmp = TempDir::new("nesting-bombs");
-    run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+    let seq: u64 = 150;
+    let bomb = |mut head: Vec<u8>, over: usize| {
+        varint(&mut head, 1 << 32);
+        head.resize(head.len() + over, 0);
+        head
+    };
+    // One lane — link 0, no link id, resolvable, no dedup anchor — and
+    // then its IS merge's advertisement vector; the lane count passes
+    // only if the bytes left could hold one lane's shortest row (48).
+    let mut lane = checkpoint_head_to_lanes(seq);
+    lane.extend_from_slice(&[1, 0, 0, 1, 0]);
+    // One message at 1 ms on link 0: the given direction byte, IS-IS
+    // adjacency, host 0, no detail.
+    let message = |hosts: &[&str], direction: u8| {
+        let mut p = checkpoint_head(hosts, seq);
+        p.extend_from_slice(&[1, 1, 0, direction, 0, 0, 0]);
+        p
+    };
+    // (what the rejection says, the row in place of the real one — or,
+    // for `None`, the real row and one more byte)
+    let cases = [
+        (
+            "count claims 4294967296 items",
+            Some(bomb(checkpoint_head(&[], seq), 10)),
+        ),
+        (
+            "count claims 4294967296 items",
+            Some(bomb(checkpoint_head_to_lanes(seq), 10)),
+        ),
+        ("count claims 4294967296 items", Some(bomb(lane, 48))),
+        ("is past the 0-entry dictionary", Some(message(&[], 0))),
+        (
+            "invalid transition direction byte 0x07",
+            Some(message(&["a"], 7)),
+        ),
+        ("1 trailing bytes after the last row", None),
+    ];
+    for (i, (cause, row)) in cases.into_iter().enumerate() {
+        let tmp = TempDir::new(&format!("hostile-payload-{i}"));
+        run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+        let newest = newest_checkpoint(tmp.path());
+        assert_eq!(chain_block(&newest)[0], seq, "case {i}");
+        reseal(&newest, |payload| match row {
+            Some(row) => {
+                payload.truncate(CHAIN_LEN);
+                payload.extend(row);
+            }
+            None => payload.push(0),
+        });
 
-    let mut ckpts = snapshot_files(tmp.path(), "ckpt");
-    assert!(
-        ckpts.len() >= 3,
-        "three rungs: two to sabotage, one to land on"
-    );
-    let bomb = "[{\"k\":".repeat(500_000);
-    let in_place_of_header = ckpts.pop().unwrap();
-    fs::write(&in_place_of_header, format!("{bomb}\n")).unwrap();
-    let in_payload = ckpts.pop().unwrap();
-    reseal(&in_payload, |payload| {
-        payload.truncate(CHAIN_LEN);
-        payload.extend_from_slice(format!("{{\"from the future\":{bomb}").as_bytes());
-    });
-
-    let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
-    assert_eq!(report.checkpoints_rejected, 2, "{:?}", report.rejected);
-    for (reason, cause) in report
-        .rejected
-        .iter()
-        .zip(["bad magic", "unparseable payload: recursion limit exceeded"])
-    {
-        assert!(reason.contains(cause), "{reason}");
+        let (mut durable, report) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+        assert_eq!(
+            report.checkpoints_rejected, 1,
+            "case {i}: {:?}",
+            report.rejected
+        );
+        assert!(
+            report.rejected[0].contains("undecodable payload")
+                && report.rejected[0].contains(cause),
+            "case {i}: {}",
+            report.rejected[0]
+        );
+        assert!(report.checkpoint_seq.is_some_and(|s| s < seq), "case {i}");
+        assert_eq!(report.resumed_at_seq, kill_at as u64, "case {i}");
+        for e in &events[kill_at..] {
+            durable.ingest(e).unwrap();
+        }
+        assert_eq!(
+            reference,
+            serde_json::to_string(&durable.finish().output).unwrap(),
+            "case {i}"
+        );
     }
-    assert!(report.checkpoint_seq.is_some(), "the third rung restored");
-    assert_eq!(report.resumed_at_seq, kill_at as u64);
-    for e in &events[kill_at..] {
-        durable.ingest(e).unwrap();
-    }
-    assert_eq!(
-        reference,
-        serde_json::to_string(&durable.finish().output).unwrap()
-    );
 }
 
 #[test]
@@ -590,7 +673,7 @@ fn chain_block(path: &Path) -> [u64; 3] {
     std::array::from_fn(|i| u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap()))
 }
 
-/// Rewrite a snapshot file's payload (chain block + JSON) in place and
+/// Rewrite a snapshot file's payload (chain block + rows) in place and
 /// re-seal its envelope, so the file is internally consistent again.
 fn reseal(path: &Path, mutate: impl FnOnce(&mut Vec<u8>)) {
     let bytes = fs::read(path).unwrap();
@@ -725,7 +808,7 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
             }
             ChainFault::CorruptParentHash => {
                 // The newest delta lies about its parent hash, under an
-                // honest envelope; both JSON payloads stay intact.
+                // honest envelope; both row payloads stay intact.
                 reseal(deltas.last().unwrap(), |payload| {
                     payload[16..24].copy_from_slice(&0xdead_beef_dead_beef_u64.to_le_bytes());
                 });
@@ -930,29 +1013,88 @@ fn on_disk_format_is_pinned() {
         .collect();
     assert_eq!(names, expected);
 
-    // A full base: envelope "FLCK" version 2, kind 1 (chain block +
-    // JSON), its chain block naming no parent.
+    // A full base: envelope "FLCK" version 3, kind 1 (chain block + codec
+    // payload), its chain block naming no parent, then the host
+    // dictionary and the checkpoint row.
     let base = fs::read(tmp.path().join(&names[7])).unwrap();
-    let base_json = &base[HEADER_LEN + CHAIN_LEN..];
+    let base_payload = &base[HEADER_LEN + CHAIN_LEN..];
     let chain = [80u64, 0, 0].map(u64::to_le_bytes).concat();
     assert_eq!(
         base,
-        envelope(*b"FLCK", 2, 1, &[&chain[..], base_json].concat())
+        envelope(*b"FLCK", 3, 1, &[&chain[..], base_payload].concat())
     );
-    assert_eq!(&base[..6], b"FLCK\x02\x00");
-    assert!(base_json.starts_with(b"{\"seq\":80,\"config\":{"));
+    assert_eq!(&base[..6], b"FLCK\x03\x00");
+    let (hosts, row) = dictionary(base_payload);
+    assert_eq!(
+        hosts,
+        [
+            "sdg-agg-01",
+            "sac-agg-01",
+            "cust000-gw1",
+            "cust001-gw2",
+            "oak-agg-01",
+            "fre-agg-01",
+            "tus-agg-01",
+            "cust007-gw1",
+            "lax-agg-01",
+            "cust003-gw1",
+        ],
+        "each host once, in the order the messages first name them"
+    );
+    assert_eq!(
+        hex(&row[..32]),
+        [
+            "50",                   // seq 80
+            "904e904e",             // match and dedup windows, 10 s each
+            "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
+            "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
+            "00",                   // strategy: previous state
+            "0010",                 // threads 0 (auto), chunk size 16
+            "00",                   // no quarantine horizon
+            "01b69d919b02",         // watermark: some, 593776310 ms
+            "20",                   // 32 resolved messages follow
+        ]
+        .concat()
+    );
     let base_fnv = u64::from_le_bytes(base[10..18].try_into().unwrap());
+    // The rest of the row, every byte of it, by its hash: reordering a
+    // snapshot struct's fields (or changing any field's layout) moves it.
+    assert_eq!(
+        (base.len(), base_fnv),
+        (1353, 0x120f_8083_e857_c8d4),
+        "the base's size and envelope hash"
+    );
 
-    // The delta chained to it: "FLDT" version 2, parent pointer and the
-    // parent's envelope hash in its chain block.
+    // The delta chained to it: "FLDT" version 3, parent pointer and the
+    // parent's envelope hash in its chain block, its own dictionary.
     let delta = fs::read(tmp.path().join(&names[8])).unwrap();
-    let delta_json = &delta[HEADER_LEN + CHAIN_LEN..];
+    let delta_payload = &delta[HEADER_LEN + CHAIN_LEN..];
     let chain = [90u64, 80, base_fnv].map(u64::to_le_bytes).concat();
     assert_eq!(
         delta,
-        envelope(*b"FLDT", 2, 1, &[&chain[..], delta_json].concat())
+        envelope(*b"FLDT", 3, 1, &[&chain[..], delta_payload].concat())
     );
-    assert!(delta_json.starts_with(b"{\"seq\":90,\"parent_seq\":80,"));
+    let (hosts, row) = dictionary(delta_payload);
+    assert_eq!(hosts, ["lax-agg-01", "cust007-gw1"]);
+    assert_eq!(
+        hex(&row[..10]),
+        [
+            "5a",           // seq 90
+            "50",           // parent seq 80
+            "01b5c6919b02", // watermark: some, 593781557 ms
+            "20",           // the parent held 32 resolved messages
+            "04",           // and 4 more follow
+        ]
+        .concat()
+    );
+    assert_eq!(
+        (
+            delta.len(),
+            u64::from_le_bytes(delta[10..18].try_into().unwrap())
+        ),
+        (256, 0x1666_e251_321c_a8d5),
+        "the delta's size and envelope hash"
+    );
 
     // The first journal record: envelope "FLJR" version 2, kind 1, around
     // seq 1 (varint) and the event's codec row — rebuilt from the event
@@ -983,4 +1125,19 @@ fn on_disk_format_is_pinned() {
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A snapshot payload's host dictionary, restated — `count:varint`, then
+/// each host as `len:varint utf8` (all lengths here fit one byte) — and
+/// the row after it.
+fn dictionary(payload: &[u8]) -> (Vec<String>, &[u8]) {
+    let (&count, mut rest) = payload.split_first().unwrap();
+    let mut hosts = Vec::new();
+    for _ in 0..count {
+        let (&len, tail) = rest.split_first().unwrap();
+        let (host, tail) = tail.split_at(usize::from(len));
+        hosts.push(String::from_utf8(host.to_vec()).unwrap());
+        rest = tail;
+    }
+    (hosts, rest)
 }

@@ -12,12 +12,15 @@
 //!    (or, in a version field, is `UnsupportedVersion`) — never a panic,
 //!    never a wrong event;
 //! 2. a full and a delta snapshot: every truncation and every bit flip
-//!    of the header (envelope + chain block), plus seeded ones over the
-//!    payload, is a rejected checkpoint, and the run still resumes
-//!    byte-identical from what survives;
-//! 3. a file of the previous format version — JSON text, for all three
-//!    kinds — is rejected through the `UnsupportedVersion` rung, never
-//!    misread.
+//!    of the header (envelope + chain block), seeded ones over the whole
+//!    file, and seeded truncations of the codec row payload re-sealed
+//!    under an honest envelope (so the row decoder, not the hash, must
+//!    refuse them) are each a rejected checkpoint, and the run still
+//!    resumes byte-identical from what survives;
+//! 3. a file of an earlier format version — JSON text for all three
+//!    kinds (version 1), a JSON snapshot payload behind today's
+//!    envelope and chain block (version 2) — is rejected through the
+//!    `UnsupportedVersion` rung, never misread.
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream};
 use faultline_core::{
@@ -230,6 +233,7 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
                 damaged.push((format!("bit {bit} of byte {byte}"), flipped));
             }
         }
+        let rows = &bytes[header..];
         for seed in 0..32u64 {
             let cut = frame_cut_seeded(seed, bytes.len()).unwrap();
             damaged.push((format!("seeded cut at {cut}"), bytes[..cut].to_vec()));
@@ -237,6 +241,12 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
             let mut flipped = bytes.clone();
             flipped[byte] ^= 1 << bit;
             damaged.push((format!("seeded bit {bit} of byte {byte}"), flipped));
+            let cut = frame_cut_seeded(seed, rows.len()).unwrap();
+            let resealed = [&bytes[HEADER_LEN..header], &rows[..cut]].concat();
+            damaged.push((
+                format!("row payload cut at {cut}, resealed"),
+                envelope(bytes[..4].try_into().unwrap(), 3, bytes[18], &resealed),
+            ));
         }
         for (what, bytes) in damaged {
             let files: Vec<_> = pristine
@@ -264,6 +274,17 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
                 report.rejected
             );
             assert_eq!(report.resumed_at_seq, kill_at as u64);
+            if what.ends_with("resealed") {
+                assert!(
+                    report
+                        .rejected
+                        .iter()
+                        .any(|r| r.contains("undecodable payload")),
+                    "{}: {what}: {:?}",
+                    victim.display(),
+                    report.rejected
+                );
+            }
             for e in &events[kill_at..] {
                 durable.ingest(e).unwrap();
             }
@@ -277,11 +298,24 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
     }
 }
 
-/// FNV-1a 64, restated for the forged version-1 files below.
+/// FNV-1a 64, restated for the forged and re-sealed files.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// The envelope, restated: magic, version (u16 LE), payload length
+/// (u32 LE), FNV-1a 64 of kind + payload (u64 LE), kind, payload.
+fn envelope(magic: [u8; 4], version: u16, kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut hashed = vec![kind];
+    hashed.extend_from_slice(payload);
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
+    out.extend_from_slice(&hashed);
+    out
 }
 
 /// What the previous build wrote for a snapshot: a JSON header line, the
@@ -295,12 +329,21 @@ fn version_1_snapshot(magic: &str, seq: u64, chain: &str, payload: &str) -> Vec<
     .into_bytes()
 }
 
-fn assert_rejected_as_version_1(dir: &Path, data: &ScenarioData) {
+/// What version 2 wrote for a snapshot: today's envelope and chain block
+/// (`seq`, `parent_seq`, `parent_fnv`), then the JSON payload.
+fn version_2_snapshot(magic: [u8; 4], chain: [u64; 3], payload: &str) -> Vec<u8> {
+    let chain = chain.map(u64::to_le_bytes).concat();
+    envelope(magic, 2, 1, &[&chain[..], payload.as_bytes()].concat())
+}
+
+fn assert_rejected_as_version(found: u32, dir: &Path, data: &ScenarioData) {
     let (durable, report) =
         DurableStream::recover(dir, data, AnalysisConfig::default(), JOURNAL_ONLY).unwrap();
     assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
     assert!(
-        report.rejected[0].contains("format version 1 is not supported (this build reads 2)"),
+        report.rejected[0].contains(&format!(
+            "format version {found} is not supported (this build reads 3)"
+        )),
         "{}",
         report.rejected[0]
     );
@@ -308,36 +351,71 @@ fn assert_rejected_as_version_1(dir: &Path, data: &ScenarioData) {
     assert_eq!(durable.events_ingested(), 0, "nothing was misread");
 }
 
+/// A fresh engine's checkpoint, as JSON — the payload versions 1 and 2
+/// wrote.
+fn empty_checkpoint_json(data: &ScenarioData) -> String {
+    let ckpt = StreamAnalysis::new(data, AnalysisConfig::default()).checkpoint();
+    serde_json::to_string(&ckpt).unwrap()
+}
+
+/// A delta over the first ten events of a fresh engine, as JSON.
+fn ten_event_delta_json(data: &ScenarioData) -> String {
+    let events = scenario_event_stream(data);
+    let mut live = StreamAnalysis::new(data, AnalysisConfig::default());
+    live.mark_clean();
+    for e in &events[..10] {
+        live.ingest(e);
+    }
+    serde_json::to_string(&live.checkpoint_delta()).unwrap()
+}
+
 #[test]
 fn a_version_1_checkpoint_is_unsupported() {
     let data = run(&ScenarioParams::tiny(23));
     let tmp = TempDir::new("v1-ckpt");
-    let ckpt = StreamAnalysis::new(&data, AnalysisConfig::default()).checkpoint();
-    let payload = serde_json::to_string(&ckpt).unwrap();
+    let payload = empty_checkpoint_json(&data);
     tmp.reset(&[(
         PathBuf::from("ckpt-000000000000.ckpt"),
         version_1_snapshot("faultline-checkpoint", 0, "", &payload),
     )]);
-    assert_rejected_as_version_1(tmp.path(), &data);
+    assert_rejected_as_version(1, tmp.path(), &data);
 }
 
 #[test]
 fn a_version_1_delta_is_unsupported() {
     let data = run(&ScenarioParams::tiny(24));
-    let events = scenario_event_stream(&data);
     let tmp = TempDir::new("v1-delta");
-    let mut live = StreamAnalysis::new(&data, AnalysisConfig::default());
-    live.mark_clean();
-    for e in &events[..10] {
-        live.ingest(e);
-    }
-    let payload = serde_json::to_string(&live.checkpoint_delta()).unwrap();
+    let payload = ten_event_delta_json(&data);
     let chain = "\"parent_seq\":0,\"parent_fnv\":\"0000000000000000\",";
     tmp.reset(&[(
         PathBuf::from("delta-000000000010.dckpt"),
         version_1_snapshot("faultline-delta", 10, chain, &payload),
     )]);
-    assert_rejected_as_version_1(tmp.path(), &data);
+    assert_rejected_as_version(1, tmp.path(), &data);
+}
+
+#[test]
+fn a_version_2_checkpoint_is_unsupported() {
+    let data = run(&ScenarioParams::tiny(23));
+    let tmp = TempDir::new("v2-ckpt");
+    let payload = empty_checkpoint_json(&data);
+    tmp.reset(&[(
+        PathBuf::from("ckpt-000000000000.ckpt"),
+        version_2_snapshot(*b"FLCK", [0, 0, 0], &payload),
+    )]);
+    assert_rejected_as_version(2, tmp.path(), &data);
+}
+
+#[test]
+fn a_version_2_delta_is_unsupported() {
+    let data = run(&ScenarioParams::tiny(24));
+    let tmp = TempDir::new("v2-delta");
+    let payload = ten_event_delta_json(&data);
+    tmp.reset(&[(
+        PathBuf::from("delta-000000000010.dckpt"),
+        version_2_snapshot(*b"FLDT", [10, 0, 0], &payload),
+    )]);
+    assert_rejected_as_version(2, tmp.path(), &data);
 }
 
 #[test]
