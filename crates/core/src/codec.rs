@@ -1,15 +1,16 @@
 //! The binary codec: the one place that knows the byte layout of a
-//! [`StreamEvent`] and of a snapshot payload.
+//! [`StreamEvent`], of a snapshot payload and of a shard's flushed answer.
 //!
 //! The shard wire ([`crate::transport`]) carries every
 //! [`crate::transport::ShardMsg::Events`] batch as one *run* in this
-//! layout, the write-ahead journal ([`crate::recovery`]) stores each
-//! event as one *record*, and every checkpoint and delta file stores its
-//! [`StreamCheckpoint`] or [`StreamDelta`] as one *snapshot payload*;
-//! `scripts/check_codec_single_source.sh` fails CI if the tag constants
-//! or the event encode/decode functions appear in any other module. The
-//! codec does no framing and no integrity hashing of its own — the
-//! [`crate::envelope`] around it owns length and FNV.
+//! layout and every [`crate::transport::ShardMsg::Flushed`] answer as one
+//! *flushed* payload, the write-ahead journal ([`crate::recovery`])
+//! stores each event as one *record*, and every checkpoint and delta file
+//! stores its [`StreamCheckpoint`] or [`StreamDelta`] as one *snapshot
+//! payload*; `scripts/check_codec_single_source.sh` fails CI if the tag
+//! constants or the event encode/decode functions appear in any other
+//! module. The codec does no framing and no integrity hashing of its own
+//! — the [`crate::envelope`] around it owns length and FNV.
 //!
 //! # Event layout
 //!
@@ -42,15 +43,19 @@
 //!
 //! A snapshot payload is a host dictionary, then one row. A struct's row
 //! is its fields in declaration order, each in its type's layout, with
-//! no names and no tags: the file's format version pins the struct
-//! definitions it was written against. Each struct's field list is
-//! written once, in a `rows!` invocation next to the struct (private
-//! fields) or in this module (public ones); encoding destructures
-//! without `..` and decoding builds a struct literal, so a field added
-//! to a struct does not compile until its row lists it.
+//! no names and no tags: the file's format version (or, for a flushed
+//! answer, the wire version) pins the struct definitions it was written
+//! against. Each struct's field list is written once, in a `rows!`
+//! invocation next to the struct (private fields) or in this module
+//! (public ones); encoding destructures without `..` and decoding builds
+//! a struct literal, so a field added to a struct does not compile until
+//! its row lists it.
 //!
 //! ```text
-//! payload    := hosts:vec<str> (checkpoint | delta)
+//! flushed    := report:str payload              a shard's `Flushed` answer:
+//!                                               the report as JSON, then
+//!                                               the output's payload
+//! payload    := hosts:vec<str> (checkpoint | delta | output)
 //! checkpoint := seq:u64 config watermark:opt<time> messages:vec<message>
 //!               resolve_stats is_stats:merge_stats ip_stats:merge_stats
 //!               events_syslog events_isis batches late_events open_items
@@ -60,6 +65,19 @@
 //!               messages_base_len:u64 messages_tail:vec<message>
 //!               resolve_stats is_stats ip_stats   the eight u64 counters
 //!               of a checkpoint, in its order     lanes:vec<lane_delta>
+//! output     := messages:vec<message> resolve_stats
+//!               is_transitions:vec<transition> is_stats:merge_stats
+//!               ip_transitions:vec<transition> ip_stats:merge_stats
+//!               syslog_transitions:vec<transition>
+//!               isis_recon syslog_recon:reconstruction
+//!               isis_failures syslog_failures:vec<failure>
+//!               isis_sanitize syslog_sanitize:sanitize matching counters
+//! reconstruction := failures:vec<failure> ambiguous:vec<ambiguous>
+//!               unterminated boundary_ups:u32
+//! matching   := matched partial:vec<(usize usize)> left_only right_only:vec<usize>
+//! counters   := syslog_ingested isis_ingested transitions_derived
+//!               failures_reconstructed failures_after_sanitize
+//!               sanitize_dropped failures_matched ambiguous_periods:u64
 //! config     := match_window dedup_window flap_gap flap_pad long_threshold
 //!               ticket_slack short_fp_threshold:time strategy:u8
 //!               threads chunk_size:usize quarantine_horizon:opt<time>
@@ -104,6 +122,11 @@
 //! link table, builds it while it encodes. Decoding makes one `Arc<str>`
 //! per entry and shares it across every message that names it.
 //!
+//! A flushed answer's [`PipelineReport`] stays JSON inside its `str`:
+//! it is about a kilobyte, read by people, and its sections do not yet
+//! share one shape. The output beside it is the bulk of the frame and
+//! travels as rows.
+//!
 //! # Totality
 //!
 //! Decoding is **total**: every malformed input is a typed
@@ -117,15 +140,18 @@
 use crate::analysis::AnalysisConfig;
 use crate::error::CodecError;
 use crate::intern::FastMap;
-use crate::kernel::{LaneDelta, LaneSnapshot, LaneTail};
+use crate::kernel::{LaneDelta, LaneSnapshot, LaneTail, StreamOutput};
 use crate::linktable::LinkIx;
+use crate::matching::FailureMatching;
+use crate::observe::{PipelineCounters, PipelineReport};
 use crate::par::ParallelismConfig;
-use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure};
+use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure, Reconstruction};
 use crate::sanitize::SanitizeReport;
 use crate::streaming::{StreamCheckpoint, StreamDelta, StreamEvent};
 use crate::transitions::{
     IsisMergeStats, LinkTransition, MessageFamily, ResolvedMessage, SyslogResolveStats,
 };
+use crate::transport::WorkerOutput;
 use faultline_isis::listener::{
     ReachabilityKind, Transition, TransitionDirection, TransitionSubject,
 };
@@ -766,6 +792,35 @@ rows! {
     Failure { link, start, end }
     AmbiguousPeriod { link, first, second, direction }
     ResolvedMessage { at, link, direction, family, host, detail }
+    Reconstruction { failures, ambiguous, unterminated, boundary_ups }
+    FailureMatching { matched, partial, left_only, right_only }
+    PipelineCounters {
+        syslog_ingested,
+        isis_ingested,
+        transitions_derived,
+        failures_reconstructed,
+        failures_after_sanitize,
+        sanitize_dropped,
+        failures_matched,
+        ambiguous_periods,
+    }
+    StreamOutput {
+        messages,
+        resolve_stats,
+        is_transitions,
+        is_stats,
+        ip_transitions,
+        ip_stats,
+        syslog_transitions,
+        isis_recon,
+        syslog_recon,
+        isis_failures,
+        syslog_failures,
+        isis_sanitize,
+        syslog_sanitize,
+        matching,
+        counters,
+    }
 }
 
 /// Append `value`'s snapshot payload to `out`: the host dictionary, then
@@ -790,8 +845,13 @@ fn encode_payload<T: Row>(value: &T, out: &mut Vec<u8>) {
 
 /// Decode one snapshot payload — all of `bytes`.
 fn decode_payload<T: Row>(bytes: &[u8]) -> Result<T, CodecError> {
+    read_payload(Cursor { bytes, pos: 0 })
+}
+
+/// Decode the snapshot payload that fills the rest of `cur`'s input.
+fn read_payload<T: Row>(cur: Cursor<'_>) -> Result<T, CodecError> {
     let mut r = RowReader {
-        cur: Cursor { bytes, pos: 0 },
+        cur,
         hosts: Vec::new(),
     };
     let count = r.cur.count(1)?;
@@ -823,6 +883,25 @@ pub fn encode_delta(delta: &StreamDelta, out: &mut Vec<u8>) {
 /// Decode a delta's snapshot payload — all of `bytes`.
 pub fn decode_delta(bytes: &[u8]) -> Result<StreamDelta, CodecError> {
     decode_payload(bytes)
+}
+
+/// Append a shard's flushed answer to `out`: its report as JSON in a
+/// `str`, then its output's snapshot payload.
+pub fn encode_flushed(answer: &WorkerOutput, out: &mut Vec<u8>) -> serde_json::Result<()> {
+    put_str(out, &serde_json::to_string(&answer.report)?);
+    encode_payload(&answer.output, out);
+    Ok(())
+}
+
+/// Decode a shard's flushed answer — all of `bytes`.
+pub fn decode_flushed(bytes: &[u8]) -> Result<WorkerOutput, CodecError> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    let report: PipelineReport =
+        serde_json::from_str(cur.str()?).map_err(|e| CodecError::BadReport {
+            detail: e.to_string(),
+        })?;
+    let output = read_payload(cur)?;
+    Ok(WorkerOutput { output, report })
 }
 
 #[cfg(test)]

@@ -196,10 +196,11 @@ impl fmt::Display for AnalysisError {
 
 impl Error for AnalysisError {}
 
-/// Why [`crate::codec`] could not decode an event run, a journal record
-/// or a snapshot payload. Decoding is total: whatever the bytes, the
-/// answer is the value or one of these — never a panic, and never an
-/// allocation sized by a count or length the input could not back.
+/// Why [`crate::codec`] could not decode an event run, a journal record,
+/// a snapshot payload or a flushed answer. Decoding is total: whatever
+/// the bytes, the answer is the value or one of these — never a panic,
+/// and never an allocation sized by a count or length the input could
+/// not back.
 /// Offsets are byte positions in the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -261,6 +262,12 @@ pub enum CodecError {
         /// Where the varint starts.
         offset: usize,
     },
+    /// A flushed answer's report — the JSON in the answer's leading
+    /// `str` — does not parse as a `PipelineReport`.
+    BadReport {
+        /// The JSON reader's explanation.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -298,6 +305,9 @@ impl fmt::Display for CodecError {
             ),
             CodecError::OutOfRange { value, offset } => {
                 write!(f, "varint {value} at byte {offset} overflows its field")
+            }
+            CodecError::BadReport { detail } => {
+                write!(f, "the answer's report does not parse: {detail}")
             }
         }
     }

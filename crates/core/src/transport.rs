@@ -22,16 +22,21 @@
 //! # Wire format
 //!
 //! Each frame is one [`crate::envelope`]: the 19-byte header (magic
-//! `"FLSM"`, wire version 2) and the payload, built in one buffer and
-//! written with one `write_all`. The kind byte says what the payload
-//! is: 1 = JSON message, 2 = binary event run.
+//! `"FLSM"`, wire version 3) and the payload, built in one buffer and
+//! written with one `write_all`. The kind byte says what the payload is:
 //!
-//! Kind 2 carries a [`ShardMsg::Events`] batch as one [`crate::codec`]
-//! run (the event layout is documented there and nowhere else) and is
-//! the only way events travel; kind 1 carries every other [`ShardMsg`]
-//! as `serde_json`, a handful per run. A reader never sniffs the
-//! payload, and a version-1 frame (no kind byte, JSON events) is
-//! [`FrameError::UnsupportedVersion`].
+//! | kind | payload | carries |
+//! |---|---|---|
+//! | 1 | `serde_json` | `Hello`, `Ready`, `ExportLanes`, `LaneMigrate`, `Flush`, `Fatal` |
+//! | 2 | [`crate::codec`] run | [`ShardMsg::Events`] |
+//! | 3 | [`crate::codec`] flushed answer | [`ShardMsg::Flushed`] |
+//!
+//! Events and flushed answers travel only as codec payloads (both
+//! layouts are documented in [`crate::codec`] and nowhere else): under
+//! kind 1 either is [`FrameError::Malformed`]. The JSON messages are a
+//! handful per run. A reader never sniffs the payload, and a frame of an
+//! earlier wire version — version 1 had no kind byte, version 2 sent
+//! `Flushed` as JSON — is [`FrameError::UnsupportedVersion`].
 //!
 //! The protocol is strictly request/response with a fixed lifecycle:
 //! a worker announces [`ShardMsg::Ready`] once its engine exists, then
@@ -61,7 +66,7 @@ use std::thread;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Sanity bound on a declared payload length: a header claiming more is
 /// corrupt, not honored.
@@ -70,21 +75,26 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 30;
 /// Frame header size: the [`envelope`] header.
 pub const FRAME_HEADER_LEN: usize = envelope::HEADER_LEN;
 
-/// Payload kind: one `serde_json` [`ShardMsg`] other than `Events`.
+/// Payload kind: one `serde_json` [`ShardMsg`] other than `Events` and
+/// `Flushed`.
 const KIND_MESSAGE: u8 = 1;
 /// Payload kind: one [`codec`] run, the body of a [`ShardMsg::Events`].
 const KIND_EVENTS: u8 = 2;
+/// Payload kind: one [`codec`] flushed answer, the body of a
+/// [`ShardMsg::Flushed`].
+const KIND_FLUSHED: u8 = 3;
 
 /// The frame's envelope.
 const WIRE: Format = Format {
     magic: FRAME_MAGIC,
     version: WIRE_VERSION,
     max_len: MAX_FRAME_PAYLOAD,
-    kinds: &[KIND_MESSAGE, KIND_EVENTS],
+    kinds: &[KIND_MESSAGE, KIND_EVENTS, KIND_FLUSHED],
 };
 
 /// Capacity a reused frame buffer keeps between frames: room for event
-/// frames (~70 KB), not for a multi-megabyte `Hello` or `Flushed`.
+/// frames (~70 KB) and a paper-scale `Flushed` answer (~0.7 MB), not for
+/// a multi-megabyte `Hello{Inline}` or `LaneMigrate`.
 const SCRATCH_KEEP: usize = 1 << 20;
 
 /// Bounded depth of the in-process dispatcher→worker channel, in
@@ -97,8 +107,8 @@ const INPROC_CHANNEL_DEPTH: usize = 64;
 /// One message between the cluster dispatcher and a shard worker —
 /// the complete vocabulary of the shard protocol. Everything is
 /// serde-serializable: the in-process transport moves values and the
-/// subprocess transport frames them (events as a binary run, the rest
-/// as JSON), but the protocol is identical.
+/// subprocess transport frames them (events and flushed answers as codec
+/// payloads, the rest as JSON), but the protocol is identical.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ShardMsg {
     /// First frame to a subprocess worker: everything it needs to build
@@ -269,6 +279,10 @@ fn write_frame_reusing<W: Write + ?Sized>(
             WIRE.open(frame, KIND_EVENTS);
             codec::encode_events(events, frame);
         }
+        ShardMsg::Flushed(answer) => {
+            WIRE.open(frame, KIND_FLUSHED);
+            codec::encode_flushed(answer, frame).map_err(malformed)?;
+        }
         other => {
             WIRE.open(frame, KIND_MESSAGE);
             let json = serde_json::to_string(other).map_err(malformed)?;
@@ -298,15 +312,22 @@ fn read_frame_reusing<R: Read + ?Sized>(
     body: &mut Vec<u8>,
 ) -> Result<(ShardMsg, u64), FrameError> {
     let header = WIRE.read(r, body)?;
-    let msg = if header.kind == KIND_EVENTS {
-        let mut events = Vec::new();
-        codec::decode_events(body, &mut events).map_err(malformed)?;
-        ShardMsg::Events(events)
-    } else {
-        match serde_json::from_slice(body).map_err(malformed)? {
-            ShardMsg::Events(_) => return Err(malformed("events must travel as a binary run")),
-            msg => msg,
+    let msg = match header.kind {
+        KIND_EVENTS => {
+            let mut events = Vec::new();
+            codec::decode_events(body, &mut events).map_err(malformed)?;
+            ShardMsg::Events(events)
         }
+        KIND_FLUSHED => {
+            ShardMsg::Flushed(Box::new(codec::decode_flushed(body).map_err(malformed)?))
+        }
+        _ => match serde_json::from_slice(body).map_err(malformed)? {
+            ShardMsg::Events(_) => return Err(malformed("events must travel as a binary run")),
+            ShardMsg::Flushed(_) => {
+                return Err(malformed("a flushed answer must travel as codec rows"))
+            }
+            msg => msg,
+        },
     };
     body.clear();
     body.shrink_to(SCRATCH_KEEP);
@@ -741,7 +762,7 @@ struct SubWorker {
     /// Unbuffered: a frame is already one buffer and one write.
     stdin: Option<std::process::ChildStdin>,
     stdout: BufReader<std::process::ChildStdout>,
-    /// Outgoing-frame scratch, reused across sends.
+    /// Frame scratch, reused across sends and receives.
     scratch: Vec<u8>,
 }
 
@@ -834,7 +855,7 @@ impl ShardTransport for SubprocessTransport {
 
     fn recv(&mut self, worker: usize) -> Result<ShardMsg, TransportError> {
         let w = slot(&mut self.workers, worker)?;
-        match read_frame(&mut w.stdout) {
+        match read_frame_reusing(&mut w.stdout, &mut w.scratch) {
             Ok((msg, n)) => {
                 self.counters.frames_received += 1;
                 self.counters.bytes_received += n;

@@ -4,11 +4,12 @@
 # The byte layout of a StreamEvent — the tag constants, the run and
 # single-event encoders and decoders — is defined in
 # crates/core/src/codec.rs and NOWHERE else. The shard wire carries
-# every ShardMsg::Events batch as one codec run and every other message
-# as JSON; the day a second encoder appears in another module, or
-# transport.rs starts handing event batches to serde_json again, two
-# layouts of the same event can drift apart. This script fails CI when
-# either happens.
+# every ShardMsg::Events batch as one codec run, every ShardMsg::Flushed
+# answer as one codec payload and every other message as JSON; the day
+# a second encoder appears in another module, or transport.rs starts
+# handing event batches or answers to serde_json again, two layouts of
+# the same value can drift apart. This script fails CI when either
+# happens.
 #
 # Top-level tests/ and benchmark/ are out of scope on purpose: they read
 # and forge frames, which is not the same as owning the layout.
@@ -47,21 +48,24 @@ for tok in "${tokens[@]}"; do
     fi
 done
 
-# 2. transport.rs must route ShardMsg::Events through the codec, not
-#    through serde_json: both codec entry points are called from its
+# 2. transport.rs must route ShardMsg::Events and ShardMsg::Flushed
+#    through the codec, not through serde_json: the run's and the
+#    flushed answer's codec entry points are all called from its
 #    non-test code. That is the one structural fact a test cannot see;
-#    the behaviour (events sent as JSON are Malformed, an event frame is
-#    byte-for-byte one codec run) is owned by tests/frame_codec.rs.
+#    the behaviour (events or an answer sent as JSON are Malformed, an
+#    event frame is byte-for-byte one codec run) is owned by
+#    tests/frame_codec.rs.
 shipping=$(sed '/^#\[cfg(test)\]/,$d' "$TRANSPORT")
-for call in 'codec::encode_events(' 'codec::decode_events('; do
+for call in 'codec::encode_events(' 'codec::decode_events(' \
+    'codec::encode_flushed(' 'codec::decode_flushed('; do
     if ! grep -q -F "$call" <<<"$shipping"; then
-        echo "TRIPWIRE: $TRANSPORT no longer calls '$call' — is it handing ShardMsg::Events to serde_json?" >&2
+        echo "TRIPWIRE: $TRANSPORT no longer calls '$call' — is it handing ShardMsg::Events or ShardMsg::Flushed to serde_json?" >&2
         fail=1
     fi
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "codec single-source check FAILED — the event layout must live only in $CODEC, and events must not cross the wire as JSON" >&2
+    echo "codec single-source check FAILED — the event layout must live only in $CODEC, and neither events nor flushed answers may cross the wire as JSON" >&2
     exit 1
 fi
-echo "codec single-source check passed: the event layout lives only in $CODEC, and the wire carries events only as codec runs ✓"
+echo "codec single-source check passed: the event layout lives only in $CODEC, and the wire carries events and flushed answers only as codec payloads ✓"

@@ -2,25 +2,28 @@
 //!
 //! The wire between a dispatcher and its workers carries every message
 //! of the cluster protocol as a length-prefixed, FNV-hashed frame
-//! (`faultline_core::transport`, wire version 2: an explicit payload-kind
-//! byte, event batches as binary `faultline_core::codec` runs, everything
-//! else as JSON). The contract under test mirrors the
-//! syslog parser's fuzz corpus (`crates/syslog/tests/fuzz_parse.rs`):
+//! (`faultline_core::transport`, wire version 3: an explicit payload-kind
+//! byte, event batches as binary `faultline_core::codec` runs, flushed
+//! answers as codec rows, everything else as JSON). The contract under
+//! test mirrors the syslog parser's fuzz corpus
+//! (`crates/syslog/tests/fuzz_parse.rs`):
 //!
 //! 1. real protocol messages — including a live lane migration exported
-//!    from a running [`StreamAnalysis`] — round-trip byte-exactly;
+//!    from a running [`StreamAnalysis`] and the flushed answer of a whole
+//!    stream — round-trip byte-exactly;
 //! 2. every truncation of a real frame, every seeded bit flip, and
 //!    arbitrary garbage bytes decode to a *typed* [`FrameError`], never
 //!    a panic and never a silently wrong message;
 //! 3. frames are self-delimiting: two frames written back to back read
 //!    back as exactly those two messages;
-//! 4. the kind byte is law: a version-1 frame, an unknown kind, and a
-//!    payload that is not what its kind byte says are each a typed
-//!    error — nothing is sniffed, and events never travel as JSON;
+//! 4. the kind byte is law: a frame of an earlier wire version, an
+//!    unknown kind, and a payload that is not what its kind byte says
+//!    are each a typed error — nothing is sniffed, and neither events nor
+//!    flushed answers ever travel as JSON;
 //! 5. a header that lies about its length costs what actually arrived.
 
 use faultline_core::transport::{
-    read_frame, write_frame, ScenarioSpec, ShardMsg, WorkerSpec, FRAME_HEADER_LEN,
+    read_frame, write_frame, ScenarioSpec, ShardMsg, WorkerOutput, WorkerSpec, FRAME_HEADER_LEN,
     MAX_FRAME_PAYLOAD,
 };
 use faultline_core::{
@@ -31,8 +34,9 @@ use faultline_sim::scenario::{run, ScenarioParams};
 use proptest::prelude::*;
 
 /// A corpus of genuine protocol messages, including a lane migration
-/// exported from a real mid-stream analysis (the heaviest, most
-/// structurally interesting payload the wire ever carries).
+/// exported from a real mid-stream analysis (the most structurally
+/// interesting payload the wire carries) and the flushed answer of the
+/// whole stream (the largest).
 fn corpus() -> Vec<ShardMsg> {
     let data = run(&ScenarioParams::tiny(42));
     let events = scenario_event_stream(&data);
@@ -44,6 +48,13 @@ fn corpus() -> Vec<ShardMsg> {
         .collect();
     let migration = analysis.export_lanes(&links);
     assert!(migration.lane_count() > 0, "corpus migration carries lanes");
+    let mut whole = StreamAnalysis::new(&data, AnalysisConfig::default());
+    whole.ingest_batch(&events);
+    let flushed = whole.flush();
+    assert!(
+        !flushed.output.messages.is_empty() && !flushed.output.matching.matched.is_empty(),
+        "corpus answer carries messages and matches"
+    );
 
     vec![
         ShardMsg::Hello(Box::new(WorkerSpec::new(
@@ -58,6 +69,10 @@ fn corpus() -> Vec<ShardMsg> {
         ShardMsg::ExportLanes(links),
         ShardMsg::LaneMigrate(migration),
         ShardMsg::LaneMigrate(LaneMigration::default()),
+        ShardMsg::Flushed(Box::new(WorkerOutput {
+            output: flushed.output,
+            report: flushed.report,
+        })),
         ShardMsg::Flush,
         ShardMsg::Fatal {
             detail: "shard 3: journal directory vanished".to_string(),
@@ -84,20 +99,34 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A well-formed version-2 frame around an arbitrary kind and payload.
-fn forge(kind: u8, payload: &[u8]) -> Vec<u8> {
+/// A well-formed frame of wire version `version` around an arbitrary
+/// kind and payload.
+fn forge_version(version: u16, kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut hashed = vec![kind];
     hashed.extend_from_slice(payload);
     let mut frame = Vec::from(faultline_core::FRAME_MAGIC);
-    frame.extend_from_slice(&faultline_core::WIRE_VERSION.to_le_bytes());
+    frame.extend_from_slice(&version.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
     frame.extend_from_slice(&hashed);
     frame
 }
 
+/// A well-formed frame of this build's wire version.
+fn forge(kind: u8, payload: &[u8]) -> Vec<u8> {
+    forge_version(faultline_core::WIRE_VERSION, kind, payload)
+}
+
 const KIND_MESSAGE: u8 = 1;
 const KIND_EVENTS: u8 = 2;
+const KIND_FLUSHED: u8 = 3;
+
+/// The corpus's one `Flushed` answer.
+fn flushed(msgs: &[ShardMsg]) -> &ShardMsg {
+    msgs.iter()
+        .find(|m| matches!(m, ShardMsg::Flushed(_)))
+        .expect("the corpus carries a flushed answer")
+}
 
 #[test]
 fn corpus_round_trips_byte_exactly() {
@@ -240,7 +269,22 @@ fn a_version_1_frame_is_unsupported_not_sniffed() {
         read_frame(&mut v1.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 1,
-            expected: 2
+            expected: 3
+        })
+    ));
+}
+
+#[test]
+fn a_version_2_frame_is_unsupported_not_misread() {
+    // What the previous build wrote for an answer: today's header with
+    // version 2, a `Flushed` as JSON under the message kind.
+    let json = serde_json::to_string(flushed(&corpus())).unwrap();
+    let v2 = forge_version(2, KIND_MESSAGE, json.as_bytes());
+    assert!(matches!(
+        read_frame(&mut v2.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 2,
+            expected: 3
         })
     ));
 }
@@ -252,9 +296,13 @@ fn a_payload_must_be_what_its_kind_byte_says() {
     let run = &batch[FRAME_HEADER_LEN..];
     let json = serde_json::to_string(&ShardMsg::Flush).unwrap();
     let json_events = serde_json::to_string(&msgs[2]).unwrap();
+    let answer = encode(flushed(&msgs));
+    let rows = &answer[FRAME_HEADER_LEN..];
+    let json_answer = serde_json::to_string(flushed(&msgs)).unwrap();
 
     // The forger itself is sound: honest frames decode.
     assert_eq!(forge(KIND_EVENTS, run), batch);
+    assert_eq!(forge(KIND_FLUSHED, rows), answer);
     assert!(matches!(
         read_frame(&mut forge(KIND_MESSAGE, json.as_bytes()).as_slice()),
         Ok((ShardMsg::Flush, _))
@@ -273,6 +321,22 @@ fn a_payload_must_be_what_its_kind_byte_says() {
         (
             "a run with a trailing byte",
             forge(KIND_EVENTS, &[run, &[0]].concat()),
+        ),
+        (
+            "a flushed answer as JSON",
+            forge(KIND_MESSAGE, json_answer.as_bytes()),
+        ),
+        (
+            "a flushed answer's rows under the JSON kind",
+            forge(KIND_MESSAGE, rows),
+        ),
+        (
+            "JSON under the flushed kind",
+            forge(KIND_FLUSHED, json_answer.as_bytes()),
+        ),
+        (
+            "a flushed answer with a trailing byte",
+            forge(KIND_FLUSHED, &[rows, &[0]].concat()),
         ),
         // Nesting past `serde_json::MAX_DEPTH`, in a field this build
         // would skip: it used to overflow the reader's stack and abort.

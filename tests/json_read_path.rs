@@ -2,10 +2,14 @@
 //!
 //! `serde_json::from_str::<T>(s)` pulls `T` straight out of the text;
 //! `serde_json::from_value::<T>(tree)` pulls it out of a `Value` tree, and
-//! `from_str::<Value>(s)` builds that tree from the same text events. The
-//! dispatcher reads `Flushed` answers, recovery reads snapshots and journal
-//! lines and a worker reads its `Hello` the first way; tools and tests read
-//! the second. For every type that reaches a file or a frame the two must
+//! `from_str::<Value>(s)` builds that tree from the same text events. A
+//! worker reads its `Hello`, the dispatcher its `Ready`, `LaneMigrate` and
+//! `Fatal` messages and the report inside a flushed answer the first way;
+//! tools and tests read the second. (The dispatcher no longer reads a
+//! `Flushed` answer as JSON — its output crosses the wire as codec rows,
+//! and snapshots and journal records are rows too — but every one of
+//! these types keeps its JSON form, which `tests/snapshot_rows.rs` uses as
+//! its oracle.) For every type that reaches a file or a frame the two must
 //! agree — both `Ok` and re-rendering to the same bytes, or both `Err` — on
 //! the clean text, truncated, with a bit flipped, with fields reordered,
 //! one duplicated, an unknown one inserted. The battery itself is
@@ -87,8 +91,9 @@ fn every_read_type_reads_the_same_from_text_and_from_a_tree() {
     };
     tally(both_reads_agree("WorkerOutput", &answer, false));
 
-    // Every message that crosses the shard wire as JSON (`Events` is a
-    // binary codec run and never does).
+    // Every message with a JSON form (`Events` travels only as a binary
+    // codec run and `Flushed` only as codec rows, but `Flushed` keeps its
+    // JSON form for tools and as the rows' oracle).
     let messages = [
         (
             ShardMsg::Hello(Box::new(WorkerSpec::new(
