@@ -22,7 +22,7 @@ use crate::intern::FastMap;
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
 use crate::kernel::{Kernel, LaneEvent, StreamOutput};
 use crate::ks::{ks_two_sample, KsResult};
-use crate::linktable::{LinkIx, LinkTable};
+use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::{
     match_fraction, match_transitions_to_messages, FailureMatching, TransitionMatchCounts,
 };
@@ -40,6 +40,7 @@ use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tunable analysis parameters, defaulted to the paper's choices.
@@ -164,11 +165,11 @@ impl<'a> Analysis<'a> {
         });
 
         let t = Instant::now();
-        let mut kernel = Kernel::new(data, config);
+        let mut kernel = Kernel::new(data, config, Arc::new(Naming::mine(data)));
         report.record_stage(
             "link_table",
             data.topology.links().len() as u64,
-            kernel.table.len() as u64,
+            kernel.naming.table.len() as u64,
             t.elapsed(),
         );
 
@@ -248,11 +249,13 @@ impl<'a> Analysis<'a> {
         report.total_micros = run_started.elapsed().as_micros() as u64;
         observe::narrate(|| format!("pipeline done in {:.3} ms", report.total_millis()));
 
+        // The kernel was this driver's only holder of the naming layer.
+        let Naming { table, link_of_ix } = Arc::unwrap_or_clone(k.naming);
         Analysis {
             data,
             config: k.config,
-            table: k.table,
-            link_of_ix: k.link_of_ix,
+            table,
+            link_of_ix,
             output: k.output,
             report,
         }

@@ -94,7 +94,7 @@
 use crate::analysis::{self, AnalysisConfig};
 use crate::error::TransportError;
 use crate::intern::Sym;
-use crate::linktable::{self, LinkIx, LinkTable};
+use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::FailureMatching;
 use crate::observe::{
     self, DurabilityCounters, PipelineCounters, PipelineReport, ShardCounters, StreamingCounters,
@@ -114,6 +114,7 @@ use faultline_sim::chaos::ShardKill;
 use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The partition key used for events that resolve to no link (unknown
@@ -807,13 +808,14 @@ fn kill_point(kills: &[ShardKill], shard: u32) -> Option<u64> {
 /// worker panic re-raises at scope exit.
 fn with_workers<R>(
     data: &ScenarioData,
+    naming: &Arc<Naming>,
     workers: &Workers,
     specs: Vec<WorkerSpec>,
     drive: impl FnOnce(&mut dyn ShardTransport) -> R,
 ) -> Result<(R, TransportCounters), TransportError> {
     match workers {
         Workers::InProcess => Ok(std::thread::scope(|scope| {
-            let mut transport = InProcessTransport::start(scope, data, specs);
+            let mut transport = InProcessTransport::start(scope, data, Arc::clone(naming), specs);
             let driven = drive(&mut transport);
             (driven, transport.counters())
         })),
@@ -1229,20 +1231,21 @@ pub fn run_cluster(
     analysis::validate_inputs(data, &cfg.analysis)?;
     let shards = cfg.shards.max(1);
 
-    // The dispatch stage covers the routing side input (the link
-    // table); the per-link shard assignment and the per-event route+send
-    // work are fused into the feed inside `dispatch`, so they land in
-    // the shard_ingest wall they actually overlap with.
+    // The dispatch stage covers the routing side input (the naming
+    // layer, mined once here and shared by every in-process worker); the
+    // per-link shard assignment and the per-event route+send work are
+    // fused into the feed inside `dispatch`, so they land in the
+    // shard_ingest wall they actually overlap with.
     let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
+    let naming = Arc::new(Naming::mine(data));
     let dispatch_wall = t_dispatch.elapsed();
 
     let t_shards = Instant::now();
     let specs = (0..shards)
         .map(|shard| worker_spec(cfg, shard, shards, false))
         .collect();
-    let (driven, transport) = with_workers(data, &cfg.workers, specs, |transport| {
-        dispatch(transport, &table, events, cfg)
+    let (driven, transport) = with_workers(data, &naming, &cfg.workers, specs, |transport| {
+        dispatch(transport, &naming.table, events, cfg)
     })?;
     let run = driven?;
     let shard_wall = t_shards.elapsed();
@@ -1301,6 +1304,8 @@ pub fn run_cluster_subprocess(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linktable;
+    use crate::transport::witness;
     use faultline_sim::scenario::{run, ScenarioParams};
 
     #[test]
@@ -1372,6 +1377,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_in_process_worker_resolves_through_the_dispatchers_table() {
+        let data = run(&ScenarioParams::tiny(7));
+        let events = crate::streaming::scenario_event_stream(&data);
+        let naming = Arc::new(Naming::mine(&data));
+        // `run_cluster` after its one mining call.
+        let run_with = |cfg: &ClusterConfig| {
+            let specs = (0..cfg.shards)
+                .map(|shard| worker_spec(cfg, shard, cfg.shards, false))
+                .collect();
+            let (driven, transport) =
+                with_workers(&data, &naming, &cfg.workers, specs, |transport| {
+                    dispatch(transport, &naming.table, &events, cfg)
+                })
+                .expect("in-process workers start");
+            (driven.expect("the run completes"), transport)
+        };
+        // What the witness should have seen, in (kind, shard) order:
+        // every engine over the one table above.
+        let all_on_it = |engines: &[(&'static str, u32)]| {
+            let naming = Arc::as_ptr(&naming) as usize;
+            let built = engines.iter().map(|&(kind, shard)| witness::Built {
+                shard,
+                kind,
+                naming,
+            });
+            built.collect::<Vec<_>>()
+        };
+        let seen = || {
+            let mut seen = witness::take(&data);
+            seen.sort_by_key(|b| (b.kind, b.shard));
+            seen
+        };
+        witness::take(&data);
+
+        // Two fresh workers, then the one a reshard grows.
+        let (resharded, _) = run_with(&ClusterConfig {
+            reshard_at: Some(events.len() / 2),
+            ..ClusterConfig::new(2)
+        });
+        assert_eq!(resharded.reshard.map(|r| r.to_shards), Some(3));
+        assert_eq!(
+            seen(),
+            all_on_it(&[("fresh", 0), ("fresh", 1), ("fresh", 2)])
+        );
+
+        // Two durable workers, one hard-killed and respawned by the
+        // supervisor, which recovers it from its directory.
+        let root =
+            std::env::temp_dir().join(format!("faultline-cluster-naming-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (durable, counters) = run_with(&ClusterConfig {
+            durability: Some(ClusterDurability {
+                root: root.clone(),
+                policy: DurabilityPolicy::default(),
+                kills: Vec::new(),
+                hard_kills: vec![ShardKill {
+                    shard: 1,
+                    after_events: 40,
+                }],
+            }),
+            ..ClusterConfig::new(2)
+        });
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(durable.recoveries.len(), 1);
+        assert_eq!(counters.worker_restarts, 1);
+        assert_eq!(
+            seen(),
+            all_on_it(&[("create", 0), ("create", 1), ("recover", 1)])
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::analysis::AnalysisConfig;
 use crate::arena::EventArena;
 use crate::codec::rows;
 use crate::intern::FastMap;
-use crate::linktable::{self, LinkIx, LinkTable};
+use crate::linktable::{LinkIx, Naming};
 use crate::matching::{match_failures, FailureMatching};
 use crate::observe::PipelineCounters;
 use crate::par;
@@ -56,7 +56,7 @@ use faultline_topology::osi::SystemId;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Everything the pipeline derives from the observables — the complete
 /// comparable surface of a run, produced identically by both drivers.
@@ -1108,10 +1108,8 @@ pub(crate) struct KernelOutput {
     pub(crate) output: StreamOutput,
     /// The configuration the run used, handed back to the driver.
     pub(crate) config: AnalysisConfig,
-    /// The mined link table.
-    pub(crate) table: LinkTable,
-    /// Analysis-index → topology-id translation (via unique /31s).
-    pub(crate) link_of_ix: FastMap<LinkIx, LinkId>,
+    /// The naming layer the kernel resolved through.
+    pub(crate) naming: Arc<Naming>,
     /// Match segments closed across all lanes.
     pub(crate) segments_closed: u64,
     /// Flap episodes observed across all lanes.
@@ -1120,7 +1118,7 @@ pub(crate) struct KernelOutput {
     pub(crate) finalized_at_flush: u64,
 }
 
-/// The shared pipeline core: the link table, every per-link
+/// The shared pipeline core: the naming layer, every per-link
 /// [`LinkLane`], and the serial classification state (resolution and
 /// merge counters). Drivers feed it classified events and call
 /// [`Kernel::collect`] once at end of data.
@@ -1129,8 +1127,9 @@ pub(crate) struct Kernel<'a> {
     /// topology) — the one input genuinely available up front.
     pub(crate) data: &'a ScenarioData,
     pub(crate) config: AnalysisConfig,
-    pub(crate) table: LinkTable,
-    pub(crate) link_of_ix: FastMap<LinkIx, LinkId>,
+    /// The link table and its topology join, shared with every other
+    /// kernel the run started in this process.
+    pub(crate) naming: Arc<Naming>,
     pub(crate) lanes: BTreeMap<LinkIx, LinkLane>,
     /// Resolved messages in feed order (finalized at resolution).
     pub(crate) messages: Vec<ResolvedMessage>,
@@ -1144,21 +1143,17 @@ pub(crate) struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    /// Mine the link table from the scenario's config archive and set up
-    /// an empty kernel. No events are consumed.
-    pub(crate) fn new(data: &'a ScenarioData, config: AnalysisConfig) -> Kernel<'a> {
-        let table = linktable::from_scenario(data);
-        let mut link_of_ix = FastMap::default();
-        for l in data.topology.links() {
-            if let Some(ix) = table.by_subnet(l.subnet) {
-                link_of_ix.insert(ix, l.id);
-            }
-        }
+    /// Set up an empty kernel over `naming`, which must have been mined
+    /// from `data`. No events are consumed.
+    pub(crate) fn new(
+        data: &'a ScenarioData,
+        config: AnalysisConfig,
+        naming: Arc<Naming>,
+    ) -> Kernel<'a> {
         Kernel {
             data,
             config,
-            table,
-            link_of_ix,
+            naming,
             lanes: BTreeMap::new(),
             messages: Vec::new(),
             resolve_stats: SyslogResolveStats::default(),
@@ -1189,6 +1184,7 @@ impl<'a> Kernel<'a> {
             }
         };
         let Some((link, host)) = self
+            .naming
             .table
             .by_interface_sym(&m.event.host, &m.event.interface)
         else {
@@ -1205,7 +1201,7 @@ impl<'a> Kernel<'a> {
             link,
             direction,
             family,
-            host: self.table.symbols().shared(host),
+            host: self.naming.table.symbols().shared(host),
             detail,
         });
         match family {
@@ -1223,7 +1219,7 @@ impl<'a> Kernel<'a> {
                 self.is_stats.raw += 1;
                 match &t.subject {
                     TransitionSubject::Adjacency { neighbor } => {
-                        let links = self.table.by_sysid_pair(t.source, *neighbor);
+                        let links = self.naming.table.by_sysid_pair(t.source, *neighbor);
                         match links.len() {
                             0 => {
                                 self.is_stats.unknown += 1;
@@ -1253,7 +1249,11 @@ impl<'a> Kernel<'a> {
                 self.ip_stats.raw += 1;
                 match &t.subject {
                     TransitionSubject::Prefix { .. } => {
-                        match t.subject.as_subnet().and_then(|s| self.table.by_subnet(s)) {
+                        match t
+                            .subject
+                            .as_subnet()
+                            .and_then(|s| self.naming.table.by_subnet(s))
+                        {
                             Some(link) => Some((
                                 link,
                                 LaneEvent::Ip {
@@ -1279,8 +1279,8 @@ impl<'a> Kernel<'a> {
 
     /// Apply one classified event to its lane under the given watermark.
     pub(crate) fn apply_one(&mut self, link: LinkIx, event: LaneEvent, watermark: Timestamp) {
-        let link_id = self.link_of_ix.get(&link).copied();
-        let resolvable = self.table.is_resolvable(link);
+        let link_id = self.naming.link_of_ix.get(&link).copied();
+        let resolvable = self.naming.table.is_resolvable(link);
         let ctx = LaneCtx {
             config: &self.config,
             offline: &self.data.offline_spans,
@@ -1326,8 +1326,8 @@ impl<'a> Kernel<'a> {
             let lane = self.lanes.remove(&link).unwrap_or_else(|| {
                 LinkLane::new(
                     link,
-                    self.link_of_ix.get(&link).copied(),
-                    self.table.is_resolvable(link),
+                    self.naming.link_of_ix.get(&link).copied(),
+                    self.naming.table.is_resolvable(link),
                 )
             });
             self.open_items -= lane.open_items();
@@ -1370,8 +1370,7 @@ impl<'a> Kernel<'a> {
         let Kernel {
             data,
             config,
-            table,
-            link_of_ix,
+            naming,
             mut lanes,
             mut messages,
             resolve_stats,
@@ -1518,8 +1517,7 @@ impl<'a> Kernel<'a> {
                 counters,
             },
             config,
-            table,
-            link_of_ix,
+            naming,
             segments_closed,
             flap_episodes,
             finalized_at_flush,

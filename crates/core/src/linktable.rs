@@ -9,9 +9,10 @@
 //! hostname-TLV map.
 
 use crate::intern::{FastMap, Sym, SymbolTable};
-use faultline_topology::config::MinedInventory;
+use faultline_sim::ScenarioData;
+use faultline_topology::config::{MinedInventory, MinedLink};
 use faultline_topology::interface::InterfaceName;
-use faultline_topology::link::{LinkClass, LinkName};
+use faultline_topology::link::{LinkClass, LinkId, LinkName};
 use faultline_topology::osi::SystemId;
 use faultline_topology::subnet::Subnet31;
 use faultline_topology::time::Timestamp;
@@ -44,15 +45,17 @@ pub struct LinkTable {
     symbols: SymbolTable,
     by_iface: FastMap<(Sym, Sym), LinkIx>,
     by_subnet: FastMap<Subnet31, LinkIx>,
-    by_hostpair: FastMap<(Sym, Sym), Vec<LinkIx>>,
+    /// The links between each endpoint host pair, in ascending index
+    /// order, one entry per pair in order of its first link.
+    pair_links: Vec<Vec<LinkIx>>,
     /// Canonical endpoint host pair per link — the interned key the
     /// cluster partitioner hashes ([`Self::shard_key`]).
     pair_keys: Vec<(Sym, Sym)>,
     host_of_sysid: FastMap<SystemId, Sym>,
-    /// Precomputed [`Self::by_sysid_pair`] answers: one probe on the
-    /// IS-reachability hot path instead of two sysid resolutions plus a
-    /// host-pair probe.
-    by_sysid: FastMap<(SystemId, SystemId), Vec<LinkIx>>,
+    /// Precomputed [`Self::by_sysid_pair`] answers as indices into
+    /// `pair_links`: one probe on the IS-reachability hot path instead of
+    /// two sysid resolutions plus a host-pair probe.
+    by_sysid: FastMap<(SystemId, SystemId), u32>,
     /// False for members of multi-link adjacencies.
     resolvable: Vec<bool>,
 }
@@ -69,7 +72,27 @@ impl LinkTable {
         hostnames: &HashMap<SystemId, String>,
         windows: impl Fn(&LinkName) -> (Timestamp, Timestamp),
     ) -> Self {
-        let mut t = LinkTable::default();
+        Self::build(inventory, hostnames, |_, link| windows(&link.name))
+    }
+
+    /// [`LinkTable::new`], with each link's window asked for by its index
+    /// and mined record, in index order.
+    fn build(
+        inventory: &MinedInventory,
+        hostnames: &HashMap<SystemId, String>,
+        mut windows: impl FnMut(LinkIx, &MinedLink) -> (Timestamp, Timestamp),
+    ) -> Self {
+        let n = inventory.links.len();
+        let mut t = LinkTable {
+            names: Vec::with_capacity(n),
+            classes: Vec::with_capacity(n),
+            windows: Vec::with_capacity(n),
+            by_iface: FastMap::with_capacity_and_hasher(2 * n, Default::default()),
+            by_subnet: FastMap::with_capacity_and_hasher(n, Default::default()),
+            pair_keys: Vec::with_capacity(n),
+            ..LinkTable::default()
+        };
+        let mut pair_of: FastMap<(Sym, Sym), u32> = FastMap::default();
         for (i, l) in inventory.links.iter().enumerate() {
             let ix = LinkIx(i as u32);
             t.names.push(l.name.clone());
@@ -79,7 +102,7 @@ impl LinkTable {
             } else {
                 LinkClass::Core
             });
-            t.windows.push(windows(&l.name));
+            t.windows.push(windows(ix, l));
             let host_a = t.symbols.intern(&l.a.0);
             let iface_a = t.symbols.intern(l.a.1.as_str());
             let host_b = t.symbols.intern(&l.b.0);
@@ -89,39 +112,47 @@ impl LinkTable {
             t.by_subnet.insert(l.subnet, ix);
             let pair = Self::pair_key(host_a, host_b);
             t.pair_keys.push(pair);
-            t.by_hostpair.entry(pair).or_default().push(ix);
+            let next = t.pair_links.len() as u32;
+            let p = *pair_of.entry(pair).or_insert(next);
+            if p == next {
+                t.pair_links.push(Vec::new());
+            }
+            t.pair_links[p as usize].push(ix);
         }
         // Hostname TLVs in system-ID order: `hostnames` is a `HashMap`,
         // whose iteration order must never leak into id assignment.
         let mut tlv: Vec<(SystemId, &String)> = hostnames.iter().map(|(k, v)| (*k, v)).collect();
         tlv.sort_by_key(|&(id, _)| id);
+        // Which system IDs claim each hostname — more than one when
+        // duplicate hostname TLVs name one router twice — as a sorted
+        // multimap.
+        let mut claims: Vec<(Sym, SystemId)> = Vec::with_capacity(tlv.len());
+        t.host_of_sysid = FastMap::with_capacity_and_hasher(tlv.len(), Default::default());
         for (id, host) in tlv {
             let sym = t.symbols.intern(host);
             t.host_of_sysid.insert(id, sym);
+            claims.push((sym, id));
         }
-        t.resolvable = vec![true; t.names.len()];
-        for members in t.by_hostpair.values() {
+        claims.sort_unstable();
+        let claimed = |sym: Sym| {
+            let from = claims.partition_point(|&(s, _)| s < sym);
+            let to = claims.partition_point(|&(s, _)| s <= sym);
+            &claims[from..to]
+        };
+        t.resolvable = vec![true; n];
+        // Flatten sysid-pair resolution into one probe: cross every pair
+        // of system IDs claiming the pair's two hostnames.
+        for (p, members) in t.pair_links.iter().enumerate() {
             if members.len() > 1 {
                 for &m in members {
                     t.resolvable[m.0 as usize] = false;
                 }
             }
-        }
-        // Flatten sysid-pair resolution into one probe. A hostname sym
-        // can be claimed by several system IDs (duplicate TLVs under
-        // chaos), so invert to a multimap before crossing the pairs.
-        let mut sysids_of_sym: FastMap<Sym, Vec<SystemId>> = FastMap::default();
-        for (&id, &sym) in &t.host_of_sysid {
-            sysids_of_sym.entry(sym).or_default().push(id);
-        }
-        for (&(ha, hb), links) in &t.by_hostpair {
-            let (Some(sas), Some(sbs)) = (sysids_of_sym.get(&ha), sysids_of_sym.get(&hb)) else {
-                continue;
-            };
-            for &sa in sas {
-                for &sb in sbs {
+            let (ha, hb) = t.pair_keys[members[0].0 as usize];
+            for &(_, sa) in claimed(ha) {
+                for &(_, sb) in claimed(hb) {
                     let key = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                    t.by_sysid.insert(key, links.clone());
+                    t.by_sysid.insert(key, p as u32);
                 }
             }
         }
@@ -197,7 +228,9 @@ impl LinkTable {
     /// adjacency* — unresolvable from IS reachability alone (§3.4).
     pub fn by_sysid_pair(&self, a: SystemId, b: SystemId) -> &[LinkIx] {
         let key = if a <= b { (a, b) } else { (b, a) };
-        self.by_sysid.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        self.by_sysid
+            .get(&key)
+            .map_or(&[], |&p| self.pair_links[p as usize].as_slice())
     }
 
     /// Hostname for a system ID (learned from hostname TLVs).
@@ -228,7 +261,7 @@ impl LinkTable {
 
     /// Number of multi-link router pairs.
     pub fn multi_link_pairs(&self) -> usize {
-        self.by_hostpair.values().filter(|v| v.len() > 1).count()
+        self.pair_links.iter().filter(|v| v.len() > 1).count()
     }
 
     /// The interned `(Sym, Sym)` key the cluster partitioner hashes for
@@ -263,24 +296,51 @@ impl LinkTable {
 /// let ix = table.by_subnet(link.subnet).expect("mined");
 /// assert_eq!(table.name(ix), &data.topology.link_name(link.id));
 /// ```
-pub fn from_scenario(data: &faultline_sim::ScenarioData) -> LinkTable {
-    let inventory = faultline_topology::config::mine_topology(&data.topology);
-    // Windows are keyed by canonical name; build the lookup from the
-    // topology's own names.
-    let mut window_of: HashMap<String, (Timestamp, Timestamp)> = HashMap::new();
-    for (i, w) in data.link_windows.iter().enumerate() {
-        let name = data
-            .topology
-            .link_name(faultline_topology::link::LinkId(i as u32));
-        window_of.insert(name.to_string(), (w.from, w.to));
+pub fn from_scenario(data: &ScenarioData) -> LinkTable {
+    Naming::mine(data).table
+}
+
+/// The naming layer a run resolves through: the mined [`LinkTable`] plus
+/// the join from its indices to the topology's own link ids. A run builds
+/// it once and every kernel it starts in this process shares it behind
+/// one `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct Naming {
+    pub(crate) table: LinkTable,
+    /// Analysis-index → topology-id translation (via unique /31s).
+    pub(crate) link_of_ix: FastMap<LinkIx, LinkId>,
+}
+
+impl Naming {
+    /// Render the scenario's config archive, mine it, and join each mined
+    /// link to the topology link numbered from the same /31 — which gives
+    /// both its window and its topology id in one walk. A mined link with
+    /// no such topology link is active over the whole period.
+    pub(crate) fn mine(data: &ScenarioData) -> Naming {
+        let inventory = faultline_topology::config::mine_topology(&data.topology);
+        let links = data.topology.links();
+        let mut by_subnet: FastMap<Subnet31, LinkId> =
+            FastMap::with_capacity_and_hasher(links.len(), Default::default());
+        for l in links {
+            by_subnet.insert(l.subnet, l.id);
+        }
+        let period = (
+            Timestamp::EPOCH,
+            Timestamp::from_millis((data.period_days * 86_400_000.0) as u64),
+        );
+        let mut link_of_ix: FastMap<LinkIx, LinkId> =
+            FastMap::with_capacity_and_hasher(inventory.links.len(), Default::default());
+        let table = LinkTable::build(&inventory, &data.hostnames, |ix, link| {
+            let Some(&id) = by_subnet.get(&link.subnet) else {
+                return period;
+            };
+            link_of_ix.insert(ix, id);
+            data.link_windows
+                .get(id.0 as usize)
+                .map_or(period, |w| (w.from, w.to))
+        });
+        Naming { table, link_of_ix }
     }
-    let period_end = Timestamp::from_millis((data.period_days * 86_400_000.0) as u64);
-    LinkTable::new(&inventory, &data.hostnames, |name| {
-        window_of
-            .get(&name.to_string())
-            .copied()
-            .unwrap_or((Timestamp::EPOCH, period_end))
-    })
 }
 
 #[cfg(test)]

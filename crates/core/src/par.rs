@@ -77,10 +77,11 @@ impl ParallelismConfig {
 /// Map `f` over `items`, fanning chunks across up to
 /// `par.effective_threads()` scoped threads.
 ///
-/// Results come back in input order. With one effective thread (or at
-/// most one item) no thread is spawned and the exact serial loop runs
-/// instead, so `ParallelismConfig::SERIAL` is a true serial fallback,
-/// not a one-worker pool.
+/// Results come back in input order. With one worker's worth of work —
+/// one effective thread, or no more items than one chunk — no thread is
+/// spawned and the exact serial loop runs on the calling thread instead,
+/// so `ParallelismConfig::SERIAL` is a true serial fallback, not a
+/// one-worker pool.
 pub fn par_map<T, R, F>(items: &[T], par: &ParallelismConfig, f: F) -> Vec<R>
 where
     T: Sync,
@@ -88,12 +89,11 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    let threads = par.effective_threads();
-    if threads <= 1 || n <= 1 {
+    let chunk = par.chunk_size.max(1);
+    let workers = par.effective_threads().min(n.div_ceil(chunk));
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = par.chunk_size.max(1);
-    let workers = threads.min(n.div_ceil(chunk));
     let next = AtomicUsize::new(0);
     let gathered: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
@@ -159,6 +159,24 @@ mod tests {
         let cfg = ParallelismConfig::with_threads(4);
         assert_eq!(par_map(&[] as &[u32], &cfg, |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[5u32], &cfg, |&x| x + 1), vec![6]);
+    }
+
+    #[test]
+    fn one_chunk_of_work_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let cfg = ParallelismConfig {
+            threads: 4,
+            chunk_size: 16,
+        };
+        for n in [2, 15, 16] {
+            let items: Vec<usize> = (0..n).collect();
+            let ran_on = par_map(&items, &cfg, |_| std::thread::current().id());
+            assert!(ran_on.iter().all(|&id| id == caller), "n={n}");
+        }
+        // One item past a chunk is two workers' worth: it fans out.
+        let items: Vec<usize> = (0..17).collect();
+        let ran_on = par_map(&items, &cfg, |_| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id != caller));
     }
 
     #[test]

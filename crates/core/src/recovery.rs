@@ -46,10 +46,11 @@
 //!
 //! [`StreamOutput`]: crate::streaming::StreamOutput
 
-use crate::analysis::AnalysisConfig;
+use crate::analysis::{self, AnalysisConfig};
 use crate::codec;
 use crate::envelope::Format;
 use crate::error::{FrameError, RecoveryError};
+use crate::linktable::Naming;
 use crate::observe::{self, DurabilityCounters};
 use crate::streaming::{
     IngestOutcome, StreamAnalysis, StreamCheckpoint, StreamDelta, StreamEvent, StreamResult,
@@ -712,6 +713,7 @@ fn replay_journal(
 /// chain length (deltas applied on top of the base).
 fn restore_chain<'a>(
     data: &'a ScenarioData,
+    naming: &Arc<Naming>,
     snaps: &[SnapFile],
     tip: &SnapFile,
 ) -> Result<(StreamAnalysis<'a>, u64, u64), RecoveryError> {
@@ -766,7 +768,8 @@ fn restore_chain<'a>(
         cur = parent;
     };
     let chain_len = deltas.len() as u64;
-    let mut engine = StreamAnalysis::restore(data, base).map_err(RecoveryError::from)?;
+    let mut engine = StreamAnalysis::restore_with(data, base, Arc::clone(naming))
+        .map_err(RecoveryError::from)?;
     for (path, delta) in deltas.into_iter().rev() {
         engine
             .apply_delta(delta)
@@ -959,6 +962,21 @@ impl<'a> DurableStream<'a> {
         config: AnalysisConfig,
         policy: DurabilityPolicy,
     ) -> Result<Self, RecoveryError> {
+        let started = Instant::now();
+        let naming = Arc::new(Naming::mine(data));
+        Self::create_with(dir, data, config, policy, naming, started)
+    }
+
+    /// [`DurableStream::create`] over a naming layer already mined from
+    /// `data`; `started` as in [`StreamAnalysis::with_naming`].
+    pub(crate) fn create_with(
+        dir: &Path,
+        data: &'a ScenarioData,
+        config: AnalysisConfig,
+        policy: DurabilityPolicy,
+        naming: Arc<Naming>,
+        started: Instant,
+    ) -> Result<Self, RecoveryError> {
         let journal_dir = dir.join("journal");
         fs::create_dir_all(&journal_dir)
             .map_err(|e| io_err("create journal dir", &journal_dir, e))?;
@@ -967,7 +985,8 @@ impl<'a> DurableStream<'a> {
                 dir: dir.display().to_string(),
             });
         }
-        let engine = StreamAnalysis::try_new(data, config)?;
+        analysis::validate_inputs(data, &config)?;
+        let engine = StreamAnalysis::with_naming(data, config, naming, started);
         let counters = DurabilityCounters::default();
         Ok(Self::assemble(engine, dir, 1, policy, counters, None, 0))
     }
@@ -1027,6 +1046,22 @@ impl<'a> DurableStream<'a> {
         policy: DurabilityPolicy,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let t0 = Instant::now();
+        let naming = Arc::new(Naming::mine(data));
+        Self::recover_with(dir, data, config, policy, naming, t0)
+    }
+
+    /// [`DurableStream::recover`] over a naming layer already mined from
+    /// `data`, shared by every engine the ladder tries; `t0` is when the
+    /// recovery began, which [`RecoveryReport::recover_micros`] counts
+    /// from.
+    pub(crate) fn recover_with(
+        dir: &Path,
+        data: &'a ScenarioData,
+        config: AnalysisConfig,
+        policy: DurabilityPolicy,
+        naming: Arc<Naming>,
+        t0: Instant,
+    ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let journal_dir = dir.join("journal");
         fs::create_dir_all(&journal_dir)
             .map_err(|e| io_err("create journal dir", &journal_dir, e))?;
@@ -1045,7 +1080,7 @@ impl<'a> DurableStream<'a> {
         let mut anchor: Option<ChainAnchor> = None;
         let snaps = list_snapshots(dir)?;
         for tip in snaps.iter().rev() {
-            match restore_chain(data, &snaps, tip) {
+            match restore_chain(data, &naming, &snaps, tip) {
                 Ok((mut e, fnv, chain_len)) => {
                     e.set_parallelism(config.parallelism);
                     observe::narrate(|| {
@@ -1074,7 +1109,10 @@ impl<'a> DurableStream<'a> {
         let started_fresh = engine.is_none();
         let mut engine = match engine {
             Some(e) => e,
-            None => StreamAnalysis::try_new(data, config)?,
+            None => {
+                analysis::validate_inputs(data, &config)?;
+                StreamAnalysis::with_naming(data, config, naming, Instant::now())
+            }
         };
         report.started_fresh = started_fresh;
 

@@ -80,10 +80,11 @@ use faultline_sim::ScenarioData;
 use faultline_syslog::message::SyslogMessage;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::kernel::{LaneDelta, LaneSnapshot};
-use crate::linktable::LinkIx;
+use crate::linktable::{LinkIx, Naming};
 #[cfg(doc)]
 use crate::reconstruct::AmbiguityStrategy;
 
@@ -423,12 +424,27 @@ impl<'a> StreamAnalysis<'a> {
     /// (offline spans, tickets). No events are consumed.
     pub fn new(data: &'a ScenarioData, config: AnalysisConfig) -> Self {
         let started = Instant::now();
-        let kernel = Kernel::new(data, config);
+        let naming = Arc::new(Naming::mine(data));
+        StreamAnalysis::with_naming(data, config, naming, started)
+    }
+
+    /// Set up the engine over a naming layer already mined from `data`,
+    /// the run's shared one. `started` is when construction began: the
+    /// `link_table` stage and the run's wall count from it, so a caller
+    /// that mined the table for this engine passes the instant before it
+    /// did.
+    pub(crate) fn with_naming(
+        data: &'a ScenarioData,
+        config: AnalysisConfig,
+        naming: Arc<Naming>,
+        started: Instant,
+    ) -> Self {
+        let kernel = Kernel::new(data, config, naming);
         let link_table_wall = started.elapsed();
         observe::narrate(|| {
             format!(
                 "stream start: {} links resolvable, {} thread(s)",
-                kernel.table.len(),
+                kernel.naming.table.len(),
                 kernel.config.parallelism.effective_threads()
             )
         });
@@ -458,6 +474,12 @@ impl<'a> StreamAnalysis<'a> {
     pub fn try_new(data: &'a ScenarioData, config: AnalysisConfig) -> Result<Self, AnalysisError> {
         analysis::validate_inputs(data, &config)?;
         Ok(StreamAnalysis::new(data, config))
+    }
+
+    /// The naming layer this engine resolves through.
+    #[cfg(test)]
+    pub(crate) fn naming(&self) -> &Arc<Naming> {
+        &self.kernel.naming
     }
 
     /// The time up to which the stream is complete: the maximum event
@@ -608,8 +630,18 @@ impl<'a> StreamAnalysis<'a> {
     /// [`StreamAnalysis::try_new`] would. Wall-clock timers restart at
     /// zero — they describe this process, not the one that died.
     pub fn restore(data: &'a ScenarioData, ckpt: StreamCheckpoint) -> Result<Self, AnalysisError> {
+        StreamAnalysis::restore_with(data, ckpt, Arc::new(Naming::mine(data)))
+    }
+
+    /// [`StreamAnalysis::restore`] over a naming layer already mined from
+    /// `data`.
+    pub(crate) fn restore_with(
+        data: &'a ScenarioData,
+        ckpt: StreamCheckpoint,
+        naming: Arc<Naming>,
+    ) -> Result<Self, AnalysisError> {
         analysis::validate_inputs(data, &ckpt.config)?;
-        let mut engine = StreamAnalysis::new(data, ckpt.config);
+        let mut engine = StreamAnalysis::with_naming(data, ckpt.config, naming, Instant::now());
         engine.watermark = ckpt.watermark;
         engine.kernel.messages = ckpt.messages;
         engine.kernel.resolve_stats = ckpt.resolve_stats;
@@ -872,7 +904,7 @@ impl<'a> StreamAnalysis<'a> {
         report.record_stage(
             "link_table",
             data.topology.links().len() as u64,
-            k.table.len() as u64,
+            k.naming.table.len() as u64,
             self.link_table_wall,
         );
         report.record_stage(

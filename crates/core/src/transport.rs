@@ -50,7 +50,7 @@ use crate::analysis::AnalysisConfig;
 use crate::codec;
 use crate::envelope::{self, Format};
 use crate::error::{FrameError, TransportError};
-use crate::linktable::LinkIx;
+use crate::linktable::{LinkIx, Naming};
 use crate::observe::{PipelineReport, TransportCounters};
 use crate::recovery::{DurabilityPolicy, DurableStream, RecoveryReport};
 use crate::streaming::{LaneMigration, StreamAnalysis, StreamEvent, StreamOutput};
@@ -60,7 +60,9 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread;
+use std::time::Instant;
 
 /// The four bytes every shard-message frame starts with.
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
@@ -460,9 +462,16 @@ fn send_fatal(port: &mut dyn WorkerPort, detail: String) -> WorkerExit {
 }
 
 /// The shard worker's whole life, identical for both transports: build
-/// the engine the spec describes, announce [`ShardMsg::Ready`], consume
-/// commands until [`ShardMsg::Flush`] (or death), answer, exit.
-fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) -> WorkerExit {
+/// the engine the spec describes over the naming layer it is handed (the
+/// dispatcher's own in-process, one mined per subprocess), announce
+/// [`ShardMsg::Ready`], consume commands until [`ShardMsg::Flush`] (or
+/// death), answer, exit.
+fn run_worker(
+    data: &ScenarioData,
+    naming: Arc<Naming>,
+    spec: WorkerSpec,
+    port: &mut dyn WorkerPort,
+) -> WorkerExit {
     // One stack local per worker lifetime; the durable engine is larger
     // than the fresh one, but boxing it would buy nothing here.
     #[allow(clippy::large_enum_variant)]
@@ -477,12 +486,14 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
     // before spawning anyone (`run_cluster` calls `validate_inputs`
     // first), so workers construct infallibly — re-validating here
     // would rescan the whole archive once per worker.
+    let started = Instant::now();
+    let config = spec.config.clone();
     let mut engine = match &spec.durable {
-        None => Engine::Fresh(StreamAnalysis::new(data, spec.config.clone())),
+        None => Engine::Fresh(StreamAnalysis::with_naming(data, config, naming, started)),
         Some(d) => {
             let dir = Path::new(&d.dir);
             if d.recover {
-                match DurableStream::recover(dir, data, spec.config.clone(), d.policy) {
+                match DurableStream::recover_with(dir, data, config, d.policy, naming, started) {
                     Ok((stream, report)) => {
                         ready.resumed_at_seq = report.resumed_at_seq;
                         ready.recovery = Some(report);
@@ -491,13 +502,22 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
                     Err(e) => return send_fatal(port, e.to_string()),
                 }
             } else {
-                match DurableStream::create(dir, data, spec.config.clone(), d.policy) {
+                match DurableStream::create_with(dir, data, config, d.policy, naming, started) {
                     Ok(stream) => Engine::Durable(stream),
                     Err(e) => return send_fatal(port, e.to_string()),
                 }
             }
         }
     };
+    #[cfg(test)]
+    witness::record(
+        data,
+        &spec,
+        match &engine {
+            Engine::Fresh(e) => e.naming(),
+            Engine::Durable(stream) => stream.engine().naming(),
+        },
+    );
     if port.send(ShardMsg::Ready(ready)).is_err() {
         return WorkerExit::Completed;
     }
@@ -583,6 +603,57 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
     }
 }
 
+/// Which naming layer each worker's engine was built over, for the
+/// cluster's one-table-per-run test.
+#[cfg(test)]
+pub(crate) mod witness {
+    use super::{Naming, ScenarioData, WorkerSpec};
+    use std::sync::{Arc, Mutex};
+
+    /// One engine a worker built.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct Built {
+        pub(crate) shard: u32,
+        /// `"fresh"`, `"create"` (durable) or `"recover"` (durable).
+        pub(crate) kind: &'static str,
+        /// The address of the naming layer the engine holds.
+        pub(crate) naming: usize,
+    }
+
+    /// Keyed by the scenario's address: tests run concurrently, each over
+    /// its own scenario.
+    static BUILT: Mutex<Vec<(usize, Built)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record(data: &ScenarioData, spec: &WorkerSpec, naming: &Arc<Naming>) {
+        let kind = match &spec.durable {
+            None => "fresh",
+            Some(d) if d.recover => "recover",
+            Some(_) => "create",
+        };
+        let built = Built {
+            shard: spec.shard,
+            kind,
+            naming: Arc::as_ptr(naming) as usize,
+        };
+        let key = data as *const ScenarioData as usize;
+        BUILT
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((key, built));
+    }
+
+    /// Remove and return, in build order, every engine recorded for
+    /// `data`'s address (entries left by an earlier scenario that lived
+    /// at the same address included, so drain once before a run).
+    pub(crate) fn take(data: &ScenarioData) -> Vec<Built> {
+        let key = data as *const ScenarioData as usize;
+        let mut all = BUILT.lock().unwrap_or_else(|e| e.into_inner());
+        let (mine, rest): (Vec<_>, Vec<_>) = all.drain(..).partition(|(k, _)| *k == key);
+        *all = rest;
+        mine.into_iter().map(|(_, built)| built).collect()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // In-process transport
 // ---------------------------------------------------------------------------
@@ -594,6 +665,8 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
 pub struct InProcessTransport<'scope, 'env> {
     scope: &'scope thread::Scope<'scope, 'env>,
     data: &'env ScenarioData,
+    /// The dispatcher's naming layer, handed to every worker it starts.
+    naming: Arc<Naming>,
     ports: Vec<InProcPort>,
     counters: TransportCounters,
 }
@@ -611,6 +684,7 @@ struct InProcPort {
 fn spawn_inproc<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     data: &'env ScenarioData,
+    naming: &Arc<Naming>,
     spec: WorkerSpec,
 ) -> InProcPort {
     let (cmd_tx, cmd_rx) = sync_channel(INPROC_CHANNEL_DEPTH);
@@ -621,13 +695,14 @@ fn spawn_inproc<'scope, 'env>(
     // let in.
     let (rsp_tx, rsp_rx) = channel();
     let (spent_tx, spent_rx) = channel();
+    let naming = Arc::clone(naming);
     scope.spawn(move || {
         let mut port = ChannelPort {
             rx: cmd_rx,
             tx: rsp_tx,
             recycle: spent_tx,
         };
-        let _ = run_worker(data, spec, &mut port);
+        let _ = run_worker(data, naming, spec, &mut port);
     });
     InProcPort {
         tx: Some(cmd_tx),
@@ -640,10 +715,13 @@ impl<'scope, 'env> InProcessTransport<'scope, 'env> {
     /// Spawn one scoped worker thread per spec. Workers borrow the
     /// host's scenario (their specs normally say
     /// [`ScenarioSpec::Attached`]), which is why the transport lives
-    /// inside a [`thread::scope`].
-    pub fn start(
+    /// inside a [`thread::scope`], and share `naming`, mined from it: every
+    /// worker this transport ever starts — respawned and grown ones
+    /// included — resolves through that one table.
+    pub(crate) fn start(
         scope: &'scope thread::Scope<'scope, 'env>,
         data: &'env ScenarioData,
+        naming: Arc<Naming>,
         specs: Vec<WorkerSpec>,
     ) -> Self {
         let mut counters = TransportCounters::default();
@@ -651,12 +729,13 @@ impl<'scope, 'env> InProcessTransport<'scope, 'env> {
             .into_iter()
             .map(|spec| {
                 counters.workers_spawned += 1;
-                spawn_inproc(scope, data, spec)
+                spawn_inproc(scope, data, &naming, spec)
             })
             .collect();
         InProcessTransport {
             scope,
             data,
+            naming,
             ports,
             counters,
         }
@@ -722,14 +801,15 @@ impl ShardTransport for InProcessTransport<'_, '_> {
         // very shard directory its replacement recovers from.
         port.tx = None;
         while port.rx.recv().is_ok() {}
-        self.ports[worker] = spawn_inproc(self.scope, self.data, spec);
+        self.ports[worker] = spawn_inproc(self.scope, self.data, &self.naming, spec);
         self.counters.workers_spawned += 1;
         self.counters.worker_restarts += 1;
         Ok(())
     }
 
     fn grow(&mut self, spec: WorkerSpec) -> Result<usize, TransportError> {
-        self.ports.push(spawn_inproc(self.scope, self.data, spec));
+        self.ports
+            .push(spawn_inproc(self.scope, self.data, &self.naming, spec));
         self.counters.workers_spawned += 1;
         Ok(self.ports.len() - 1)
     }
@@ -978,7 +1058,8 @@ pub fn serve_stdio() -> i32 {
             data
         }
     };
-    match run_worker(&data, spec, &mut port) {
+    let naming = Arc::new(Naming::mine(&data));
+    match run_worker(&data, naming, spec, &mut port) {
         WorkerExit::Completed => 0,
         WorkerExit::Aborted => 9,
     }

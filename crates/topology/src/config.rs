@@ -27,18 +27,23 @@ use std::net::Ipv4Addr;
 /// activation.
 pub fn render_config(topo: &Topology, router: crate::router::RouterId) -> String {
     let r = topo.router(router);
-    let mut out = String::new();
-    writeln!(out, "!").unwrap();
-    writeln!(out, "! {} running configuration", r.hostname).unwrap();
-    writeln!(out, "!").unwrap();
-    writeln!(out, "hostname {}", r.hostname).unwrap();
-    writeln!(out, "!").unwrap();
-    writeln!(out, "router isis cenic").unwrap();
+    let links = topo.links_of(router);
+    // Fixed text goes in with `push_str`; only the addresses, the NET and
+    // the metric go through the formatter.
+    let mut out = String::with_capacity(160 + 200 * links.len());
+    for part in [
+        "!\n! ",
+        &r.hostname,
+        " running configuration\n!\nhostname ",
+        &r.hostname,
+        "\n!\nrouter isis cenic\n",
+    ] {
+        out.push_str(part);
+    }
     writeln!(out, " net {}", r.net()).unwrap();
-    writeln!(out, " is-type level-2-only").unwrap();
-    writeln!(out, "!").unwrap();
+    out.push_str(" is-type level-2-only\n!\n");
 
-    for &lid in topo.links_of(router) {
+    for &lid in links {
         let link = topo.link(lid);
         let local = link
             .endpoint_on(router)
@@ -61,17 +66,23 @@ pub fn render_config(topo: &Topology, router: crate::router::RouterId) -> String
         } else {
             link.subnet.high()
         };
-        writeln!(out, "interface {}", local.interface).unwrap();
-        writeln!(
-            out,
-            " description {} to {} {}",
-            r.hostname, remote_name, remote.interface
-        )
-        .unwrap();
+        for part in [
+            "interface ",
+            local.interface.as_str(),
+            "\n description ",
+            &r.hostname,
+            " to ",
+            remote_name,
+            " ",
+            remote.interface.as_str(),
+            "\n",
+        ] {
+            out.push_str(part);
+        }
         writeln!(out, " ip address {} {}", addr, Subnet31::netmask()).unwrap();
-        writeln!(out, " ip router isis cenic").unwrap();
+        out.push_str(" ip router isis cenic\n");
         writeln!(out, " isis metric {}", link.metric).unwrap();
-        writeln!(out, "!").unwrap();
+        out.push_str("!\n");
     }
     out
 }
@@ -252,44 +263,49 @@ pub fn parse_config(text: &str) -> (Option<String>, Option<Net>, Vec<MinedInterf
 /// Mine a config archive into a link inventory by pairing interfaces that
 /// share a /31 subnet.
 pub fn mine<'a>(configs: impl IntoIterator<Item = &'a str>) -> MinedInventory {
-    let mut by_subnet: HashMap<Subnet31, Vec<MinedInterface>> = HashMap::new();
+    let mut ifaces: Vec<MinedInterface> = Vec::new();
     let mut system_ids = HashMap::new();
     for text in configs {
-        let (hostname, net, ifaces) = parse_config(text);
-        if let (Some(h), Some(n)) = (&hostname, net) {
-            system_ids.insert(h.clone(), n.system_id);
+        let (hostname, net, parsed) = parse_config(text);
+        if let (Some(h), Some(n)) = (hostname, net) {
+            system_ids.insert(h, n.system_id);
         }
-        for i in ifaces {
-            by_subnet.entry(i.subnet).or_default().push(i);
-        }
+        ifaces.extend(parsed);
     }
 
-    let mut links = Vec::new();
+    // Group by subnet, in subnet order and, within a subnet, in archive
+    // order — deterministic regardless of how the archive was iterated.
+    let mut order: Vec<(Subnet31, usize)> = ifaces
+        .iter()
+        .enumerate()
+        .map(|(i, iface)| (iface.subnet, i))
+        .collect();
+    order.sort_unstable();
+    let mut links = Vec::with_capacity(order.len() / 2);
     let mut unpaired = Vec::new();
-    let mut subnets: Vec<_> = by_subnet.into_iter().collect();
-    // Deterministic output order regardless of hash iteration.
-    subnets.sort_by_key(|(s, _)| *s);
-    for (subnet, mut ifaces) in subnets {
-        match ifaces.len() {
-            2 => {
-                ifaces.sort_by(|x, y| {
-                    (&x.hostname, x.interface.as_str()).cmp(&(&y.hostname, y.interface.as_str()))
-                });
-                let (i1, i2) = (ifaces.remove(0), ifaces.remove(0));
-                let name = LinkName::new(
-                    &i1.hostname,
-                    i1.interface.as_str(),
-                    &i2.hostname,
-                    i2.interface.as_str(),
-                );
-                links.push(MinedLink {
-                    name,
-                    a: (i1.hostname, i1.interface),
-                    b: (i2.hostname, i2.interface),
-                    subnet,
-                });
+    for group in order.chunk_by(|x, y| x.0 == y.0) {
+        if let [(subnet, i), (_, j)] = *group {
+            let (mut i1, mut i2) = (
+                take_interface(&mut ifaces[i]),
+                take_interface(&mut ifaces[j]),
+            );
+            if (&i2.hostname, i2.interface.as_str()) < (&i1.hostname, i1.interface.as_str()) {
+                std::mem::swap(&mut i1, &mut i2);
             }
-            _ => unpaired.extend(ifaces),
+            let name = LinkName::new(
+                &i1.hostname,
+                i1.interface.as_str(),
+                &i2.hostname,
+                i2.interface.as_str(),
+            );
+            links.push(MinedLink {
+                name,
+                a: (i1.hostname, i1.interface),
+                b: (i2.hostname, i2.interface),
+                subnet,
+            });
+        } else {
+            unpaired.extend(group.iter().map(|&(_, i)| take_interface(&mut ifaces[i])));
         }
     }
     links.sort_by(|a, b| a.name.cmp(&b.name));
@@ -297,6 +313,15 @@ pub fn mine<'a>(configs: impl IntoIterator<Item = &'a str>) -> MinedInventory {
         links,
         system_ids,
         unpaired,
+    }
+}
+
+/// Move an interface record out of `slot`, leaving empty strings behind.
+fn take_interface(slot: &mut MinedInterface) -> MinedInterface {
+    MinedInterface {
+        hostname: std::mem::take(&mut slot.hostname),
+        interface: InterfaceName(std::mem::take(&mut slot.interface.0)),
+        ..*slot
     }
 }
 
