@@ -58,8 +58,9 @@
 //!   counter structs are field-wise sums (each offered event is counted
 //!   by exactly one shard), event-level vectors are k-way merged on the
 //!   same keys `Kernel::collect` uses with ties taken from the lowest
-//!   worker index (ties only ever come from one shard, so this
-//!   reproduces the single-process order exactly), and the match index
+//!   worker index (a tie spans shards only for a link a reshard moved,
+//!   whose earlier records sit on the lower index, so this reproduces
+//!   the single-process order exactly), and the match index
 //!   pairs are re-based from shard-local to global failure positions.
 //!   `tests/cluster_equivalence.rs` asserts the merged JSON is
 //!   byte-identical to [`crate::analysis::Analysis::run`] for every
@@ -84,11 +85,14 @@
 //!   ([`crate::transport::ShardMsg::ExportLanes`]), shipped as
 //!   serialized lane snapshots
 //!   ([`crate::transport::ShardMsg::LaneMigrate`]), attached by the new
-//!   worker, and dispatch resumes at N+1 routing. Because every
-//!   per-link derived state lives in its lane and moves whole, the
-//!   merged output is byte-identical to a from-scratch N+1 run
-//!   (`tests/cluster_reshard.rs`). Durable workers refuse lane
-//!   migration, so combining the two is a typed
+//!   worker, and dispatch resumes at N+1 routing. A lane is the link's
+//!   whole open state, so it continues on the new worker exactly where
+//!   it stopped. What the link had finalized stays in the old worker's
+//!   answer log, as its resolved messages always did, and the k-way
+//!   merge interleaves both workers' records: the old worker's are
+//!   earlier and its index lower. The merged output is byte-identical
+//!   to a from-scratch N+1 run (`tests/cluster_reshard.rs`). Durable
+//!   workers refuse lane migration, so combining the two is a typed
 //!   [`TransportError::WorkerReported`].
 
 use crate::analysis::{self, AnalysisConfig};
@@ -227,14 +231,6 @@ fn add_merge_stats(into: &mut IsisMergeStats, from: &IsisMergeStats) {
     into.emitted += from.emitted;
 }
 
-fn add_sanitize(into: &mut SanitizeReport, from: &SanitizeReport) {
-    into.removed_offline += from.removed_offline;
-    into.removed_offline_ms += from.removed_offline_ms;
-    into.long_checked += from.long_checked;
-    into.long_removed += from.long_removed;
-    into.long_removed_ms += from.long_removed_ms;
-}
-
 /// K-way merge of per-shard vectors that each arrive already ordered by
 /// `key` (the collect-stage invariant, asserted in debug builds rather
 /// than re-established with a sort). Ties take the lowest worker index —
@@ -281,9 +277,10 @@ fn merge_sorted<T: Clone, K: Ord>(
 
 /// Build the per-shard → global failure-index remap for one side of the
 /// matching: a k-way merge on the `(link, start)` collect key (each
-/// shard's list arrives ordered; ties cannot span shards because a link
-/// never does). Returns the globally ordered failures plus, per shard,
-/// the global position of each shard-local index.
+/// shard's list arrives ordered; a tie spans shards only for a link a
+/// reshard moved, whose earlier failures sit on the lower index).
+/// Returns the globally ordered failures plus, per shard, the global
+/// position of each shard-local index.
 fn order_failures(
     shards: &[StreamOutput],
     side: fn(&StreamOutput) -> &[Failure],
@@ -351,18 +348,19 @@ pub fn merge_outputs(shards: Vec<StreamOutput>) -> StreamOutput {
         add_resolve(&mut resolve_stats, &out.resolve_stats);
         add_merge_stats(&mut is_stats, &out.is_stats);
         add_merge_stats(&mut ip_stats, &out.ip_stats);
-        add_sanitize(&mut isis_sanitize, &out.isis_sanitize);
-        add_sanitize(&mut syslog_sanitize, &out.syslog_sanitize);
+        isis_sanitize.add(&out.isis_sanitize);
+        syslog_sanitize.add(&out.syslog_sanitize);
         isis_recon.unterminated += out.isis_recon.unterminated;
         isis_recon.boundary_ups += out.isis_recon.boundary_ups;
         syslog_recon.unterminated += out.syslog_recon.unterminated;
         syslog_recon.boundary_ups += out.syslog_recon.boundary_ups;
         syslog_ingested += out.counters.syslog_ingested;
     }
-    // Event-level vectors: k-way merges on the collect-stage keys. Every
-    // `(time, link)` tie group lives on a single shard (the link's
-    // shard), so lowest-worker-index tie-breaking reproduces the
-    // single-process order.
+    // Event-level vectors: k-way merges on the collect-stage keys. A
+    // `(time, link)` tie group lives on the link's shard, or — for a
+    // link a reshard moved — starts on its old shard and ends on the new
+    // one, which has the highest index; either way lowest-worker-index
+    // tie-breaking reproduces the single-process order.
     let messages = merge_sorted(&shards, |o| &o.messages, |m| (m.at, m.link));
     let is_transitions = merge_sorted(&shards, |o| &o.is_transitions, |t| (t.at, t.link));
     let ip_transitions = merge_sorted(&shards, |o| &o.ip_transitions, |t| (t.at, t.link));
@@ -392,39 +390,10 @@ pub fn merge_outputs(shards: Vec<StreamOutput>) -> StreamOutput {
             partial.push((left_remap[s][i], right_remap[s][j]));
         }
     }
-    matched.sort_by_key(|&(i, _)| i);
-    partial.sort_by_key(|&(i, _)| i);
-    let mut left_used = vec![false; syslog_failures.len()];
-    let mut right_used = vec![false; isis_failures.len()];
-    for &(i, j) in matched.iter().chain(partial.iter()) {
-        left_used[i] = true;
-        right_used[j] = true;
-    }
-    let matching = FailureMatching {
-        matched,
-        partial,
-        left_only: (0..left_used.len()).filter(|&i| !left_used[i]).collect(),
-        right_only: (0..right_used.len()).filter(|&j| !right_used[j]).collect(),
-    };
+    let matching =
+        FailureMatching::from_pairs(matched, partial, syslog_failures.len(), isis_failures.len());
 
-    // Headline counters: recomputed from the merged structures with the
-    // exact formulas `Kernel::collect` uses.
-    let reconstructed = (isis_recon.failures.len() + syslog_recon.failures.len()) as u64;
-    let survived = (isis_failures.len() + syslog_failures.len()) as u64;
-    let counters = PipelineCounters {
-        syslog_ingested,
-        isis_ingested: is_stats.raw + ip_stats.raw,
-        transitions_derived: (is_transitions.len()
-            + ip_transitions.len()
-            + syslog_transitions.len()) as u64,
-        failures_reconstructed: reconstructed,
-        failures_after_sanitize: survived,
-        sanitize_dropped: reconstructed - survived,
-        failures_matched: matching.matched.len() as u64,
-        ambiguous_periods: (isis_recon.ambiguous.len() + syslog_recon.ambiguous.len()) as u64,
-    };
-
-    StreamOutput {
+    let mut output = StreamOutput {
         messages,
         resolve_stats,
         is_transitions,
@@ -439,8 +408,12 @@ pub fn merge_outputs(shards: Vec<StreamOutput>) -> StreamOutput {
         isis_sanitize,
         syslog_sanitize,
         matching,
-        counters,
-    }
+        counters: PipelineCounters::default(),
+    };
+    // Headline counters: recounted from the merged structures, as
+    // `Kernel::collect` counts them.
+    output.counters = output.tally(syslog_ingested);
+    output
 }
 /// How a sharded cluster run is shaped: how many workers, where they
 /// run, whether they are durable, and whether the cluster grows

@@ -56,15 +56,19 @@
 //!                                               the report as JSON, then
 //!                                               the output's payload
 //! payload    := hosts:vec<str> (checkpoint | delta | output)
-//! checkpoint := seq:u64 config watermark:opt<time> messages:vec<message>
+//! checkpoint := seq:u64 config watermark:opt<time> log
 //!               resolve_stats is_stats:merge_stats ip_stats:merge_stats
 //!               events_syslog events_isis batches late_events open_items
 //!               open_items_hwm quarantined_syslog quarantined_isis:u64
 //!               lanes:vec<lane>
-//! delta      := seq parent_seq:u64 watermark:opt<time>
-//!               messages_base_len:u64 messages_tail:vec<message>
+//! delta      := seq parent_seq:u64 watermark:opt<time> log
 //!               resolve_stats is_stats ip_stats   the eight u64 counters
-//!               of a checkpoint, in its order     lanes:vec<lane_delta>
+//!               of a checkpoint, in its order     lanes:vec<lane>
+//! log        := messages:vec<message>
+//!               is_transitions ip_transitions syslog_transitions:vec<transition>
+//!               isis_failures:vec<failure> isis_ambiguous:vec<ambiguous>
+//!               syslog_failures:vec<failure> syslog_ambiguous:vec<ambiguous>
+//!               san_isis san_syslog:vec<failure> matched partial:vec<(usize usize)>
 //! output     := messages:vec<message> resolve_stats
 //!               is_transitions:vec<transition> is_stats:merge_stats
 //!               ip_transitions:vec<transition> ip_stats:merge_stats
@@ -85,20 +89,13 @@
 //! host       := index:varint                    into the payload's hosts
 //! lane       := link:u32 link_id:opt<u32> resolvable:bool
 //!               dedup_last:opt<(time direction:u8)> is_merge ip_merge:merge
-//!               is_emitted ip_emitted syslog_emitted:vec<transition>
 //!               isis_recon syslog_recon:recon isis_sanitize syslog_sanitize:sanitize
-//!               san_isis san_syslog:vec<failure> seg_start_isis seg_start_syslog:usize
-//!               seg_max_end:opt<time> matched partial:vec<(usize usize)>
+//!               seg_isis seg_syslog:vec<failure> seg_max_end:opt<time>
 //!               segments_closed:u64 flap_last_end:opt<time> flap_run:u32
 //!               flap_episodes:u64
-//! lane_delta := 0x00 lane | 0x01 lane_tail
-//! lane_tail  := a lane whose recons are recon_tails and whose vec fields
-//!               (`is_emitted` … `partial`) are each `v_base:u64 v_tail:vec<…>`
 //! merge      := advertised:vec<(sysid:6 up:bool)> down_count:u32 inconsistent:u64
 //! recon      := open last_at:opt<time> last_dir:opt<u8> pending:opt<failure>
-//!               failures:vec<failure> ambiguous:vec<ambiguous> boundary_ups:u32
-//! recon_tail := open last_at last_dir pending failures_base:u64 failures_tail
-//!               ambiguous_base:u64 ambiguous_tail boundary_ups
+//!               boundary_ups:u32
 //! transition := at:time link:u32 direction:u8
 //! failure    := link:u32 start end:time
 //! ambiguous  := link:u32 first second:time direction:u8
@@ -140,7 +137,7 @@
 use crate::analysis::AnalysisConfig;
 use crate::error::CodecError;
 use crate::intern::FastMap;
-use crate::kernel::{LaneDelta, LaneSnapshot, LaneTail, StreamOutput};
+use crate::kernel::StreamOutput;
 use crate::linktable::LinkIx;
 use crate::matching::FailureMatching;
 use crate::observe::{PipelineCounters, PipelineReport};
@@ -173,9 +170,6 @@ const FAMILY_LINEPROTO: u8 = 0x02;
 
 const SUBJECT_ADJACENCY: u8 = 0x00;
 const SUBJECT_PREFIX: u8 = 0x01;
-
-const LANE_FULL: u8 = 0x00;
-const LANE_TAIL: u8 = 0x01;
 
 /// The shortest encoding any event can have (a syslog event with empty
 /// strings and one-byte varints). A run's declared count is checked
@@ -744,33 +738,6 @@ impl<A: Row, B: Row> Row for (A, B) {
     }
 }
 
-impl Row for LaneDelta {
-    const MIN_LEN: usize = 1 + if LaneSnapshot::MIN_LEN < LaneTail::MIN_LEN {
-        LaneSnapshot::MIN_LEN
-    } else {
-        LaneTail::MIN_LEN
-    };
-    fn put(&self, w: &mut RowWriter<'_>) {
-        match self {
-            LaneDelta::Full(lane) => {
-                w.out.push(LANE_FULL);
-                lane.put(w);
-            }
-            LaneDelta::Tail(tail) => {
-                w.out.push(LANE_TAIL);
-                tail.put(w);
-            }
-        }
-    }
-    fn get(r: &mut RowReader<'_>) -> Result<Self, CodecError> {
-        match r.cur.byte()? {
-            LANE_FULL => LaneSnapshot::get(r).map(LaneDelta::Full),
-            LANE_TAIL => LaneTail::get(r).map(LaneDelta::Tail),
-            found => Err(r.cur.bad_tag("lane delta", found)),
-        }
-    }
-}
-
 rows! {
     AnalysisConfig {
         match_window,
@@ -826,7 +793,7 @@ rows! {
 /// Append `value`'s snapshot payload to `out`: the host dictionary, then
 /// its row. The row is encoded in place and the dictionary, known only
 /// once the row is done, is slid in front of it.
-fn encode_payload<T: Row>(value: &T, out: &mut Vec<u8>) {
+pub(crate) fn encode_payload<T: Row>(value: &T, out: &mut Vec<u8>) {
     let start = out.len();
     let mut w = RowWriter {
         out,
@@ -1176,7 +1143,7 @@ mod tests {
         for min in [
             StreamCheckpoint::MIN_LEN,
             StreamDelta::MIN_LEN,
-            LaneDelta::MIN_LEN,
+            crate::kernel::LaneSnapshot::MIN_LEN,
             ResolvedMessage::MIN_LEN,
         ] {
             assert!(min >= 1);

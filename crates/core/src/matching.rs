@@ -177,6 +177,33 @@ pub struct FailureMatching {
     pub right_only: Vec<usize>,
 }
 
+impl FailureMatching {
+    /// The matching with these pairs over `left_len` left and `right_len`
+    /// right failures, in the matcher's own shape: pairs ascending in the
+    /// left index, left/right-only the ascending complements.
+    pub(crate) fn from_pairs(
+        mut matched: Vec<(usize, usize)>,
+        mut partial: Vec<(usize, usize)>,
+        left_len: usize,
+        right_len: usize,
+    ) -> FailureMatching {
+        matched.sort_by_key(|&(i, _)| i);
+        partial.sort_by_key(|&(i, _)| i);
+        let mut left_used = vec![false; left_len];
+        let mut right_used = vec![false; right_len];
+        for &(i, j) in matched.iter().chain(partial.iter()) {
+            left_used[i] = true;
+            right_used[j] = true;
+        }
+        FailureMatching {
+            matched,
+            partial,
+            left_only: (0..left_len).filter(|&i| !left_used[i]).collect(),
+            right_only: (0..right_len).filter(|&j| !right_used[j]).collect(),
+        }
+    }
+}
+
 /// Match two failure sets (both sorted by `(link, start)`): first exact
 /// matches (start and end within `window`), then partial overlaps among
 /// the leftovers.

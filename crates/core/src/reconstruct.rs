@@ -187,19 +187,16 @@ pub fn dedup_syslog(messages: &[ResolvedMessage], window: Duration) -> Vec<LinkT
 /// ```
 pub fn reconstruct(transitions: &[LinkTransition], strategy: AmbiguityStrategy) -> Reconstruction {
     let mut lanes: BTreeMap<LinkIx, ReconLane> = BTreeMap::new();
-    for t in transitions {
-        lanes
-            .entry(t.link)
-            .or_default()
-            .step(t.link, t.at, t.direction, strategy);
-    }
     let mut out = Reconstruction::default();
-    for (_, mut lane) in lanes {
-        lane.finish();
+    for t in transitions {
+        let lane = lanes.entry(t.link).or_default();
+        out.failures
+            .extend(lane.step(t.link, t.at, t.direction, strategy, &mut out.ambiguous));
+    }
+    for lane in lanes.values_mut() {
+        out.failures.extend(lane.finish());
         out.unterminated += lane.open.is_some() as u32;
         out.boundary_ups += lane.boundary_ups;
-        out.failures.append(&mut lane.failures);
-        out.ambiguous.append(&mut lane.ambiguous);
     }
     out.failures.sort_by_key(|f| (f.link, f.start));
     out.ambiguous.sort_by_key(|a| (a.link, a.first));

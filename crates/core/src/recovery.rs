@@ -66,12 +66,14 @@ use std::time::Instant;
 
 /// Checkpoint format version this build writes and reads. Version 1
 /// was a JSON header line (every durable file's version 1 did the same);
-/// version 2 was this envelope and chain block around a JSON payload.
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// version 2 was this envelope and chain block around a JSON payload;
+/// version 3 held each lane's finalized records inside the lane.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Delta-snapshot format version this build writes and reads; its
-/// versions 1 and 2 were the checkpoint's.
-pub const DELTA_VERSION: u16 = 3;
+/// versions 1 to 3 were the checkpoint's (version 3 carried each lane
+/// as a tail of its history vectors).
+pub const DELTA_VERSION: u16 = 4;
 
 /// Journal format version this build writes and reads. Version 1 was
 /// one JSON line per record.

@@ -38,6 +38,15 @@ impl SanitizeReport {
     pub fn long_removed_hours(&self) -> f64 {
         self.long_removed_ms as f64 / 3_600_000.0
     }
+
+    /// Add another report's counts to this one.
+    pub(crate) fn add(&mut self, other: &SanitizeReport) {
+        self.removed_offline += other.removed_offline;
+        self.removed_offline_ms += other.removed_offline_ms;
+        self.long_checked += other.long_checked;
+        self.long_removed += other.long_removed;
+        self.long_removed_ms += other.long_removed_ms;
+    }
 }
 
 /// Remove failures overlapping any listener offline span. The overlap

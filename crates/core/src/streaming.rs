@@ -63,18 +63,20 @@
 //!
 //! Per-link *working* state is bounded: a dedup anchor, two endpoint
 //! advertisement maps, two open/pending slots, and the current segment's
-//! buffered failures (drained at every quiet gap). Under `AssumeDown`
-//! every closed failure remains potentially extendable forever, so
-//! segments only drain at flush — the documented degenerate case.
+//! buffered failures (drained at every quiet gap). Everything finalized
+//! leaves the lane for the kernel's one append-only answer log. Under
+//! `AssumeDown` every closed failure remains potentially extendable
+//! forever, so segments only drain at flush — the documented degenerate
+//! case.
 
 use crate::analysis::{self, AnalysisConfig};
 use crate::arena::EventArena;
 use crate::codec::rows;
 use crate::error::AnalysisError;
-use crate::kernel::{Kernel, LaneEvent, LinkLane};
+use crate::kernel::{AnswerLog, Kernel, LaneEvent, LaneSnapshot, LinkLane, LogMark};
 use crate::observe::{self, PipelineReport, StreamingCounters};
 use crate::par;
-use crate::transitions::{IsisMergeStats, ResolvedMessage, SyslogResolveStats};
+use crate::transitions::{IsisMergeStats, SyslogResolveStats};
 use faultline_isis::listener::Transition;
 use faultline_sim::ScenarioData;
 use faultline_syslog::message::SyslogMessage;
@@ -83,7 +85,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::kernel::{LaneDelta, LaneSnapshot};
 use crate::linktable::{LinkIx, Naming};
 #[cfg(doc)]
 use crate::reconstruct::AmbiguityStrategy;
@@ -196,8 +197,9 @@ pub struct StreamResult {
 }
 
 /// A complete, serializable image of a [`StreamAnalysis`] mid-stream:
-/// every lane's state machines, the watermark, the resolved-message
-/// archive, and all accounting counters — everything [`StreamAnalysis::restore`]
+/// every lane's open state, the log of every record finalized so far
+/// (resolved messages, transitions, failures, match pairs), the
+/// watermark, and all accounting counters — everything [`StreamAnalysis::restore`]
 /// needs to continue the run as if it had never stopped. Wall-clock
 /// timings are deliberately *not* captured: they describe the process
 /// that died, not the state, and they are not part of the
@@ -212,7 +214,7 @@ pub struct StreamCheckpoint {
     seq: u64,
     config: AnalysisConfig,
     watermark: Option<Timestamp>,
-    messages: Vec<ResolvedMessage>,
+    log: AnswerLog,
     resolve_stats: SyslogResolveStats,
     is_stats: IsisMergeStats,
     ip_stats: IsisMergeStats,
@@ -254,12 +256,13 @@ impl StreamCheckpoint {
 }
 
 /// An **incremental** image of a [`StreamAnalysis`]: everything that
-/// changed since the parent snapshot at `parent_seq` — the lanes whose
-/// state machines were touched (the kernel's dirty-lane flags), the
-/// resolved-message *tail* appended since the parent, and the (cheap,
-/// always-copied) scalar counters and watermark. Applying a delta on top
-/// of the engine state its parent captured reproduces exactly the state a
-/// full [`StreamCheckpoint`] at `seq` would have restored.
+/// changed since the parent snapshot at `parent_seq` — the records the
+/// engine finalized since the parent (the tail of its answer log), the
+/// open state of every lane touched since (the kernel's dirty-lane
+/// flags), whole, and the (cheap, always-copied) scalar counters and
+/// watermark. Applying a delta on top of the engine state its parent
+/// captured reproduces exactly the state a full [`StreamCheckpoint`] at
+/// `seq` would have restored.
 ///
 /// A delta deliberately carries **no configuration**: a chain is anchored
 /// at a full base, the base's validated config governs the whole chain,
@@ -271,10 +274,8 @@ pub struct StreamDelta {
     seq: u64,
     parent_seq: u64,
     watermark: Option<Timestamp>,
-    /// `kernel.messages.len()` at the parent capture; the guard that a
-    /// delta is only applied on top of the state it was diffed against.
-    messages_base_len: u64,
-    messages_tail: Vec<ResolvedMessage>,
+    /// Every record finalized since the parent capture.
+    log: AnswerLog,
     resolve_stats: SyslogResolveStats,
     is_stats: IsisMergeStats,
     ip_stats: IsisMergeStats,
@@ -288,11 +289,9 @@ pub struct StreamDelta {
     quarantined_isis: u64,
     /// Only lanes dirtied since the parent capture, ascending by link
     /// (the kernel map's iteration order), so serialization stays
-    /// deterministic for a given state. A lane that existed at the
-    /// parent ships as a [`LaneDelta::Tail`] — its bounded open state
-    /// plus only what its append-only history vectors grew — and a lane
-    /// born inside the window ships whole.
-    lanes: Vec<LaneDelta>,
+    /// deterministic for a given state. A lane is open state only, so
+    /// it ships whole.
+    lanes: Vec<LaneSnapshot>,
 }
 
 // The snapshot payload's rows (see `crate::codec`'s snapshot layout).
@@ -301,7 +300,7 @@ rows! {
         seq,
         config,
         watermark,
-        messages,
+        log,
         resolve_stats,
         is_stats,
         ip_stats,
@@ -319,8 +318,7 @@ rows! {
         seq,
         parent_seq,
         watermark,
-        messages_base_len,
-        messages_tail,
+        log,
         resolve_stats,
         is_stats,
         ip_stats,
@@ -355,16 +353,16 @@ impl StreamDelta {
 
 /// A set of per-link lanes in flight between two engines — the payload
 /// of live resharding ([`crate::cluster::ClusterConfig::reshard_at`]).
-/// Each lane ships as the same full `LaneDelta` encoding the incremental
-/// checkpoint layer uses, captured by [`StreamAnalysis::export_lanes`]
-/// on the source engine and replayed by
-/// [`StreamAnalysis::import_lanes`] on the destination. The lane list
+/// Each lane ships as its open state, the image a checkpoint holds,
+/// captured by [`StreamAnalysis::export_lanes`] on the source engine and
+/// attached by [`StreamAnalysis::import_lanes`] on the destination; what
+/// the lane had finalized stays in the source engine's log. The lane list
 /// is ascending by link (export preserves the request order, which the
 /// cluster derives from the sorted link table), so serialization is
 /// deterministic for a given state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LaneMigration {
-    lanes: Vec<LaneDelta>,
+    lanes: Vec<LaneSnapshot>,
 }
 
 impl LaneMigration {
@@ -400,11 +398,11 @@ pub struct StreamAnalysis<'a> {
     late_events: u64,
     quarantined_syslog: u64,
     quarantined_isis: u64,
-    /// `kernel.messages.len()` at the last [`StreamAnalysis::mark_clean`]
-    /// — the base the next delta's message tail starts from. Messages
-    /// only ever append (classification is serial), so a length is a
-    /// complete diff anchor.
-    messages_mark: usize,
+    /// Where the kernel's answer log ended at the last
+    /// [`StreamAnalysis::mark_clean`] — where the next delta's log tail
+    /// starts. The log only ever appends, so its lengths are a complete
+    /// diff anchor.
+    log_mark: LogMark,
     /// Events ingested at the last `mark_clean` — the `parent_seq` the
     /// next [`StreamAnalysis::checkpoint_delta`] will chain to.
     marked_seq: u64,
@@ -461,7 +459,7 @@ impl<'a> StreamAnalysis<'a> {
             late_events: 0,
             quarantined_syslog: 0,
             quarantined_isis: 0,
-            messages_mark: 0,
+            log_mark: LogMark::default(),
             marked_seq: 0,
             arena_events_hwm: 0,
             watermark_lag_max_millis: 0,
@@ -509,7 +507,7 @@ impl<'a> StreamAnalysis<'a> {
             seq: self.events_ingested(),
             config: self.kernel.config.clone(),
             watermark: self.watermark,
-            messages: self.kernel.messages.clone(),
+            log: self.kernel.log.clone(),
             resolve_stats: self.kernel.resolve_stats,
             is_stats: self.kernel.is_stats,
             ip_stats: self.kernel.ip_stats,
@@ -526,7 +524,7 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// Capture only what changed since the last [`StreamAnalysis::mark_clean`]:
-    /// dirtied lanes, the appended message tail, and the scalar counters.
+    /// dirtied lanes, the answer log's tail, and the scalar counters.
     /// The capture is pure — call `mark_clean` once the snapshot has been
     /// handed off (or durably written) to start the next diff window.
     pub fn checkpoint_delta(&self) -> StreamDelta {
@@ -534,8 +532,7 @@ impl<'a> StreamAnalysis<'a> {
             seq: self.events_ingested(),
             parent_seq: self.marked_seq,
             watermark: self.watermark,
-            messages_base_len: self.messages_mark as u64,
-            messages_tail: self.kernel.messages[self.messages_mark..].to_vec(),
+            log: self.kernel.log.since(&self.log_mark),
             resolve_stats: self.kernel.resolve_stats,
             is_stats: self.kernel.is_stats,
             ip_stats: self.kernel.ip_stats,
@@ -552,31 +549,31 @@ impl<'a> StreamAnalysis<'a> {
                 .lanes
                 .values()
                 .filter(|lane| lane.dirty)
-                .map(LinkLane::delta_snapshot)
+                .map(LinkLane::snapshot)
                 .collect(),
         }
     }
 
-    /// Start a new diff window: clear every lane's dirty flag and anchor
-    /// the message tail at the current archive length. Called by the
+    /// Start a new diff window: clear every lane's dirty flag and mark
+    /// where the answer log ends. Called by the
     /// durability layer right after each snapshot capture (full or
     /// delta) so the next [`StreamAnalysis::checkpoint_delta`] diffs
     /// against exactly the state that capture preserved.
     pub fn mark_clean(&mut self) {
         for lane in self.kernel.lanes.values_mut() {
-            lane.mark_clean();
+            lane.dirty = false;
         }
-        self.messages_mark = self.kernel.messages.len();
+        self.log_mark = self.kernel.log.mark();
         self.marked_seq = self.events_ingested();
     }
 
     /// Advance a restored engine by one delta: replace the dirtied
-    /// lanes, append the message tail, and overwrite the scalar state.
-    /// The engine must be exactly at the delta's parent state — the
-    /// sequence and message-base guards make a mismatched application a
-    /// typed error (surfaced by [`crate::recovery`] as a corrupt chain),
-    /// never a silently wrong restore.
-    pub fn apply_delta(&mut self, delta: StreamDelta) -> Result<(), String> {
+    /// lanes, append the log tail, and overwrite the scalar state. The
+    /// engine must be exactly at the delta's parent state — the sequence
+    /// guard makes a mismatched application a typed error (surfaced by
+    /// [`crate::recovery`] as a corrupt chain), never a silently wrong
+    /// restore.
+    pub fn apply_delta(&mut self, mut delta: StreamDelta) -> Result<(), String> {
         if delta.parent_seq != self.events_ingested() {
             return Err(format!(
                 "delta parent seq {} does not match engine position {}",
@@ -584,15 +581,8 @@ impl<'a> StreamAnalysis<'a> {
                 self.events_ingested()
             ));
         }
-        if delta.messages_base_len != self.kernel.messages.len() as u64 {
-            return Err(format!(
-                "delta message base {} does not match archive length {}",
-                delta.messages_base_len,
-                self.kernel.messages.len()
-            ));
-        }
         self.watermark = delta.watermark;
-        self.kernel.messages.extend(delta.messages_tail);
+        self.kernel.log.append(&mut delta.log);
         self.kernel.resolve_stats = delta.resolve_stats;
         self.kernel.is_stats = delta.is_stats;
         self.kernel.ip_stats = delta.ip_stats;
@@ -604,21 +594,8 @@ impl<'a> StreamAnalysis<'a> {
         self.kernel.open_items_hwm = delta.open_items_hwm;
         self.quarantined_syslog = delta.quarantined_syslog;
         self.quarantined_isis = delta.quarantined_isis;
-        for lane_delta in delta.lanes {
-            match lane_delta {
-                LaneDelta::Full(snap) => {
-                    self.kernel.lanes.insert(snap.link, LinkLane::restore(snap));
-                }
-                LaneDelta::Tail(tail) => {
-                    let Some(lane) = self.kernel.lanes.get_mut(&tail.link) else {
-                        return Err(format!(
-                            "delta tail for link {:?} which the parent state never had",
-                            tail.link
-                        ));
-                    };
-                    lane.apply_tail(tail)?;
-                }
-            }
+        for snap in delta.lanes {
+            self.kernel.lanes.insert(snap.link, LinkLane::restore(snap));
         }
         self.mark_clean();
         Ok(())
@@ -643,7 +620,7 @@ impl<'a> StreamAnalysis<'a> {
         analysis::validate_inputs(data, &ckpt.config)?;
         let mut engine = StreamAnalysis::with_naming(data, ckpt.config, naming, Instant::now());
         engine.watermark = ckpt.watermark;
-        engine.kernel.messages = ckpt.messages;
+        engine.kernel.log = ckpt.log;
         engine.kernel.resolve_stats = ckpt.resolve_stats;
         engine.kernel.is_stats = ckpt.is_stats;
         engine.kernel.ip_stats = ckpt.ip_stats;
@@ -672,17 +649,17 @@ impl<'a> StreamAnalysis<'a> {
     /// on demand reproduces the same machine. The removed lanes stop
     /// counting toward this engine's open-state bound immediately.
     ///
-    /// Everything per-link lives in the lane — dedup anchor, endpoint
+    /// A lane is the link's whole open state — dedup anchor, endpoint
     /// maps, open/pending failures, the buffered match segment — so a
     /// moved lane continues on the destination exactly where it stopped
-    /// here. The resolved-message archive is *not* per-link state; it
-    /// stays behind and the cluster merge interleaves the archives.
+    /// here. What the link had finalized is in this engine's answer log;
+    /// it stays behind, and the cluster merge interleaves the logs.
     pub fn export_lanes(&mut self, links: &[LinkIx]) -> LaneMigration {
         let mut lanes = Vec::new();
         for link in links {
             if let Some(lane) = self.kernel.lanes.remove(link) {
                 self.kernel.open_items -= lane.open_items();
-                lanes.push(LaneDelta::Full(lane.snapshot()));
+                lanes.push(lane.snapshot());
             }
         }
         LaneMigration { lanes }
@@ -690,35 +667,21 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Attach migrated lanes to this engine. Fails (typed, applying
     /// nothing further) if a lane arrives for a link this engine already
-    /// has state for — that would silently discard one side's history —
-    /// or if a lane arrives in the incremental `LaneDelta::Tail`
-    /// encoding, which only makes sense against a parent snapshot.
-    /// Returns how many lanes were attached.
+    /// has state for — that would silently discard one side's open
+    /// state. Returns how many lanes were attached.
     pub fn import_lanes(&mut self, migration: LaneMigration) -> Result<u64, String> {
         let mut imported = 0u64;
-        for lane_delta in migration.lanes {
-            match lane_delta {
-                LaneDelta::Full(snap) => {
-                    if self.kernel.lanes.contains_key(&snap.link) {
-                        return Err(format!(
-                            "lane migration for link {:?} collides with existing lane state",
-                            snap.link
-                        ));
-                    }
-                    let link = snap.link;
-                    let lane = LinkLane::restore(snap);
-                    self.kernel.open_items += lane.open_items();
-                    self.kernel.lanes.insert(link, lane);
-                    imported += 1;
-                }
-                LaneDelta::Tail(tail) => {
-                    return Err(format!(
-                        "lane migration for link {:?} uses the incremental tail encoding; \
-                         migrations ship whole lanes",
-                        tail.link
-                    ));
-                }
+        for snap in migration.lanes {
+            if self.kernel.lanes.contains_key(&snap.link) {
+                return Err(format!(
+                    "lane migration for link {:?} collides with existing lane state",
+                    snap.link
+                ));
             }
+            let lane = LinkLane::restore(snap);
+            self.kernel.open_items += lane.open_items();
+            self.kernel.lanes.insert(lane.link, lane);
+            imported += 1;
         }
         self.kernel.open_items_hwm = self.kernel.open_items_hwm.max(self.kernel.open_items);
         Ok(imported)
@@ -966,8 +929,8 @@ mod tests {
     }
 
     // Lane export/import needs private access to enumerate the kernel's
-    // lanes and to forge a tail-encoded migration; the end-to-end
-    // resharding semantics live in `tests/cluster_reshard.rs`.
+    // lanes; the end-to-end resharding semantics live in
+    // `tests/cluster_reshard.rs`.
     #[test]
     fn lane_export_import_moves_open_state_and_rejects_bad_payloads() {
         let data = run(&ScenarioParams::tiny(5));
@@ -996,19 +959,5 @@ mod tests {
             engine.import_lanes(moved).unwrap_err().contains("collides"),
             "double import must be a typed error"
         );
-
-        // A tail-encoded lane (the incremental checkpoint shape) is not
-        // a valid migration payload.
-        engine.mark_clean();
-        for event in &events[events.len() / 2..] {
-            engine.ingest(event);
-        }
-        let delta = engine.checkpoint_delta();
-        if let Some(tail) = delta.lanes.iter().find(|l| matches!(l, LaneDelta::Tail(_))) {
-            let forged = LaneMigration {
-                lanes: vec![tail.clone()],
-            };
-            assert!(engine.import_lanes(forged).unwrap_err().contains("tail"));
-        }
     }
 }

@@ -336,12 +336,12 @@ fn checkpoint_head(hosts: &[&str], seq: u64) -> Vec<u8> {
     p
 }
 
-/// The same payload through its scalars: no messages, zeroed resolve,
-/// IS and IP merge stats and the eight counters — what precedes the
-/// lane count.
+/// The same payload through its scalars: an empty answer log (its twelve
+/// vectors, each a zero count), zeroed resolve, IS and IP merge stats and
+/// the eight counters — what precedes the lane count.
 fn checkpoint_head_to_lanes(seq: u64) -> Vec<u8> {
     let mut p = checkpoint_head(&[], seq);
-    p.push(0);
+    p.extend_from_slice(&[0; 12]);
     p.extend_from_slice(&[0; 4 + 5 + 5 + 8]);
     p
 }
@@ -375,7 +375,7 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
     };
     // One lane — link 0, no link id, resolvable, no dedup anchor — and
     // then its IS merge's advertisement vector; the lane count passes
-    // only if the bytes left could hold one lane's shortest row (48).
+    // only if the bytes left could hold one lane's shortest row (37).
     let mut lane = checkpoint_head_to_lanes(seq);
     lane.extend_from_slice(&[1, 0, 0, 1, 0]);
     // One message at 1 ms on link 0: the given direction byte, IS-IS
@@ -396,7 +396,7 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
             "count claims 4294967296 items",
             Some(bomb(checkpoint_head_to_lanes(seq), 10)),
         ),
-        ("count claims 4294967296 items", Some(bomb(lane, 48))),
+        ("count claims 4294967296 items", Some(bomb(lane, 37))),
         ("is past the 0-entry dictionary", Some(message(&[], 0))),
         (
             "invalid transition direction byte 0x07",
@@ -1013,7 +1013,7 @@ fn on_disk_format_is_pinned() {
         .collect();
     assert_eq!(names, expected);
 
-    // A full base: envelope "FLCK" version 3, kind 1 (chain block + codec
+    // A full base: envelope "FLCK" version 4, kind 1 (chain block + codec
     // payload), its chain block naming no parent, then the host
     // dictionary and the checkpoint row.
     let base = fs::read(tmp.path().join(&names[7])).unwrap();
@@ -1021,9 +1021,9 @@ fn on_disk_format_is_pinned() {
     let chain = [80u64, 0, 0].map(u64::to_le_bytes).concat();
     assert_eq!(
         base,
-        envelope(*b"FLCK", 3, 1, &[&chain[..], base_payload].concat())
+        envelope(*b"FLCK", 4, 1, &[&chain[..], base_payload].concat())
     );
-    assert_eq!(&base[..6], b"FLCK\x03\x00");
+    assert_eq!(&base[..6], b"FLCK\x04\x00");
     let (hosts, row) = dictionary(base_payload);
     assert_eq!(
         hosts,
@@ -1052,7 +1052,7 @@ fn on_disk_format_is_pinned() {
             "0010",                 // threads 0 (auto), chunk size 16
             "00",                   // no quarantine horizon
             "01b69d919b02",         // watermark: some, 593776310 ms
-            "20",                   // 32 resolved messages follow
+            "20",                   // the answer log: 32 resolved messages
         ]
         .concat()
     );
@@ -1061,29 +1061,28 @@ fn on_disk_format_is_pinned() {
     // snapshot struct's fields (or changing any field's layout) moves it.
     assert_eq!(
         (base.len(), base_fnv),
-        (1353, 0x120f_8083_e857_c8d4),
+        (1276, 0x4cf9_9a7e_7b75_891e),
         "the base's size and envelope hash"
     );
 
-    // The delta chained to it: "FLDT" version 3, parent pointer and the
+    // The delta chained to it: "FLDT" version 4, parent pointer and the
     // parent's envelope hash in its chain block, its own dictionary.
     let delta = fs::read(tmp.path().join(&names[8])).unwrap();
     let delta_payload = &delta[HEADER_LEN + CHAIN_LEN..];
     let chain = [90u64, 80, base_fnv].map(u64::to_le_bytes).concat();
     assert_eq!(
         delta,
-        envelope(*b"FLDT", 3, 1, &[&chain[..], delta_payload].concat())
+        envelope(*b"FLDT", 4, 1, &[&chain[..], delta_payload].concat())
     );
     let (hosts, row) = dictionary(delta_payload);
     assert_eq!(hosts, ["lax-agg-01", "cust007-gw1"]);
     assert_eq!(
-        hex(&row[..10]),
+        hex(&row[..9]),
         [
             "5a",           // seq 90
             "50",           // parent seq 80
             "01b5c6919b02", // watermark: some, 593781557 ms
-            "20",           // the parent held 32 resolved messages
-            "04",           // and 4 more follow
+            "04",           // the log's tail: 4 more resolved messages
         ]
         .concat()
     );
@@ -1092,7 +1091,7 @@ fn on_disk_format_is_pinned() {
             delta.len(),
             u64::from_le_bytes(delta[10..18].try_into().unwrap())
         ),
-        (256, 0x1666_e251_321c_a8d5),
+        (254, 0x5659_c265_077c_41f9),
         "the delta's size and envelope hash"
     );
 

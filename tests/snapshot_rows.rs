@@ -179,7 +179,7 @@ fn a_delta_at_every_event_boundary_round_trips() {
         engine.mark_clean();
         engine.ingest(e);
         let json = delta_round_trip(&engine, &format!("delta over event {i}"));
-        if json.contains("\"messages_tail\":[]") {
+        if json.contains("\"log\":{\"messages\":[]") {
             empty_tails += 1;
         } else {
             one_message_tails += 1;
