@@ -3,9 +3,9 @@
 //!
 //! [`Analysis::new`] runs the full pipeline once — as the batch **driver**
 //! over the shared [`crate::kernel`]: one classification pass over the
-//! time-merged archive, per-link lanes fanned across the [`crate::par`]
-//! pool under a single end-of-archive watermark (batch = a stream whose
-//! watermark jumps straight to the end). The `table*`/`figure1` methods
+//! time-merged archive, then every per-link lane applied in place under
+//! a single end-of-archive watermark (batch = a stream whose watermark
+//! jumps straight to the end). The `table*`/`figure1` methods
 //! then derive each exhibit from the resulting
 //! [`StreamOutput`]. Experiment binaries in
 //! `faultline-bench` print these structures; integration tests assert on
@@ -13,10 +13,9 @@
 
 use crate::arena::EventArena;
 use crate::error::AnalysisError;
-use crate::flap::{detect_episodes_par, FlapIndex};
+use crate::flap::{detect_episodes, FlapIndex};
 use crate::fp::{
-    classify_ambiguous_par, classify_false_positives_par, AmbiguityCounts, FpReport,
-    LinkStateTimeline,
+    classify_ambiguous, classify_false_positives, AmbiguityCounts, FpReport, LinkStateTimeline,
 };
 use crate::intern::FastMap;
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
@@ -27,7 +26,6 @@ use crate::matching::{
     match_fraction, match_transitions_to_messages, FailureMatching, TransitionMatchCounts,
 };
 use crate::observe::{self, PipelineReport, RobustnessCounters};
-use crate::par::ParallelismConfig;
 use crate::reconstruct::{AmbiguityStrategy, Failure};
 use crate::stats::{metric_samples, Ecdf, MetricSamples, Summary};
 use crate::transitions::{LinkTransition, MessageFamily, ResolvedMessage};
@@ -62,9 +60,8 @@ pub struct AnalysisConfig {
     pub short_fp_threshold: Duration,
     /// Double-message interpretation (§4.3).
     pub strategy: AmbiguityStrategy,
-    /// Per-link fan-out configuration. Not part of the paper:
-    /// `threads = 1` reproduces the serial pipeline, and every thread
-    /// count yields identical results (see `tests/determinism.rs`).
+    /// Retired scheduling knob; steers nothing (see
+    /// [`ParallelismConfig`]). Not part of the paper.
     #[serde(default)]
     pub parallelism: ParallelismConfig,
     /// Quarantine horizon: messages and transitions stamped *after* this
@@ -90,6 +87,66 @@ impl Default for AnalysisConfig {
             strategy: AmbiguityStrategy::PreviousState,
             parallelism: ParallelismConfig::default(),
             quarantine_horizon: None,
+        }
+    }
+}
+
+fn default_chunk_size() -> usize {
+    16
+}
+
+/// The retired lane fan-out knob, kept as a compatibility shell.
+///
+/// It steers nothing: every lane is applied in place on the calling
+/// thread, whatever the fields say (`tests/determinism.rs` holds a
+/// `threads: 8, chunk_size: 3` config to the default's bytes). Its
+/// fields, serde defaults and snapshot row stay because archived
+/// configs and checkpoints carry it (`on_disk_format_is_pinned` pins
+/// its bytes) and the benchmark's ledger still builds one. It goes with
+/// the benchmark's per-thread ledger rows and the next checkpoint
+/// format version (ROADMAP.md, item 7: the benchmark rework).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ParallelismConfig {
+    /// Once the lane worker count (`0` = one per core); ignored.
+    #[serde(default)]
+    pub threads: usize,
+    /// Once the link groups a worker claimed at a time; ignored.
+    #[serde(default = "default_chunk_size")]
+    pub chunk_size: usize,
+}
+
+impl Default for ParallelismConfig {
+    fn default() -> Self {
+        ParallelismConfig {
+            threads: 0,
+            chunk_size: default_chunk_size(),
+        }
+    }
+}
+
+impl ParallelismConfig {
+    /// The one-thread config.
+    pub const SERIAL: ParallelismConfig = ParallelismConfig {
+        threads: 1,
+        chunk_size: 16,
+    };
+
+    /// A config with an explicit worker count and the default chunk size.
+    pub fn with_threads(threads: usize) -> Self {
+        ParallelismConfig {
+            threads,
+            ..ParallelismConfig::default()
+        }
+    }
+
+    /// The worker count the fields name on this machine (`0` resolves
+    /// to the available cores). No lane work reads it.
+    pub fn effective_threads(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            n => n,
         }
     }
 }
@@ -132,9 +189,8 @@ impl<'a> Analysis<'a> {
 
     /// Run the full pipeline once, as the batch driver over the shared
     /// [`crate::kernel`]: classify the time-merged archive in one serial
-    /// pass, apply every lane's events under a single end-of-archive
-    /// watermark (fanned across threads per `config.parallelism`), and
-    /// collect. The result is identical for every thread count — and
+    /// pass, apply every lane's events in place under a single
+    /// end-of-archive watermark, and collect. The result is
     /// byte-identical to a streaming replay of the same data. Stage
     /// timings and counters land in [`Analysis::report`].
     ///
@@ -152,15 +208,13 @@ impl<'a> Analysis<'a> {
     /// assert!(analysis.report.counters.syslog_ingested > 0);
     /// ```
     pub fn run(data: &'a ScenarioData, config: AnalysisConfig) -> Self {
-        let par_cfg = config.parallelism;
-        let mut report = PipelineReport::new(par_cfg.effective_threads());
+        let mut report = PipelineReport::new(1);
         let run_started = Instant::now();
         observe::narrate(|| {
             format!(
-                "pipeline start: {} syslog messages, {} listener transitions, {} thread(s)",
+                "pipeline start: {} syslog messages, {} listener transitions",
                 data.syslog.len(),
                 data.transitions.len(),
-                par_cfg.effective_threads()
             )
         });
 
@@ -225,9 +279,9 @@ impl<'a> Analysis<'a> {
             t.elapsed(),
         );
 
-        // Lane pass: one fan-out of every per-link state machine, with
-        // the watermark already at end-of-archive — batch is just a
-        // stream whose watermark jumps straight to the end.
+        // Lane pass: every per-link state machine in link order on this
+        // thread, with the watermark already at end-of-archive — batch is
+        // just a stream whose watermark jumps straight to the end.
         let t = Instant::now();
         let mut lanes_touched = 0u64;
         if let Some(watermark) = watermark {
@@ -334,11 +388,7 @@ impl<'a> Analysis<'a> {
         );
         // Flapping share of unmatched transitions (§4.1's 67%/61%).
         let flaps = FlapIndex::new(
-            &detect_episodes_par(
-                &self.output.isis_recon.failures,
-                self.config.flap_gap,
-                &self.config.parallelism,
-            ),
+            &detect_episodes(&self.output.isis_recon.failures, self.config.flap_gap),
             self.config.flap_pad,
         );
         let mut unmatched_down_in_flap = 0u64;
@@ -500,12 +550,7 @@ impl<'a> Analysis<'a> {
             .filter(|p| self.table.is_resolvable(p.link))
             .copied()
             .collect();
-        let (_, counts) = classify_ambiguous_par(
-            &ambiguous,
-            &timeline,
-            self.config.match_window,
-            &self.config.parallelism,
-        );
+        let (_, counts) = classify_ambiguous(&ambiguous, &timeline, self.config.match_window);
         (
             Table6 {
                 counts,
@@ -526,19 +571,10 @@ impl<'a> Analysis<'a> {
             .collect();
         fps.sort_by_key(|f| (f.link, f.start));
         let flaps = FlapIndex::new(
-            &detect_episodes_par(
-                &self.output.isis_failures,
-                self.config.flap_gap,
-                &self.config.parallelism,
-            ),
+            &detect_episodes(&self.output.isis_failures, self.config.flap_gap),
             self.config.flap_pad,
         );
-        classify_false_positives_par(
-            &fps,
-            &flaps,
-            self.config.short_fp_threshold,
-            &self.config.parallelism,
-        )
+        classify_false_positives(&fps, &flaps, self.config.short_fp_threshold)
     }
 
     /// Isolation outcomes for one source.
@@ -1289,7 +1325,7 @@ mod tests {
         for stage in ["link_table", "classify", "lane_apply", "collect"] {
             assert!(a.report.stage(stage).is_some(), "missing stage {stage}");
         }
-        assert!(a.report.threads >= 1);
+        assert_eq!(a.report.threads, 1);
         assert!(a.report.counters.syslog_ingested > 0);
         assert!(a.report.counters.isis_ingested > 0);
         assert!(a.report.counters.transitions_derived > 0);
@@ -1300,43 +1336,6 @@ mod tests {
                 == a.report.counters.failures_reconstructed
         );
         let _ = format!("{}", a.report);
-    }
-
-    #[test]
-    fn serial_and_parallel_runs_agree() {
-        let data = run(&ScenarioParams::tiny(33));
-        let serial = Analysis::run(
-            &data,
-            AnalysisConfig {
-                parallelism: ParallelismConfig::SERIAL,
-                ..AnalysisConfig::default()
-            },
-        );
-        let par = Analysis::run(
-            &data,
-            AnalysisConfig {
-                parallelism: ParallelismConfig {
-                    threads: 4,
-                    chunk_size: 3,
-                },
-                ..AnalysisConfig::default()
-            },
-        );
-        assert_eq!(serial.output.is_transitions, par.output.is_transitions);
-        assert_eq!(serial.output.ip_transitions, par.output.ip_transitions);
-        assert_eq!(
-            serial.output.syslog_transitions,
-            par.output.syslog_transitions
-        );
-        assert_eq!(serial.output.isis_failures, par.output.isis_failures);
-        assert_eq!(serial.output.syslog_failures, par.output.syslog_failures);
-        assert_eq!(serial.output.matching.matched, par.output.matching.matched);
-        assert_eq!(serial.output.matching.partial, par.output.matching.partial);
-        assert_eq!(format!("{}", serial.table4()), format!("{}", par.table4()));
-        assert_eq!(
-            format!("{}", serial.table6().0),
-            format!("{}", par.table6().0)
-        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! order, the sort key is `(key, index)`, and `sort_unstable` is safe
 //! because the index makes keys unique — so per-key event order is
 //! exactly push order, and groups iterate in ascending key order. Those
-//! are the two determinism properties the kernel's lane fan-out relies
-//! on.
+//! are the two properties the kernel's lane pass relies on: each lane
+//! sees its events in feed order, and lanes drain into the answer log
+//! in link order.
 
 /// A struct-of-arrays, reusable buffer of keyed events with stable
 /// grouped iteration. See the [module docs](self) for why this replaces

@@ -636,8 +636,7 @@ fn cluster_report(
         0.0
     };
 
-    let threads = shard_reports.first().map(|r| r.threads).unwrap_or(1);
-    let mut report = PipelineReport::new(threads);
+    let mut report = PipelineReport::new(1);
     report.record_stage("dispatch", total_events, total_events, walls.dispatch);
     report.record_stage(
         "shard_ingest",

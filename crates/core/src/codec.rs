@@ -134,14 +134,13 @@
 //! `u32`/`usize` narrowing is checked, and bytes after the last row are
 //! an error.
 
-use crate::analysis::AnalysisConfig;
+use crate::analysis::{AnalysisConfig, ParallelismConfig};
 use crate::error::CodecError;
 use crate::intern::FastMap;
 use crate::kernel::StreamOutput;
 use crate::linktable::LinkIx;
 use crate::matching::FailureMatching;
 use crate::observe::{PipelineCounters, PipelineReport};
-use crate::par::ParallelismConfig;
 use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure, Reconstruction};
 use crate::sanitize::SanitizeReport;
 use crate::streaming::{StreamCheckpoint, StreamDelta, StreamEvent};

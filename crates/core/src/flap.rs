@@ -8,12 +8,10 @@
 //! during such periods — flapping is where syslog's fidelity collapses.
 
 use crate::linktable::LinkIx;
-use crate::par::{self, ParallelismConfig};
 use crate::reconstruct::Failure;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// A detected flapping episode: a maximal run of ≥ 2 failures on one link
 /// with inter-failure gaps below the threshold.
@@ -77,31 +75,6 @@ pub fn detect_episodes(failures: &[Failure], gap_threshold: Duration) -> Vec<Fla
         i = j + 1;
     }
     episodes
-}
-
-/// Like [`detect_episodes`], scanning links across threads. Episode runs
-/// never cross links and `failures` is sorted by `(link, start)`, so the
-/// per-link contiguous ranges partition the work exactly; concatenating
-/// in link order reproduces the serial output for every thread count.
-pub fn detect_episodes_par(
-    failures: &[Failure],
-    gap_threshold: Duration,
-    par_cfg: &ParallelismConfig,
-) -> Vec<FlapEpisode> {
-    let mut ranges: Vec<Range<usize>> = Vec::new();
-    let mut i = 0;
-    while i < failures.len() {
-        let link = failures[i].link;
-        let start = i;
-        while i < failures.len() && failures[i].link == link {
-            i += 1;
-        }
-        ranges.push(start..i);
-    }
-    par::par_map(&ranges, par_cfg, |r| {
-        detect_episodes(&failures[r.clone()], gap_threshold)
-    })
-    .concat()
 }
 
 /// Query structure: is a given instant inside a flapping episode on a
@@ -222,29 +195,6 @@ mod tests {
             Timestamp::from_secs(300),
             Timestamp::from_secs(400)
         ));
-    }
-
-    #[test]
-    fn parallel_episode_detection_matches_serial() {
-        let mut fs = Vec::new();
-        for link in 0..9u32 {
-            for k in 0..10u64 {
-                // Links alternate between flappy (100s gaps) and quiet
-                // (2000s gaps) cadence.
-                let step = if link % 2 == 0 { 100 } else { 2_000 };
-                fs.push(fail(link, k * step, k * step + 10));
-            }
-        }
-        fs.sort_by_key(|f| (f.link, f.start));
-        let serial = detect_episodes(&fs, TEN_MIN);
-        assert!(!serial.is_empty());
-        for threads in [2, 4] {
-            let cfg = ParallelismConfig {
-                threads,
-                chunk_size: 2,
-            };
-            assert_eq!(serial, detect_episodes_par(&fs, TEN_MIN, &cfg));
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::flap::FlapIndex;
 use crate::linktable::LinkIx;
-use crate::par::{self, ParallelismConfig};
 use crate::reconstruct::{AmbiguousPeriod, Failure};
 use crate::transitions::LinkTransition;
 use faultline_isis::listener::TransitionDirection;
@@ -131,31 +130,6 @@ pub fn classify_ambiguous(
     (out, counts)
 }
 
-/// Like [`classify_ambiguous`], classifying chunks of periods across
-/// threads. Each period is classified independently against the shared
-/// (read-only) timeline, so chunking preserves order and counts exactly.
-pub fn classify_ambiguous_par(
-    periods: &[AmbiguousPeriod],
-    isis: &LinkStateTimeline,
-    window: Duration,
-    par_cfg: &ParallelismConfig,
-) -> (Vec<(AmbiguousPeriod, AmbiguityCause)>, AmbiguityCounts) {
-    let chunks: Vec<&[AmbiguousPeriod]> = periods.chunks(par_cfg.chunk_size.max(1)).collect();
-    let parts = par::par_map(&chunks, par_cfg, |c| classify_ambiguous(c, isis, window));
-    let mut out = Vec::with_capacity(periods.len());
-    let mut counts = AmbiguityCounts::default();
-    for (mut classified, c) in parts {
-        out.append(&mut classified);
-        for (dst, src) in counts.down.iter_mut().zip(c.down) {
-            *dst += src;
-        }
-        for (dst, src) in counts.up.iter_mut().zip(c.up) {
-            *dst += src;
-        }
-    }
-    (out, counts)
-}
-
 fn classify_one(p: &AmbiguousPeriod, isis: &LinkStateTimeline, window: Duration) -> AmbiguityCause {
     // Lost message: both syslog messages correspond to genuine IS-IS
     // transitions of their direction — meaning the opposite transition in
@@ -235,30 +209,6 @@ pub fn classify_false_positives(
         }
     }
     report
-}
-
-/// Like [`classify_false_positives`], classifying chunks of failures
-/// across threads against the shared (read-only) flap index.
-pub fn classify_false_positives_par(
-    syslog_only: &[Failure],
-    flaps: &FlapIndex,
-    short_threshold: Duration,
-    par_cfg: &ParallelismConfig,
-) -> FpReport {
-    let chunks: Vec<&[Failure]> = syslog_only.chunks(par_cfg.chunk_size.max(1)).collect();
-    let parts = par::par_map(&chunks, par_cfg, |c| {
-        classify_false_positives(c, flaps, short_threshold)
-    });
-    let mut merged = FpReport::default();
-    for mut part in parts {
-        merged.all.append(&mut part.all);
-        merged.short_count += part.short_count;
-        merged.short_downtime_ms += part.short_downtime_ms;
-        merged.long_count += part.long_count;
-        merged.long_downtime_ms += part.long_downtime_ms;
-        merged.long_in_flap += part.long_in_flap;
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -341,32 +291,6 @@ mod tests {
         assert_eq!(counts.down, [0, 0, 1]);
         assert_eq!(counts.down_total(), 1);
         assert_eq!(counts.up_total(), 0);
-    }
-
-    #[test]
-    fn parallel_classification_matches_serial() {
-        let tl = LinkStateTimeline::new(&[
-            tr(0, 100, Down),
-            tr(0, 150, Up),
-            tr(0, 300, Down),
-            tr(0, 400, Up),
-            tr(1, 500, Down),
-            tr(1, 900, Up),
-        ]);
-        let periods: Vec<AmbiguousPeriod> = (0..40)
-            .map(|k| {
-                let dir = if k % 2 == 0 { Down } else { Up };
-                amb(k % 2, 100 + 17 * k as u64, 160 + 17 * k as u64, dir)
-            })
-            .collect();
-        let (serial, serial_counts) = classify_ambiguous(&periods, &tl, W);
-        let cfg = ParallelismConfig {
-            threads: 4,
-            chunk_size: 3,
-        };
-        let (par, par_counts) = classify_ambiguous_par(&periods, &tl, W, &cfg);
-        assert_eq!(serial, par);
-        assert_eq!(serial_counts, par_counts);
     }
 
     #[test]

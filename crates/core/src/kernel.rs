@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Both drivers produce the same [`StreamOutput`]; `tests/stream_equivalence.rs`
-//! asserts the JSON is byte-identical across chunkings, strategies, and
-//! thread counts. The per-stage equivalence argument is narrated in the
+//! asserts the JSON is byte-identical across chunkings and strategies.
+//! The per-stage equivalence argument is narrated in the
 //! [`crate::streaming`] module docs.
 
 use crate::analysis::AnalysisConfig;
@@ -39,7 +39,6 @@ use crate::intern::FastMap;
 use crate::linktable::{LinkIx, Naming};
 use crate::matching::{match_failures, FailureMatching};
 use crate::observe::PipelineCounters;
-use crate::par;
 use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure, Reconstruction};
 use crate::sanitize::SanitizeReport;
 use crate::transitions::{
@@ -56,7 +55,7 @@ use faultline_topology::osi::SystemId;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything the pipeline derives from the observables — the complete
 /// comparable surface of a run, produced identically by both drivers.
@@ -996,32 +995,15 @@ impl<'a> Kernel<'a> {
 
     /// Apply one classified event to its lane under the given watermark.
     pub(crate) fn apply_one(&mut self, link: LinkIx, event: LaneEvent, watermark: Timestamp) {
-        let link_id = self.naming.link_of_ix.get(&link).copied();
-        let resolvable = self.naming.table.is_resolvable(link);
-        let ctx = LaneCtx {
-            config: &self.config,
-            offline: &self.data.offline_spans,
-            tickets: &self.data.tickets,
-        };
-        let lane = self
-            .lanes
-            .entry(link)
-            .or_insert_with(|| LinkLane::new(link, link_id, resolvable));
-        let before = lane.open_items();
-        lane.apply(&event, &ctx);
-        lane.maybe_close_segment(watermark, &ctx);
-        self.log.append(&mut lane.outbox);
-        let after = lane.open_items();
-        self.open_items = self.open_items - before + after;
+        self.step_lane(link, std::slice::from_ref(&event), watermark);
         self.open_items_hwm = self.open_items_hwm.max(self.open_items);
     }
 
     /// Apply a micro-batch of classified events from the driver's
-    /// [`EventArena`], sharded by link, fanning the per-link state
-    /// machines across threads via [`crate::par`]. The arena's grouped
-    /// iteration is key-ordered and push-stable, so every lane sees its
-    /// events in feed order and closes segments against the same
-    /// watermark — the result is identical for every thread count. The
+    /// [`EventArena`], one lane at a time on the calling thread. The
+    /// arena's grouped iteration is key-ordered and push-stable, so
+    /// every lane sees its events in feed order, closes segments against
+    /// the same watermark, and drains into the log in link order. The
     /// arena is borrowed for grouping only; the caller `clear()`s it for
     /// the next batch, reusing the allocation. Returns the number of
     /// lanes touched.
@@ -1030,56 +1012,48 @@ impl<'a> Kernel<'a> {
         grouped: &mut EventArena<LinkIx, LaneEvent>,
         watermark: Timestamp,
     ) -> usize {
-        if grouped.is_empty() {
-            return 0;
-        }
-        // A lane plus its borrowed run of `(link, index)` keys, handed
-        // to one worker; the Mutex moves the owned lane through
-        // `par_map`'s `Fn(&T)` surface. Events themselves stay put in
-        // the arena's value array — workers read them by index.
-        type LaneTask<'s> = (LinkIx, &'s [(LinkIx, u32)], Mutex<Option<LinkLane>>);
-        let mut tasks: Vec<LaneTask<'_>> = Vec::new();
         let (groups, events) = grouped.group();
+        let mut lanes_touched = 0;
         for (link, run) in groups {
-            let lane = self.lanes.remove(&link).unwrap_or_else(|| {
-                LinkLane::new(
-                    link,
-                    self.naming.link_of_ix.get(&link).copied(),
-                    self.naming.table.is_resolvable(link),
-                )
-            });
-            self.open_items -= lane.open_items();
-            tasks.push((link, run, Mutex::new(Some(lane))));
+            let run = run.iter().map(|&(_, ix)| &events[ix as usize]);
+            self.step_lane(link, run, watermark);
+            lanes_touched += 1;
         }
+        self.open_items_hwm = self.open_items_hwm.max(self.open_items);
+        lanes_touched
+    }
+
+    /// The one per-lane step: apply `events` to `link`'s lane in place
+    /// (creating it on first touch), close its segment against
+    /// `watermark`, drain its outbox into the log and re-count the
+    /// engine's open items. The high-water mark is the caller's, taken
+    /// once per event or batch.
+    fn step_lane<'e>(
+        &mut self,
+        link: LinkIx,
+        events: impl IntoIterator<Item = &'e LaneEvent>,
+        watermark: Timestamp,
+    ) {
         let ctx = LaneCtx {
             config: &self.config,
             offline: &self.data.offline_spans,
             tickets: &self.data.tickets,
         };
-        let par_cfg = self.config.parallelism;
-        let processed: Vec<(LinkIx, LinkLane)> =
-            par::par_map(&tasks, &par_cfg, |(link, run, cell)| {
-                let mut lane = cell
-                    .lock()
-                    .expect("lane cell poisoned")
-                    .take()
-                    .expect("each lane task is processed exactly once");
-                for &(_, ix) in run.iter() {
-                    lane.apply(&events[ix as usize], &ctx);
-                }
-                lane.maybe_close_segment(watermark, &ctx);
-                (*link, lane)
-            });
-        let lanes_touched = processed.len();
-        // Drained in link order, so the log is the same for every thread
-        // count.
-        for (link, mut lane) in processed {
-            self.log.append(&mut lane.outbox);
-            self.open_items += lane.open_items();
-            self.lanes.insert(link, lane);
+        let naming = &self.naming;
+        let lane = self.lanes.entry(link).or_insert_with(|| {
+            LinkLane::new(
+                link,
+                naming.link_of_ix.get(&link).copied(),
+                naming.table.is_resolvable(link),
+            )
+        });
+        let before = lane.open_items();
+        for event in events {
+            lane.apply(event, &ctx);
         }
-        self.open_items_hwm = self.open_items_hwm.max(self.open_items);
-        lanes_touched
+        lane.maybe_close_segment(watermark, &ctx);
+        self.log.append(&mut lane.outbox);
+        self.open_items = self.open_items - before + lane.open_items();
     }
 
     /// End of data: finalize every lane and assemble the global output

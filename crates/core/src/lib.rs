@@ -58,9 +58,10 @@
 //! IS-IS last — with every dropped event accounted for exactly in
 //! [`observe::OverloadCounters`].
 //!
-//! The per-link stages fan out across threads ([`par`], configured via
-//! [`analysis::AnalysisConfig::parallelism`]) with results independent of
-//! thread count, and every run carries per-stage counters and timings
+//! Lane work is serial: each link's lane is applied in place on the
+//! calling thread (a lane's share of a micro-batch is too little work to
+//! hand to a thread; the cluster's shards are the unit of parallelism),
+//! and every run carries per-stage counters and timings
 //! ([`observe::PipelineReport`]). Set `RUST_LOG=faultline_core=debug` to
 //! narrate the pipeline on stderr.
 
@@ -84,7 +85,6 @@ pub mod ks;
 pub mod linktable;
 pub mod matching;
 pub mod observe;
-pub mod par;
 pub mod reconstruct;
 pub mod recovery;
 pub mod sanitize;
@@ -97,7 +97,7 @@ pub use admission::{
     run_overloaded, run_overloaded_cluster, shed_survivors, AdmissionConfig, AdmissionController,
     EventClass, Offer, OverloadPolicy, SimSchedule,
 };
-pub use analysis::{Analysis, AnalysisConfig};
+pub use analysis::{Analysis, AnalysisConfig, ParallelismConfig};
 pub use arena::EventArena;
 pub use cluster::{
     merge_outputs, partition_events, route_event, run_cluster, run_cluster_subprocess, shard_dir,
@@ -111,7 +111,6 @@ pub use observe::{
     DurabilityCounters, OverloadCounters, PipelineCounters, PipelineReport, RobustnessCounters,
     ShardCounters, StreamingCounters, TransportCounters,
 };
-pub use par::ParallelismConfig;
 pub use reconstruct::{AmbiguityStrategy, Failure};
 pub use recovery::{DurabilityPolicy, DurableStream, FaultHook, RecoveryReport, RetryPolicy};
 pub use streaming::{

@@ -335,7 +335,8 @@ pub struct TransportCounters {
 /// [`crate::analysis::Analysis`] run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PipelineReport {
-    /// Effective worker-thread count the run used.
+    /// Threads the run's lane work used: 1 for every driver and every
+    /// cluster shard, since lanes apply on the calling thread.
     pub threads: usize,
     /// Per-stage accounting, in execution order.
     pub stages: Vec<StageReport>,

@@ -1037,10 +1037,8 @@ impl<'a> DurableStream<'a> {
     /// valid checkpoint (walking the fallback ladder past corrupt ones)
     /// plus the journal tail. With no usable checkpoint, rebuilds from a
     /// full journal replay; with neither, starts fresh. The caller's
-    /// `config` supplies the parallelism for the resumed run (thread
-    /// count never affects results) and the full configuration for
-    /// fresh starts; a restored checkpoint's embedded analytic
-    /// configuration always wins otherwise.
+    /// `config` is the configuration for fresh starts; a restored
+    /// checkpoint's embedded configuration always wins otherwise.
     pub fn recover(
         dir: &Path,
         data: &'a ScenarioData,
@@ -1083,8 +1081,7 @@ impl<'a> DurableStream<'a> {
         let snaps = list_snapshots(dir)?;
         for tip in snaps.iter().rev() {
             match restore_chain(data, &naming, &snaps, tip) {
-                Ok((mut e, fnv, chain_len)) => {
-                    e.set_parallelism(config.parallelism);
+                Ok((e, fnv, chain_len)) => {
                     observe::narrate(|| {
                         format!(
                             "recovery: restored snapshot seq {} ({chain_len} deltas on the base)",

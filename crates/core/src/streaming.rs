@@ -9,9 +9,10 @@
 //! driver over the same `kernel::Kernel` the batch pipeline
 //! uses: feed it [`StreamEvent`]s one at a time
 //! ([`StreamAnalysis::ingest`]) or in micro-batches
-//! ([`StreamAnalysis::ingest_batch`], which fans per-link work across
-//! threads via [`crate::par`]), and call [`StreamAnalysis::flush`] at end
-//! of stream for the final [`StreamOutput`].
+//! ([`StreamAnalysis::ingest_batch`], which applies each touched link's
+//! lane in place on the calling thread), and call
+//! [`StreamAnalysis::flush`] at end of stream for the final
+//! [`StreamOutput`].
 //!
 //! This module owns only what is genuinely streaming-specific: the
 //! watermark, late-event rejection, quarantine admission, micro-batch
@@ -29,7 +30,7 @@
 //! For an in-order event stream covering the same data, the flushed
 //! [`StreamOutput`] is **byte-identical** (as JSON) to the batch driver's
 //! [`crate::analysis::Analysis::run`] output on the same data, for every
-//! chunking of the stream and every thread count.
+//! chunking of the stream.
 //! `tests/stream_equivalence.rs` is the differential harness asserting
 //! this across random seeds, scales, chunkings, quarantine horizons, and
 //! chaos presets. Since both drivers execute the same kernel, the
@@ -75,7 +76,6 @@ use crate::codec::rows;
 use crate::error::AnalysisError;
 use crate::kernel::{AnswerLog, Kernel, LaneEvent, LaneSnapshot, LinkLane, LogMark};
 use crate::observe::{self, PipelineReport, StreamingCounters};
-use crate::par;
 use crate::transitions::{IsisMergeStats, SyslogResolveStats};
 use faultline_isis::listener::Transition;
 use faultline_sim::ScenarioData;
@@ -441,9 +441,8 @@ impl<'a> StreamAnalysis<'a> {
         let link_table_wall = started.elapsed();
         observe::narrate(|| {
             format!(
-                "stream start: {} links resolvable, {} thread(s)",
-                kernel.naming.table.len(),
-                kernel.config.parallelism.effective_threads()
+                "stream start: {} links resolvable",
+                kernel.naming.table.len()
             )
         });
         StreamAnalysis {
@@ -687,14 +686,6 @@ impl<'a> StreamAnalysis<'a> {
         Ok(imported)
     }
 
-    /// Override the scheduling half of the configuration. Thread count
-    /// never affects results (`tests/determinism.rs`), so a restored run
-    /// may resume under a different parallelism than the run that wrote
-    /// the checkpoint.
-    pub fn set_parallelism(&mut self, parallelism: par::ParallelismConfig) {
-        self.kernel.config.parallelism = parallelism;
-    }
-
     /// Late-event reject check. An event stamped strictly before the
     /// watermark would hand the per-link state machines out-of-order
     /// history and could regress the watermark that every segment-close
@@ -782,10 +773,10 @@ impl<'a> StreamAnalysis<'a> {
         IngestOutcome::Accepted
     }
 
-    /// Consume a micro-batch: resolution runs serially (to keep the
-    /// counters and emit order deterministic), then the per-link state
-    /// machines fan out across threads, sharded by link. Returns the
-    /// per-outcome tally for the batch.
+    /// Consume a micro-batch: resolution runs in feed order (to keep the
+    /// counters and emit order deterministic), then each touched link's
+    /// lane takes its run of the batch in place, in link order, on the
+    /// calling thread. Returns the per-outcome tally for the batch.
     pub fn ingest_batch(&mut self, events: &[StreamEvent]) -> IngestSummary {
         let t0 = Instant::now();
         self.batches += 1;
@@ -863,7 +854,7 @@ impl<'a> StreamAnalysis<'a> {
             events_per_sec,
         };
 
-        let mut report = PipelineReport::new(k.config.parallelism.effective_threads());
+        let mut report = PipelineReport::new(1);
         report.record_stage(
             "link_table",
             data.topology.links().len() as u64,

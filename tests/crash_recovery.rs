@@ -26,8 +26,7 @@
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
 use faultline_core::{
-    scenario_event_stream, Analysis, AnalysisConfig, ParallelismConfig, RecoveryError,
-    StreamAnalysis, StreamEvent,
+    scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis, StreamEvent,
 };
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{crash_points_seeded, ChainFault, ChaosConfig, DurabilityChaos};
@@ -122,10 +121,9 @@ fn kill_at_every_event_boundary_recovers_byte_identical() {
     assert_eq!(d.restores, 1, "counters describe the final process");
 }
 
-/// Seeds × chaos presets × thread counts × seeded kill points, on full
-/// streams, against the batch pipeline. The thread count of the
-/// *resumed* process differs from the writer's on purpose: parallelism
-/// must not leak into recovered state.
+/// Seeds × chaos presets × seeded kill points, on full streams, against
+/// the batch pipeline. (The `threads` in the name is historical: that
+/// axis went when lane work became serial.)
 #[test]
 fn crash_sweep_seeds_chaos_threads_matches_batch() {
     for seed in [3u64, 5] {
@@ -135,53 +133,38 @@ fn crash_sweep_seeds_chaos_threads_matches_batch() {
             ("severe", ChaosConfig::severe(seed * 31)),
         ] {
             let data = run(&chaotic(seed, chaos));
-            for threads in [1usize, 0] {
-                let config = AnalysisConfig {
-                    parallelism: ParallelismConfig::with_threads(threads),
-                    ..AnalysisConfig::default()
-                };
-                let reference = batch_json(&data, &config);
-                let events = scenario_event_stream(&data);
-                let policy = DurabilityPolicy {
-                    checkpoint_interval: 97,
-                    segment_max_records: 64,
-                    ..DurabilityPolicy::default()
-                };
-                for kill_at in crash_points_seeded(seed, events.len() as u64, 3) {
-                    let kill_at = kill_at as usize;
-                    let tmp = TempDir::new(&format!("sweep-{seed}-{name}-{threads}-{kill_at}"));
-                    {
-                        let mut durable =
-                            DurableStream::create(tmp.path(), &data, config.clone(), policy)
-                                .unwrap();
-                        for e in &events[..kill_at] {
-                            durable.ingest(e).unwrap();
-                        }
-                    }
-                    // Resume under the *other* parallelism.
-                    let resume_config = AnalysisConfig {
-                        parallelism: ParallelismConfig::with_threads(if threads == 1 {
-                            0
-                        } else {
-                            1
-                        }),
-                        ..config.clone()
-                    };
-                    let (mut durable, report) =
-                        DurableStream::recover(tmp.path(), &data, resume_config, policy).unwrap();
-                    assert_eq!(
-                        report.resumed_at_seq, kill_at as u64,
-                        "seed {seed} chaos {name} threads {threads} kill {kill_at}"
-                    );
-                    for e in &events[kill_at..] {
+            let config = AnalysisConfig::default();
+            let reference = batch_json(&data, &config);
+            let events = scenario_event_stream(&data);
+            let policy = DurabilityPolicy {
+                checkpoint_interval: 97,
+                segment_max_records: 64,
+                ..DurabilityPolicy::default()
+            };
+            for kill_at in crash_points_seeded(seed, events.len() as u64, 3) {
+                let kill_at = kill_at as usize;
+                let tmp = TempDir::new(&format!("sweep-{seed}-{name}-{kill_at}"));
+                {
+                    let mut durable =
+                        DurableStream::create(tmp.path(), &data, config.clone(), policy).unwrap();
+                    for e in &events[..kill_at] {
                         durable.ingest(e).unwrap();
                     }
-                    let recovered = serde_json::to_string(&durable.finish().output).unwrap();
-                    assert_eq!(
-                        reference, recovered,
-                        "seed {seed} chaos {name} threads {threads} kill {kill_at}"
-                    );
                 }
+                let (mut durable, report) =
+                    DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+                assert_eq!(
+                    report.resumed_at_seq, kill_at as u64,
+                    "seed {seed} chaos {name} kill {kill_at}"
+                );
+                for e in &events[kill_at..] {
+                    durable.ingest(e).unwrap();
+                }
+                let recovered = serde_json::to_string(&durable.finish().output).unwrap();
+                assert_eq!(
+                    reference, recovered,
+                    "seed {seed} chaos {name} kill {kill_at}"
+                );
             }
         }
     }

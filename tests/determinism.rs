@@ -2,7 +2,10 @@
 //! function of its seeds. Re-running a scenario and its analysis must
 //! yield byte-identical results; changing any seed must change them.
 
-use faultline_core::{Analysis, AnalysisConfig, ParallelismConfig};
+use faultline_core::{
+    run_cluster, scenario_event_stream, Analysis, AnalysisConfig, ClusterConfig, ParallelismConfig,
+    StreamAnalysis,
+};
 use faultline_sim::scenario::{run, ScenarioParams};
 
 fn fingerprint(params: &ScenarioParams) -> String {
@@ -34,43 +37,47 @@ fn same_seed_same_results() {
     assert_eq!(fingerprint(&params), fingerprint(&params));
 }
 
+/// `ParallelismConfig` is a compatibility shell: lanes apply on the
+/// calling thread whatever it says. A config asking for eight threads in
+/// chunks of three gives the default config's bytes on every driver —
+/// batch, streaming at micro-batches of 1, 256 and 4096, and a 2-shard
+/// cluster — and its reports say the lane work used one thread.
 #[test]
 fn thread_count_does_not_change_results() {
     let data = run(&ScenarioParams::tiny(305));
-    let serial = Analysis::run(
-        &data,
-        AnalysisConfig {
-            parallelism: ParallelismConfig::SERIAL,
-            ..AnalysisConfig::default()
+    let events = scenario_event_stream(&data);
+    let shell = AnalysisConfig {
+        parallelism: ParallelismConfig {
+            threads: 8,
+            chunk_size: 3,
         },
-    );
-    let baseline = fingerprint_with(&serial);
-    // Every fan-out must be byte-identical to the serial pipeline,
-    // including awkward chunk sizes. threads = 0 is "auto".
-    for (threads, chunk_size) in [(0, 16), (2, 1), (4, 7), (8, 16)] {
-        let config = AnalysisConfig {
-            parallelism: ParallelismConfig {
-                threads,
-                chunk_size,
-            },
-            ..AnalysisConfig::default()
+        ..AnalysisConfig::default()
+    };
+    let answers = |config: &AnalysisConfig| {
+        let batch = Analysis::run(&data, config.clone());
+        assert_eq!(batch.report.threads, 1);
+        let mut got = vec![serde_json::to_string(&batch.output).unwrap()];
+        for chunk in [1usize, 256, 4096] {
+            let mut stream = StreamAnalysis::new(&data, config.clone());
+            for c in events.chunks(chunk) {
+                stream.ingest_batch(c);
+            }
+            let result = stream.flush();
+            assert_eq!(result.report.threads, 1, "chunk {chunk}");
+            got.push(serde_json::to_string(&result.output).unwrap());
+        }
+        let cluster = ClusterConfig {
+            analysis: config.clone(),
+            ..ClusterConfig::new(2)
         };
-        let parallel = Analysis::run(&data, config);
-        assert_eq!(
-            fingerprint_with(&parallel),
-            baseline,
-            "threads={threads} chunk_size={chunk_size} diverged"
-        );
-        assert_eq!(parallel.output.isis_failures, serial.output.isis_failures);
-        assert_eq!(
-            parallel.output.syslog_failures,
-            serial.output.syslog_failures
-        );
-        assert_eq!(
-            parallel.output.syslog_transitions,
-            serial.output.syslog_transitions
-        );
-    }
+        let result = run_cluster(&data, &events, &cluster).expect("valid cluster run");
+        assert_eq!(result.report.threads, 1);
+        got.push(serde_json::to_string(&result.output).unwrap());
+        got
+    };
+    let default = answers(&AnalysisConfig::default());
+    assert!(default.iter().all(|json| *json == default[0]));
+    assert_eq!(answers(&shell), default);
 }
 
 #[test]

@@ -3,13 +3,12 @@
 //! overload, (b) account for every offered event exactly
 //! (`offered = admitted + shed + quarantined`), (c) shed deterministically
 //! and priority-aware — IS-IS and DOWN/UP events outlive chatter — and
-//! (d) produce the *same* degraded answer regardless of thread count or
-//! shard count, because shedding runs upstream of classification,
-//! threading, and partitioning.
+//! (d) produce the *same* degraded answer regardless of shard count,
+//! because shedding runs upstream of classification and partitioning.
 //!
 //! The deterministic grid pins the 2× sustained-overload acceptance
 //! contract; property tests then randomize seed × queue capacity ×
-//! overload factor across threads {1,4} and shards {1,4} and require
+//! overload factor across one engine and shards {1,4} and require
 //! byte-identical output plus an identical overload ledger.
 
 use faultline_core::admission::{
@@ -18,9 +17,7 @@ use faultline_core::admission::{
 };
 use faultline_core::cluster::{ClusterConfig, SubprocessOptions, Workers};
 use faultline_core::transport::ScenarioSpec;
-use faultline_core::{
-    scenario_event_stream, AnalysisConfig, ParallelismConfig, StreamAnalysis, StreamEvent,
-};
+use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis, StreamEvent};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::ScenarioData;
 use proptest::prelude::*;
@@ -308,10 +305,11 @@ fn overloaded_cluster_over_subprocess_workers_equals_in_process() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shed-mode replay is invariant across threads {1,4} and shards
-    /// {1,4}: same seed + same stream ⇒ byte-identical output and an
-    /// identical [`OverloadCounters`] ledger, for random scenario seeds,
-    /// admission seeds, queue capacities, and overload factors.
+    /// Shed-mode replay is invariant across one engine and in-process
+    /// shard threads {1,4}: same seed + same stream ⇒ byte-identical
+    /// output and an identical [`OverloadCounters`] ledger, for random
+    /// scenario seeds, admission seeds, queue capacities, and overload
+    /// factors.
     #[test]
     fn shed_replay_is_thread_and_shard_invariant(
         scenario_seed in 0u64..10_000,
@@ -323,26 +321,12 @@ proptest! {
         let schedule = SimSchedule::new(overload_num * SERVICE_PER_TICK, SERVICE_PER_TICK);
         let admission = AdmissionConfig::shedding(capacity, admission_seed);
 
-        let mut reference: Option<(String, faultline_core::OverloadCounters)> = None;
-        for threads in [1usize, 4] {
-            let config = AnalysisConfig {
-                parallelism: ParallelismConfig { threads, ..ParallelismConfig::default() },
-                ..AnalysisConfig::default()
-            };
-            let (result, counters) =
-                run_overloaded(&data, config, &admission, schedule, &events).unwrap();
-            prop_assert!(counters.conserved(), "threads {}: {:?}", threads, counters);
-            prop_assert!(counters.queue_high_water <= capacity as u64);
-            let bytes = serde_json::to_string(&result.output).unwrap();
-            match &reference {
-                None => reference = Some((bytes, counters)),
-                Some((expected, expected_counters)) => {
-                    prop_assert_eq!(expected, &bytes, "threads {} diverged", threads);
-                    prop_assert_eq!(expected_counters, &counters, "threads {} ledger", threads);
-                }
-            }
-        }
-        let (expected, expected_counters) = reference.expect("reference run recorded");
+        let (result, expected_counters) =
+            run_overloaded(&data, AnalysisConfig::default(), &admission, schedule, &events)
+                .unwrap();
+        prop_assert!(expected_counters.conserved(), "{:?}", expected_counters);
+        prop_assert!(expected_counters.queue_high_water <= capacity as u64);
+        let expected = serde_json::to_string(&result.output).unwrap();
         for shards in [1u32, 4] {
             let (result, counters) = run_overloaded_cluster(
                 &data,

@@ -3,8 +3,8 @@
 //!
 //! For every scenario, the comparable surface (`StreamOutput`) of a
 //! [`StreamAnalysis`] replay — under any chunking of the event stream,
-//! any ambiguity strategy, any quarantine horizon, any chaos preset, and
-//! any thread count — must serialize to exactly the same JSON as the
+//! any ambiguity strategy, any quarantine horizon and any chaos preset —
+//! must serialize to exactly the same JSON as the
 //! `output` of [`Analysis::run`] on the same data. Both paths execute
 //! the same per-link state machines in `faultline_core::kernel`; this
 //! grid is the permanent regression guard proving the two *drivers*
@@ -12,11 +12,10 @@
 //! drift apart. A deterministic grid pins the corner chunkings (one
 //! event at a time, a prime micro-batch size, one all-encompassing
 //! batch) across several seeds; property tests then randomize seed,
-//! scale, chunk pattern, strategy, and parallelism.
+//! scale, chunk pattern, and strategy.
 
 use faultline_core::{
-    scenario_event_stream, AmbiguityStrategy, Analysis, AnalysisConfig, ParallelismConfig,
-    StreamAnalysis,
+    scenario_event_stream, AmbiguityStrategy, Analysis, AnalysisConfig, StreamAnalysis,
 };
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{ChaosConfig, ScenarioData};
@@ -154,96 +153,6 @@ fn quarantine_and_chaos_combined_stay_byte_identical() {
     }
 }
 
-/// Quarantine × parallelism: the original quarantine grids above only
-/// ever ran serial lanes, so a fan-out that (say) applied the horizon
-/// after chunk-splitting, or merged quarantine counts in lane-completion
-/// order, would have slipped through. Cross the horizon with every
-/// thread count and awkward chunk sizes; the admission decision is
-/// per-item and lanes are per-link, so the output — and the quarantine
-/// accounting — must be identical on every axis.
-#[test]
-fn quarantine_grid_crosses_thread_counts() {
-    for seed in [11u64, 42, 77] {
-        let data = run(&ScenarioParams::tiny(seed));
-        let serial = AnalysisConfig {
-            quarantine_horizon: Some(mid_horizon(&data)),
-            parallelism: ParallelismConfig::SERIAL,
-            ..AnalysisConfig::default()
-        };
-        let baseline = Analysis::run(&data, serial.clone());
-        assert!(
-            baseline.report.robustness.total_quarantined() > 0,
-            "seed {seed}: horizon must actually divert events"
-        );
-        let expected = serde_json::to_string(&baseline.output).unwrap();
-        for threads in [2usize, 4, 8] {
-            for chunk_size in [1usize, 7, 16] {
-                let config = AnalysisConfig {
-                    parallelism: ParallelismConfig {
-                        threads,
-                        chunk_size,
-                    },
-                    ..serial.clone()
-                };
-                let batch = Analysis::run(&data, config.clone());
-                assert_eq!(
-                    expected,
-                    serde_json::to_string(&batch.output).unwrap(),
-                    "parallel batch drifted: seed {seed}, threads {threads}, chunk {chunk_size}"
-                );
-                assert_eq!(
-                    baseline.report.robustness, batch.report.robustness,
-                    "quarantine accounting drifted: seed {seed}, threads {threads}"
-                );
-                for chunking in [Chunking::OneAtATime, Chunking::Fixed(13), Chunking::All] {
-                    let got = stream_json(&data, &config, chunking);
-                    assert_eq!(
-                        expected, got,
-                        "quarantine×threads: seed {seed}, threads {threads}, {chunking:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The full adversity stack — chaos preset + quarantine horizon +
-/// parallel lanes — at once. This is the configuration a production
-/// deployment actually runs; none of the three mechanisms may interact.
-#[test]
-fn quarantine_chaos_and_threads_combined_stay_byte_identical() {
-    for seed in [13u64, 59] {
-        let mut params = ScenarioParams::tiny(seed);
-        params.chaos = ChaosConfig::mild(seed * 17);
-        let data = run(&params);
-        let serial = AnalysisConfig {
-            quarantine_horizon: Some(mid_horizon(&data)),
-            parallelism: ParallelismConfig::SERIAL,
-            ..AnalysisConfig::default()
-        };
-        let baseline = Analysis::run(&data, serial.clone());
-        assert!(baseline.report.robustness.total_quarantined() > 0);
-        let expected = serde_json::to_string(&baseline.output).unwrap();
-        for threads in [2usize, 8] {
-            let config = AnalysisConfig {
-                parallelism: ParallelismConfig {
-                    threads,
-                    ..ParallelismConfig::default()
-                },
-                ..serial.clone()
-            };
-            assert_eq!(expected, batch_json(&data, &config), "threads {threads}");
-            for chunking in [Chunking::OneAtATime, Chunking::Fixed(31)] {
-                let got = stream_json(&data, &config, chunking);
-                assert_eq!(
-                    expected, got,
-                    "quarantine×chaos×threads: seed {seed}, threads {threads}, {chunking:?}"
-                );
-            }
-        }
-    }
-}
-
 /// Chunk-size boundaries around typical per-link burst sizes.
 #[test]
 fn chunk_boundaries_do_not_leak_state() {
@@ -269,39 +178,16 @@ fn scaled_scenario_stays_equivalent() {
     assert_eq!(expected, stream_json(&data, &config, Chunking::Fixed(257)));
 }
 
-/// Serial and parallel lane processing agree with the batch pipeline
-/// (and therefore with each other).
-#[test]
-fn thread_count_is_invisible_in_output() {
-    let data = run(&ScenarioParams::tiny(83));
-    for threads in [1usize, 2, 8] {
-        let config = AnalysisConfig {
-            parallelism: ParallelismConfig {
-                threads,
-                ..ParallelismConfig::default()
-            },
-            ..AnalysisConfig::default()
-        };
-        let expected = batch_json(&data, &config);
-        assert_eq!(
-            expected,
-            stream_json(&data, &config, Chunking::Fixed(31)),
-            "threads {threads}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random seed × random chunk size × random strategy × random thread
-    /// count: streaming replay is always byte-identical to batch.
+    /// Random seed × random chunk size × random strategy: streaming
+    /// replay is always byte-identical to batch.
     #[test]
     fn random_replays_equal_batch(
         seed in 0u64..10_000,
         chunk in 1usize..512,
         strategy_pick in 0u8..3,
-        threads in 1usize..5,
     ) {
         let strategy = match strategy_pick {
             0 => AmbiguityStrategy::PreviousState,
@@ -310,7 +196,6 @@ proptest! {
         };
         let config = AnalysisConfig {
             strategy,
-            parallelism: ParallelismConfig { threads, ..ParallelismConfig::default() },
             ..AnalysisConfig::default()
         };
         let data = run(&ScenarioParams::tiny(seed));
