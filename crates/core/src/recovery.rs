@@ -24,10 +24,11 @@
 //!    capture; encoding, write + fsync + rename (a torn write never
 //!    replaces a good snapshot), retries and pruning are one function,
 //!    `SnapshotSink::write`, run by a writer thread behind a bounded
-//!    queue — or on the ingest thread for
-//!    [`DurableStream::checkpoint_now`], post-recovery compaction and
-//!    the fallback after the writer gives up (counted in
-//!    [`DurabilityCounters::snapshot_sync_fallbacks`]).
+//!    queue — or on the ingest thread by
+//!    [`DurableStream::checkpoint_now`], which post-recovery compaction
+//!    and the writer-gave-up fallback (counted in
+//!    [`DurabilityCounters::snapshot_sync_fallbacks`]) also call, so a
+//!    restart's compaction is the chain's next snapshot like any other.
 //! 3. **Recover by chain-aware fallback ladder.**
 //!    [`DurableStream::recover`] tries snapshots newest→oldest as chain
 //!    *tips*: a delta walks parent pointers down to its base, validating
@@ -201,16 +202,15 @@ pub struct RecoveryReport {
     /// The engine's event position after recovery: the caller resumes
     /// feeding from source position `resumed_at_seq` (0-based) onward.
     pub resumed_at_seq: u64,
-    /// The replayed journal prefix was folded into a fresh checkpoint at
-    /// `resumed_at_seq` (snapshot compaction), so the next recovery
-    /// restores directly instead of re-replaying the same tail.
-    /// Best-effort: `false` when nothing was replayed or the compaction
-    /// checkpoint failed to write (the pre-compaction state still
-    /// recovers fine).
+    /// The replayed journal prefix was folded into the chain's next
+    /// snapshot at `resumed_at_seq` (snapshot compaction), so the next
+    /// recovery restores directly instead of re-replaying the same tail.
+    /// Best-effort: `false` when nothing was replayed or the snapshot
+    /// failed to write (the pre-compaction state still recovers fine).
     #[serde(default)]
     pub compacted: bool,
-    /// Wall-clock cost of the whole recovery (load, replay and the
-    /// compaction checkpoint), in µs.
+    /// Wall-clock cost of the whole recovery (chain load, replay and the
+    /// compaction snapshot), in µs.
     pub recover_micros: u64,
 }
 
@@ -230,8 +230,9 @@ enum SnapKind {
     /// An incremental delta (`delta-<seq>.dckpt`).
     Delta,
     /// A full base checkpoint (`ckpt-<seq>.ckpt`). Sorts after `Delta`
-    /// at equal sequence so the recovery ladder prefers the full file
-    /// (post-compaction, both can exist at one sequence).
+    /// at equal sequence, so the ladder tries it first. A pair arises only
+    /// where a compaction landed beside a rejected file of the other kind
+    /// (in directories older builds wrote, always as a base).
     Full,
 }
 
@@ -751,8 +752,8 @@ fn restore_chain<'a>(
             return Err(corrupt(&cur.path, "delta without a parent pointer"));
         };
         // The parent is whichever same-sequence file carries the hash
-        // this delta declares (post-compaction a full and a delta can
-        // share a sequence number).
+        // this delta declares (a compaction can land beside a rejected
+        // file of the other kind).
         let parent = snaps
             .iter()
             .filter(|s| s.seq == parent_seq)
@@ -1168,17 +1169,18 @@ impl<'a> DurableStream<'a> {
         );
         if replayed > 0 {
             // Snapshot compaction: fold the journal prefix this recovery
-            // just replayed into a fresh base at the resumed sequence;
-            // the write's retention pass then prunes the chains and
-            // journal segments it supersedes. Repeated crash/recover
-            // cycles therefore pay the replay cost once per crash, not
-            // cumulatively. Best-effort: a failed write prunes nothing
-            // and leaves the files the ladder just proved recoverable.
-            report.compacted = stream.snapshot_inline(true).is_ok();
+            // just replayed into the chain's next snapshot at the resumed
+            // sequence — a delta on the restored tip while the cadence
+            // has room before its next base, a full base otherwise (and
+            // after a journal-only recovery, which has no tip). Repeated
+            // crash/recover cycles therefore pay the replay cost once per
+            // crash, not cumulatively. Best-effort: a failed write leaves
+            // the files the ladder just proved recoverable.
+            report.compacted = stream.checkpoint_now().is_ok();
             if report.compacted {
                 observe::narrate(|| {
                     format!(
-                        "recovery: compacted journal prefix into checkpoint seq {}",
+                        "recovery: compacted journal prefix into snapshot seq {}",
                         report.resumed_at_seq
                     )
                 });
@@ -1372,27 +1374,20 @@ impl<'a> DurableStream<'a> {
             self.writer_gave_up = true;
         }
         self.counters.snapshot_sync_fallbacks += 1;
-        self.snapshot_inline(false)
+        self.checkpoint_now()
     }
 
-    /// Write a snapshot of the current state **now**, on this thread,
-    /// retrying transient failures per [`RetryPolicy`], then prune
-    /// chains and fully absorbed journal segments beyond the retention
-    /// policy. Snapshots still queued to the writer thread land first so
-    /// the chain stays ordered.
+    /// Write the chain's next snapshot of the current state **now**, on
+    /// this thread, retrying transient failures per [`RetryPolicy`], then
+    /// prune chains and fully absorbed journal segments beyond the
+    /// retention policy. The one inline snapshot: post-recovery
+    /// compaction and the cadence once the writer thread has given up
+    /// call it too. Snapshots still queued to the writer thread land
+    /// first, which brings the chain anchor home, so a delta is possible
+    /// exactly when everything before it reached disk.
     pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
-        self.snapshot_inline(false)
-    }
-
-    /// The writer's function called on this thread — by
-    /// [`DurableStream::checkpoint_now`], post-recovery compaction
-    /// (`force_full` restarts the chain on a fresh base) and the cadence
-    /// once the writer thread has given up. Joining the writer first
-    /// brings the chain anchor home, so a delta is possible exactly when
-    /// everything before it reached disk.
-    fn snapshot_inline(&mut self, force_full: bool) -> Result<(), RecoveryError> {
         self.flush_writer();
-        let snap = self.capture(!force_full && self.anchor.is_some());
+        let snap = self.capture(self.anchor.is_some());
         let result = self.sink.write(&mut self.anchor, &snap);
         self.note_result(result)
     }
@@ -1788,6 +1783,14 @@ mod tests {
         assert!(report.started_fresh);
         assert_eq!(report.events_replayed, kill_at as u64);
         assert_eq!(report.resumed_at_seq, kill_at as u64);
+        // With no tip to chain to, the compaction is a full base.
+        assert!(report.compacted);
+        let kinds: Vec<(u64, SnapKind)> = list_snapshots(tmp.path())
+            .unwrap()
+            .iter()
+            .map(|s| (s.seq, s.kind))
+            .collect();
+        assert_eq!(kinds, [(kill_at as u64, SnapKind::Full)]);
         for e in &events[kill_at..] {
             durable.ingest(e).unwrap();
         }

@@ -14,6 +14,8 @@
 //!   prefix, recovering after every single event;
 //! - a seeds × chaos-presets × thread-counts × kill-points sweep over
 //!   full streams, compared against the batch pipeline;
+//! - repeated crash/recover cycles: each restart compacts into the
+//!   chain's next snapshot, and the chain never outgrows its bound;
 //! - the corruption ladder: corrupt newest → fall back; torn newest +
 //!   stray temp file → fall back; a hostile payload under an honest
 //!   envelope → fall back; torn journal tail → replay good prefix;
@@ -198,12 +200,17 @@ fn run_to_kill(
 }
 
 /// Snapshot compaction: a successful recovery folds the replayed journal
-/// prefix into a fresh checkpoint at the resume point, so a SECOND crash
-/// at the same boundary recovers straight from the compacted dir —
-/// checkpoint only, zero replay — and the finished output is still
-/// byte-identical to batch.
+/// prefix into the chain's next snapshot at the resume point, so a
+/// SECOND crash at the same boundary recovers straight from the
+/// compacted dir — snapshot only, zero replay. Run as a cycle of
+/// crash → recover → re-crash → re-feed a seeded stretch: the compaction
+/// is a delta on the restored tip while the chain has room before its
+/// next base and a full base once it has not, so repeated restarts never
+/// grow the chain past the cadence's bound, and the finished output is
+/// still byte-identical to batch.
 #[test]
 fn second_recovery_from_compacted_dir_is_byte_identical() {
+    const CYCLES: usize = 8;
     let data = run(&ScenarioParams::tiny(11));
     let config = AnalysisConfig::default();
     let events = scenario_event_stream(&data);
@@ -211,32 +218,78 @@ fn second_recovery_from_compacted_dir_is_byte_identical() {
     let policy = DurabilityPolicy {
         checkpoint_interval: 60,
         segment_max_records: 32,
+        full_every_n_checkpoints: 3,
         ..DurabilityPolicy::default()
     };
-    let kill_at = events.len() * 2 / 3;
-    let tmp = TempDir::new("compaction");
-    run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
-
-    // First recovery replays the journal tail and compacts it away.
-    let (durable, first) =
-        DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
-    assert!(first.events_replayed > 0, "kill point must leave a tail");
-    assert!(first.compacted, "replayed prefix must be folded away");
-    drop(durable); // crash again immediately, before any new event
-
-    // Second recovery: the compaction checkpoint IS the resume point.
-    let (mut durable, second) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
-    assert_eq!(second.checkpoint_seq, Some(kill_at as u64));
-    assert_eq!(second.events_replayed, 0, "nothing left to re-replay");
-    assert!(!second.compacted, "nothing replayed, nothing to compact");
-    assert_eq!(second.resumed_at_seq, kill_at as u64);
-    for e in &events[kill_at..] {
-        durable.ingest(e).unwrap();
+    let bound = policy.full_every_n_checkpoints;
+    // Kill points off the cadence: the resumed run's next cadence
+    // snapshot is `checkpoint_interval` after its compaction, so every
+    // stretch ending off that grid leaves a journal tail to compact.
+    let mut kills = Vec::new();
+    let mut at = 0;
+    for p in crash_points_seeded(23, events.len() as u64, 4 * CYCLES) {
+        if kills.len() < CYCLES && (p - at) % policy.checkpoint_interval != 0 {
+            kills.push(p as usize);
+            at = p;
+        }
     }
     assert_eq!(
-        reference,
-        serde_json::to_string(&durable.finish().output).unwrap()
+        kills.len(),
+        CYCLES,
+        "the stream must hold {CYCLES} stretches"
     );
+    let tmp = TempDir::new("compaction");
+    let snapshot = |prefix: &str, seq: usize, ext: &str| {
+        tmp.path()
+            .join(format!("{prefix}-{seq:012}.{ext}"))
+            .is_file()
+    };
+    run_to_kill(&tmp, &data, &config, policy, &events, kills[0]);
+
+    let (mut deltas_seen, mut bound_seen) = (false, false);
+    for (cycle, &kill_at) in kills.iter().enumerate() {
+        // The recovery replays the journal tail and compacts it away.
+        let (durable, first) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+        assert!(first.events_replayed > 0, "kill point must leave a tail");
+        assert!(first.compacted, "replayed prefix must be folded away");
+        assert_eq!(first.resumed_at_seq, kill_at as u64, "cycle {cycle}");
+        assert!(first.chain_length < bound, "cycle {cycle}: {first:?}");
+        let delta = first.checkpoint_seq.is_some() && first.chain_length + 1 < bound;
+        assert_eq!(snapshot("delta", kill_at, "dckpt"), delta, "cycle {cycle}");
+        assert_eq!(snapshot("ckpt", kill_at, "ckpt"), !delta, "cycle {cycle}");
+        deltas_seen |= delta;
+        bound_seen |= first.checkpoint_seq.is_some() && !delta;
+        drop(durable); // crash again immediately, before any new event
+
+        // Second recovery: the compaction snapshot IS the resume point.
+        let (mut durable, second) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+        assert_eq!(second.checkpoint_seq, Some(kill_at as u64));
+        assert_eq!(second.events_replayed, 0, "nothing left to re-replay");
+        assert!(!second.compacted, "nothing replayed, nothing to compact");
+        assert_eq!(second.resumed_at_seq, kill_at as u64);
+        assert_eq!(second.checkpoints_rejected, 0, "{:?}", second.rejected);
+        let chained = if delta { first.chain_length + 1 } else { 0 };
+        assert_eq!(second.chain_length, chained, "cycle {cycle}");
+
+        // Re-feed the next stretch, then crash; the last cycle finishes.
+        let Some(&next) = kills.get(cycle + 1) else {
+            for e in &events[kill_at..] {
+                durable.ingest(e).unwrap();
+            }
+            assert_eq!(
+                reference,
+                serde_json::to_string(&durable.finish().output).unwrap()
+            );
+            break;
+        };
+        for e in &events[kill_at..next] {
+            durable.ingest(e).unwrap();
+        }
+    }
+    assert!(deltas_seen, "some restart must compact into a delta");
+    assert!(bound_seen, "some restart must reach the chain's bound");
 }
 
 #[test]
@@ -798,9 +851,8 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
             }
         }
 
-        let (mut durable, report) =
-            DurableStream::recover(tmp.path(), &data, config.clone(), policy)
-                .unwrap_or_else(|e| panic!("{fault:?} must degrade, not abort: {e}"));
+        let (durable, report) = DurableStream::recover(tmp.path(), &data, config.clone(), policy)
+            .unwrap_or_else(|e| panic!("{fault:?} must degrade, not abort: {e}"));
         assert!(
             report.checkpoints_rejected >= 1,
             "{fault:?}: the damage must be detected: {:?}",
@@ -809,6 +861,20 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
         assert_eq!(
             report.resumed_at_seq, kill_at as u64,
             "{fault:?}: journal replay covers whatever the fault cost"
+        );
+        drop(durable);
+
+        // The first recovery compacted onto the tip the ladder fell back
+        // to (a delta while that chain had room): a second crash restores
+        // that snapshot with zero replay and no rejection.
+        let (mut durable, again) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+        assert_eq!(again.events_replayed, 0, "{fault:?}");
+        assert_eq!(again.resumed_at_seq, kill_at as u64, "{fault:?}");
+        assert_eq!(
+            again.checkpoints_rejected, 0,
+            "{fault:?}: {:?}",
+            again.rejected
         );
         for e in &events[kill_at..] {
             durable.ingest(e).unwrap();
