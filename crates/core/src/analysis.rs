@@ -19,7 +19,7 @@ use crate::fp::{
 };
 use crate::intern::FastMap;
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
-use crate::kernel::{Kernel, LaneEvent, StreamOutput};
+use crate::kernel::{Kernel, LaneEvent, Observed, StreamOutput};
 use crate::ks::{ks_two_sample, KsResult};
 use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::{
@@ -255,8 +255,8 @@ impl<'a> Analysis<'a> {
                     continue;
                 }
                 watermark = Some(m.event.at);
-                if let Some((link, ev)) = kernel.classify_syslog(m) {
-                    grouped.push(link, ev);
+                if let Some(row) = kernel.route(Observed::Syslog(m)) {
+                    grouped.push(row.link, row.event);
                 }
             } else {
                 let tr = isis[j];
@@ -266,8 +266,8 @@ impl<'a> Analysis<'a> {
                     continue;
                 }
                 watermark = Some(tr.at);
-                if let Some((link, ev)) = kernel.classify_isis(tr) {
-                    grouped.push(link, ev);
+                if let Some(row) = kernel.route(Observed::Isis(tr)) {
+                    grouped.push(row.link, row.event);
                 }
             }
         }

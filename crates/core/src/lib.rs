@@ -100,9 +100,9 @@ pub use admission::{
 pub use analysis::{Analysis, AnalysisConfig, ParallelismConfig};
 pub use arena::EventArena;
 pub use cluster::{
-    merge_outputs, partition_events, route_event, run_cluster, run_cluster_subprocess, shard_dir,
-    shard_of_key, shard_of_link, ClusterConfig, ClusterDurability, ClusterResult, ReshardReport,
-    ShardRecovery, SubprocessOptions, Workers,
+    merge_outputs, partition_events, run_cluster, run_cluster_subprocess, shard_dir, shard_of_key,
+    shard_of_link, ClusterConfig, ClusterDurability, ClusterResult, ReshardReport, ShardRecovery,
+    SubprocessOptions, Workers,
 };
 pub use error::{AnalysisError, CodecError, FrameError, RecoveryError, TransportError};
 pub use intern::{Sym, SymbolTable};

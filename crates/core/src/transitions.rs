@@ -1,29 +1,31 @@
-//! Converting raw observables into per-link state transitions.
+//! The link-level records both sources are reduced to.
 //!
 //! **Syslog side.** Each `ADJCHANGE` message names its reporting router
-//! and local interface; [`resolve_syslog`] maps that through the mined
-//! config inventory to a link. `%LINK`/`%LINEPROTO` messages resolve the
-//! same way into the *physical media* family compared in Table 2.
+//! and local interface, which the mined config inventory maps to a link;
+//! `%LINK` messages resolve the same way into the *physical media*
+//! family compared in Table 2, and `%LINEPROTO` messages are counted and
+//! set aside. Each resolved message is a [`ResolvedMessage`], counted in
+//! [`SyslogResolveStats`].
 //!
 //! **IS-IS side.** The listener emits per-origin withdrawals and
 //! re-advertisements. A link is "up as long as the adjacency or IP space
 //! is listed in the appropriate LSP packets" (§3.4) — both endpoints'
 //! advertisements are ANDed, so a link-level DOWN fires on the first
-//! endpoint's withdrawal and an UP only once both ends re-advertise.
-//! [`isis_link_transitions`] performs that merge, separately for IS
-//! reachability (adjacency pairs; multi-link adjacencies unresolvable,
-//! hence excluded and counted) and IP reachability (unique /31s).
+//! endpoint's withdrawal and an UP only once both ends re-advertise,
+//! separately for IS reachability (adjacency pairs; multi-link
+//! adjacencies unresolvable, hence excluded and counted) and IP
+//! reachability (unique /31s). Each emitted [`LinkTransition`] is
+//! counted in [`IsisMergeStats`].
+//!
+//! The rules themselves live once, in [`crate::kernel`]: its classifier
+//! resolves every event to a link and its per-link lanes run the dedup
+//! and both-ends merge. This module holds the records they produce.
 
-use crate::kernel::MergeState;
-use crate::linktable::{LinkIx, LinkTable};
-use faultline_isis::listener::{
-    ReachabilityKind, Transition, TransitionDirection, TransitionSubject,
-};
-use faultline_syslog::message::{AdjChangeDetail, LinkEventKind, SyslogMessage};
-use faultline_topology::osi::SystemId;
+use crate::linktable::LinkIx;
+use faultline_isis::listener::TransitionDirection;
+use faultline_syslog::message::AdjChangeDetail;
 use faultline_topology::time::Timestamp;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A link-level state transition (the unit both sources are reduced to).
@@ -83,51 +85,6 @@ pub struct SyslogResolveStats {
     pub unresolved: u64,
 }
 
-/// Resolve a syslog archive against the link table.
-pub fn resolve_syslog(
-    messages: &[SyslogMessage],
-    table: &LinkTable,
-) -> (Vec<ResolvedMessage>, SyslogResolveStats) {
-    let mut out = Vec::with_capacity(messages.len());
-    let mut stats = SyslogResolveStats::default();
-    for m in messages {
-        let direction = if m.event.up {
-            TransitionDirection::Up
-        } else {
-            TransitionDirection::Down
-        };
-        let (family, detail) = match &m.event.kind {
-            LinkEventKind::IsisAdjacency { detail, .. } => {
-                (MessageFamily::IsisAdjacency, Some(*detail))
-            }
-            LinkEventKind::Link => (MessageFamily::PhysicalMedia, None),
-            LinkEventKind::LineProtocol => {
-                stats.lineproto_skipped += 1;
-                continue;
-            }
-        };
-        match table.by_interface_sym(&m.event.host, &m.event.interface) {
-            Some((link, host)) => {
-                match family {
-                    MessageFamily::IsisAdjacency => stats.isis_resolved += 1,
-                    MessageFamily::PhysicalMedia => stats.physical_resolved += 1,
-                }
-                out.push(ResolvedMessage {
-                    at: m.event.at,
-                    link,
-                    direction,
-                    family,
-                    host: table.symbols().shared(host),
-                    detail,
-                });
-            }
-            None => stats.unresolved += 1,
-        }
-    }
-    out.sort_by_key(|a| (a.at, a.link));
-    (out, stats)
-}
-
 /// Counters from the IS-IS link-level merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IsisMergeStats {
@@ -146,181 +103,87 @@ pub struct IsisMergeStats {
     pub emitted: u64,
 }
 
-/// Merge the listener's per-origin transitions of the given reachability
-/// kind into link-level transitions.
-///
-/// Resolution to links is a couple of hash lookups per raw transition;
-/// the stateful AND-merge — the expensive part on flapping links — runs
-/// one `kernel::MergeState` machine per link (the same machine
-/// the unified kernel's lanes run). Output is sorted by `(time, link)`.
-pub fn isis_link_transitions(
-    raw: &[Transition],
-    table: &LinkTable,
-    kind: ReachabilityKind,
-) -> (Vec<LinkTransition>, IsisMergeStats) {
-    let mut stats = IsisMergeStats::default();
-    // Per-link event groups in raw-stream (time) order. BTreeMap keeps
-    // the groups in ascending-link order for the deterministic merge.
-    let mut groups: BTreeMap<LinkIx, Vec<(Timestamp, SystemId, TransitionDirection)>> =
-        BTreeMap::new();
-    for t in raw {
-        if t.kind != kind {
-            continue;
-        }
-        stats.raw += 1;
-        let link = match (kind, &t.subject) {
-            (ReachabilityKind::IsReach, TransitionSubject::Adjacency { neighbor }) => {
-                let links = table.by_sysid_pair(t.source, *neighbor);
-                match links.len() {
-                    0 => {
-                        stats.unknown += 1;
-                        continue;
-                    }
-                    1 => links[0],
-                    _ => {
-                        stats.unresolvable_multilink += 1;
-                        continue;
-                    }
-                }
-            }
-            (ReachabilityKind::IpReach, TransitionSubject::Prefix { .. }) => {
-                match t.subject.as_subnet().and_then(|s| table.by_subnet(s)) {
-                    Some(l) => l,
-                    None => {
-                        stats.unknown += 1;
-                        continue;
-                    }
-                }
-            }
-            _ => {
-                stats.unknown += 1;
-                continue;
-            }
-        };
-        groups
-            .entry(link)
-            .or_default()
-            .push((t.at, t.source, t.direction));
-    }
-
-    let mut out = Vec::new();
-    for (link, events) in groups {
-        let (transitions, inconsistent) = merge_one_link(link, &events);
-        stats.inconsistent += inconsistent;
-        stats.emitted += transitions.len() as u64;
-        out.extend(transitions);
-    }
-    out.sort_by_key(|t| (t.at, t.link));
-    (out, stats)
-}
-
-/// The both-ends AND-merge for one link's per-origin events (in time
-/// order): DOWN fires on the first endpoint's withdrawal, UP only once
-/// both ends re-advertise. Returns the link-level transitions and the
-/// count of state-inconsistent raw events.
-fn merge_one_link(
-    link: LinkIx,
-    events: &[(Timestamp, SystemId, TransitionDirection)],
-) -> (Vec<LinkTransition>, u64) {
-    let mut merge = MergeState::default();
-    let mut out = Vec::new();
-    for &(at, source, direction) in events {
-        if merge.step(source, direction) {
-            out.push(LinkTransition {
-                at,
-                link,
-                direction,
-            });
-        }
-    }
-    (out, merge.inconsistent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linktable;
+    use crate::analysis::AnalysisConfig;
+    use crate::streaming::{scenario_event_stream, StreamAnalysis, StreamOutput};
     use faultline_sim::scenario::{run, ScenarioParams};
     use std::collections::HashMap;
 
-    fn scenario() -> (faultline_sim::ScenarioData, LinkTable) {
+    /// A lossless tiny scenario's whole stream through one engine, and
+    /// the number of links it mined.
+    fn resolved() -> (StreamOutput, usize) {
         let data = run(&ScenarioParams::tiny(3).lossless());
-        let table = linktable::from_scenario(&data);
-        (data, table)
+        let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
+        engine.ingest_batch(&scenario_event_stream(&data));
+        let links = crate::linktable::from_scenario(&data).len();
+        (engine.flush().output, links)
+    }
+
+    /// Link-level transitions must alternate DOWN, UP, DOWN… per link.
+    fn assert_alternate(transitions: &[LinkTransition]) {
+        let mut state: HashMap<LinkIx, TransitionDirection> = HashMap::new();
+        for t in transitions {
+            match state.insert(t.link, t.direction) {
+                Some(prev) => assert_ne!(prev, t.direction, "link {:?} repeats", t.link),
+                None => assert_eq!(
+                    t.direction,
+                    TransitionDirection::Down,
+                    "first event is DOWN"
+                ),
+            }
+        }
     }
 
     #[test]
     fn syslog_resolution_covers_everything_in_lossless_run() {
-        let (data, table) = scenario();
-        let (resolved, stats) = resolve_syslog(&data.syslog, &table);
+        let (out, _) = resolved();
+        let stats = out.resolve_stats;
         assert_eq!(stats.unresolved, 0, "all interfaces mined");
         assert!(stats.isis_resolved > 0);
-        assert!(!resolved.is_empty());
+        assert!(!out.messages.is_empty());
         // Sorted by time.
-        for w in resolved.windows(2) {
+        for w in out.messages.windows(2) {
             assert!(w[0].at <= w[1].at);
         }
     }
 
     #[test]
     fn lineproto_messages_are_skipped_not_unresolved() {
-        let (data, table) = scenario();
-        let (_, stats) = resolve_syslog(&data.syslog, &table);
+        let (out, _) = resolved();
         // Physical failures emit both %LINK and %LINEPROTO; the latter are
         // counted separately.
+        let stats = out.resolve_stats;
         assert_eq!(stats.physical_resolved, stats.lineproto_skipped);
     }
 
     #[test]
     fn is_transitions_alternate_per_link() {
-        let (data, table) = scenario();
-        let (ts, stats) =
-            isis_link_transitions(&data.transitions, &table, ReachabilityKind::IsReach);
-        assert!(stats.emitted > 0);
-        let mut state: HashMap<LinkIx, TransitionDirection> = HashMap::new();
-        for t in &ts {
-            let prev = state.insert(t.link, t.direction);
-            if let Some(prev) = prev {
-                assert_ne!(
-                    prev,
-                    t.direction,
-                    "link-level transitions must alternate on {:?}",
-                    table.name(t.link)
-                );
-            } else {
-                assert_eq!(
-                    t.direction,
-                    TransitionDirection::Down,
-                    "first event is DOWN"
-                );
-            }
-        }
+        let (out, _) = resolved();
+        assert!(out.is_stats.emitted > 0);
+        assert_alternate(&out.is_transitions);
     }
 
     #[test]
     fn ip_transitions_alternate_per_link() {
-        let (data, table) = scenario();
-        let (ts, stats) =
-            isis_link_transitions(&data.transitions, &table, ReachabilityKind::IpReach);
-        assert!(stats.emitted > 0);
-        assert_eq!(stats.unresolvable_multilink, 0, "/31s are always unique");
-        let mut state: HashMap<LinkIx, TransitionDirection> = HashMap::new();
-        for t in &ts {
-            if let Some(prev) = state.insert(t.link, t.direction) {
-                assert_ne!(prev, t.direction);
-            }
-        }
+        let (out, _) = resolved();
+        assert!(out.ip_stats.emitted > 0);
+        assert_eq!(
+            out.ip_stats.unresolvable_multilink, 0,
+            "/31s are always unique"
+        );
+        assert_alternate(&out.ip_transitions);
     }
 
     #[test]
     fn multilink_transitions_counted_when_present() {
-        // Run a scenario whose topology has multi-link pairs and verify
-        // that any IS transition on them is excluded, not misassigned.
-        let (data, table) = scenario();
-        let (_, stats) =
-            isis_link_transitions(&data.transitions, &table, ReachabilityKind::IsReach);
-        // Every raw transition is either emitted as a link event, merged
-        // away (second-side withdrawal), or excluded for a counted reason.
+        // Any IS transition on a multi-link pair is excluded, not
+        // misassigned: every raw transition is either emitted as a link
+        // event, merged away (second-side withdrawal), or excluded for a
+        // counted reason.
+        let (out, _) = resolved();
+        let stats = out.is_stats;
         assert!(
             stats.raw
                 >= stats.emitted
@@ -333,19 +196,20 @@ mod tests {
 
     #[test]
     fn down_then_up_counts_balance_roughly() {
-        let (data, table) = scenario();
-        let (ts, _) = isis_link_transitions(&data.transitions, &table, ReachabilityKind::IsReach);
-        let downs = ts
-            .iter()
-            .filter(|t| t.direction == TransitionDirection::Down)
-            .count();
-        let ups = ts
-            .iter()
-            .filter(|t| t.direction == TransitionDirection::Up)
-            .count();
+        let (out, links) = resolved();
+        let count = |d| {
+            out.is_transitions
+                .iter()
+                .filter(|t| t.direction == d)
+                .count()
+        };
+        let (downs, ups) = (
+            count(TransitionDirection::Down),
+            count(TransitionDirection::Up),
+        );
         // Ups can lag downs by at most the number of links (open failures
         // at period end).
         assert!(downs >= ups);
-        assert!(downs - ups <= table.len());
+        assert!(downs - ups <= links);
     }
 }

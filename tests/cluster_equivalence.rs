@@ -2,8 +2,9 @@
 //! N-shard answer must be **byte-identical** to the single-process
 //! answer — the load-bearing deliverable of the cluster layer.
 //!
-//! Every shard runs the unmodified streaming driver over its substream;
-//! the deterministic aggregator merges shard outputs. For every tested
+//! The dispatcher classifies every event once and each shard applies
+//! its links' lane rows; the deterministic aggregator merges the
+//! dispatcher's and the shards' outputs. For every tested
 //! shard count × seed × chaos preset, `serde_json::to_string` of the
 //! merged [`StreamOutput`] must equal the batch [`Analysis::run`] JSON
 //! exactly — not approximately, not up to reordering. The harness also
@@ -12,11 +13,17 @@
 //! (and wrong) "re-bless both sides" change.
 
 use faultline_core::cluster::{run_cluster, ClusterConfig};
-use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
+use faultline_core::linktable::from_scenario;
+use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig, StreamAnalysis};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{ChaosConfig, ScenarioData};
 use serde_json::Value;
 use std::path::PathBuf;
+
+#[path = "support/displaced.rs"]
+mod displaced;
+#[path = "support/lane_rows.rs"]
+mod lane_rows;
 
 const SHARD_COUNTS: [u32; 6] = [1, 2, 3, 4, 7, 16];
 
@@ -94,7 +101,7 @@ fn quarantined_cluster_stays_byte_identical() {
 }
 
 /// The shard worker's micro-batch size is pure mechanics: any chunking
-/// of any shard's substream produces the same bytes.
+/// of any shard's rows produces the same bytes.
 #[test]
 fn shard_chunk_size_is_invisible() {
     let data = run(&ScenarioParams::tiny(42));
@@ -109,14 +116,16 @@ fn shard_chunk_size_is_invisible() {
     }
 }
 
-/// The merged report's accounting is exact: per-shard event counts sum
-/// to the stream, headline counters equal the single-process ones, and
+/// The merged report's accounting is exact: per-shard row counts are
+/// the rows each shard's links yield (derived independently from the
+/// link table), headline counters equal the single-process ones, and
 /// the skew/min/max fields describe the actual partition.
 #[test]
 fn shard_counters_describe_the_actual_partition() {
     let data = run(&ScenarioParams::tiny(42));
     let events = scenario_event_stream(&data);
     let batch = Analysis::run(&data, AnalysisConfig::default());
+    let table = from_scenario(&data);
     for shards in SHARD_COUNTS {
         let result = run_cluster(&data, &events, &ClusterConfig::new(shards)).unwrap();
         assert_eq!(
@@ -133,11 +142,16 @@ fn shard_counters_describe_the_actual_partition() {
             .as_ref()
             .expect("cluster section present");
         assert_eq!(c.shards, shards);
-        assert_eq!(c.events_per_shard.len(), shards as usize);
         assert_eq!(
-            c.events_per_shard.iter().sum::<u64>(),
+            c.events_per_shard,
+            lane_rows::rows_per_shard(&table, &events, shards),
+            "rows unaccounted for at {shards} shards"
+        );
+        let streaming = result.report.streaming.as_ref().expect("streaming section");
+        assert_eq!(
+            streaming.events_ingested,
             events.len() as u64,
-            "events unaccounted for at {shards} shards"
+            "the dispatcher offers every event once at {shards} shards"
         );
         assert_eq!(
             c.max_shard_events,
@@ -161,6 +175,31 @@ fn shard_counters_describe_the_actual_partition() {
                 .expect("shards run the streaming driver");
             assert_eq!(s.events_ingested, c.events_per_shard[i], "shard {i}");
         }
+    }
+}
+
+/// Lateness is judged once, against the one stream's watermark: on a
+/// stream with eight events displaced 40 places later, every shard
+/// count drops exactly the events one engine drops, and the merged
+/// answer is byte-identical to that engine's.
+#[test]
+fn late_events_are_judged_once_for_the_whole_stream() {
+    let data = run(&ScenarioParams::tiny(7));
+    let events = displaced::displaced(&scenario_event_stream(&data));
+    let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
+    engine.ingest_batch(&events);
+    let single = engine.flush();
+    let late = single.report.streaming.as_ref().unwrap().late_events;
+    assert_eq!(late, 8, "the fixture displaces eight events");
+    let expected = serde_json::to_string(&single.output).unwrap();
+    for shards in [1u32, 2, 3, 7] {
+        let result = run_cluster(&data, &events, &ClusterConfig::new(shards)).unwrap();
+        let streaming = result.report.streaming.as_ref().unwrap();
+        assert_eq!(streaming.late_events, late, "{shards} shards");
+        assert!(
+            expected == serde_json::to_string(&result.output).unwrap(),
+            "{shards} shards: the cluster's answer differs from one engine's"
+        );
     }
 }
 

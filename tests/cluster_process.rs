@@ -15,16 +15,21 @@
 //!    silent partial answer.
 
 use faultline_core::cluster::{
-    partition_events, run_cluster, ClusterConfig, ClusterDurability, SubprocessOptions, Workers,
+    run_cluster, ClusterConfig, ClusterDurability, SubprocessOptions, Workers,
 };
 use faultline_core::linktable::from_scenario;
 use faultline_core::recovery::DurabilityPolicy;
 use faultline_core::transport::{ScenarioSpec, ShardTransport, SubprocessTransport, WorkerSpec};
-use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
+use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig, StreamAnalysis};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{shard_kill_seeded, ChaosConfig, ShardKill};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+#[path = "support/displaced.rs"]
+mod displaced;
+#[path = "support/lane_rows.rs"]
+mod lane_rows;
 
 /// The worker binary under test — built by cargo alongside this harness.
 fn worker_bin() -> PathBuf {
@@ -128,8 +133,36 @@ fn subprocess_grid_is_byte_identical_to_batch() {
     }
 }
 
-/// A deterministic worker abort (the subprocess consumes exactly
-/// `after_events` of its substream, then exits without flushing): the
+/// Lateness is the dispatcher's call across the process boundary too:
+/// on a stream with eight displaced events, three subprocess workers
+/// drop exactly what one engine drops, and the answers are
+/// byte-identical.
+#[test]
+fn subprocess_cluster_judges_late_events_once() {
+    let params = ScenarioParams::tiny(7);
+    let data = run(&params);
+    let events = displaced::displaced(&scenario_event_stream(&data));
+    let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
+    engine.ingest_batch(&events);
+    let single = engine.flush();
+    let cfg = ClusterConfig {
+        workers: workers_for(&params),
+        ..ClusterConfig::new(3)
+    };
+    let result = run_cluster(&data, &events, &cfg).expect("subprocess cluster run");
+    assert_eq!(
+        result.report.streaming.as_ref().unwrap().late_events,
+        single.report.streaming.as_ref().unwrap().late_events,
+    );
+    assert!(
+        serde_json::to_string(&single.output).unwrap()
+            == serde_json::to_string(&result.output).unwrap(),
+        "the subprocess cluster's answer differs from one engine's"
+    );
+}
+
+/// A deterministic worker abort (the subprocess applies exactly
+/// `after_events` of its lane rows, then exits without flushing): the
 /// supervisor respawns the process, recovery resumes at exactly the
 /// kill boundary — journal-before-ingest holds across the process
 /// boundary — and the merged answer is byte-identical to batch.
@@ -147,10 +180,7 @@ fn aborted_subprocess_worker_recovers_byte_identical() {
         ..ClusterConfig::new(4)
     };
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     let kill = shard_kill_seeded(42, &shard_events).expect("a killable shard");
 
     let tmp = TempDir::new("abort");
@@ -198,10 +228,7 @@ fn sigkilled_subprocess_worker_recovers_byte_identical() {
         ..ClusterConfig::new(3)
     };
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     let victim = (0..shard_events.len())
         .max_by_key(|&i| shard_events[i])
         .unwrap() as u32;

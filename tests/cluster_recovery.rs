@@ -9,9 +9,7 @@
 //! their durability counters report zero restores and their engines are
 //! never rebuilt.
 
-use faultline_core::cluster::{
-    partition_events, run_cluster, shard_dir, ClusterConfig, ClusterDurability,
-};
+use faultline_core::cluster::{run_cluster, shard_dir, ClusterConfig, ClusterDurability};
 use faultline_core::linktable::from_scenario;
 use faultline_core::recovery::DurabilityPolicy;
 use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
@@ -19,6 +17,9 @@ use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{crash_points_seeded, shard_kill_seeded, ChaosConfig, ShardKill};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+#[path = "support/lane_rows.rs"]
+mod lane_rows;
 
 /// Self-cleaning scratch directory (no tempfile crate in this offline
 /// workspace).
@@ -80,10 +81,7 @@ fn killed_shard_recovers_byte_identical() {
     };
     let cfg = ClusterConfig::new(4);
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     for kill_seed in [1u64, 17, 99] {
         let kill = shard_kill_seeded(kill_seed, &shard_events)
             .expect("tiny scenario shards always hold >1 events");
@@ -129,10 +127,7 @@ fn arbitrary_kill_boundaries_under_chaos_stay_byte_identical() {
     };
     let cfg = ClusterConfig::new(3);
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     // Kill the busiest shard — the worst case for replay volume.
     let victim = (0..cfg.shards)
         .max_by_key(|&i| shard_events[i as usize])
@@ -175,10 +170,7 @@ fn two_simultaneous_shard_deaths_recover_independently() {
     };
     let cfg = ClusterConfig::new(4);
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     let mut victims: Vec<u32> = (0..cfg.shards).collect();
     victims.sort_by_key(|&i| std::cmp::Reverse(shard_events[i as usize]));
     let kills: Vec<ShardKill> = victims[..2]
@@ -212,10 +204,7 @@ fn killed_shard_recovers_through_delta_chain() {
     };
     let cfg = ClusterConfig::new(3);
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, cfg.shards);
     let victim = (0..cfg.shards)
         .max_by_key(|&i| shard_events[i as usize])
         .unwrap();
@@ -292,12 +281,12 @@ fn healthy_durable_cluster_matches_in_memory_cluster() {
         .durability
         .expect("durable cluster reports durability");
     assert_eq!(d.restores, 0);
-    assert!(d.journal_records > 0, "shards journal their substreams");
+    assert!(d.journal_records > 0, "shards journal their rows");
 }
 
 /// The dispatcher killing an in-process worker outright (channel
 /// teardown — the in-process stand-in for SIGKILL), at the edges and the
-/// middle of the victim's substream: the kill lands on its exact event
+/// middle of the victim's rows: the kill lands on its exact row
 /// boundary, the supervisor recovers that worker only, and the merged
 /// answer is byte-identical to batch.
 #[test]
@@ -313,10 +302,7 @@ fn in_process_hard_kill_lands_on_its_boundary_and_recovers_byte_identical() {
         ..ClusterConfig::new(3)
     };
     let table = from_scenario(&data);
-    let shard_events: Vec<u64> = partition_events(&table, &events, base.shards)
-        .iter()
-        .map(|s| s.len() as u64)
-        .collect();
+    let shard_events = lane_rows::rows_per_shard(&table, &events, base.shards);
     let victim = (0..base.shards)
         .max_by_key(|&i| shard_events[i as usize])
         .unwrap();
@@ -354,7 +340,7 @@ fn in_process_hard_kill_lands_on_its_boundary_and_recovers_byte_identical() {
         assert_eq!(
             durable.report.cluster.as_ref().unwrap().events_per_shard,
             shard_events,
-            "events withheld from the dead worker still count toward its shard"
+            "rows withheld from the dead worker still count toward its shard"
         );
     }
 }
