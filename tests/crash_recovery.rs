@@ -385,10 +385,12 @@ fn checkpoint_head_to_lanes(seq: u64) -> Vec<u8> {
 /// Hash-valid snapshot payloads that lie, each under an honest envelope:
 /// a count no input could back (messages and lanes, 2^32 items over 10
 /// bytes; a vector inside a lane, 2^32 items over the bytes one lane
-/// needs), a host index past the dictionary, a bad enum byte, and one
-/// trailing byte. Each is one more rejected rung of the ladder — a count
-/// is refused before anything is reserved on its word — and the run
-/// resumes byte-identical to batch from the rung below.
+/// needs), a host index past the dictionary, a bad enum byte, one
+/// trailing byte, and event counts that decode but exceed the sequence
+/// number that counts them (one past it, and a pair that overflows).
+/// Each is one more rejected rung of the ladder — a count is refused
+/// before anything is reserved on its word — and the run resumes
+/// byte-identical to batch from the rung below.
 #[test]
 fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
     let data = run(&ScenarioParams::tiny(5));
@@ -421,6 +423,17 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
         p.extend_from_slice(&[1, 1, 0, direction, 0, 0, 0]);
         p
     };
+    // A well-formed, empty checkpoint whose syslog and IS-IS event
+    // counts are the given pair.
+    let counted = |syslog: u64, isis: u64| {
+        let mut p = checkpoint_head(&[], seq);
+        p.extend_from_slice(&[0; 12 + 4 + 5 + 5]);
+        varint(&mut p, syslog);
+        varint(&mut p, isis);
+        p.extend_from_slice(&[0; 6 + 1]);
+        p
+    };
+    const OVERCOUNTED: &str = "more events counted than consumed";
     // (what the rejection says, the row in place of the real one — or,
     // for `None`, the real row and one more byte)
     let cases = [
@@ -439,6 +452,8 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
             Some(message(&["a"], 7)),
         ),
         ("1 trailing bytes after the last row", None),
+        (OVERCOUNTED, Some(counted(seq + 1, 0))),
+        (OVERCOUNTED, Some(counted(u64::MAX, 1))),
     ];
     for (i, (cause, row)) in cases.into_iter().enumerate() {
         let tmp = TempDir::new(&format!("hostile-payload-{i}"));
@@ -460,9 +475,12 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
             "case {i}: {:?}",
             report.rejected
         );
+        let stage = match cause {
+            OVERCOUNTED => "failed validation",
+            _ => "undecodable payload",
+        };
         assert!(
-            report.rejected[0].contains("undecodable payload")
-                && report.rejected[0].contains(cause),
+            report.rejected[0].contains(stage) && report.rejected[0].contains(cause),
             "case {i}: {}",
             report.rejected[0]
         );
