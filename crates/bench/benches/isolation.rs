@@ -3,7 +3,6 @@
 //! dominate.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use faultline_core::intern::FastMap;
 use faultline_core::linktable::LinkIx;
 use faultline_core::{isolation, Failure};
 use faultline_sim::scenario::{run, ScenarioParams};
@@ -36,8 +35,8 @@ fn bench_reachability(c: &mut Criterion) {
 fn bench_isolation_analysis(c: &mut Criterion) {
     let data = run(&ScenarioParams::default());
     let topo = &data.topology;
-    let map: FastMap<LinkIx, LinkId> = (0..topo.links().len() as u32)
-        .map(|i| (LinkIx(i), LinkId(i)))
+    let map: Vec<Option<LinkId>> = (0..topo.links().len() as u32)
+        .map(|i| Some(LinkId(i)))
         .collect();
     // Use the ground truth failures as the densest realistic input.
     let mut failures: Vec<Failure> = data

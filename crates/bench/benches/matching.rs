@@ -5,8 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use faultline_core::linktable::LinkIx;
 use faultline_core::matching::match_failures;
-use faultline_core::reconstruct::{dedup_syslog, reconstruct, AmbiguityStrategy};
-use faultline_core::transitions::{LinkTransition, MessageFamily, ResolvedMessage};
+use faultline_core::reconstruct::{reconstruct, AmbiguityStrategy};
+use faultline_core::transitions::LinkTransition;
 use faultline_core::Failure;
 use faultline_isis::listener::TransitionDirection;
 use faultline_topology::time::{Duration, Timestamp};
@@ -59,21 +59,6 @@ fn bench_reconstruct(c: &mut Criterion) {
     let transitions = synth_transitions(50_000, 300);
     c.bench_function("reconstruct/50k_transitions", |b| {
         b.iter(|| reconstruct(black_box(&transitions), AmbiguityStrategy::PreviousState))
-    });
-
-    let messages: Vec<ResolvedMessage> = transitions
-        .iter()
-        .map(|t| ResolvedMessage {
-            at: t.at,
-            link: t.link,
-            direction: t.direction,
-            family: MessageFamily::IsisAdjacency,
-            host: "r".into(),
-            detail: None,
-        })
-        .collect();
-    c.bench_function("dedup_syslog/50k_messages", |b| {
-        b.iter(|| dedup_syslog(black_box(&messages), Duration::from_secs(10)))
     });
 }
 

@@ -17,7 +17,6 @@ use crate::flap::{detect_episodes, FlapIndex};
 use crate::fp::{
     classify_ambiguous, classify_false_positives, AmbiguityCounts, FpReport, LinkStateTimeline,
 };
-use crate::intern::FastMap;
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
 use crate::kernel::{Kernel, LaneEvent, Observed, StreamOutput};
 use crate::ks::{ks_two_sample, KsResult};
@@ -159,8 +158,9 @@ pub struct Analysis<'a> {
     pub config: AnalysisConfig,
     /// Common naming layer.
     pub table: LinkTable,
-    /// Analysis-index → topology-id translation (via unique /31s).
-    pub link_of_ix: FastMap<LinkIx, LinkId>,
+    /// Analysis-index → topology-id translation (via unique /31s),
+    /// indexed by `LinkIx`: `link_of_ix[ix.0 as usize]`.
+    pub link_of_ix: Vec<Option<LinkId>>,
     /// Everything the kernel derived from the observables — the same
     /// comparable surface a flushed [`crate::streaming::StreamAnalysis`]
     /// produces, byte-identical for the same data and configuration.
@@ -608,8 +608,9 @@ impl<'a> Analysis<'a> {
         let isis = self.isolation(Source::Isis);
         let syslog = self.isolation(Source::Syslog);
         let cmp = isolation::compare(&isis, &syslog);
-        let ix_of_link: HashMap<LinkId, LinkIx> =
-            self.link_of_ix.iter().map(|(ix, id)| (*id, *ix)).collect();
+        let ix_of_link: HashMap<LinkId, LinkIx> = (self.link_of_ix.iter().enumerate())
+            .filter_map(|(ix, id)| Some(((*id)?, LinkIx(ix as u32))))
+            .collect();
 
         let mut isis_only = [0u64; 3];
         let mut isis_only_days = [0f64; 3];

@@ -12,7 +12,6 @@
 //! is swept chronologically against the topology to find the intervals
 //! each customer spends isolated.
 
-use crate::intern::FastMap;
 use crate::linktable::LinkIx;
 use crate::reconstruct::Failure;
 use faultline_topology::customer::CustomerId;
@@ -101,7 +100,7 @@ impl IsolationOutcome {
 pub fn analyze(
     failures: &[Failure],
     topo: &Topology,
-    link_of_ix: &FastMap<LinkIx, LinkId>,
+    link_of_ix: &[Option<LinkId>],
 ) -> IsolationOutcome {
     analyze_with_tolerance(failures, topo, link_of_ix, DEFAULT_EVENT_TOLERANCE)
 }
@@ -117,14 +116,15 @@ pub const DEFAULT_EVENT_TOLERANCE: Duration = Duration::from_secs(60);
 /// * `failures` — one source's sanitized failure set;
 /// * `topo` — the reconstructed topology (links + customers);
 /// * `link_of_ix` — translation from analysis link indices to topology
-///   link ids (built by the caller by matching subnets);
+///   link ids, indexed by `LinkIx` (built by the caller by matching
+///   subnets);
 /// * `tolerance` — failures separated by at most this much join the same
 ///   event component (0 = strict interval overlap). Isolation *downtime*
 ///   is unaffected: the sweep still sees the up-gaps inside a component.
 pub fn analyze_with_tolerance(
     failures: &[Failure],
     topo: &Topology,
-    link_of_ix: &FastMap<LinkIx, LinkId>,
+    link_of_ix: &[Option<LinkId>],
     tolerance: Duration,
 ) -> IsolationOutcome {
     // Sort by start time to form overlap components.
@@ -154,7 +154,7 @@ pub fn analyze_with_tolerance(
 fn sweep_component(
     comp: &[&Failure],
     topo: &Topology,
-    link_of_ix: &FastMap<LinkIx, LinkId>,
+    link_of_ix: &[Option<LinkId>],
     outcome: &mut IsolationOutcome,
 ) {
     outcome.components += 1;
@@ -163,7 +163,7 @@ fn sweep_component(
     let mut points: Vec<(Timestamp, LinkId, bool)> = Vec::new(); // (t, link, down?)
     let mut links: Vec<LinkId> = Vec::new();
     for f in comp {
-        if let Some(&lid) = link_of_ix.get(&f.link) {
+        if let Some(lid) = link_of_ix.get(f.link.0 as usize).copied().flatten() {
             points.push((f.start, lid, true));
             points.push((f.end, lid, false));
             links.push(lid);
@@ -450,9 +450,9 @@ mod tests {
     /// Build a mapping assuming LinkIx(i) == LinkId(i) (true when the
     /// table is built from the same topology; tests construct failures
     /// directly in topology order).
-    fn identity_map(topo: &Topology) -> FastMap<LinkIx, LinkId> {
+    fn identity_map(topo: &Topology) -> Vec<Option<LinkId>> {
         (0..topo.links().len() as u32)
-            .map(|i| (LinkIx(i), LinkId(i)))
+            .map(|i| Some(LinkId(i)))
             .collect()
     }
 

@@ -241,8 +241,8 @@ pub(crate) struct LaneCtx<'a> {
 /// Both-end-confirmation dedup state for one link (§3.4): a message with
 /// the same direction as the previously *kept* message, within the dedup
 /// window, is a confirmation from the other end, not a new transition.
-/// Shared by [`LinkLane`] and the standalone
-/// [`crate::reconstruct::dedup_syslog`].
+/// Each [`LinkLane`] keeps one for its IS-IS-adjacency-family syslog
+/// messages.
 #[derive(Default)]
 pub(crate) struct DedupState {
     /// Last kept transition (the dedup anchor).
@@ -773,9 +773,9 @@ impl LinkLane {
 }
 
 /// Does a failure interval overlap any listener offline span (closed
-/// intervals)? The single sanitization predicate shared by [`LinkLane`]
-/// and [`crate::sanitize::remove_offline_spanning`].
-pub(crate) fn overlaps_offline(f: &Failure, spans: &[OfflineSpan]) -> bool {
+/// intervals)? [`LinkLane`]'s listener-outage sanitization predicate, for
+/// both sources.
+fn overlaps_offline(f: &Failure, spans: &[OfflineSpan]) -> bool {
     spans.iter().any(|s| f.start <= s.to && s.from <= f.end)
 }
 
@@ -1073,7 +1073,7 @@ impl<'a> Kernel<'a> {
         let lane = self.lanes.entry(link).or_insert_with(|| {
             LinkLane::new(
                 link,
-                naming.link_of_ix.get(&link).copied(),
+                naming.link_of_ix[link.0 as usize],
                 naming.table.is_resolvable(link),
             )
         });
@@ -1288,6 +1288,34 @@ mod tests {
             bytes.insert(link, row.len());
         }
         bytes
+    }
+
+    /// The times (ms) of the messages one link's dedup keeps, under the
+    /// default 10 s window.
+    fn dedup_kept(messages: &[(u64, TransitionDirection)]) -> Vec<u64> {
+        let mut dedup = DedupState::default();
+        let window = Duration::from_secs(10);
+        (messages.iter())
+            .filter(|&&(at, dir)| dedup.keep(Timestamp::from_millis(at), dir, window))
+            .map(|&(at, _)| at)
+            .collect()
+    }
+
+    #[test]
+    fn dedup_merges_confirmations_and_keeps_flaps_and_doubles() {
+        use TransitionDirection::{Down, Up};
+        // Both ends confirm the DOWN and the UP.
+        let both_ends = [(10_000, Down), (13_000, Down), (60_000, Up), (62_000, Up)];
+        assert_eq!(dedup_kept(&both_ends), [10_000, 60_000]);
+        // A repeat 30 s later is a double, not a confirmation.
+        let double = [(10_000, Down), (40_000, Down), (90_000, Up)];
+        assert_eq!(dedup_kept(&double), [10_000, 40_000, 90_000]);
+        // Flap transitions within the window are distinct.
+        let flap = [(10_000, Down), (12_000, Up), (14_000, Down)];
+        assert_eq!(dedup_kept(&flap), [10_000, 12_000, 14_000]);
+        // Each confirmation refreshes the anchor, so a chain keeps merging.
+        let chain = [(0, Down), (8_000, Down), (16_000, Down)];
+        assert_eq!(dedup_kept(&chain), [0]);
     }
 
     /// A lane is open state only, so what it costs to snapshot does not

@@ -3,8 +3,8 @@
 //! A *failure* is a DOWN transition followed by an UP transition on the
 //! same link (§4.1). For syslog, both endpoint routers report each
 //! transition, so same-direction messages arriving close together are
-//! first merged as confirmations of one transition
-//! ([`dedup_syslog`]). What remains should alternate Down/Up — but does
+//! first merged as confirmations of one transition (the kernel lane's
+//! dedup). What remains should alternate Down/Up — but does
 //! not always: §4.3 finds 461 down messages preceded by another down and
 //! 202 ups preceded by another up. The link state between such *double*
 //! messages is ambiguous (a message was lost, or the repeat was a spurious
@@ -13,17 +13,16 @@
 //! state, i.e. treat the repeat as spurious — is the default.
 //!
 //! The state machines themselves live in [`crate::kernel`]
-//! ([`kernel::DedupState`](crate::kernel) drives [`dedup_syslog`],
-//! `kernel::ReconLane` drives [`reconstruct`]); this module keeps the
+//! (`kernel::ReconLane` drives [`reconstruct`]); this module keeps the
 //! whole-stream convenience surface and the result types.
 
-use crate::kernel::{DedupState, ReconLane};
+use crate::kernel::ReconLane;
 use crate::linktable::LinkIx;
-use crate::transitions::{LinkTransition, MessageFamily, ResolvedMessage};
+use crate::transitions::LinkTransition;
 use faultline_isis::listener::TransitionDirection;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A reconstructed failure interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,32 +136,6 @@ impl Reconstruction {
     pub fn failures_on(&self, link: LinkIx) -> impl Iterator<Item = &Failure> {
         self.failures.iter().filter(move |f| f.link == link)
     }
-}
-
-/// Merge both-end confirmations of the same transition: a message with the
-/// same link and direction as the immediately preceding *kept* message on
-/// that link, within `window`, is a confirmation, not a new transition.
-///
-/// Only IS-IS-adjacency-family messages participate; physical-media
-/// messages serve Table 2's matching, not reconstruction.
-pub fn dedup_syslog(messages: &[ResolvedMessage], window: Duration) -> Vec<LinkTransition> {
-    let mut out: Vec<LinkTransition> = Vec::new();
-    // One kernel dedup machine per link.
-    let mut lanes: HashMap<LinkIx, DedupState> = HashMap::new();
-    for m in messages {
-        if m.family != MessageFamily::IsisAdjacency {
-            continue;
-        }
-        let lane = lanes.entry(m.link).or_default();
-        if lane.keep(m.at, m.direction, window) {
-            out.push(LinkTransition {
-                at: m.at,
-                link: m.link,
-                direction: m.direction,
-            });
-        }
-    }
-    out
 }
 
 /// Reconstruct failures from an alternating-with-exceptions transition
@@ -309,87 +282,5 @@ mod tests {
         assert_eq!(r.ambiguous.len(), 2);
         assert_eq!(r.failures.len(), 1);
         assert_eq!(r.failures[0].duration(), Duration::from_secs(60));
-    }
-
-    mod dedup {
-        use super::*;
-        use crate::transitions::MessageFamily;
-
-        fn msg(
-            link: u32,
-            at_ms: u64,
-            dir: TransitionDirection,
-            host: &str,
-            family: MessageFamily,
-        ) -> ResolvedMessage {
-            ResolvedMessage {
-                at: Timestamp::from_millis(at_ms),
-                link: LinkIx(link),
-                direction: dir,
-                family,
-                host: host.into(),
-                detail: None,
-            }
-        }
-
-        #[test]
-        fn confirmations_merge() {
-            let msgs = [
-                msg(0, 10_000, Down, "a", MessageFamily::IsisAdjacency),
-                msg(0, 13_000, Down, "b", MessageFamily::IsisAdjacency),
-                msg(0, 60_000, Up, "a", MessageFamily::IsisAdjacency),
-                msg(0, 62_000, Up, "b", MessageFamily::IsisAdjacency),
-            ];
-            let out = dedup_syslog(&msgs, Duration::from_secs(10));
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].direction, Down);
-            assert_eq!(out[1].direction, Up);
-        }
-
-        #[test]
-        fn distant_repeats_survive_as_doubles() {
-            let msgs = [
-                msg(0, 10_000, Down, "a", MessageFamily::IsisAdjacency),
-                msg(0, 40_000, Down, "a", MessageFamily::IsisAdjacency), // spurious
-                msg(0, 90_000, Up, "a", MessageFamily::IsisAdjacency),
-            ];
-            let out = dedup_syslog(&msgs, Duration::from_secs(10));
-            assert_eq!(out.len(), 3, "the 30s-later repeat is not a confirmation");
-        }
-
-        #[test]
-        fn intervening_opposite_prevents_merge() {
-            // Flap: down, up, down again all within the window.
-            let msgs = [
-                msg(0, 10_000, Down, "a", MessageFamily::IsisAdjacency),
-                msg(0, 12_000, Up, "a", MessageFamily::IsisAdjacency),
-                msg(0, 14_000, Down, "a", MessageFamily::IsisAdjacency),
-            ];
-            let out = dedup_syslog(&msgs, Duration::from_secs(10));
-            assert_eq!(out.len(), 3, "flap transitions are distinct");
-        }
-
-        #[test]
-        fn chained_confirmations_keep_merging() {
-            let msgs = [
-                msg(0, 0, Down, "a", MessageFamily::IsisAdjacency),
-                msg(0, 8_000, Down, "b", MessageFamily::IsisAdjacency),
-                msg(0, 16_000, Down, "a", MessageFamily::IsisAdjacency),
-            ];
-            // Each is within 10s of the previous kept anchor.
-            let out = dedup_syslog(&msgs, Duration::from_secs(10));
-            assert_eq!(out.len(), 1);
-        }
-
-        #[test]
-        fn physical_family_excluded() {
-            let msgs = [
-                msg(0, 10_000, Down, "a", MessageFamily::PhysicalMedia),
-                msg(0, 11_000, Down, "a", MessageFamily::IsisAdjacency),
-            ];
-            let out = dedup_syslog(&msgs, Duration::from_secs(10));
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].at, Timestamp::from_millis(11_000));
-        }
     }
 }

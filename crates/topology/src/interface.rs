@@ -47,19 +47,21 @@ impl InterfaceName {
 
     /// Expand a possibly abbreviated interface name to its long form.
     pub fn expand(text: &str) -> InterfaceName {
-        if let Some(rest) = text
-            .strip_prefix("Te")
-            .filter(|r| r.starts_with(char::is_numeric))
-        {
-            InterfaceName(format!("TenGigE{rest}"))
-        } else if let Some(rest) = text
-            .strip_prefix("Gi")
-            .filter(|r| r.starts_with(char::is_numeric))
-        {
-            InterfaceName(format!("GigabitEthernet{rest}"))
-        } else {
-            InterfaceName(text.to_string())
+        InterfaceName(Self::expansion(text).concat())
+    }
+
+    /// The long form of a possibly abbreviated interface name, as the
+    /// long prefix (empty if `text` is not abbreviated) and the rest.
+    pub(crate) fn expansion(text: &str) -> [&str; 2] {
+        for (short, long) in [("Te", "TenGigE"), ("Gi", "GigabitEthernet")] {
+            if let Some(rest) = text
+                .strip_prefix(short)
+                .filter(|r| r.starts_with(char::is_numeric))
+            {
+                return [long, rest];
+            }
         }
+        ["", text]
     }
 }
 

@@ -121,10 +121,13 @@ impl LinkName {
         } else {
             ((h2, p2), (h1, p1))
         };
-        LinkName(format!(
-            "({}:{}, {}:{})",
-            first.0, first.1, second.0, second.1
-        ))
+        let mut name = String::with_capacity(h1.len() + p1.len() + h2.len() + p2.len() + 6);
+        for part in [
+            "(", first.0, ":", first.1, ", ", second.0, ":", second.1, ")",
+        ] {
+            name.push_str(part);
+        }
+        LinkName(name)
     }
 }
 

@@ -168,8 +168,15 @@ impl FromStr for Net {
 
     /// Parses `49.0001.xxxx.xxxx.xxxx.00`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 6 {
+        let mut parts = [""; 6];
+        let mut n = 0;
+        for part in s.split('.') {
+            if let Some(slot) = parts.get_mut(n) {
+                *slot = part;
+            }
+            n += 1;
+        }
+        if n != 6 {
             return Err(ParseOsiError {
                 reason: "expected six dot-separated groups",
             });
@@ -184,7 +191,9 @@ impl FromStr for Net {
                 reason: "NSAP selector must be 00",
             });
         }
-        let sysid: SystemId = parts[2..5].join(".").parse()?;
+        // The three middle groups, dots included: `s` less the first two
+        // groups, their dots, and the trailing `.00`.
+        let sysid: SystemId = s[parts[0].len() + parts[1].len() + 2..s.len() - 3].parse()?;
         Ok(Net {
             afi,
             area,

@@ -1,8 +1,16 @@
 //! The cluster dispatcher's costs, pinned as exact counts.
 //!
-//! `run_cluster` classifies every event once, at the dispatcher, and
-//! sends each shard only its lane rows. Two things that change are
-//! measured over `ScenarioParams::tiny(7)` with two workers:
+//! `run_cluster` mines the naming layer once, classifies every event
+//! once, at the dispatcher, and sends each shard only its lane rows.
+//! Three things that change are measured:
+//!
+//! * what one naming-layer build (`linktable::from_scenario`) allocates,
+//!   on `ScenarioParams::tiny(7)` and on the `wide` topology
+//!   (`ScenarioParams::sized(42, 10.0, 1.0)`), pinned exactly — the
+//!   build renders, mines and interns deterministically, so the count is
+//!   a function of the scenario;
+//!
+//! and over `tiny(7)` with two workers:
 //!
 //! * what crosses the subprocess wire: `frames_sent` and `bytes_sent`
 //!   (the `Hello`s, the row frames and the `Flush`es — every byte of
@@ -21,13 +29,13 @@
 //!   it blocks depends on how far the worker got, so five runs of the
 //!   same stream spread over three or four values.
 //!
-//! The wire pins live in `tests/golden/dispatch_costs.json`. A change that
+//! The wire and build pins live in `tests/golden/dispatch_costs.json`. A change that
 //! moves one re-blesses it with the reason, which the file keeps:
 //! `FAULTLINE_BLESS="<why the counts moved>" cargo test --test dispatch_costs`.
 
 use faultline_core::cluster::{run_cluster, ClusterConfig, SubprocessOptions, Workers};
 use faultline_core::transport::ScenarioSpec;
-use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig, StreamEvent};
+use faultline_core::{linktable, scenario_event_stream, Analysis, AnalysisConfig, StreamEvent};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
@@ -46,6 +54,8 @@ struct Pins {
     reason: String,
     subprocess_frames_sent: u64,
     subprocess_bytes_sent: u64,
+    naming_build_allocations_tiny: u64,
+    naming_build_allocations_wide: u64,
 }
 
 /// Workers in every run this file measures.
@@ -67,10 +77,16 @@ fn dispatcher_allocations(data: &ScenarioData, events: &[StreamEvent]) -> u64 {
     count
 }
 
+/// Allocations one naming-layer build over `data` makes.
+fn naming_build_allocations(data: &ScenarioData) -> u64 {
+    allocations(|| linktable::from_scenario(data)).0
+}
+
 /// Every count this file pins, measured now.
 fn measure() -> Pins {
     let params = ScenarioParams::tiny(7);
     let data = run(&params);
+    let wide = run(&ScenarioParams::sized(42, 10.0, 1.0));
     let events = scenario_event_stream(&data);
 
     let cfg = ClusterConfig {
@@ -90,9 +106,13 @@ fn measure() -> Pins {
         reason: String::new(),
         subprocess_frames_sent: wire.frames_sent,
         subprocess_bytes_sent: wire.bytes_sent,
+        naming_build_allocations_tiny: naming_build_allocations(&data),
+        naming_build_allocations_wide: naming_build_allocations(&wide),
     }
 }
 
+/// The wire counts and, with them in the same file, the naming-layer
+/// build's allocation counts.
 #[test]
 fn subprocess_wire_costs_are_pinned() {
     let mut got = measure();

@@ -139,7 +139,7 @@ fn sanitization_invariants() {
     let cfg = AnalysisConfig::default();
     for f in &a.output.syslog_failures {
         if f.duration() > cfg.long_threshold {
-            let lid = a.link_of_ix[&f.link];
+            let lid = a.link_of_ix[f.link.0 as usize].expect("a mined link");
             assert!(
                 data.tickets.verifies(lid, f.start, f.end, cfg.ticket_slack),
                 "surviving long failure without ticket: {f:?}"
