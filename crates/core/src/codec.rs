@@ -61,21 +61,20 @@
 //! invocation next to the struct (private fields) or in this module
 //! (public ones); encoding destructures without `..` and decoding builds
 //! a struct literal, so a field added to a struct does not compile until
-//! its row lists it.
+//! its row lists it. A nested struct's row sits inline, so grouping
+//! fields into a struct moves no byte. Fields a `rows!` entry lists after
+//! a `;` are runtime-only: not encoded, decoded as their `Default`.
 //!
 //! ```text
 //! flushed    := report:str payload              a shard's `Flushed` answer:
 //!                                               the report as JSON, then
 //!                                               the output's payload
 //! payload    := hosts:vec<str> (checkpoint | delta | output)
-//! checkpoint := seq:u64 config watermark:opt<time> log
-//!               resolve_stats is_stats:merge_stats ip_stats:merge_stats
+//! checkpoint := seq:u64 config watermark:opt<time> log tallies lanes:vec<lane>
+//! delta      := seq parent_seq:u64 watermark:opt<time> log tallies lanes:vec<lane>
+//! tallies    := resolve_stats is_stats:merge_stats ip_stats:merge_stats
 //!               events_syslog events_isis batches late_events open_items
 //!               open_items_hwm quarantined_syslog quarantined_isis:u64
-//!               lanes:vec<lane>
-//! delta      := seq parent_seq:u64 watermark:opt<time> log
-//!               resolve_stats is_stats ip_stats   the eight u64 counters
-//!               of a checkpoint, in its order     lanes:vec<lane>
 //! log        := messages:vec<message>
 //!               is_transitions ip_transitions syslog_transitions:vec<transition>
 //!               isis_failures:vec<failure> isis_ambiguous:vec<ambiguous>
@@ -99,13 +98,15 @@
 //!               threads chunk_size:usize quarantine_horizon:opt<time>
 //! message    := at:time link:u32 direction:u8 family:u8 host detail:opt<u8>
 //! host       := index:varint                    into the payload's hosts
-//! lane       := link:u32 link_id:opt<u32> resolvable:bool
-//!               dedup_last:opt<(time direction:u8)> is_merge ip_merge:merge
+//! lane       := link:u32 link_id:opt<u32> resolvable:bool dedup
+//!               is_merge ip_merge:merge
 //!               isis_recon syslog_recon:recon isis_sanitize syslog_sanitize:sanitize
 //!               seg_isis seg_syslog:vec<failure> seg_max_end:opt<time>
 //!               segments_closed:u64 flap_last_end:opt<time> flap_run:u32
-//!               flap_episodes:u64
+//!               flap_episodes:u64               (not dirty, not outbox)
+//! dedup      := last:opt<(time direction:u8)>
 //! merge      := advertised:vec<(sysid:6 up:bool)> down_count:u32 inconsistent:u64
+//!                                               advertised sorted by sysid
 //! recon      := open last_at:opt<time> last_dir:opt<u8> pending:opt<failure>
 //!               boundary_ups:u32
 //! transition := at:time link:u32 direction:u8
@@ -554,14 +555,15 @@ pub(crate) const fn min_len<S, T: Row>(_field: fn(&S) -> &T) -> usize {
 }
 
 /// Give each listed struct its row: the named fields, in the order
-/// listed, which is the declaration order. Invoke it where the fields
-/// are visible.
+/// listed, which is the declaration order. Fields named after a `;` are
+/// runtime-only: not encoded, decoded as their `Default`. Invoke it where
+/// the fields are visible.
 macro_rules! rows {
-    ($($ty:ident { $($field:ident),+ $(,)? })*) => {$(
+    ($($ty:ident { $($field:ident),+ $(; $($runtime:ident),+)? $(,)? })*) => {$(
         impl $crate::codec::Row for $ty {
             const MIN_LEN: usize = 0 $(+ $crate::codec::min_len(|s: &$ty| &s.$field))+;
             fn put(&self, w: &mut $crate::codec::RowWriter<'_>) {
-                let $ty { $($field),+ } = self;
+                let $ty { $($field,)+ $($($runtime: _,)+)? } = self;
                 $($crate::codec::Row::put($field, w);)+
             }
             fn get(
@@ -569,6 +571,7 @@ macro_rules! rows {
             ) -> Result<Self, $crate::error::CodecError> {
                 Ok($ty {
                     $($field: $crate::codec::Row::get(r)?,)+
+                    $($($runtime: Default::default(),)+)?
                 })
             }
         }
@@ -1195,7 +1198,7 @@ mod tests {
         for min in [
             StreamCheckpoint::MIN_LEN,
             StreamDelta::MIN_LEN,
-            crate::kernel::LaneSnapshot::MIN_LEN,
+            crate::kernel::LinkLane::MIN_LEN,
             ResolvedMessage::MIN_LEN,
         ] {
             assert!(min >= 1);

@@ -35,7 +35,6 @@
 use crate::analysis::AnalysisConfig;
 use crate::arena::EventArena;
 use crate::codec::rows;
-use crate::intern::FastMap;
 use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::{match_failures, FailureMatching};
 use crate::observe::PipelineCounters;
@@ -243,7 +242,7 @@ pub(crate) struct LaneCtx<'a> {
 /// window, is a confirmation from the other end, not a new transition.
 /// Each [`LinkLane`] keeps one for its IS-IS-adjacency-family syslog
 /// messages.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub(crate) struct DedupState {
     /// Last kept transition (the dedup anchor).
     pub(crate) last: Option<(Timestamp, TransitionDirection)>,
@@ -273,9 +272,11 @@ impl DedupState {
 /// The both-ends AND-merge state for one link and one reachability kind:
 /// a link-level DOWN fires on the first endpoint's withdrawal, an UP only
 /// once both ends re-advertise.
-#[derive(Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct MergeState {
-    pub(crate) advertised: FastMap<SystemId, bool>,
+    /// Whether each origin seen so far advertises the link, sorted by
+    /// origin, so a state has one encoding.
+    pub(crate) advertised: Vec<(SystemId, bool)>,
     pub(crate) down_count: u32,
     pub(crate) inconsistent: u64,
 }
@@ -284,7 +285,14 @@ impl MergeState {
     /// Feed one per-origin event; returns whether it emits a link-level
     /// transition.
     pub(crate) fn step(&mut self, source: SystemId, direction: TransitionDirection) -> bool {
-        let adv = self.advertised.entry(source).or_insert(true);
+        let at = match self.advertised.binary_search_by_key(&source, |&(id, _)| id) {
+            Ok(at) => at,
+            Err(at) => {
+                self.advertised.insert(at, (source, true));
+                at
+            }
+        };
+        let adv = &mut self.advertised[at].1;
         match direction {
             TransitionDirection::Down => {
                 if !*adv {
@@ -521,7 +529,11 @@ impl AnswerLog {
 /// pipeline state machine: both drivers route every event through a
 /// `LinkLane`. What a step finalizes lands in the lane's `outbox`, which
 /// the [`Kernel`] drains into its [`AnswerLog`], so between steps no
-/// field holds a finalized record.
+/// field holds a finalized record. Its snapshot row is its fields in
+/// declaration order up to `flap_episodes`, so reordering them is a
+/// checkpoint-format change; `dirty` and `outbox` are runtime-only and
+/// decode as their defaults.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct LinkLane {
     pub(crate) link: LinkIx,
     pub(crate) link_id: Option<LinkId>,
@@ -547,10 +559,13 @@ pub(crate) struct LinkLane {
     /// Touched since the durability layer's last snapshot mark. Every
     /// mutation flows through [`LinkLane::apply`], so setting the flag
     /// there (and on construction) is exhaustive; the streaming driver's
-    /// `mark_clean` resets it after each checkpoint capture. Runtime-only:
-    /// deliberately absent from [`LaneSnapshot`].
+    /// `mark_clean` resets it after each checkpoint capture, and an
+    /// imported lane is dirty again. Runtime-only.
+    #[serde(skip)]
     pub(crate) dirty: bool,
-    /// Records finalized since the kernel last drained this lane.
+    /// Records finalized since the kernel last drained this lane;
+    /// runtime-only, and empty between steps.
+    #[serde(skip)]
     pub(crate) outbox: AnswerLog,
 }
 
@@ -779,28 +794,19 @@ fn overlaps_offline(f: &Failure, spans: &[OfflineSpan]) -> bool {
     spans.iter().any(|s| f.start <= s.to && s.from <= f.end)
 }
 
-/// Serializable image of [`MergeState`]. The advertisement map is
-/// flattened to a `SystemId`-sorted vec so a checkpoint's bytes — and
-/// therefore its integrity hash — are deterministic for a given state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct MergeSnapshot {
-    advertised: Vec<(SystemId, bool)>,
-    down_count: u32,
-    inconsistent: u64,
-}
-
-// The snapshot payload's rows for this module's images (see
+// The snapshot payload's rows for this module's state (see
 // `crate::codec`'s snapshot layout).
 rows! {
     LaneEvent { at, direction, reach }
     LaneRow { link, event }
-    MergeSnapshot { advertised, down_count, inconsistent }
+    DedupState { last }
+    MergeState { advertised, down_count, inconsistent }
     ReconLane { open, last_at, last_dir, pending, boundary_ups }
-    LaneSnapshot {
+    LinkLane {
         link,
         link_id,
         resolvable,
-        dedup_last,
+        dedup,
         is_merge,
         ip_merge,
         isis_recon,
@@ -813,7 +819,9 @@ rows! {
         segments_closed,
         flap_last_end,
         flap_run,
-        flap_episodes,
+        flap_episodes;
+        dirty,
+        outbox,
     }
     AnswerLog {
         messages,
@@ -829,101 +837,18 @@ rows! {
         matched,
         partial,
     }
-}
-
-impl MergeState {
-    fn snapshot(&self) -> MergeSnapshot {
-        let mut advertised: Vec<(SystemId, bool)> =
-            self.advertised.iter().map(|(k, v)| (*k, *v)).collect();
-        advertised.sort_by_key(|&(id, _)| id);
-        MergeSnapshot {
-            advertised,
-            down_count: self.down_count,
-            inconsistent: self.inconsistent,
-        }
-    }
-
-    fn restore(s: MergeSnapshot) -> MergeState {
-        MergeState {
-            advertised: s.advertised.into_iter().collect(),
-            down_count: s.down_count,
-            inconsistent: s.inconsistent,
-        }
-    }
-}
-
-/// Serializable image of one [`LinkLane`]'s open state (field-for-field;
-/// the merge maps go through [`MergeSnapshot`] for deterministic bytes).
-/// Its snapshot row is its fields in declaration order, so reordering
-/// them is a checkpoint-format change.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct LaneSnapshot {
-    pub(crate) link: LinkIx,
-    link_id: Option<LinkId>,
-    resolvable: bool,
-    dedup_last: Option<(Timestamp, TransitionDirection)>,
-    is_merge: MergeSnapshot,
-    ip_merge: MergeSnapshot,
-    isis_recon: ReconLane,
-    syslog_recon: ReconLane,
-    isis_sanitize: SanitizeReport,
-    syslog_sanitize: SanitizeReport,
-    seg_isis: Vec<Failure>,
-    seg_syslog: Vec<Failure>,
-    seg_max_end: Option<Timestamp>,
-    segments_closed: u64,
-    flap_last_end: Option<Timestamp>,
-    flap_run: u32,
-    flap_episodes: u64,
-}
-
-impl LinkLane {
-    /// The lane's open state. Its outbox is empty between steps — the
-    /// kernel drains it — so nothing finalized is left out.
-    pub(crate) fn snapshot(&self) -> LaneSnapshot {
-        LaneSnapshot {
-            link: self.link,
-            link_id: self.link_id,
-            resolvable: self.resolvable,
-            dedup_last: self.dedup.last,
-            is_merge: self.is_merge.snapshot(),
-            ip_merge: self.ip_merge.snapshot(),
-            isis_recon: self.isis_recon,
-            syslog_recon: self.syslog_recon,
-            isis_sanitize: self.isis_sanitize,
-            syslog_sanitize: self.syslog_sanitize,
-            seg_isis: self.seg_isis.clone(),
-            seg_syslog: self.seg_syslog.clone(),
-            seg_max_end: self.seg_max_end,
-            segments_closed: self.segments_closed,
-            flap_last_end: self.flap_last_end,
-            flap_run: self.flap_run,
-            flap_episodes: self.flap_episodes,
-        }
-    }
-
-    pub(crate) fn restore(s: LaneSnapshot) -> LinkLane {
-        LinkLane {
-            link: s.link,
-            link_id: s.link_id,
-            resolvable: s.resolvable,
-            dedup: DedupState { last: s.dedup_last },
-            is_merge: MergeState::restore(s.is_merge),
-            ip_merge: MergeState::restore(s.ip_merge),
-            isis_recon: s.isis_recon,
-            syslog_recon: s.syslog_recon,
-            isis_sanitize: s.isis_sanitize,
-            syslog_sanitize: s.syslog_sanitize,
-            seg_isis: s.seg_isis,
-            seg_syslog: s.seg_syslog,
-            seg_max_end: s.seg_max_end,
-            segments_closed: s.segments_closed,
-            flap_last_end: s.flap_last_end,
-            flap_run: s.flap_run,
-            flap_episodes: s.flap_episodes,
-            dirty: false,
-            outbox: AnswerLog::default(),
-        }
+    Tallies {
+        resolve_stats,
+        is_stats,
+        ip_stats,
+        events_syslog,
+        events_isis,
+        batches,
+        late_events,
+        open_items,
+        open_items_hwm,
+        quarantined_syslog,
+        quarantined_isis,
     }
 }
 
@@ -945,11 +870,33 @@ pub(crate) struct KernelOutput {
     pub(crate) finalized_at_flush: u64,
 }
 
+/// The engine's carried counters, one value: a checkpoint and a delta
+/// hold a copy and a restore takes it back whole. Wall-clock timings and
+/// other process-descriptive figures are not tallies.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub(crate) struct Tallies {
+    pub(crate) resolve_stats: SyslogResolveStats,
+    /// Serial halves of the merge counters (raw/unknown/multilink); the
+    /// stateful halves (inconsistent/emitted) come from the lanes and
+    /// the log.
+    pub(crate) is_stats: IsisMergeStats,
+    pub(crate) ip_stats: IsisMergeStats,
+    /// Offered events per source, quarantined and late ones included.
+    pub(crate) events_syslog: u64,
+    pub(crate) events_isis: u64,
+    pub(crate) batches: u64,
+    pub(crate) late_events: u64,
+    /// The lanes' open items, summed; derived again on every restore.
+    pub(crate) open_items: u64,
+    pub(crate) open_items_hwm: u64,
+    pub(crate) quarantined_syslog: u64,
+    pub(crate) quarantined_isis: u64,
+}
+
 /// The shared pipeline core: the naming layer, every per-link
 /// [`LinkLane`], the [`AnswerLog`] of everything finalized, and the
-/// serial classification state (resolution and merge counters). Drivers
-/// feed it classified events and call [`Kernel::collect`] once at end of
-/// data.
+/// carried [`Tallies`]. The batch pass and the streaming engine feed it
+/// classified events and call [`Kernel::collect`] once at end of data.
 pub(crate) struct Kernel<'a> {
     /// The scenario's static side inputs (offline spans, tickets,
     /// topology) — the one input genuinely available up front.
@@ -961,14 +908,7 @@ pub(crate) struct Kernel<'a> {
     pub(crate) lanes: BTreeMap<LinkIx, LinkLane>,
     /// Every finalized record, resolved messages in feed order.
     pub(crate) log: AnswerLog,
-    pub(crate) resolve_stats: SyslogResolveStats,
-    /// Serial halves of the merge counters (raw/unknown/multilink); the
-    /// stateful halves (inconsistent/emitted) come from the lanes and
-    /// the log.
-    pub(crate) is_stats: IsisMergeStats,
-    pub(crate) ip_stats: IsisMergeStats,
-    pub(crate) open_items: u64,
-    pub(crate) open_items_hwm: u64,
+    pub(crate) tallies: Tallies,
     /// Whether a reshard imported lanes: then the answer is one share.
     pub(crate) imported: bool,
 }
@@ -987,11 +927,7 @@ impl<'a> Kernel<'a> {
             naming,
             lanes: BTreeMap::new(),
             log: AnswerLog::default(),
-            resolve_stats: SyslogResolveStats::default(),
-            is_stats: IsisMergeStats::default(),
-            ip_stats: IsisMergeStats::default(),
-            open_items: 0,
-            open_items_hwm: 0,
+            tallies: Tallies::default(),
             imported: false,
         }
     }
@@ -1000,7 +936,8 @@ impl<'a> Kernel<'a> {
     /// and hand back its lane row, if it has one.
     pub(crate) fn route(&mut self, event: Observed<'_>) -> Option<LaneRow> {
         let c = classify(&self.naming.table, event);
-        let (resolve, is) = (&mut self.resolve_stats, &mut self.is_stats);
+        let t = &mut self.tallies;
+        let (resolve, is) = (&mut t.resolve_stats, &mut t.is_stats);
         match c.outcome {
             Outcome::Resolved(MessageFamily::IsisAdjacency) => resolve.isis_resolved += 1,
             Outcome::Resolved(MessageFamily::PhysicalMedia) => resolve.physical_resolved += 1,
@@ -1009,7 +946,7 @@ impl<'a> Kernel<'a> {
             Outcome::Routed(kind) | Outcome::Unknown(kind) => {
                 let stats = match kind {
                     ReachabilityKind::IsReach => is,
-                    ReachabilityKind::IpReach => &mut self.ip_stats,
+                    ReachabilityKind::IpReach => &mut t.ip_stats,
                 };
                 stats.raw += 1;
                 stats.unknown += u64::from(matches!(c.outcome, Outcome::Unknown(_)));
@@ -1026,7 +963,7 @@ impl<'a> Kernel<'a> {
     /// Apply one classified event to its lane under the given watermark.
     pub(crate) fn apply_one(&mut self, row: LaneRow, watermark: Timestamp) {
         self.step_lane(row.link, std::slice::from_ref(&row.event), watermark);
-        self.open_items_hwm = self.open_items_hwm.max(self.open_items);
+        self.note_open_items();
     }
 
     /// Apply a micro-batch of classified events from the driver's
@@ -1049,8 +986,21 @@ impl<'a> Kernel<'a> {
             self.step_lane(link, run, watermark);
             lanes_touched += 1;
         }
-        self.open_items_hwm = self.open_items_hwm.max(self.open_items);
+        self.note_open_items();
         lanes_touched
+    }
+
+    /// Raise the open-item high-water mark to the current count.
+    pub(crate) fn note_open_items(&mut self) {
+        let t = &mut self.tallies;
+        t.open_items_hwm = t.open_items_hwm.max(t.open_items);
+    }
+
+    /// Derive the open-item count from the lanes, as a restore does: a
+    /// stored count is never trusted.
+    pub(crate) fn recount_open_items(&mut self) {
+        self.tallies.open_items = self.lanes.values().map(LinkLane::open_items).sum();
+        self.note_open_items();
     }
 
     /// The one per-lane step: apply `events` to `link`'s lane in place
@@ -1083,7 +1033,8 @@ impl<'a> Kernel<'a> {
         }
         lane.maybe_close_segment(watermark, &ctx);
         self.log.append(&mut lane.outbox);
-        self.open_items = self.open_items - before + lane.open_items();
+        let t = &mut self.tallies;
+        t.open_items = t.open_items - before + lane.open_items();
     }
 
     /// End of data: finalize every lane and assemble the global output
@@ -1098,12 +1049,16 @@ impl<'a> Kernel<'a> {
             naming,
             mut lanes,
             mut log,
-            resolve_stats,
-            mut is_stats,
-            mut ip_stats,
+            tallies,
             imported,
             ..
         } = self;
+        let Tallies {
+            resolve_stats,
+            mut is_stats,
+            mut ip_stats,
+            ..
+        } = tallies;
         let ctx = LaneCtx {
             config: &config,
             offline: &data.offline_spans,
@@ -1284,7 +1239,7 @@ mod tests {
         let mut bytes = BTreeMap::new();
         for (&link, lane) in &kernel.lanes {
             let mut row = Vec::new();
-            crate::codec::encode_payload(&lane.snapshot(), &mut row);
+            crate::codec::encode_payload(lane, &mut row);
             bytes.insert(link, row.len());
         }
         bytes
@@ -1316,6 +1271,95 @@ mod tests {
         // Each confirmation refreshes the anchor, so a chain keeps merging.
         let chain = [(0, Down), (8_000, Down), (16_000, Down)];
         assert_eq!(dedup_kept(&chain), [0]);
+    }
+
+    /// The both-ends merge over a hash map, as it was kept before its
+    /// state became an origin-sorted vector: the reference for
+    /// [`MergeState`].
+    #[derive(Default)]
+    struct HashMerge {
+        advertised: std::collections::HashMap<SystemId, bool>,
+        down_count: u32,
+        inconsistent: u64,
+    }
+
+    impl HashMerge {
+        fn step(&mut self, source: SystemId, direction: TransitionDirection) -> bool {
+            let adv = self.advertised.entry(source).or_insert(true);
+            match direction {
+                TransitionDirection::Down => {
+                    if !*adv {
+                        self.inconsistent += 1;
+                        return false;
+                    }
+                    *adv = false;
+                    self.down_count += 1;
+                    self.down_count == 1
+                }
+                TransitionDirection::Up => {
+                    if *adv {
+                        self.inconsistent += 1;
+                        return false;
+                    }
+                    *adv = true;
+                    self.down_count -= 1;
+                    self.down_count == 0
+                }
+            }
+        }
+
+        /// The row its snapshot image wrote: the map flattened sorted by
+        /// origin, then the two counters.
+        fn row(&self) -> Vec<u8> {
+            let mut advertised: Vec<(SystemId, bool)> =
+                self.advertised.iter().map(|(&k, &v)| (k, v)).collect();
+            advertised.sort_by_key(|&(id, _)| id);
+            let mut row = Vec::new();
+            crate::codec::encode_payload(
+                &(advertised, (self.down_count, self.inconsistent)),
+                &mut row,
+            );
+            row
+        }
+    }
+
+    fn merge_row(merge: &MergeState) -> Vec<u8> {
+        let mut row = Vec::new();
+        crate::codec::encode_payload(merge, &mut row);
+        row
+    }
+
+    proptest::proptest! {
+        /// Every step of [`MergeState`] returns what the hash-map merge
+        /// returns and leaves the same counters, and the final row is the
+        /// one the hash map's snapshot image wrote. Replaying the steps
+        /// with the origins regrouped in reverse order of first
+        /// appearance (each origin's own steps kept in order) ends in the
+        /// same row.
+        #[test]
+        fn merge_state_matches_the_hash_map_reference(
+            steps in proptest::collection::vec((0u32..5, proptest::any::<bool>()), 0..48),
+        ) {
+            let origin = |i: u32| SystemId::from_index([9, 2, 7, 4, 5][i as usize]);
+            let direction = |up: bool| if up { TransitionDirection::Up } else { TransitionDirection::Down };
+            let (mut merge, mut reference) = (MergeState::default(), HashMerge::default());
+            for &(i, up) in &steps {
+                let (source, dir) = (origin(i), direction(up));
+                proptest::prop_assert_eq!(merge.step(source, dir), reference.step(source, dir));
+                proptest::prop_assert_eq!(merge.down_count, reference.down_count);
+                proptest::prop_assert_eq!(merge.inconsistent, reference.inconsistent);
+            }
+            proptest::prop_assert_eq!(merge_row(&merge), reference.row());
+
+            let first_seen = |i: u32| steps.iter().position(|&(j, _)| j == i);
+            let mut regrouped = steps.clone();
+            regrouped.sort_by_key(|&(i, _)| std::cmp::Reverse(first_seen(i)));
+            let mut replayed = MergeState::default();
+            for &(i, up) in &regrouped {
+                replayed.step(origin(i), direction(up));
+            }
+            proptest::prop_assert_eq!(merge_row(&replayed), merge_row(&merge));
+        }
     }
 
     /// A lane is open state only, so what it costs to snapshot does not

@@ -287,11 +287,11 @@ impl Snapshot {
 
     /// Whether the snapshot counts no more events than its `seq`.
     fn counts_fit(&self) -> bool {
-        let (seq, syslog, isis) = match self {
-            Snapshot::Full(c) => (c.seq(), c.events_syslog, c.events_isis),
-            Snapshot::Delta(d) => (d.seq(), d.events_syslog, d.events_isis),
+        let t = match self {
+            Snapshot::Full(c) => &c.tallies,
+            Snapshot::Delta(d) => &d.tallies,
         };
-        syslog.checked_add(isis).is_some_and(|n| n <= seq)
+        (t.events_syslog.checked_add(t.events_isis)).is_some_and(|n| n <= self.seq())
     }
 
     fn kind(&self) -> SnapKind {
@@ -440,7 +440,7 @@ fn chain_fields(block: &[u8; CHAIN_LEN]) -> [u64; 3] {
 }
 
 /// A fully validated snapshot file.
-struct LoadedSnapshot {
+struct LoadedFile {
     body: Snapshot,
     /// The verified envelope hash — what a delta child's `parent_fnv`
     /// must match during a chain walk.
@@ -454,7 +454,7 @@ struct LoadedSnapshot {
 /// chain block/payload agreement on the sequence; for a delta also on
 /// the parent pointer, and parent monotonicity (`parent_seq < seq` — a
 /// chain can never loop).
-fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, RecoveryError> {
+fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedFile, RecoveryError> {
     let format = kind.format();
     let mut file = File::open(path).map_err(|e| io_err("read checkpoint", path, e))?;
     let mut body = Vec::new();
@@ -482,7 +482,7 @@ fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedSnapshot, Recovery
         Some(_) if parent_seq >= seq => return Err(corrupt(path, "non-monotonic parent pointer")),
         Some(_) => Some((parent_seq, parent_fnv)),
     };
-    Ok(LoadedSnapshot {
+    Ok(LoadedFile {
         body,
         fnv: header.fnv,
         parent,
@@ -799,12 +799,26 @@ fn restore_chain<'a>(
         cur = parent;
     };
     let chain_len = deltas.len() as u64;
+    // A restore derives the open-item count from the lanes; a snapshot
+    // that stored another count is lying about its own state.
+    let derived = |engine: &StreamAnalysis<'_>, stored: u64, path: &Path| match engine.open_state()
+    {
+        held if held == stored => Ok(()),
+        held => Err(corrupt(
+            path,
+            format!("{stored} open items stored, the lanes hold {held}"),
+        )),
+    };
+    let stored = base.tallies.open_items;
     let mut engine = StreamAnalysis::restore_with(data, base, Arc::clone(naming))
         .map_err(RecoveryError::from)?;
+    derived(&engine, stored, &cur.path)?;
     for (path, delta) in deltas.into_iter().rev() {
+        let stored = delta.tallies.open_items;
         engine
             .apply_delta(delta)
             .map_err(|reason| corrupt(&path, reason))?;
+        derived(&engine, stored, &path)?;
     }
     Ok((engine, tip_fnv.unwrap_or(base_fnv), chain_len))
 }

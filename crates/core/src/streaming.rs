@@ -76,11 +76,8 @@ use crate::analysis::{self, AnalysisConfig};
 use crate::arena::EventArena;
 use crate::codec::rows;
 use crate::error::AnalysisError;
-use crate::kernel::{
-    AnswerLog, Kernel, LaneEvent, LaneRow, LaneSnapshot, LinkLane, LogMark, Observed,
-};
+use crate::kernel::{AnswerLog, Kernel, LaneEvent, LaneRow, LinkLane, LogMark, Observed, Tallies};
 use crate::observe::{self, PipelineReport, StreamingCounters};
-use crate::transitions::{IsisMergeStats, SyslogResolveStats};
 use faultline_isis::listener::Transition;
 use faultline_sim::ScenarioData;
 use faultline_syslog::message::SyslogMessage;
@@ -209,36 +206,27 @@ pub struct StreamResult {
 }
 
 /// A complete, serializable image of a [`StreamAnalysis`] mid-stream:
-/// every lane's open state, the log of every record finalized so far
-/// (resolved messages, transitions, failures, match pairs), the
-/// watermark, and all accounting counters — everything [`StreamAnalysis::restore`]
+/// every lane, the log of every record finalized so far (resolved
+/// messages, transitions, failures, match pairs), the watermark, and the
+/// engine's carried counters — everything [`StreamAnalysis::restore`]
 /// needs to continue the run as if it had never stopped. Wall-clock
 /// timings are deliberately *not* captured: they describe the process
 /// that died, not the state, and they are not part of the
 /// [`StreamOutput`] equivalence surface.
 ///
-/// Encoding is deterministic for a given state (maps are flattened
-/// sorted), so a checkpoint's bytes can carry an integrity hash. On disk
-/// it is one [`crate::codec`] row (`codec::encode_checkpoint`); see
-/// [`crate::recovery`] for the durable file format around that payload.
+/// Encoding is deterministic for a given state (a lane keeps its merge
+/// state sorted by origin), so a checkpoint's bytes can carry an
+/// integrity hash. On disk it is one [`crate::codec`] row
+/// (`codec::encode_checkpoint`); see [`crate::recovery`] for the durable
+/// file format around that payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
     seq: u64,
     config: AnalysisConfig,
     watermark: Option<Timestamp>,
     log: AnswerLog,
-    resolve_stats: SyslogResolveStats,
-    is_stats: IsisMergeStats,
-    ip_stats: IsisMergeStats,
-    pub(crate) events_syslog: u64,
-    pub(crate) events_isis: u64,
-    batches: u64,
-    late_events: u64,
-    open_items: u64,
-    open_items_hwm: u64,
-    quarantined_syslog: u64,
-    quarantined_isis: u64,
-    lanes: Vec<LaneSnapshot>,
+    pub(crate) tallies: Tallies,
+    lanes: Vec<LinkLane>,
 }
 
 impl StreamCheckpoint {
@@ -271,7 +259,7 @@ impl StreamCheckpoint {
 /// changed since the parent snapshot at `parent_seq` — the records the
 /// engine finalized since the parent (the tail of its answer log), the
 /// open state of every lane touched since (the kernel's dirty-lane
-/// flags), whole, and the (cheap, always-copied) scalar counters and
+/// flags), whole, and the (cheap, always-copied) counters and
 /// watermark. Applying a delta on top of the engine state its parent
 /// captured reproduces exactly the state a full [`StreamCheckpoint`] at
 /// `seq` would have restored.
@@ -288,62 +276,18 @@ pub struct StreamDelta {
     watermark: Option<Timestamp>,
     /// Every record finalized since the parent capture.
     log: AnswerLog,
-    resolve_stats: SyslogResolveStats,
-    is_stats: IsisMergeStats,
-    ip_stats: IsisMergeStats,
-    pub(crate) events_syslog: u64,
-    pub(crate) events_isis: u64,
-    batches: u64,
-    late_events: u64,
-    open_items: u64,
-    open_items_hwm: u64,
-    quarantined_syslog: u64,
-    quarantined_isis: u64,
+    pub(crate) tallies: Tallies,
     /// Only lanes dirtied since the parent capture, ascending by link
     /// (the kernel map's iteration order), so serialization stays
     /// deterministic for a given state. A lane is open state only, so
     /// it ships whole.
-    lanes: Vec<LaneSnapshot>,
+    lanes: Vec<LinkLane>,
 }
 
 // The snapshot payload's rows (see `crate::codec`'s snapshot layout).
 rows! {
-    StreamCheckpoint {
-        seq,
-        config,
-        watermark,
-        log,
-        resolve_stats,
-        is_stats,
-        ip_stats,
-        events_syslog,
-        events_isis,
-        batches,
-        late_events,
-        open_items,
-        open_items_hwm,
-        quarantined_syslog,
-        quarantined_isis,
-        lanes,
-    }
-    StreamDelta {
-        seq,
-        parent_seq,
-        watermark,
-        log,
-        resolve_stats,
-        is_stats,
-        ip_stats,
-        events_syslog,
-        events_isis,
-        batches,
-        late_events,
-        open_items,
-        open_items_hwm,
-        quarantined_syslog,
-        quarantined_isis,
-        lanes,
-    }
+    StreamCheckpoint { seq, config, watermark, log, tallies, lanes }
+    StreamDelta { seq, parent_seq, watermark, log, tallies, lanes }
 }
 
 impl StreamDelta {
@@ -365,16 +309,16 @@ impl StreamDelta {
 
 /// A set of per-link lanes in flight between two engines — the payload
 /// of live resharding ([`crate::cluster::ClusterConfig::reshard_at`]).
-/// Each lane ships as its open state, the image a checkpoint holds,
-/// captured by [`StreamAnalysis::export_lanes`] on the source engine and
-/// attached by [`StreamAnalysis::import_lanes`] on the destination; what
-/// the lane had finalized stays in the source engine's log. The lane list
+/// Each lane ships whole, as a checkpoint holds it, detached by
+/// [`StreamAnalysis::export_lanes`] on the source engine and attached by
+/// [`StreamAnalysis::import_lanes`] on the destination; what the lane
+/// had finalized stays in the source engine's log. The lane list
 /// is ascending by link (export preserves the request order, which the
 /// cluster derives from the sorted link table), so serialization is
 /// deterministic for a given state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LaneMigration {
-    lanes: Vec<LaneSnapshot>,
+    lanes: Vec<LinkLane>,
 }
 
 impl LaneMigration {
@@ -404,14 +348,8 @@ pub struct StreamAnalysis<'a> {
     started: Instant,
     ingest_wall: std::time::Duration,
     link_table_wall: std::time::Duration,
-    events_syslog: u64,
-    events_isis: u64,
     /// Events and lane rows consumed: a snapshot's `seq`.
     seq: u64,
-    batches: u64,
-    late_events: u64,
-    quarantined_syslog: u64,
-    quarantined_isis: u64,
     /// Where the kernel's answer log ended at the last
     /// [`StreamAnalysis::mark_clean`] — where the next delta's log tail
     /// starts. The log only ever appends, so its lengths are a complete
@@ -466,13 +404,7 @@ impl<'a> StreamAnalysis<'a> {
             started,
             ingest_wall: std::time::Duration::ZERO,
             link_table_wall,
-            events_syslog: 0,
-            events_isis: 0,
             seq: 0,
-            batches: 0,
-            late_events: 0,
-            quarantined_syslog: 0,
-            quarantined_isis: 0,
             log_mark: LogMark::default(),
             marked_seq: 0,
             arena_events_hwm: 0,
@@ -503,7 +435,7 @@ impl<'a> StreamAnalysis<'a> {
     /// Items currently held in mutable per-link state (open/pending
     /// failures plus buffered unmatched failures).
     pub fn open_state(&self) -> u64 {
-        self.kernel.open_items
+        self.kernel.tallies.open_items
     }
 
     /// Events consumed so far (lane rows, for a cluster shard).
@@ -522,18 +454,8 @@ impl<'a> StreamAnalysis<'a> {
             config: self.kernel.config.clone(),
             watermark: self.watermark,
             log: self.kernel.log.clone(),
-            resolve_stats: self.kernel.resolve_stats,
-            is_stats: self.kernel.is_stats,
-            ip_stats: self.kernel.ip_stats,
-            events_syslog: self.events_syslog,
-            events_isis: self.events_isis,
-            batches: self.batches,
-            late_events: self.late_events,
-            open_items: self.kernel.open_items,
-            open_items_hwm: self.kernel.open_items_hwm,
-            quarantined_syslog: self.quarantined_syslog,
-            quarantined_isis: self.quarantined_isis,
-            lanes: self.kernel.lanes.values().map(LinkLane::snapshot).collect(),
+            tallies: self.kernel.tallies,
+            lanes: self.kernel.lanes.values().cloned().collect(),
         }
     }
 
@@ -547,23 +469,10 @@ impl<'a> StreamAnalysis<'a> {
             parent_seq: self.marked_seq,
             watermark: self.watermark,
             log: self.kernel.log.since(&self.log_mark),
-            resolve_stats: self.kernel.resolve_stats,
-            is_stats: self.kernel.is_stats,
-            ip_stats: self.kernel.ip_stats,
-            events_syslog: self.events_syslog,
-            events_isis: self.events_isis,
-            batches: self.batches,
-            late_events: self.late_events,
-            open_items: self.kernel.open_items,
-            open_items_hwm: self.kernel.open_items_hwm,
-            quarantined_syslog: self.quarantined_syslog,
-            quarantined_isis: self.quarantined_isis,
-            lanes: self
-                .kernel
-                .lanes
-                .values()
+            tallies: self.kernel.tallies,
+            lanes: (self.kernel.lanes.values())
                 .filter(|lane| lane.dirty)
-                .map(LinkLane::snapshot)
+                .cloned()
                 .collect(),
         }
     }
@@ -582,7 +491,8 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// Advance a restored engine by one delta: replace the dirtied
-    /// lanes, append the log tail, and overwrite the scalar state. The
+    /// lanes, append the log tail, take the delta's tallies and derive
+    /// the open-item count from the lanes. The
     /// engine must be exactly at the delta's parent state — the sequence
     /// guard makes a mismatched application a typed error (surfaced by
     /// [`crate::recovery`] as a corrupt chain), never a silently wrong
@@ -596,22 +506,13 @@ impl<'a> StreamAnalysis<'a> {
             ));
         }
         self.watermark = delta.watermark;
-        self.kernel.log.append(&mut delta.log);
-        self.kernel.resolve_stats = delta.resolve_stats;
-        self.kernel.is_stats = delta.is_stats;
-        self.kernel.ip_stats = delta.ip_stats;
-        self.events_syslog = delta.events_syslog;
-        self.events_isis = delta.events_isis;
         self.seq = delta.seq;
-        self.batches = delta.batches;
-        self.late_events = delta.late_events;
-        self.kernel.open_items = delta.open_items;
-        self.kernel.open_items_hwm = delta.open_items_hwm;
-        self.quarantined_syslog = delta.quarantined_syslog;
-        self.quarantined_isis = delta.quarantined_isis;
-        for snap in delta.lanes {
-            self.kernel.lanes.insert(snap.link, LinkLane::restore(snap));
+        self.kernel.log.append(&mut delta.log);
+        self.kernel.tallies = delta.tallies;
+        for lane in delta.lanes {
+            self.kernel.lanes.insert(lane.link, lane);
         }
+        self.kernel.recount_open_items();
         self.mark_clean();
         Ok(())
     }
@@ -619,8 +520,10 @@ impl<'a> StreamAnalysis<'a> {
     /// Rebuild an engine from a checkpoint against the same scenario's
     /// static side inputs (topology, offline spans, tickets). The
     /// embedded configuration is re-validated exactly as
-    /// [`StreamAnalysis::try_new`] would. Wall-clock timers restart at
-    /// zero — they describe this process, not the one that died.
+    /// [`StreamAnalysis::try_new`] would, and the open-item count is
+    /// derived from the restored lanes, not read. Wall-clock timers
+    /// restart at zero — they describe this process, not the one that
+    /// died.
     pub fn restore(data: &'a ScenarioData, ckpt: StreamCheckpoint) -> Result<Self, AnalysisError> {
         StreamAnalysis::restore_with(data, ckpt, Arc::new(Naming::mine(data)))
     }
@@ -635,24 +538,13 @@ impl<'a> StreamAnalysis<'a> {
         analysis::validate_inputs(data, &ckpt.config)?;
         let mut engine = StreamAnalysis::with_naming(data, ckpt.config, naming, Instant::now());
         engine.watermark = ckpt.watermark;
-        engine.kernel.log = ckpt.log;
-        engine.kernel.resolve_stats = ckpt.resolve_stats;
-        engine.kernel.is_stats = ckpt.is_stats;
-        engine.kernel.ip_stats = ckpt.ip_stats;
-        engine.events_syslog = ckpt.events_syslog;
-        engine.events_isis = ckpt.events_isis;
         engine.seq = ckpt.seq;
-        engine.batches = ckpt.batches;
-        engine.late_events = ckpt.late_events;
-        engine.kernel.open_items = ckpt.open_items;
-        engine.kernel.open_items_hwm = ckpt.open_items_hwm;
-        engine.quarantined_syslog = ckpt.quarantined_syslog;
-        engine.quarantined_isis = ckpt.quarantined_isis;
-        engine.kernel.lanes = ckpt
-            .lanes
-            .into_iter()
-            .map(|s| (s.link, LinkLane::restore(s)))
+        engine.kernel.log = ckpt.log;
+        engine.kernel.tallies = ckpt.tallies;
+        engine.kernel.lanes = (ckpt.lanes.into_iter())
+            .map(|lane| (lane.link, lane))
             .collect();
+        engine.kernel.recount_open_items();
         // Restored lanes are clean: the next delta diffs against exactly
         // this state.
         engine.mark_clean();
@@ -674,32 +566,33 @@ impl<'a> StreamAnalysis<'a> {
         let mut lanes = Vec::new();
         for link in links {
             if let Some(lane) = self.kernel.lanes.remove(link) {
-                self.kernel.open_items -= lane.open_items();
-                lanes.push(lane.snapshot());
+                self.kernel.tallies.open_items -= lane.open_items();
+                lanes.push(lane);
             }
         }
         LaneMigration { lanes }
     }
 
-    /// Attach migrated lanes to this engine. Fails (typed, applying
-    /// nothing further) if a lane arrives for a link this engine already
-    /// has state for — that would silently discard one side's open
-    /// state. Returns how many lanes were attached.
+    /// Attach migrated lanes to this engine, each dirty, so the next
+    /// delta carries it. Fails (typed, applying nothing further) if a
+    /// lane arrives for a link this engine already has state for — that
+    /// would silently discard one side's open state. Returns how many
+    /// lanes were attached.
     pub fn import_lanes(&mut self, migration: LaneMigration) -> Result<u64, String> {
         let mut imported = 0u64;
-        for snap in migration.lanes {
-            if self.kernel.lanes.contains_key(&snap.link) {
+        for mut lane in migration.lanes {
+            if self.kernel.lanes.contains_key(&lane.link) {
                 return Err(format!(
                     "lane migration for link {:?} collides with existing lane state",
-                    snap.link
+                    lane.link
                 ));
             }
-            let lane = LinkLane::restore(snap);
-            self.kernel.open_items += lane.open_items();
+            lane.dirty = true;
+            self.kernel.tallies.open_items += lane.open_items();
             self.kernel.lanes.insert(lane.link, lane);
             imported += 1;
         }
-        self.kernel.open_items_hwm = self.kernel.open_items_hwm.max(self.kernel.open_items);
+        self.kernel.note_open_items();
         self.kernel.imported = true;
         Ok(imported)
     }
@@ -717,7 +610,7 @@ impl<'a> StreamAnalysis<'a> {
         if event.at() >= w {
             return false;
         }
-        self.late_events += 1;
+        self.kernel.tallies.late_events += 1;
         true
     }
 
@@ -736,9 +629,10 @@ impl<'a> StreamAnalysis<'a> {
         // Still an offered event, which `route` counted (mirroring the
         // batch pipeline's `syslog_ingested`, which counts the whole
         // archive), but resolution and merge stats never see it.
+        let t = &mut self.kernel.tallies;
         match event {
-            StreamEvent::Syslog(_) => self.quarantined_syslog += 1,
-            StreamEvent::Isis(_) => self.quarantined_isis += 1,
+            StreamEvent::Syslog(_) => t.quarantined_syslog += 1,
+            StreamEvent::Isis(_) => t.quarantined_isis += 1,
         }
         false
     }
@@ -747,9 +641,10 @@ impl<'a> StreamAnalysis<'a> {
     /// reject it if late, advance the watermark and classify it. Says
     /// what became of it and hands back its lane row, if it has one.
     pub(crate) fn route(&mut self, event: &StreamEvent) -> (IngestOutcome, Option<LaneRow>) {
+        let t = &mut self.kernel.tallies;
         match event {
-            StreamEvent::Syslog(_) => self.events_syslog += 1,
-            StreamEvent::Isis(_) => self.events_isis += 1,
+            StreamEvent::Syslog(_) => t.events_syslog += 1,
+            StreamEvent::Isis(_) => t.events_isis += 1,
         }
         self.seq += 1;
         if !self.admit(event) {
@@ -779,7 +674,7 @@ impl<'a> StreamAnalysis<'a> {
             return;
         };
         let t0 = Instant::now();
-        self.batches += 1;
+        self.kernel.tallies.batches += 1;
         self.seq += rows.len() as u64;
         self.watermark = self.watermark.max(Some(last.event.at));
         self.arena.clear();
@@ -818,7 +713,7 @@ impl<'a> StreamAnalysis<'a> {
     /// per-outcome tally for the batch.
     pub fn ingest_batch(&mut self, events: &[StreamEvent]) -> IngestSummary {
         let t0 = Instant::now();
-        self.batches += 1;
+        self.kernel.tallies.batches += 1;
         let mut summary = IngestSummary::default();
         // The arena is cleared after each batch (keeping its capacity),
         // so grouping stops allocating once the buffer has grown to the
@@ -858,8 +753,9 @@ impl<'a> StreamAnalysis<'a> {
     pub fn flush(self) -> StreamResult {
         let flush_started = Instant::now();
         let data = self.kernel.data;
-        let open_state_high_water = self.kernel.open_items_hwm;
-        let k = self.kernel.collect(self.events_syslog);
+        let t = self.kernel.tallies;
+        let open_state_high_water = t.open_items_hwm;
+        let k = self.kernel.collect(t.events_syslog);
         let counters = k.output.counters;
 
         let total_wall = self.started.elapsed();
@@ -871,10 +767,10 @@ impl<'a> StreamAnalysis<'a> {
         };
         let streaming = StreamingCounters {
             events_ingested: events,
-            syslog_events: self.events_syslog,
-            isis_events: self.events_isis,
-            batches: self.batches,
-            late_events: self.late_events,
+            syslog_events: t.events_syslog,
+            isis_events: t.events_isis,
+            batches: t.batches,
+            late_events: t.late_events,
             segments_closed: k.segments_closed,
             open_state_high_water,
             arena_events_high_water: self.arena_events_hwm,
@@ -906,8 +802,8 @@ impl<'a> StreamAnalysis<'a> {
         report.counters = counters;
         report.streaming = Some(streaming);
         let mut robustness = analysis::robustness_baseline(data);
-        robustness.quarantined_syslog = self.quarantined_syslog;
-        robustness.quarantined_isis = self.quarantined_isis;
+        robustness.quarantined_syslog = t.quarantined_syslog;
+        robustness.quarantined_isis = t.quarantined_isis;
         report.robustness = robustness;
         report.total_micros = total_wall.as_micros() as u64;
         observe::narrate(|| {

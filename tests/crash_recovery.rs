@@ -28,7 +28,8 @@
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
 use faultline_core::{
-    scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis, StreamEvent,
+    codec, scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis,
+    StreamCheckpoint, StreamEvent,
 };
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{crash_points_seeded, ChainFault, ChaosConfig, DurabilityChaos};
@@ -387,8 +388,9 @@ fn checkpoint_head_to_lanes(seq: u64) -> Vec<u8> {
 /// bytes; a vector inside a lane, 2^32 items over the bytes one lane
 /// needs), a host index past the dictionary, a bad enum byte, one
 /// trailing byte, and event counts that decode but exceed the sequence
-/// number that counts them (one past it, and a pair that overflows).
-/// Each is one more rejected rung of the ladder — a count is refused
+/// number that counts them (one past it, and a pair that overflows), and
+/// the real checkpoint re-encoded with its open-item count rewritten to
+/// 0, which its lanes contradict. Each is one more rejected rung of the ladder — a count is refused
 /// before anything is reserved on its word — and the run resumes
 /// byte-identical to batch from the rung below.
 #[test]
@@ -433,39 +435,55 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
         p.extend_from_slice(&[0; 6 + 1]);
         p
     };
+    // The real rows, through JSON with `open_items` rewritten to 0.
+    let uncounted = |rows: &mut Vec<u8>| {
+        let json = serde_json::to_string(&codec::decode_checkpoint(rows).unwrap()).unwrap();
+        let at = json.find("\"open_items\":").unwrap() + "\"open_items\":".len();
+        let digits = json[at..].find(',').unwrap();
+        assert_ne!(&json[at..at + digits], "0", "the cut holds open items");
+        let forged = format!("{}0{}", &json[..at], &json[at + digits..]);
+        let forged: StreamCheckpoint = serde_json::from_str(&forged).unwrap();
+        rows.clear();
+        codec::encode_checkpoint(&forged, rows);
+    };
     const OVERCOUNTED: &str = "more events counted than consumed";
-    // (what the rejection says, the row in place of the real one — or,
-    // for `None`, the real row and one more byte)
-    let cases = [
+    const UNCOUNTED: &str = "0 open items stored, the lanes hold";
+    type Forge = Box<dyn FnOnce(&mut Vec<u8>)>;
+    let replace = |row: Vec<u8>| -> Forge { Box::new(move |rows| *rows = row) };
+    // (what the rejection says, how the rows after the chain block are
+    // forged)
+    let cases: Vec<(&str, Forge)> = vec![
         (
             "count claims 4294967296 items",
-            Some(bomb(checkpoint_head(&[], seq), 10)),
+            replace(bomb(checkpoint_head(&[], seq), 10)),
         ),
         (
             "count claims 4294967296 items",
-            Some(bomb(checkpoint_head_to_lanes(seq), 10)),
+            replace(bomb(checkpoint_head_to_lanes(seq), 10)),
         ),
-        ("count claims 4294967296 items", Some(bomb(lane, 37))),
-        ("is past the 0-entry dictionary", Some(message(&[], 0))),
+        ("count claims 4294967296 items", replace(bomb(lane, 37))),
+        ("is past the 0-entry dictionary", replace(message(&[], 0))),
         (
             "invalid transition direction byte 0x07",
-            Some(message(&["a"], 7)),
+            replace(message(&["a"], 7)),
         ),
-        ("1 trailing bytes after the last row", None),
-        (OVERCOUNTED, Some(counted(seq + 1, 0))),
-        (OVERCOUNTED, Some(counted(u64::MAX, 1))),
+        (
+            "1 trailing bytes after the last row",
+            Box::new(|rows| rows.push(0)),
+        ),
+        (OVERCOUNTED, replace(counted(seq + 1, 0))),
+        (OVERCOUNTED, replace(counted(u64::MAX, 1))),
+        (UNCOUNTED, Box::new(uncounted)),
     ];
-    for (i, (cause, row)) in cases.into_iter().enumerate() {
+    for (i, (cause, forge)) in cases.into_iter().enumerate() {
         let tmp = TempDir::new(&format!("hostile-payload-{i}"));
         run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
         let newest = newest_checkpoint(tmp.path());
         assert_eq!(chain_block(&newest)[0], seq, "case {i}");
-        reseal(&newest, |payload| match row {
-            Some(row) => {
-                payload.truncate(CHAIN_LEN);
-                payload.extend(row);
-            }
-            None => payload.push(0),
+        reseal(&newest, |payload| {
+            let mut rows = payload.split_off(CHAIN_LEN);
+            forge(&mut rows);
+            payload.extend(rows);
         });
 
         let (mut durable, report) =
@@ -476,7 +494,7 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
             report.rejected
         );
         let stage = match cause {
-            OVERCOUNTED => "failed validation",
+            OVERCOUNTED | UNCOUNTED => "failed validation",
             _ => "undecodable payload",
         };
         assert!(

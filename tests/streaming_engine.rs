@@ -224,6 +224,49 @@ fn checkpoint_restore_at_any_cut_equals_uninterrupted() {
     }
 }
 
+/// A restore derives the open-item count from the lanes it restores: a
+/// checkpoint whose JSON was rewritten to store 0 of them resumes, with
+/// the count and the high-water mark of a run that never stopped.
+#[test]
+fn restore_derives_open_items_from_the_lanes() {
+    let data = run(&ScenarioParams::tiny(7));
+    let config = AnalysisConfig::default();
+    let events = scenario_event_stream(&data);
+    let mut uninterrupted = StreamAnalysis::new(&data, config.clone());
+    for e in &events {
+        uninterrupted.ingest(e);
+    }
+    let reference = uninterrupted.flush();
+
+    let cut = events.len() / 3;
+    let mut first = StreamAnalysis::new(&data, config);
+    for e in &events[..cut] {
+        first.ingest(e);
+    }
+    let open = first.open_state();
+    assert!(open > 0, "the cut holds open items");
+    let json = serde_json::to_string(&first.checkpoint()).unwrap();
+    let stored = format!("\"open_items\":{open},");
+    assert_eq!(json.matches(&stored).count(), 1, "{json}");
+    let forged: StreamCheckpoint =
+        serde_json::from_str(&json.replace(&stored, "\"open_items\":0,")).unwrap();
+
+    let mut second = StreamAnalysis::restore(&data, forged).expect("valid config");
+    assert_eq!(second.open_state(), open);
+    for e in &events[cut..] {
+        second.ingest(e);
+    }
+    let resumed = second.flush();
+    assert_eq!(
+        serde_json::to_string(&reference.output).unwrap(),
+        serde_json::to_string(&resumed.output).unwrap()
+    );
+    let high_water = |r: &faultline_core::StreamResult| {
+        r.report.streaming.as_ref().unwrap().open_state_high_water
+    };
+    assert_eq!(high_water(&resumed), high_water(&reference));
+}
+
 #[test]
 fn checkpoint_bytes_are_deterministic() {
     let data = run(&ScenarioParams::tiny(8));
