@@ -12,7 +12,7 @@
 //! tables, so a cluster-side drift cannot hide behind a simultaneous
 //! (and wrong) "re-bless both sides" change.
 
-use faultline_core::cluster::{run_cluster, ClusterConfig};
+use faultline_core::cluster::{merge_outputs, partition_events, run_cluster, ClusterConfig};
 use faultline_core::linktable::from_scenario;
 use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig, StreamAnalysis};
 use faultline_sim::scenario::{run, ScenarioParams};
@@ -248,4 +248,61 @@ fn cluster_validates_like_the_single_process_drivers() {
     // single process.
     let degenerate = run_cluster(&data, &events, &ClusterConfig::new(0)).unwrap();
     assert_eq!(degenerate.report.cluster.unwrap().shards, 1);
+}
+
+/// `merge_outputs`'s second contract: the outputs of the
+/// `partition_events` substreams of one in-order stream, each run
+/// through its own `StreamAnalysis`, merge to the batch answer.
+#[test]
+fn partitioned_substreams_merge_to_batch() {
+    let config = AnalysisConfig::default();
+    for seed in [11u64, 42, 77] {
+        for preset in ["clean", "mild", "moderate"] {
+            let mut params = ScenarioParams::tiny(seed);
+            params.chaos = match preset {
+                "mild" => ChaosConfig::mild(seed * 31),
+                "moderate" => ChaosConfig::moderate(seed * 31),
+                _ => ChaosConfig::default(),
+            };
+            let data = run(&params);
+            let expected = batch_json(&data, &config);
+            let table = from_scenario(&data);
+            let events = scenario_event_stream(&data);
+            for shards in [1u32, 2, 3, 7] {
+                let outputs = partition_events(&table, &events, shards)
+                    .iter()
+                    .map(|part| {
+                        let mut engine = StreamAnalysis::new(&data, config.clone());
+                        for event in part {
+                            engine.ingest(event);
+                        }
+                        engine.flush().output
+                    })
+                    .collect();
+                assert_eq!(
+                    expected,
+                    serde_json::to_string(&merge_outputs(outputs)).unwrap(),
+                    "substreams diverged from batch: seed {seed}, preset {preset}, {shards} shards"
+                );
+            }
+        }
+    }
+}
+
+/// Assembly is idempotent: merging one finished answer alone gives
+/// back its bytes.
+#[test]
+fn merging_one_output_returns_it_unchanged() {
+    let config = AnalysisConfig::default();
+    for seed in [7u64, 42] {
+        let mut params = ScenarioParams::tiny(seed);
+        params.chaos = ChaosConfig::moderate(seed * 31);
+        let output = Analysis::run(&run(&params), config.clone()).output;
+        let expected = serde_json::to_string(&output).unwrap();
+        assert_eq!(
+            expected,
+            serde_json::to_string(&merge_outputs(vec![output])).unwrap(),
+            "seed {seed}"
+        );
+    }
 }
