@@ -435,20 +435,27 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
         p.extend_from_slice(&[0; 6 + 1]);
         p
     };
-    // The real rows, through JSON with `open_items` rewritten to 0.
-    let uncounted = |rows: &mut Vec<u8>| {
-        let json = serde_json::to_string(&codec::decode_checkpoint(rows).unwrap()).unwrap();
-        let at = json.find("\"open_items\":").unwrap() + "\"open_items\":".len();
-        let digits = json[at..].find(',').unwrap();
-        assert_ne!(&json[at..at + digits], "0", "the cut holds open items");
-        let forged = format!("{}0{}", &json[..at], &json[at + digits..]);
-        let forged: StreamCheckpoint = serde_json::from_str(&forged).unwrap();
-        rows.clear();
-        codec::encode_checkpoint(&forged, rows);
+    type Forge = Box<dyn FnOnce(&mut Vec<u8>)>;
+    // The real rows, through JSON with the first count `key` that is not
+    // `to` rewritten to `to`.
+    let rewritten = |key: &'static str, to: &'static str| -> Forge {
+        Box::new(move |rows: &mut Vec<u8>| {
+            let json = serde_json::to_string(&codec::decode_checkpoint(rows).unwrap()).unwrap();
+            let field = format!("\"{key}\":");
+            let (at, digits) = (json.match_indices(&field))
+                .map(|(at, _)| at + field.len())
+                .map(|at| (at, json[at..].find([',', '}']).unwrap()))
+                .find(|&(at, digits)| json[at..at + digits] != *to)
+                .unwrap_or_else(|| panic!("the cut holds a {key} other than {to}"));
+            let forged = format!("{}{to}{}", &json[..at], &json[at + digits..]);
+            let forged: StreamCheckpoint = serde_json::from_str(&forged).unwrap();
+            rows.clear();
+            codec::encode_checkpoint(&forged, rows);
+        })
     };
     const OVERCOUNTED: &str = "more events counted than consumed";
     const UNCOUNTED: &str = "0 open items stored, the lanes hold";
-    type Forge = Box<dyn FnOnce(&mut Vec<u8>)>;
+    const UNDOWNED: &str = "1 withdrawn origins stored, the advertisements hold 0";
     let replace = |row: Vec<u8>| -> Forge { Box::new(move |rows| *rows = row) };
     // (what the rejection says, how the rows after the chain block are
     // forged)
@@ -473,7 +480,8 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
         ),
         (OVERCOUNTED, replace(counted(seq + 1, 0))),
         (OVERCOUNTED, replace(counted(u64::MAX, 1))),
-        (UNCOUNTED, Box::new(uncounted)),
+        (UNCOUNTED, rewritten("open_items", "0")),
+        (UNDOWNED, rewritten("down_count", "1")),
     ];
     for (i, (cause, forge)) in cases.into_iter().enumerate() {
         let tmp = TempDir::new(&format!("hostile-payload-{i}"));
@@ -494,7 +502,7 @@ fn hostile_snapshot_payloads_are_rejected_checkpoints_not_an_abort() {
             report.rejected
         );
         let stage = match cause {
-            OVERCOUNTED | UNCOUNTED => "failed validation",
+            OVERCOUNTED | UNCOUNTED | UNDOWNED => "failed validation",
             _ => "undecodable payload",
         };
         assert!(

@@ -267,6 +267,44 @@ fn restore_derives_open_items_from_the_lanes() {
     assert_eq!(high_water(&resumed), high_water(&reference));
 }
 
+/// A restore derives each both-ends merge's down count from its
+/// origins' advertisements: a checkpoint whose JSON was rewritten to
+/// store 0 beside a withdrawn origin resumes to the bytes of a run that
+/// never stopped.
+#[test]
+fn restore_derives_down_counts_from_the_advertisements() {
+    let data = run(&ScenarioParams::tiny(7));
+    let config = AnalysisConfig::default();
+    let events = scenario_event_stream(&data);
+    let mut uninterrupted = StreamAnalysis::new(&data, config.clone());
+    for e in &events {
+        uninterrupted.ingest(e);
+    }
+    let reference = uninterrupted.flush();
+
+    let cut = events.len() / 3;
+    let mut first = StreamAnalysis::new(&data, config);
+    for e in &events[..cut] {
+        first.ingest(e);
+    }
+    let json = serde_json::to_string(&first.checkpoint()).unwrap();
+    let mut forged = json.clone();
+    for count in 1..=8 {
+        forged = forged.replace(&format!("\"down_count\":{count},"), "\"down_count\":0,");
+    }
+    assert_ne!(forged, json, "the cut holds a withdrawn origin");
+    let forged: StreamCheckpoint = serde_json::from_str(&forged).unwrap();
+
+    let mut second = StreamAnalysis::restore(&data, forged).expect("valid config");
+    for e in &events[cut..] {
+        second.ingest(e);
+    }
+    assert_eq!(
+        serde_json::to_string(&reference.output).unwrap(),
+        serde_json::to_string(&second.flush().output).unwrap()
+    );
+}
+
 #[test]
 fn checkpoint_bytes_are_deterministic() {
     let data = run(&ScenarioParams::tiny(8));
