@@ -17,8 +17,8 @@
 //!   events ─► front engine  │  ┌─ worker-0: lanes ─ Flushed ─┐    │
 //!   (admit, late check,  ───┼──┼─ worker-1: lanes ─ Flushed ─┼────┼─► merge
 //!    classify once: the     │  └─ worker-N: lanes ─ Flushed ─┘    │   ([front, shard0, …],
-//!    messages + counters)   │   Rows frames: (LinkIx, LaneEvent)  │    k-way by the
-//!          │                │   threads + channels (InProcess)    │    collect keys)
+//!    messages + counters)   │   Rows frames: (LinkIx, LaneEvent)  │    concatenated,
+//!          │                │   threads + channels (InProcess)    │    sorted once)
 //!          └─ front output ─┼── or pipes + frames (Subprocess) ───┼─►
 //!                           └─────────────────────────────────────┘
 //! ```
@@ -58,17 +58,15 @@
 //!   that order*: the front contributes the resolved messages, the
 //!   resolution counters and the serial halves of the merge counters
 //!   (raw/unknown/multi-link); the shards contribute everything their
-//!   lanes finalize. Counter structs are field-wise sums, event-level
-//!   vectors are k-way merged on the same keys `Kernel::collect` uses
-//!   with ties taken from the lowest index (a tie spans shards only for
-//!   a link a reshard moved, whose earlier records sit on the lower
-//!   index, so this reproduces the single-process order exactly), and
-//!   the match index pairs are re-based from shard-local to global
-//!   failure positions. `tests/cluster_equivalence.rs` asserts the
-//!   merged JSON is byte-identical to
-//!   [`crate::analysis::Analysis::run`] for every tested shard count,
-//!   seed, and chaos preset; `tests/cluster_process.rs` asserts the same
-//!   across the subprocess transport.
+//!   lanes finalize. Counters are summed; records are concatenated in
+//!   index order into one answer log and sorted once by the kernel's own
+//!   `StreamOutput::assemble`, which equals a k-way merge with ties
+//!   to the lowest index (a tie spans shards only for a link a reshard
+//!   moved, whose earlier records sit on the lower index).
+//!   `tests/cluster_equivalence.rs` and `tests/cluster_process.rs` assert
+//!   the merged JSON is byte-identical to
+//!   [`crate::analysis::Analysis::run`] for every tested shard count, seed
+//!   and chaos preset, in process and across the subprocess transport.
 //! - **Supervisor.** With [`ClusterConfig::durability`] set, a worker
 //!   that dies mid-run — a [`faultline_sim::chaos::ShardKill`] abort
 //!   inside the worker, or the dispatcher killing it outright (channel
@@ -91,8 +89,8 @@
 //!   worker, and dispatch resumes at N+1 routing. A lane is the link's
 //!   whole open state, so it continues on the new worker exactly where
 //!   it stopped. What the link had finalized stays in the old worker's
-//!   answer log, and the k-way merge interleaves both workers' records:
-//!   the old worker's are earlier and its index lower. The merged output
+//!   answer log; the merge's one stable sort keeps those records first,
+//!   as they are earlier and their worker's index lower. The merged output
 //!   is byte-identical to a from-scratch N+1 run
 //!   (`tests/cluster_reshard.rs`). Durable workers refuse lane
 //!   migration, so combining the two is a typed
@@ -101,17 +99,11 @@
 use crate::analysis::{self, AnalysisConfig};
 use crate::error::TransportError;
 use crate::intern::Sym;
-use crate::kernel::{self, LaneRow};
+use crate::kernel::{self, AnswerLog, LaneRow};
 use crate::linktable::{LinkIx, LinkTable, Naming};
-use crate::matching::FailureMatching;
-use crate::observe::{
-    self, DurabilityCounters, PipelineCounters, PipelineReport, ShardCounters, TransportCounters,
-};
-use crate::reconstruct::{Failure, Reconstruction};
+use crate::observe::{self, DurabilityCounters, PipelineReport, ShardCounters, TransportCounters};
 use crate::recovery::{DurabilityPolicy, RecoveryReport};
-use crate::sanitize::SanitizeReport;
 use crate::streaming::{LaneMigration, StreamAnalysis, StreamEvent, StreamOutput, StreamResult};
-use crate::transitions::{IsisMergeStats, LinkTransition, SyslogResolveStats};
 use crate::transport::{
     DurableSpec, InProcessTransport, ReadyMsg, ScenarioSpec, ShardMsg, ShardTransport,
     SubprocessTransport, WorkerSpec,
@@ -186,102 +178,6 @@ pub fn partition_events(
     routed
 }
 
-fn add_resolve(into: &mut SyslogResolveStats, from: &SyslogResolveStats) {
-    into.isis_resolved += from.isis_resolved;
-    into.physical_resolved += from.physical_resolved;
-    into.lineproto_skipped += from.lineproto_skipped;
-    into.unresolved += from.unresolved;
-}
-
-fn add_merge_stats(into: &mut IsisMergeStats, from: &IsisMergeStats) {
-    into.raw += from.raw;
-    into.unresolvable_multilink += from.unresolvable_multilink;
-    into.unknown += from.unknown;
-    into.inconsistent += from.inconsistent;
-    into.emitted += from.emitted;
-}
-
-/// K-way merge of per-shard vectors that each arrive already ordered by
-/// `key` (the collect-stage invariant, asserted in debug builds rather
-/// than re-established with a sort). Ties take the lowest index — for
-/// outputs in index order this is exactly the concatenate-then-stable-sort
-/// result the aggregator has always produced, in O(total × shards),
-/// moving every element once. A vector only one output holds (the
-/// front's resolved messages) moves whole.
-fn merge_sorted<T, K: Ord>(lists: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    for list in &lists {
-        debug_assert!(
-            list.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
-            "shard outputs must arrive internally ordered (index order from the transport)"
-        );
-    }
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let mut lists: Vec<_> = lists
-        .into_iter()
-        .filter(|list| !list.is_empty())
-        .map(Vec::into_iter)
-        .collect();
-    if lists.len() <= 1 {
-        return lists.pop().map_or_else(Vec::new, Iterator::collect);
-    }
-    let mut merged = Vec::with_capacity(total);
-    while merged.len() < total {
-        let mut best: Option<usize> = None;
-        for (s, list) in lists.iter().enumerate() {
-            let Some(head) = list.as_slice().first() else {
-                continue;
-            };
-            // Strict `<` keeps ties on the lowest index.
-            if best.is_none_or(|b| key(head) < key(&lists[b].as_slice()[0])) {
-                best = Some(s);
-            }
-        }
-        let s = best.expect("cursor accounting");
-        merged.extend(lists[s].next());
-    }
-    merged
-}
-
-/// One vector field of every output, taken out of them in index order.
-fn column<T>(
-    outputs: &mut [StreamOutput],
-    field: impl Fn(&mut StreamOutput) -> &mut Vec<T>,
-) -> Vec<Vec<T>> {
-    outputs
-        .iter_mut()
-        .map(|out| std::mem::take(field(out)))
-        .collect()
-}
-
-/// Build the per-shard → global failure-index remap for one side of the
-/// matching: a k-way merge on the `(link, start)` collect key (each
-/// shard's list arrives ordered; a tie spans shards only for a link a
-/// reshard moved, whose earlier failures sit on the lower index).
-/// Returns the globally ordered failures plus, per shard, the global
-/// position of each shard-local index.
-fn order_failures(
-    shards: &[StreamOutput],
-    side: fn(&StreamOutput) -> &[Failure],
-) -> (Vec<Failure>, Vec<Vec<usize>>) {
-    let tagged = shards
-        .iter()
-        .enumerate()
-        .map(|(s, out)| {
-            side(out)
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (*f, s, i))
-                .collect()
-        })
-        .collect();
-    let merged = merge_sorted(tagged, |&(f, ..)| (f.link, f.start));
-    let mut remap: Vec<Vec<usize>> = shards.iter().map(|o| vec![0; side(o).len()]).collect();
-    for (global, &(_, s, i)) in merged.iter().enumerate() {
-        remap[s][i] = global;
-    }
-    (merged.into_iter().map(|(f, ..)| f).collect(), remap)
-}
-
 /// Deterministically merge shard [`StreamOutput`]s — **in index order**
 /// — into the single global output. For [`run_cluster`]'s outputs (the
 /// dispatcher's front engine first, then the workers in index order, as
@@ -289,98 +185,33 @@ fn order_failures(
 /// [`partition_events`] substreams of one in-order stream, the result
 /// serializes byte-identical to the single-process
 /// [`crate::analysis::Analysis::run`] answer — the differential contract
-/// `tests/cluster_equivalence.rs` pins. Each output's vectors already
-/// carry the collect-stage order (a debug assertion, not a re-sort); the
-/// merge is k-way with ties to the lowest index. See the module docs for
-/// why each field merges the way it does.
-pub fn merge_outputs(mut shards: Vec<StreamOutput>) -> StreamOutput {
-    let mut resolve_stats = SyslogResolveStats::default();
-    let mut is_stats = IsisMergeStats::default();
-    let mut ip_stats = IsisMergeStats::default();
-    let mut isis_recon = Reconstruction::default();
-    let mut syslog_recon = Reconstruction::default();
-    let mut isis_sanitize = SanitizeReport::default();
-    let mut syslog_sanitize = SanitizeReport::default();
-    let mut syslog_ingested = 0u64;
-    for out in &shards {
-        add_resolve(&mut resolve_stats, &out.resolve_stats);
-        add_merge_stats(&mut is_stats, &out.is_stats);
-        add_merge_stats(&mut ip_stats, &out.ip_stats);
-        isis_sanitize.add(&out.isis_sanitize);
-        syslog_sanitize.add(&out.syslog_sanitize);
-        isis_recon.unterminated += out.isis_recon.unterminated;
-        isis_recon.boundary_ups += out.isis_recon.boundary_ups;
-        syslog_recon.unterminated += out.syslog_recon.unterminated;
-        syslog_recon.boundary_ups += out.syslog_recon.boundary_ups;
-        syslog_ingested += out.counters.syslog_ingested;
-    }
-    // Event-level vectors: k-way merges on the collect-stage keys. A
-    // `(time, link)` tie group lives on the link's shard, or — for a
-    // link a reshard moved — starts on its old shard and ends on the new
-    // one, which has the highest index; either way lowest-worker-index
-    // tie-breaking reproduces the single-process order.
-    let messages = merge_sorted(column(&mut shards, |o| &mut o.messages), |m| (m.at, m.link));
-    let transitions = |shards: &mut [StreamOutput], side: fn(&mut StreamOutput) -> &mut Vec<_>| {
-        merge_sorted(column(shards, side), |t: &LinkTransition| (t.at, t.link))
-    };
-    let is_transitions = transitions(&mut shards, |o| &mut o.is_transitions);
-    let ip_transitions = transitions(&mut shards, |o| &mut o.ip_transitions);
-    let syslog_transitions = transitions(&mut shards, |o| &mut o.syslog_transitions);
-    isis_recon.failures = merge_sorted(column(&mut shards, |o| &mut o.isis_recon.failures), |f| {
-        (f.link, f.start)
-    });
-    isis_recon.ambiguous =
-        merge_sorted(column(&mut shards, |o| &mut o.isis_recon.ambiguous), |a| {
-            (a.link, a.first)
-        });
-    syslog_recon.failures =
-        merge_sorted(column(&mut shards, |o| &mut o.syslog_recon.failures), |f| {
-            (f.link, f.start)
-        });
-    syslog_recon.ambiguous = merge_sorted(
-        column(&mut shards, |o| &mut o.syslog_recon.ambiguous),
-        |a| (a.link, a.first),
-    );
-
-    // Failure lists + match pairs: order globally, then re-base every
-    // shard-local index pair to its global position.
-    let (syslog_failures, left_remap) = order_failures(&shards, |o| &o.syslog_failures);
-    let (isis_failures, right_remap) = order_failures(&shards, |o| &o.isis_failures);
-    let mut matched: Vec<(usize, usize)> = Vec::new();
-    let mut partial: Vec<(usize, usize)> = Vec::new();
-    for (s, out) in shards.iter().enumerate() {
-        for &(i, j) in &out.matching.matched {
-            matched.push((left_remap[s][i], right_remap[s][j]));
+/// `tests/cluster_equivalence.rs` pins. The counters are summed and the
+/// records concatenated in index order, then one stable sort per vector
+/// (the kernel's own `StreamOutput::assemble`), which on lists each
+/// already sorted equals a k-way merge with ties to the lowest index.
+/// See the module docs for why each field merges the way it does.
+pub fn merge_outputs(outputs: Vec<StreamOutput>) -> StreamOutput {
+    let mut log = AnswerLog::default();
+    let mut sums = StreamOutput::default();
+    for out in outputs {
+        sums.resolve_stats.add(&out.resolve_stats);
+        sums.is_stats.add(&out.is_stats);
+        sums.ip_stats.add(&out.ip_stats);
+        sums.isis_sanitize.add(&out.isis_sanitize);
+        sums.syslog_sanitize.add(&out.syslog_sanitize);
+        for (sum, recon) in [
+            (&mut sums.isis_recon, &out.isis_recon),
+            (&mut sums.syslog_recon, &out.syslog_recon),
+        ] {
+            sum.unterminated += recon.unterminated;
+            sum.boundary_ups += recon.boundary_ups;
         }
-        for &(i, j) in &out.matching.partial {
-            partial.push((left_remap[s][i], right_remap[s][j]));
-        }
+        sums.counters.syslog_ingested += out.counters.syslog_ingested;
+        log.append(&mut AnswerLog::from(out));
     }
-    let matching =
-        FailureMatching::from_pairs(matched, partial, syslog_failures.len(), isis_failures.len());
-
-    let mut output = StreamOutput {
-        messages,
-        resolve_stats,
-        is_transitions,
-        is_stats,
-        ip_transitions,
-        ip_stats,
-        syslog_transitions,
-        isis_recon,
-        syslog_recon,
-        isis_failures,
-        syslog_failures,
-        isis_sanitize,
-        syslog_sanitize,
-        matching,
-        counters: PipelineCounters::default(),
-    };
-    // Headline counters: recounted from the merged structures, as
-    // `Kernel::collect` counts them.
-    output.counters = output.tally(syslog_ingested, false);
-    output
+    StreamOutput::assemble(log, sums, false)
 }
+
 /// How a sharded cluster run is shaped: how many workers, where they
 /// run, whether they are durable, and whether the cluster grows
 /// mid-stream. [`run_cluster`] is the only runner; everything that

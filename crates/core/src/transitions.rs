@@ -103,6 +103,27 @@ pub struct IsisMergeStats {
     pub emitted: u64,
 }
 
+impl SyslogResolveStats {
+    /// Add another engine's counts to this one.
+    pub(crate) fn add(&mut self, other: &SyslogResolveStats) {
+        self.isis_resolved += other.isis_resolved;
+        self.physical_resolved += other.physical_resolved;
+        self.lineproto_skipped += other.lineproto_skipped;
+        self.unresolved += other.unresolved;
+    }
+}
+
+impl IsisMergeStats {
+    /// Add another engine's counts to this one.
+    pub(crate) fn add(&mut self, other: &IsisMergeStats) {
+        self.raw += other.raw;
+        self.unresolvable_multilink += other.unresolvable_multilink;
+        self.unknown += other.unknown;
+        self.inconsistent += other.inconsistent;
+        self.emitted += other.emitted;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
