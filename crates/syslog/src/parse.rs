@@ -268,6 +268,23 @@ impl ParseStats {
         }
     }
 
+    /// Fold another archive's counts into these: the stats of two
+    /// chunks, added, are the stats of the two parsed as one archive.
+    pub fn add(&mut self, other: &ParseStats) {
+        self.lines += other.lines;
+        self.events += other.events;
+        self.irrelevant += other.irrelevant;
+        self.malformed += other.malformed;
+        self.missing_pri += other.missing_pri;
+        self.bad_pri += other.bad_pri;
+        self.bad_seq += other.bad_seq;
+        self.missing_host += other.missing_host;
+        self.missing_body += other.missing_body;
+        self.bad_timestamp += other.bad_timestamp;
+        self.malformed_body += other.malformed_body;
+        self.unrecognized_body += other.unrecognized_body;
+    }
+
     /// True when every line is accounted for exactly once: the three
     /// coarse buckets sum to `lines`, and the per-error counters sum to
     /// `malformed`.
@@ -916,6 +933,64 @@ mod tests {
         assert_eq!(stats.missing_pri, 1);
         assert_eq!(stats.missing_body, 1);
         assert!(stats.is_balanced());
+    }
+
+    #[test]
+    fn stats_add_equals_one_pass_over_both_parts() {
+        let m = sample(RouterOs::IosXr, LinkEventKind::LineProtocol, false);
+        let line = m.render();
+        let lines = [
+            line.as_str(),
+            "<189>7: h: Oct 21 2010 01:02:03.004: %SYS-5-CONFIG_I: Configured",
+            "garbage",
+            "<999>1: h: x",
+            "<189>x: h",
+            "<189>1: h: Oct 21 2010 00:00:0",
+            "<189>1: h: Oct 99 2010 00:00:00.000: %LINK-3-UPDOWN: x",
+            line.as_str(),
+        ];
+        let (_, whole) = parse_archive_stats(lines);
+        for cut in 0..=lines.len() {
+            let (_, mut sum) = parse_archive_stats(lines[..cut].iter().copied());
+            let (_, tail) = parse_archive_stats(lines[cut..].iter().copied());
+            sum.add(&tail);
+            assert_eq!(sum, whole, "cut at {cut}");
+            assert!(sum.is_balanced());
+        }
+        // Every counter is carried, each into its own field.
+        let distinct = ParseStats {
+            lines: 1,
+            events: 2,
+            irrelevant: 3,
+            malformed: 4,
+            missing_pri: 5,
+            bad_pri: 6,
+            bad_seq: 7,
+            missing_host: 8,
+            missing_body: 9,
+            bad_timestamp: 10,
+            malformed_body: 11,
+            unrecognized_body: 12,
+        };
+        let mut sum = distinct;
+        sum.add(&whole);
+        assert_eq!(
+            sum,
+            ParseStats {
+                lines: 1 + whole.lines,
+                events: 2 + whole.events,
+                irrelevant: 3 + whole.irrelevant,
+                malformed: 4 + whole.malformed,
+                missing_pri: 5 + whole.missing_pri,
+                bad_pri: 6 + whole.bad_pri,
+                bad_seq: 7 + whole.bad_seq,
+                missing_host: 8 + whole.missing_host,
+                missing_body: 9 + whole.missing_body,
+                bad_timestamp: 10 + whole.bad_timestamp,
+                malformed_body: 11 + whole.malformed_body,
+                unrecognized_body: 12 + whole.unrecognized_body,
+            }
+        );
     }
 
     #[test]
