@@ -1,36 +1,33 @@
 //! The end-to-end analysis: from a scenario's observables to every table
 //! and figure in the paper.
 //!
-//! [`Analysis::new`] runs the full pipeline once — as the batch **driver**
-//! over the shared [`crate::kernel`]: one classification pass over the
-//! time-merged archive, then every per-link lane applied in place under
-//! a single end-of-archive watermark (batch = a stream whose watermark
-//! jumps straight to the end). The `table*`/`figure1` methods
-//! then derive each exhibit from the resulting
-//! [`StreamOutput`]. Experiment binaries in
-//! `faultline-bench` print these structures; integration tests assert on
-//! their fields.
+//! [`Analysis::new`] runs the full pipeline once through the one driver,
+//! [`crate::streaming::StreamAnalysis`]: the time-merged archive is fed
+//! in [`BATCH`]-event batches, so each lane's match segments close at
+//! its quiet gaps as the archive is read, exactly as a live stream's do.
+//! The `table*`/`figure1` methods then derive each exhibit from the
+//! resulting [`StreamOutput`]. Experiment binaries in `faultline-bench`
+//! print these structures; integration tests assert on their fields.
 
-use crate::arena::EventArena;
 use crate::error::AnalysisError;
 use crate::flap::{detect_episodes, FlapIndex};
 use crate::fp::{
     classify_ambiguous, classify_false_positives, AmbiguityCounts, FpReport, LinkStateTimeline,
 };
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
-use crate::kernel::{Kernel, LaneEvent, Observed, StreamOutput};
+use crate::kernel::StreamOutput;
 use crate::ks::{ks_two_sample, KsResult};
 use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::{
     match_fraction, match_transitions_to_messages, FailureMatching, TransitionMatchCounts,
 };
-use crate::observe::{self, PipelineReport, RobustnessCounters};
+use crate::observe::PipelineReport;
 use crate::reconstruct::{AmbiguityStrategy, Failure};
 use crate::stats::{metric_samples, Ecdf, MetricSamples, Summary};
+use crate::streaming::{observed_stream, Stages, StreamAnalysis, StreamResult};
 use crate::transitions::{LinkTransition, MessageFamily, ResolvedMessage};
-use faultline_isis::listener::{Transition, TransitionDirection};
+use faultline_isis::listener::TransitionDirection;
 use faultline_sim::ScenarioData;
-use faultline_syslog::SyslogMessage;
 use faultline_topology::link::{LinkClass, LinkId};
 use faultline_topology::router::RouterClass;
 use faultline_topology::time::{Duration, Timestamp};
@@ -150,6 +147,12 @@ impl ParallelismConfig {
     }
 }
 
+/// The events per batch [`Analysis::run`] feeds its engine, the unit a
+/// live collector serves: a lane's match segments close at its quiet
+/// gaps as the archive is read (matching a segment is quadratic in its
+/// failures; see the [`crate::streaming`] equivalence contract).
+pub const BATCH: usize = 256;
+
 /// The fully-run pipeline.
 pub struct Analysis<'a> {
     /// The scenario under analysis.
@@ -187,12 +190,12 @@ impl<'a> Analysis<'a> {
         Ok(Analysis::run(data, config))
     }
 
-    /// Run the full pipeline once, as the batch driver over the shared
-    /// [`crate::kernel`]: classify the time-merged archive in one serial
-    /// pass, apply every lane's events in place under a single
-    /// end-of-archive watermark, and collect. The result is
-    /// byte-identical to a streaming replay of the same data. Stage
-    /// timings and counters land in [`Analysis::report`].
+    /// Run the full pipeline once: mine the naming layer, feed
+    /// [`crate::streaming::scenario_event_stream`]'s merge, borrowed, to
+    /// a [`crate::streaming::StreamAnalysis`] in [`BATCH`]-event batches
+    /// and flush it. [`Analysis::report`] times the stages `link_table`,
+    /// `classify` and `lane_apply` (each batch's two halves) and
+    /// `collect`, and carries the engine's own counters.
     ///
     /// # Examples
     ///
@@ -208,109 +211,22 @@ impl<'a> Analysis<'a> {
     /// assert!(analysis.report.counters.syslog_ingested > 0);
     /// ```
     pub fn run(data: &'a ScenarioData, config: AnalysisConfig) -> Self {
-        let mut report = PipelineReport::new(1);
-        let run_started = Instant::now();
-        observe::narrate(|| {
-            format!(
-                "pipeline start: {} syslog messages, {} listener transitions",
-                data.syslog.len(),
-                data.transitions.len(),
-            )
-        });
-
-        let t = Instant::now();
-        let mut kernel = Kernel::new(data, config, Arc::new(Naming::mine(data)));
-        report.record_stage(
-            "link_table",
-            data.topology.links().len() as u64,
-            kernel.naming.table.len() as u64,
-            t.elapsed(),
-        );
-
-        // Classification pass: walk both archives as one time-ordered
-        // merge (by reference — same stable order as
-        // `crate::streaming::scenario_event_stream`, without cloning),
-        // diverting quarantined items and routing survivors to their
-        // link's lane. The quarantine check is per-item and
-        // order-independent, so the streaming driver applying it on
-        // ingest reaches the same survivors.
-        let mut robustness = robustness_baseline(data);
-        let t = Instant::now();
-        let mut syslog: Vec<&SyslogMessage> = data.syslog.iter().collect();
-        syslog.sort_by_key(|m| m.event.at);
-        let mut isis: Vec<&Transition> = data.transitions.iter().collect();
-        isis.sort_by_key(|tr| tr.at);
-        let horizon = kernel.config.quarantine_horizon;
-        let mut grouped: EventArena<LinkIx, LaneEvent> = EventArena::new();
-        let mut watermark: Option<Timestamp> = None;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < syslog.len() || j < isis.len() {
-            let take_syslog =
-                j >= isis.len() || (i < syslog.len() && syslog[i].event.at <= isis[j].at);
-            if take_syslog {
-                let m = syslog[i];
-                i += 1;
-                if horizon.is_some_and(|h| m.event.at > h) {
-                    robustness.quarantined_syslog += 1;
-                    continue;
-                }
-                watermark = Some(m.event.at);
-                if let Some(row) = kernel.route(Observed::Syslog(m)) {
-                    grouped.push(row.link, row.event);
-                }
-            } else {
-                let tr = isis[j];
-                j += 1;
-                if horizon.is_some_and(|h| tr.at > h) {
-                    robustness.quarantined_isis += 1;
-                    continue;
-                }
-                watermark = Some(tr.at);
-                if let Some(row) = kernel.route(Observed::Isis(tr)) {
-                    grouped.push(row.link, row.event);
-                }
-            }
+        let started = Instant::now();
+        let naming = Arc::new(Naming::mine(data));
+        let mut engine =
+            StreamAnalysis::with_naming(data, config.clone(), Arc::clone(&naming), started);
+        for batch in observed_stream(data).chunks(BATCH) {
+            engine.feed(batch.iter().copied());
         }
-        let routed = grouped.len() as u64;
-        report.record_stage(
-            "classify",
-            (data.syslog.len() + data.transitions.len()) as u64,
-            routed,
-            t.elapsed(),
-        );
-
-        // Lane pass: every per-link state machine in link order on this
-        // thread, with the watermark already at end-of-archive — batch is
-        // just a stream whose watermark jumps straight to the end.
-        let t = Instant::now();
-        let mut lanes_touched = 0u64;
-        if let Some(watermark) = watermark {
-            lanes_touched = kernel.apply_grouped(&mut grouped, watermark) as u64;
-        }
-        report.record_stage("lane_apply", routed, lanes_touched, t.elapsed());
-
-        let t = Instant::now();
-        let k = kernel.collect(data.syslog.len() as u64);
-        report.record_stage(
-            "collect",
-            k.output.counters.failures_reconstructed,
-            k.output.counters.failures_matched,
-            t.elapsed(),
-        );
-
-        report.counters = k.output.counters;
-        report.robustness = robustness;
-        report.total_micros = run_started.elapsed().as_micros() as u64;
-        observe::narrate(|| format!("pipeline done in {:.3} ms", report.total_millis()));
-
-        // The kernel was this driver's only holder of the naming layer.
-        let Naming { table, link_of_ix } = Arc::unwrap_or_clone(k.naming);
+        let StreamResult { output, report } = engine.finish(Stages::Batch);
+        // The engine was the naming layer's only other holder.
+        let Naming { table, link_of_ix } = Arc::unwrap_or_clone(naming);
         Analysis {
             data,
-            config: k.config,
+            config,
             table,
             link_of_ix,
-            output: k.output,
+            output,
             report,
         }
     }
@@ -680,22 +596,6 @@ fn pct(num: u64, den: u64) -> f64 {
     } else {
         100.0 * num as f64 / den as f64
     }
-}
-
-/// Robustness counters seeded from what the scenario already knows: the
-/// raw collector line count and, when the scenario ran with chaos
-/// injection, the parser's malformed/irrelevant accounting. Quarantine
-/// counts are filled in by the run itself.
-pub(crate) fn robustness_baseline(data: &ScenarioData) -> RobustnessCounters {
-    let mut r = RobustnessCounters {
-        raw_lines: data.raw_syslog_lines as u64,
-        ..RobustnessCounters::default()
-    };
-    if let Some(chaos) = &data.chaos {
-        r.malformed_lines = chaos.parse.malformed;
-        r.irrelevant_lines = chaos.parse.irrelevant;
-    }
-    r
 }
 
 /// Shared validation behind [`Analysis::try_run`] and the streaming

@@ -189,9 +189,10 @@ pub fn partition_events(
 /// records concatenated in index order, then one stable sort per vector
 /// (the kernel's own `StreamOutput::assemble`), which on lists each
 /// already sorted equals a k-way merge with ties to the lowest index.
-/// See the module docs for why each field merges the way it does.
+/// The first output's records start the log, moved whole. See the
+/// module docs for why each field merges the way it does.
 pub fn merge_outputs(outputs: Vec<StreamOutput>) -> StreamOutput {
-    let mut log = AnswerLog::default();
+    let mut log: Option<AnswerLog> = None;
     let mut sums = StreamOutput::default();
     for out in outputs {
         sums.resolve_stats.add(&out.resolve_stats);
@@ -207,9 +208,12 @@ pub fn merge_outputs(outputs: Vec<StreamOutput>) -> StreamOutput {
             sum.boundary_ups += recon.boundary_ups;
         }
         sums.counters.syslog_ingested += out.counters.syslog_ingested;
-        log.append(&mut AnswerLog::from(out));
+        match &mut log {
+            None => log = Some(AnswerLog::from(out)),
+            Some(log) => log.append(&mut AnswerLog::from(out)),
+        }
     }
-    StreamOutput::assemble(log, sums, false)
+    StreamOutput::assemble(log.unwrap_or_default(), sums, false)
 }
 
 /// How a sharded cluster run is shaped: how many workers, where they
@@ -770,7 +774,7 @@ fn dispatch(
             kill_at.push(None);
         }
         for event in segment {
-            let Some(row) = front.route(event).1 else {
+            let Some(row) = front.route(event.observed()).1 else {
                 continue;
             };
             let w = assign.worker(row.link);
@@ -840,7 +844,7 @@ fn dispatch(
         let mut router = router();
         let rows: Vec<LaneRow> = events
             .iter()
-            .filter_map(|event| router.route(event).1)
+            .filter_map(|event| router.route(event.observed()).1)
             .filter(|row| assign.worker(row.link) == w)
             .skip(report.resumed_at_seq as usize)
             .collect();

@@ -1,36 +1,27 @@
-//! The shared per-link analysis kernel — **one kernel, two drivers**.
+//! The shared per-link analysis kernel.
 //!
 //! Every semantic stage of the paper's pipeline — syslog resolution,
 //! both-ends merge, dedup, DOWN→UP reconstruction, sanitization, flap
 //! tracking, segment close, and failure matching — lives here, once, as
-//! a set of per-link state machines wrapped by `Kernel`. The two
-//! ingestion modes are thin drivers over this module:
-//!
-//! - the **batch driver** ([`crate::analysis::Analysis::run`]) classifies
-//!   the whole archive in one pass and applies every lane's events under
-//!   a single end-of-archive watermark (batch = a stream whose watermark
-//!   jumps straight to the end);
-//! - the **streaming driver** ([`crate::streaming::StreamAnalysis`])
-//!   keeps the watermark/admission/checkpoint shell — late-event
-//!   rejection, quarantine, micro-batching, serializable snapshots — and
-//!   delegates all semantics to the same kernel, one event or micro-batch
-//!   at a time.
+//! a set of per-link state machines wrapped by `Kernel`. Its one driver
+//! is [`crate::streaming::StreamAnalysis`]: the watermark, admission and
+//! checkpoint shell — late-event rejection, quarantine, micro-batching,
+//! serializable snapshots — that hands the kernel one event or
+//! micro-batch at a time. [`crate::analysis::Analysis::run`] feeds that
+//! driver a whole archive in 256-event batches.
 //!
 //! ```text
-//!                 ┌───────────────────────────────┐
-//!   batch driver  │            kernel             │  streaming driver
-//!  Analysis::run ─► classify ─► LinkLane lanes    ◄─ StreamAnalysis
-//!  (one pass,     │  (resolve)  dedup · merge     │  (watermark,
-//!   watermark =   │             recon · sanitize  │   admission,
-//!   end of data)  │             flap · segments   │   checkpoints)
-//!                 │        collect → StreamOutput │
-//!                 └───────────────────────────────┘
+//!   Analysis::run ─┐  StreamAnalysis    kernel
+//!   (an archive in ├─► (watermark,   ─► classify ─► LinkLane lanes ─► collect
+//!    256-event     │    admission,      (resolve)   dedup · merge     → StreamOutput
+//!    batches)      │    checkpoints)                recon · sanitize
+//!   live events ───┘                                flap · segments
 //! ```
 //!
-//! Both drivers produce the same [`StreamOutput`]; `tests/stream_equivalence.rs`
-//! asserts the JSON is byte-identical across chunkings and strategies.
-//! The per-stage equivalence argument is narrated in the
-//! [`crate::streaming`] module docs.
+//! Every chunking of a stream produces the same [`StreamOutput`];
+//! `tests/stream_equivalence.rs` asserts the JSON is byte-identical
+//! across chunkings and strategies. The per-stage equivalence argument
+//! is narrated in the [`crate::streaming`] module docs.
 
 use crate::analysis::AnalysisConfig;
 use crate::arena::EventArena;
@@ -57,7 +48,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Everything the pipeline derives from the observables — the complete
-/// comparable surface of a run, produced identically by both drivers.
+/// comparable surface of a run, produced identically by every chunking.
 /// Two runs are equivalent iff their `StreamOutput`s serialize
 /// identically; the differential harness compares the JSON byte-for-byte.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -119,12 +110,23 @@ pub struct LaneRow {
     pub event: LaneEvent,
 }
 
-/// One observable, borrowed, as [`classify`] reads it from the batch
-/// driver's archives or a [`crate::streaming::StreamEvent`].
+/// One observable, borrowed, as [`classify`] reads it from a scenario's
+/// archives or a [`crate::streaming::StreamEvent`].
 #[derive(Clone, Copy)]
 pub(crate) enum Observed<'e> {
     Syslog(&'e SyslogMessage),
     Isis(&'e Transition),
+}
+
+impl Observed<'_> {
+    /// Message-text time of a syslog message, listener receive time of a
+    /// transition.
+    pub(crate) fn at(&self) -> Timestamp {
+        match self {
+            Observed::Syslog(m) => m.event.at,
+            Observed::Isis(t) => t.at,
+        }
+    }
 }
 
 /// Which resolution counter [`Kernel::route`] bumps for one event.
@@ -549,7 +551,7 @@ impl AnswerLog {
 }
 
 /// All open state of one link — what could still change. This is *the*
-/// pipeline state machine: both drivers route every event through a
+/// pipeline state machine: every event with a link goes through a
 /// `LinkLane`. What a step finalizes lands in the lane's `outbox`, which
 /// the [`Kernel`] drains into its [`AnswerLog`], so between steps no
 /// field holds a finalized record. Its snapshot row is its fields in
@@ -890,16 +892,11 @@ rows! {
     }
 }
 
-/// What [`Kernel::collect`] hands back to a driver: the comparable
-/// surface plus the naming layer (so the batch driver can keep it for
-/// table derivation) and the kernel-side streaming counters.
+/// What [`Kernel::collect`] hands back to the driver: the comparable
+/// surface plus the kernel-side streaming counters.
 pub(crate) struct KernelOutput {
-    /// The complete derived surface, identical for both drivers.
+    /// The complete derived surface.
     pub(crate) output: StreamOutput,
-    /// The configuration the run used, handed back to the driver.
-    pub(crate) config: AnalysisConfig,
-    /// The naming layer the kernel resolved through.
-    pub(crate) naming: Arc<Naming>,
     /// Match segments closed across all lanes.
     pub(crate) segments_closed: u64,
     /// Flap episodes observed across all lanes.
@@ -933,8 +930,8 @@ pub(crate) struct Tallies {
 
 /// The shared pipeline core: the naming layer, every per-link
 /// [`LinkLane`], the [`AnswerLog`] of everything finalized, and the
-/// carried [`Tallies`]. The batch pass and the streaming engine feed it
-/// classified events and call [`Kernel::collect`] once at end of data.
+/// carried [`Tallies`]. The streaming engine feeds it classified events
+/// and calls [`Kernel::collect`] once at end of data.
 pub(crate) struct Kernel<'a> {
     /// The scenario's static side inputs (offline spans, tickets,
     /// topology) — the one input genuinely available up front.
@@ -1010,22 +1007,18 @@ impl<'a> Kernel<'a> {
     /// every lane sees its events in feed order, closes segments against
     /// the same watermark, and drains into the log in link order. The
     /// arena is borrowed for grouping only; the caller `clear()`s it for
-    /// the next batch, reusing the allocation. Returns the number of
-    /// lanes touched.
+    /// the next batch, reusing the allocation.
     pub(crate) fn apply_grouped(
         &mut self,
         grouped: &mut EventArena<LinkIx, LaneEvent>,
         watermark: Timestamp,
-    ) -> usize {
+    ) {
         let (groups, events) = grouped.group();
-        let mut lanes_touched = 0;
         for (link, run) in groups {
             let run = run.iter().map(|&(_, ix)| &events[ix as usize]);
             self.step_lane(link, run, watermark);
-            lanes_touched += 1;
         }
         self.note_open_items();
-        lanes_touched
     }
 
     /// Raise the open-item high-water mark to the current count.
@@ -1086,7 +1079,6 @@ impl<'a> Kernel<'a> {
         let Kernel {
             data,
             config,
-            naming,
             mut lanes,
             mut log,
             tallies,
@@ -1129,8 +1121,6 @@ impl<'a> Kernel<'a> {
         }
         KernelOutput {
             output: StreamOutput::assemble(log, sums, imported),
-            config,
-            naming,
             segments_closed,
             flap_episodes,
             finalized_at_flush,

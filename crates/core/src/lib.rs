@@ -34,13 +34,12 @@
 //! All of those semantics live in **one kernel** ([`kernel`]): every
 //! per-link state machine — dedup, both-ends merge, reconstruction,
 //! sanitization, flap tracking, segment close — is owned by
-//! `kernel::LinkLane`, and the crate ships **two drivers** over it.
-//! The batch driver ([`analysis::Analysis::run`]) replays the whole
-//! archive in one pass with the watermark jumping straight to
-//! end-of-archive; the streaming driver ([`streaming`]) ingests the
-//! interleaved syslog/IS-IS event stream one event or micro-batch at a
-//! time, emits failures as soon as they are final, and is byte-identical
-//! to the batch analysis at flush. The streaming driver is crash-safe:
+//! `kernel::LinkLane`, and the crate ships **one driver** over it.
+//! The streaming driver ([`streaming`]) ingests the interleaved
+//! syslog/IS-IS event stream one event or micro-batch at a time, emits
+//! failures as soon as they are final, and flushes the same bytes
+//! however the stream is cut; [`analysis::Analysis::run`] replays a
+//! whole archive through it in 256-event batches. It is crash-safe:
 //! [`recovery`] wraps it in a write-ahead journal plus versioned,
 //! hash-verified checkpoints, and its recovery supervisor resumes a
 //! killed run byte-identical to one that never stopped. Beyond one
@@ -53,7 +52,7 @@
 //! defines — the same rows the journal stores — inside the one integrity
 //! header ([`envelope`]) every frame, journal record and snapshot file
 //! wears. When traffic exceeds capacity, [`admission`] bounds
-//! memory in front of either driver: a fixed-size priority queue that
+//! memory in front of the driver: a fixed-size priority queue that
 //! blocks (backpressure) or sheds deterministically — chatter first,
 //! IS-IS last — with every dropped event accounted for exactly in
 //! [`observe::OverloadCounters`].

@@ -22,9 +22,10 @@ use std::time::Duration as WallDuration;
 /// One pipeline stage's accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageReport {
-    /// Stable stage identifier. The batch driver records `link_table`,
-    /// `classify`, `lane_apply`, and `collect`; the streaming driver
-    /// records `link_table`, `stream_ingest`, and `stream_flush`.
+    /// Stable stage identifier. [`crate::analysis::Analysis::run`]
+    /// records `link_table`, `classify`, `lane_apply`, and `collect`; a
+    /// flushed stream records `link_table`, `stream_ingest`, and
+    /// `stream_flush`.
     pub stage: String,
     /// Items entering the stage.
     pub items_in: u64,
@@ -75,8 +76,8 @@ pub struct PipelineCounters {
     pub ambiguous_periods: u64,
 }
 
-/// Counters specific to a [`crate::streaming::StreamAnalysis`] run;
-/// absent (`None`) on batch runs.
+/// The counters of the [`crate::streaming::StreamAnalysis`] engine that
+/// every run goes through (a cluster's are its engines', summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamingCounters {
     /// Total events consumed (`syslog_events + isis_events`).
@@ -344,7 +345,8 @@ pub struct PipelineReport {
     pub stages: Vec<StageReport>,
     /// Headline counters.
     pub counters: PipelineCounters,
-    /// Streaming-specific counters; `None` for batch runs.
+    /// The streaming engine's counters; `None` only on a report built
+    /// by hand.
     #[serde(default)]
     pub streaming: Option<StreamingCounters>,
     /// Durability-layer counters; `None` unless the run was wrapped in

@@ -1,51 +1,50 @@
-//! Incremental (streaming) failure analysis — the streaming **driver**
-//! over the shared [`crate::kernel`].
+//! Incremental (streaming) failure analysis — the one **driver** over
+//! the shared [`crate::kernel`].
 //!
-//! The batch [`crate::analysis::Analysis::run`] wants the whole syslog
-//! archive and listener transition log up front. A production collector
-//! does not have that luxury: messages and LSP-derived transitions arrive
-//! interleaved, and operators want failure records as soon as they are
-//! knowable, not at end-of-quarter. [`StreamAnalysis`] is the incremental
-//! driver over the same `kernel::Kernel` the batch pipeline
-//! uses: feed it [`StreamEvent`]s one at a time
-//! ([`StreamAnalysis::ingest`]) or in micro-batches
-//! ([`StreamAnalysis::ingest_batch`], which applies each touched link's
-//! lane in place on the calling thread), and call
+//! A production collector does not get the whole syslog archive and
+//! listener transition log up front: messages and LSP-derived
+//! transitions arrive interleaved, and operators want failure records as
+//! soon as they are knowable, not at end-of-quarter. [`StreamAnalysis`]
+//! is the incremental driver over the `kernel::Kernel`: feed it
+//! [`StreamEvent`]s one at a time ([`StreamAnalysis::ingest`]) or in
+//! micro-batches ([`StreamAnalysis::ingest_batch`], which applies each
+//! touched link's lane in place on the calling thread), and call
 //! [`StreamAnalysis::flush`] at end of stream for the final
-//! [`StreamOutput`].
+//! [`StreamOutput`]. [`crate::analysis::Analysis::run`] is this driver
+//! too: it feeds a whole archive in 256-event batches.
 //!
 //! This module owns only what is genuinely streaming-specific: the
 //! watermark, late-event rejection, quarantine admission, micro-batch
 //! accounting, wall-clock attribution, and checkpoint capture/restore.
 //! Every semantic stage — dedup, both-ends merge, reconstruction,
 //! sanitization, flap tracking, segment close, matching — lives in the
-//! kernel and is executed by the per-link `kernel::LinkLane`
-//! machines, identically for both drivers. Ingest is two halves: a
-//! route (admission, the late check, the watermark, classification)
-//! and an apply of the lane rows it yields. Beyond one engine,
-//! [`crate::cluster`] splits them — one front engine routes the stream,
-//! N shard engines apply its rows by link — and merges their
-//! [`StreamOutput`]s back into this same byte-identical surface.
+//! kernel and is executed by the per-link `kernel::LinkLane` machines.
+//! Ingest is two halves: a route (admission, the late check, the
+//! watermark, classification) and an apply of the lane rows it yields.
+//! Beyond one engine, [`crate::cluster`] splits them — one front engine
+//! routes the stream, N shard engines apply its rows by link — and
+//! merges their [`StreamOutput`]s back into this same byte-identical
+//! surface.
 //!
 //! # Equivalence contract
 //!
 //! For an in-order event stream covering the same data, the flushed
-//! [`StreamOutput`] is **byte-identical** (as JSON) to the batch driver's
-//! [`crate::analysis::Analysis::run`] output on the same data, for every
-//! chunking of the stream.
-//! `tests/stream_equivalence.rs` is the differential harness asserting
-//! this across random seeds, scales, chunkings, quarantine horizons, and
-//! chaos presets. Since both drivers execute the same kernel, the
-//! argument reduces to why *incremental* watermark advancement cannot
-//! change what the kernel computes:
+//! [`StreamOutput`] is **byte-identical** (as JSON) for every chunking
+//! of the stream, from one event at a time to one batch holding it all,
+//! and so to [`crate::analysis::Analysis::run`]'s output on the same
+//! data. `tests/stream_equivalence.rs` is the differential harness
+//! asserting this across random seeds, scales, chunkings, quarantine
+//! horizons, and chaos presets. The argument is why *where* the
+//! watermark stands when a lane is applied cannot change what the
+//! kernel computes:
 //!
 //! - **Resolution** is stateless; emitted resolved messages are final
-//!   immediately. Both drivers feed events in stable time order, so one
-//!   final stable `(time, link)` sort produces the same vector.
+//!   immediately. Events arrive in stable time order, so one final
+//!   stable `(time, link)` sort produces the same vector.
 //! - **Dedup, both-ends merge, reconstruction** are per-link state
-//!   machines that only look backward. The per-link event order the
-//!   stream sees equals the per-link order of the batch driver's merged
-//!   feed, so the machines traverse identical per-link histories.
+//!   machines that only look backward. Every chunking hands a lane the
+//!   same events in the same order, so the machines traverse identical
+//!   per-link histories.
 //! - **Finality.** A reconstructed failure is final when it closes —
 //!   except under [`AmbiguityStrategy::AssumeDown`], where the *most
 //!   recently closed* failure stays extendable by a later double-up. The
@@ -60,9 +59,14 @@
 //!   either source and the watermark has passed the last buffered
 //!   failure's end by strictly more than the match window. Every future
 //!   failure then starts at or after the watermark, so it can neither
-//!   exact-match nor overlap anything in the segment. The batch driver's
-//!   single end-of-archive watermark and the stream's incremental one
-//!   close the same segments with the same contents.
+//!   exact-match nor overlap anything in the segment. A chunking decides
+//!   only how often a lane is checked, and so how many quiet gaps one
+//!   segment spans: one batch holding the whole stream checks each lane
+//!   once, at the end, and closes at most one segment per lane (222 on
+//!   the benchmark's seed-4242 archive, against 2,592 in 256-event
+//!   batches). The pairs are the same either way — no failure on one
+//!   side of a quiet gap can match or overlap one on the other — but
+//!   matching a segment is quadratic in its failures.
 //!
 //! Per-link *working* state is bounded: a dedup anchor, two endpoint
 //! advertisement maps, two open/pending slots, and the current segment's
@@ -77,7 +81,7 @@ use crate::arena::EventArena;
 use crate::codec::rows;
 use crate::error::AnalysisError;
 use crate::kernel::{AnswerLog, Kernel, LaneEvent, LaneRow, LinkLane, LogMark, Observed, Tallies};
-use crate::observe::{self, PipelineReport, StreamingCounters};
+use crate::observe::{self, PipelineReport, RobustnessCounters, StreamingCounters};
 use faultline_isis::listener::Transition;
 use faultline_sim::ScenarioData;
 use faultline_syslog::message::SyslogMessage;
@@ -105,10 +109,7 @@ impl StreamEvent {
     /// The event's timestamp (message-text time for syslog, listener
     /// receive time for IS-IS).
     pub fn at(&self) -> Timestamp {
-        match self {
-            StreamEvent::Syslog(m) => m.event.at,
-            StreamEvent::Isis(t) => t.at,
-        }
+        self.observed().at()
     }
 
     /// The event as the classifier reads it.
@@ -123,9 +124,8 @@ impl StreamEvent {
 /// What [`StreamAnalysis::ingest`] did with one offered event.
 ///
 /// Every outcome still counts as an *offered* event in the headline
-/// ingest counters (mirroring the batch pipeline, which counts the whole
-/// archive); only [`IngestOutcome::Accepted`] events reach a link's
-/// state machines.
+/// ingest counters; only [`IngestOutcome::Accepted`] events reach a
+/// link's state machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IngestOutcome {
     /// Admitted: the event advanced (or tied) the watermark and was
@@ -168,8 +168,18 @@ impl IngestSummary {
 /// into one time-ordered event stream, preserving each source's original
 /// order among equal timestamps (a stable merge). This is the stream the
 /// collector *would* have seen live; replaying it through
-/// [`StreamAnalysis`] reproduces the batch analysis exactly.
+/// [`StreamAnalysis`] reproduces [`crate::analysis::Analysis::run`].
 pub fn scenario_event_stream(data: &ScenarioData) -> Vec<StreamEvent> {
+    let owned = |event| match event {
+        Observed::Syslog(m) => StreamEvent::Syslog(m.clone()),
+        Observed::Isis(t) => StreamEvent::Isis(*t),
+    };
+    observed_stream(data).into_iter().map(owned).collect()
+}
+
+/// [`scenario_event_stream`] by reference: the same stable merge, with
+/// nothing cloned, as [`crate::analysis::Analysis::run`] feeds it.
+pub(crate) fn observed_stream(data: &ScenarioData) -> Vec<Observed<'_>> {
     let mut syslog: Vec<&SyslogMessage> = data.syslog.iter().collect();
     syslog.sort_by_key(|m| m.event.at);
     let mut isis: Vec<&Transition> = data.transitions.iter().collect();
@@ -179,19 +189,15 @@ pub fn scenario_event_stream(data: &ScenarioData) -> Vec<StreamEvent> {
     let (mut i, mut j) = (0, 0);
     while i < syslog.len() && j < isis.len() {
         if syslog[i].event.at <= isis[j].at {
-            out.push(StreamEvent::Syslog(syslog[i].clone()));
+            out.push(Observed::Syslog(syslog[i]));
             i += 1;
         } else {
-            out.push(StreamEvent::Isis(*isis[j]));
+            out.push(Observed::Isis(isis[j]));
             j += 1;
         }
     }
-    out.extend(
-        syslog[i..]
-            .iter()
-            .map(|m| StreamEvent::Syslog((*m).clone())),
-    );
-    out.extend(isis[j..].iter().map(|t| StreamEvent::Isis(**t)));
+    out.extend(syslog[i..].iter().map(|m| Observed::Syslog(m)));
+    out.extend(isis[j..].iter().map(|t| Observed::Isis(t)));
     out
 }
 
@@ -347,6 +353,10 @@ pub struct StreamAnalysis<'a> {
     arena: EventArena<LinkIx, LaneEvent>,
     started: Instant,
     ingest_wall: std::time::Duration,
+    /// The rows [`StreamAnalysis::feed`]'s batches routed, and the
+    /// wall of their route halves (the rest of `ingest_wall` applied).
+    fed_rows: u64,
+    route_wall: std::time::Duration,
     link_table_wall: std::time::Duration,
     /// Events and lane rows consumed: a snapshot's `seq`.
     seq: u64,
@@ -403,6 +413,8 @@ impl<'a> StreamAnalysis<'a> {
             arena: EventArena::new(),
             started,
             ingest_wall: std::time::Duration::ZERO,
+            fed_rows: 0,
+            route_wall: std::time::Duration::ZERO,
             link_table_wall,
             seq: 0,
             log_mark: LogMark::default(),
@@ -604,7 +616,7 @@ impl<'a> StreamAnalysis<'a> {
     /// proof leans on, so it is counted ([`StreamingCounters::late_events`])
     /// and dropped. Like quarantine, it is still an *offered* event for
     /// the headline ingest counters.
-    fn reject_late(&mut self, event: &StreamEvent) -> bool {
+    fn reject_late(&mut self, event: Observed<'_>) -> bool {
         let Some(w) = self.watermark else {
             return false;
         };
@@ -617,23 +629,21 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Quarantine admit check. An event stamped past the configured
     /// horizon is counted and diverted *before* it can advance the
-    /// watermark or touch any state machine — the same per-item
-    /// predicate the batch driver applies during its merge pass, so both
-    /// drivers see identical survivors regardless of arrival order.
-    fn admit(&mut self, event: &StreamEvent) -> bool {
+    /// watermark or touch any state machine: a per-item predicate, so
+    /// every arrival order leaves the same survivors.
+    fn admit(&mut self, event: Observed<'_>) -> bool {
         let Some(horizon) = self.kernel.config.quarantine_horizon else {
             return true;
         };
         if event.at() <= horizon {
             return true;
         }
-        // Still an offered event, which `route` counted (mirroring the
-        // batch pipeline's `syslog_ingested`, which counts the whole
-        // archive), but resolution and merge stats never see it.
+        // Still an offered event, which `route` counted, but resolution
+        // and merge stats never see it.
         let t = &mut self.kernel.tallies;
         match event {
-            StreamEvent::Syslog(_) => t.quarantined_syslog += 1,
-            StreamEvent::Isis(_) => t.quarantined_isis += 1,
+            Observed::Syslog(_) => t.quarantined_syslog += 1,
+            Observed::Isis(_) => t.quarantined_isis += 1,
         }
         false
     }
@@ -641,11 +651,11 @@ impl<'a> StreamAnalysis<'a> {
     /// The first half of ingest: count the event as offered, admit it,
     /// reject it if late, advance the watermark and classify it. Says
     /// what became of it and hands back its lane row, if it has one.
-    pub(crate) fn route(&mut self, event: &StreamEvent) -> (IngestOutcome, Option<LaneRow>) {
+    pub(crate) fn route(&mut self, event: Observed<'_>) -> (IngestOutcome, Option<LaneRow>) {
         let t = &mut self.kernel.tallies;
         match event {
-            StreamEvent::Syslog(_) => t.events_syslog += 1,
-            StreamEvent::Isis(_) => t.events_isis += 1,
+            Observed::Syslog(_) => t.events_syslog += 1,
+            Observed::Isis(_) => t.events_isis += 1,
         }
         self.seq += 1;
         if !self.admit(event) {
@@ -657,7 +667,7 @@ impl<'a> StreamAnalysis<'a> {
         // Not late, so `at` ties or advances the watermark: it never
         // regresses.
         self.watermark = Some(event.at());
-        (IngestOutcome::Accepted, self.kernel.route(event.observed()))
+        (IngestOutcome::Accepted, self.kernel.route(event))
     }
 
     /// The second half: group the arena's rows by link and apply each
@@ -699,7 +709,7 @@ impl<'a> StreamAnalysis<'a> {
     /// Consume one event; says what became of it ([`IngestOutcome`]).
     pub fn ingest(&mut self, event: &StreamEvent) -> IngestOutcome {
         let t0 = Instant::now();
-        let (outcome, row) = self.route(event);
+        let (outcome, row) = self.route(event.observed());
         if let Some(row) = row {
             // The event's own time, which it just set as the watermark.
             self.kernel.apply_one(row, row.event.at);
@@ -713,6 +723,15 @@ impl<'a> StreamAnalysis<'a> {
     /// each touched link's lane taking its run in place. Returns the
     /// per-outcome tally for the batch.
     pub fn ingest_batch(&mut self, events: &[StreamEvent]) -> IngestSummary {
+        self.feed(events.iter().map(StreamEvent::observed))
+    }
+
+    /// [`StreamAnalysis::ingest_batch`] over borrowed events: one batch,
+    /// its route and apply halves each timed once.
+    pub(crate) fn feed<'e>(
+        &mut self,
+        events: impl IntoIterator<Item = Observed<'e>>,
+    ) -> IngestSummary {
         let t0 = Instant::now();
         self.kernel.tallies.batches += 1;
         let mut summary = IngestSummary::default();
@@ -727,6 +746,8 @@ impl<'a> StreamAnalysis<'a> {
                 self.arena.push(row.link, row.event);
             }
         }
+        self.fed_rows += self.arena.len() as u64;
+        self.route_wall += t0.elapsed();
         if let Some(watermark) = self.watermark {
             self.apply_arena(watermark);
         }
@@ -749,11 +770,18 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// End of stream: hand the lanes to `Kernel::collect` for the
-    /// batch-identical global assembly, then wrap it in this run's
-    /// accounting (stage timings, streaming counters, robustness).
+    /// global assembly, then wrap it in this run's accounting (stage
+    /// timings, streaming counters, robustness).
     pub fn flush(self) -> StreamResult {
+        self.finish(Stages::Stream)
+    }
+
+    /// [`StreamAnalysis::flush`], its report's stages named as `stages`
+    /// says.
+    pub(crate) fn finish(self, stages: Stages) -> StreamResult {
         let flush_started = Instant::now();
         let data = self.kernel.data;
+        let resolvable = self.kernel.naming.table.len() as u64;
         let t = self.kernel.tallies;
         let open_state_high_water = t.open_items_hwm;
         let k = self.kernel.collect(t.events_syslog);
@@ -782,30 +810,35 @@ impl<'a> StreamAnalysis<'a> {
         };
 
         let mut report = PipelineReport::new(1);
-        report.record_stage(
-            "link_table",
-            data.topology.links().len() as u64,
-            k.naming.table.len() as u64,
-            self.link_table_wall,
-        );
-        report.record_stage(
-            "stream_ingest",
-            events,
-            counters.transitions_derived,
-            self.ingest_wall,
-        );
-        report.record_stage(
-            "stream_flush",
-            counters.failures_reconstructed,
-            counters.failures_matched,
-            flush_started.elapsed(),
-        );
+        let links = data.topology.links().len() as u64;
+        report.record_stage("link_table", links, resolvable, self.link_table_wall);
+        let derived = counters.transitions_derived;
+        let flush = match stages {
+            Stages::Stream => {
+                report.record_stage("stream_ingest", events, derived, self.ingest_wall);
+                "stream_flush"
+            }
+            Stages::Batch => {
+                let (rows, route) = (self.fed_rows, self.route_wall);
+                report.record_stage("classify", events, rows, route);
+                report.record_stage("lane_apply", rows, derived, self.ingest_wall - route);
+                "collect"
+            }
+        };
+        let (built, matched) = (counters.failures_reconstructed, counters.failures_matched);
+        report.record_stage(flush, built, matched, flush_started.elapsed());
         report.counters = counters;
         report.streaming = Some(streaming);
-        let mut robustness = analysis::robustness_baseline(data);
-        robustness.quarantined_syslog = t.quarantined_syslog;
-        robustness.quarantined_isis = t.quarantined_isis;
-        report.robustness = robustness;
+        // What the scenario knows of its raw archive, and what this run
+        // diverted.
+        let parse = data.chaos.as_ref().map(|chaos| chaos.parse);
+        report.robustness = RobustnessCounters {
+            raw_lines: data.raw_syslog_lines as u64,
+            malformed_lines: parse.map_or(0, |p| p.malformed),
+            irrelevant_lines: parse.map_or(0, |p| p.irrelevant),
+            quarantined_syslog: t.quarantined_syslog,
+            quarantined_isis: t.quarantined_isis,
+        };
         report.total_micros = total_wall.as_micros() as u64;
         observe::narrate(|| {
             format!(
@@ -822,6 +855,17 @@ impl<'a> StreamAnalysis<'a> {
             report,
         }
     }
+}
+
+/// How [`StreamAnalysis::finish`] names a run's stages after
+/// `link_table`.
+pub(crate) enum Stages {
+    /// `stream_ingest`, `stream_flush`.
+    Stream,
+    /// `classify`, `lane_apply`, `collect`: the ingest as
+    /// [`StreamAnalysis::feed`]'s route and apply halves, for a run fed
+    /// by it alone.
+    Batch,
 }
 
 #[cfg(test)]

@@ -5,14 +5,14 @@
 //! [`StreamAnalysis`] replay — under any chunking of the event stream,
 //! any ambiguity strategy, any quarantine horizon and any chaos preset —
 //! must serialize to exactly the same JSON as the
-//! `output` of [`Analysis::run`] on the same data. Both paths execute
-//! the same per-link state machines in `faultline_core::kernel`; this
-//! grid is the permanent regression guard proving the two *drivers*
-//! (batch watermark-jumps-to-end vs. incremental watermarks) cannot
-//! drift apart. A deterministic grid pins the corner chunkings (one
-//! event at a time, a prime micro-batch size, one all-encompassing
-//! batch) across several seeds; property tests then randomize seed,
-//! scale, chunk pattern, and strategy.
+//! `output` of [`Analysis::run`] on the same data. `Analysis::run` is
+//! itself a replay, in 256-event batches; this grid is the permanent
+//! regression guard proving that how a stream is cut — down to one
+//! all-encompassing batch, whose watermark jumps straight to the end —
+//! moves no byte of the answer. A deterministic grid pins the corner
+//! chunkings (one event at a time, a prime micro-batch size, one
+//! all-encompassing batch) across several seeds; property tests then
+//! randomize seed, scale, chunk pattern, and strategy.
 
 use faultline_core::{
     scenario_event_stream, AmbiguityStrategy, Analysis, AnalysisConfig, StreamAnalysis,
@@ -150,6 +150,49 @@ fn quarantine_and_chaos_combined_stay_byte_identical() {
             let got = stream_json(&data, &config, chunking);
             assert_eq!(expected, got, "quarantine×chaos: seed {seed}, {chunking:?}");
         }
+    }
+}
+
+/// `Analysis::run` is the streaming driver, fed in 256-event batches:
+/// its report carries the engine's own counters, and they equal those
+/// of a `StreamAnalysis` replay cut the same way — every lane closes
+/// its match segments at the same watermarks and holds the same open
+/// state at worst. (A single end-of-archive watermark closes at most
+/// one segment per lane.)
+#[test]
+fn analysis_run_is_a_256_event_stream() {
+    let mut cases = vec![("tiny(7)", ScenarioParams::tiny(7))];
+    for (preset, chaos) in [
+        ("mild", ChaosConfig::mild(42)),
+        ("moderate", ChaosConfig::moderate(42)),
+        ("severe", ChaosConfig::severe(42)),
+    ] {
+        let mut params = ScenarioParams::tiny(42);
+        params.chaos = chaos;
+        cases.push((preset, params));
+    }
+    for (case, params) in cases {
+        let data = run(&params);
+        let config = AnalysisConfig::default();
+        let batch = Analysis::run(&data, config.clone());
+        let batch = batch
+            .report
+            .streaming
+            .expect("Analysis::run reports its engine");
+        let events = scenario_event_stream(&data);
+        let mut stream = StreamAnalysis::new(&data, config);
+        for chunk in events.chunks(256) {
+            stream.ingest_batch(chunk);
+        }
+        let replay = stream.flush().report.streaming.expect("streaming counters");
+        assert!(replay.segments_closed > 0, "{case}: no segment closed");
+        assert_eq!(
+            (batch.segments_closed, batch.open_state_high_water),
+            (replay.segments_closed, replay.open_state_high_water),
+            "{case}: segments closed, open-state high water"
+        );
+        assert_eq!(batch.batches, replay.batches, "{case}");
+        assert_eq!(batch.events_ingested, events.len() as u64, "{case}");
     }
 }
 
