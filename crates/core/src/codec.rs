@@ -415,8 +415,8 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8 { offset })
     }
 
-    fn string(&mut self) -> Result<String, CodecError> {
-        self.str().map(str::to_owned)
+    fn string(&mut self) -> Result<Arc<str>, CodecError> {
+        self.str().map(Arc::from)
     }
 
     /// The input must end here.
@@ -1013,8 +1013,8 @@ mod tests {
             seq: 0,
             event: LinkEvent {
                 at: Timestamp::EPOCH,
-                host: String::new(),
-                interface: InterfaceName(String::new()),
+                host: "".into(),
+                interface: InterfaceName::from(""),
                 kind: LinkEventKind::Link,
                 up: true,
             },

@@ -57,6 +57,26 @@ fn arb_failures(max_links: u32, n: usize) -> impl Strategy<Value = Vec<Failure>>
     )
 }
 
+/// One link's failures, back to back with short gaps between them, so
+/// the starts of two such lists cluster together: they match, partly
+/// overlap and leave failures over.
+fn arb_one_link(n: usize) -> impl Strategy<Value = Vec<Failure>> {
+    proptest::collection::vec((1u64..20, 1u64..30), 0..n).prop_map(|v| {
+        let mut at = 0;
+        v.into_iter()
+            .map(|(gap, len)| {
+                let start = at + gap;
+                at = start + len;
+                Failure {
+                    link: LinkIx(0),
+                    start: Timestamp::from_secs(start),
+                    end: Timestamp::from_secs(at),
+                }
+            })
+            .collect()
+    })
+}
+
 proptest! {
     /// Reconstruction invariants under every strategy: failures are
     /// positive-length, per-link disjoint, sorted, and bounded by the
@@ -143,6 +163,50 @@ proptest! {
             m.matched.len() + m.partial.len() + m.right_only.len(),
             right.len()
         );
+    }
+
+    /// Matching is segmentation-invariant: when every failure of a second
+    /// piece, on either side, starts more than `w` after the first piece's
+    /// largest end, matching the whole equals matching each piece and
+    /// concatenating the pairs, the second piece's rebased. Closing a
+    /// stream segment relies on it.
+    #[test]
+    fn matching_is_segmentation_invariant(
+        (left1, right1) in (arb_one_link(12), arb_one_link(12)),
+        (left2, right2) in (arb_one_link(12), arb_one_link(12)),
+        gap in 0u64..5,
+    ) {
+        let w = Duration::from_secs(10);
+        let last_end = left1.iter().chain(&right1).map(|f| f.end).max();
+        let shift = last_end.unwrap_or(Timestamp::EPOCH).abs_diff(Timestamp::EPOCH)
+            + w
+            + Duration::from_secs(gap);
+        let later = |piece: Vec<Failure>| -> Vec<Failure> {
+            piece
+                .into_iter()
+                .map(|f| Failure { start: f.start + shift, end: f.end + shift, ..f })
+                .collect()
+        };
+        let (left2, right2) = (later(left2), later(right2));
+        for f in left2.iter().chain(&right2) {
+            prop_assert!(last_end.is_none_or(|end| f.start.abs_diff(end) > w));
+        }
+        let left: Vec<Failure> = left1.iter().chain(&left2).copied().collect();
+        let right: Vec<Failure> = right1.iter().chain(&right2).copied().collect();
+
+        let whole = match_failures(&left, &right, w);
+        let (a, b) = (match_failures(&left1, &right1, w), match_failures(&left2, &right2, w));
+        let (di, dj) = (left1.len(), right1.len());
+        let pairs = |a: &[(usize, usize)], b: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            a.iter().copied().chain(b.iter().map(|&(i, j)| (i + di, j + dj))).collect()
+        };
+        let only = |a: &[usize], b: &[usize], d: usize| -> Vec<usize> {
+            a.iter().copied().chain(b.iter().map(|&i| i + d)).collect()
+        };
+        prop_assert_eq!(whole.matched, pairs(&a.matched, &b.matched));
+        prop_assert_eq!(whole.partial, pairs(&a.partial, &b.partial));
+        prop_assert_eq!(whole.left_only, only(&a.left_only, &b.left_only, di));
+        prop_assert_eq!(whole.right_only, only(&a.right_only, &b.right_only, dj));
     }
 
     /// Matching a failure set against itself matches everything exactly.

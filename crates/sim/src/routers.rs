@@ -25,6 +25,7 @@ use faultline_topology::router::{RouterId, RouterOs};
 use faultline_topology::subnet::Subnet31;
 use faultline_topology::Topology;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One link's advertisement state as seen from one router.
 #[derive(Debug, Clone)]
@@ -45,8 +46,9 @@ pub struct RouterNode {
     pub id: RouterId,
     /// IS-IS system id.
     pub system_id: SystemId,
-    /// Hostname advertised in the Dynamic Hostname TLV and used in syslog.
-    pub hostname: String,
+    /// Hostname advertised in the Dynamic Hostname TLV and used in syslog,
+    /// shared by every message this router (or a neighbor) logs about it.
+    pub hostname: Arc<str>,
     /// OS family (selects the syslog grammar).
     pub os: RouterOs,
     links: BTreeMap<LinkId, LinkAdvert>,
@@ -77,7 +79,7 @@ impl RouterNode {
         RouterNode {
             id,
             system_id: r.system_id,
-            hostname: r.hostname.clone(),
+            hostname: r.hostname.as_str().into(),
             os: r.os,
             links,
             sequence: 0,

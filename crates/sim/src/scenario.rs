@@ -46,7 +46,8 @@ use faultline_topology::{RouterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Detection/flooding timing model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -378,6 +379,29 @@ enum Ev {
 enum LspPayload {
     Wire(Vec<u8>),
     Decoded(Box<Lsp>),
+}
+
+/// Give every message's strings one shared `Arc<str>` per distinct text.
+/// The parse makes two or three strings per message, each in whatever
+/// hole of the simulation's heap fits it; shared, the archive holds one
+/// string per host, interface and neighbor name, so events copied out of
+/// it keep a few hundred strings' pages of the freed simulation resident,
+/// not two or three per event.
+fn share_strings(syslog: &mut [SyslogMessage]) {
+    let mut seen: HashSet<Arc<str>> = HashSet::new();
+    let mut share = |s: &mut Arc<str>| match seen.get(&**s) {
+        Some(shared) => *s = Arc::clone(shared),
+        None => {
+            seen.insert(Arc::clone(s));
+        }
+    };
+    for m in syslog {
+        share(&mut m.event.host);
+        share(&mut m.event.interface.0);
+        if let LinkEventKind::IsisAdjacency { neighbor, .. } = &mut m.event.kind {
+            share(neighbor);
+        }
+    }
 }
 
 /// Run a scenario.
@@ -779,6 +803,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
             } => {
                 let rid = side_router(link, side);
                 let other = side_router(link, 1 - side);
+                let neighbor = nodes[other.0 as usize].hostname.clone();
                 let node = &mut nodes[rid.0 as usize];
                 let changed = node.set_adjacency(link, up);
                 // Router logs the ADJCHANGE regardless of whether the
@@ -797,10 +822,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
                             at: now,
                             host: node.hostname.clone(),
                             interface: iface,
-                            kind: LinkEventKind::IsisAdjacency {
-                                neighbor: topo.router(other).hostname.clone(),
-                                detail,
-                            },
+                            kind: LinkEventKind::IsisAdjacency { neighbor, detail },
                             up,
                         },
                         os: node.os,
@@ -906,6 +928,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
             } => {
                 let rid = side_router(link, side);
                 let other = side_router(link, 1 - side);
+                let neighbor = nodes[other.0 as usize].hostname.clone();
                 let node = &mut nodes[rid.0 as usize];
                 let iface = topo
                     .link(link)
@@ -919,10 +942,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
                         at: now,
                         host: node.hostname.clone(),
                         interface: iface,
-                        kind: LinkEventKind::IsisAdjacency {
-                            neighbor: topo.router(other).hostname.clone(),
-                            detail,
-                        },
+                        kind: LinkEventKind::IsisAdjacency { neighbor, detail },
                         up,
                     },
                     os: node.os,
@@ -982,7 +1002,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
     // Chaos layer: post-process the collection-path outputs. Gated so
     // that a disabled config takes the exact pre-chaos code path (same
     // calls, zero extra RNG draws) and stays byte-identical.
-    let (syslog, raw_syslog_lines, chaos) = if params.chaos.enabled() {
+    let (mut syslog, raw_syslog_lines, chaos) = if params.chaos.enabled() {
         let mut records = collector.into_lines();
         let stats = params
             .chaos
@@ -1000,6 +1020,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
     } else {
         (collector.parsed_messages(), collector.len(), None)
     };
+    share_strings(&mut syslog);
 
     ScenarioData {
         topology: topo,

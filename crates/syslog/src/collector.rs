@@ -200,7 +200,7 @@ mod tests {
         let parsed = collector.parsed_messages();
         assert_eq!(parsed.len(), 2);
         // Sorted by text timestamp: r2 first.
-        assert_eq!(parsed[0].event.host, "r2");
+        assert_eq!(&*parsed[0].event.host, "r2");
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
         let (events, stats) = parse_records(&records);
         assert_eq!(events.len(), 2);
         // Equal text timestamps: host breaks the tie, not arrival.
-        assert_eq!(events[0].event.host, "r1");
+        assert_eq!(&*events[0].event.host, "r1");
         assert!(stats.is_balanced());
     }
 

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Tunable parameters of the lossy path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -149,7 +150,7 @@ struct IfaceState {
 pub struct LossyTransport {
     cfg: TransportConfig,
     rng: StdRng,
-    ifaces: HashMap<(String, InterfaceName, Family), IfaceState>,
+    ifaces: HashMap<(Arc<str>, InterfaceName, Family), IfaceState>,
     stats: TransportStats,
 }
 

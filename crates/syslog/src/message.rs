@@ -20,6 +20,7 @@ use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Reasons a router gives in an ADJCHANGE message. The paper uses the
 /// reason text to tell a fresh failure from an adjacency *reset* (§4.3:
@@ -82,7 +83,7 @@ pub enum LinkEventKind {
     /// `%ROUTING-ISIS-4-ADJCHANGE`).
     IsisAdjacency {
         /// Hostname of the adjacent router as the local router knows it.
-        neighbor: String,
+        neighbor: Arc<str>,
         /// Why the adjacency changed.
         detail: AdjChangeDetail,
     },
@@ -93,12 +94,19 @@ pub enum LinkEventKind {
 }
 
 /// A structured link-state event, the unit the analysis pipeline consumes.
+///
+/// Its strings — `host`, the `interface` and an adjacency's `neighbor` —
+/// are shared `Arc<str>`s, so cloning or dropping an event (and the
+/// [`SyslogMessage`] around it) is refcount work, never an allocation.
+/// Events are copied at every hand-off: the admission queue, the
+/// cluster's partition, a scenario's event stream. They serialize, hash,
+/// order and encode exactly as `str`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkEvent {
     /// Router-local timestamp (what appears in the message text).
     pub at: Timestamp,
     /// Reporting router's hostname.
-    pub host: String,
+    pub host: Arc<str>,
     /// Local interface the event concerns.
     pub interface: InterfaceName,
     /// Which message family.

@@ -111,11 +111,11 @@ pub enum LinkEventKindRef<'a> {
 
 impl LinkEventKindRef<'_> {
     /// Convert to the owning [`LinkEventKind`], allocating the neighbor
-    /// hostname.
+    /// hostname once, as its shared `Arc<str>`.
     pub fn to_owned(&self) -> LinkEventKind {
         match *self {
             LinkEventKindRef::IsisAdjacency { neighbor, detail } => LinkEventKind::IsisAdjacency {
-                neighbor: neighbor.to_string(),
+                neighbor: neighbor.into(),
                 detail,
             },
             LinkEventKindRef::Link => LinkEventKind::Link,
@@ -154,12 +154,17 @@ impl SyslogMessageRef<'_> {
     /// Convert to the owning [`SyslogMessage`]. The result is identical to
     /// what [`classify_line`] produces for the same line (interface short
     /// forms are expanded here).
+    ///
+    /// Each string is built straight from the borrowed bytes into its
+    /// `Arc<str>`: one allocation for the host, one for the interface
+    /// (expansion included, see [`InterfaceName::expand`]) and one for an
+    /// adjacency's neighbor, with no intermediate `String`.
     pub fn to_owned(&self) -> SyslogMessage {
         SyslogMessage {
             seq: self.seq,
             event: LinkEvent {
                 at: self.at,
-                host: self.host.to_string(),
+                host: self.host.into(),
                 interface: InterfaceName::expand(self.interface),
                 kind: self.kind.to_owned(),
                 up: self.up,
@@ -319,10 +324,10 @@ impl ParseStats {
 ///     seq: 7,
 ///     event: LinkEvent {
 ///         at: Timestamp::from_secs(86_400 + 3_723),
-///         host: "lax-agg-01".to_string(),
+///         host: "lax-agg-01".into(),
 ///         interface: InterfaceName::ten_gig(3),
 ///         kind: LinkEventKind::IsisAdjacency {
-///             neighbor: "sac-agg-01".to_string(),
+///             neighbor: "sac-agg-01".into(),
 ///             detail: AdjChangeDetail::HoldTimeExpired,
 ///         },
 ///         up: false,
@@ -405,7 +410,7 @@ fn parse_body(
             seq,
             event: LinkEvent {
                 at,
-                host: host.to_string(),
+                host: host.into(),
                 interface: InterfaceName::expand(iface),
                 kind: LinkEventKind::Link,
                 up,
@@ -426,7 +431,7 @@ fn parse_body(
             seq,
             event: LinkEvent {
                 at,
-                host: host.to_string(),
+                host: host.into(),
                 interface: InterfaceName::expand(iface),
                 kind: LinkEventKind::LineProtocol,
                 up,
@@ -482,10 +487,10 @@ fn parse_adjchange(
         seq,
         event: LinkEvent {
             at,
-            host: host.to_string(),
+            host: host.into(),
             interface: InterfaceName::expand(iface),
             kind: LinkEventKind::IsisAdjacency {
-                neighbor: neighbor.to_string(),
+                neighbor: neighbor.into(),
                 detail: AdjChangeDetail::from_text(detail),
             },
             up,

@@ -38,7 +38,7 @@ fn arb_detail() -> impl Strategy<Value = AdjChangeDetail> {
 fn arb_kind() -> impl Strategy<Value = LinkEventKind> {
     prop_oneof![
         ("[a-z][a-z0-9-]{0,12}", arb_detail()).prop_map(|(n, d)| LinkEventKind::IsisAdjacency {
-            neighbor: n,
+            neighbor: n.into(),
             detail: d,
         }),
         Just(LinkEventKind::Link),
@@ -55,7 +55,7 @@ fn arb_message() -> impl Strategy<Value = SyslogMessage> {
             seq,
             event: LinkEvent {
                 at: Timestamp::from_millis(at),
-                host,
+                host: host.into(),
                 interface: InterfaceName::gig(iface),
                 kind,
                 up,

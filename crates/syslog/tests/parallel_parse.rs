@@ -48,7 +48,7 @@ fn event(rng: &mut Rng) -> SyslogMessage {
         0 => LinkEventKind::Link,
         1 => LinkEventKind::LineProtocol,
         _ => LinkEventKind::IsisAdjacency {
-            neighbor: format!("core-{}", rng.below(9)),
+            neighbor: format!("core-{}", rng.below(9)).into(),
             detail: AdjChangeDetail::HoldTimeExpired,
         },
     };
@@ -58,7 +58,7 @@ fn event(rng: &mut Rng) -> SyslogMessage {
         seq: rng.below(4),
         event: LinkEvent {
             at: Timestamp::from_millis(86_400_000 + rng.below(200) * 1_000),
-            host: format!("agg-{}", rng.below(5)),
+            host: format!("agg-{}", rng.below(5)).into(),
             interface: InterfaceName::gig(rng.below(4) as u32),
             kind,
             up: rng.below(2) == 0,

@@ -16,7 +16,7 @@ fn arb_kind() -> impl Strategy<Value = LinkEventKind> {
     prop_oneof![
         ("[a-z][a-z0-9-]{0,20}", arb_detail()).prop_map(|(n, d)| {
             LinkEventKind::IsisAdjacency {
-                neighbor: n,
+                neighbor: n.into(),
                 detail: d,
             }
         }),
@@ -74,7 +74,7 @@ proptest! {
             seq,
             event: LinkEvent {
                 at: Timestamp::from_millis(at),
-                host,
+                host: host.into(),
                 interface: iface,
                 kind,
                 up,

@@ -442,8 +442,8 @@ impl MinedArchive {
         let links = (self.drain_links())
             .map(|(name, [(ha, ia), (hb, ib)], subnet)| MinedLink {
                 name,
-                a: (ha.to_string(), InterfaceName(ia.to_string())),
-                b: (hb.to_string(), InterfaceName(ib.to_string())),
+                a: (ha.to_string(), InterfaceName::from(ia)),
+                b: (hb.to_string(), InterfaceName::from(ib)),
                 subnet,
             })
             .collect();
@@ -451,7 +451,7 @@ impl MinedArchive {
             .map(
                 |&(host, interface, address, subnet, metric)| MinedInterface {
                     hostname: self.name(host).to_string(),
-                    interface: InterfaceName(self.name(interface).to_string()),
+                    interface: InterfaceName::from(self.name(interface)),
                     address,
                     subnet,
                     metric,

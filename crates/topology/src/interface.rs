@@ -9,23 +9,29 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A Cisco-style interface name, e.g. `TenGigE0/1/0/3` or
 /// `GigabitEthernet0/2`.
+///
+/// The text is a shared `Arc<str>`: a syslog event carries one, and the
+/// event is copied at every hand-off (admission queue, shard partition,
+/// scenario stream), so a clone is a refcount bump rather than an
+/// allocation. It serializes, hashes and orders exactly as the `str`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct InterfaceName(pub String);
+pub struct InterfaceName(pub Arc<str>);
 
 impl InterfaceName {
     /// Generate the `slot`-th backbone-facing 10 GE interface name in IOS XR
     /// style. CENIC's backbone is 10 Gbit/s (§3.1).
     pub fn ten_gig(slot: u32) -> Self {
-        InterfaceName(format!("TenGigE0/{}/0/{}", slot / 4, slot % 4))
+        InterfaceName(format!("TenGigE0/{}/0/{}", slot / 4, slot % 4).into())
     }
 
     /// Generate the `slot`-th customer-facing 1 GE interface name in classic
     /// IOS style.
     pub fn gig(slot: u32) -> Self {
-        InterfaceName(format!("GigabitEthernet0/{}", slot))
+        InterfaceName(format!("GigabitEthernet0/{}", slot).into())
     }
 
     /// The textual name as it appears in configs and syslog.
@@ -41,13 +47,28 @@ impl InterfaceName {
         } else if let Some(rest) = self.0.strip_prefix("GigabitEthernet") {
             format!("Gi{rest}")
         } else {
-            self.0.clone()
+            self.0.to_string()
         }
     }
 
     /// Expand a possibly abbreviated interface name to its long form.
+    ///
+    /// One allocation, the shared string itself: the long form is
+    /// assembled on the stack, with no intermediate `String`, unless it
+    /// is longer than any real interface name.
     pub fn expand(text: &str) -> InterfaceName {
-        InterfaceName(Self::expansion(text).concat())
+        let [long, rest] = Self::expansion(text);
+        let len = long.len() + rest.len();
+        let mut buf = [0u8; 64];
+        if long.is_empty() {
+            return InterfaceName(text.into());
+        } else if len > buf.len() {
+            return InterfaceName([long, rest].concat().into());
+        }
+        buf[..long.len()].copy_from_slice(long.as_bytes());
+        buf[long.len()..len].copy_from_slice(rest.as_bytes());
+        let name = std::str::from_utf8(&buf[..len]).expect("two `str`s end to end are UTF-8");
+        InterfaceName(name.into())
     }
 
     /// The long form of a possibly abbreviated interface name, as the
@@ -73,7 +94,7 @@ impl fmt::Display for InterfaceName {
 
 impl From<&str> for InterfaceName {
     fn from(s: &str) -> Self {
-        InterfaceName(s.to_string())
+        InterfaceName(s.into())
     }
 }
 

@@ -60,7 +60,7 @@ fn arb_syslog() -> impl Strategy<Value = StreamEvent> {
         Just(LinkEventKind::Link),
         Just(LinkEventKind::LineProtocol),
         (arb_text(), 0u8..5).prop_map(|(neighbor, d)| LinkEventKind::IsisAdjacency {
-            neighbor,
+            neighbor: neighbor.into(),
             detail: match d {
                 0 => AdjChangeDetail::NewAdjacency,
                 1 => AdjChangeDetail::HoldTimeExpired,
@@ -83,8 +83,8 @@ fn arb_syslog() -> impl Strategy<Value = StreamEvent> {
                 seq,
                 event: LinkEvent {
                     at: Timestamp::from_millis(at),
-                    host,
-                    interface: InterfaceName(interface),
+                    host: host.into(),
+                    interface: InterfaceName(interface.into()),
                     kind,
                     up: bits & 1 == 1,
                 },
@@ -176,10 +176,10 @@ fn the_extremes_round_trip() {
             seq: u64::MAX,
             event: LinkEvent {
                 at: Timestamp::from_millis(u64::MAX),
-                host: String::new(),
-                interface: InterfaceName(long.clone()),
+                host: "".into(),
+                interface: InterfaceName(long.as_str().into()),
                 kind: LinkEventKind::IsisAdjacency {
-                    neighbor: "ルータ".to_string(),
+                    neighbor: "ルータ".into(),
                     detail: AdjChangeDetail::Other,
                 },
                 up: true,

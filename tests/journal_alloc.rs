@@ -10,8 +10,8 @@
 //!   allocates exactly what the bare engine's `ingest` of the same event
 //!   does — 0 allocations for the journal;
 //! * reading a record back the way replay does — one envelope read into
-//!   a reused buffer, one `codec::decode_record` — allocates exactly what
-//!   `event.clone()` does.
+//!   a reused buffer, one `codec::decode_record` — allocates exactly the
+//!   event's own strings, one `Arc<str>` each.
 
 use faultline_core::codec::decode_record;
 use faultline_core::envelope::Format;
@@ -23,6 +23,10 @@ use std::path::PathBuf;
 #[path = "../crates/syslog/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::{allocations, CountingAlloc};
+
+#[path = "support/event_strings.rs"]
+mod event_strings;
+use event_strings::strings;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -112,7 +116,7 @@ fn replaying_a_record_allocates_exactly_its_event() {
     let mut rest = segment.as_slice();
     let mut with_strings = 0;
     for (i, event) in events.iter().enumerate() {
-        let (own, _) = allocations(|| event.clone());
+        let own = strings(event);
         let (read, record) = allocations(|| {
             JOURNAL.read(&mut rest, &mut body).unwrap();
             decode_record(&body).unwrap()

@@ -8,7 +8,8 @@
 //! independent, like `crates/syslog/tests/alloc_contract.rs`):
 //!
 //! * `from_str::<StreamEvent>` of a journal event allocates exactly the
-//!   event's own strings — what `event.clone()` allocates;
+//!   event's own strings, one `Arc<str>` each — which a clone shares, so
+//!   cloning and dropping an event allocates nothing;
 //! * `from_str::<StreamOutput>` of an answer allocates what
 //!   `output.clone()` does, plus one per resolved message (its host is an
 //!   `Arc<str>`, which a clone shares and a reader must make), plus what
@@ -21,6 +22,10 @@ use faultline_sim::scenario::{run, ScenarioParams};
 mod counting_alloc;
 use counting_alloc::{allocations, CountingAlloc};
 
+#[path = "support/event_strings.rs"]
+mod event_strings;
+use event_strings::strings;
+
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -31,13 +36,25 @@ fn a_journal_event_costs_exactly_its_own_strings() {
     let mut with_strings = 0;
     for event in &events {
         let text = serde_json::to_string(event).unwrap();
-        let (own, _) = allocations(|| event.clone());
+        let own = strings(event);
         let (read, back) = allocations(|| serde_json::from_str::<StreamEvent>(&text).unwrap());
         assert_eq!(&back, event);
         assert_eq!(read, own, "{text}");
         with_strings += usize::from(own > 0);
     }
     assert!(with_strings > 100, "the stream carries syslog messages");
+}
+
+#[test]
+fn cloning_and_dropping_an_event_allocates_nothing() {
+    let data = run(&ScenarioParams::tiny(42));
+    let events = scenario_event_stream(&data);
+    let syslog = events.iter().filter(|e| strings(e) > 0).count();
+    assert!(syslog > 100, "the stream carries syslog messages");
+    for event in &events {
+        let (n, ()) = allocations(|| drop(event.clone()));
+        assert_eq!(n, 0, "{event:?}");
+    }
 }
 
 #[test]

@@ -95,10 +95,10 @@ fn syslog_grammar_round_trips_for_all_routers() {
                 seq: 1,
                 event: LinkEvent {
                     at: Timestamp::from_millis(123_456_789),
-                    host: r.hostname.clone(),
+                    host: r.hostname.as_str().into(),
                     interface: ep.interface.clone(),
                     kind: LinkEventKind::IsisAdjacency {
-                        neighbor: topo.router(other.router).hostname.clone(),
+                        neighbor: topo.router(other.router).hostname.as_str().into(),
                         detail: AdjChangeDetail::HoldTimeExpired,
                     },
                     up: false,
