@@ -63,7 +63,8 @@
 //! a struct literal, so a field added to a struct does not compile until
 //! its row lists it. A nested struct's row sits inline, so grouping
 //! fields into a struct moves no byte. Fields a `rows!` entry lists after
-//! a `;` are runtime-only: not encoded, decoded as their `Default`.
+//! a `;` are runtime-only: not encoded, decoded as their `Default`. No
+//! row stores a value the rest determines (`Kernel::rebuild`).
 //!
 //! ```text
 //! flushed    := report:str payload              a shard's `Flushed` answer:
@@ -72,8 +73,8 @@
 //! payload    := hosts:vec<str> (checkpoint | delta | output)
 //! checkpoint := seq:u64 config watermark:opt<time> log tallies lanes:vec<lane>
 //! delta      := seq parent_seq:u64 watermark:opt<time> log tallies lanes:vec<lane>
-//! tallies    := resolve_stats is_stats:merge_stats ip_stats:merge_stats
-//!               events_syslog events_isis batches late_events open_items
+//! tallies    := resolve_stats is_route ip_route:route_stats
+//!               events_syslog events_isis batches late_events
 //!               open_items_hwm quarantined_syslog quarantined_isis:u64
 //! log        := messages:vec<message>
 //!               is_transitions ip_transitions syslog_transitions:vec<transition>
@@ -98,16 +99,15 @@
 //!               threads chunk_size:usize quarantine_horizon:opt<time>
 //! message    := at:time link:u32 direction:u8 family:u8 host detail:opt<u8>
 //! host       := index:varint                    into the payload's hosts
-//! lane       := link:u32 link_id:opt<u32> resolvable:bool dedup
-//!               is_merge ip_merge:merge
+//! lane       := link:u32 dedup is_merge ip_merge:merge
 //!               isis_recon syslog_recon:recon isis_sanitize syslog_sanitize:sanitize
-//!               seg_isis seg_syslog:vec<failure> seg_max_end:opt<time>
+//!               seg_isis seg_syslog:vec<failure>
 //!               segments_closed:u64 flap_last_end:opt<time> flap_run:u32
-//!               flap_episodes:u64               (not dirty, not outbox)
+//!               flap_episodes:u64               (not seg_max_end, dirty, outbox)
 //! dedup      := last:opt<(time direction:u8)>
-//! merge      := advertised:vec<(sysid:6 up:bool)> down_count:u32 inconsistent:u64
+//! merge      := advertised:vec<(sysid:6 up:bool)> inconsistent:u64
 //!                                               advertised sorted by sysid
-//! recon      := open last_at:opt<time> last_dir:opt<u8> pending:opt<failure>
+//! recon      := open:opt<time> last:opt<(time direction:u8)> pending:opt<failure>
 //!               boundary_ups:u32
 //! transition := at:time link:u32 direction:u8
 //! failure    := link:u32 start end:time
@@ -116,6 +116,7 @@
 //!               long_removed_ms:u64
 //! resolve_stats := isis_resolved physical_resolved lineproto_skipped unresolved:u64
 //! merge_stats   := raw unresolvable_multilink unknown inconsistent emitted:u64
+//! route_stats   := raw unresolvable_multilink unknown:u64
 //! opt<T>     := 0x00 | 0x01 T
 //! vec<T>     := count:varint T{count}
 //! time, u64, u32, usize := varint           milliseconds for a time

@@ -32,7 +32,8 @@ pub enum RecoveryError {
         source: std::io::Error,
     },
     /// A checkpoint file failed validation: bad magic, torn payload,
-    /// integrity-hash mismatch, or a header/payload disagreement. The
+    /// integrity-hash mismatch, a header/payload disagreement, an
+    /// invalid embedded configuration or a state no run reaches. The
     /// supervisor treats this as "try the next older checkpoint".
     CorruptCheckpoint {
         /// The rejected file.
@@ -81,8 +82,8 @@ pub enum RecoveryError {
         /// The last attempt's failure.
         last_error: String,
     },
-    /// The restored checkpoint or its embedded configuration failed the
-    /// same validation [`crate::Analysis::try_run`] applies.
+    /// A fresh start's configuration or inputs failed the same
+    /// validation [`crate::Analysis::try_run`] applies.
     InvalidState(AnalysisError),
 }
 
@@ -130,7 +131,7 @@ impl fmt::Display for RecoveryError {
                     "{op} still failing after {attempts} attempts: {last_error}"
                 )
             }
-            RecoveryError::InvalidState(e) => write!(f, "restored state is invalid: {e}"),
+            RecoveryError::InvalidState(e) => write!(f, "cannot start the stream: {e}"),
         }
     }
 }
@@ -170,6 +171,11 @@ pub enum AnalysisError {
         /// Human-readable description of the offending parameter.
         what: String,
     },
+    /// A checkpoint to restore holds a state no run reaches.
+    CorruptState {
+        /// What in it no run leaves behind.
+        what: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -190,6 +196,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::InvalidConfig { what } => {
                 write!(f, "invalid analysis configuration: {what}")
             }
+            AnalysisError::CorruptState { what } => f.write_str(what),
         }
     }
 }

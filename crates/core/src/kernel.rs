@@ -40,7 +40,6 @@ use faultline_isis::listener::{
 use faultline_sim::tickets::TicketLog;
 use faultline_sim::ScenarioData;
 use faultline_syslog::message::{LinkEventKind, SyslogMessage};
-use faultline_topology::link::LinkId;
 use faultline_topology::osi::SystemId;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -237,6 +236,8 @@ pub(crate) struct LaneCtx<'a> {
     pub(crate) config: &'a AnalysisConfig,
     pub(crate) offline: &'a [OfflineSpan],
     pub(crate) tickets: &'a TicketLog,
+    /// A lane's link's topology id and multi-link status.
+    pub(crate) naming: &'a Naming,
 }
 
 /// Both-end-confirmation dedup state for one link (§3.4): a message with
@@ -277,9 +278,9 @@ impl DedupState {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct MergeState {
     /// Whether each origin seen so far advertises the link, sorted by
-    /// origin, so a state has one encoding.
+    /// origin, so a state has one encoding. Its withdrawn origins are
+    /// the merge's down count, read where a step needs it.
     pub(crate) advertised: Vec<(SystemId, bool)>,
-    pub(crate) down_count: u32,
     pub(crate) inconsistent: u64,
 }
 
@@ -294,27 +295,16 @@ impl MergeState {
                 at
             }
         };
-        let adv = &mut self.advertised[at].1;
-        match direction {
-            TransitionDirection::Down => {
-                if !*adv {
-                    self.inconsistent += 1;
-                    return false;
-                }
-                *adv = false;
-                self.down_count += 1;
-                self.down_count == 1
-            }
-            TransitionDirection::Up => {
-                if *adv {
-                    self.inconsistent += 1;
-                    return false;
-                }
-                *adv = true;
-                self.down_count -= 1;
-                self.down_count == 0
-            }
+        let up = direction == TransitionDirection::Up;
+        if self.advertised[at].1 == up {
+            self.inconsistent += 1;
+            return false;
         }
+        self.advertised[at].1 = up;
+        // A DOWN fires when it is the one withdrawal, an UP when none is
+        // left.
+        let withdrawn = self.advertised.iter().filter(|&&(_, adv)| !adv).count();
+        withdrawn == usize::from(!up)
     }
 }
 
@@ -325,8 +315,9 @@ impl MergeState {
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub(crate) struct ReconLane {
     pub(crate) open: Option<Timestamp>,
-    pub(crate) last_at: Option<Timestamp>,
-    pub(crate) last_dir: Option<TransitionDirection>,
+    /// The last message, as [`DedupState`] keeps its anchor: its time
+    /// and direction are set together or not at all.
+    pub(crate) last: Option<(Timestamp, TransitionDirection)>,
     /// Under `AssumeDown` only: the most recently closed failure, still
     /// extendable by a later double-up. `None` under other strategies.
     pub(crate) pending: Option<Failure>,
@@ -370,8 +361,9 @@ impl ReconLane {
             }
             (Down, Some(_)) => {
                 // Invariant: `open` can only be set by a prior step, and
-                // every step records `last_at` — not data-dependent.
-                let first = self.last_at.expect("open failure implies a prior message");
+                // every step records `last` — a restore rejects a lane
+                // that breaks it ([`ReconLane::reachable`]).
+                let (first, _) = self.last.expect("open failure implies a prior message");
                 ambiguous.push(AmbiguousPeriod {
                     link,
                     first,
@@ -382,11 +374,8 @@ impl ReconLane {
                     self.open = Some(at);
                 }
             }
-            (Up, None) => match self.last_dir {
-                Some(Up) => {
-                    // Invariant: `last_dir` and `last_at` are always set
-                    // together at the end of each step.
-                    let first = self.last_at.expect("had a previous message");
+            (Up, None) => match self.last {
+                Some((first, Up)) => {
                     ambiguous.push(AmbiguousPeriod {
                         link,
                         first,
@@ -409,25 +398,35 @@ impl ReconLane {
                 _ => self.boundary_ups += 1,
             },
         }
-        self.last_at = Some(at);
-        self.last_dir = Some(direction);
+        self.last = Some((at, direction));
         finalized
+    }
+
+    /// Open and pending failures: the items only a later message or the
+    /// end of the stream finalizes.
+    pub(crate) fn held(&self) -> u64 {
+        u64::from(self.open.is_some()) + u64::from(self.pending.is_some())
+    }
+
+    /// Whether some run leaves this state by `watermark`: a failure opens
+    /// at a DOWN, and nothing held lies past the last message.
+    pub(crate) fn reachable(&self, watermark: Option<Timestamp>) -> bool {
+        let Some((at, direction)) = self.last else {
+            return self.held() == 0;
+        };
+        watermark.is_some_and(|w| at <= w)
+            && (self.open).is_none_or(|open| direction == TransitionDirection::Down && open <= at)
+            && (self.pending).is_none_or(|f| f.start <= f.end && f.end <= at)
     }
 
     /// Whether this machine's state forbids closing the current match
     /// segment: an open or pending failure could still change, and under
     /// `AssumeDown` a trailing UP could yet spawn a failure reaching back
-    /// to `last_at`.
+    /// to the last message.
     pub(crate) fn blocks_segment_close(&self, strategy: AmbiguityStrategy) -> bool {
-        self.open.is_some()
-            || self.pending.is_some()
+        self.held() > 0
             || (strategy == AmbiguityStrategy::AssumeDown
-                && self.last_dir == Some(TransitionDirection::Up))
-    }
-
-    /// End of stream: the pending failure, if any, is final.
-    pub(crate) fn finish(&mut self) -> Option<Failure> {
-        self.pending.take()
+                && self.last.is_some_and(|(_, d)| d == TransitionDirection::Up))
     }
 }
 
@@ -556,13 +555,11 @@ impl AnswerLog {
 /// the [`Kernel`] drains into its [`AnswerLog`], so between steps no
 /// field holds a finalized record. Its snapshot row is its fields in
 /// declaration order up to `flap_episodes`, so reordering them is a
-/// checkpoint-format change; `dirty` and `outbox` are runtime-only and
-/// decode as their defaults.
+/// checkpoint-format change; the rest are runtime-only, decode as their
+/// defaults, and [`Kernel::rebuild`] derives `seg_max_end` again.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct LinkLane {
     pub(crate) link: LinkIx,
-    pub(crate) link_id: Option<LinkId>,
-    pub(crate) resolvable: bool,
     /// Syslog both-end-confirmation dedup anchor.
     pub(crate) dedup: DedupState,
     pub(crate) is_merge: MergeState,
@@ -574,13 +571,15 @@ pub(crate) struct LinkLane {
     /// The current match segment: sanitized failures awaiting a close.
     pub(crate) seg_isis: Vec<Failure>,
     pub(crate) seg_syslog: Vec<Failure>,
-    /// Max `end` among the segment's buffered failures.
-    pub(crate) seg_max_end: Option<Timestamp>,
     pub(crate) segments_closed: u64,
     /// Flap-run tracking over sanitized IS-IS failures (monitoring only).
     pub(crate) flap_last_end: Option<Timestamp>,
     pub(crate) flap_run: u32,
     pub(crate) flap_episodes: u64,
+    /// Max `end` among the segment's buffered failures, kept so the
+    /// per-step close check is O(1). Runtime-only.
+    #[serde(skip)]
+    pub(crate) seg_max_end: Option<Timestamp>,
     /// Touched since the durability layer's last snapshot mark. Every
     /// mutation flows through [`LinkLane::apply`], so setting the flag
     /// there (and on construction) is exhaustive; the streaming driver's
@@ -595,11 +594,9 @@ pub(crate) struct LinkLane {
 }
 
 impl LinkLane {
-    pub(crate) fn new(link: LinkIx, link_id: Option<LinkId>, resolvable: bool) -> LinkLane {
+    pub(crate) fn new(link: LinkIx) -> LinkLane {
         LinkLane {
             link,
-            link_id,
-            resolvable,
             dedup: DedupState::default(),
             is_merge: MergeState::default(),
             ip_merge: MergeState::default(),
@@ -609,11 +606,11 @@ impl LinkLane {
             syslog_sanitize: SanitizeReport::default(),
             seg_isis: Vec::new(),
             seg_syslog: Vec::new(),
-            seg_max_end: None,
             segments_closed: 0,
             flap_last_end: None,
             flap_run: 0,
             flap_episodes: 0,
+            seg_max_end: None,
             dirty: true,
             outbox: AnswerLog::default(),
         }
@@ -622,26 +619,18 @@ impl LinkLane {
     /// Items that could still change or are awaiting a segment close —
     /// the "open state" the streaming counters track.
     pub(crate) fn open_items(&self) -> u64 {
-        (self.isis_recon.open.is_some() as u64)
-            + (self.isis_recon.pending.is_some() as u64)
-            + (self.syslog_recon.open.is_some() as u64)
-            + (self.syslog_recon.pending.is_some() as u64)
+        self.isis_recon.held()
+            + self.syslog_recon.held()
             + (self.seg_isis.len() + self.seg_syslog.len()) as u64
     }
 
-    /// Set every merge's down count to the number of its withdrawn
-    /// origins, as a restore does; returns the first stored count that
-    /// disagreed, as `(stored, withdrawn)`.
-    pub(crate) fn recount_down(&mut self) -> Option<(u32, u32)> {
-        let mut misstated = None;
-        for merge in [&mut self.is_merge, &mut self.ip_merge] {
-            let held = merge.advertised.iter().filter(|&&(_, adv)| !adv).count() as u32;
-            if merge.down_count != held {
-                misstated = misstated.or(Some((merge.down_count, held)));
-            }
-            merge.down_count = held;
-        }
-        misstated
+    /// Whether some run leaves this lane by `watermark`.
+    pub(crate) fn reachable(&self, watermark: Option<Timestamp>) -> bool {
+        let ordered = |fs: &[Failure]| fs.iter().all(|f| f.start <= f.end);
+        self.isis_recon.reachable(watermark)
+            && self.syslog_recon.reachable(watermark)
+            && ordered(&self.seg_isis)
+            && ordered(&self.seg_syslog)
     }
 
     pub(crate) fn apply(&mut self, event: &LaneEvent, ctx: &LaneCtx<'_>) {
@@ -714,7 +703,7 @@ impl LinkLane {
             self.isis_sanitize.removed_offline_ms += f.duration().as_millis();
             return;
         }
-        if !self.resolvable {
+        if !ctx.naming.table.is_resolvable(self.link) {
             return;
         }
         self.track_flap(&f, ctx.config.flap_gap);
@@ -734,7 +723,7 @@ impl LinkLane {
         }
         if f.duration() > ctx.config.long_threshold {
             self.syslog_sanitize.long_checked += 1;
-            let verified = self.link_id.is_some_and(|lid| {
+            let verified = ctx.naming.link_of_ix[self.link.0 as usize].is_some_and(|lid| {
                 ctx.tickets
                     .verifies(lid, f.start, f.end, ctx.config.ticket_slack)
             });
@@ -744,7 +733,7 @@ impl LinkLane {
                 return;
             }
         }
-        if !self.resolvable {
+        if !ctx.naming.table.is_resolvable(self.link) {
             return;
         }
         self.seg_max_end = Some(self.seg_max_end.map_or(f.end, |e| e.max(f.end)));
@@ -813,10 +802,10 @@ impl LinkLane {
     /// End of stream: finalize pendings, flush the flap run, close the
     /// last segment unconditionally.
     pub(crate) fn finish(&mut self, ctx: &LaneCtx<'_>) {
-        if let Some(f) = self.isis_recon.finish() {
+        if let Some(f) = self.isis_recon.pending.take() {
             self.sanitize_isis(f, ctx);
         }
-        if let Some(f) = self.syslog_recon.finish() {
+        if let Some(f) = self.syslog_recon.pending.take() {
             self.sanitize_syslog(f, ctx);
         }
         if self.flap_run >= 2 {
@@ -840,12 +829,10 @@ rows! {
     LaneEvent { at, direction, reach }
     LaneRow { link, event }
     DedupState { last }
-    MergeState { advertised, down_count, inconsistent }
-    ReconLane { open, last_at, last_dir, pending, boundary_ups }
+    MergeState { advertised, inconsistent }
+    ReconLane { open, last, pending, boundary_ups }
     LinkLane {
         link,
-        link_id,
-        resolvable,
         dedup,
         is_merge,
         ip_merge,
@@ -855,11 +842,11 @@ rows! {
         syslog_sanitize,
         seg_isis,
         seg_syslog,
-        seg_max_end,
         segments_closed,
         flap_last_end,
         flap_run,
         flap_episodes;
+        seg_max_end,
         dirty,
         outbox,
     }
@@ -877,15 +864,15 @@ rows! {
         matched,
         partial,
     }
+    RouteStats { raw, unresolvable_multilink, unknown }
     Tallies {
         resolve_stats,
-        is_stats,
-        ip_stats,
+        is_route,
+        ip_route,
         events_syslog,
         events_isis,
         batches,
         late_events,
-        open_items,
         open_items_hwm,
         quarantined_syslog,
         quarantined_isis,
@@ -905,24 +892,30 @@ pub(crate) struct KernelOutput {
     pub(crate) finalized_at_flush: u64,
 }
 
+/// The routing half of one reachability kind's [`IsisMergeStats`]: what
+/// classification counts. The merge half (`inconsistent`, `emitted`)
+/// belongs to the lanes and the log.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub(crate) struct RouteStats {
+    pub(crate) raw: u64,
+    pub(crate) unresolvable_multilink: u64,
+    pub(crate) unknown: u64,
+}
+
 /// The engine's carried counters, one value: a checkpoint and a delta
 /// hold a copy and a restore takes it back whole. Wall-clock timings and
-/// other process-descriptive figures are not tallies.
+/// what the lanes or the log hold are not tallies.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub(crate) struct Tallies {
     pub(crate) resolve_stats: SyslogResolveStats,
-    /// Serial halves of the merge counters (raw/unknown/multilink); the
-    /// stateful halves (inconsistent/emitted) come from the lanes and
-    /// the log.
-    pub(crate) is_stats: IsisMergeStats,
-    pub(crate) ip_stats: IsisMergeStats,
+    pub(crate) is_route: RouteStats,
+    pub(crate) ip_route: RouteStats,
     /// Offered events per source, quarantined and late ones included.
     pub(crate) events_syslog: u64,
     pub(crate) events_isis: u64,
     pub(crate) batches: u64,
     pub(crate) late_events: u64,
-    /// The lanes' open items, summed; derived again on every restore.
-    pub(crate) open_items: u64,
+    /// The most items the lanes held open at once.
     pub(crate) open_items_hwm: u64,
     pub(crate) quarantined_syslog: u64,
     pub(crate) quarantined_isis: u64,
@@ -944,6 +937,8 @@ pub(crate) struct Kernel<'a> {
     /// Every finalized record, resolved messages in feed order.
     pub(crate) log: AnswerLog,
     pub(crate) tallies: Tallies,
+    /// The lanes' open items, summed: kept per step, rebuilt on restore.
+    pub(crate) open_items: u64,
     /// Whether a reshard imported lanes: then the answer is one share.
     pub(crate) imported: bool,
 }
@@ -963,6 +958,7 @@ impl<'a> Kernel<'a> {
             lanes: BTreeMap::new(),
             log: AnswerLog::default(),
             tallies: Tallies::default(),
+            open_items: 0,
             imported: false,
         }
     }
@@ -972,7 +968,7 @@ impl<'a> Kernel<'a> {
     pub(crate) fn route(&mut self, event: Observed<'_>) -> Option<LaneRow> {
         let c = classify(&self.naming.table, event);
         let t = &mut self.tallies;
-        let (resolve, is) = (&mut t.resolve_stats, &mut t.is_stats);
+        let (resolve, is) = (&mut t.resolve_stats, &mut t.is_route);
         match c.outcome {
             Outcome::Resolved(MessageFamily::IsisAdjacency) => resolve.isis_resolved += 1,
             Outcome::Resolved(MessageFamily::PhysicalMedia) => resolve.physical_resolved += 1,
@@ -981,7 +977,7 @@ impl<'a> Kernel<'a> {
             Outcome::Routed(kind) | Outcome::Unknown(kind) => {
                 let stats = match kind {
                     ReachabilityKind::IsReach => is,
-                    ReachabilityKind::IpReach => &mut t.ip_stats,
+                    ReachabilityKind::IpReach => &mut t.ip_route,
                 };
                 stats.raw += 1;
                 stats.unknown += u64::from(matches!(c.outcome, Outcome::Unknown(_)));
@@ -1023,17 +1019,18 @@ impl<'a> Kernel<'a> {
 
     /// Raise the open-item high-water mark to the current count.
     pub(crate) fn note_open_items(&mut self) {
-        let t = &mut self.tallies;
-        t.open_items_hwm = t.open_items_hwm.max(t.open_items);
+        let hwm = &mut self.tallies.open_items_hwm;
+        *hwm = (*hwm).max(self.open_items);
     }
 
-    /// Derive the open-item count and every merge's down count from the
-    /// lanes, as a restore does: a stored count is never trusted.
-    pub(crate) fn recount(&mut self) {
+    /// Derive what is not stored from the lanes, as a restore and an
+    /// import do: each lane's segment end and the open-item count.
+    pub(crate) fn rebuild(&mut self) {
         for lane in self.lanes.values_mut() {
-            lane.recount_down();
+            let ends = lane.seg_isis.iter().chain(&lane.seg_syslog);
+            lane.seg_max_end = ends.map(|f| f.end).max();
         }
-        self.tallies.open_items = self.lanes.values().map(LinkLane::open_items).sum();
+        self.open_items = self.lanes.values().map(LinkLane::open_items).sum();
         self.note_open_items();
     }
 
@@ -1052,23 +1049,19 @@ impl<'a> Kernel<'a> {
             config: &self.config,
             offline: &self.data.offline_spans,
             tickets: &self.data.tickets,
+            naming: &self.naming,
         };
-        let naming = &self.naming;
-        let lane = self.lanes.entry(link).or_insert_with(|| {
-            LinkLane::new(
-                link,
-                naming.link_of_ix[link.0 as usize],
-                naming.table.is_resolvable(link),
-            )
-        });
+        let lane = self
+            .lanes
+            .entry(link)
+            .or_insert_with(|| LinkLane::new(link));
         let before = lane.open_items();
         for event in events {
             lane.apply(event, &ctx);
         }
         lane.maybe_close_segment(watermark, &ctx);
         self.log.append(&mut lane.outbox);
-        let t = &mut self.tallies;
-        t.open_items = t.open_items - before + lane.open_items();
+        self.open_items = self.open_items - before + lane.open_items();
     }
 
     /// End of data: finalize every lane, fold the lanes' counters into
@@ -1079,6 +1072,7 @@ impl<'a> Kernel<'a> {
         let Kernel {
             data,
             config,
+            naming,
             mut lanes,
             mut log,
             tallies,
@@ -1089,11 +1083,18 @@ impl<'a> Kernel<'a> {
             config: &config,
             offline: &data.offline_spans,
             tickets: &data.tickets,
+            naming: &naming,
+        };
+        let merge = |r: RouteStats| IsisMergeStats {
+            raw: r.raw,
+            unresolvable_multilink: r.unresolvable_multilink,
+            unknown: r.unknown,
+            ..IsisMergeStats::default()
         };
         let mut sums = StreamOutput {
             resolve_stats: tallies.resolve_stats,
-            is_stats: tallies.is_stats,
-            ip_stats: tallies.ip_stats,
+            is_stats: merge(tallies.is_route),
+            ip_stats: merge(tallies.ip_route),
             counters: PipelineCounters {
                 syslog_ingested: offered_syslog,
                 ..PipelineCounters::default()
@@ -1102,10 +1103,7 @@ impl<'a> Kernel<'a> {
         };
         let (mut finalized_at_flush, mut segments_closed, mut flap_episodes) = (0, 0, 0);
         for lane in lanes.values_mut() {
-            finalized_at_flush += (lane.isis_recon.open.is_some() as u64)
-                + (lane.isis_recon.pending.is_some() as u64)
-                + (lane.syslog_recon.open.is_some() as u64)
-                + (lane.syslog_recon.pending.is_some() as u64);
+            finalized_at_flush += lane.isis_recon.held() + lane.syslog_recon.held();
             lane.finish(&ctx);
             log.append(&mut lane.outbox);
             sums.isis_recon.unterminated += lane.isis_recon.open.is_some() as u32;
@@ -1309,17 +1307,14 @@ mod tests {
             }
         }
 
-        /// The row its snapshot image wrote: the map flattened sorted by
-        /// origin, then the two counters.
+        /// The row of its state: the map flattened sorted by origin,
+        /// then the inconsistency count (the down count is not stored).
         fn row(&self) -> Vec<u8> {
             let mut advertised: Vec<(SystemId, bool)> =
                 self.advertised.iter().map(|(&k, &v)| (k, v)).collect();
             advertised.sort_by_key(|&(id, _)| id);
             let mut row = Vec::new();
-            crate::codec::encode_payload(
-                &(advertised, (self.down_count, self.inconsistent)),
-                &mut row,
-            );
+            crate::codec::encode_payload(&(advertised, self.inconsistent), &mut row);
             row
         }
     }
@@ -1332,8 +1327,9 @@ mod tests {
 
     proptest::proptest! {
         /// Every step of [`MergeState`] returns what the hash-map merge
-        /// returns and leaves the same counters, and the final row is the
-        /// one the hash map's snapshot image wrote. Replaying the steps
+        /// returns, its withdrawn origins are the reference's down count
+        /// and its inconsistency count the reference's, and the final row
+        /// is the one the hash map's state encodes to. Replaying the steps
         /// with the origins regrouped in reverse order of first
         /// appearance (each origin's own steps kept in order) ends in the
         /// same row.
@@ -1347,7 +1343,8 @@ mod tests {
             for &(i, up) in &steps {
                 let (source, dir) = (origin(i), direction(up));
                 proptest::prop_assert_eq!(merge.step(source, dir), reference.step(source, dir));
-                proptest::prop_assert_eq!(merge.down_count, reference.down_count);
+                let withdrawn = merge.advertised.iter().filter(|&&(_, adv)| !adv).count();
+                proptest::prop_assert_eq!(withdrawn, reference.down_count as usize);
                 proptest::prop_assert_eq!(merge.inconsistent, reference.inconsistent);
             }
             proptest::prop_assert_eq!(merge_row(&merge), reference.row());

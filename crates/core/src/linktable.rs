@@ -356,8 +356,18 @@ impl Naming {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A naming layer of one resolvable, nameless link per topology id
+    /// given: what a lane reads of its link, without a scenario.
+    pub(crate) fn resolvable_naming(link_of_ix: Vec<Option<LinkId>>) -> Naming {
+        let table = LinkTable {
+            resolvable: vec![true; link_of_ix.len()],
+            ..LinkTable::default()
+        };
+        Naming { table, link_of_ix }
+    }
     use faultline_sim::scenario::{run, ScenarioParams};
     use faultline_topology::config::mine_topology;
     use faultline_topology::generator::CenicParams;

@@ -167,7 +167,7 @@ pub fn reconstruct(transitions: &[LinkTransition], strategy: AmbiguityStrategy) 
             .extend(lane.step(t.link, t.at, t.direction, strategy, &mut out.ambiguous));
     }
     for lane in lanes.values_mut() {
-        out.failures.extend(lane.finish());
+        out.failures.extend(lane.pending.take());
         out.unterminated += lane.open.is_some() as u32;
         out.boundary_ups += lane.boundary_ups;
     }

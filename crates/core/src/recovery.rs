@@ -51,7 +51,7 @@ use crate::analysis::{self, AnalysisConfig};
 use crate::codec;
 use crate::envelope::Format;
 use crate::error::{FrameError, RecoveryError};
-use crate::kernel::{LaneRow, LinkLane};
+use crate::kernel::LaneRow;
 use crate::linktable::Naming;
 use crate::observe::{self, DurabilityCounters};
 use crate::streaming::{
@@ -69,13 +69,15 @@ use std::time::Instant;
 /// Checkpoint format version this build writes and reads. Version 1
 /// was a JSON header line (every durable file's version 1 did the same);
 /// version 2 was this envelope and chain block around a JSON payload;
-/// version 3 held each lane's finalized records inside the lane.
-pub const CHECKPOINT_VERSION: u16 = 4;
+/// version 3 held each lane's finalized records inside the lane;
+/// version 4 also stored values a restore can derive (merge down counts,
+/// a lane's naming and segment end, the open-item count).
+pub const CHECKPOINT_VERSION: u16 = 5;
 
 /// Delta-snapshot format version this build writes and reads; its
-/// versions 1 to 3 were the checkpoint's (version 3 carried each lane
+/// versions 1 to 4 were the checkpoint's (version 3 carried each lane
 /// as a tail of its history vectors).
-pub const DELTA_VERSION: u16 = 4;
+pub const DELTA_VERSION: u16 = 5;
 
 /// Journal format version this build writes and reads. Version 1 was
 /// one JSON line per record.
@@ -285,15 +287,6 @@ impl Snapshot {
         }
     }
 
-    /// Whether the snapshot counts no more events than its `seq`.
-    fn counts_fit(&self) -> bool {
-        let t = match self {
-            Snapshot::Full(c) => &c.tallies,
-            Snapshot::Delta(d) => &d.tallies,
-        };
-        (t.events_syslog.checked_add(t.events_isis)).is_some_and(|n| n <= self.seq())
-    }
-
     fn kind(&self) -> SnapKind {
         match self {
             Snapshot::Full(_) => SnapKind::Full,
@@ -445,16 +438,19 @@ struct LoadedFile {
     /// The verified envelope hash — what a delta child's `parent_fnv`
     /// must match during a chain walk.
     fnv: u64,
-    /// The parent a delta's chain block names; `None` for a full base.
-    parent: Option<ChainAnchor>,
+    /// The parent hash the chain block names (0 for a full base).
+    parent_fnv: u64,
 }
 
 /// Load and fully validate one snapshot file of the kind its name
 /// claims: the envelope (magic, version, length, integrity hash), then
-/// chain block/payload agreement on the sequence; for a delta also on
-/// the parent pointer, and parent monotonicity (`parent_seq < seq` — a
-/// chain can never loop).
-fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedFile, RecoveryError> {
+/// name, chain block and payload agreement on the sequence (a renamed
+/// or content-swapped file is not the snapshot its name claims, so a
+/// chain built on that name would be a lie); for a delta also chain
+/// block/payload agreement on the parent pointer, and parent
+/// monotonicity (`parent_seq < seq` — a chain can never loop).
+fn load_snapshot(snap: &SnapFile) -> Result<LoadedFile, RecoveryError> {
+    let (path, kind) = (&snap.path, snap.kind);
     let format = kind.format();
     let mut file = File::open(path).map_err(|e| io_err("read checkpoint", path, e))?;
     let mut body = Vec::new();
@@ -471,22 +467,22 @@ fn load_snapshot(path: &Path, kind: SnapKind) -> Result<LoadedFile, RecoveryErro
         SnapKind::Delta => codec::decode_delta(payload).map(|d| Snapshot::Delta(Box::new(d))),
     }
     .map_err(|e| corrupt(path, format!("undecodable payload: {e}")))?;
-    if seq != body.seq() {
-        return Err(corrupt(path, "chain block/payload sequence disagreement"));
+    if [seq, body.seq()] != [snap.seq; 2] {
+        return Err(corrupt(
+            path,
+            "name, chain block and payload disagree on the sequence",
+        ));
     }
-    let parent = match body.parent_seq() {
-        None => None,
-        Some(p) if p != parent_seq => {
-            return Err(corrupt(path, "chain block/payload parent disagreement"))
-        }
-        Some(_) if parent_seq >= seq => return Err(corrupt(path, "non-monotonic parent pointer")),
-        Some(_) => Some((parent_seq, parent_fnv)),
-    };
-    Ok(LoadedFile {
-        body,
-        fnv: header.fnv,
-        parent,
-    })
+    let fnv = header.fnv;
+    match body.parent_seq() {
+        Some(p) if p != parent_seq => Err(corrupt(path, "chain block/payload parent disagreement")),
+        Some(p) if p >= seq => Err(corrupt(path, "non-monotonic parent pointer")),
+        _ => Ok(LoadedFile {
+            body,
+            fnv,
+            parent_fnv,
+        }),
+    }
 }
 
 /// Read just a snapshot file's envelope header and chain block — enough
@@ -752,23 +748,11 @@ fn restore_chain<'a>(
     let mut cur = tip.clone();
     // A child's declared parent hash constrains the next file down.
     let mut expect_fnv: Option<u64> = None;
-    let (mut base, base_fnv) = loop {
+    let (base, base_fnv) = loop {
         if deltas.len() > snaps.len() {
             return Err(corrupt(&cur.path, "chain longer than the snapshot set"));
         }
-        let loaded = load_snapshot(&cur.path, cur.kind)?;
-        if loaded.body.seq() != cur.seq {
-            // A renamed or content-swapped file: internally consistent,
-            // but it is not the snapshot its name claims, so the chain
-            // built on that name is a lie.
-            return Err(corrupt(
-                &cur.path,
-                "file name / content sequence disagreement",
-            ));
-        }
-        if !loaded.body.counts_fit() {
-            return Err(corrupt(&cur.path, "more events counted than consumed"));
-        }
+        let loaded = load_snapshot(&cur)?;
         if expect_fnv.is_some_and(|e| e != loaded.fnv) {
             return Err(corrupt(&cur.path, "chain parent hash mismatch"));
         }
@@ -776,9 +760,7 @@ fn restore_chain<'a>(
             Snapshot::Full(ckpt) => break (*ckpt, loaded.fnv),
             Snapshot::Delta(delta) => *delta,
         };
-        let Some((parent_seq, parent_fnv)) = loaded.parent else {
-            return Err(corrupt(&cur.path, "delta without a parent pointer"));
-        };
+        let (parent_seq, parent_fnv) = (delta.parent_seq(), loaded.parent_fnv);
         // The parent is whichever same-sequence file carries the hash
         // this delta declares (a compaction can land beside a rejected
         // file of the other kind).
@@ -799,39 +781,12 @@ fn restore_chain<'a>(
         cur = parent;
     };
     let chain_len = deltas.len() as u64;
-    // A restore derives the open-item count and each merge's down count
-    // from the lanes; a snapshot that stored other counts is lying about
-    // its own state.
-    let derived = |engine: &StreamAnalysis<'_>, stored: u64, path: &Path| match engine.open_state()
-    {
-        held if held == stored => Ok(()),
-        held => Err(corrupt(
-            path,
-            format!("{stored} open items stored, the lanes hold {held}"),
-        )),
-    };
-    let down_counts = |lanes: &mut [LinkLane], path: &Path| match lanes
-        .iter_mut()
-        .find_map(LinkLane::recount_down)
-    {
-        None => Ok(()),
-        Some((stored, held)) => Err(corrupt(
-            path,
-            format!("{stored} withdrawn origins stored, the advertisements hold {held}"),
-        )),
-    };
-    down_counts(&mut base.lanes, &cur.path)?;
-    let stored = base.tallies.open_items;
     let mut engine = StreamAnalysis::restore_with(data, base, Arc::clone(naming))
-        .map_err(RecoveryError::from)?;
-    derived(&engine, stored, &cur.path)?;
-    for (path, mut delta) in deltas.into_iter().rev() {
-        down_counts(&mut delta.lanes, &path)?;
-        let stored = delta.tallies.open_items;
+        .map_err(|e| corrupt(&cur.path, e.to_string()))?;
+    for (path, delta) in deltas.into_iter().rev() {
         engine
             .apply_delta(delta)
             .map_err(|reason| corrupt(&path, reason))?;
-        derived(&engine, stored, &path)?;
     }
     Ok((engine, tip_fnv.unwrap_or(base_fnv), chain_len))
 }
@@ -1608,8 +1563,8 @@ mod tests {
             peek_header(&listed[0].path, SnapKind::Full),
             Some((fnv, [snap.seq(), 0, 0]))
         );
-        let loaded = load_snapshot(&listed[0].path, SnapKind::Full).unwrap();
-        assert_eq!((loaded.fnv, loaded.parent), (fnv, None));
+        let loaded = load_snapshot(&listed[0]).unwrap();
+        assert_eq!((loaded.fnv, loaded.parent_fnv), (fnv, 0));
         let Snapshot::Full(loaded) = loaded.body else {
             panic!("a full base loads as one");
         };
@@ -1628,9 +1583,14 @@ mod tests {
         let snap = Snapshot::Full(Box::new(stream.checkpoint()));
         let (full, _) = encode_snapshot(&snap, None).unwrap();
         let path = tmp.path().join(SnapKind::Full.file_name(0));
+        let file = SnapFile {
+            seq: 0,
+            kind: SnapKind::Full,
+            path: path.clone(),
+        };
         let load = |bytes: &[u8]| {
             fs::write(&path, bytes).unwrap();
-            load_snapshot(&path, SnapKind::Full).map(|_| ())
+            load_snapshot(&file).map(|_| ())
         };
 
         // Flip one payload byte: hash mismatch.

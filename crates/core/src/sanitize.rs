@@ -53,6 +53,7 @@ mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
     use crate::kernel::{LaneCtx, LaneEvent, LinkLane};
+    use crate::linktable::tests::resolvable_naming;
     use crate::linktable::LinkIx;
     use crate::reconstruct::Failure;
     use faultline_isis::listener::{OfflineSpan, TransitionDirection};
@@ -70,12 +71,14 @@ mod tests {
         tickets: &TicketLog,
     ) -> (Vec<(u64, u64)>, SanitizeReport) {
         let config = AnalysisConfig::default();
+        let naming = resolvable_naming((0..=link).map(|l| Some(LinkId(l))).collect());
         let ctx = LaneCtx {
             config: &config,
             offline,
             tickets,
+            naming: &naming,
         };
-        let mut lane = LinkLane::new(LinkIx(link), Some(LinkId(link)), true);
+        let mut lane = LinkLane::new(LinkIx(link));
         for &(start, end) in failures {
             for (at, direction) in [
                 (start, TransitionDirection::Down),

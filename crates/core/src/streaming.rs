@@ -311,6 +311,27 @@ impl StreamDelta {
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }
+
+    /// Why no run reaches this state, if none does: the one structural
+    /// check of a delta and a checkpoint, past which the kernel indexes,
+    /// subtracts and expects freely.
+    fn fault(&self, links: usize) -> Option<String> {
+        let counted = (self.tallies.events_syslog).checked_add(self.tallies.events_isis);
+        let (log, lanes) = (&self.log, &self.lanes);
+        let (left, right) = (log.san_syslog.len(), log.san_isis.len());
+        if counted.is_none_or(|n| n > self.seq) {
+            Some("more events counted than consumed".into())
+        } else if (log.matched.iter().chain(&log.partial)).any(|&(i, j)| i >= left || j >= right) {
+            Some("a match pair past the sanitized failures".into())
+        } else if !lanes.is_sorted_by(|a, b| a.link < b.link) {
+            Some("lanes not strictly ascending by link".into())
+        } else if lanes.last().is_some_and(|l| l.link.0 as usize >= links) {
+            Some(format!("a lane past the {links}-link naming table"))
+        } else {
+            let lane = lanes.iter().find(|l| !l.reachable(self.watermark))?;
+            Some(format!("a lane no run reaches, for link {}", lane.link.0))
+        }
+    }
 }
 
 /// A set of per-link lanes in flight between two engines — the payload
@@ -447,7 +468,7 @@ impl<'a> StreamAnalysis<'a> {
     /// Items currently held in mutable per-link state (open/pending
     /// failures plus buffered unmatched failures).
     pub fn open_state(&self) -> u64 {
-        self.kernel.tallies.open_items
+        self.kernel.open_items
     }
 
     /// Events consumed so far (lane rows, for a cluster shard).
@@ -503,12 +524,12 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// Advance a restored engine by one delta: replace the dirtied
-    /// lanes, append the log tail, take the delta's tallies and derive
-    /// the open-item and down counts from the lanes. The
-    /// engine must be exactly at the delta's parent state — the sequence
-    /// guard makes a mismatched application a typed error (surfaced by
-    /// [`crate::recovery`] as a corrupt chain), never a silently wrong
-    /// restore.
+    /// lanes, append the log tail, take the delta's tallies and rebuild
+    /// what is not stored ([`Kernel::rebuild`]). The engine must be
+    /// exactly at the delta's parent state and the delta a state some run
+    /// reaches ([`StreamDelta::fault`]): either failure is a typed error
+    /// (surfaced by [`crate::recovery`] as a corrupt chain), applying
+    /// nothing, never a silently wrong restore.
     pub fn apply_delta(&mut self, mut delta: StreamDelta) -> Result<(), String> {
         if delta.parent_seq != self.events_ingested() {
             return Err(format!(
@@ -517,14 +538,22 @@ impl<'a> StreamAnalysis<'a> {
                 self.events_ingested()
             ));
         }
+        if let Some(fault) = delta.fault(self.kernel.naming.table.len()) {
+            return Err(fault);
+        }
         self.watermark = delta.watermark;
         self.seq = delta.seq;
-        self.kernel.log.append(&mut delta.log);
+        // A checkpoint's log lands on an empty one: move it, not copy it.
+        if self.kernel.log.mark() == [0; 12] {
+            self.kernel.log = delta.log;
+        } else {
+            self.kernel.log.append(&mut delta.log);
+        }
         self.kernel.tallies = delta.tallies;
         for lane in delta.lanes {
             self.kernel.lanes.insert(lane.link, lane);
         }
-        self.kernel.recount();
+        self.kernel.rebuild();
         self.mark_clean();
         Ok(())
     }
@@ -532,10 +561,11 @@ impl<'a> StreamAnalysis<'a> {
     /// Rebuild an engine from a checkpoint against the same scenario's
     /// static side inputs (topology, offline spans, tickets). The
     /// embedded configuration is re-validated exactly as
-    /// [`StreamAnalysis::try_new`] would, and the open-item and down
-    /// counts are derived from the restored lanes, not read. Wall-clock
-    /// timers restart at zero — they describe this process, not the one
-    /// that died.
+    /// [`StreamAnalysis::try_new`] would, and the rest is applied as a
+    /// delta on the empty engine ([`StreamAnalysis::apply_delta`]), which
+    /// refuses a state no run reaches ([`AnalysisError::CorruptState`]).
+    /// Wall-clock timers restart at zero — they describe this process,
+    /// not the one that died.
     pub fn restore(data: &'a ScenarioData, ckpt: StreamCheckpoint) -> Result<Self, AnalysisError> {
         StreamAnalysis::restore_with(data, ckpt, Arc::new(Naming::mine(data)))
     }
@@ -549,17 +579,18 @@ impl<'a> StreamAnalysis<'a> {
     ) -> Result<Self, AnalysisError> {
         analysis::validate_inputs(data, &ckpt.config)?;
         let mut engine = StreamAnalysis::with_naming(data, ckpt.config, naming, Instant::now());
-        engine.watermark = ckpt.watermark;
-        engine.seq = ckpt.seq;
-        engine.kernel.log = ckpt.log;
-        engine.kernel.tallies = ckpt.tallies;
-        engine.kernel.lanes = (ckpt.lanes.into_iter())
-            .map(|lane| (lane.link, lane))
-            .collect();
-        engine.kernel.recount();
-        // Restored lanes are clean: the next delta diffs against exactly
-        // this state.
-        engine.mark_clean();
+        // A checkpoint is a delta on the empty engine.
+        let whole = StreamDelta {
+            seq: ckpt.seq,
+            parent_seq: 0,
+            watermark: ckpt.watermark,
+            log: ckpt.log,
+            tallies: ckpt.tallies,
+            lanes: ckpt.lanes,
+        };
+        engine
+            .apply_delta(whole)
+            .map_err(|what| AnalysisError::CorruptState { what })?;
         Ok(engine)
     }
 
@@ -578,7 +609,7 @@ impl<'a> StreamAnalysis<'a> {
         let mut lanes = Vec::new();
         for link in links {
             if let Some(lane) = self.kernel.lanes.remove(link) {
-                self.kernel.tallies.open_items -= lane.open_items();
+                self.kernel.open_items -= lane.open_items();
                 lanes.push(lane);
             }
         }
@@ -586,26 +617,25 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// Attach migrated lanes to this engine, each dirty, so the next
-    /// delta carries it, and with its down counts derived. Fails (typed,
-    /// applying nothing further) if a lane arrives for a link this engine
-    /// already has state for — that would silently discard one side's
-    /// open state. Returns how many lanes were attached.
+    /// delta carries it, and rebuild what is not stored
+    /// ([`Kernel::rebuild`]). Fails (typed, applying nothing further) if
+    /// a lane arrives for a link past this engine's naming table, or for
+    /// one it already has state for — that would silently discard one
+    /// side's open state. Returns how many lanes were attached.
     pub fn import_lanes(&mut self, migration: LaneMigration) -> Result<u64, String> {
-        let mut imported = 0u64;
+        let (mut imported, links) = (0u64, self.kernel.naming.table.len());
         for mut lane in migration.lanes {
-            if self.kernel.lanes.contains_key(&lane.link) {
+            let link = lane.link;
+            if self.kernel.lanes.contains_key(&link) || link.0 as usize >= links {
                 return Err(format!(
-                    "lane migration for link {:?} collides with existing lane state",
-                    lane.link
+                    "lane migration for link {link:?} collides with existing lane state or names no link"
                 ));
             }
             lane.dirty = true;
-            lane.recount_down();
-            self.kernel.tallies.open_items += lane.open_items();
-            self.kernel.lanes.insert(lane.link, lane);
+            self.kernel.lanes.insert(link, lane);
             imported += 1;
         }
-        self.kernel.note_open_items();
+        self.kernel.rebuild();
         self.kernel.imported = true;
         Ok(imported)
     }
@@ -888,6 +918,92 @@ mod tests {
             StreamAnalysis::restore(&data, ckpt).err(),
             Some(AnalysisError::InvalidConfig { .. })
         ));
+    }
+
+    // Each forge is a state no run reaches, and each can lead past the
+    // restore to a panic or a silent loss: an open failure with no DOWN
+    // before it (the next DOWN's `expect`), a held failure ending before
+    // it starts (`Failure::duration`), a match pair past the log's
+    // failures (the flush's index, unless later failures fill it), a
+    // second lane for one link (dropped) and a lane past the naming
+    // table (indexed).
+    #[test]
+    fn restore_refuses_states_no_run_reaches() {
+        use crate::kernel::ReconLane;
+        use crate::reconstruct::Failure;
+        use faultline_isis::listener::TransitionDirection::{Down, Up};
+        let data = run(&ScenarioParams::tiny(5));
+        let events = scenario_event_stream(&data);
+        let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
+        for event in &events[..150] {
+            engine.ingest(event);
+        }
+        let ckpt = engine.checkpoint();
+        let at = ckpt.watermark.unwrap();
+        let link = ckpt.lanes[0].link;
+        let open = |last| ReconLane {
+            open: Some(at),
+            last,
+            ..ReconLane::default()
+        };
+        let backwards = Failure {
+            link,
+            start: at,
+            end: Timestamp::EPOCH,
+        };
+        type Forge<'f> = Box<dyn Fn(&mut StreamCheckpoint) + 'f>;
+        let forges: [(&str, Forge); 8] = [
+            (
+                "open, no last",
+                Box::new(|c| c.lanes[0].isis_recon = open(None)),
+            ),
+            (
+                "open after an UP",
+                Box::new(|c| c.lanes[0].isis_recon = open(Some((at, Up)))),
+            ),
+            (
+                "last past the watermark",
+                Box::new(|c| {
+                    c.lanes[0].syslog_recon.last = Some((Timestamp::from_millis(u64::MAX), Down))
+                }),
+            ),
+            (
+                "pending backwards",
+                Box::new(|c| {
+                    c.lanes[0].isis_recon = ReconLane {
+                        last: Some((at, Up)),
+                        pending: Some(backwards),
+                        ..ReconLane::default()
+                    }
+                }),
+            ),
+            (
+                "segment backwards",
+                Box::new(|c| c.lanes[0].seg_syslog.push(backwards)),
+            ),
+            (
+                "pair past the log",
+                Box::new(|c| c.log.matched.push((c.log.san_syslog.len(), 0))),
+            ),
+            (
+                "two lanes for one link",
+                Box::new(|c| c.lanes.insert(0, c.lanes[0].clone())),
+            ),
+            (
+                "a lane past the table",
+                Box::new(|c| c.lanes.last_mut().unwrap().link = LinkIx(u32::MAX)),
+            ),
+        ];
+        for (what, forge) in forges {
+            let mut forged = ckpt.clone();
+            forge(&mut forged);
+            let restored = StreamAnalysis::restore(&data, forged);
+            assert!(
+                matches!(restored.err(), Some(AnalysisError::CorruptState { .. })),
+                "{what}"
+            );
+        }
+        assert!(StreamAnalysis::restore(&data, ckpt).is_ok());
     }
 
     // Lane export/import needs private access to enumerate the kernel's

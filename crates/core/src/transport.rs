@@ -22,7 +22,7 @@
 //! # Wire format
 //!
 //! Each frame is one [`crate::envelope`]: the 19-byte header (magic
-//! `"FLSM"`, wire version 4) and the payload, built in one buffer and
+//! `"FLSM"`, wire version 5) and the payload, built in one buffer and
 //! written with one `write_all`. The kind byte says what the payload is:
 //!
 //! | kind | payload | carries |
@@ -37,7 +37,8 @@
 //! kind 1 any of them is [`FrameError::Malformed`]. The JSON messages are
 //! a handful per run. A reader never sniffs the payload, and a frame of
 //! an earlier wire version — version 1 had no kind byte, version 2 sent
-//! `Flushed` as JSON, version 3 fed workers events rather than rows — is
+//! `Flushed` as JSON, version 3 fed workers events rather than rows,
+//! version 4 migrated lanes with the values a restore derives — is
 //! [`FrameError::UnsupportedVersion`].
 //!
 //! The dispatcher classifies every event and sends workers only lane
@@ -76,7 +77,7 @@ use std::time::Instant;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Sanity bound on a declared payload length: a header claiming more is
 /// corrupt, not honored.

@@ -246,7 +246,7 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
             let resealed = [&bytes[HEADER_LEN..header], &rows[..cut]].concat();
             damaged.push((
                 format!("row payload cut at {cut}, resealed"),
-                envelope(bytes[..4].try_into().unwrap(), 4, bytes[18], &resealed),
+                envelope(bytes[..4].try_into().unwrap(), 5, bytes[18], &resealed),
             ));
         }
         for (what, bytes) in damaged {
@@ -337,21 +337,44 @@ fn version_2_snapshot(magic: [u8; 4], chain: [u64; 3], payload: &str) -> Vec<u8>
     envelope(magic, 2, 1, &[&chain[..], payload.as_bytes()].concat())
 }
 
-/// What version 3 wrote for a snapshot: today's envelope and chain block
-/// around a codec row (given as hex) of the version-3 layout, in which
-/// each lane held its own finalized records.
-fn version_3_snapshot(magic: [u8; 4], chain: [u64; 3], row: &str) -> Vec<u8> {
+/// What version 3 or 4 wrote for a snapshot: today's envelope and chain
+/// block around a codec row (given as hex) of that version's layout.
+/// Version 3's lanes held their own finalized records; version 4's
+/// stored values a restore derives (a merge's down count, a lane's link
+/// id, multi-link status and segment end, the open-item count, and the
+/// merge halves of the merge stats).
+fn codec_snapshot(version: u16, magic: [u8; 4], chain: [u64; 3], row: &str) -> Vec<u8> {
     let chain = chain.map(u64::to_le_bytes).concat();
     let row: Vec<u8> = (0..row.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&row[i..i + 2], 16).unwrap())
         .collect();
-    envelope(magic, 3, 1, &[&chain[..], &row[..]].concat())
+    envelope(magic, version, 1, &[&chain[..], &row[..]].concat())
 }
 
 /// The zeroed resolve stats (4), IS and IP merge stats (5 + 5) and the
-/// eight counters every version-3 snapshot row carried.
-const VERSION_3_ZEROED_STATS: &str = "00000000000000000000000000000000000000000000";
+/// eight counters every version-3 and version-4 snapshot row carried.
+const OLD_ZEROED_STATS: &str = "00000000000000000000000000000000000000000000";
+
+/// A fresh engine's checkpoint row as versions 3 and 4 encoded it: the
+/// log is one message count in version 3, twelve empty vectors in 4.
+fn fresh_checkpoint_row(log: &str) -> String {
+    [
+        "00",                   // no hosts
+        "00",                   // seq 0
+        "904e904e",             // match and dedup windows, 10 s each
+        "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
+        "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
+        "00",                   // strategy: previous state
+        "0010",                 // threads 0 (auto), chunk size 16
+        "00",                   // no quarantine horizon
+        "00",                   // no watermark
+        log,
+        OLD_ZEROED_STATS,
+        "00", // no lanes
+    ]
+    .concat()
+}
 
 fn assert_rejected_as_version(found: u32, dir: &Path, data: &ScenarioData) {
     let (durable, report) =
@@ -359,7 +382,7 @@ fn assert_rejected_as_version(found: u32, dir: &Path, data: &ScenarioData) {
     assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
     assert!(
         report.rejected[0].contains(&format!(
-            "format version {found} is not supported (this build reads 4)"
+            "format version {found} is not supported (this build reads 5)"
         )),
         "{}",
         report.rejected[0]
@@ -439,27 +462,24 @@ fn a_version_2_delta_is_unsupported() {
 fn a_version_3_checkpoint_is_unsupported() {
     let data = run(&ScenarioParams::tiny(23));
     let tmp = TempDir::new("v3-ckpt");
-    // A fresh engine's checkpoint as version 3 encoded it.
-    let row = [
-        "00",                   // no hosts
-        "00",                   // seq 0
-        "904e904e",             // match and dedup windows, 10 s each
-        "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
-        "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
-        "00",                   // strategy: previous state
-        "0010",                 // threads 0 (auto), chunk size 16
-        "00",                   // no quarantine horizon
-        "00",                   // no watermark
-        "00",                   // no resolved messages
-        VERSION_3_ZEROED_STATS,
-        "00", // no lanes
-    ]
-    .concat();
+    let row = fresh_checkpoint_row("00");
     tmp.reset(&[(
         PathBuf::from("ckpt-000000000000.ckpt"),
-        version_3_snapshot(*b"FLCK", [0, 0, 0], &row),
+        codec_snapshot(3, *b"FLCK", [0, 0, 0], &row),
     )]);
     assert_rejected_as_version(3, tmp.path(), &data);
+}
+
+#[test]
+fn a_version_4_checkpoint_is_unsupported() {
+    let data = run(&ScenarioParams::tiny(23));
+    let tmp = TempDir::new("v4-ckpt");
+    let row = fresh_checkpoint_row(&"00".repeat(12));
+    tmp.reset(&[(
+        PathBuf::from("ckpt-000000000000.ckpt"),
+        codec_snapshot(4, *b"FLCK", [0, 0, 0], &row),
+    )]);
+    assert_rejected_as_version(4, tmp.path(), &data);
 }
 
 #[test]
@@ -474,15 +494,37 @@ fn a_version_3_delta_is_unsupported() {
         "00", // no watermark
         "00", // messages base length 0
         "00", // no messages in the tail
-        VERSION_3_ZEROED_STATS,
+        OLD_ZEROED_STATS,
         "00", // no lanes
     ]
     .concat();
     tmp.reset(&[(
         PathBuf::from("delta-000000000010.dckpt"),
-        version_3_snapshot(*b"FLDT", [10, 0, 0], &row),
+        codec_snapshot(3, *b"FLDT", [10, 0, 0], &row),
     )]);
     assert_rejected_as_version(3, tmp.path(), &data);
+}
+
+#[test]
+fn a_version_4_delta_is_unsupported() {
+    let data = run(&ScenarioParams::tiny(24));
+    let tmp = TempDir::new("v4-delta");
+    // A fresh engine's empty delta as version 4 encoded it.
+    let row = [
+        "00",             // no hosts
+        "00",             // seq 0
+        "00",             // parent seq 0
+        "00",             // no watermark
+        &"00".repeat(12), // an empty log tail
+        OLD_ZEROED_STATS,
+        "00", // no lanes
+    ]
+    .concat();
+    tmp.reset(&[(
+        PathBuf::from("delta-000000000010.dckpt"),
+        codec_snapshot(4, *b"FLDT", [10, 0, 0], &row),
+    )]);
+    assert_rejected_as_version(4, tmp.path(), &data);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The wire between a dispatcher and its workers carries every message
 //! of the cluster protocol as a length-prefixed, FNV-hashed frame
-//! (`faultline_core::transport`, wire version 4: an explicit payload-kind
+//! (`faultline_core::transport`, wire version 5: an explicit payload-kind
 //! byte, lane-row batches as binary `faultline_core::codec` row runs,
 //! event batches as codec runs, flushed answers as codec rows,
 //! everything else as JSON). The contract under test mirrors the syslog
@@ -307,7 +307,7 @@ fn a_version_1_frame_is_unsupported_not_sniffed() {
         read_frame(&mut v1.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 1,
-            expected: 4
+            expected: 5
         })
     ));
 }
@@ -322,7 +322,28 @@ fn a_version_2_frame_is_unsupported_not_misread() {
         read_frame(&mut v2.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 2,
-            expected: 4
+            expected: 5
+        })
+    ));
+}
+
+#[test]
+fn a_version_4_frame_is_unsupported_not_misread() {
+    // Version 4 migrated each lane with values a restore derives (its
+    // link id, multi-link status, segment end and merge down counts);
+    // a migration under that header is refused by its version alone.
+    let msgs = corpus();
+    let migration = msgs
+        .iter()
+        .find(|m| matches!(m, ShardMsg::LaneMigrate(l) if l.lane_count() > 0))
+        .unwrap();
+    let json = serde_json::to_string(migration).unwrap();
+    let v4 = forge_version(4, KIND_MESSAGE, json.as_bytes());
+    assert!(matches!(
+        read_frame(&mut v4.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 4,
+            expected: 5
         })
     ));
 }
@@ -338,7 +359,7 @@ fn a_version_3_frame_is_unsupported_not_misread() {
         read_frame(&mut v3.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 3,
-            expected: 4
+            expected: 5
         })
     ));
 }

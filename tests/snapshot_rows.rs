@@ -330,17 +330,17 @@ fn a_count_no_input_could_back_allocates_nothing_on_its_word() {
         &StreamAnalysis::new(&data, AnalysisConfig::default()).checkpoint(),
         &mut fresh,
     );
-    // A fresh engine's payload ends with a zero message count, 22 zero
-    // scalars (resolve, IS and IP merge stats; eight counters) and a zero
-    // lane count.
-    let tail = 1 + 22 + 1;
-    assert!(fresh.ends_with(&[0; 24]));
+    // A fresh engine's payload ends with a zero message count, 17 zero
+    // scalars (resolve stats, IS and IP route stats; seven counters) and
+    // a zero lane count.
+    let tail = 1 + 17 + 1;
+    assert!(fresh.ends_with(&[0; 19]));
     let messages = bomb(&fresh[..fresh.len() - tail], 10);
     let lanes = bomb(&fresh[..fresh.len() - 1], 10);
-    // One lane (link 0, no link id, resolvable, no dedup anchor), then
-    // its advertisement vector over the bytes a lane needs at least.
+    // One lane (link 0, no dedup anchor), then its advertisement vector
+    // over the bytes a lane needs at least.
     let mut lane = fresh[..fresh.len() - 1].to_vec();
-    lane.extend_from_slice(&[1, 0, 0, 1, 0]);
+    lane.extend_from_slice(&[1, 0, 0]);
     let vector = bomb(&lane, 48);
     for (what, payload, most) in [
         ("messages", messages, 0),
