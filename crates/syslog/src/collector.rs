@@ -14,6 +14,7 @@ use crate::message::SyslogMessage;
 use crate::parse::{parse_bytes, ParseOutcomeRef, ParseStats, SyslogMessageRef};
 use faultline_topology::time::Timestamp;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One stored log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,10 +88,10 @@ impl Collector {
 /// they replay in arrival order — deterministically — instead of relying
 /// on whatever order the records happened to be stored in.
 ///
-/// The arrival-ordered lines are parsed by [`parse_chunked`] with one
-/// chunk per CPU that [`std::thread::available_parallelism`] reports:
-/// the result is that of the serial
-/// [`crate::parse::parse_archive_stats_bytes`] pass over them.
+/// The arrival-ordered lines are parsed by [`parse_chunked`] in blocks
+/// of [`MIN_CHUNK_LINES`], shared among as many threads as
+/// [`std::thread::available_parallelism`] reports: the result is that of
+/// the serial [`crate::parse::parse_archive_stats_bytes`] pass over them.
 pub fn parse_records(records: &[LogRecord]) -> (Vec<SyslogMessage>, ParseStats) {
     let mut order: Vec<&LogRecord> = records.iter().collect();
     order.sort_by_key(|r| r.arrived_at);
@@ -109,53 +110,93 @@ impl AsRef<[u8]> for LogRecord {
     }
 }
 
-/// The fewest lines [`parse_chunked`] gives a thread of its own: a chunk
-/// this short parses in about a millisecond, so an archive with fewer
-/// than twice as many lines is parsed as one chunk, on the calling
-/// thread.
+/// The lines in one block of [`parse_chunked`], the unit a thread claims:
+/// a block this long classifies in about a millisecond. It also sets how
+/// many threads a parse may use — one per full block — so an archive of
+/// fewer than twice as many lines is parsed on the calling thread alone.
 pub const MIN_CHUNK_LINES: usize = 4096;
 
-/// [`crate::parse::parse_archive_stats_bytes`] over `lines`, split into
-/// at most `chunks` contiguous chunks of at least [`MIN_CHUNK_LINES`]
-/// lines each and classified in parallel: the same events in the same
-/// order, and the same stats.
+/// A classified block: the borrowed view of each event in it, and the
+/// stats of its lines.
+type Classified<'a> = (Vec<SyslogMessageRef<'a>>, ParseStats);
+
+/// [`crate::parse::parse_archive_stats_bytes`] over `lines`, classified
+/// on up to `threads` threads: the same events in the same order, and the
+/// same stats.
 ///
-/// Each chunk but the first is classified with [`parse_bytes`] on a
-/// scoped thread of its own, the first on the calling thread; a chunk
-/// keeps only the borrowed view of each event it finds. The calling
-/// thread then makes every owned [`SyslogMessage`], in chunk order, and
-/// sums the chunks' stats with [`ParseStats::add`]. Owned strings are
-/// thus allocated by one thread only: made on the chunk threads, they
-/// raised peak memory on every benchmark workload measured, by up to
-/// 9 MB (PERFORMANCE.md, "The archive pass on both CPUs").
+/// The lines are cut into contiguous blocks of [`MIN_CHUNK_LINES`], and
+/// the calling thread and `min(threads, lines / MIN_CHUNK_LINES) − 1`
+/// scoped helpers claim blocks from one shared counter, classifying each
+/// with [`parse_bytes`] and keeping only the borrowed view of each event.
+/// The calling thread also converts: in block order, it makes each
+/// block's owned [`SyslogMessage`]s and sums its stats with
+/// [`ParseStats::add`], then drops the block's borrowed list. Between
+/// blocks it converts the next one if it is classified, and otherwise
+/// classifies an unclaimed block itself rather than wait; once none is
+/// left to claim, it joins the helpers and converts the rest.
+///
+/// Owned strings are thus allocated by the calling thread only: made on
+/// the helpers, they raised peak memory on every benchmark workload
+/// measured, by up to 9 MB (PERFORMANCE.md, "The archive pass on both
+/// CPUs"). For the same reason the output grows by exactly each block's
+/// events, and is returned with no spare capacity.
 pub fn parse_chunked<L: AsRef<[u8]> + Sync>(
     lines: &[L],
-    chunks: usize,
+    threads: usize,
 ) -> (Vec<SyslogMessage>, ParseStats) {
-    let chunks = chunks.min(lines.len() / MIN_CHUNK_LINES).max(1);
-    let mut parts = lines.chunks(lines.len().div_ceil(chunks).max(1));
-    let first = parts.next().unwrap_or_default();
-    let parsed: Vec<_> = std::thread::scope(|s| {
-        let rest: Vec<_> = parts.map(|part| s.spawn(move || classify(part))).collect();
-        let first = classify(first);
-        let rest = rest.into_iter().map(|h| h.join().expect("a parse thread"));
-        std::iter::once(first).chain(rest).collect()
-    });
-    let mut events = Vec::with_capacity(parsed.iter().map(|(found, _)| found.len()).sum());
+    let helpers = threads.min(lines.len() / MIN_CHUNK_LINES).max(1) - 1;
+    let blocks: Vec<&[L]> = lines.chunks(MIN_CHUNK_LINES).collect();
+    let finished: Vec<Mutex<Option<Classified<'_>>>> =
+        blocks.iter().map(|_| Mutex::new(None)).collect();
+    let claimed = AtomicUsize::new(0);
+    let claim = || {
+        // Relaxed: the counter only hands out indices; a block's result
+        // is published through its mutex.
+        let at = claimed.fetch_add(1, Ordering::Relaxed);
+        blocks.get(at).map(|block| (at, classify(block)))
+    };
+    let put = |at: usize, block| *finished[at].lock() = Some(block);
+    let take = |at: usize| finished[at].lock().take();
+
+    let mut events = Vec::new();
     let mut stats = ParseStats::default();
-    for (found, part) in &parsed {
+    let mut convert = |(found, part): Classified<'_>| {
+        events.reserve_exact(found.len());
         events.extend(found.iter().map(SyslogMessageRef::to_owned));
-        stats.add(part);
+        stats.add(&part);
+    };
+    let mut next = 0;
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| {
+                while let Some((at, block)) = claim() {
+                    put(at, block);
+                }
+            });
+        }
+        while next < blocks.len() {
+            if let Some(block) = take(next) {
+                convert(block);
+                next += 1;
+            } else if let Some((at, block)) = claim() {
+                put(at, block);
+            } else {
+                break;
+            }
+        }
+    });
+    for at in next..blocks.len() {
+        convert(take(at).expect("every block is classified once the helpers are joined"));
     }
     (events, stats)
 }
 
-/// One chunk's pass: each line's outcome counted, each event's borrowed
+/// One block's pass: each line's outcome counted, each event's borrowed
 /// view kept.
-fn classify<L: AsRef<[u8]>>(chunk: &[L]) -> (Vec<SyslogMessageRef<'_>>, ParseStats) {
+fn classify<L: AsRef<[u8]>>(block: &[L]) -> Classified<'_> {
     let mut stats = ParseStats::default();
     let mut found = Vec::new();
-    for line in chunk {
+    for line in block {
         let outcome = parse_bytes(line.as_ref());
         stats.note_ref(&outcome);
         if let ParseOutcomeRef::Event(m) = outcome {

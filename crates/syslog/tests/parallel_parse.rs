@@ -1,18 +1,23 @@
-//! The chunked parallel parse is the serial parse.
+//! The block-shared parallel parse is the serial parse.
 //!
-//! [`parse_chunked`] classifies contiguous chunks of an archive on
-//! threads of their own and makes every owned event on the calling
-//! thread, in chunk order; [`parse_records`] runs it with one chunk per
-//! CPU and then sorts by `(time, host, seq)`. Both must give exactly
-//! what the serial [`parse_archive_stats_bytes`] pass gives — the same
-//! events, in the same order, ties included, with the same balanced
-//! stats — however the archive is cut.
+//! [`parse_chunked`] cuts an archive into blocks of [`MIN_CHUNK_LINES`]
+//! that the calling thread and its helpers claim from one counter, and
+//! makes every owned event on the calling thread, in block order;
+//! [`parse_records`] runs it with one thread per CPU and then sorts by
+//! `(time, host, seq)`. Both must give exactly what the serial
+//! [`parse_archive_stats_bytes`] pass gives — the same events, in the
+//! same order, ties included, with the same balanced stats — however
+//! many threads share the blocks and wherever the archive ends.
 //!
-//! The archive spans several chunks of [`MIN_CHUNK_LINES`] and mixes
-//! every kind of line a collector sees: studied events of all four
-//! families, irrelevant mnemonics, malformed lines (truncated, garbage,
-//! bad fields), lines that are not UTF-8, and duplicated deliveries whose
-//! `(time, host, seq)` ties only arrival order breaks.
+//! The archive spans more than five blocks and mixes every kind of line
+//! a collector sees: studied events of all four families, irrelevant
+//! mnemonics, malformed lines (truncated, garbage, bad fields), lines
+//! that are not UTF-8, and duplicated deliveries whose `(time, host,
+//! seq)` ties only arrival order breaks.
+//!
+//! A counting allocator (per thread, like `alloc_contract.rs`) holds the
+//! memory rule: the owned strings are made on the calling thread, and
+//! the result carries no spare capacity.
 
 use faultline_syslog::collector::{parse_chunked, parse_records, LogRecord, MIN_CHUNK_LINES};
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
@@ -20,6 +25,13 @@ use faultline_syslog::parse::parse_archive_stats_bytes;
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, CountingAlloc};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A small deterministic generator (xorshift64*), so the archive is the
 /// same on every run.
@@ -112,31 +124,92 @@ fn archive() -> Vec<(u64, Vec<u8>)> {
     lines
 }
 
+/// The archive's lines, borrowed.
+fn lines(archive: &[(u64, Vec<u8>)]) -> Vec<&[u8]> {
+    archive.iter().map(|(_, line)| line.as_slice()).collect()
+}
+
 #[test]
-fn every_chunking_is_the_serial_pass() {
+fn every_thread_count_and_archive_length_is_the_serial_pass() {
+    const B: usize = MIN_CHUNK_LINES;
     let archive = archive();
-    let lines: Vec<&[u8]> = archive.iter().map(|(_, line)| line.as_slice()).collect();
-    assert!(
-        lines.len() >= 3 * MIN_CHUNK_LINES,
-        "the archive spans three chunks"
-    );
+    let lines = lines(&archive);
+    assert!(lines.len() >= 5 * B + 17, "the archive spans six blocks");
     assert!(lines.iter().any(|l| std::str::from_utf8(l).is_err()));
     let (events, stats) = parse_archive_stats_bytes(lines.iter().copied());
     assert!(stats.is_balanced());
     assert!(stats.events > 0 && stats.irrelevant > 0 && stats.malformed > 0);
-    for chunks in [0, 1, 2, 3, 4, 5, 7, 64] {
-        let (got, got_stats) = parse_chunked(&lines, chunks);
-        assert_eq!(got_stats, stats, "{chunks} chunks: stats");
-        assert!(
-            got == events,
-            "{chunks} chunks: events differ from the serial pass"
-        );
+    for len in [0, 1, B - 1, B, B + 1, 2 * B, 5 * B + 17, lines.len()] {
+        let short = &lines[..len];
+        let (expected, expected_stats) = parse_archive_stats_bytes(short.iter().copied());
+        for threads in [1, 2, 3, 8] {
+            let (got, got_stats) = parse_chunked(short, threads);
+            assert_eq!(
+                got_stats, expected_stats,
+                "{len} lines, {threads} threads: stats"
+            );
+            assert!(
+                got == expected,
+                "{len} lines, {threads} threads: events differ from the serial pass"
+            );
+        }
     }
-    // Below two chunks' worth of lines there is one chunk, however many
-    // are asked for.
-    let short = &lines[..2 * MIN_CHUNK_LINES - 1];
-    let (events, stats) = parse_archive_stats_bytes(short.iter().copied());
-    assert_eq!(parse_chunked(short, 8), (events, stats));
+    // No thread count is too few or too many.
+    for threads in [0, 64] {
+        assert!(parse_chunked(&lines, threads) == (events.clone(), stats));
+    }
+}
+
+/// The owned strings of a parsed event: host and interface, plus the
+/// neighbor of an adjacency change, one `Arc<str>` each.
+fn strings(m: &SyslogMessage) -> u64 {
+    match m.event.kind {
+        LinkEventKind::IsisAdjacency { .. } => 3,
+        LinkEventKind::Link | LinkEventKind::LineProtocol => 2,
+    }
+}
+
+#[test]
+fn the_calling_thread_makes_every_owned_string_and_no_spare_capacity() {
+    let archive = archive();
+    let lines = lines(&archive);
+    let (expected, _) = parse_archive_stats_bytes(lines.iter().copied());
+    let owned: u64 = expected.iter().map(strings).sum();
+    let blocks = lines.len().div_ceil(MIN_CHUNK_LINES) as u64;
+    assert!(blocks >= 6);
+    // On one thread, the calling thread allocates everything: the owned
+    // strings, plus per block a handful of steps growing its borrowed
+    // list and one `reserve_exact` of the result.
+    let (alone, (events, _)) = allocations(|| parse_chunked(&lines, 1));
+    assert!(events == expected);
+    assert_eq!(
+        events.capacity(),
+        events.len(),
+        "one thread: spare capacity"
+    );
+    assert!(
+        (owned..=owned + 16 * blocks).contains(&alone),
+        "one thread: {alone} allocations for {owned} owned strings"
+    );
+    // With helpers, it still makes every owned string — a string made on
+    // a helper would take the count below `owned` — and only what
+    // starting the helpers costs is added.
+    for threads in [2, 3, 8] {
+        for _ in 0..5 {
+            let (shared, (events, _)) = allocations(|| parse_chunked(&lines, threads));
+            assert!(events == expected);
+            assert_eq!(
+                events.capacity(),
+                events.len(),
+                "{threads} threads: spare capacity"
+            );
+            assert!(
+                (owned..=alone + 32 * threads as u64).contains(&shared),
+                "{threads} threads: {shared} allocations on the calling thread, \
+                 {owned} owned strings, {alone} on one thread"
+            );
+        }
+    }
 }
 
 #[test]

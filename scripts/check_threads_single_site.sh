@@ -9,7 +9,7 @@
 #     transport spawns each worker on the scope it is handed);
 #   - recovery.rs spawns the snapshot writer.
 # In crates/syslog, only collector.rs starts threads: `parse_chunked`
-# classifies an archive's chunks on scoped threads.
+# shares an archive's blocks with scoped helper threads.
 # This script fails the moment `thread::scope` or `thread::spawn`
 # appears in any other file of crates/core/src or crates/syslog/src
 # (comment lines are skipped, test modules are not).
