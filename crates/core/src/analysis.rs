@@ -18,9 +18,7 @@ use crate::isolation::{self, IsolationComparison, IsolationOutcome};
 use crate::kernel::StreamOutput;
 use crate::ks::{ks_two_sample, KsResult};
 use crate::linktable::{LinkIx, LinkTable, Naming};
-use crate::matching::{
-    match_fraction, match_transitions_to_messages, FailureMatching, TransitionMatchCounts,
-};
+use crate::matching::{match_fraction, match_transitions_to_messages, TransitionMatchCounts};
 use crate::observe::PipelineReport;
 use crate::reconstruct::{AmbiguityStrategy, Failure};
 use crate::stats::{metric_samples, Ecdf, MetricSamples, Summary};
@@ -364,14 +362,6 @@ impl<'a> Analysis<'a> {
             unmatched_down_in_flap_pct: pct(unmatched_down_in_flap, unmatched_down),
             unmatched_up_in_flap_pct: pct(unmatched_up_in_flap, unmatched_up),
         }
-    }
-
-    /// Failure matching between the sanitized sets (syslog on the left).
-    /// Computed once by [`Analysis::run`]; this returns a copy for
-    /// callers that want to own it — read `analysis.output.matching` to
-    /// borrow instead.
-    pub fn failure_matching(&self) -> FailureMatching {
-        self.output.matching.clone()
     }
 
     /// Table 4: failure counts and downtime hours after sanitization.
@@ -1167,7 +1157,7 @@ mod tests {
                 ..AnalysisConfig::default()
             };
             let a = Analysis::new(&data, config);
-            let matched = a.failure_matching().matched.len();
+            let matched = a.output.matching.matched.len();
             assert!(matched >= prev, "window {secs}s matched {matched} < {prev}");
             prev = matched;
         }

@@ -95,7 +95,7 @@ mod tests {
                 );
             }
         }
-        lane.finish(&ctx);
+        lane.finish(&ctx, &mut Vec::new());
         let secs = |f: &Failure| (f.start.as_secs(), f.end.as_secs());
         (
             lane.outbox.san_syslog.iter().map(secs).collect(),

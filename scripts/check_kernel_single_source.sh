@@ -65,8 +65,28 @@ for sym in "${machines[@]}"; do
     fi
 done
 
+# 3. Matching has one rule. A closed segment holds one link, so the
+#    kernel matches it with `match_link`, never the multi-link
+#    `match_failures`; and the greedy-nearest choice (the unused
+#    candidate of lowest score, ties to the lowest index) is written
+#    once, in `matching::nearest`, which every matcher calls. A second
+#    hand-written loop shows as a second lowest-score update.
+MATCHING=crates/core/src/matching.rs
+if hits=$(grep -n 'match_failures' "$KERNEL") && [ -n "$hits" ]; then
+    echo "TRIPWIRE: $KERNEL calls match_failures; a segment is one link, match it with match_link:" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+lowest=$(grep -n -E 'best = Some\(|\bmin_by(_key)?\(' "$MATCHING" || true)
+if [ "$(printf '%s' "$lowest" | grep -c .)" -ne 1 ] \
+    || ! sed -n '/^fn nearest</,/^}/p' "$MATCHING" | grep -q 'best = Some('; then
+    echo "TRIPWIRE: $MATCHING must hold exactly one lowest-score comparison, the one in fn nearest:" >&2
+    echo "${lowest:-(none)}" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "kernel single-source check FAILED — pipeline semantics must live only in $KERNEL" >&2
     exit 1
 fi
-echo "kernel single-source check passed: state machines exist only in $KERNEL ✓"
+echo "kernel single-source check passed: state machines exist only in $KERNEL, one matching rule in $MATCHING ✓"

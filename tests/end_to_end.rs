@@ -14,7 +14,7 @@ use faultline_topology::link::LinkClass;
 fn lossless_differential_baseline() {
     let data = run(&ScenarioParams::tiny(101).lossless());
     let a = Analysis::new(&data, AnalysisConfig::default());
-    let matching = a.failure_matching();
+    let matching = &a.output.matching;
     let isis_n = a.output.isis_failures.len();
     let matched = matching.matched.len();
     assert!(
