@@ -4,7 +4,7 @@
 //! seconds, not hours.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use faultline_core::{Analysis, AnalysisConfig, ParallelismConfig};
+use faultline_core::{Analysis, AnalysisConfig};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_topology::config::{mine, render_archive};
 use faultline_topology::generator::CenicParams;
@@ -35,38 +35,19 @@ fn bench_scenario(c: &mut Criterion) {
     g.finish();
 }
 
-fn serial_config() -> AnalysisConfig {
-    AnalysisConfig {
-        parallelism: ParallelismConfig::SERIAL,
-        ..AnalysisConfig::default()
-    }
-}
-
 fn bench_analysis(c: &mut Criterion) {
     let data = run(&ScenarioParams::default());
 
     // One-shot per-stage timings (the Criterion numbers below aggregate
     // the whole pipeline; these break it down).
-    for (label, config) in [
-        ("serial (threads=1)", serial_config()),
-        ("parallel (threads=auto)", AnalysisConfig::default()),
-    ] {
-        let a = Analysis::run(&data, config);
-        eprintln!("pipeline stages, {label}:\n{}", a.report);
-    }
+    let a = Analysis::run(&data, AnalysisConfig::default());
+    eprintln!("pipeline stages:\n{}", a.report);
 
     let mut g = c.benchmark_group("analysis");
     g.sample_size(10);
     g.bench_function("full_pipeline_paper_scale", |b| {
         b.iter(|| Analysis::new(black_box(&data), AnalysisConfig::default()))
     });
-    g.bench_function("full_pipeline_serial", |b| {
-        b.iter(|| Analysis::run(black_box(&data), serial_config()))
-    });
-    g.bench_function("full_pipeline_parallel", |b| {
-        b.iter(|| Analysis::run(black_box(&data), AnalysisConfig::default()))
-    });
-    let a = Analysis::new(&data, AnalysisConfig::default());
     g.bench_function("table5_statistics", |b| b.iter(|| a.table5()));
     g.bench_function("table3_transition_matching", |b| b.iter(|| a.table3()));
     g.finish();

@@ -1,14 +1,12 @@
 //! Experiment harness for the faultline reproduction.
 //!
-//! Each paper table/figure has a binary in `src/bin/`; this library holds
-//! the shared scenario setup so every experiment runs against the *same*
+//! The paper's tables and figure are the `tables` binary in `src/bin/`,
+//! beside one binary per further experiment; this library holds the
+//! shared scenario setup so every experiment runs against the *same*
 //! simulated 13-month dataset (seed 42), exactly as the paper computes
 //! every exhibit from one measurement period.
 
-use faultline_core::export::pipeline_report_json;
-use faultline_core::{
-    scenario_event_stream, Analysis, AnalysisConfig, ParallelismConfig, PipelineReport, StreamEvent,
-};
+use faultline_core::{Analysis, AnalysisConfig};
 use faultline_sim::scenario::{run, ScenarioData, ScenarioParams};
 
 /// The canonical paper-scale scenario parameters: CENIC-scale topology,
@@ -37,15 +35,8 @@ pub fn paper_scenario() -> ScenarioData {
 /// configuration, printing the per-stage [`faultline_core::PipelineReport`]
 /// to stderr.
 pub fn analyze(data: &ScenarioData) -> Analysis<'_> {
-    analyze_with(data, AnalysisConfig::default())
-}
-
-/// Run the full analysis pipeline on a scenario with an explicit
-/// configuration (e.g. a specific [`faultline_core::ParallelismConfig`]),
-/// printing the per-stage report to stderr.
-pub fn analyze_with(data: &ScenarioData, config: AnalysisConfig) -> Analysis<'_> {
     let t0 = std::time::Instant::now();
-    let a = Analysis::run(data, config);
+    let a = Analysis::run(data, AnalysisConfig::default());
     eprintln!(
         "analysis: {} syslog failures, {} IS-IS failures in {:.1}s",
         a.output.syslog_failures.len(),
@@ -54,56 +45,6 @@ pub fn analyze_with(data: &ScenarioData, config: AnalysisConfig) -> Analysis<'_>
     );
     eprintln!("{}", a.report);
     a
-}
-
-/// The canonical scenario plus its merged, time-ordered event stream —
-/// the shared workload of every streaming benchmark — with the standard
-/// banner naming its composition.
-pub fn paper_event_workload() -> (ScenarioData, Vec<StreamEvent>) {
-    let data = paper_scenario();
-    let events = scenario_event_stream(&data);
-    println!(
-        "paper scenario: {} syslog + {} isis = {} events",
-        data.syslog.len(),
-        data.transitions.len(),
-        events.len()
-    );
-    (data, events)
-}
-
-/// An [`AnalysisConfig`] with an explicit worker-thread count (`0` =
-/// size to the machine).
-pub fn config_with_threads(threads: usize) -> AnalysisConfig {
-    AnalysisConfig {
-        parallelism: ParallelismConfig {
-            threads,
-            ..ParallelismConfig::default()
-        },
-        ..AnalysisConfig::default()
-    }
-}
-
-/// A [`PipelineReport`] rendered to a labelled JSON object, ready for a
-/// `BENCH_*.json` `runs` array. Callers attach experiment-specific
-/// fields (streaming counters, chaos outcomes, headlines) on top.
-pub fn labeled_report_json(label: &str, report: &PipelineReport) -> serde_json::Value {
-    let mut buf = Vec::new();
-    pipeline_report_json(&mut buf, report).expect("in-memory write");
-    let mut v: serde_json::Value = serde_json::from_slice(&buf).expect("report is valid JSON");
-    v["label"] = serde_json::Value::String(label.to_string());
-    v
-}
-
-/// Write one finished benchmark document to its `results/BENCH_*.json`
-/// path, reporting (not panicking on) a missing `results/` directory.
-pub fn write_bench_json(path: &str, doc: &serde_json::Value) {
-    match std::fs::File::create(path) {
-        Ok(f) => {
-            serde_json::to_writer_pretty(f, doc).expect("serialize BENCH json");
-            println!("wrote {path}");
-        }
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
 }
 
 /// Render a simple ASCII CDF plot of one or two series.

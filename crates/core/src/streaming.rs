@@ -525,9 +525,9 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Advance a restored engine by one delta: replace the dirtied
     /// lanes, append the log tail, take the delta's tallies and rebuild
-    /// what is not stored ([`Kernel::rebuild`]). The engine must be
+    /// what is not stored (`Kernel::rebuild`). The engine must be
     /// exactly at the delta's parent state and the delta a state some run
-    /// reaches ([`StreamDelta::fault`]): either failure is a typed error
+    /// reaches (`StreamDelta::fault`): either failure is a typed error
     /// (surfaced by [`crate::recovery`] as a corrupt chain), applying
     /// nothing, never a silently wrong restore.
     pub fn apply_delta(&mut self, mut delta: StreamDelta) -> Result<(), String> {
@@ -618,7 +618,7 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Attach migrated lanes to this engine, each dirty, so the next
     /// delta carries it, and rebuild what is not stored
-    /// ([`Kernel::rebuild`]). Fails (typed, applying nothing further) if
+    /// (`Kernel::rebuild`). Fails (typed, applying nothing further) if
     /// a lane arrives for a link past this engine's naming table, or for
     /// one it already has state for — that would silently discard one
     /// side's open state. Returns how many lanes were attached.

@@ -4,59 +4,28 @@
 //! answers that question the only defensible way — by *finding the
 //! breaking point*: offer load at a target rate, check the SLOs
 //! ([`SloConfig`]), raise the rate, and repeat until one breaks. The
-//! last passing rate is the capacity, and `results/BENCH_capacity.json`
-//! is the standing, regression-gated record of it.
+//! last passing rate is the capacity.
 //!
-//! Three ways of offering load, all through `faultline-core`'s
-//! admission layer ([`faultline_core::admission`]):
-//!
-//! - **Closed loop** ([`PaceMode::ClosedLoop`], [`paced_run`]): arrivals
-//!   are paced on the wall clock against a blocking
-//!   ([`OverloadPolicy::Block`]) queue. Nothing is lost; a too-slow sink
-//!   falls behind schedule, and the keep-up ratio (achieved/target)
-//!   breaks the SLO.
-//! - **Open loop** ([`PaceMode::OpenLoop`], [`paced_run`]): arrivals are
-//!   paced on the wall clock against a shedding queue. The sink never
-//!   slows arrival; a too-slow sink sheds, and the shed fraction breaks
-//!   the SLO.
-//! - **Simulated clock** ([`deterministic_capacity`]): arrivals and
-//!   service both run on [`SimSchedule`] ticks, so the breaking point is
-//!   a pure function of the event stream and the schedule —
-//!   machine-independent, which is what lets CI gate the
-//!   `deterministic_breaking_point_offered_per_tick` headline exactly.
-//!
-//! Sinks that cannot be paced incrementally (the sharded cluster, which
-//! consumes its whole substream inside [`faultline_core::run_cluster`])
-//! are measured by *calibration* ([`calibrated_ramp`]): one unthrottled
-//! run measures the service rate, then the ramp replays the admission
-//! queue on a simulated 1 ms tick with that service rate, walking
-//! offered rates until the shed-fraction SLO breaks.
+//! [`deterministic_capacity`] offers the load through `faultline-core`'s
+//! admission layer ([`faultline_core::admission`]) on a simulated clock:
+//! arrivals and service both run on [`SimSchedule`] ticks, so the
+//! breaking point is a pure function of the event stream and the
+//! schedule — machine-independent, which is what lets a test pin it
+//! exactly (`tests/capacity.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faultline_core::admission::{
-    run_overloaded, AdmissionConfig, AdmissionController, Offer, OverloadPolicy, SimSchedule,
-};
-use faultline_core::{
-    shed_survivors, AnalysisConfig, OverloadCounters, PipelineReport, StreamAnalysis, StreamEvent,
-    StreamResult,
-};
+use faultline_core::admission::{run_overloaded, AdmissionConfig, SimSchedule};
+use faultline_core::{AnalysisConfig, StreamEvent};
 use faultline_sim::ScenarioData;
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The service-level objectives a load step must meet to pass. Any
 /// `None` objective is not enforced (but the metric is still recorded).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
-    /// Maximum fraction of offered events shed (open-loop/simulated).
+    /// Maximum fraction of offered events shed.
     pub max_shed_fraction: f64,
-    /// Minimum achieved/target rate ratio (closed-loop keep-up).
-    pub min_keepup_ratio: f64,
-    /// Maximum p99 per-batch ingest latency, microseconds, when the
-    /// sink is driven batch-at-a-time.
-    pub max_p99_batch_micros: Option<f64>,
     /// Maximum watermark lag (arrival frontier minus delivery frontier)
     /// in simulated milliseconds. Generous by default: on an event-time
     /// stream spanning months, even a small queue holds minutes of
@@ -69,13 +38,10 @@ pub struct SloConfig {
 }
 
 impl Default for SloConfig {
-    /// Shed at most 1%, keep up within 5%, latency/lag/memory recorded
-    /// but unenforced.
+    /// Shed at most 1%; lag and memory recorded but unenforced.
     fn default() -> Self {
         SloConfig {
             max_shed_fraction: 0.01,
-            min_keepup_ratio: 0.95,
-            max_p99_batch_micros: None,
             max_watermark_lag_millis: None,
             max_queue_high_water: None,
         }
@@ -83,12 +49,11 @@ impl Default for SloConfig {
 }
 
 /// Everything one load step measured, plus the SLO verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RampStep {
-    /// Target offered rate: events/sec for wall-paced steps,
-    /// events/tick for simulated-clock steps.
+    /// Offered rate, events per simulated tick.
     pub offered_rate: f64,
-    /// Rate actually achieved end-to-end in the same unit.
+    /// Rate that survived admission, in the same unit.
     pub achieved_rate: f64,
     /// Fraction of offered events shed.
     pub shed_fraction: f64,
@@ -96,11 +61,6 @@ pub struct RampStep {
     pub watermark_lag_max_millis: u64,
     /// Admission-queue high water, events.
     pub queue_high_water: u64,
-    /// p50 per-batch ingest latency, microseconds (0 when the sink is
-    /// not driven batch-at-a-time).
-    pub p50_batch_micros: f64,
-    /// p99 per-batch ingest latency, microseconds.
-    pub p99_batch_micros: f64,
     /// Every objective held.
     pub passed: bool,
     /// Which objectives broke, empty when `passed`.
@@ -115,21 +75,6 @@ pub fn judge(slo: &SloConfig, step: &mut RampStep) {
             "shed_fraction {:.4} > {:.4}",
             step.shed_fraction, slo.max_shed_fraction
         ));
-    }
-    if step.offered_rate > 0.0 && step.achieved_rate / step.offered_rate < slo.min_keepup_ratio {
-        v.push(format!(
-            "keepup {:.3} < {:.3}",
-            step.achieved_rate / step.offered_rate,
-            slo.min_keepup_ratio
-        ));
-    }
-    if let Some(max) = slo.max_p99_batch_micros {
-        if step.p99_batch_micros > max {
-            v.push(format!(
-                "p99_batch_micros {:.0} > {max:.0}",
-                step.p99_batch_micros
-            ));
-        }
     }
     if let Some(max) = slo.max_watermark_lag_millis {
         if step.watermark_lag_max_millis > max {
@@ -154,7 +99,7 @@ pub fn judge(slo: &SloConfig, step: &mut RampStep) {
 /// The ramp verdict: every step walked, and the breaking point — the
 /// highest offered rate whose step passed every SLO (`None` when even
 /// the first step failed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RampVerdict {
     /// Steps in ramp order.
     pub steps: Vec<RampStep>,
@@ -179,176 +124,11 @@ impl RampVerdict {
     }
 }
 
-/// p-th percentile (0..=100) of an unsorted sample, 0.0 when empty.
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = (p / 100.0 * (samples.len() - 1) as f64).round() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
-
-/// How wall-paced offering reacts to a full queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PaceMode {
-    /// Shedding queue: arrival never slows, overload sheds.
-    OpenLoop,
-    /// Blocking queue: arrival waits for service, overload lags.
-    ClosedLoop,
-}
-
-/// Outcome of one wall-paced run: the step metrics plus the flushed
-/// result (report carrying the overload ledger).
-pub struct PacedOutcome {
-    /// Step metrics (judged against the caller's SLOs).
-    pub step: RampStep,
-    /// The flushed engine result; `report.overload` is populated.
-    pub result: StreamResult,
-    /// The admission ledger of the run.
-    pub counters: OverloadCounters,
-}
-
-/// Drive the whole event stream into one [`StreamAnalysis`] at
-/// `target_events_per_sec`, paced on the wall clock. Arrivals become
-/// *due* as simulated by `rate × elapsed`; due events are offered to the
-/// admission queue immediately (open loop) or as the blocking queue
-/// permits (closed loop), and the queue drains into the engine in
-/// batches of `drain_quantum`. Every offered event is accounted:
-/// `admitted + shed + quarantined == offered` holds on the returned
-/// counters.
-#[allow(clippy::too_many_arguments)]
-pub fn paced_run(
-    data: &ScenarioData,
-    config: AnalysisConfig,
-    events: &[StreamEvent],
-    target_events_per_sec: f64,
-    mode: PaceMode,
-    queue_capacity: usize,
-    seed: u64,
-    slo: &SloConfig,
-) -> Result<PacedOutcome, faultline_core::AnalysisError> {
-    const DRAIN_QUANTUM: usize = 1_024;
-    let admission = match mode {
-        PaceMode::OpenLoop => AdmissionConfig::shedding(queue_capacity, seed),
-        PaceMode::ClosedLoop => AdmissionConfig {
-            queue_capacity,
-            policy: OverloadPolicy::Block,
-            seed,
-        },
-    };
-    let mut engine = StreamAnalysis::try_new(data, config)?;
-    let mut ctl = AdmissionController::new(admission);
-    let mut batch: Vec<StreamEvent> = Vec::with_capacity(DRAIN_QUANTUM);
-    let mut latencies: Vec<f64> = Vec::new();
-    let rate = target_events_per_sec.max(1.0);
-    let t0 = Instant::now();
-    let mut next = 0usize;
-    loop {
-        let due = ((t0.elapsed().as_secs_f64() * rate) as usize).min(events.len());
-        while next < due {
-            match ctl.offer(events[next].clone()) {
-                Offer::Enqueued | Offer::Shed => next += 1,
-                // Closed loop: service must catch up before arrival may
-                // continue — fall through to the drain below.
-                Offer::Blocked(_) => break,
-            }
-        }
-        batch.clear();
-        ctl.drain(DRAIN_QUANTUM, &mut batch);
-        if !batch.is_empty() {
-            let t = Instant::now();
-            let summary = engine.ingest_batch(&batch);
-            latencies.push(t.elapsed().as_secs_f64() * 1e6);
-            ctl.note_engine(&summary);
-        }
-        if let Some(frontier) = ctl.offered_frontier() {
-            engine.note_arrival_frontier(frontier);
-        }
-        if next >= events.len() && ctl.queued() == 0 {
-            break;
-        }
-        if next >= due && ctl.queued() == 0 {
-            // Ahead of schedule: the next arrival is in the future.
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let counters = ctl.counters();
-    debug_assert!(counters.conserved(), "paced ledger must balance");
-    let mut result = engine.flush();
-    result.report.overload = Some(counters);
-    let achieved = if wall > 0.0 {
-        events.len() as f64 / wall
-    } else {
-        0.0
-    };
-    let mut step = RampStep {
-        offered_rate: rate,
-        achieved_rate: achieved,
-        shed_fraction: counters.shed_fraction(),
-        watermark_lag_max_millis: counters.watermark_lag_max_millis,
-        queue_high_water: counters.queue_high_water,
-        p50_batch_micros: percentile(&mut latencies.clone(), 50.0),
-        p99_batch_micros: percentile(&mut latencies, 99.0),
-        passed: false,
-        violations: Vec::new(),
-    };
-    judge(slo, &mut step);
-    Ok(PacedOutcome {
-        step,
-        result,
-        counters,
-    })
-}
-
-/// Wall-paced ramp over one sink: walk `rates` (events/sec, ascending)
-/// through [`paced_run`], stopping after the first failing step.
-#[allow(clippy::too_many_arguments)]
-pub fn paced_ramp(
-    data: &ScenarioData,
-    config: AnalysisConfig,
-    events: &[StreamEvent],
-    rates: &[f64],
-    mode: PaceMode,
-    queue_capacity: usize,
-    seed: u64,
-    slo: &SloConfig,
-) -> Result<RampVerdict, faultline_core::AnalysisError> {
-    let mut steps = Vec::new();
-    for &rate in rates {
-        let outcome = paced_run(
-            data,
-            config.clone(),
-            events,
-            rate,
-            mode,
-            queue_capacity,
-            seed,
-            slo,
-        )?;
-        let failed = !outcome.step.passed;
-        eprintln!(
-            "  paced {:?} @ {:.0}/s: achieved {:.0}/s, shed {:.4}, {}",
-            mode,
-            rate,
-            outcome.step.achieved_rate,
-            outcome.step.shed_fraction,
-            if failed { "FAIL" } else { "pass" }
-        );
-        steps.push(outcome.step);
-        if failed {
-            break;
-        }
-    }
-    Ok(RampVerdict::from_steps(steps))
-}
-
 /// Simulated-clock capacity: with the service rate pinned at
 /// `drained_per_tick`, walk `offered_per_tick` upward (whole engine run
-/// per step, via [`run_overloaded`]) until the shed-fraction SLO breaks.
-/// No wall clock is consulted anywhere, so the returned breaking point
-/// is identical on every machine — the CI-gated headline.
+/// per step, via [`run_overloaded`]) until an SLO breaks. No wall clock
+/// is consulted anywhere, so the returned breaking point is identical
+/// on every machine.
 pub fn deterministic_capacity(
     data: &ScenarioData,
     events: &[StreamEvent],
@@ -378,25 +158,11 @@ pub fn deterministic_capacity(
             shed_fraction: counters.shed_fraction(),
             watermark_lag_max_millis: counters.watermark_lag_max_millis,
             queue_high_water: counters.queue_high_water,
-            p50_batch_micros: 0.0,
-            p99_batch_micros: 0.0,
             passed: false,
             violations: Vec::new(),
         };
-        // Wall-clock objectives do not exist on the simulated clock.
-        let sim_slo = SloConfig {
-            min_keepup_ratio: 0.0,
-            max_p99_batch_micros: None,
-            ..*slo
-        };
-        judge(&sim_slo, &mut step);
+        judge(slo, &mut step);
         let failed = !step.passed;
-        eprintln!(
-            "  sim-clock {offered}/{d} per tick: shed {:.4}, lag {} ms, {}",
-            step.shed_fraction,
-            step.watermark_lag_max_millis,
-            if failed { "FAIL" } else { "pass" }
-        );
         steps.push(step);
         if failed {
             break;
@@ -406,186 +172,35 @@ pub fn deterministic_capacity(
     Ok(RampVerdict::from_steps(steps))
 }
 
-/// Calibrated capacity for sinks that cannot be paced incrementally:
-/// `service_events_per_sec` comes from one unthrottled measured run;
-/// the ramp then replays the admission queue alone on a simulated 1 ms
-/// tick at that service rate, walking offered rates across
-/// `fractions × service rate` until the shed-fraction SLO breaks.
-pub fn calibrated_ramp(
-    events: &[StreamEvent],
-    service_events_per_sec: f64,
-    fractions: &[f64],
-    queue_capacity: usize,
-    seed: u64,
-    slo: &SloConfig,
-) -> RampVerdict {
-    let drained_per_tick = ((service_events_per_sec / 1_000.0).round() as usize).max(1);
-    let mut steps = Vec::new();
-    for &f in fractions {
-        let offered_rate = service_events_per_sec * f;
-        let offered_per_tick = ((offered_rate / 1_000.0).round() as usize).max(1);
-        let schedule = SimSchedule::new(offered_per_tick, drained_per_tick);
-        let (survivors, counters) = shed_survivors(
-            events,
-            &AdmissionConfig::shedding(queue_capacity, seed),
-            schedule,
-        );
-        let mut step = RampStep {
-            offered_rate,
-            achieved_rate: offered_rate * (survivors.len() as f64 / events.len().max(1) as f64),
-            shed_fraction: counters.shed_fraction(),
-            watermark_lag_max_millis: counters.watermark_lag_max_millis,
-            queue_high_water: counters.queue_high_water,
-            p50_batch_micros: 0.0,
-            p99_batch_micros: 0.0,
-            passed: false,
-            violations: Vec::new(),
-        };
-        let sim_slo = SloConfig {
-            min_keepup_ratio: 0.0,
-            max_p99_batch_micros: None,
-            ..*slo
-        };
-        judge(&sim_slo, &mut step);
-        let failed = !step.passed;
-        eprintln!(
-            "  calibrated {:.2}x ({:.0}/s vs {:.0}/s service): shed {:.4}, {}",
-            f,
-            offered_rate,
-            service_events_per_sec,
-            step.shed_fraction,
-            if failed { "FAIL" } else { "pass" }
-        );
-        steps.push(step);
-        if failed {
-            break;
-        }
-    }
-    RampVerdict::from_steps(steps)
-}
-
-/// Relative drift of a degraded metric against the unshedded answer
-/// (0.0 when the clean value is 0).
-pub fn drift(degraded: f64, clean: f64) -> f64 {
-    if clean == 0.0 {
-        0.0
-    } else {
-        (degraded - clean).abs() / clean
-    }
-}
-
-/// The degraded-vs-clean comparison for one shed-mode run: how far the
-/// answer moved, per source — measured, not guessed, exactly like the
-/// chaos drift bands.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DriftReport {
-    /// Relative drift of the syslog failure count.
-    pub syslog_failure_count: f64,
-    /// Relative drift of the IS-IS failure count.
-    pub isis_failure_count: f64,
-    /// Relative drift of total syslog downtime.
-    pub syslog_downtime: f64,
-    /// Relative drift of total IS-IS downtime.
-    pub isis_downtime: f64,
-}
-
-/// Measure a degraded run's output drift against the unshedded answer.
-pub fn measure_drift(
-    degraded: &faultline_core::streaming::StreamOutput,
-    clean: &faultline_core::streaming::StreamOutput,
-) -> DriftReport {
-    let downtime = |fs: &[faultline_core::Failure]| -> f64 {
-        fs.iter().map(|f| f.duration().as_millis() as f64).sum()
-    };
-    DriftReport {
-        syslog_failure_count: drift(
-            degraded.syslog_failures.len() as f64,
-            clean.syslog_failures.len() as f64,
-        ),
-        isis_failure_count: drift(
-            degraded.isis_failures.len() as f64,
-            clean.isis_failures.len() as f64,
-        ),
-        syslog_downtime: drift(
-            downtime(&degraded.syslog_failures),
-            downtime(&clean.syslog_failures),
-        ),
-        isis_downtime: drift(
-            downtime(&degraded.isis_failures),
-            downtime(&clean.isis_failures),
-        ),
-    }
-}
-
-/// Any serializable value as a JSON tree — the shim that lets the
-/// (vendored, literal-only) `json!` macro embed structs.
-pub fn jv<T: serde::Serialize + ?Sized>(value: &T) -> serde_json::Value {
-    serde_json::to_value(value).expect("value serializes")
-}
-
-/// A [`RampVerdict`] rendered for a `BENCH_capacity.json` `runs` entry.
-pub fn verdict_json(label: &str, verdict: &RampVerdict) -> serde_json::Value {
-    serde_json::json!({
-        "label": label,
-        "breaking_point": (jv(&verdict.breaking_point)),
-        "steps": (jv(&verdict.steps)),
-    })
-}
-
-/// Report → JSON value (the loadgen runs attach reports under their
-/// run entries so SLO checks and humans read the same numbers).
-pub fn report_json(report: &PipelineReport) -> serde_json::Value {
-    serde_json::to_value(report).expect("report serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentile_picks_order_statistics() {
-        let mut xs = vec![5.0, 1.0, 9.0, 3.0, 7.0];
-        assert_eq!(percentile(&mut xs, 50.0), 5.0);
-        assert_eq!(percentile(&mut xs, 0.0), 1.0);
-        assert_eq!(percentile(&mut xs, 100.0), 9.0);
-        assert_eq!(percentile(&mut [], 99.0), 0.0);
+    fn step(rate: f64, shed: f64, lag: u64, high_water: u64) -> RampStep {
+        RampStep {
+            offered_rate: rate,
+            achieved_rate: rate * (1.0 - shed),
+            shed_fraction: shed,
+            watermark_lag_max_millis: lag,
+            queue_high_water: high_water,
+            passed: false,
+            violations: vec!["stale".into()],
+        }
     }
 
     #[test]
     fn judge_flags_each_objective() {
         let slo = SloConfig {
             max_shed_fraction: 0.01,
-            min_keepup_ratio: 0.95,
-            max_p99_batch_micros: Some(100.0),
             max_watermark_lag_millis: Some(10),
             max_queue_high_water: Some(64),
         };
-        let mut step = RampStep {
-            offered_rate: 100.0,
-            achieved_rate: 50.0,
-            shed_fraction: 0.5,
-            watermark_lag_max_millis: 100,
-            queue_high_water: 128,
-            p50_batch_micros: 10.0,
-            p99_batch_micros: 500.0,
-            passed: true,
-            violations: Vec::new(),
-        };
-        judge(&slo, &mut step);
-        assert!(!step.passed);
-        assert_eq!(step.violations.len(), 5, "{:?}", step.violations);
+        let mut bad = step(100.0, 0.5, 100, 128);
+        judge(&slo, &mut bad);
+        assert!(!bad.passed);
+        assert_eq!(bad.violations.len(), 3, "{:?}", bad.violations);
 
-        let mut good = RampStep {
-            offered_rate: 100.0,
-            achieved_rate: 99.0,
-            shed_fraction: 0.0,
-            watermark_lag_max_millis: 5,
-            queue_high_water: 32,
-            p50_batch_micros: 10.0,
-            p99_batch_micros: 50.0,
-            passed: false,
-            violations: vec!["stale".into()],
-        };
+        let mut good = step(100.0, 0.0, 5, 32);
         judge(&slo, &mut good);
         assert!(good.passed);
         assert!(good.violations.is_empty());
@@ -593,28 +208,17 @@ mod tests {
 
     #[test]
     fn verdict_takes_the_highest_passing_rate() {
-        let step = |rate: f64, passed: bool| RampStep {
-            offered_rate: rate,
-            achieved_rate: rate,
-            shed_fraction: 0.0,
-            watermark_lag_max_millis: 0,
-            queue_high_water: 0,
-            p50_batch_micros: 0.0,
-            p99_batch_micros: 0.0,
+        let judged = |rate: f64, passed: bool| RampStep {
             passed,
-            violations: Vec::new(),
+            ..step(rate, 0.0, 0, 0)
         };
-        let v =
-            RampVerdict::from_steps(vec![step(10.0, true), step(20.0, true), step(30.0, false)]);
+        let v = RampVerdict::from_steps(vec![
+            judged(10.0, true),
+            judged(20.0, true),
+            judged(30.0, false),
+        ]);
         assert_eq!(v.breaking_point, Some(20.0));
-        let none = RampVerdict::from_steps(vec![step(10.0, false)]);
+        let none = RampVerdict::from_steps(vec![judged(10.0, false)]);
         assert_eq!(none.breaking_point, None);
-    }
-
-    #[test]
-    fn drift_is_relative_and_zero_safe() {
-        assert_eq!(drift(10.0, 0.0), 0.0);
-        assert!((drift(75.0, 100.0) - 0.25).abs() < 1e-12);
-        assert!((drift(125.0, 100.0) - 0.25).abs() < 1e-12);
     }
 }

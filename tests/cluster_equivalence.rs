@@ -70,6 +70,23 @@ fn shard_grid_is_byte_identical_to_batch() {
     }
 }
 
+/// A wide topology — ten times the paper's links over one day, many
+/// shallow lanes — gives the partitioner a real keyspace to spread: the
+/// merged answer at 2 and 7 shards is still byte-identical to batch.
+#[test]
+fn wide_topology_is_byte_identical_to_batch() {
+    let config = AnalysisConfig::default();
+    let data = run(&ScenarioParams::sized(42, 10.0, 1.0));
+    let expected = batch_json(&data, &config);
+    for shards in [2u32, 7] {
+        assert_eq!(
+            expected,
+            cluster_json(&data, &config, shards, 256),
+            "wide topology: cluster at {shards} shards diverged from batch"
+        );
+    }
+}
+
 /// Quarantine horizons interact with the cluster exactly as with one
 /// process: the admission decision is per-item and rides with the event
 /// to whichever shard receives it.
