@@ -40,7 +40,7 @@
 //! ([`SimSchedule`]): per tick, up to `offered_per_tick` events arrive
 //! and up to `drained_per_tick` are served. Breaking points found this
 //! way are machine-independent, which is what lets CI gate the capacity
-//! headline (see `crates/loadgen`).
+//! headline (see `tests/capacity.rs`).
 
 use crate::analysis::AnalysisConfig;
 use crate::cluster::{run_cluster, ClusterConfig, ClusterResult};

@@ -24,14 +24,12 @@
 //! ```
 //!
 //! What kind of run it is — where the workers live, whether they are
-//! durable, whether the cluster grows mid-stream — is three *values* of
-//! [`ClusterConfig`], not three functions:
+//! durable — is two *values* of [`ClusterConfig`], not two functions:
 //!
 //! | field | value | what changes |
 //! |---|---|---|
 //! | [`ClusterConfig::workers`] | [`Workers::InProcess`] (default) / [`Workers::Subprocess`] | scoped threads behind bounded channels, or `faultline-shard-worker` processes over hashed stdio frames |
 //! | [`ClusterConfig::durability`] | `None` / `Some(`[`ClusterDurability`]`)` | every worker journals under its own `shard-{i}/`; a lost worker is respawned and recovered instead of failing the run |
-//! | [`ClusterConfig::reshard_at`] | `None` / `Some(event index)` | the cluster grows N → N+1 at that event boundary, migrating exactly the lanes jump-hash reassigns |
 //!
 //! Every combination goes through the same dispatcher loop and comes
 //! back as the same [`ClusterResult`] under the same [`TransportError`].
@@ -61,8 +59,7 @@
 //!   lanes finalize. Counters are summed; records are concatenated in
 //!   index order into one answer log and sorted once by the kernel's own
 //!   `StreamOutput::assemble`, which equals a k-way merge with ties
-//!   to the lowest index (a tie spans shards only for a link a reshard
-//!   moved, whose earlier records sit on the lower index).
+//!   to the lowest index.
 //!   `tests/cluster_equivalence.rs` and `tests/cluster_process.rs` assert
 //!   the merged JSON is byte-identical to
 //!   [`crate::analysis::Analysis::run`] for every tested shard count, seed
@@ -80,21 +77,6 @@
 //!   answer is still byte-identical; healthy shards never restart
 //!   (`tests/cluster_recovery.rs`, `tests/cluster_process.rs`). Without
 //!   durability any worker loss is the run's error.
-//! - **Live resharding.** With [`ClusterConfig::reshard_at`] set,
-//!   dispatch pauses at that event boundary, the lanes of exactly the
-//!   links jump-hash reassigns are detached from their old workers
-//!   ([`crate::transport::ShardMsg::ExportLanes`]), shipped as
-//!   serialized lane snapshots
-//!   ([`crate::transport::ShardMsg::LaneMigrate`]), attached by the new
-//!   worker, and dispatch resumes at N+1 routing. A lane is the link's
-//!   whole open state, so it continues on the new worker exactly where
-//!   it stopped. What the link had finalized stays in the old worker's
-//!   answer log; the merge's one stable sort keeps those records first,
-//!   as they are earlier and their worker's index lower. The merged output
-//!   is byte-identical to a from-scratch N+1 run
-//!   (`tests/cluster_reshard.rs`). Durable workers refuse lane
-//!   migration, so combining the two is a typed
-//!   [`TransportError::WorkerReported`].
 
 use crate::analysis::{self, AnalysisConfig};
 use crate::error::TransportError;
@@ -103,14 +85,13 @@ use crate::kernel::{self, AnswerLog, LaneRow};
 use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::observe::{self, DurabilityCounters, PipelineReport, ShardCounters, TransportCounters};
 use crate::recovery::{DurabilityPolicy, RecoveryReport};
-use crate::streaming::{LaneMigration, StreamAnalysis, StreamEvent, StreamOutput, StreamResult};
+use crate::streaming::{StreamAnalysis, StreamEvent, StreamOutput, StreamResult};
 use crate::transport::{
     DurableSpec, InProcessTransport, ReadyMsg, ScenarioSpec, ShardMsg, ShardTransport,
     SubprocessTransport, WorkerSpec,
 };
 use faultline_sim::chaos::ShardKill;
 use faultline_sim::ScenarioData;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -213,13 +194,13 @@ pub fn merge_outputs(outputs: Vec<StreamOutput>) -> StreamOutput {
             Some(log) => log.append(&mut AnswerLog::from(out)),
         }
     }
-    StreamOutput::assemble(log.unwrap_or_default(), sums, false)
+    StreamOutput::assemble(log.unwrap_or_default(), sums)
 }
 
 /// How a sharded cluster run is shaped: how many workers, where they
-/// run, whether they are durable, and whether the cluster grows
-/// mid-stream. [`run_cluster`] is the only runner; everything that
-/// distinguishes one kind of run from another is a value here.
+/// run, and whether they are durable. [`run_cluster`] is the only
+/// runner; everything that distinguishes one kind of run from another
+/// is a value here.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Worker shards (clamped to at least 1).
@@ -236,12 +217,6 @@ pub struct ClusterConfig {
     /// `shard-{i}/` directory, and a worker lost mid-run is respawned
     /// and recovered instead of failing the run.
     pub durability: Option<ClusterDurability>,
-    /// When present, the cluster grows from `shards` to `shards + 1`
-    /// workers at this event-stream position (clamped to the stream
-    /// length): events before it are dispatched at N-shard routing,
-    /// exactly the lanes jump-hash reassigns migrate to the new worker,
-    /// and the rest is dispatched at (N+1)-shard routing.
-    pub reshard_at: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -254,7 +229,6 @@ impl ClusterConfig {
             chunk: 2048,
             workers: Workers::InProcess,
             durability: None,
-            reshard_at: None,
         }
     }
 }
@@ -320,26 +294,6 @@ pub struct ShardRecovery {
     pub report: RecoveryReport,
 }
 
-/// The migration ledger of one live reshard.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReshardReport {
-    /// Shard count before the grow.
-    pub from_shards: u32,
-    /// Shard count after the grow (`from_shards + 1`).
-    pub to_shards: u32,
-    /// The event-stream position the reshard happened at.
-    pub split_at: usize,
-    /// Exactly the links jump-hash reassigned — every one maps to the
-    /// new shard, pinned by `tests/cluster_reshard.rs` against an
-    /// independent recomputation.
-    pub moved_links: Vec<LinkIx>,
-    /// Live lanes actually shipped (moved links whose lane had opened;
-    /// the rest are state-free and start fresh on the new worker).
-    pub lanes_moved: u64,
-    /// Wall-clock cost of the pause: grow + export + ship + import.
-    pub migration_micros: u64,
-}
-
 /// What a cluster run produces: the merged (single-process-identical)
 /// output, the cluster-level report, each shard's own report, and the
 /// ledgers of whatever adversity the run was configured with.
@@ -361,8 +315,6 @@ pub struct ClusterResult {
     /// otherwise) — the healthy-shards-never-restart contract is
     /// `restores == 0` for every shard not named in a [`ShardKill`].
     pub shard_restores: Vec<u64>,
-    /// What moved and what it cost, when the run resharded.
-    pub reshard: Option<ReshardReport>,
 }
 
 /// Wall-clock attribution for [`cluster_report`].
@@ -614,83 +566,6 @@ fn expect_flushed(
     })
 }
 
-/// The reshard pause: [`ShardTransport::grow`] worker N, detach exactly
-/// the lanes jump-hash reassigns from their old workers and attach them
-/// to the new one. The caller has already sent every pre-split event.
-fn grow_and_migrate(
-    transport: &mut dyn ShardTransport,
-    table: &LinkTable,
-    grow_spec: WorkerSpec,
-    split_at: usize,
-) -> Result<ReshardReport, TransportError> {
-    let t_migrate = Instant::now();
-    let old_workers = transport.workers();
-    let new_worker = transport.grow(grow_spec)?;
-    expect_ready(transport, new_worker)?;
-    let before_shards = old_workers as u32;
-    let after_shards = before_shards + 1;
-    let mut moved_links: Vec<LinkIx> = Vec::new();
-    let mut moving: Vec<Vec<LinkIx>> = (0..old_workers).map(|_| Vec::new()).collect();
-    for ix in table.iter() {
-        let before = shard_of_link(table, ix, before_shards);
-        let after = shard_of_link(table, ix, after_shards);
-        if before != after {
-            debug_assert_eq!(
-                after as usize, new_worker,
-                "jump hash moves keys only to the new shard"
-            );
-            moving[before as usize].push(ix);
-            moved_links.push(ix);
-        }
-    }
-    // ExportLanes rides the same FIFO command stream as the Rows
-    // before it, and its LaneMigrate reply is the synchronization point:
-    // once it arrives, that worker has consumed every pre-split event.
-    let mut migration = LaneMigration::default();
-    for (w, links) in moving.into_iter().enumerate() {
-        if links.is_empty() {
-            continue;
-        }
-        transport.send(w, ShardMsg::ExportLanes(links))?;
-        migration.merge(expect(transport, w, "lane_migrate", |msg| match msg {
-            ShardMsg::LaneMigrate(part) => Ok(part),
-            other => Err(other),
-        })?);
-    }
-    // Links whose lane never opened (zero events so far) are absent from
-    // the migration — a fresh lane on the new worker is state-free and
-    // byte-equivalent.
-    let lanes_moved = migration.lane_count() as u64;
-    transport.send(new_worker, ShardMsg::LaneMigrate(migration))?;
-    let ack = expect_ready(transport, new_worker)?;
-    if ack.lanes_imported != lanes_moved {
-        return Err(TransportError::Protocol {
-            worker: new_worker,
-            detail: format!(
-                "migrated {lanes_moved} lanes but the new worker imported {}",
-                ack.lanes_imported
-            ),
-        });
-    }
-    let migration_micros = t_migrate.elapsed().as_micros() as u64;
-    transport.counters_mut().lanes_migrated += lanes_moved;
-    transport.counters_mut().migration_micros += migration_micros;
-    observe::narrate(|| {
-        format!(
-            "cluster: resharded {before_shards} -> {after_shards}, {} links / {lanes_moved} live lanes moved in {migration_micros} us",
-            moved_links.len()
-        )
-    });
-    Ok(ReshardReport {
-        from_shards: before_shards,
-        to_shards: after_shards,
-        split_at,
-        moved_links,
-        lanes_moved,
-        migration_micros,
-    })
-}
-
 /// What one pass of the dispatcher hands back.
 struct Dispatched {
     /// The front engine's flushed output and report.
@@ -699,17 +574,15 @@ struct Dispatched {
     flushed: Vec<(StreamOutput, PipelineReport)>,
     /// Lane rows routed to each worker over the whole run.
     events_per_shard: Vec<u64>,
-    /// Links each worker holds under the routing the run ended with.
+    /// Links each worker holds.
     links_per_shard: Vec<u64>,
     recoveries: Vec<ShardRecovery>,
-    reshard: Option<ReshardReport>,
 }
 
 /// The dispatcher — the only one. Ready barrier; then a single fused
 /// pass that routes each event through a front engine over the run's
 /// naming layer and sends every row batch the moment it fills (still
-/// cache-warm for the worker), pausing once at `cfg.reshard_at` to
-/// grow the cluster and firing each hard kill when exactly its
+/// cache-warm for the worker), firing each hard kill when exactly its
 /// `after_events` of the victim's rows have been sent; Flush, flush the
 /// front while the workers flush, collect in worker-index order; then
 /// the supervisor pass over whatever was lost.
@@ -734,18 +607,18 @@ fn dispatch(
     let cap = chunk.min(events.len());
     let hard_kills = cfg.durability.as_ref().map_or(&[][..], |d| &d.hard_kills);
 
-    let mut workers = transport.workers();
+    let workers = transport.workers();
     for worker in 0..workers {
         expect_ready(transport, worker)?;
     }
-    let mut assign = Assignment::new(table, workers as u32);
+    let assign = Assignment::new(table, workers as u32);
     let mut current: Vec<Vec<LaneRow>> = (0..workers).map(|_| Vec::with_capacity(cap)).collect();
     let mut counts = vec![0u64; workers];
     let mut losses = Losses {
         recoverable: cfg.durability.is_some(),
         dead: vec![false; workers],
     };
-    let mut kill_at: Vec<Option<u64>> = (0..workers)
+    let kill_at: Vec<Option<u64>> = (0..workers)
         .map(|w| kill_point(hard_kills, w as u32))
         .collect();
     for (w, at) in kill_at.iter().enumerate() {
@@ -754,50 +627,34 @@ fn dispatch(
         }
     }
 
-    let split = cfg
-        .reshard_at
-        .map_or(events.len(), |at| at.min(events.len()));
-    let (pre, post) = events.split_at(split);
-    let mut reshard = None;
-    // One loop body for both halves; without a reshard `post` is empty.
-    for (segment, grow_first) in [(pre, false), (post, cfg.reshard_at.is_some())] {
-        if grow_first {
-            send_partials(transport, &mut current, &mut losses)?;
-            let shards = workers as u32;
-            let grow_spec = worker_spec(cfg, shards, shards + 1, false);
-            reshard = Some(grow_and_migrate(transport, table, grow_spec, split)?);
-            workers += 1;
-            assign = Assignment::new(table, workers as u32);
-            current.push(Vec::with_capacity(cap));
-            counts.push(0);
-            losses.dead.push(false);
-            kill_at.push(None);
+    for event in events {
+        let Some(row) = front.route(event.observed()).1 else {
+            continue;
+        };
+        let w = assign.worker(row.link);
+        counts[w] += 1;
+        if losses.dead[w] {
+            // Withheld; the supervisor pass re-feeds it.
+            continue;
         }
-        for event in segment {
-            let Some(row) = front.route(event.observed()).1 else {
-                continue;
-            };
-            let w = assign.worker(row.link);
-            counts[w] += 1;
-            if losses.dead[w] {
-                // Withheld; the supervisor pass re-feeds it.
-                continue;
-            }
-            let batch = &mut current[w];
-            batch.push(row);
-            // Cutting the batch here lands the kill exactly on its
-            // row boundary.
-            let kill_due = kill_at[w] == Some(counts[w]);
-            if batch.len() >= chunk || kill_due {
-                let full = std::mem::replace(batch, Vec::with_capacity(cap));
-                losses.absorb(w, transport.send(w, ShardMsg::Rows(full)))?;
-            }
-            if kill_due && !losses.dead[w] {
-                hard_kill(transport, &mut losses, w, counts[w])?;
-            }
+        let batch = &mut current[w];
+        batch.push(row);
+        // Cutting the batch here lands the kill exactly on its
+        // row boundary.
+        let kill_due = kill_at[w] == Some(counts[w]);
+        if batch.len() >= chunk || kill_due {
+            let full = std::mem::replace(batch, Vec::with_capacity(cap));
+            losses.absorb(w, transport.send(w, ShardMsg::Rows(full)))?;
+        }
+        if kill_due && !losses.dead[w] {
+            hard_kill(transport, &mut losses, w, counts[w])?;
         }
     }
-    send_partials(transport, &mut current, &mut losses)?;
+    for (w, partial) in current.into_iter().enumerate() {
+        if !partial.is_empty() {
+            losses.absorb(w, transport.send(w, ShardMsg::Rows(partial)))?;
+        }
+    }
 
     for w in 0..workers {
         if !losses.dead[w] {
@@ -817,9 +674,7 @@ fn dispatch(
     // Supervisor pass: every lost worker is respawned against its own
     // shard-{i}/ directory and recovered through the ordinary ladder;
     // healthy workers are never touched. A second loss of the same
-    // worker propagates. (Durable workers refuse lane migration, so a
-    // run that reaches this point never resharded and `assign` is the
-    // routing the whole stream was dispatched with.)
+    // worker propagates.
     let mut recoveries = Vec::new();
     for (w, answer) in flushed.iter_mut().enumerate() {
         if !losses.dead[w] {
@@ -868,23 +723,7 @@ fn dispatch(
         events_per_shard: counts,
         links_per_shard: assign.links_per_shard(),
         recoveries,
-        reshard,
     })
-}
-
-/// Send every worker its partial batch, if it holds one.
-fn send_partials(
-    transport: &mut dyn ShardTransport,
-    current: &mut [Vec<LaneRow>],
-    losses: &mut Losses,
-) -> Result<(), TransportError> {
-    for (w, batch) in current.iter_mut().enumerate() {
-        if !batch.is_empty() {
-            let partial = std::mem::take(batch);
-            losses.absorb(w, transport.send(w, ShardMsg::Rows(partial)))?;
-        }
-    }
-    Ok(())
 }
 
 /// Kill worker `w` through the transport, `at` rows into its share.
@@ -954,10 +793,9 @@ fn fold_durability(
 /// and merge the dispatcher's and the shards' outputs into the
 /// single-process answer.
 ///
-/// Durability and a mid-stream grow are read from `cfg` too (see
-/// [`ClusterConfig`]); whatever the combination, the merged output is
-/// byte-identical to [`crate::analysis::Analysis::run`] on the same
-/// stream. Configuration and input ordering are validated once, before
+/// Durability is read from `cfg` too (see [`ClusterConfig`]); either
+/// way, the merged output is byte-identical to
+/// [`crate::analysis::Analysis::run`] on the same stream. Configuration and input ordering are validated once, before
 /// any worker starts or any directory is created.
 ///
 /// # Examples
@@ -969,18 +807,13 @@ fn fold_durability(
 ///
 /// let data = run(&ScenarioParams::tiny(42));
 /// let events = scenario_event_stream(&data);
-/// // Grow 3 -> 4 workers half way through the stream.
-/// let cfg = ClusterConfig {
-///     reshard_at: Some(events.len() / 2),
-///     ..ClusterConfig::new(3)
-/// };
-/// let clustered = run_cluster(&data, &events, &cfg).unwrap();
+/// let clustered = run_cluster(&data, &events, &ClusterConfig::new(3)).unwrap();
 /// let batch = Analysis::run(&data, AnalysisConfig::default());
 /// assert_eq!(
 ///     serde_json::to_string(&clustered.output).unwrap(),
 ///     serde_json::to_string(&batch.output).unwrap(),
 /// );
-/// assert_eq!(clustered.reshard.unwrap().to_shards, 4);
+/// assert_eq!(clustered.shard_reports.len(), 3);
 /// ```
 pub fn run_cluster(
     data: &ScenarioData,
@@ -1045,7 +878,6 @@ pub fn run_cluster(
         shard_reports,
         recoveries: run.recoveries,
         shard_restores: shard_restores.unwrap_or_default(),
-        reshard: run.reshard,
     })
 }
 
@@ -1173,16 +1005,10 @@ mod tests {
         };
         witness::take(&data);
 
-        // Two fresh workers, then the one a reshard grows.
-        let (resharded, _) = run_with(&ClusterConfig {
-            reshard_at: Some(events.len() / 2),
-            ..ClusterConfig::new(2)
-        });
-        assert_eq!(resharded.reshard.map(|r| r.to_shards), Some(3));
-        assert_eq!(
-            seen(),
-            all_on_it(&[("fresh", 0), ("fresh", 1), ("fresh", 2)])
-        );
+        // Two fresh workers.
+        let (fresh, _) = run_with(&ClusterConfig::new(2));
+        assert_eq!(fresh.flushed.len(), 2);
+        assert_eq!(seen(), all_on_it(&[("fresh", 0), ("fresh", 1)]));
 
         // Two durable workers, one hard-killed and respawned by the
         // supervisor, which recovers it from its directory.

@@ -39,8 +39,8 @@
 //! `direction`: 0 DOWN / 1 UP) and every byte is checked on the way in.
 //!
 //! A run is **self-contained**: no dictionary or base timestamp carries
-//! over from an earlier run, so a respawned or resharded worker can
-//! decode whichever frame it sees first.
+//! over from an earlier run, so a respawned worker can decode whichever
+//! frame it sees first.
 //!
 //! # Row layout
 //!

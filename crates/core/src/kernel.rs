@@ -583,8 +583,8 @@ pub(crate) struct LinkLane {
     /// Touched since the durability layer's last snapshot mark. Every
     /// mutation flows through [`LinkLane::apply`], so setting the flag
     /// there (and on construction) is exhaustive; the streaming driver's
-    /// `mark_clean` resets it after each checkpoint capture, and an
-    /// imported lane is dirty again. Runtime-only.
+    /// `mark_clean` resets it after each checkpoint capture.
+    /// Runtime-only.
     #[serde(skip)]
     pub(crate) dirty: bool,
     /// Records finalized since the kernel last drained this lane;
@@ -949,8 +949,6 @@ pub(crate) struct Kernel<'a> {
     pub(crate) tallies: Tallies,
     /// The lanes' open items, summed: kept per step, rebuilt on restore.
     pub(crate) open_items: u64,
-    /// Whether a reshard imported lanes: then the answer is one share.
-    pub(crate) imported: bool,
     /// The segment matcher's used flags: scratch every lane's segment
     /// close reuses, never encoded.
     pub(crate) used: Vec<bool>,
@@ -972,7 +970,6 @@ impl<'a> Kernel<'a> {
             log: AnswerLog::default(),
             tallies: Tallies::default(),
             open_items: 0,
-            imported: false,
             used: Vec::new(),
         }
     }
@@ -1037,8 +1034,8 @@ impl<'a> Kernel<'a> {
         *hwm = (*hwm).max(self.open_items);
     }
 
-    /// Derive what is not stored from the lanes, as a restore and an
-    /// import do: each lane's segment end and the open-item count.
+    /// Derive what is not stored from the lanes, as a restore does: each
+    /// lane's segment end and the open-item count.
     pub(crate) fn rebuild(&mut self) {
         for lane in self.lanes.values_mut() {
             let ends = lane.seg_isis.iter().chain(&lane.seg_syslog);
@@ -1090,7 +1087,6 @@ impl<'a> Kernel<'a> {
             mut lanes,
             mut log,
             tallies,
-            imported,
             mut used,
             ..
         } = self;
@@ -1133,7 +1129,7 @@ impl<'a> Kernel<'a> {
             flap_episodes += lane.flap_episodes;
         }
         KernelOutput {
-            output: StreamOutput::assemble(log, sums, imported),
+            output: StreamOutput::assemble(log, sums),
             segments_closed,
             flap_episodes,
             finalized_at_flush,
@@ -1149,14 +1145,10 @@ impl StreamOutput {
     /// and the headline counters past `syslog_ingested`) and no records.
     /// One stable sort per vector on the collect keys gives the batch
     /// order: ties on a key come from one lane, in the order it finalized
-    /// them, or — for a link a reshard moved — from its old engine first,
-    /// at the lower index. On lists each sorted and concatenated in index
-    /// order that sort equals a k-way merge with ties to the lowest
-    /// index. Match pairs follow their failures through the sanitized
-    /// lists' sort. A kernel that `imported` lanes holds one share of a
-    /// resharded answer and can sanitize failures another share
-    /// reconstructed: its `sanitize_dropped` is clamped at zero.
-    pub(crate) fn assemble(log: AnswerLog, mut out: StreamOutput, imported: bool) -> StreamOutput {
+    /// them. On lists each sorted and concatenated in index order that
+    /// sort equals a k-way merge with ties to the lowest index. Match
+    /// pairs follow their failures through the sanitized lists' sort.
+    pub(crate) fn assemble(log: AnswerLog, mut out: StreamOutput) -> StreamOutput {
         out.messages = log.messages;
         out.messages.sort_by_key(|m| (m.at, m.link));
         out.is_transitions = log.is_transitions;
@@ -1205,11 +1197,7 @@ impl StreamOutput {
                 + out.syslog_transitions.len() as u64,
             failures_reconstructed: reconstructed,
             failures_after_sanitize: survived,
-            sanitize_dropped: if imported {
-                reconstructed.saturating_sub(survived)
-            } else {
-                reconstructed - survived
-            },
+            sanitize_dropped: reconstructed - survived,
             failures_matched: out.matching.matched.len() as u64,
             ambiguous_periods: (out.isis_recon.ambiguous.len() + out.syslog_recon.ambiguous.len())
                 as u64,

@@ -100,7 +100,7 @@ pub use analysis::{Analysis, AnalysisConfig, ParallelismConfig};
 pub use arena::EventArena;
 pub use cluster::{
     merge_outputs, partition_events, run_cluster, run_cluster_subprocess, shard_dir, shard_of_key,
-    shard_of_link, ClusterConfig, ClusterDurability, ClusterResult, ReshardReport, ShardRecovery,
+    shard_of_link, ClusterConfig, ClusterDurability, ClusterResult, ShardRecovery,
     SubprocessOptions, Workers,
 };
 pub use error::{AnalysisError, CodecError, FrameError, RecoveryError, TransportError};
@@ -113,8 +113,8 @@ pub use observe::{
 pub use reconstruct::{AmbiguityStrategy, Failure};
 pub use recovery::{DurabilityPolicy, DurableStream, FaultHook, RecoveryReport, RetryPolicy};
 pub use streaming::{
-    scenario_event_stream, IngestOutcome, IngestSummary, LaneMigration, StreamAnalysis,
-    StreamCheckpoint, StreamDelta, StreamEvent, StreamOutput, StreamResult,
+    scenario_event_stream, IngestOutcome, IngestSummary, StreamAnalysis, StreamCheckpoint,
+    StreamDelta, StreamEvent, StreamOutput, StreamResult,
 };
 pub use transport::{
     locate_worker_bin, read_frame, serve_stdio, write_frame, DurableSpec, InProcessTransport,

@@ -306,10 +306,10 @@ pub struct ShardCounters {
 
 /// Accounting for the shard transport under a cluster run
 /// ([`crate::transport::ShardTransport`]): frames and bytes exchanged
-/// between the dispatcher and its workers, worker lifecycle events, and
-/// the cost of live lane migration. Absent (`None`) on runs that did
-/// not go through a transport. Byte counters stay 0 on the in-process
-/// transport, which moves messages without serializing them.
+/// between the dispatcher and its workers, and worker lifecycle events.
+/// Absent (`None`) on runs that did not go through a transport. Byte
+/// counters stay 0 on the in-process transport, which moves messages
+/// without serializing them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportCounters {
     /// Frames the dispatcher sent to workers.
@@ -320,18 +320,13 @@ pub struct TransportCounters {
     pub bytes_sent: u64,
     /// Serialized bytes received (subprocess transport only).
     pub bytes_received: u64,
-    /// Workers started over the transport's lifetime (initial spawns,
-    /// respawns, and live-reshard growth).
+    /// Workers started over the transport's lifetime (initial spawns and
+    /// respawns).
     pub workers_spawned: u64,
     /// Workers respawned after the supervisor observed their death.
     pub worker_restarts: u64,
     /// Workers the supervisor killed deliberately (chaos injection).
     pub workers_killed: u64,
-    /// Per-link lanes moved between workers by live resharding.
-    pub lanes_migrated: u64,
-    /// Wall time spent exporting, shipping, and importing migrated
-    /// lanes, microseconds.
-    pub migration_micros: u64,
 }
 
 /// Per-stage counters and wall-clock timings for one
@@ -531,16 +526,14 @@ impl fmt::Display for PipelineReport {
         if let Some(t) = &self.transport {
             writeln!(
                 f,
-                "  transport: {} frames out / {} in ({} B out / {} B in), {} spawned ({} restarts, {} killed), {} lanes migrated in {:.3} ms",
+                "  transport: {} frames out / {} in ({} B out / {} B in), {} spawned ({} restarts, {} killed)",
                 t.frames_sent,
                 t.frames_received,
                 t.bytes_sent,
                 t.bytes_received,
                 t.workers_spawned,
                 t.worker_restarts,
-                t.workers_killed,
-                t.lanes_migrated,
-                t.migration_micros as f64 / 1_000.0
+                t.workers_killed
             )?;
         }
         Ok(())
@@ -675,13 +668,10 @@ mod tests {
             workers_spawned: 5,
             worker_restarts: 1,
             workers_killed: 1,
-            lanes_migrated: 12,
-            migration_micros: 2_500,
         });
         let text = format!("{r}");
         assert!(text.contains("transport: 42 frames out / 7 in"));
         assert!(text.contains("5 spawned (1 restarts, 1 killed)"));
-        assert!(text.contains("12 lanes migrated in 2.500 ms"));
         let back: PipelineReport =
             serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(back.transport, r.transport);

@@ -334,33 +334,6 @@ impl StreamDelta {
     }
 }
 
-/// A set of per-link lanes in flight between two engines — the payload
-/// of live resharding ([`crate::cluster::ClusterConfig::reshard_at`]).
-/// Each lane ships whole, as a checkpoint holds it, detached by
-/// [`StreamAnalysis::export_lanes`] on the source engine and attached by
-/// [`StreamAnalysis::import_lanes`] on the destination; what the lane
-/// had finalized stays in the source engine's log. The lane list
-/// is ascending by link (export preserves the request order, which the
-/// cluster derives from the sorted link table), so serialization is
-/// deterministic for a given state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LaneMigration {
-    lanes: Vec<LinkLane>,
-}
-
-impl LaneMigration {
-    /// How many lanes this migration carries.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Fold another migration's lanes onto this one (used when several
-    /// source workers hand lanes to the same new worker).
-    pub fn merge(&mut self, other: LaneMigration) {
-        self.lanes.extend(other.lanes);
-    }
-}
-
 /// The incremental analysis engine: the streaming driver's shell around
 /// the shared `Kernel`. See the module docs for the equivalence
 /// contract; construction resolves the link table from the scenario's
@@ -592,52 +565,6 @@ impl<'a> StreamAnalysis<'a> {
             .apply_delta(whole)
             .map_err(|what| AnalysisError::CorruptState { what })?;
         Ok(engine)
-    }
-
-    /// Detach the requested links' lanes from this engine, whole. A link
-    /// with no lane yet (no event has touched it) is simply skipped: a
-    /// fresh lane is state-free, so the destination engine creating one
-    /// on demand reproduces the same machine. The removed lanes stop
-    /// counting toward this engine's open-state bound immediately.
-    ///
-    /// A lane is the link's whole open state — dedup anchor, endpoint
-    /// maps, open/pending failures, the buffered match segment — so a
-    /// moved lane continues on the destination exactly where it stopped
-    /// here. What the link had finalized is in this engine's answer log;
-    /// it stays behind, and the cluster merge interleaves the logs.
-    pub fn export_lanes(&mut self, links: &[LinkIx]) -> LaneMigration {
-        let mut lanes = Vec::new();
-        for link in links {
-            if let Some(lane) = self.kernel.lanes.remove(link) {
-                self.kernel.open_items -= lane.open_items();
-                lanes.push(lane);
-            }
-        }
-        LaneMigration { lanes }
-    }
-
-    /// Attach migrated lanes to this engine, each dirty, so the next
-    /// delta carries it, and rebuild what is not stored
-    /// (`Kernel::rebuild`). Fails (typed, applying nothing further) if
-    /// a lane arrives for a link past this engine's naming table, or for
-    /// one it already has state for — that would silently discard one
-    /// side's open state. Returns how many lanes were attached.
-    pub fn import_lanes(&mut self, migration: LaneMigration) -> Result<u64, String> {
-        let (mut imported, links) = (0u64, self.kernel.naming.table.len());
-        for mut lane in migration.lanes {
-            let link = lane.link;
-            if self.kernel.lanes.contains_key(&link) || link.0 as usize >= links {
-                return Err(format!(
-                    "lane migration for link {link:?} collides with existing lane state or names no link"
-                ));
-            }
-            lane.dirty = true;
-            self.kernel.lanes.insert(link, lane);
-            imported += 1;
-        }
-        self.kernel.rebuild();
-        self.kernel.imported = true;
-        Ok(imported)
     }
 
     /// Late-event reject check. An event stamped strictly before the
@@ -1004,38 +931,5 @@ mod tests {
             );
         }
         assert!(StreamAnalysis::restore(&data, ckpt).is_ok());
-    }
-
-    // Lane export/import needs private access to enumerate the kernel's
-    // lanes; the end-to-end resharding semantics live in
-    // `tests/cluster_reshard.rs`.
-    #[test]
-    fn lane_export_import_moves_open_state_and_rejects_bad_payloads() {
-        let data = run(&ScenarioParams::tiny(5));
-        let events = scenario_event_stream(&data);
-        let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
-        for event in &events[..events.len() / 2] {
-            engine.ingest(event);
-        }
-        let links: Vec<LinkIx> = engine.kernel.lanes.keys().copied().collect();
-        assert!(!links.is_empty(), "half the tiny stream must touch lanes");
-        let open_before = engine.open_state();
-
-        let moved = engine.export_lanes(&links);
-        assert_eq!(moved.lane_count(), links.len());
-        assert_eq!(engine.open_state(), 0, "exported lanes leave no open state");
-        assert_eq!(
-            engine.export_lanes(&links).lane_count(),
-            0,
-            "re-export of absent lanes is a no-op"
-        );
-
-        let imported = engine.import_lanes(moved.clone()).expect("import back");
-        assert_eq!(imported, links.len() as u64);
-        assert_eq!(engine.open_state(), open_before);
-        assert!(
-            engine.import_lanes(moved).unwrap_err().contains("collides"),
-            "double import must be a typed error"
-        );
     }
 }

@@ -22,12 +22,12 @@
 //! # Wire format
 //!
 //! Each frame is one [`crate::envelope`]: the 19-byte header (magic
-//! `"FLSM"`, wire version 5) and the payload, built in one buffer and
+//! `"FLSM"`, wire version 6) and the payload, built in one buffer and
 //! written with one `write_all`. The kind byte says what the payload is:
 //!
 //! | kind | payload | carries |
 //! |---|---|---|
-//! | 1 | `serde_json` | `Hello`, `Ready`, `ExportLanes`, `LaneMigrate`, `Flush`, `Fatal` |
+//! | 1 | `serde_json` | `Hello`, `Ready`, `Flush`, `Fatal` |
 //! | 2 | [`crate::codec`] run | [`ShardMsg::Events`] |
 //! | 3 | [`crate::codec`] flushed answer | [`ShardMsg::Flushed`] |
 //! | 4 | [`crate::codec`] row run | [`ShardMsg::Rows`] |
@@ -38,7 +38,8 @@
 //! a handful per run. A reader never sniffs the payload, and a frame of
 //! an earlier wire version — version 1 had no kind byte, version 2 sent
 //! `Flushed` as JSON, version 3 fed workers events rather than rows,
-//! version 4 migrated lanes with the values a restore derives — is
+//! version 4 migrated lanes with the values a restore derives, version 5
+//! still spoke the lane-migration messages of live resharding — is
 //! [`FrameError::UnsupportedVersion`].
 //!
 //! The dispatcher classifies every event and sends workers only lane
@@ -49,20 +50,18 @@
 //! The protocol is strictly request/response with a fixed lifecycle:
 //! a worker announces [`ShardMsg::Ready`] once its engine exists, then
 //! applies [`ShardMsg::Rows`] until [`ShardMsg::Flush`], answering
-//! with [`ShardMsg::Flushed`] and exiting. [`ShardMsg::ExportLanes`] /
-//! [`ShardMsg::LaneMigrate`] implement live resharding (see
-//! [`crate::cluster::ClusterConfig::reshard_at`]); any unrecoverable
-//! worker condition travels as [`ShardMsg::Fatal`].
+//! with [`ShardMsg::Flushed`] and exiting; any unrecoverable worker
+//! condition travels as [`ShardMsg::Fatal`].
 
 use crate::analysis::AnalysisConfig;
 use crate::codec;
 use crate::envelope::{self, Format};
 use crate::error::{FrameError, TransportError};
 use crate::kernel::LaneRow;
-use crate::linktable::{LinkIx, Naming};
+use crate::linktable::Naming;
 use crate::observe::{PipelineReport, TransportCounters};
 use crate::recovery::{DurabilityPolicy, DurableStream, RecoveryReport};
-use crate::streaming::{LaneMigration, StreamAnalysis, StreamEvent, StreamOutput};
+use crate::streaming::{StreamAnalysis, StreamEvent, StreamOutput};
 use faultline_sim::scenario::{run as run_scenario, ScenarioData, ScenarioParams};
 use serde::{Deserialize, Serialize};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -77,7 +76,7 @@ use std::time::Instant;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 
 /// Sanity bound on a declared payload length: a header claiming more is
 /// corrupt, not honored.
@@ -107,7 +106,7 @@ const WIRE: Format = Format {
 
 /// Capacity a reused frame buffer keeps between frames: room for row
 /// frames (~25 KB) and a paper-scale `Flushed` answer (~0.7 MB), not for
-/// a multi-megabyte `Hello{Inline}` or `LaneMigrate`.
+/// a multi-megabyte `Hello{Inline}`.
 const SCRATCH_KEEP: usize = 1 << 20;
 
 /// Bounded depth of the in-process dispatcher→worker channel, in
@@ -129,20 +128,13 @@ pub enum ShardMsg {
     /// worker thread directly; it never crosses as a message.)
     Hello(Box<WorkerSpec>),
     /// Worker → dispatcher: the engine exists and the worker is
-    /// consuming. Also the acknowledgement of a [`ShardMsg::LaneMigrate`]
-    /// import.
+    /// consuming.
     Ready(ReadyMsg),
     /// A micro-batch of this shard's lane rows, in stream order.
     Rows(Vec<LaneRow>),
     /// A micro-batch of raw events: no worker consumes one, but the
     /// benchmark measures its frame as the cost of shipping events.
     Events(Vec<StreamEvent>),
-    /// Detach these links' lanes and answer with [`ShardMsg::LaneMigrate`]
-    /// (live resharding, outbound side).
-    ExportLanes(Vec<LinkIx>),
-    /// Attach these migrated lanes and answer with [`ShardMsg::Ready`]
-    /// (live resharding, inbound side).
-    LaneMigrate(LaneMigration),
     /// End of stream: flush the engine and answer with
     /// [`ShardMsg::Flushed`], then exit.
     Flush,
@@ -164,8 +156,6 @@ impl ShardMsg {
             ShardMsg::Ready(_) => "ready",
             ShardMsg::Rows(_) => "rows",
             ShardMsg::Events(_) => "events",
-            ShardMsg::ExportLanes(_) => "export_lanes",
-            ShardMsg::LaneMigrate(_) => "lane_migrate",
             ShardMsg::Flush => "flush",
             ShardMsg::Flushed(_) => "flushed",
             ShardMsg::Fatal { .. } => "fatal",
@@ -183,9 +173,6 @@ pub struct ReadyMsg {
     /// What the recovery ladder found and did, when the engine was
     /// rebuilt from durable state.
     pub recovery: Option<RecoveryReport>,
-    /// Lanes attached by the [`ShardMsg::LaneMigrate`] this acknowledges
-    /// (0 on lifecycle Readys).
-    pub lanes_imported: u64,
 }
 
 /// A shard's flushed result: the merge-ready output plus the worker's
@@ -363,13 +350,12 @@ fn read_frame_reusing<R: Read + ?Sized>(
 
 /// How the cluster dispatcher reaches its shard workers. Everything the
 /// cluster runtime does — feeding events, flushing, supervising
-/// recovery, live resharding — goes through these seven operations, so
-/// a cluster driver is transport-agnostic by construction.
+/// recovery — goes through these six operations, so a cluster driver
+/// is transport-agnostic by construction.
 ///
-/// Worker indices are dense and stable: `0..workers()`, growing only
-/// via [`ShardTransport::grow`]. After `start`/`respawn`/`grow`, the
-/// first message received from the new worker is its
-/// [`ShardMsg::Ready`].
+/// Worker indices are dense and fixed at start: `0..workers()`. After
+/// `start`/`respawn`, the first message received from the new worker is
+/// its [`ShardMsg::Ready`].
 pub trait ShardTransport {
     /// Number of workers currently addressed (dead ones keep their
     /// index until respawned).
@@ -386,14 +372,8 @@ pub trait ShardTransport {
     /// Replace worker `worker` with a fresh one built from `spec`,
     /// keeping its index.
     fn respawn(&mut self, worker: usize, spec: WorkerSpec) -> Result<(), TransportError>;
-    /// Add a new worker built from `spec`; returns its index
-    /// (`workers() - 1` after the call).
-    fn grow(&mut self, spec: WorkerSpec) -> Result<usize, TransportError>;
     /// Snapshot of the transport's accounting so far.
     fn counters(&self) -> TransportCounters;
-    /// Mutable access to the accounting (the cluster driver stamps
-    /// migration costs in here).
-    fn counters_mut(&mut self) -> &mut TransportCounters;
 }
 
 // ---------------------------------------------------------------------------
@@ -571,30 +551,6 @@ fn run_worker(
                     return WorkerExit::Aborted;
                 }
             }
-            (ShardMsg::ExportLanes(links), Engine::Fresh(e)) => {
-                let migration = e.export_lanes(&links);
-                if port.send(ShardMsg::LaneMigrate(migration)).is_err() {
-                    return WorkerExit::Completed;
-                }
-            }
-            (ShardMsg::LaneMigrate(migration), Engine::Fresh(e)) => {
-                let lanes_imported = match e.import_lanes(migration) {
-                    Ok(n) => n,
-                    Err(detail) => return send_fatal(port, detail),
-                };
-                let ack = ReadyMsg {
-                    resumed_at_seq: e.events_ingested(),
-                    recovery: None,
-                    lanes_imported,
-                };
-                if port.send(ShardMsg::Ready(ack)).is_err() {
-                    return WorkerExit::Completed;
-                }
-            }
-            (ShardMsg::ExportLanes(_) | ShardMsg::LaneMigrate(_), Engine::Durable(_)) => {
-                let detail = "durable workers do not support lane migration";
-                return send_fatal(port, detail.to_string());
-            }
             (other, _) => {
                 let detail = format!("unexpected {} message in worker", other.kind());
                 return send_fatal(port, detail);
@@ -685,9 +641,9 @@ fn spawn_inproc<'scope, 'env>(
     spec: WorkerSpec,
 ) -> InProcPort {
     let (cmd_tx, cmd_rx) = sync_channel(INPROC_CHANNEL_DEPTH);
-    // Unbounded on the answer side so a worker can always report
-    // (Fatal, LaneMigrate) without deadlocking against a dispatcher
-    // that is mid-send to it.
+    // Unbounded on the answer side so a worker can always report a
+    // Fatal without deadlocking against a dispatcher that is mid-send
+    // to it.
     let (rsp_tx, rsp_rx) = channel();
     let naming = Arc::clone(naming);
     scope.spawn(move || {
@@ -708,8 +664,8 @@ impl<'scope, 'env> InProcessTransport<'scope, 'env> {
     /// host's scenario (their specs normally say
     /// [`ScenarioSpec::Attached`]), which is why the transport lives
     /// inside a [`thread::scope`], and share `naming`, mined from it: every
-    /// worker this transport ever starts — respawned and grown ones
-    /// included — resolves through that one table.
+    /// worker this transport ever starts — respawned ones included —
+    /// resolves through that one table.
     pub(crate) fn start(
         scope: &'scope thread::Scope<'scope, 'env>,
         data: &'env ScenarioData,
@@ -795,19 +751,8 @@ impl ShardTransport for InProcessTransport<'_, '_> {
         Ok(())
     }
 
-    fn grow(&mut self, spec: WorkerSpec) -> Result<usize, TransportError> {
-        self.ports
-            .push(spawn_inproc(self.scope, self.data, &self.naming, spec));
-        self.counters.workers_spawned += 1;
-        Ok(self.ports.len() - 1)
-    }
-
     fn counters(&self) -> TransportCounters {
         self.counters
-    }
-
-    fn counters_mut(&mut self) -> &mut TransportCounters {
-        &mut self.counters
     }
 }
 
@@ -886,9 +831,18 @@ impl SubprocessTransport {
             counters: TransportCounters::default(),
         };
         for spec in specs {
-            transport.grow(spec.clone())?;
+            transport.spawn(spec.clone())?;
         }
         Ok(transport)
+    }
+
+    /// Start one more worker process from `spec` and send it its
+    /// [`ShardMsg::Hello`].
+    fn spawn(&mut self, spec: WorkerSpec) -> Result<(), TransportError> {
+        self.workers
+            .push(spawn_subprocess(&self.worker_bin, &spec)?);
+        self.counters.workers_spawned += 1;
+        self.send(self.workers.len() - 1, ShardMsg::Hello(Box::new(spec)))
     }
 }
 
@@ -955,21 +909,8 @@ impl ShardTransport for SubprocessTransport {
         self.send(worker, ShardMsg::Hello(Box::new(spec)))
     }
 
-    fn grow(&mut self, spec: WorkerSpec) -> Result<usize, TransportError> {
-        let fresh = spawn_subprocess(&self.worker_bin, &spec)?;
-        self.workers.push(fresh);
-        self.counters.workers_spawned += 1;
-        let index = self.workers.len() - 1;
-        self.send(index, ShardMsg::Hello(Box::new(spec)))?;
-        Ok(index)
-    }
-
     fn counters(&self) -> TransportCounters {
         self.counters
-    }
-
-    fn counters_mut(&mut self) -> &mut TransportCounters {
-        &mut self.counters
     }
 }
 
@@ -1063,7 +1004,6 @@ mod tests {
             ShardMsg::Flush,
             ShardMsg::Ready(ReadyMsg::default()),
             ShardMsg::Events(Vec::new()),
-            ShardMsg::ExportLanes(vec![LinkIx(0), LinkIx(7)]),
             ShardMsg::Fatal {
                 detail: "boom".to_string(),
             },

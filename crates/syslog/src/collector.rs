@@ -5,16 +5,17 @@
 //! analysis is given — and can replay them sorted by the *message text*
 //! timestamp, which is what the reconstruction pipeline keys on.
 //!
-//! The collector is thread-safe (`parking_lot::Mutex`) so benchmark
-//! drivers can shard simulation across threads while funneling into one
-//! log, mirroring the single central facility CENIC runs.
+//! The collector is thread-safe (a `std::sync::Mutex` whose lock
+//! ignores poisoning) so benchmark drivers can shard simulation across
+//! threads while funneling into one log, mirroring the single central
+//! facility CENIC runs.
 
 use crate::delivery::Delivery;
 use crate::message::SyslogMessage;
 use crate::parse::{parse_bytes, ParseOutcomeRef, ParseStats, SyslogMessageRef};
 use faultline_topology::time::Timestamp;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One stored log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +38,14 @@ impl Collector {
         Self::default()
     }
 
+    /// The stored records, locked; a poisoned lock still yields them.
+    fn records(&self) -> MutexGuard<'_, Vec<LogRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Ingest one delivery from the transport.
     pub fn ingest(&self, delivery: &Delivery) {
-        self.records.lock().push(LogRecord {
+        self.records().push(LogRecord {
             arrived_at: delivery.arrived_at,
             line: delivery.message.render(),
         });
@@ -47,22 +53,25 @@ impl Collector {
 
     /// Ingest a raw line (e.g. unrelated messages mixed into the feed).
     pub fn ingest_raw(&self, arrived_at: Timestamp, line: String) {
-        self.records.lock().push(LogRecord { arrived_at, line });
+        self.records().push(LogRecord { arrived_at, line });
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records().len()
     }
 
     /// True if nothing has arrived.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.records().is_empty()
     }
 
     /// Drain all records sorted by arrival time (stable on ties).
     pub fn into_lines(self) -> Vec<LogRecord> {
-        let mut records = self.records.into_inner();
+        let mut records = self
+            .records
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         records.sort_by_key(|r| r.arrived_at);
         records
     }
@@ -71,7 +80,7 @@ impl Collector {
     /// the timestamp embedded in the message text (the paper's pipeline
     /// sorts on text timestamps, not arrival order).
     pub fn parsed_messages(&self) -> Vec<SyslogMessage> {
-        let records = self.records.lock();
+        let records = self.records();
         let (events, _) = parse_records(&records);
         events
     }
@@ -155,8 +164,15 @@ pub fn parse_chunked<L: AsRef<[u8]> + Sync>(
         let at = claimed.fetch_add(1, Ordering::Relaxed);
         blocks.get(at).map(|block| (at, classify(block)))
     };
-    let put = |at: usize, block| *finished[at].lock() = Some(block);
-    let take = |at: usize| finished[at].lock().take();
+    let put = |at: usize, block| {
+        *finished[at].lock().unwrap_or_else(PoisonError::into_inner) = Some(block)
+    };
+    let take = |at: usize| {
+        finished[at]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    };
 
     let mut events = Vec::new();
     let mut stats = ParseStats::default();

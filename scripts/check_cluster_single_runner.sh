@@ -2,13 +2,15 @@
 # Duplication tripwire for the "one cluster runner" refactor.
 #
 # A cluster run is `run_cluster` configured by `ClusterConfig`: where the
-# workers live (`workers`), whether they are durable (`durability`) and
-# whether the cluster grows mid-stream (`reshard_at`) are values, not
-# functions. Before the refactor crates/core/src/cluster.rs carried six
-# public entry points over three hand-written dispatch loops and three
-# result types, kept in step only by the test tiers; this script fails
-# CI the moment a second runner, a second dispatch loop or one of the
-# retired types creeps back in.
+# workers live (`workers`) and whether they are durable (`durability`)
+# are values, not functions. Before the refactor crates/core/src/cluster.rs
+# carried six public entry points over three hand-written dispatch loops
+# and three result types, kept in step only by the test tiers; this
+# script fails CI the moment a second runner, a second dispatch loop or
+# one of the retired types creeps back in. The cluster keeps one shape
+# for a whole run: live resharding (growing N -> N+1 mid-stream and
+# migrating lanes between workers) was retired, and its surface is on
+# the retired list too.
 #
 # Usage: scripts/check_cluster_single_runner.sh   (run from anywhere)
 set -euo pipefail
@@ -44,8 +46,8 @@ for start in 'InProcessTransport::start' 'SubprocessTransport::start'; do
     fi
 done
 
-# 3. Retired drivers, partitioner twins and result types must not
-#    resurface anywhere.
+# 3. Retired drivers, partitioner twins, result types and the live
+#    resharding surface must not resurface anywhere.
 retired=(
     'fn drive_durable'
     'fn drive_reshard'
@@ -53,6 +55,16 @@ retired=(
     'fn partition_batches'
     'struct DurableClusterRun'
     'struct ReshardRun'
+    'reshard_at'
+    'fn grow_and_migrate'
+    'struct ReshardReport'
+    'struct LaneMigration'
+    'fn export_lanes'
+    'fn import_lanes'
+    'LaneMigrate'
+    'ExportLanes'
+    'fn grow('
+    'fn counters_mut'
 )
 for sym in "${retired[@]}"; do
     if hits=$(grep -rn -F "$sym" crates src tests examples 2>/dev/null) && [ -n "$hits" ]; then

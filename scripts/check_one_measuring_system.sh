@@ -5,10 +5,10 @@
 # benchmark/run.sh`, declared by BENCHMARK.json) times six workloads end
 # to end and layer by layer, and two tests pin what is exact —
 # tests/cost_contract.rs (allocations, bytes allocated and bytes written
-# or sent, per layer of each workload shape) and
-# crates/loadgen/tests/capacity.rs (the simulated-clock breaking point).
-# A second system — the replay bins of faultline-bench, the wall-paced
-# faultline-loadgen binary, and the wall-clock baselines gated by
+# or sent, per layer of each workload shape) and tests/capacity.rs (the
+# simulated-clock breaking point). A second system — the replay bins of
+# faultline-bench, the wall-paced capacity binary, and the wall-clock
+# baselines gated by
 # check_bench_regression.sh — was retired; this script fails if CI, a
 # script, the README or ARCHITECTURE.md names any of it again.
 #

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tripwire for "engine state is declared once".
 #
-# A checkpoint, a delta and a lane migration hold the engine's own state
+# A checkpoint and a delta hold the engine's own state
 # types — kernel::LinkLane (with its MergeState and DedupState) and
 # kernel::Tallies — encoded by their own rows! entries. There is no
 # snapshot image beside them, so a new lane field or counter is one

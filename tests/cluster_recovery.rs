@@ -371,26 +371,3 @@ fn invalid_config_on_a_durable_cluster_is_refused_before_any_worker_starts() {
         "no shard directory may exist after a refused run"
     );
 }
-
-/// Durable workers do not migrate lanes, so durability + resharding is
-/// the worker's own typed refusal — never a panic or a hang.
-#[test]
-fn durable_reshard_is_a_typed_worker_refusal() {
-    let data = run(&ScenarioParams::tiny(42));
-    let events = scenario_event_stream(&data);
-    for split in [0, events.len() / 2, events.len()] {
-        let tmp = TempDir::new(&format!("durable-reshard-{split}"));
-        let cfg = ClusterConfig {
-            reshard_at: Some(split),
-            ..durable_cfg(&ClusterConfig::new(2), tmp.path(), &[])
-        };
-        match run_cluster(&data, &events, &cfg) {
-            Err(faultline_core::TransportError::WorkerReported { detail, .. }) => assert!(
-                detail.contains("durable workers do not support lane migration"),
-                "{detail}"
-            ),
-            Err(other) => panic!("expected the worker's refusal, got {other}"),
-            Ok(_) => panic!("durable workers cannot reshard (split {split})"),
-        }
-    }
-}

@@ -2,15 +2,15 @@
 //!
 //! The wire between a dispatcher and its workers carries every message
 //! of the cluster protocol as a length-prefixed, FNV-hashed frame
-//! (`faultline_core::transport`, wire version 5: an explicit payload-kind
+//! (`faultline_core::transport`, wire version 6: an explicit payload-kind
 //! byte, lane-row batches as binary `faultline_core::codec` row runs,
 //! event batches as codec runs, flushed answers as codec rows,
 //! everything else as JSON). The contract under test mirrors the syslog
 //! parser's fuzz corpus (`crates/syslog/tests/fuzz_parse.rs`):
 //!
-//! 1. real protocol messages — including the lane rows of a real stream,
-//!    a live lane migration exported from a running [`StreamAnalysis`]
-//!    and the flushed answer of a whole stream — round-trip byte-exactly;
+//! 1. real protocol messages — including the lane rows of a real stream
+//!    and the flushed answer of a whole [`StreamAnalysis`] run —
+//!    round-trip byte-exactly;
 //! 2. every truncation of a real frame, every seeded bit flip (every bit
 //!    flip of a row frame), and arbitrary garbage bytes decode to a
 //!    *typed* [`FrameError`], never a panic and never a silently wrong
@@ -28,9 +28,7 @@ use faultline_core::transport::{
     read_frame, write_frame, ScenarioSpec, ShardMsg, WorkerOutput, WorkerSpec, FRAME_HEADER_LEN,
     MAX_FRAME_PAYLOAD,
 };
-use faultline_core::{
-    scenario_event_stream, AnalysisConfig, FrameError, LaneMigration, StreamAnalysis,
-};
+use faultline_core::{scenario_event_stream, AnalysisConfig, FrameError, StreamAnalysis};
 use faultline_isis::listener::ReachabilityKind;
 use faultline_sim::chaos::{frame_cut_seeded, frame_flip_seeded};
 use faultline_sim::scenario::{run, ScenarioParams};
@@ -39,21 +37,12 @@ use proptest::prelude::*;
 #[path = "support/lane_rows.rs"]
 mod lane_rows;
 
-/// A corpus of genuine protocol messages, including a lane migration
-/// exported from a real mid-stream analysis (the most structurally
-/// interesting payload the wire carries) and the flushed answer of the
-/// whole stream (the largest).
+/// A corpus of genuine protocol messages, including the lane rows of a
+/// real stream and the flushed answer of the whole stream (the largest
+/// payload the wire carries).
 fn corpus() -> Vec<ShardMsg> {
     let data = run(&ScenarioParams::tiny(42));
     let events = scenario_event_stream(&data);
-    let mut analysis = StreamAnalysis::new(&data, AnalysisConfig::default());
-    analysis.ingest_batch(&events[..events.len() / 2]);
-    let links: Vec<_> = faultline_core::linktable::from_scenario(&data)
-        .iter()
-        .take(5)
-        .collect();
-    let migration = analysis.export_lanes(&links);
-    assert!(migration.lane_count() > 0, "corpus migration carries lanes");
     let mut whole = StreamAnalysis::new(&data, AnalysisConfig::default());
     whole.ingest_batch(&events);
     let flushed = whole.flush();
@@ -89,9 +78,6 @@ fn corpus() -> Vec<ShardMsg> {
         ShardMsg::Rows(Vec::new()),
         ShardMsg::Events(events[..64].to_vec()),
         ShardMsg::Events(Vec::new()),
-        ShardMsg::ExportLanes(links),
-        ShardMsg::LaneMigrate(migration),
-        ShardMsg::LaneMigrate(LaneMigration::default()),
         ShardMsg::Flushed(Box::new(WorkerOutput {
             output: flushed.output,
             report: flushed.report,
@@ -307,7 +293,7 @@ fn a_version_1_frame_is_unsupported_not_sniffed() {
         read_frame(&mut v1.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 1,
-            expected: 5
+            expected: 6
         })
     ));
 }
@@ -322,28 +308,47 @@ fn a_version_2_frame_is_unsupported_not_misread() {
         read_frame(&mut v2.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 2,
-            expected: 5
+            expected: 6
         })
     ));
 }
 
 #[test]
 fn a_version_4_frame_is_unsupported_not_misread() {
-    // Version 4 migrated each lane with values a restore derives (its
-    // link id, multi-link status, segment end and merge down counts);
-    // a migration under that header is refused by its version alone.
+    // Version 4 migrated each lane with values a restore derives; its
+    // other JSON messages are still in today's vocabulary, so a `Hello`
+    // under that header is refused by its version alone.
     let msgs = corpus();
-    let migration = msgs
+    let hello = msgs
         .iter()
-        .find(|m| matches!(m, ShardMsg::LaneMigrate(l) if l.lane_count() > 0))
-        .unwrap();
-    let json = serde_json::to_string(migration).unwrap();
+        .find(|m| matches!(m, ShardMsg::Hello(_)))
+        .expect("the corpus carries a hello");
+    let json = serde_json::to_string(hello).unwrap();
     let v4 = forge_version(4, KIND_MESSAGE, json.as_bytes());
     assert!(matches!(
         read_frame(&mut v4.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 4,
-            expected: 5
+            expected: 6
+        })
+    ));
+}
+
+#[test]
+fn a_version_5_frame_is_unsupported_not_misread() {
+    // Version 5 spoke lane migration for live resharding and counted the
+    // imported lanes in every `Ready`; that `Ready`, byte for byte, is
+    // refused by its version alone.
+    let payload = br#"{"Ready":{"resumed_at_seq":0,"recovery":null,"lanes_imported":0}}"#;
+    let (today, _) = read_frame(&mut forge(KIND_MESSAGE, payload).as_slice())
+        .expect("today's reader skips the field it no longer knows");
+    assert_eq!(today.kind(), "ready");
+    let v5 = forge_version(5, KIND_MESSAGE, payload);
+    assert!(matches!(
+        read_frame(&mut v5.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 5,
+            expected: 6
         })
     ));
 }
@@ -359,7 +364,7 @@ fn a_version_3_frame_is_unsupported_not_misread() {
         read_frame(&mut v3.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 3,
-            expected: 5
+            expected: 6
         })
     ));
 }

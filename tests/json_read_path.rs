@@ -3,7 +3,7 @@
 //! `serde_json::from_str::<T>(s)` pulls `T` straight out of the text;
 //! `serde_json::from_value::<T>(tree)` pulls it out of a `Value` tree, and
 //! `from_str::<Value>(s)` builds that tree from the same text events. A
-//! worker reads its `Hello`, the dispatcher its `Ready`, `LaneMigrate` and
+//! worker reads its `Hello`, the dispatcher its `Ready` and
 //! `Fatal` messages and the report inside a flushed answer the first way;
 //! tools and tests read the second. (The dispatcher no longer reads a
 //! `Flushed` answer as JSON — its output crosses the wire as codec rows,
@@ -21,7 +21,7 @@
 mod differential;
 
 use faultline_core::transport::{ScenarioSpec, ShardMsg, WorkerOutput, WorkerSpec};
-use faultline_core::{scenario_event_stream, AnalysisConfig, LaneMigration, StreamAnalysis};
+use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis};
 use faultline_sim::scenario::{run, ScenarioParams};
 use serde::{Deserialize, Serialize};
 
@@ -74,14 +74,6 @@ fn every_read_type_reads_the_same_from_text_and_from_a_tree() {
         false,
     ));
 
-    let links: Vec<_> = faultline_core::linktable::from_scenario(&data)
-        .iter()
-        .take(5)
-        .collect();
-    let migration = analysis.export_lanes(&links);
-    assert!(migration.lane_count() > 0, "the migration carries lanes");
-    tally(both_reads_agree("LaneMigration", &migration, false));
-
     analysis.ingest_batch(last);
     let result = analysis.flush();
     tally(both_reads_agree("PipelineReport", &result.report, false));
@@ -114,9 +106,6 @@ fn every_read_type_reads_the_same_from_text_and_from_a_tree() {
             false,
         ),
         (ShardMsg::Ready(Default::default()), false),
-        (ShardMsg::ExportLanes(links), false),
-        (ShardMsg::LaneMigrate(migration), false),
-        (ShardMsg::LaneMigrate(LaneMigration::default()), false),
         (ShardMsg::Flush, false),
         (ShardMsg::Flushed(Box::new(answer)), false),
         (

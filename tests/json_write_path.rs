@@ -11,7 +11,7 @@
 //! check for the way back in.)
 
 use faultline_core::transport::{ScenarioSpec, ShardMsg, WorkerOutput, WorkerSpec};
-use faultline_core::{scenario_event_stream, AnalysisConfig, LaneMigration, StreamAnalysis};
+use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis};
 use faultline_sim::scenario::{run, ScenarioParams};
 use serde::{Deserialize, Serialize};
 
@@ -69,13 +69,6 @@ fn every_written_type_renders_the_same_directly_and_through_a_tree() {
         "the delta carries dirty lanes"
     );
 
-    let links: Vec<_> = faultline_core::linktable::from_scenario(&data)
-        .iter()
-        .take(5)
-        .collect();
-    let migration = analysis.export_lanes(&links);
-    assert!(migration.lane_count() > 0, "the migration carries lanes");
-
     analysis.ingest_batch(last);
     let result = analysis.flush();
     same_bytes_both_ways("StreamOutput", &result.output);
@@ -97,9 +90,6 @@ fn every_written_type_renders_the_same_directly_and_through_a_tree() {
             ScenarioSpec::Params(Box::new(ScenarioParams::tiny(3))),
         ))),
         ShardMsg::Ready(Default::default()),
-        ShardMsg::ExportLanes(links),
-        ShardMsg::LaneMigrate(migration),
-        ShardMsg::LaneMigrate(LaneMigration::default()),
         ShardMsg::Flush,
         ShardMsg::Flushed(Box::new(WorkerOutput {
             output: result.output,
