@@ -389,11 +389,40 @@ impl SimSchedule {
             drained_per_tick: drained.max(1),
         }
     }
+}
 
-    /// Offered-to-served ratio — the overload factor.
-    pub fn overload_factor(&self) -> f64 {
-        self.offered_per_tick as f64 / self.drained_per_tick as f64
+/// The simulated clock, once: offer `events` a tick's worth at a time
+/// into a fresh controller, calling `serve` with it and the service
+/// quantum on every blocked offer (then re-offering) and at the end of
+/// every tick, then until the queue is empty. Returns the controller,
+/// whose ledger is the run's.
+fn run_ticks(
+    events: &[StreamEvent],
+    admission: &AdmissionConfig,
+    schedule: SimSchedule,
+    mut serve: impl FnMut(&mut AdmissionController, usize),
+) -> AdmissionController {
+    let SimSchedule {
+        offered_per_tick,
+        drained_per_tick,
+    } = SimSchedule::new(schedule.offered_per_tick, schedule.drained_per_tick);
+    let mut ctl = AdmissionController::new(*admission);
+    for tick in events.chunks(offered_per_tick) {
+        for event in tick {
+            let mut event = event.clone();
+            // Closed loop: serve one quantum, then re-offer.
+            while let Offer::Blocked(back) = ctl.offer(event) {
+                serve(&mut ctl, drained_per_tick);
+                event = back;
+            }
+        }
+        serve(&mut ctl, drained_per_tick);
     }
+    // End of arrivals: serve out the residue at the service rate.
+    while ctl.queued() > 0 {
+        serve(&mut ctl, drained_per_tick);
+    }
+    ctl
 }
 
 /// Replay the admission queue alone (no engine) over a whole offered
@@ -408,27 +437,10 @@ pub fn shed_survivors(
     admission: &AdmissionConfig,
     schedule: SimSchedule,
 ) -> (Vec<StreamEvent>, OverloadCounters) {
-    let schedule = SimSchedule::new(schedule.offered_per_tick, schedule.drained_per_tick);
-    let mut ctl = AdmissionController::new(*admission);
     let mut survivors = Vec::with_capacity(events.len().min(admission.queue_capacity.max(1) * 4));
-    let mut idx = 0;
-    while idx < events.len() {
-        let stop = (idx + schedule.offered_per_tick).min(events.len());
-        while idx < stop {
-            match ctl.offer(events[idx].clone()) {
-                Offer::Enqueued | Offer::Shed => idx += 1,
-                Offer::Blocked(_) => {
-                    // Closed loop: serve one quantum, then re-offer.
-                    ctl.drain(schedule.drained_per_tick, &mut survivors);
-                }
-            }
-        }
-        ctl.drain(schedule.drained_per_tick, &mut survivors);
-    }
-    // End of arrivals: serve out the residue at the service rate.
-    while ctl.queued() > 0 {
-        ctl.drain(schedule.drained_per_tick, &mut survivors);
-    }
+    let ctl = run_ticks(events, admission, schedule, |ctl, quantum| {
+        ctl.drain(quantum, &mut survivors);
+    });
     (survivors, ctl.counters())
 }
 
@@ -438,44 +450,26 @@ pub fn shed_survivors(
 /// ([`crate::observe::PipelineReport::overload`]) with the conservation
 /// identity holding exactly, and the engine-side satellite counters
 /// (watermark lag, arena high water) populated from the same run.
-pub fn run_overloaded<'a>(
-    data: &'a ScenarioData,
+pub fn run_overloaded(
+    data: &ScenarioData,
     config: AnalysisConfig,
     admission: &AdmissionConfig,
     schedule: SimSchedule,
     events: &[StreamEvent],
 ) -> Result<(StreamResult, OverloadCounters), AnalysisError> {
-    let schedule = SimSchedule::new(schedule.offered_per_tick, schedule.drained_per_tick);
     let mut engine = StreamAnalysis::try_new(data, config)?;
-    let mut ctl = AdmissionController::new(*admission);
-    let mut batch = Vec::with_capacity(schedule.drained_per_tick);
-    let mut idx = 0;
-    let serve = |ctl: &mut AdmissionController,
-                 engine: &mut StreamAnalysis<'a>,
-                 batch: &mut Vec<StreamEvent>| {
+    let mut batch = Vec::with_capacity(schedule.drained_per_tick.max(1));
+    let ctl = run_ticks(events, admission, schedule, |ctl, quantum| {
         batch.clear();
-        ctl.drain(schedule.drained_per_tick, batch);
+        ctl.drain(quantum, &mut batch);
         if !batch.is_empty() {
-            let summary = engine.ingest_batch(batch);
+            let summary = engine.ingest_batch(&batch);
             ctl.note_engine(&summary);
         }
         if let Some(frontier) = ctl.offered_frontier() {
             engine.note_arrival_frontier(frontier);
         }
-    };
-    while idx < events.len() {
-        let stop = (idx + schedule.offered_per_tick).min(events.len());
-        while idx < stop {
-            match ctl.offer(events[idx].clone()) {
-                Offer::Enqueued | Offer::Shed => idx += 1,
-                Offer::Blocked(_) => serve(&mut ctl, &mut engine, &mut batch),
-            }
-        }
-        serve(&mut ctl, &mut engine, &mut batch);
-    }
-    while ctl.queued() > 0 {
-        serve(&mut ctl, &mut engine, &mut batch);
-    }
+    });
     let counters = ctl.counters();
     debug_assert!(counters.conserved(), "overload ledger must balance");
     let mut result = engine.flush();

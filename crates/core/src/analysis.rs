@@ -132,17 +132,6 @@ impl ParallelismConfig {
             ..ParallelismConfig::default()
         }
     }
-
-    /// The worker count the fields name on this machine (`0` resolves
-    /// to the available cores). No lane work reads it.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 /// The events per batch [`Analysis::run`] feeds its engine, the unit a

@@ -87,8 +87,8 @@ use crate::observe::{self, DurabilityCounters, PipelineReport, ShardCounters, Tr
 use crate::recovery::{DurabilityPolicy, RecoveryReport};
 use crate::streaming::{StreamAnalysis, StreamEvent, StreamOutput, StreamResult};
 use crate::transport::{
-    DurableSpec, InProcessTransport, ReadyMsg, ScenarioSpec, ShardMsg, ShardTransport,
-    SubprocessTransport, WorkerSpec,
+    DurableSpec, InProcessTransport, ScenarioSpec, ShardMsg, ShardTransport, SubprocessTransport,
+    WorkerSpec,
 };
 use faultline_sim::chaos::ShardKill;
 use faultline_sim::ScenarioData;
@@ -472,16 +472,15 @@ impl Losses {
     }
 }
 
-/// The spec of worker `shard` in a cluster of `shards`: fresh, or —
-/// for the supervisor's respawn — recovering from its own directory. A
-/// recovering worker never inherits the abort hook that killed its
-/// predecessor.
-fn worker_spec(cfg: &ClusterConfig, shard: u32, shards: u32, recover: bool) -> WorkerSpec {
+/// The spec of worker `shard`: fresh, or — for the supervisor's respawn
+/// — recovering from its own directory. A recovering worker never
+/// inherits the abort hook that killed its predecessor.
+fn worker_spec(cfg: &ClusterConfig, shard: u32, recover: bool) -> WorkerSpec {
     let scenario = match &cfg.workers {
         Workers::InProcess => ScenarioSpec::Attached,
         Workers::Subprocess(opts) => opts.scenario.clone(),
     };
-    let mut spec = WorkerSpec::new(shard, shards, cfg.analysis.clone(), scenario);
+    let mut spec = WorkerSpec::new(cfg.analysis.clone(), scenario);
     if let Some(d) = &cfg.durability {
         spec.durable = Some(DurableSpec {
             dir: shard_dir(&d.root, shard).display().to_string(),
@@ -548,7 +547,7 @@ fn expect<T>(
 fn expect_ready(
     transport: &mut dyn ShardTransport,
     worker: usize,
-) -> Result<ReadyMsg, TransportError> {
+) -> Result<Option<RecoveryReport>, TransportError> {
     expect(transport, worker, "ready", |msg| match msg {
         ShardMsg::Ready(ready) => Ok(ready),
         other => Err(other),
@@ -680,9 +679,8 @@ fn dispatch(
         if !losses.dead[w] {
             continue;
         }
-        transport.respawn(w, worker_spec(cfg, w as u32, workers as u32, true))?;
-        let ready = expect_ready(transport, w)?;
-        let report = ready.recovery.ok_or_else(|| TransportError::Protocol {
+        transport.respawn(w, worker_spec(cfg, w as u32, true))?;
+        let report = expect_ready(transport, w)?.ok_or_else(|| TransportError::Protocol {
             worker: w,
             detail: "respawned worker reported no recovery".to_string(),
         })?;
@@ -838,7 +836,7 @@ pub fn run_cluster(
 
     let t_shards = Instant::now();
     let specs = (0..shards)
-        .map(|shard| worker_spec(cfg, shard, shards, false))
+        .map(|shard| worker_spec(cfg, shard, false))
         .collect();
     let (driven, transport) = with_workers(data, &naming, &cfg.workers, specs, |transport| {
         dispatch(transport, data, &naming, events, cfg)
@@ -896,6 +894,9 @@ pub fn run_cluster_subprocess(
     };
     run_cluster(data, events, &cfg)
 }
+
+#[cfg(test)]
+mod sweep;
 
 #[cfg(test)]
 mod tests {
@@ -978,7 +979,7 @@ mod tests {
         // `run_cluster` after its one mining call.
         let run_with = |cfg: &ClusterConfig| {
             let specs = (0..cfg.shards)
-                .map(|shard| worker_spec(cfg, shard, cfg.shards, false))
+                .map(|shard| worker_spec(cfg, shard, false))
                 .collect();
             let (driven, transport) =
                 with_workers(&data, &naming, &cfg.workers, specs, |transport| {
@@ -987,20 +988,16 @@ mod tests {
                 .expect("in-process workers start");
             (driven.expect("the run completes"), transport)
         };
-        // What the witness should have seen, in (kind, shard) order:
-        // every engine over the one table above.
-        let all_on_it = |engines: &[(&'static str, u32)]| {
+        // What the witness should have seen, in kind order: every engine
+        // over the one table above.
+        let all_on_it = |kinds: &[&'static str]| {
             let naming = Arc::as_ptr(&naming) as usize;
-            let built = engines.iter().map(|&(kind, shard)| witness::Built {
-                shard,
-                kind,
-                naming,
-            });
+            let built = (kinds.iter()).map(|&kind| witness::Built { kind, naming });
             built.collect::<Vec<_>>()
         };
         let seen = || {
             let mut seen = witness::take(&data);
-            seen.sort_by_key(|b| (b.kind, b.shard));
+            seen.sort_by_key(|b| b.kind);
             seen
         };
         witness::take(&data);
@@ -1008,7 +1005,7 @@ mod tests {
         // Two fresh workers.
         let (fresh, _) = run_with(&ClusterConfig::new(2));
         assert_eq!(fresh.flushed.len(), 2);
-        assert_eq!(seen(), all_on_it(&[("fresh", 0), ("fresh", 1)]));
+        assert_eq!(seen(), all_on_it(&["fresh", "fresh"]));
 
         // Two durable workers, one hard-killed and respawned by the
         // supervisor, which recovers it from its directory.
@@ -1030,10 +1027,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         assert_eq!(durable.recoveries.len(), 1);
         assert_eq!(counters.worker_restarts, 1);
-        assert_eq!(
-            seen(),
-            all_on_it(&[("create", 0), ("create", 1), ("recover", 1)])
-        );
+        assert_eq!(seen(), all_on_it(&["create", "create", "recover"]));
     }
 
     #[test]

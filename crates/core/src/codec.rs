@@ -64,7 +64,9 @@
 //! its row lists it. A nested struct's row sits inline, so grouping
 //! fields into a struct moves no byte. Fields a `rows!` entry lists after
 //! a `;` are runtime-only: not encoded, decoded as their `Default`. No
-//! row stores a value the rest determines (`Kernel::rebuild`).
+//! row stores a value the rest determines: a restore rebuilds the engine's
+//! (`Kernel::rebuild`), and [`decode_flushed`] derives an answer's
+//! (`StreamOutput::derive`).
 //!
 //! ```text
 //! flushed    := report:str payload              a shard's `Flushed` answer:
@@ -87,13 +89,12 @@
 //!               syslog_transitions:vec<transition>
 //!               isis_recon syslog_recon:reconstruction
 //!               isis_failures syslog_failures:vec<failure>
-//!               isis_sanitize syslog_sanitize:sanitize matching counters
+//!               isis_sanitize syslog_sanitize:sanitize matching
+//!               syslog_ingested:u64             (the other counters derived)
 //! reconstruction := failures:vec<failure> ambiguous:vec<ambiguous>
 //!               unterminated boundary_ups:u32
-//! matching   := matched partial:vec<(usize usize)> left_only right_only:vec<usize>
-//! counters   := syslog_ingested isis_ingested transitions_derived
-//!               failures_reconstructed failures_after_sanitize
-//!               sanitize_dropped failures_matched ambiguous_periods:u64
+//! matching   := matched partial:vec<(usize usize)>  (left_only, right_only
+//!                                               derived)
 //! config     := match_window dedup_window flap_gap flap_pad long_threshold
 //!               ticket_slack short_fp_threshold:time strategy:u8
 //!               threads chunk_size:usize quarantine_horizon:opt<time>
@@ -115,7 +116,8 @@
 //! sanitize   := removed_offline removed_offline_ms long_checked long_removed
 //!               long_removed_ms:u64
 //! resolve_stats := isis_resolved physical_resolved lineproto_skipped unresolved:u64
-//! merge_stats   := raw unresolvable_multilink unknown inconsistent emitted:u64
+//! merge_stats   := raw unresolvable_multilink unknown inconsistent:u64
+//!                                               (emitted derived)
 //! route_stats   := raw unresolvable_multilink unknown:u64
 //! opt<T>     := 0x00 | 0x01 T
 //! vec<T>     := count:varint T{count}
@@ -194,7 +196,7 @@ const MIN_EVENT_LEN: usize = 8;
 const TYPICAL_EVENT_LEN: usize = 40;
 
 /// A fieldless enum stored as one byte, checked on the way in.
-trait Tag: Copy {
+pub(crate) trait Tag: Copy {
     /// What a byte naming no variant is reported as.
     const FIELD: &'static str;
     fn tag(self) -> u8;
@@ -768,16 +770,16 @@ rows! {
     }
     ParallelismConfig { threads, chunk_size }
     SyslogResolveStats { isis_resolved, physical_resolved, lineproto_skipped, unresolved }
-    IsisMergeStats { raw, unresolvable_multilink, unknown, inconsistent, emitted }
+    IsisMergeStats { raw, unresolvable_multilink, unknown, inconsistent; emitted }
     SanitizeReport { removed_offline, removed_offline_ms, long_checked, long_removed, long_removed_ms }
     LinkTransition { at, link, direction }
     Failure { link, start, end }
     AmbiguousPeriod { link, first, second, direction }
     ResolvedMessage { at, link, direction, family, host, detail }
     Reconstruction { failures, ambiguous, unterminated, boundary_ups }
-    FailureMatching { matched, partial, left_only, right_only }
+    FailureMatching { matched, partial; left_only, right_only }
     PipelineCounters {
-        syslog_ingested,
+        syslog_ingested;
         isis_ingested,
         transitions_derived,
         failures_reconstructed,
@@ -916,14 +918,26 @@ pub fn encode_flushed(answer: &WorkerOutput, out: &mut Vec<u8>) -> serde_json::R
     Ok(())
 }
 
-/// Decode a shard's flushed answer — all of `bytes`.
+/// Decode a shard's flushed answer — all of `bytes` — and derive what its
+/// row does not store.
 pub fn decode_flushed(bytes: &[u8]) -> Result<WorkerOutput, CodecError> {
     let mut cur = Cursor { bytes, pos: 0 };
     let report: PipelineReport =
         serde_json::from_str(cur.str()?).map_err(|e| CodecError::BadReport {
             detail: e.to_string(),
         })?;
-    let output = read_payload(cur)?;
+    let mut output: StreamOutput = read_payload(cur)?;
+    let (left, right) = (output.syslog_failures.len(), output.isis_failures.len());
+    let recon = output.isis_recon.failures.len() + output.syslog_recon.failures.len();
+    let mut pairs = output
+        .matching
+        .matched
+        .iter()
+        .chain(&output.matching.partial);
+    if left + right > recon || pairs.any(|&(i, j)| i >= left || j >= right) {
+        return Err(CodecError::Inconsistent);
+    }
+    output.derive();
     Ok(WorkerOutput { output, report })
 }
 
@@ -971,6 +985,37 @@ mod tests {
                 prefix_len: 31,
             }),
         ]
+    }
+
+    #[test]
+    fn a_flushed_answer_that_contradicts_its_failure_lists_is_refused() {
+        use faultline_sim::scenario::{run, ScenarioParams};
+        let data = run(&ScenarioParams::tiny(7));
+        let mut engine = crate::streaming::StreamAnalysis::new(&data, AnalysisConfig::default());
+        engine.ingest_batch(&crate::streaming::scenario_event_stream(&data));
+        let result = engine.flush();
+        let answer = WorkerOutput {
+            output: result.output,
+            report: result.report,
+        };
+        let decode = |answer: &WorkerOutput| {
+            let mut rows = Vec::new();
+            encode_flushed(answer, &mut rows).unwrap();
+            decode_flushed(&rows).map(drop)
+        };
+        decode(&answer).expect("a real answer decodes");
+        // A pair naming a sanitized failure past the list, and sanitized
+        // failures that no reconstructed failure accounts for: deriving
+        // either would index past a list or underflow a count.
+        let mut past_the_list = answer.clone();
+        let left = past_the_list.output.syslog_failures.len();
+        past_the_list.output.matching.matched.push((left, 0));
+        let mut unaccounted = answer;
+        unaccounted.output.syslog_recon.failures.clear();
+        unaccounted.output.isis_recon.failures.clear();
+        for forged in [past_the_list, unaccounted] {
+            assert!(matches!(decode(&forged), Err(CodecError::Inconsistent)));
+        }
     }
 
     #[test]

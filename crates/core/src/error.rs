@@ -275,6 +275,9 @@ pub enum CodecError {
         /// The JSON reader's explanation.
         detail: String,
     },
+    /// A flushed answer's match pairs or failure counts contradict its
+    /// failure lists, so what they determine cannot be derived.
+    Inconsistent,
 }
 
 impl fmt::Display for CodecError {
@@ -316,6 +319,7 @@ impl fmt::Display for CodecError {
             CodecError::BadReport { detail } => {
                 write!(f, "the answer's report does not parse: {detail}")
             }
+            CodecError::Inconsistent => write!(f, "the answer contradicts its own failure lists"),
         }
     }
 }

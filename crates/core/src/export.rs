@@ -8,7 +8,6 @@
 //! row) to any `io::Write`.
 
 use crate::linktable::LinkTable;
-use crate::observe::PipelineReport;
 use crate::reconstruct::Failure;
 use crate::stats::Ecdf;
 use std::collections::HashMap;
@@ -98,28 +97,6 @@ pub fn ecdf_csv<W: Write>(mut w: W, series: &[(&str, &Ecdf)]) -> io::Result<()> 
     Ok(())
 }
 
-/// Write a [`PipelineReport`] as pretty-printed JSON — the shape the
-/// `BENCH_*.json` datapoints use.
-pub fn pipeline_report_json<W: Write>(w: W, report: &PipelineReport) -> io::Result<()> {
-    serde_json::to_writer_pretty(w, report).map_err(io::Error::other)
-}
-
-/// Write a [`PipelineReport`]'s stages as CSV, one stage per row.
-pub fn pipeline_report_csv<W: Write>(mut w: W, report: &PipelineReport) -> io::Result<()> {
-    writeln!(w, "stage,items_in,items_out,wall_micros")?;
-    for s in &report.stages {
-        writeln!(
-            w,
-            "{},{},{},{}",
-            csv_field(&s.stage),
-            s.items_in,
-            s.items_out,
-            s.wall_micros
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,35 +167,6 @@ mod tests {
         assert_eq!(lines[1], "1,0.500000,0.000000");
         assert_eq!(lines[2], "2,1.000000,0.500000");
         assert_eq!(lines[3], "3,1.000000,1.000000");
-    }
-
-    #[test]
-    fn pipeline_report_writers() {
-        let mut report = PipelineReport::new(2);
-        report.record_stage(
-            "resolve_syslog",
-            100,
-            90,
-            std::time::Duration::from_micros(1234),
-        );
-        report.total_micros = 1234;
-
-        let mut csv = Vec::new();
-        pipeline_report_csv(&mut csv, &report).unwrap();
-        let text = String::from_utf8(csv).unwrap();
-        assert_eq!(
-            text.lines().next().unwrap(),
-            "stage,items_in,items_out,wall_micros"
-        );
-        assert!(text.lines().any(|l| l == "resolve_syslog,100,90,1234"));
-
-        let mut json = Vec::new();
-        pipeline_report_json(&mut json, &report).unwrap();
-        let text = String::from_utf8(json).unwrap();
-        let back: PipelineReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.stages.len(), 1);
-        assert_eq!(back.stages[0].wall_micros, 1234);
-        assert_eq!(back.threads, 2);
     }
 
     #[test]

@@ -1141,8 +1141,8 @@ impl StreamOutput {
     /// Build the answer from every finalized record: the one place its
     /// order is decided, for one kernel's log and for
     /// [`crate::cluster::merge_outputs`]'s logs concatenated in index
-    /// order. `out` holds what records cannot count (all but `emitted`
-    /// and the headline counters past `syslog_ingested`) and no records.
+    /// order. `out` holds what records cannot count (all but what
+    /// [`StreamOutput::derive`] fills in) and no records.
     /// One stable sort per vector on the collect keys gives the batch
     /// order: ties on a key come from one lane, in the order it finalized
     /// them. On lists each sorted and concatenated in index order that
@@ -1177,32 +1177,37 @@ impl StreamOutput {
                 .map(|(i, j)| (left[i], right[j]))
                 .collect()
         };
-        let (syslog_len, isis_len) = (out.syslog_failures.len(), out.isis_failures.len());
-        out.matching = FailureMatching::from_pairs(
-            remap(log.matched),
-            remap(log.partial),
-            syslog_len,
-            isis_len,
-        );
-        out.is_stats.emitted = out.is_transitions.len() as u64;
-        out.ip_stats.emitted = out.ip_transitions.len() as u64;
+        out.matching.matched = remap(log.matched);
+        out.matching.partial = remap(log.partial);
+        out.derive();
+        out
+    }
+
+    /// Fill in what the rest of the answer determines: the matching's
+    /// shape, each merge's `emitted` and the headline counters past
+    /// `syslog_ingested`. [`crate::codec::decode_flushed`] runs it too, on
+    /// a row that stores none of them.
+    pub(crate) fn derive(&mut self) {
+        let (syslog_len, isis_len) = (self.syslog_failures.len(), self.isis_failures.len());
+        self.matching.complete(syslog_len, isis_len);
+        self.is_stats.emitted = self.is_transitions.len() as u64;
+        self.ip_stats.emitted = self.ip_transitions.len() as u64;
         let reconstructed =
-            (out.isis_recon.failures.len() + out.syslog_recon.failures.len()) as u64;
+            (self.isis_recon.failures.len() + self.syslog_recon.failures.len()) as u64;
         let survived = (syslog_len + isis_len) as u64;
-        out.counters = PipelineCounters {
-            syslog_ingested: out.counters.syslog_ingested,
-            isis_ingested: out.is_stats.raw + out.ip_stats.raw,
-            transitions_derived: out.is_stats.emitted
-                + out.ip_stats.emitted
-                + out.syslog_transitions.len() as u64,
+        self.counters = PipelineCounters {
+            syslog_ingested: self.counters.syslog_ingested,
+            isis_ingested: self.is_stats.raw + self.ip_stats.raw,
+            transitions_derived: self.is_stats.emitted
+                + self.ip_stats.emitted
+                + self.syslog_transitions.len() as u64,
             failures_reconstructed: reconstructed,
             failures_after_sanitize: survived,
             sanitize_dropped: reconstructed - survived,
-            failures_matched: out.matching.matched.len() as u64,
-            ambiguous_periods: (out.isis_recon.ambiguous.len() + out.syslog_recon.ambiguous.len())
+            failures_matched: self.matching.matched.len() as u64,
+            ambiguous_periods: (self.isis_recon.ambiguous.len() + self.syslog_recon.ambiguous.len())
                 as u64,
         };
-        out
     }
 }
 

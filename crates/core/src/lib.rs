@@ -118,6 +118,6 @@ pub use streaming::{
 };
 pub use transport::{
     locate_worker_bin, read_frame, serve_stdio, write_frame, DurableSpec, InProcessTransport,
-    ReadyMsg, ScenarioSpec, ShardMsg, ShardTransport, SubprocessTransport, WorkerOutput,
-    WorkerSpec, FRAME_MAGIC, WIRE_VERSION,
+    ScenarioSpec, ShardMsg, ShardTransport, SubprocessTransport, WorkerOutput, WorkerSpec,
+    FRAME_MAGIC, WIRE_VERSION,
 };

@@ -158,30 +158,41 @@ pub struct FailureMatching {
 }
 
 impl FailureMatching {
-    /// The matching with these pairs over `left_len` left and `right_len`
-    /// right failures, in the matcher's own shape: pairs ascending in the
-    /// left index, left/right-only the ascending complements.
-    pub(crate) fn from_pairs(
-        mut matched: Vec<(usize, usize)>,
-        mut partial: Vec<(usize, usize)>,
-        left_len: usize,
-        right_len: usize,
-    ) -> FailureMatching {
-        matched.sort_by_key(|&(i, _)| i);
-        partial.sort_by_key(|&(i, _)| i);
-        let mut left_used = vec![false; left_len];
-        let mut right_used = vec![false; right_len];
-        for &(i, j) in matched.iter().chain(partial.iter()) {
-            left_used[i] = true;
-            right_used[j] = true;
-        }
-        FailureMatching {
-            matched,
-            partial,
-            left_only: (0..left_len).filter(|&i| !left_used[i]).collect(),
-            right_only: (0..right_len).filter(|&j| !right_used[j]).collect(),
+    /// Put these pairs over `left_len` left and `right_len` right
+    /// failures in the matcher's own shape: pairs ascending in the left
+    /// index, left/right-only the ascending complements.
+    pub(crate) fn complete(&mut self, left_len: usize, right_len: usize) {
+        self.matched.sort_by_key(|&(i, _)| i);
+        self.partial.sort_by_key(|&(i, _)| i);
+        let (matched, partial) = (&self.matched, &self.partial);
+        let pairs = || matched.iter().chain(partial);
+        self.left_only = unpaired(left_len, pairs().map(|&(i, _)| i));
+        self.right_only = unpaired(right_len, pairs().map(|&(_, j)| j));
+    }
+}
+
+/// The positions below `len` that `paired` (each at most once) does not
+/// name, ascending, in the answer's one allocation (none if empty): a
+/// mark bit per position first, then the answer, then the marks dropped.
+fn unpaired(len: usize, paired: impl Iterator<Item = usize> + Clone) -> Vec<usize> {
+    const BITS: usize = usize::BITS as usize;
+    let unpaired = len.saturating_sub(paired.clone().count());
+    if unpaired == 0 {
+        return Vec::new();
+    }
+    let words = len.div_ceil(BITS);
+    let mut only = Vec::with_capacity(words + unpaired);
+    only.resize(words, 0);
+    for i in paired {
+        only[i / BITS] |= 1 << (i % BITS);
+    }
+    for i in 0..len {
+        if only[i / BITS] & (1 << (i % BITS)) == 0 {
+            only.push(i);
         }
     }
+    only.drain(..words);
+    only
 }
 
 /// Match one link's two failure lists: first exact matches (start and
@@ -244,7 +255,7 @@ pub(crate) fn match_link(
 /// ```
 pub fn match_failures(left: &[Failure], right: &[Failure], window: Duration) -> FailureMatching {
     debug_assert!(left.is_sorted_by_key(|f| f.link) && right.is_sorted_by_key(|f| f.link));
-    let (mut matched, mut partial, mut used) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut m, mut used) = (FailureMatching::default(), Vec::new());
     let (mut i, mut j) = (0, 0);
     for run in left.chunk_by(|a, b| a.link == b.link) {
         let link = run[0].link;
@@ -256,12 +267,13 @@ pub fn match_failures(left: &[Failure], right: &[Failure], window: Duration) -> 
             window,
             &mut used,
             (i, j),
-            &mut matched,
-            &mut partial,
+            &mut m.matched,
+            &mut m.partial,
         );
         (i, j) = (i + run.len(), k);
     }
-    FailureMatching::from_pairs(matched, partial, left.len(), right.len())
+    m.complete(left.len(), right.len());
+    m
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ const RECORD_CAPACITY: usize = 256;
 
 /// A snapshot payload opens with its chain block: `seq`, `parent_seq`,
 /// `parent_fnv`, u64 LE each (both parent fields 0 in a full base).
-const CHAIN_LEN: usize = 3 * 8;
+pub(crate) const CHAIN_LEN: usize = 3 * 8;
 
 fn io_err(op: &'static str, path: &Path, source: std::io::Error) -> RecoveryError {
     RecoveryError::Io {

@@ -567,20 +567,20 @@ impl<'a> StreamAnalysis<'a> {
         Ok(engine)
     }
 
-    /// Late-event reject check. An event stamped strictly before the
-    /// watermark would hand the per-link state machines out-of-order
-    /// history and could regress the watermark that every segment-close
-    /// proof leans on, so it is counted ([`StreamingCounters::late_events`])
-    /// and dropped. Like quarantine, it is still an *offered* event for
-    /// the headline ingest counters.
-    fn reject_late(&mut self, event: Observed<'_>) -> bool {
-        let Some(w) = self.watermark else {
-            return false;
-        };
-        if event.at() >= w {
+    /// The late check, then the watermark's advance. An event stamped
+    /// strictly before the watermark would hand the per-link state
+    /// machines out-of-order history and could regress the watermark that
+    /// every segment-close proof leans on, so it is counted
+    /// ([`StreamingCounters::late_events`]) and dropped (still an
+    /// *offered* event, like a quarantined one); any other moves the
+    /// watermark to `at`. A lane row is judged the same way, so one that
+    /// a damaged journal or a wrong re-feed puts out of order is dropped.
+    fn advance(&mut self, at: Timestamp) -> bool {
+        if self.watermark.is_some_and(|w| at < w) {
+            self.kernel.tallies.late_events += 1;
             return false;
         }
-        self.kernel.tallies.late_events += 1;
+        self.watermark = Some(at);
         true
     }
 
@@ -618,12 +618,9 @@ impl<'a> StreamAnalysis<'a> {
         if !self.admit(event) {
             return (IngestOutcome::Quarantined, None);
         }
-        if self.reject_late(event) {
+        if !self.advance(event.at()) {
             return (IngestOutcome::Late, None);
         }
-        // Not late, so `at` ties or advances the watermark: it never
-        // regresses.
-        self.watermark = Some(event.at());
         (IngestOutcome::Accepted, self.kernel.route(event))
     }
 
@@ -636,20 +633,24 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Apply a cluster shard's batch of lane rows, in stream order, under
     /// the last row's time, as [`StreamAnalysis::ingest_batch`] applies
-    /// its own. Each row counts as one consumed event.
+    /// its own. Each row counts as one consumed event; a late one is
+    /// dropped.
     pub(crate) fn apply_rows(&mut self, rows: &[LaneRow]) {
-        let Some(last) = rows.last() else {
+        if rows.is_empty() {
             return;
-        };
+        }
         let t0 = Instant::now();
         self.kernel.tallies.batches += 1;
         self.seq += rows.len() as u64;
-        self.watermark = self.watermark.max(Some(last.event.at));
         self.arena.clear();
         for row in rows {
-            self.arena.push(row.link, row.event);
+            if self.advance(row.event.at) {
+                self.arena.push(row.link, row.event);
+            }
         }
-        self.apply_arena(last.event.at);
+        if let Some(watermark) = self.watermark {
+            self.apply_arena(watermark);
+        }
         self.ingest_wall += t0.elapsed();
     }
 
@@ -658,8 +659,9 @@ impl<'a> StreamAnalysis<'a> {
     pub(crate) fn apply_row(&mut self, row: LaneRow) {
         let t0 = Instant::now();
         self.seq += 1;
-        self.watermark = self.watermark.max(Some(row.event.at));
-        self.kernel.apply_one(row, row.event.at);
+        if self.advance(row.event.at) {
+            self.kernel.apply_one(row, row.event.at);
+        }
         self.ingest_wall += t0.elapsed();
     }
 

@@ -22,12 +22,12 @@
 //! # Wire format
 //!
 //! Each frame is one [`crate::envelope`]: the 19-byte header (magic
-//! `"FLSM"`, wire version 6) and the payload, built in one buffer and
+//! `"FLSM"`, wire version 7) and the payload, built in one buffer and
 //! written with one `write_all`. The kind byte says what the payload is:
 //!
 //! | kind | payload | carries |
 //! |---|---|---|
-//! | 1 | `serde_json` | `Hello`, `Ready`, `Flush`, `Fatal` |
+//! | 1 | `serde_json` | `Hello` (a [`WorkerSpec`]), `Ready` (an optional [`RecoveryReport`]), `Flush`, `Fatal` |
 //! | 2 | [`crate::codec`] run | [`ShardMsg::Events`] |
 //! | 3 | [`crate::codec`] flushed answer | [`ShardMsg::Flushed`] |
 //! | 4 | [`crate::codec`] row run | [`ShardMsg::Rows`] |
@@ -39,7 +39,9 @@
 //! an earlier wire version — version 1 had no kind byte, version 2 sent
 //! `Flushed` as JSON, version 3 fed workers events rather than rows,
 //! version 4 migrated lanes with the values a restore derives, version 5
-//! still spoke the lane-migration messages of live resharding — is
+//! still spoke the lane-migration messages of live resharding, version 6
+//! sent values no reader reads (a `Ready`'s own resume position, a
+//! `Hello`'s shard numbers, a `Flushed` answer's derived counters) — is
 //! [`FrameError::UnsupportedVersion`].
 //!
 //! The dispatcher classifies every event and sends workers only lane
@@ -48,7 +50,8 @@
 //! of shipping a raw event batch.
 //!
 //! The protocol is strictly request/response with a fixed lifecycle:
-//! a worker announces [`ShardMsg::Ready`] once its engine exists, then
+//! a worker announces [`ShardMsg::Ready`] once its engine exists (with
+//! its [`RecoveryReport`] when it was rebuilt from durable state), then
 //! applies [`ShardMsg::Rows`] until [`ShardMsg::Flush`], answering
 //! with [`ShardMsg::Flushed`] and exiting; any unrecoverable worker
 //! condition travels as [`ShardMsg::Fatal`].
@@ -76,7 +79,7 @@ use std::time::Instant;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 
 /// Sanity bound on a declared payload length: a header claiming more is
 /// corrupt, not honored.
@@ -128,8 +131,10 @@ pub enum ShardMsg {
     /// worker thread directly; it never crosses as a message.)
     Hello(Box<WorkerSpec>),
     /// Worker → dispatcher: the engine exists and the worker is
-    /// consuming.
-    Ready(ReadyMsg),
+    /// consuming. After a durable recovery it carries what the recovery
+    /// ladder found and did; the dispatcher re-feeds the shard's rows
+    /// from its `resumed_at_seq`.
+    Ready(Option<RecoveryReport>),
     /// A micro-batch of this shard's lane rows, in stream order.
     Rows(Vec<LaneRow>),
     /// A micro-batch of raw events: no worker consumes one, but the
@@ -163,18 +168,6 @@ impl ShardMsg {
     }
 }
 
-/// The payload of [`ShardMsg::Ready`]: where the worker's engine stands.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ReadyMsg {
-    /// Rows the engine has already applied. 0 for a fresh engine;
-    /// after a durable recovery, the resume position — the dispatcher
-    /// re-feeds this shard's rows from here.
-    pub resumed_at_seq: u64,
-    /// What the recovery ladder found and did, when the engine was
-    /// rebuilt from durable state.
-    pub recovery: Option<RecoveryReport>,
-}
-
 /// A shard's flushed result: the merge-ready output plus the worker's
 /// own accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -190,11 +183,6 @@ pub struct WorkerOutput {
 /// process.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerSpec {
-    /// This worker's shard index.
-    pub shard: u32,
-    /// Total shards in the run (for diagnostics; routing already
-    /// happened at the dispatcher).
-    pub shards: u32,
     /// The analysis configuration every shard shares.
     pub config: AnalysisConfig,
     /// Where the worker's scenario (topology + side inputs) comes from.
@@ -210,11 +198,10 @@ pub struct WorkerSpec {
 }
 
 impl WorkerSpec {
-    /// A fresh, non-durable worker spec for shard `shard` of `shards`.
-    pub fn new(shard: u32, shards: u32, config: AnalysisConfig, scenario: ScenarioSpec) -> Self {
+    /// A fresh, non-durable worker spec. Routing happens at the
+    /// dispatcher, so a worker needs no shard number.
+    pub fn new(config: AnalysisConfig, scenario: ScenarioSpec) -> Self {
         WorkerSpec {
-            shard,
-            shards,
             config,
             scenario,
             durable: None,
@@ -425,7 +412,7 @@ impl<R: Read, W: Write> WorkerPort for StreamPort<R, W> {
 }
 
 /// How a worker's lifecycle ended.
-enum WorkerExit {
+pub(crate) enum WorkerExit {
     /// The worker ran its protocol to completion (Flushed, Fatal, or
     /// the dispatcher hung up).
     Completed,
@@ -453,7 +440,7 @@ fn send_fatal(port: &mut dyn WorkerPort, detail: String) -> WorkerExit {
 /// dispatcher's own in-process, one mined per subprocess), announce
 /// [`ShardMsg::Ready`], consume commands until [`ShardMsg::Flush`] (or
 /// death), answer, exit.
-fn run_worker(
+pub(crate) fn run_worker(
     data: &ScenarioData,
     naming: Arc<Naming>,
     spec: WorkerSpec,
@@ -468,7 +455,7 @@ fn run_worker(
     }
 
     let abort_at = spec.abort_after_events;
-    let mut ready = ReadyMsg::default();
+    let mut recovery = None;
     // The dispatcher validated configuration and input ordering once
     // before spawning anyone (`run_cluster` calls `validate_inputs`
     // first), so workers construct infallibly — re-validating here
@@ -482,8 +469,7 @@ fn run_worker(
             if d.recover {
                 match DurableStream::recover_with(dir, data, config, d.policy, naming, started) {
                     Ok((stream, report)) => {
-                        ready.resumed_at_seq = report.resumed_at_seq;
-                        ready.recovery = Some(report);
+                        recovery = Some(report);
                         Engine::Durable(stream)
                     }
                     Err(e) => return send_fatal(port, e.to_string()),
@@ -505,7 +491,7 @@ fn run_worker(
             Engine::Durable(stream) => stream.engine().naming(),
         },
     );
-    if port.send(ShardMsg::Ready(ready)).is_err() {
+    if port.send(ShardMsg::Ready(recovery)).is_err() {
         return WorkerExit::Completed;
     }
 
@@ -520,6 +506,11 @@ fn run_worker(
             Err(_) => return WorkerExit::Completed,
         };
         if let ShardMsg::Flush = msg {
+            // A kill at the shard's last row (or at 0 on a shard that got
+            // none) lands here, before the flush.
+            if abort_at == Some(consumed) {
+                return WorkerExit::Aborted;
+            }
             let result = match engine {
                 Engine::Fresh(e) => e.flush(),
                 Engine::Durable(stream) => stream.finish(),
@@ -569,7 +560,6 @@ pub(crate) mod witness {
     /// One engine a worker built.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub(crate) struct Built {
-        pub(crate) shard: u32,
         /// `"fresh"`, `"create"` (durable) or `"recover"` (durable).
         pub(crate) kind: &'static str,
         /// The address of the naming layer the engine holds.
@@ -587,7 +577,6 @@ pub(crate) mod witness {
             Some(_) => "create",
         };
         let built = Built {
-            shard: spec.shard,
             kind,
             naming: Arc::as_ptr(naming) as usize,
         };
@@ -957,17 +946,32 @@ pub fn serve_stdio() -> i32 {
         writer: BufWriter::new(stdout.lock()),
         scratch: Vec::new(),
     };
+    let (spec, data) = match greet(&mut port) {
+        Ok(hello) => hello,
+        Err(code) => return code,
+    };
+    let naming = Arc::new(Naming::mine(&data));
+    match run_worker(&data, naming, spec, &mut port) {
+        WorkerExit::Completed => 0,
+        WorkerExit::Aborted => 9,
+    }
+}
+
+/// A subprocess worker's first step: receive its [`ShardMsg::Hello`] and
+/// materialize the scenario it names. `Err` is the exit code of a worker
+/// that cannot start.
+pub(crate) fn greet(port: &mut dyn WorkerPort) -> Result<(WorkerSpec, ScenarioData), i32> {
     let mut spec = match port.recv() {
         Ok(ShardMsg::Hello(spec)) => *spec,
         Ok(other) => {
             let _ = port.send(ShardMsg::Fatal {
                 detail: format!("expected hello, got {}", other.kind()),
             });
-            return 2;
+            return Err(2);
         }
         Err(e) => {
             eprintln!("faultline-shard-worker: no hello frame: {e}");
-            return 2;
+            return Err(2);
         }
     };
     let scenario = std::mem::replace(&mut spec.scenario, ScenarioSpec::Attached);
@@ -976,7 +980,7 @@ pub fn serve_stdio() -> i32 {
             let _ = port.send(ShardMsg::Fatal {
                 detail: "subprocess worker cannot attach to the dispatcher's scenario".to_string(),
             });
-            return 2;
+            return Err(2);
         }
         ScenarioSpec::Params(params) => run_scenario(&params),
         ScenarioSpec::Inline(boxed) => {
@@ -987,11 +991,7 @@ pub fn serve_stdio() -> i32 {
             data
         }
     };
-    let naming = Arc::new(Naming::mine(&data));
-    match run_worker(&data, naming, spec, &mut port) {
-        WorkerExit::Completed => 0,
-        WorkerExit::Aborted => 9,
-    }
+    Ok((spec, data))
 }
 
 #[cfg(test)]
@@ -1002,14 +1002,12 @@ mod tests {
     fn sample_msgs() -> Vec<ShardMsg> {
         vec![
             ShardMsg::Flush,
-            ShardMsg::Ready(ReadyMsg::default()),
+            ShardMsg::Ready(None),
             ShardMsg::Events(Vec::new()),
             ShardMsg::Fatal {
                 detail: "boom".to_string(),
             },
             ShardMsg::Hello(Box::new(WorkerSpec::new(
-                1,
-                4,
                 AnalysisConfig::default(),
                 ScenarioSpec::Params(Box::new(ScenarioParams::tiny(3))),
             ))),

@@ -831,7 +831,8 @@ pub struct ShardKill {
     /// Which shard dies.
     pub shard: u32,
     /// Events the shard consumes before dying (an arbitrary event
-    /// boundary, `1..shard_events`).
+    /// boundary, `0..=shard_events`: at `shard_events` it dies after its
+    /// last event, before it flushes).
     pub after_events: u64,
 }
 

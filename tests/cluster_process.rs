@@ -270,10 +270,8 @@ fn dead_worker_on_a_nondurable_cluster_is_a_typed_error() {
     let params = ScenarioParams::tiny(7);
     let data = run(&params);
     let specs: Vec<WorkerSpec> = (0..2)
-        .map(|shard| {
+        .map(|_| {
             WorkerSpec::new(
-                shard,
-                2,
                 AnalysisConfig::default(),
                 ScenarioSpec::Params(Box::new(params.clone())),
             )

@@ -114,7 +114,8 @@ fn killed_shard_recovers_byte_identical() {
 
 /// The same contract across arbitrary kill boundaries on one shard
 /// (sampled via `crash_points_seeded`, the same generator the
-/// single-process crash harness uses), under a chaos-mangled archive.
+/// single-process crash harness uses, plus the shard's first and last
+/// boundary), under a chaos-mangled archive.
 #[test]
 fn arbitrary_kill_boundaries_under_chaos_stay_byte_identical() {
     let mut params = ScenarioParams::tiny(7);
@@ -132,7 +133,11 @@ fn arbitrary_kill_boundaries_under_chaos_stay_byte_identical() {
     let victim = (0..cfg.shards)
         .max_by_key(|&i| shard_events[i as usize])
         .unwrap();
-    for point in crash_points_seeded(1234, shard_events[victim as usize], 4) {
+    // Both ends too: a kill before the first row, and one after the
+    // last, which lands at the flush.
+    let len = shard_events[victim as usize];
+    let points = crash_points_seeded(1234, len, 4);
+    for point in [0].into_iter().chain(points).chain([len]) {
         let tmp = TempDir::new(&format!("boundary-{point}"));
         let kill = ShardKill {
             shard: victim,

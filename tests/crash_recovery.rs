@@ -28,8 +28,7 @@
 
 use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
 use faultline_core::{
-    codec, scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis,
-    StreamCheckpoint, StreamEvent,
+    scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis, StreamEvent,
 };
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{crash_points_seeded, ChainFault, ChaosConfig, DurabilityChaos};
@@ -389,8 +388,8 @@ fn checkpoint_head_to_lanes(seq: u64) -> Vec<u8> {
 /// 2^32 items over the bytes one lane needs), a host index past the
 /// dictionary, a bad enum byte, one trailing byte, and event counts whose
 /// sum overflows. (What a decoded value can express, such as an event
-/// count one past the sequence number, is
-/// `every_stored_field_forged_is_rejected_or_resumes`'s.) Each is one
+/// count one past the sequence number, is the in-crate inert-field
+/// sweep's, `cluster::sweep`.) Each is one
 /// more rejected rung of the ladder — a count is refused before anything
 /// is reserved on its word — and the run resumes byte-identical to batch
 /// from the rung below.
@@ -507,171 +506,6 @@ fn sweep_policy() -> DurabilityPolicy {
         full_every_n_checkpoints: 0,
         ..DurabilityPolicy::default()
     }
-}
-
-/// A forged value: where it goes, what was done, and the value.
-type Forged = (Vec<Step>, String, serde_json::Value);
-
-/// One step from a JSON document's root towards a value inside it.
-#[derive(Clone, Debug)]
-enum Step {
-    Key(String),
-    Index(usize),
-}
-
-/// Every forge of every value in `value`, the root included, depth
-/// first, with the path to the value it replaces.
-fn all_forges(value: &serde_json::Value, path: &mut Vec<Step>, out: &mut Vec<Forged>) {
-    out.extend(
-        forges(value)
-            .into_iter()
-            .map(|(how, v)| (path.clone(), how, v)),
-    );
-    let children: Vec<(Step, &serde_json::Value)> = match value {
-        serde_json::Value::Object(map) => (map.iter())
-            .map(|(k, v)| (Step::Key(k.clone()), v))
-            .collect(),
-        serde_json::Value::Array(items) => (items.iter().enumerate())
-            .map(|(i, v)| (Step::Index(i), v))
-            .collect(),
-        _ => Vec::new(),
-    };
-    for (step, child) in children {
-        path.push(step);
-        all_forges(child, path, out);
-        path.pop();
-    }
-}
-
-fn value_at<'v>(value: &'v mut serde_json::Value, path: &[Step]) -> &'v mut serde_json::Value {
-    path.iter().fold(value, |v, step| match (step, v) {
-        (Step::Key(k), serde_json::Value::Object(map)) => map.get_mut(k).unwrap(),
-        (Step::Index(i), serde_json::Value::Array(items)) => &mut items[*i],
-        (step, v) => panic!("{step:?} does not lead into {v:?}"),
-    })
-}
-
-/// Every forge of one value a decoded row can hold: an integer one up
-/// and one down (no wrap at 0 or `u64::MAX`), a bool flipped, and the
-/// value replaced by `null` — which decodes only where it is an
-/// option's `Some`, to `None`. Each comes with what it did.
-fn forges(value: &serde_json::Value) -> Vec<(String, serde_json::Value)> {
-    use serde_json::{Number, Value};
-    let mut out = Vec::new();
-    match value {
-        Value::Number(Number::PosInt(n)) => {
-            if let Some(up) = n.checked_add(1) {
-                out.push(("+1".to_string(), Value::Number(Number::PosInt(up))));
-            }
-            if let Some(down) = n.checked_sub(1) {
-                out.push(("-1".to_string(), Value::Number(Number::PosInt(down))));
-            }
-        }
-        Value::Bool(b) => out.push(("flipped".to_string(), Value::Bool(!b))),
-        _ => {}
-    }
-    if !value.is_null() {
-        out.push(("None".to_string(), Value::Null));
-    }
-    out
-}
-
-/// The stored-field sweep: a real checkpoint's decoded value, walked
-/// field by field through its JSON, with each integer forged one up and
-/// one down, each bool flipped and each `Some` set to `None`, one forge
-/// at a time. Each forge that still decodes is re-encoded as the newest
-/// checkpoint, recovered (in whatever build runs the test, debug
-/// included) and run to the end of its stream. None may panic: it is
-/// either rejected as a corrupt checkpoint — and the run resumes from
-/// the rung below, byte-identical to batch — or it is some other run's
-/// valid state and resumes to a complete output.
-#[test]
-fn every_stored_field_forged_is_rejected_or_resumes() {
-    let data = run(&ScenarioParams::tiny(5));
-    let config = AnalysisConfig::default();
-    let events = scenario_event_stream(&data);
-    let reference = batch_json(&data, &config);
-    let kill_at = events.len().min(180);
-    let tmp = TempDir::new("field-sweep");
-    run_to_kill(&tmp, &data, &config, sweep_policy(), &events, kill_at);
-    let newest = newest_checkpoint(tmp.path());
-    let mut pristine = Vec::new();
-    for sub in [PathBuf::new(), PathBuf::from("journal")] {
-        for entry in fs::read_dir(tmp.path().join(&sub)).unwrap().flatten() {
-            if entry.path().is_file() {
-                pristine.push((entry.path(), fs::read(entry.path()).unwrap()));
-            }
-        }
-    }
-    let reset = || {
-        let _ = fs::remove_dir_all(tmp.path());
-        fs::create_dir_all(tmp.path().join("journal")).unwrap();
-        for (path, bytes) in &pristine {
-            fs::write(path, bytes).unwrap();
-        }
-    };
-    let payload = fs::read(&newest).unwrap()[HEADER_LEN + CHAIN_LEN..].to_vec();
-    let checkpoint = codec::decode_checkpoint(&payload).unwrap();
-    let root = serde_json::to_value(&checkpoint).unwrap();
-    let mut forged_values = Vec::new();
-    all_forges(&root, &mut Vec::new(), &mut forged_values);
-    // Resume without further checkpoints: the rest of the stream only
-    // journals.
-    let resume = DurabilityPolicy {
-        checkpoint_interval: 0,
-        ..sweep_policy()
-    };
-
-    let (mut resumed, mut rejected) = (0, Vec::new());
-    let mut decoded = 0;
-    for (path, how, value) in forged_values {
-        let mut doc = root.clone();
-        *value_at(&mut doc, &path) = value;
-        let Ok(forged) = serde_json::from_value::<StreamCheckpoint>(doc) else {
-            continue;
-        };
-        decoded += 1;
-        let what = format!("{path:?} {how}");
-        reset();
-        reseal(&newest, |file| {
-            file.truncate(CHAIN_LEN);
-            codec::encode_checkpoint(&forged, file);
-        });
-        let (mut durable, report) =
-            DurableStream::recover(tmp.path(), &data, config.clone(), resume)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(report.resumed_at_seq, kill_at as u64, "{what}");
-        for e in &events[kill_at..] {
-            durable.ingest(e).unwrap();
-        }
-        let output = serde_json::to_string(&durable.finish().output).unwrap();
-        match report.rejected.as_slice() {
-            [] => resumed += 1,
-            [reason] => {
-                let (_, why) = reason
-                    .split_once("failed validation: ")
-                    .unwrap_or_else(|| panic!("{what}: {reason}"));
-                assert_eq!(output, reference, "{what}");
-                rejected.push((what, why.to_string()));
-            }
-            more => panic!("{what}: {more:?}"),
-        }
-    }
-    let reasons: std::collections::BTreeMap<&str, usize> =
-        rejected.iter().fold(Default::default(), |mut m, (_, why)| {
-            *m.entry(why.as_str()).or_default() += 1;
-            m
-        });
-    eprintln!("{decoded} forges decode: {resumed} resumed, rejected: {reasons:?}");
-    assert!(resumed > 0 && !rejected.is_empty());
-    // The event counts one past what the checkpoint consumed.
-    assert!(
-        rejected
-            .iter()
-            .any(|(what, why)| what.contains("events_syslog")
-                && why == "more events counted than consumed"),
-        "{rejected:?}"
-    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The wire between a dispatcher and its workers carries every message
 //! of the cluster protocol as a length-prefixed, FNV-hashed frame
-//! (`faultline_core::transport`, wire version 6: an explicit payload-kind
+//! (`faultline_core::transport`, wire version 7: an explicit payload-kind
 //! byte, lane-row batches as binary `faultline_core::codec` row runs,
 //! event batches as codec runs, flushed answers as codec rows,
 //! everything else as JSON). The contract under test mirrors the syslog
@@ -68,8 +68,6 @@ fn corpus() -> Vec<ShardMsg> {
 
     vec![
         ShardMsg::Hello(Box::new(WorkerSpec::new(
-            2,
-            7,
             AnalysisConfig::default(),
             ScenarioSpec::Params(Box::new(ScenarioParams::tiny(3))),
         ))),
@@ -293,7 +291,7 @@ fn a_version_1_frame_is_unsupported_not_sniffed() {
         read_frame(&mut v1.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 1,
-            expected: 6
+            expected: 7
         })
     ));
 }
@@ -308,7 +306,7 @@ fn a_version_2_frame_is_unsupported_not_misread() {
         read_frame(&mut v2.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 2,
-            expected: 6
+            expected: 7
         })
     ));
 }
@@ -329,7 +327,7 @@ fn a_version_4_frame_is_unsupported_not_misread() {
         read_frame(&mut v4.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 4,
-            expected: 6
+            expected: 7
         })
     ));
 }
@@ -338,17 +336,44 @@ fn a_version_4_frame_is_unsupported_not_misread() {
 fn a_version_5_frame_is_unsupported_not_misread() {
     // Version 5 spoke lane migration for live resharding and counted the
     // imported lanes in every `Ready`; that `Ready`, byte for byte, is
-    // refused by its version alone.
+    // refused by its version, and today's reader would not take its
+    // payload for a `Ready` either.
     let payload = br#"{"Ready":{"resumed_at_seq":0,"recovery":null,"lanes_imported":0}}"#;
-    let (today, _) = read_frame(&mut forge(KIND_MESSAGE, payload).as_slice())
-        .expect("today's reader skips the field it no longer knows");
-    assert_eq!(today.kind(), "ready");
+    assert!(matches!(
+        read_frame(&mut forge(KIND_MESSAGE, payload).as_slice()),
+        Err(FrameError::Malformed { .. })
+    ));
     let v5 = forge_version(5, KIND_MESSAGE, payload);
     assert!(matches!(
         read_frame(&mut v5.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 5,
-            expected: 6
+            expected: 7
+        })
+    ));
+}
+
+#[test]
+fn a_version_6_frame_is_unsupported_not_misread() {
+    // Version 6 announced a recovered worker's resume position twice, as
+    // the `Ready`'s own `resumed_at_seq` beside the recovery report's;
+    // that `Ready`, byte for byte, is refused by its version, and under
+    // today's version its payload is malformed, never a `Ready` with a
+    // position read from the wrong field.
+    let payload = br#"{"Ready":{"resumed_at_seq":0,"recovery":null}}"#;
+    assert!(matches!(
+        read_frame(&mut forge(KIND_MESSAGE, payload).as_slice()),
+        Err(FrameError::Malformed { .. })
+    ));
+    let (today, _) = read_frame(&mut forge(KIND_MESSAGE, br#"{"Ready":null}"#).as_slice())
+        .expect("today's fresh worker announces itself with no report");
+    assert!(matches!(today, ShardMsg::Ready(None)));
+    let v6 = forge_version(6, KIND_MESSAGE, payload);
+    assert!(matches!(
+        read_frame(&mut v6.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 6,
+            expected: 7
         })
     ));
 }
@@ -364,7 +389,7 @@ fn a_version_3_frame_is_unsupported_not_misread() {
         read_frame(&mut v3.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 3,
-            expected: 6
+            expected: 7
         })
     ));
 }

@@ -89,8 +89,6 @@ fn every_read_type_reads_the_same_from_text_and_from_a_tree() {
     let messages = [
         (
             ShardMsg::Hello(Box::new(WorkerSpec::new(
-                2,
-                7,
                 AnalysisConfig::default(),
                 ScenarioSpec::Inline(Box::new(data.clone())),
             ))),
@@ -98,8 +96,6 @@ fn every_read_type_reads_the_same_from_text_and_from_a_tree() {
         ),
         (
             ShardMsg::Hello(Box::new(WorkerSpec::new(
-                0,
-                1,
                 AnalysisConfig::default(),
                 ScenarioSpec::Params(Box::new(ScenarioParams::tiny(3))),
             ))),

@@ -78,14 +78,10 @@ fn every_written_type_renders_the_same_directly_and_through_a_tree() {
     // binary codec run and never does).
     let messages = [
         ShardMsg::Hello(Box::new(WorkerSpec::new(
-            2,
-            7,
             AnalysisConfig::default(),
             ScenarioSpec::Inline(Box::new(data.clone())),
         ))),
         ShardMsg::Hello(Box::new(WorkerSpec::new(
-            0,
-            1,
             AnalysisConfig::default(),
             ScenarioSpec::Params(Box::new(ScenarioParams::tiny(3))),
         ))),

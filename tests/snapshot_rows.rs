@@ -350,9 +350,9 @@ fn a_count_no_input_could_back_allocates_nothing_on_its_word() {
         assert_bomb_refused(what, most, || decode_checkpoint(&payload).map(drop));
     }
 
-    // An empty stream's answer: the report, then an output payload of 51
+    // An empty stream's answer: the report, then an output payload of 40
     // zero bytes — the empty dictionary, `messages` at the next byte, and
-    // `matching` (four counts) and eight counters last.
+    // `matching` (its two pair counts) and `syslog_ingested` last.
     let empty = WorkerOutput {
         output: StreamAnalysis::new(&data, AnalysisConfig::default())
             .flush()
@@ -361,9 +361,9 @@ fn a_count_no_input_could_back_allocates_nothing_on_its_word() {
     };
     let mut answer = Vec::new();
     encode_flushed(&empty, &mut answer).unwrap();
-    assert!(answer.ends_with(&[0; 51]));
-    let messages = bomb(&answer[..answer.len() - 50], 10);
-    let matched = bomb(&answer[..answer.len() - 12], 10);
+    assert!(answer.ends_with(&[0; 40]));
+    let messages = bomb(&answer[..answer.len() - 39], 10);
+    let matched = bomb(&answer[..answer.len() - 3], 10);
     for (what, payload) in [("answer messages", messages), ("answer matched", matched)] {
         assert_bomb_refused(what, 1, || decode_flushed(&payload).map(drop));
     }
