@@ -10,11 +10,18 @@
 //! * `allocations` — `alloc` + `realloc` calls on the calling thread,
 //!   with the counting allocator the other allocation contracts share;
 //! * `alloc_bytes` — the bytes those calls asked for;
+//! * `peak_live` — the most bytes the layer held live at once on the
+//!   calling thread, above what the thread held when the layer began;
+//! * `retained` — the live bytes the layer left behind: what it holds at
+//!   its end minus what it held at its start (what it returns counts);
 //! * `bytes_out` — the bytes the layer wrote to disk or sent to a
 //!   worker (0 for a layer that does neither).
 //!
 //! Each is a total over the row's `events`, so a per-event figure is
-//! exact as a quotient. The shapes:
+//! exact as a quotient. A layer measured in several spans (one per
+//! ingest unit, say) sums its counts and its `retained`, and its
+//! `peak_live` is the high-water of its own running total: the bytes it
+//! kept in earlier spans plus the peak of a later one. The shapes:
 //!
 //! * `batch_archive` — the syslog half rendered to a raw archive with
 //!   four irrelevant lines after every event line, parsed
@@ -44,11 +51,13 @@
 //! **Left out, because they depend on thread timing or the machine, not
 //! on the code** (a `null` in the golden file):
 //!
-//! * the dispatcher's allocations on both cluster runs. The standard
+//! * the dispatcher's allocations and live bytes on both cluster runs. The standard
 //!   library's channel allocates to register the dispatcher as a waiter
 //!   when it blocks on a worker, and whether it blocks depends on how
 //!   far the worker got (`tests/dispatch_costs.rs` bounds them instead);
-//!   spawning a worker process also copies the environment.
+//!   spawning a worker process also copies the environment. The live
+//!   bytes are not the dispatcher's alone either: the blocks a worker
+//!   thread allocates and the dispatcher frees move its total.
 //! * the snapshot writer thread: a cadence snapshot is captured here but
 //!   encoded and written there, and whether one falls back to this
 //!   thread (`snapshot_sync_fallbacks`) depends on the writer's timing.
@@ -118,6 +127,8 @@ struct Row {
     /// `None`: depends on thread timing (see the module docs).
     allocations: Option<u64>,
     alloc_bytes: Option<u64>,
+    peak_live: Option<u64>,
+    retained: Option<i64>,
     bytes_out: u64,
 }
 
@@ -185,10 +196,15 @@ fn answer(output: &StreamOutput) -> String {
 /// cost (`None` when thread timing decides it), its bytes out.
 type Layer = (&'static str, Option<Cost>, u64);
 
+/// Two spans of one layer, `a` then `b`.
 fn sum(a: Cost, b: Cost) -> Cost {
     Cost {
         allocations: a.allocations + b.allocations,
         bytes: a.bytes + b.bytes,
+        peak_live: a
+            .peak_live
+            .max((a.retained + b.peak_live as i64).max(0) as u64),
+        retained: a.retained + b.retained,
     }
 }
 
@@ -230,9 +246,13 @@ fn batch_archive(input: &Input) -> Vec<Layer> {
     let (probe, _) = cost(std::thread::available_parallelism);
     let (parse, (messages, stats)) = cost(|| parse_records(&records));
     assert_eq!(stats.malformed, 0);
+    // The probe's transient buffers are freed long before the parse's
+    // peak, which is left as measured.
     let parse = Cost {
         allocations: parse.allocations - probe.allocations,
         bytes: parse.bytes - probe.bytes,
+        retained: parse.retained - probe.retained,
+        ..parse
     };
     let data = ScenarioData {
         syslog: messages,
@@ -462,6 +482,8 @@ fn measure() -> Pins {
                     events: input.events.len() as u64,
                     allocations: spent.map(|c| c.allocations),
                     alloc_bytes: spent.map(|c| c.bytes),
+                    peak_live: spent.map(|c| c.peak_live),
+                    retained: spent.map(|c| c.retained),
                     bytes_out,
                 });
             }
