@@ -462,6 +462,7 @@ pub(crate) fn run_worker(
     // would rescan the whole archive once per worker.
     let started = Instant::now();
     let config = spec.config.clone();
+    let links = naming.table.len();
     let mut engine = match &spec.durable {
         None => Engine::Fresh(StreamAnalysis::with_naming(data, config, naming, started)),
         Some(d) => {
@@ -523,6 +524,12 @@ pub(crate) fn run_worker(
         }
         match (msg, &mut engine) {
             (ShardMsg::Rows(rows), engine) => {
+                // A link past this table (another scenario's) refuses the
+                // whole batch before any row of it is journaled or applied.
+                if let Some(row) = rows.iter().find(|row| row.link.0 as usize >= links) {
+                    let detail = format!("row for link {} of a {links}-link table", row.link.0);
+                    return send_fatal(port, detail);
+                }
                 // Only the rows before the abort point: it lands exactly
                 // on its row boundary (chunk-invisibility makes the
                 // output identical either way).
@@ -997,7 +1004,70 @@ pub(crate) fn greet(port: &mut dyn WorkerPort) -> Result<(WorkerSpec, ScenarioDa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::LaneEvent;
+    use crate::linktable::LinkIx;
+    use faultline_isis::listener::TransitionDirection;
     use faultline_sim::scenario::ScenarioParams;
+    use faultline_topology::time::Timestamp;
+    use std::collections::VecDeque;
+
+    /// A worker's connection: messages queued in, messages kept.
+    struct Queue {
+        inbox: VecDeque<ShardMsg>,
+        sent: Vec<ShardMsg>,
+    }
+
+    impl WorkerPort for Queue {
+        fn recv(&mut self) -> Result<ShardMsg, FrameError> {
+            self.inbox.pop_front().ok_or(FrameError::Closed)
+        }
+        fn send(&mut self, msg: ShardMsg) -> Result<(), FrameError> {
+            self.sent.push(msg);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_row_past_the_workers_table_is_fatal_not_applied() {
+        let data = run_scenario(&ScenarioParams::tiny(3));
+        let naming = Arc::new(Naming::mine(&data));
+        let links = naming.table.len();
+        let row = |link: usize, secs: u64, direction| LaneRow {
+            link: LinkIx(link as u32),
+            event: LaneEvent {
+                at: Timestamp::from_secs(secs),
+                direction,
+                reach: None,
+            },
+        };
+        // A failure on the forged link, which would be sanitized against
+        // a table entry that does not exist.
+        let (down, up) = (TransitionDirection::Down, TransitionDirection::Up);
+        let rows = vec![row(0, 30, down), row(links, 60, down), row(links, 90, up)];
+        let dir = std::env::temp_dir().join(format!("faultline-forged-row-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for durable in [None, Some(dir.to_string_lossy().into_owned())] {
+            let mut spec = WorkerSpec::new(AnalysisConfig::default(), ScenarioSpec::Attached);
+            spec.durable = durable.map(|dir| DurableSpec {
+                dir,
+                policy: DurabilityPolicy::default(),
+                recover: false,
+            });
+            let mut port = Queue {
+                inbox: [ShardMsg::Rows(rows.clone()), ShardMsg::Flush].into(),
+                sent: Vec::new(),
+            };
+            let exit = run_worker(&data, Arc::clone(&naming), spec, &mut port);
+            assert!(matches!(exit, WorkerExit::Completed));
+            assert_eq!(port.sent.len(), 2, "Ready, then one answer");
+            assert!(matches!(port.sent[0], ShardMsg::Ready(None)));
+            let ShardMsg::Fatal { detail } = &port.sent[1] else {
+                panic!("a forged row must be refused with Fatal");
+            };
+            assert!(detail.contains(&format!("link {links} of a {links}-link table")));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn sample_msgs() -> Vec<ShardMsg> {
         vec![
