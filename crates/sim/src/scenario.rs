@@ -46,8 +46,7 @@ use faultline_topology::{RouterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Detection/flooding timing model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -379,29 +378,6 @@ enum Ev {
 enum LspPayload {
     Wire(Vec<u8>),
     Decoded(Box<Lsp>),
-}
-
-/// Give every message's strings one shared `Arc<str>` per distinct text.
-/// The parse makes two or three strings per message, each in whatever
-/// hole of the simulation's heap fits it; shared, the archive holds one
-/// string per host, interface and neighbor name, so events copied out of
-/// it keep a few hundred strings' pages of the freed simulation resident,
-/// not two or three per event.
-fn share_strings(syslog: &mut [SyslogMessage]) {
-    let mut seen: HashSet<Arc<str>> = HashSet::new();
-    let mut share = |s: &mut Arc<str>| match seen.get(&**s) {
-        Some(shared) => *s = Arc::clone(shared),
-        None => {
-            seen.insert(Arc::clone(s));
-        }
-    };
-    for m in syslog {
-        share(&mut m.event.host);
-        share(&mut m.event.interface.0);
-        if let LinkEventKind::IsisAdjacency { neighbor, .. } = &mut m.event.kind {
-            share(neighbor);
-        }
-    }
 }
 
 /// Run a scenario.
@@ -1002,7 +978,7 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
     // Chaos layer: post-process the collection-path outputs. Gated so
     // that a disabled config takes the exact pre-chaos code path (same
     // calls, zero extra RNG draws) and stays byte-identical.
-    let (mut syslog, raw_syslog_lines, chaos) = if params.chaos.enabled() {
+    let (syslog, raw_syslog_lines, chaos) = if params.chaos.enabled() {
         let mut records = collector.into_lines();
         let stats = params
             .chaos
@@ -1020,7 +996,6 @@ pub fn run(params: &ScenarioParams) -> ScenarioData {
     } else {
         (collector.parsed_messages(), collector.len(), None)
     };
-    share_strings(&mut syslog);
 
     ScenarioData {
         topology: topo,

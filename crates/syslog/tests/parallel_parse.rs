@@ -1,9 +1,11 @@
 //! The block-shared parallel parse is the serial parse.
 //!
 //! [`parse_chunked`] cuts an archive into blocks of [`MIN_CHUNK_LINES`]
-//! that the calling thread and its helpers claim from one counter, and
-//! makes every owned event on the calling thread, in block order;
-//! [`parse_records`] runs it with one thread per CPU and then sorts by
+//! that the calling thread and its helpers claim from one counter; each
+//! thread makes the owned events of the blocks it claims, and the calling
+//! thread appends the blocks in order. [`parse_records`] runs it with one
+//! thread per CPU, over the records where they lie if they are in arrival
+//! order and over a sorted list of them if not, and then sorts by
 //! `(time, host, seq)`. Both must give exactly what the serial
 //! [`parse_archive_stats_bytes`] pass gives — the same events, in the
 //! same order, ties included, with the same balanced stats — however
@@ -16,15 +18,20 @@
 //! seq)` ties only arrival order breaks.
 //!
 //! A counting allocator (per thread, like `alloc_contract.rs`) holds the
-//! memory rule: the owned strings are made on the calling thread, and
-//! the result carries no spare capacity.
+//! memory rule: a thread makes each distinct string once, every event of
+//! a block naming it shares that allocation, and the result carries no
+//! spare capacity.
 
 use faultline_syslog::collector::{parse_chunked, parse_records, LogRecord, MIN_CHUNK_LINES};
 use faultline_syslog::message::{AdjChangeDetail, LinkEvent, LinkEventKind, SyslogMessage};
-use faultline_syslog::parse::parse_archive_stats_bytes;
+use faultline_syslog::parse::{
+    parse_archive_stats_bytes, parse_bytes, LinkEventKindRef, ParseOutcomeRef,
+};
 use faultline_topology::interface::InterfaceName;
 use faultline_topology::router::RouterOs;
 use faultline_topology::time::Timestamp;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -160,43 +167,85 @@ fn every_thread_count_and_archive_length_is_the_serial_pass() {
     }
 }
 
-/// The owned strings of a parsed event: host and interface, plus the
-/// neighbor of an adjacency change, one `Arc<str>` each.
-fn strings(m: &SyslogMessage) -> u64 {
-    match m.event.kind {
-        LinkEventKind::IsisAdjacency { .. } => 3,
-        LinkEventKind::Link | LinkEventKind::LineProtocol => 2,
+/// The distinct strings on the wire among the archive's events: host and
+/// neighbor names (one map), interface texts (another), as a parsing
+/// thread keys them.
+fn distinct_strings(lines: &[&[u8]]) -> u64 {
+    let (mut names, mut interfaces) = (HashSet::new(), HashSet::new());
+    for line in lines {
+        if let ParseOutcomeRef::Event(m) = parse_bytes(line) {
+            names.insert(m.host);
+            interfaces.insert(m.interface);
+            if let LinkEventKindRef::IsisAdjacency { neighbor, .. } = m.kind {
+                names.insert(neighbor);
+            }
+        }
     }
+    (names.len() + interfaces.len()) as u64
+}
+
+/// Which block each event of the serial pass came from.
+fn event_blocks(lines: &[&[u8]]) -> Vec<usize> {
+    let event = |line: &&[u8]| matches!(parse_bytes(line), ParseOutcomeRef::Event(_));
+    (lines.iter().enumerate())
+        .filter(|(_, line)| event(line))
+        .map(|(at, _)| at / MIN_CHUNK_LINES)
+        .collect()
+}
+
+/// Within each block, events naming the same host, interface or neighbor
+/// hold the same allocation.
+fn shares_within_blocks(events: &[SyslogMessage], blocks: &[usize]) -> bool {
+    let mut first: HashMap<(usize, String), Arc<str>> = HashMap::new();
+    let mut same = |block: usize, s: &Arc<str>| {
+        let first = first
+            .entry((block, s.to_string()))
+            .or_insert_with(|| Arc::clone(s));
+        Arc::ptr_eq(first, s)
+    };
+    events.iter().zip(blocks).all(|(m, &block)| {
+        let neighbor = match &m.event.kind {
+            LinkEventKind::IsisAdjacency { neighbor, .. } => same(block, neighbor),
+            LinkEventKind::Link | LinkEventKind::LineProtocol => true,
+        };
+        same(block, &m.event.host) && same(block, &m.event.interface.0) && neighbor
+    })
 }
 
 #[test]
-fn the_calling_thread_makes_every_owned_string_and_no_spare_capacity() {
+fn each_thread_makes_a_string_once_and_the_result_has_no_spare_capacity() {
     let archive = archive();
     let lines = lines(&archive);
     let (expected, _) = parse_archive_stats_bytes(lines.iter().copied());
-    let owned: u64 = expected.iter().map(strings).sum();
-    let blocks = lines.len().div_ceil(MIN_CHUNK_LINES) as u64;
-    assert!(blocks >= 6);
-    // On one thread, the calling thread allocates everything: the owned
-    // strings, plus per block a handful of steps growing its borrowed
-    // list and one `reserve_exact` of the result.
+    let distinct = distinct_strings(&lines);
+    let blocks = event_blocks(&lines);
+    let block_count = lines.len().div_ceil(MIN_CHUNK_LINES) as u64;
+    assert!(block_count >= 6);
+    assert!(
+        distinct < expected.len() as u64 / 10,
+        "{distinct} distinct strings"
+    );
+    // On one thread, the calling thread allocates everything: each
+    // distinct string once, plus per block its events' list growing and
+    // shrinking to fit, plus a fixed few (the block and result lists,
+    // the string maps' growth).
     let (alone, (events, _)) = allocations(|| parse_chunked(&lines, 1));
     assert!(events == expected);
-    assert_eq!(
-        events.capacity(),
-        events.len(),
-        "one thread: spare capacity"
-    );
     assert!(
-        (owned..=owned + 16 * blocks).contains(&alone),
-        "one thread: {alone} allocations for {owned} owned strings"
+        (distinct..=distinct + 16 * block_count + 32).contains(&alone),
+        "one thread: {alone} allocations for {distinct} distinct strings"
     );
-    // With helpers, it still makes every owned string — a string made on
-    // a helper would take the count below `owned` — and only what
-    // starting the helpers costs is added.
-    for threads in [2, 3, 8] {
-        for _ in 0..5 {
-            let (shared, (events, _)) = allocations(|| parse_chunked(&lines, threads));
+    let host = &events[0].event.host;
+    assert!(
+        events
+            .iter()
+            .filter(|m| m.event.host == *host)
+            .all(|m| Arc::ptr_eq(&m.event.host, host)),
+        "one thread: one allocation per host"
+    );
+    for threads in [1, 2, 3, 8] {
+        for _ in 0..3 {
+            let (events, _) = parse_chunked(&lines, threads);
             assert!(events == expected);
             assert_eq!(
                 events.capacity(),
@@ -204,9 +253,8 @@ fn the_calling_thread_makes_every_owned_string_and_no_spare_capacity() {
                 "{threads} threads: spare capacity"
             );
             assert!(
-                (owned..=alone + 32 * threads as u64).contains(&shared),
-                "{threads} threads: {shared} allocations on the calling thread, \
-                 {owned} owned strings, {alone} on one thread"
+                shares_within_blocks(&events, &blocks),
+                "{threads} threads: a block holds two copies of one string"
             );
         }
     }
@@ -235,13 +283,20 @@ fn parse_records_is_the_serial_reference_ties_included() {
         .count();
     assert!(ties > 100, "only {ties} distinguishable ties");
 
-    let (events, stats) = parse_records(&records);
-    assert!(stats.is_balanced());
-    assert_eq!(stats, expected_stats);
-    assert!(stats.lines as usize >= 3 * MIN_CHUNK_LINES);
-    assert_eq!(stats.events, events.len() as u64);
-    assert!(
-        events == expected,
-        "parse_records differs from the serial reference"
-    );
+    // As stored (out of arrival order), and already in arrival order as
+    // a collector's `into_lines` hands them over, which is parsed in
+    // place: the same answer.
+    let in_order: Vec<LogRecord> = by_arrival.iter().map(|&r| r.clone()).collect();
+    assert!(!records.is_sorted_by_key(|r| r.arrived_at));
+    for (order, records) in [("stored", &records), ("arrival", &in_order)] {
+        let (events, stats) = parse_records(records);
+        assert!(stats.is_balanced());
+        assert_eq!(stats, expected_stats, "{order} order");
+        assert!(stats.lines as usize >= 3 * MIN_CHUNK_LINES);
+        assert_eq!(stats.events, events.len() as u64);
+        assert!(
+            events == expected,
+            "{order} order: parse_records differs from the serial reference"
+        );
+    }
 }
