@@ -46,7 +46,7 @@ fn bench_analysis(c: &mut Criterion) {
     let mut g = c.benchmark_group("analysis");
     g.sample_size(10);
     g.bench_function("full_pipeline_paper_scale", |b| {
-        b.iter(|| Analysis::new(black_box(&data), AnalysisConfig::default()))
+        b.iter(|| Analysis::run(black_box(&data), AnalysisConfig::default()))
     });
     g.bench_function("table5_statistics", |b| b.iter(|| a.table5()));
     g.bench_function("table3_transition_matching", |b| b.iter(|| a.table3()));

@@ -21,7 +21,7 @@ fn main() {
             strategy,
             ..AnalysisConfig::default()
         };
-        let analysis = Analysis::new(&data, config);
+        let analysis = Analysis::run(&data, config);
         let t4 = analysis.table4();
         let err = (t4.syslog_downtime_hours - t4.isis_downtime_hours).abs();
         println!(

@@ -22,7 +22,7 @@ fn main() {
         let mut params = ScenarioParams::default();
         params.transport.flap_pair_loss = pair_loss;
         let data = run(&params);
-        let a = Analysis::new(&data, AnalysisConfig::default());
+        let a = Analysis::run(&data, AnalysisConfig::default());
         let t3 = a.table3();
         let total = (t3.down.total() + t3.up.total()).max(1) as f64;
         println!(
@@ -43,7 +43,7 @@ fn main() {
         let mut params = ScenarioParams::default();
         params.transport.base_loss = base_loss;
         let data = run(&params);
-        let a = Analysis::new(&data, AnalysisConfig::default());
+        let a = Analysis::run(&data, AnalysisConfig::default());
         let (t6, counts) = a.table6();
         let t4 = a.table4();
         let _ = t6;
@@ -66,7 +66,7 @@ fn main() {
             flap_gap: Duration::from_secs(mins * 60),
             ..AnalysisConfig::default()
         };
-        let a = Analysis::new(&data, config);
+        let a = Analysis::run(&data, config);
         let t3 = a.table3();
         let eps = faultline_core::flap::detect_episodes(
             &a.output.isis_recon.failures,

@@ -1,7 +1,7 @@
 //! The end-to-end analysis: from a scenario's observables to every table
 //! and figure in the paper.
 //!
-//! [`Analysis::new`] runs the full pipeline once through the one driver,
+//! [`Analysis::run`] runs the full pipeline once through the one driver,
 //! [`crate::streaming::StreamAnalysis`]: the time-merged archive is fed
 //! in [`BATCH`]-event batches, so each lane's match segments close at
 //! its quiet gaps as the archive is read, exactly as a live stream's do.
@@ -10,9 +10,10 @@
 //! print these structures; integration tests assert on their fields.
 
 use crate::error::AnalysisError;
-use crate::flap::{detect_episodes, FlapIndex};
+use crate::flap::{detect_episodes, FlapIndex, FLAP_PAD};
 use crate::fp::{
     classify_ambiguous, classify_false_positives, AmbiguityCounts, FpReport, LinkStateTimeline,
+    SHORT_FP_THRESHOLD,
 };
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
 use crate::kernel::StreamOutput;
@@ -36,27 +37,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Tunable analysis parameters, defaulted to the paper's choices.
+///
+/// The values the paper fixes once, and the flap pad, are constants
+/// beside the rule that reads them instead: the both-ends confirmation
+/// window ([`crate::kernel::DEDUP_WINDOW`], §3.4), the ticket slack of
+/// the long-failure check ([`crate::sanitize::TICKET_SLACK`], §4.2), the
+/// flap-episode pad ([`crate::flap::FLAP_PAD`]) and the short false
+/// positive ([`crate::fp::SHORT_FP_THRESHOLD`], §4.3).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnalysisConfig {
     /// Transition/failure matching window (§3.4: 10 s, the knee).
     pub match_window: Duration,
-    /// Both-end confirmation merge window for syslog.
-    pub dedup_window: Duration,
     /// Flapping gap threshold (§4.1: 10 minutes).
     pub flap_gap: Duration,
-    /// Padding applied around flap episodes when classifying.
-    pub flap_pad: Duration,
     /// Long-failure verification threshold (§4.2: 24 h).
     pub long_threshold: Duration,
-    /// Slack allowed when matching failures to tickets.
-    pub ticket_slack: Duration,
-    /// Short false-positive threshold (§4.3: 10 s).
-    pub short_fp_threshold: Duration,
     /// Double-message interpretation (§4.3).
     pub strategy: AmbiguityStrategy,
-    /// Retired scheduling knob; steers nothing (see
-    /// [`ParallelismConfig`]). Not part of the paper.
-    #[serde(default)]
+    /// Retired scheduling knob; steers nothing, and no checkpoint or
+    /// frame carries it (see [`ParallelismConfig`]). Not part of the paper.
+    #[serde(skip)]
     pub parallelism: ParallelismConfig,
     /// Quarantine horizon: messages and transitions stamped *after* this
     /// instant are diverted into
@@ -72,12 +72,8 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             match_window: Duration::from_secs(10),
-            dedup_window: Duration::from_secs(10),
             flap_gap: Duration::from_secs(600),
-            flap_pad: Duration::from_secs(30),
             long_threshold: Duration::from_hours(24),
-            ticket_slack: Duration::from_hours(3),
-            short_fp_threshold: Duration::from_secs(10),
             strategy: AmbiguityStrategy::PreviousState,
             parallelism: ParallelismConfig::default(),
             quarantine_horizon: None,
@@ -85,27 +81,19 @@ impl Default for AnalysisConfig {
     }
 }
 
-fn default_chunk_size() -> usize {
-    16
-}
-
 /// The retired lane fan-out knob, kept as a compatibility shell.
 ///
 /// It steers nothing: every lane is applied in place on the calling
 /// thread, whatever the fields say (`tests/determinism.rs` holds a
-/// `threads: 8, chunk_size: 3` config to the default's bytes). Its
-/// fields, serde defaults and snapshot row stay because archived
-/// configs and checkpoints carry it (`on_disk_format_is_pinned` pins
-/// its bytes) and the benchmark's ledger still builds one. It goes with
-/// the benchmark's per-thread ledger rows and the next checkpoint
-/// format version (ROADMAP.md, item 7: the benchmark rework).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// `threads: 8, chunk_size: 3` config to the default's bytes). No
+/// checkpoint, frame or serialized config carries it. It stays only
+/// because the benchmark's ledger still builds one, and goes with the
+/// ledger's per-thread rows (ROADMAP.md, item 7(a)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelismConfig {
     /// Once the lane worker count (`0` = one per core); ignored.
-    #[serde(default)]
     pub threads: usize,
     /// Once the link groups a worker claimed at a time; ignored.
-    #[serde(default = "default_chunk_size")]
     pub chunk_size: usize,
 }
 
@@ -113,7 +101,7 @@ impl Default for ParallelismConfig {
     fn default() -> Self {
         ParallelismConfig {
             threads: 0,
-            chunk_size: default_chunk_size(),
+            chunk_size: 16,
         }
     }
 }
@@ -160,12 +148,6 @@ pub struct Analysis<'a> {
 }
 
 impl<'a> Analysis<'a> {
-    /// Run the pipeline. Alias of [`Analysis::run`], kept for existing
-    /// callers.
-    pub fn new(data: &'a ScenarioData, config: AnalysisConfig) -> Self {
-        Analysis::run(data, config)
-    }
-
     /// Validate the configuration and input data, then run the
     /// pipeline. [`Analysis::run`] accepts anything and continues in
     /// degraded mode; this surface reports the conditions that would
@@ -292,7 +274,7 @@ impl<'a> Analysis<'a> {
         // Flapping share of unmatched transitions (§4.1's 67%/61%).
         let flaps = FlapIndex::new(
             &detect_episodes(&self.output.isis_recon.failures, self.config.flap_gap),
-            self.config.flap_pad,
+            FLAP_PAD,
         );
         let mut unmatched_down_in_flap = 0u64;
         let mut unmatched_down = 0u64;
@@ -467,9 +449,9 @@ impl<'a> Analysis<'a> {
         fps.sort_by_key(|f| (f.link, f.start));
         let flaps = FlapIndex::new(
             &detect_episodes(&self.output.isis_failures, self.config.flap_gap),
-            self.config.flap_pad,
+            FLAP_PAD,
         );
-        classify_false_positives(&fps, &flaps, self.config.short_fp_threshold)
+        classify_false_positives(&fps, &flaps, SHORT_FP_THRESHOLD)
     }
 
     /// Isolation outcomes for one source.
@@ -586,7 +568,6 @@ pub(crate) fn validate_inputs(
 ) -> Result<(), AnalysisError> {
     for (value, name) in [
         (config.match_window, "match_window"),
-        (config.dedup_window, "dedup_window"),
         (config.flap_gap, "flap_gap"),
     ] {
         if value == Duration::ZERO {
@@ -1035,7 +1016,7 @@ mod tests {
     use faultline_sim::scenario::{run, ScenarioParams};
 
     fn analysis(data: &ScenarioData) -> Analysis<'_> {
-        Analysis::new(data, AnalysisConfig::default())
+        Analysis::run(data, AnalysisConfig::default())
     }
 
     #[test]
@@ -1145,7 +1126,7 @@ mod tests {
                 match_window: faultline_topology::time::Duration::from_secs(secs),
                 ..AnalysisConfig::default()
             };
-            let a = Analysis::new(&data, config);
+            let a = Analysis::run(&data, config);
             let matched = a.output.matching.matched.len();
             assert!(matched >= prev, "window {secs}s matched {matched} < {prev}");
             prev = matched;
@@ -1156,7 +1137,7 @@ mod tests {
     fn strategies_change_downtime_not_ambiguity_detection() {
         let data = run(&ScenarioParams::tiny(30));
         let mk = |s| {
-            Analysis::new(
+            Analysis::run(
                 &data,
                 AnalysisConfig {
                     strategy: s,
@@ -1219,14 +1200,27 @@ mod tests {
     }
 
     #[test]
-    fn config_with_parallelism_deserializes_from_legacy_json() {
-        // Configs serialized before the parallelism field existed must
-        // still load (serde default fills it in).
-        let json = serde_json::to_string(&AnalysisConfig::default()).unwrap();
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        value.as_object_mut().unwrap().remove("parallelism");
-        let config: AnalysisConfig = serde_json::from_value(value).unwrap();
+    fn legacy_config_json_loads_without_its_retired_settings() {
+        // A config written while `parallelism` and the four settings that
+        // are now constants were stored still loads (the derive skips
+        // unknown keys) and is written back without them.
+        let current = serde_json::to_string(&AnalysisConfig::default()).unwrap();
+        let mut legacy: serde_json::Value = serde_json::from_str(&current).unwrap();
+        let fields = legacy.as_object_mut().unwrap();
+        let parallelism = serde_json::json!({"threads": 8, "chunk_size": 3});
+        fields.insert("parallelism".into(), parallelism);
+        let retired = [
+            "dedup_window",
+            "flap_pad",
+            "ticket_slack",
+            "short_fp_threshold",
+        ];
+        for key in retired {
+            fields.insert(key.into(), serde_json::json!(10_000));
+        }
+        let config: AnalysisConfig = serde_json::from_value(legacy).unwrap();
         assert_eq!(config.parallelism, ParallelismConfig::default());
+        assert_eq!(serde_json::to_string(&config).unwrap(), current);
     }
 
     #[test]
@@ -1234,7 +1228,7 @@ mod tests {
         let mut data = run(&ScenarioParams::tiny(34));
         assert!(Analysis::try_run(&data, AnalysisConfig::default()).is_ok());
         let bad = AnalysisConfig {
-            dedup_window: Duration::ZERO,
+            flap_gap: Duration::ZERO,
             ..AnalysisConfig::default()
         };
         assert!(matches!(

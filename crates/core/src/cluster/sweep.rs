@@ -84,41 +84,9 @@ const ALLOWED_INERT: &[(&str, &str)] = &[
         "the journal records the input as offered: a message resolves by host and interface",
     ),
     (
-        "checkpoint: config.parallelism.threads",
-        "the retired fan-out knob's compatibility shell goes with ROADMAP item 7(a)",
-    ),
-    (
-        "checkpoint: config.parallelism.chunk_size",
-        "the retired fan-out knob's compatibility shell goes with ROADMAP item 7(a)",
-    ),
-    (
-        "hello: Hello.config.parallelism.threads",
-        "the retired fan-out knob's compatibility shell goes with ROADMAP item 7(a)",
-    ),
-    (
-        "hello: Hello.config.parallelism.chunk_size",
-        "the retired fan-out knob's compatibility shell goes with ROADMAP item 7(a)",
-    ),
-    (
         "checkpoint: lanes[].isis_recon.last",
         "with nothing open the last message is an UP, and setting it to `None` differs only at \
          a second UP in a row, which the IS-IS merge never sends; `syslog_recon.last` is read",
-    ),
-    (
-        "checkpoint: config.flap_pad",
-        "a configuration is stored whole: only the flap exhibit over a finished answer reads it",
-    ),
-    (
-        "checkpoint: config.short_fp_threshold",
-        "a configuration is stored whole: only the false-positive exhibit over a finished answer reads it",
-    ),
-    (
-        "hello: Hello.config.flap_pad",
-        "a configuration is sent whole: only the flap exhibit over a finished answer reads it",
-    ),
-    (
-        "hello: Hello.config.short_fp_threshold",
-        "a configuration is sent whole: only the false-positive exhibit over a finished answer reads it",
     ),
     (
         "hello: Hello.scenario.Params.*",
@@ -130,8 +98,8 @@ const ALLOWED_INERT: &[(&str, &str)] = &[
 
 /// The configuration every record here is made and consumed under: the
 /// default, with a long-failure threshold that outages after the forged
-/// records cross, so that the ticket check (and its slack) runs on what
-/// a forged record feeds.
+/// records cross, so that the ticket check runs on what a forged record
+/// feeds.
 fn sweep_config() -> AnalysisConfig {
     AnalysisConfig {
         long_threshold: faultline_topology::Duration::from_hours(1),

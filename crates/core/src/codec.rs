@@ -95,9 +95,8 @@
 //!               unterminated boundary_ups:u32
 //! matching   := matched partial:vec<(usize usize)>  (left_only, right_only
 //!                                               derived)
-//! config     := match_window dedup_window flap_gap flap_pad long_threshold
-//!               ticket_slack short_fp_threshold:time strategy:u8
-//!               threads chunk_size:usize quarantine_horizon:opt<time>
+//! config     := match_window flap_gap long_threshold:time strategy:u8
+//!               quarantine_horizon:opt<time>    (not parallelism)
 //! message    := at:time link:u32 direction:u8 family:u8 host detail:opt<u8>
 //! host       := index:varint                    into the payload's hosts
 //! lane       := link:u32 dedup is_merge ip_merge:merge
@@ -150,7 +149,7 @@
 //! `u32`/`usize` narrowing is checked, and bytes after the last row are
 //! an error.
 
-use crate::analysis::{AnalysisConfig, ParallelismConfig};
+use crate::analysis::AnalysisConfig;
 use crate::error::CodecError;
 use crate::intern::FastMap;
 use crate::kernel::{LaneRow, StreamOutput};
@@ -757,18 +756,8 @@ impl<A: Row, B: Row> Row for (A, B) {
 
 rows! {
     AnalysisConfig {
-        match_window,
-        dedup_window,
-        flap_gap,
-        flap_pad,
-        long_threshold,
-        ticket_slack,
-        short_fp_threshold,
-        strategy,
-        parallelism,
-        quarantine_horizon,
+        match_window, flap_gap, long_threshold, strategy, quarantine_horizon; parallelism
     }
-    ParallelismConfig { threads, chunk_size }
     SyslogResolveStats { isis_resolved, physical_resolved, lineproto_skipped, unresolved }
     IsisMergeStats { raw, unresolvable_multilink, unknown, inconsistent; emitted }
     SanitizeReport { removed_offline, removed_offline_ms, long_checked, long_removed, long_removed_ms }

@@ -77,6 +77,11 @@ pub fn detect_episodes(failures: &[Failure], gap_threshold: Duration) -> Vec<Fla
     episodes
 }
 
+/// The padding the exhibits put on both sides of an episode, so that
+/// transitions and failures at its edges still count as "during
+/// flapping" (Table 3's flapping share, §4.3's false positives).
+pub const FLAP_PAD: Duration = Duration::from_secs(30);
+
 /// Query structure: is a given instant inside a flapping episode on a
 /// given link? Built once, queried per transition/failure.
 #[derive(Debug, Clone, Default)]

@@ -22,6 +22,10 @@ use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// The longest false positive that counts as short (§4.3: ≤ 10 s, the
+/// connection resets and aborted handshakes behind 83% of them).
+pub const SHORT_FP_THRESHOLD: Duration = Duration::from_secs(10);
+
 /// A queryable per-link state timeline built from link-level transitions.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStateTimeline {

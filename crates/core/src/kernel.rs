@@ -30,7 +30,7 @@ use crate::linktable::{LinkIx, LinkTable, Naming};
 use crate::matching::{match_link, FailureMatching};
 use crate::observe::PipelineCounters;
 use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure, Reconstruction};
-use crate::sanitize::SanitizeReport;
+use crate::sanitize::{SanitizeReport, TICKET_SLACK};
 use crate::transitions::{
     IsisMergeStats, LinkTransition, MessageFamily, ResolvedMessage, SyslogResolveStats,
 };
@@ -240,9 +240,14 @@ pub(crate) struct LaneCtx<'a> {
     pub(crate) naming: &'a Naming,
 }
 
+/// The both-ends confirmation window (§3.4): the paper's 10 s, within
+/// which the far end's message for the same transition arrives.
+pub const DEDUP_WINDOW: Duration = Duration::from_secs(10);
+
 /// Both-end-confirmation dedup state for one link (§3.4): a message with
-/// the same direction as the previously *kept* message, within the dedup
-/// window, is a confirmation from the other end, not a new transition.
+/// the same direction as the previously *kept* message, within
+/// [`DEDUP_WINDOW`], is a confirmation from the other end, not a new
+/// transition.
 /// Each [`LinkLane`] keeps one for its IS-IS-adjacency-family syslog
 /// messages.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -255,14 +260,9 @@ impl DedupState {
     /// Feed one message; returns whether it survives as a new transition.
     /// Confirmations refresh the anchor so chains of confirmations keep
     /// merging.
-    pub(crate) fn keep(
-        &mut self,
-        at: Timestamp,
-        direction: TransitionDirection,
-        window: Duration,
-    ) -> bool {
+    pub(crate) fn keep(&mut self, at: Timestamp, direction: TransitionDirection) -> bool {
         if let Some((last_at, last_dir)) = self.last {
-            if last_dir == direction && at.abs_diff(last_at) <= window {
+            if last_dir == direction && at.abs_diff(last_at) <= DEDUP_WINDOW {
                 self.last = Some((at, last_dir));
                 return false;
             }
@@ -674,7 +674,7 @@ impl LinkLane {
     }
 
     fn apply_dedup(&mut self, at: Timestamp, direction: TransitionDirection, ctx: &LaneCtx<'_>) {
-        if !self.dedup.keep(at, direction, ctx.config.dedup_window) {
+        if !self.dedup.keep(at, direction) {
             return;
         }
         self.outbox.syslog_transitions.push(LinkTransition {
@@ -723,10 +723,8 @@ impl LinkLane {
         }
         if f.duration() > ctx.config.long_threshold {
             self.syslog_sanitize.long_checked += 1;
-            let verified = ctx.naming.link_of_ix[self.link.0 as usize].is_some_and(|lid| {
-                ctx.tickets
-                    .verifies(lid, f.start, f.end, ctx.config.ticket_slack)
-            });
+            let verified = ctx.naming.link_of_ix[self.link.0 as usize]
+                .is_some_and(|lid| ctx.tickets.verifies(lid, f.start, f.end, TICKET_SLACK));
             if !verified {
                 self.syslog_sanitize.long_removed += 1;
                 self.syslog_sanitize.long_removed_ms += f.duration().as_millis();
@@ -1253,12 +1251,11 @@ mod tests {
     }
 
     /// The times (ms) of the messages one link's dedup keeps, under the
-    /// default 10 s window.
+    /// 10 s window.
     fn dedup_kept(messages: &[(u64, TransitionDirection)]) -> Vec<u64> {
         let mut dedup = DedupState::default();
-        let window = Duration::from_secs(10);
         (messages.iter())
-            .filter(|&&(at, dir)| dedup.keep(Timestamp::from_millis(at), dir, window))
+            .filter(|&&(at, dir)| dedup.keep(Timestamp::from_millis(at), dir))
             .map(|&(at, _)| at)
             .collect()
     }

@@ -71,12 +71,15 @@ use std::time::Instant;
 /// version 2 was this envelope and chain block around a JSON payload;
 /// version 3 held each lane's finalized records inside the lane;
 /// version 4 also stored values a restore can derive (merge down counts,
-/// a lane's naming and segment end, the open-item count).
-pub const CHECKPOINT_VERSION: u16 = 5;
+/// a lane's naming and segment end, the open-item count); version 5's
+/// configuration also held four values that are now constants and the
+/// retired `parallelism` knob.
+pub const CHECKPOINT_VERSION: u16 = 6;
 
 /// Delta-snapshot format version this build writes and reads; its
-/// versions 1 to 4 were the checkpoint's (version 3 carried each lane
-/// as a tail of its history vectors).
+/// versions 1 to 5 were the checkpoint's (version 3 carried each lane
+/// as a tail of its history vectors). A delta stores no configuration,
+/// so the checkpoint's version 6 left it alone.
 pub const DELTA_VERSION: u16 = 5;
 
 /// Journal format version this build writes and reads. Version 1 was

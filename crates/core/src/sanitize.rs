@@ -15,7 +15,13 @@
 //! Each kernel lane applies both to every failure it finalizes
 //! ([`crate::kernel`]); this module holds their counters.
 
+use faultline_topology::time::Duration;
 use serde::{Deserialize, Serialize};
+
+/// How far a trouble ticket's opening and closing may each sit from a
+/// long failure's start and end and still verify it (§4.2; the query is
+/// `TicketLog::verifies`).
+pub const TICKET_SLACK: Duration = Duration::from_hours(3);
 
 /// What sanitization did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

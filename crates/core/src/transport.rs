@@ -22,7 +22,7 @@
 //! # Wire format
 //!
 //! Each frame is one [`crate::envelope`]: the 19-byte header (magic
-//! `"FLSM"`, wire version 7) and the payload, built in one buffer and
+//! `"FLSM"`, wire version 8) and the payload, built in one buffer and
 //! written with one `write_all`. The kind byte says what the payload is:
 //!
 //! | kind | payload | carries |
@@ -41,7 +41,9 @@
 //! version 4 migrated lanes with the values a restore derives, version 5
 //! still spoke the lane-migration messages of live resharding, version 6
 //! sent values no reader reads (a `Ready`'s own resume position, a
-//! `Hello`'s shard numbers, a `Flushed` answer's derived counters) — is
+//! `Hello`'s shard numbers, a `Flushed` answer's derived counters), version
+//! 7 sent settings no worker reads (four analysis values that are now
+//! constants, and the retired `parallelism` knob) — is
 //! [`FrameError::UnsupportedVersion`].
 //!
 //! The dispatcher classifies every event and sends workers only lane
@@ -79,7 +81,7 @@ use std::time::Instant;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 7;
+pub const WIRE_VERSION: u16 = 8;
 
 /// Sanity bound on a declared payload length: a header claiming more is
 /// corrupt, not honored.

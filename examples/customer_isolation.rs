@@ -14,7 +14,7 @@ fn main() {
     let params = ScenarioParams::tiny(11);
     println!("simulating 30 days ...");
     let data = run(&params);
-    let analysis = Analysis::new(&data, AnalysisConfig::default());
+    let analysis = Analysis::run(&data, AnalysisConfig::default());
 
     let isis = analysis.isolation(Source::Isis);
     let syslog = analysis.isolation(Source::Syslog);

@@ -37,7 +37,7 @@ fn main() {
         data.raw_syslog_lines
     );
 
-    let analysis = Analysis::new(&data, AnalysisConfig::default());
+    let analysis = Analysis::run(&data, AnalysisConfig::default());
     println!();
     println!("{}", analysis.table4());
     println!("{}", analysis.table3());

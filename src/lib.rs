@@ -9,7 +9,7 @@
 //! use faultline::prelude::*;
 //!
 //! let data = run(&ScenarioParams::tiny(7));
-//! let analysis = Analysis::new(&data, AnalysisConfig::default());
+//! let analysis = Analysis::run(&data, AnalysisConfig::default());
 //! assert!(analysis.table4().isis_failures > 0);
 //! ```
 //!

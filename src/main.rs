@@ -82,7 +82,7 @@ fn build_params(o: &Opts) -> Option<ScenarioParams> {
 }
 
 fn print_exhibits(data: &ScenarioData, exhibit: &str) -> bool {
-    let a = Analysis::new(data, AnalysisConfig::default());
+    let a = Analysis::run(data, AnalysisConfig::default());
     let all = exhibit == "all";
     let mut hit = false;
     if all || exhibit == "table1" {

@@ -15,12 +15,12 @@ use rand::{Rng, SeedableRng};
 fn survives_post_hoc_syslog_truncation() {
     let mut data = run(&ScenarioParams::tiny(601));
     let baseline = {
-        let a = Analysis::new(&data, AnalysisConfig::default());
+        let a = Analysis::run(&data, AnalysisConfig::default());
         a.output.syslog_failures.len()
     };
     let mut rng = StdRng::seed_from_u64(99);
     data.syslog.retain(|_| rng.random::<f64>() > 0.33);
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     // No panic, and the reconstruction shrinks rather than explodes.
     assert!(a.output.syslog_failures.len() <= baseline + 10);
     // Every surviving failure is still well-formed.
@@ -35,7 +35,7 @@ fn survives_post_hoc_syslog_truncation() {
 fn survives_reordered_listener_log() {
     let mut data = run(&ScenarioParams::tiny(602));
     data.transitions.reverse();
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     // Reversed raw transitions make the per-source diffs nonsensical, but
     // the merge counts every inconsistency instead of panicking.
     let _ = a.table4();
@@ -67,7 +67,7 @@ fn zero_failure_workload() {
         "{}",
         data.truth.failures.len()
     );
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     let t4 = a.table4();
     assert!(t4.isis_downtime_hours >= 0.0);
     let t7 = a.table7();
@@ -87,7 +87,7 @@ fn listener_offline_for_most_of_the_period() {
         faultline_topology::time::Duration::from_days(29),
     );
     let data = run(&params);
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     let t4 = a.table4();
     // Sanitization removed failures overlapping the giant outage.
     assert!(
@@ -113,7 +113,7 @@ fn minimal_topology() {
         seed: 605,
     };
     let data = run(&params);
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     assert_eq!(a.table.len(), 5);
     let _ = a.table4();
     let _ = a.table7();

@@ -352,8 +352,8 @@ fn varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// A full checkpoint's payload up to its message count, restated from
 /// the codec's snapshot layout: the host dictionary, `seq`, the default
-/// `AnalysisConfig` (seven times in ms, previous-state strategy, threads
-/// 0, chunk 16, no quarantine horizon) and no watermark.
+/// `AnalysisConfig` (three times in ms, previous-state strategy, no
+/// quarantine horizon) and no watermark.
 fn checkpoint_head(hosts: &[&str], seq: u64) -> Vec<u8> {
     let mut p = Vec::new();
     varint(&mut p, hosts.len() as u64);
@@ -362,12 +362,10 @@ fn checkpoint_head(hosts: &[&str], seq: u64) -> Vec<u8> {
         p.extend_from_slice(host.as_bytes());
     }
     varint(&mut p, seq);
-    for ms in [
-        10_000, 10_000, 600_000, 30_000, 86_400_000, 10_800_000, 10_000,
-    ] {
+    for ms in [10_000, 600_000, 86_400_000] {
         varint(&mut p, ms);
     }
-    p.extend_from_slice(&[0, 0, 16, 0]);
+    p.extend_from_slice(&[0, 0]);
     p.push(0);
     p
 }
@@ -1091,7 +1089,7 @@ fn on_disk_format_is_pinned() {
         .collect();
     assert_eq!(names, expected);
 
-    // A full base: envelope "FLCK" version 5, kind 1 (chain block + codec
+    // A full base: envelope "FLCK" version 6, kind 1 (chain block + codec
     // payload), its chain block naming no parent, then the host
     // dictionary and the checkpoint row.
     let base = fs::read(tmp.path().join(&names[7])).unwrap();
@@ -1099,9 +1097,9 @@ fn on_disk_format_is_pinned() {
     let chain = [80u64, 0, 0].map(u64::to_le_bytes).concat();
     assert_eq!(
         base,
-        envelope(*b"FLCK", 5, 1, &[&chain[..], base_payload].concat())
+        envelope(*b"FLCK", 6, 1, &[&chain[..], base_payload].concat())
     );
-    assert_eq!(&base[..6], b"FLCK\x05\x00");
+    assert_eq!(&base[..6], b"FLCK\x06\x00");
     let (hosts, row) = dictionary(base_payload);
     assert_eq!(
         hosts,
@@ -1120,17 +1118,16 @@ fn on_disk_format_is_pinned() {
         "each host once, in the order the messages first name them"
     );
     assert_eq!(
-        hex(&row[..32]),
+        hex(&row[..19]),
         [
-            "50",                   // seq 80
-            "904e904e",             // match and dedup windows, 10 s each
-            "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
-            "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
-            "00",                   // strategy: previous state
-            "0010",                 // threads 0 (auto), chunk size 16
-            "00",                   // no quarantine horizon
-            "01b69d919b02",         // watermark: some, 593776310 ms
-            "20",                   // the answer log: 32 resolved messages
+            "50",           // seq 80
+            "904e",         // match window 10 s
+            "c0cf24",       // flap gap 600 s
+            "80b89929",     // long threshold 24 h
+            "00",           // strategy: previous state
+            "00",           // no quarantine horizon
+            "01b69d919b02", // watermark: some, 593776310 ms
+            "20",           // the answer log: 32 resolved messages
         ]
         .concat()
     );
@@ -1139,7 +1136,7 @@ fn on_disk_format_is_pinned() {
     // snapshot struct's fields (or changing any field's layout) moves it.
     assert_eq!(
         (base.len(), base_fnv),
-        (1194, 0x5d57_c539_ac98_ffbf),
+        (1181, 0xe7e2_d0ff_d69b_25dd),
         "the base's size and envelope hash"
     );
 
@@ -1169,7 +1166,7 @@ fn on_disk_format_is_pinned() {
             delta.len(),
             u64::from_le_bytes(delta[10..18].try_into().unwrap())
         ),
-        (236, 0x7030_e70c_f63b_fb5d),
+        (236, 0xcb4f_db72_4a2f_048c),
         "the delta's size and envelope hash"
     );
 

@@ -10,7 +10,7 @@ use faultline_sim::scenario::{run, ScenarioParams};
 
 fn fingerprint(params: &ScenarioParams) -> String {
     let data = run(params);
-    fingerprint_with(&Analysis::new(&data, AnalysisConfig::default()))
+    fingerprint_with(&Analysis::run(&data, AnalysisConfig::default()))
 }
 
 fn fingerprint_with(a: &Analysis<'_>) -> String {

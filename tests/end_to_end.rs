@@ -2,6 +2,7 @@
 //! → config mining → failure simulation → IS-IS flooding + syslog
 //! transport → the full comparative analysis.
 
+use faultline_core::sanitize::TICKET_SLACK;
 use faultline_core::{Analysis, AnalysisConfig};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_topology::link::LinkClass;
@@ -13,7 +14,7 @@ use faultline_topology::link::LinkClass;
 #[test]
 fn lossless_differential_baseline() {
     let data = run(&ScenarioParams::tiny(101).lossless());
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     let matching = &a.output.matching;
     let isis_n = a.output.isis_failures.len();
     let matched = matching.matched.len();
@@ -35,7 +36,7 @@ fn lossy_run_shows_paper_asymmetries() {
     // in sync so links live through the longer window.
     params.topology.period_days = 180.0;
     let data = run(&params);
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
 
     // Both sources reconstruct a meaningful number of failures. (The tiny
     // topology has few links and flapping is concentrated, so counts are
@@ -71,7 +72,7 @@ fn lossy_run_shows_paper_asymmetries() {
 #[test]
 fn failures_are_well_formed() {
     let data = run(&ScenarioParams::tiny(104));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     let period_ms = (data.period_days * 86_400_000.0) as u64;
     for f in a
         .output
@@ -90,7 +91,7 @@ fn failures_are_well_formed() {
 #[test]
 fn naming_layer_is_closed() {
     let data = run(&ScenarioParams::tiny(105));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     assert_eq!(a.output.resolve_stats.unresolved, 0);
     assert_eq!(a.output.is_stats.unknown, 0);
     assert_eq!(a.output.ip_stats.unknown, 0);
@@ -105,7 +106,7 @@ fn statistics_pipeline_runs() {
     let mut params = ScenarioParams::tiny(106);
     params.workload.period_days = 90.0;
     let data = run(&params);
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     for class in [LinkClass::Core, LinkClass::Cpe] {
         let ks = a.ks_tests(class);
         for r in [ks.failures_per_link, ks.failure_duration, ks.link_downtime] {
@@ -125,7 +126,7 @@ fn statistics_pipeline_runs() {
 #[test]
 fn sanitization_invariants() {
     let data = run(&ScenarioParams::tiny(107));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     for f in a
         .output
         .isis_failures
@@ -141,7 +142,7 @@ fn sanitization_invariants() {
         if f.duration() > cfg.long_threshold {
             let lid = a.link_of_ix[f.link.0 as usize].expect("a mined link");
             assert!(
-                data.tickets.verifies(lid, f.start, f.end, cfg.ticket_slack),
+                data.tickets.verifies(lid, f.start, f.end, TICKET_SLACK),
                 "surviving long failure without ticket: {f:?}"
             );
         }
@@ -153,7 +154,7 @@ fn sanitization_invariants() {
 #[test]
 fn isolation_consistency() {
     let data = run(&ScenarioParams::tiny(108));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     let t7 = a.table7();
     let n_customers = data.topology.customers().len() as u64;
     assert!(t7.isis_sites <= n_customers);

@@ -20,10 +20,15 @@
 //! 3. a file of an earlier format version — JSON text for all three
 //!    kinds (version 1), a JSON snapshot payload behind today's
 //!    envelope and chain block (version 2), a codec row whose lanes held
-//!    their own finalized records (version 3) — is rejected through the
-//!    `UnsupportedVersion` rung, never misread.
+//!    their own finalized records (version 3), a checkpoint row whose
+//!    configuration held the four settings that are now constants
+//!    (version 5) — is rejected through the `UnsupportedVersion` rung,
+//!    never misread.
 
-use faultline_core::recovery::{DurabilityPolicy, DurableStream};
+use faultline_core::codec;
+use faultline_core::recovery::{
+    DurabilityPolicy, DurableStream, CHECKPOINT_VERSION, DELTA_VERSION,
+};
 use faultline_core::{
     scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis, StreamEvent,
 };
@@ -244,9 +249,11 @@ fn every_cut_and_flip_of_a_snapshot_header_is_a_rejected_checkpoint() {
             damaged.push((format!("seeded bit {bit} of byte {byte}"), flipped));
             let cut = frame_cut_seeded(seed, rows.len()).unwrap();
             let resealed = [&bytes[HEADER_LEN..header], &rows[..cut]].concat();
+            let magic = bytes[..4].try_into().unwrap();
+            let version = u16::from_le_bytes([bytes[4], bytes[5]]);
             damaged.push((
                 format!("row payload cut at {cut}, resealed"),
-                envelope(bytes[..4].try_into().unwrap(), 5, bytes[18], &resealed),
+                envelope(magic, version, bytes[18], &resealed),
             ));
         }
         for (what, bytes) in damaged {
@@ -356,19 +363,25 @@ fn codec_snapshot(version: u16, magic: [u8; 4], chain: [u64; 3], row: &str) -> V
 /// eight counters every version-3 and version-4 snapshot row carried.
 const OLD_ZEROED_STATS: &str = "00000000000000000000000000000000000000000000";
 
+/// The default configuration's row as checkpoint versions 3 to 5
+/// encoded it.
+const OLD_CONFIG: &str = concat!(
+    "904e904e",             // match and dedup windows, 10 s each
+    "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
+    "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
+    "00",                   // strategy: previous state
+    "0010",                 // threads 0 (auto), chunk size 16
+    "00",                   // no quarantine horizon
+);
+
 /// A fresh engine's checkpoint row as versions 3 and 4 encoded it: the
 /// log is one message count in version 3, twelve empty vectors in 4.
 fn fresh_checkpoint_row(log: &str) -> String {
     [
-        "00",                   // no hosts
-        "00",                   // seq 0
-        "904e904e",             // match and dedup windows, 10 s each
-        "c0cf24b0ea01",         // flap gap 600 s, flap pad 30 s
-        "80b8992980979305904e", // long threshold 24 h, ticket slack 3 h, short FP 10 s
-        "00",                   // strategy: previous state
-        "0010",                 // threads 0 (auto), chunk size 16
-        "00",                   // no quarantine horizon
-        "00",                   // no watermark
+        "00", // no hosts
+        "00", // seq 0
+        OLD_CONFIG,
+        "00", // no watermark
         log,
         OLD_ZEROED_STATS,
         "00", // no lanes
@@ -376,13 +389,15 @@ fn fresh_checkpoint_row(log: &str) -> String {
     .concat()
 }
 
-fn assert_rejected_as_version(found: u32, dir: &Path, data: &ScenarioData) {
+/// `dir`'s one snapshot is refused for its version, `found`, where this
+/// build reads version `reads` of that kind.
+fn assert_rejected_as_version(found: u32, reads: u16, dir: &Path, data: &ScenarioData) {
     let (durable, report) =
         DurableStream::recover(dir, data, AnalysisConfig::default(), JOURNAL_ONLY).unwrap();
     assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
     assert!(
         report.rejected[0].contains(&format!(
-            "format version {found} is not supported (this build reads 5)"
+            "format version {found} is not supported (this build reads {reads})"
         )),
         "{}",
         report.rejected[0]
@@ -418,7 +433,7 @@ fn a_version_1_checkpoint_is_unsupported() {
         PathBuf::from("ckpt-000000000000.ckpt"),
         version_1_snapshot("faultline-checkpoint", 0, "", &payload),
     )]);
-    assert_rejected_as_version(1, tmp.path(), &data);
+    assert_rejected_as_version(1, CHECKPOINT_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -431,7 +446,7 @@ fn a_version_1_delta_is_unsupported() {
         PathBuf::from("delta-000000000010.dckpt"),
         version_1_snapshot("faultline-delta", 10, chain, &payload),
     )]);
-    assert_rejected_as_version(1, tmp.path(), &data);
+    assert_rejected_as_version(1, DELTA_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -443,7 +458,7 @@ fn a_version_2_checkpoint_is_unsupported() {
         PathBuf::from("ckpt-000000000000.ckpt"),
         version_2_snapshot(*b"FLCK", [0, 0, 0], &payload),
     )]);
-    assert_rejected_as_version(2, tmp.path(), &data);
+    assert_rejected_as_version(2, CHECKPOINT_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -455,7 +470,7 @@ fn a_version_2_delta_is_unsupported() {
         PathBuf::from("delta-000000000010.dckpt"),
         version_2_snapshot(*b"FLDT", [10, 0, 0], &payload),
     )]);
-    assert_rejected_as_version(2, tmp.path(), &data);
+    assert_rejected_as_version(2, DELTA_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -467,7 +482,7 @@ fn a_version_3_checkpoint_is_unsupported() {
         PathBuf::from("ckpt-000000000000.ckpt"),
         codec_snapshot(3, *b"FLCK", [0, 0, 0], &row),
     )]);
-    assert_rejected_as_version(3, tmp.path(), &data);
+    assert_rejected_as_version(3, CHECKPOINT_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -479,7 +494,39 @@ fn a_version_4_checkpoint_is_unsupported() {
         PathBuf::from("ckpt-000000000000.ckpt"),
         codec_snapshot(4, *b"FLCK", [0, 0, 0], &row),
     )]);
-    assert_rejected_as_version(4, tmp.path(), &data);
+    assert_rejected_as_version(4, CHECKPOINT_VERSION, tmp.path(), &data);
+}
+
+#[test]
+fn a_version_5_checkpoint_is_unsupported() {
+    // Version 5 was today's layout but for the configuration, which also
+    // held four values that are now constants and the `parallelism` knob.
+    let data = run(&ScenarioParams::tiny(23));
+    let tmp = TempDir::new("v5-ckpt");
+    let mut payload = Vec::new();
+    codec::encode_checkpoint(
+        &StreamAnalysis::new(&data, AnalysisConfig::default()).checkpoint(),
+        &mut payload,
+    );
+    let today: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+    let head = concat!(
+        "00",       // no hosts
+        "00",       // seq 0
+        "904e",     // match window 10 s
+        "c0cf24",   // flap gap 600 s
+        "80b89929", // long threshold 24 h
+        "00",       // strategy: previous state
+        "00",       // no quarantine horizon
+    );
+    let rest = today
+        .strip_prefix(head)
+        .expect("today's fresh checkpoint row");
+    let row = ["0000", OLD_CONFIG, rest].concat();
+    tmp.reset(&[(
+        PathBuf::from("ckpt-000000000000.ckpt"),
+        codec_snapshot(5, *b"FLCK", [0, 0, 0], &row),
+    )]);
+    assert_rejected_as_version(5, CHECKPOINT_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -502,7 +549,7 @@ fn a_version_3_delta_is_unsupported() {
         PathBuf::from("delta-000000000010.dckpt"),
         codec_snapshot(3, *b"FLDT", [10, 0, 0], &row),
     )]);
-    assert_rejected_as_version(3, tmp.path(), &data);
+    assert_rejected_as_version(3, DELTA_VERSION, tmp.path(), &data);
 }
 
 #[test]
@@ -524,7 +571,7 @@ fn a_version_4_delta_is_unsupported() {
         PathBuf::from("delta-000000000010.dckpt"),
         codec_snapshot(4, *b"FLDT", [10, 0, 0], &row),
     )]);
-    assert_rejected_as_version(4, tmp.path(), &data);
+    assert_rejected_as_version(4, DELTA_VERSION, tmp.path(), &data);
 }
 
 #[test]

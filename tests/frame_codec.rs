@@ -291,7 +291,7 @@ fn a_version_1_frame_is_unsupported_not_sniffed() {
         read_frame(&mut v1.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 1,
-            expected: 7
+            expected: 8
         })
     ));
 }
@@ -306,7 +306,7 @@ fn a_version_2_frame_is_unsupported_not_misread() {
         read_frame(&mut v2.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 2,
-            expected: 7
+            expected: 8
         })
     ));
 }
@@ -327,7 +327,7 @@ fn a_version_4_frame_is_unsupported_not_misread() {
         read_frame(&mut v4.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 4,
-            expected: 7
+            expected: 8
         })
     ));
 }
@@ -348,7 +348,7 @@ fn a_version_5_frame_is_unsupported_not_misread() {
         read_frame(&mut v5.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 5,
-            expected: 7
+            expected: 8
         })
     ));
 }
@@ -373,7 +373,46 @@ fn a_version_6_frame_is_unsupported_not_misread() {
         read_frame(&mut v6.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 6,
-            expected: 7
+            expected: 8
+        })
+    ));
+}
+
+#[test]
+fn a_version_7_frame_is_unsupported_not_misread() {
+    // Version 7 sent each worker a configuration carrying four settings
+    // that are now constants and the retired `parallelism` knob. That
+    // `Hello` is refused by its version. Under today's version its
+    // payload would read as today's `Hello`, the retired keys skipped, so
+    // the version alone keeps it from being taken for this build's.
+    let msgs = corpus();
+    let hello = msgs
+        .iter()
+        .find(|m| matches!(m, ShardMsg::Hello(_)))
+        .expect("the corpus carries a hello");
+    let today = serde_json::to_string(hello).unwrap();
+    let mut old: serde_json::Value = serde_json::from_str(&today).unwrap();
+    let config = old["Hello"]["config"].as_object_mut().unwrap();
+    for (key, ms) in [
+        ("dedup_window", 10_000),
+        ("flap_pad", 30_000),
+        ("ticket_slack", 10_800_000),
+        ("short_fp_threshold", 10_000),
+    ] {
+        config.insert(key.into(), serde_json::json!(ms));
+    }
+    let parallelism = serde_json::json!({"threads": 0, "chunk_size": 16});
+    config.insert("parallelism".into(), parallelism);
+    let payload = serde_json::to_string(&old).unwrap();
+    let (read, _) = read_frame(&mut forge(KIND_MESSAGE, payload.as_bytes()).as_slice())
+        .expect("today's reader skips the retired keys");
+    assert_eq!(serde_json::to_string(&read).unwrap(), today);
+    let v7 = forge_version(7, KIND_MESSAGE, payload.as_bytes());
+    assert!(matches!(
+        read_frame(&mut v7.as_slice()),
+        Err(FrameError::UnsupportedVersion {
+            found: 7,
+            expected: 8
         })
     ));
 }
@@ -389,7 +428,7 @@ fn a_version_3_frame_is_unsupported_not_misread() {
         read_frame(&mut v3.as_slice()),
         Err(FrameError::UnsupportedVersion {
             found: 3,
-            expected: 7
+            expected: 8
         })
     ));
 }

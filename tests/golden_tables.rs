@@ -87,14 +87,14 @@ fn check_golden(name: &str, actual: &Value) {
 #[test]
 fn tiny_seed_42_tables_are_pinned() {
     let data = run(&ScenarioParams::tiny(42));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     check_golden("tiny_seed42_tables", &tables_json(&a));
 }
 
 #[test]
 fn tiny_seed_7_tables_are_pinned() {
     let data = run(&ScenarioParams::tiny(7));
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     check_golden("tiny_seed7_tables", &tables_json(&a));
 }
 
@@ -104,6 +104,6 @@ fn tiny_seed_7_tables_are_pinned() {
 #[test]
 fn lossless_tiny_seed_42_tables_are_pinned() {
     let data = run(&ScenarioParams::tiny(42).lossless());
-    let a = Analysis::new(&data, AnalysisConfig::default());
+    let a = Analysis::run(&data, AnalysisConfig::default());
     check_golden("tiny_seed42_lossless_tables", &tables_json(&a));
 }

@@ -18,7 +18,7 @@ fn data() -> &'static ScenarioData {
 }
 
 fn analysis() -> Analysis<'static> {
-    Analysis::new(data(), AnalysisConfig::default())
+    Analysis::run(data(), AnalysisConfig::default())
 }
 
 #[test]

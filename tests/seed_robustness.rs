@@ -22,7 +22,7 @@ fn params_with_seed(seed: u64) -> ScenarioParams {
 fn orderings_hold_across_seeds() {
     for seed in [7u64, 1234, 0xDEADBEEF] {
         let data = run(&params_with_seed(seed));
-        let a = Analysis::new(&data, AnalysisConfig::default());
+        let a = Analysis::run(&data, AnalysisConfig::default());
 
         let t4 = a.table4();
         let count_ratio = t4.syslog_failures as f64 / t4.isis_failures as f64;
@@ -94,7 +94,7 @@ fn orderings_hold_across_seeds() {
 fn false_positive_taxonomy_holds_across_seeds() {
     for seed in [99u64, 31337] {
         let data = run(&params_with_seed(seed));
-        let a = Analysis::new(&data, AnalysisConfig::default());
+        let a = Analysis::run(&data, AnalysisConfig::default());
         let fp = a.false_positives();
         let total = (fp.short_count + fp.long_count).max(1);
         assert!(

@@ -111,7 +111,7 @@ fn check(name: &str, params: ScenarioParams) {
     let data = run(&params);
     let config = AnalysisConfig::default();
     assert_eq!(config.match_window, spec::MATCH_WINDOW);
-    assert_eq!(config.dedup_window, spec::CONFIRM_WINDOW);
+    assert_eq!(faultline_core::kernel::DEDUP_WINDOW, spec::CONFIRM_WINDOW);
     let out = Analysis::run(&data, config).output;
     let table = linktable::from_scenario(&data);
     let link = |ix: LinkIx| table.name(ix).0.clone();
