@@ -44,9 +44,8 @@ fn main() {
         params.transport.base_loss = base_loss;
         let data = run(&params);
         let a = Analysis::run(&data, AnalysisConfig::default());
-        let (t6, counts) = a.table6();
+        let counts = a.table6().counts;
         let t4 = a.table4();
-        let _ = t6;
         println!(
             "{:.3},{},{},{},{:.0}",
             base_loss,

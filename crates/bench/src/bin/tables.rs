@@ -77,7 +77,7 @@ fn main() {
             "table3" => println!("{}", a().table3()),
             "table4" => println!("{}", a().table4()),
             "table5" => table5(a()),
-            "table6" => println!("{}", a().table6().0),
+            "table6" => println!("{}", a().table6()),
             "table7" => println!("{}", a().table7()),
             _ => figure1(a()),
         }

@@ -107,12 +107,6 @@ impl Default for ParallelismConfig {
 }
 
 impl ParallelismConfig {
-    /// The one-thread config.
-    pub const SERIAL: ParallelismConfig = ParallelismConfig {
-        threads: 1,
-        chunk_size: 16,
-    };
-
     /// A config with an explicit worker count and the default chunk size.
     pub fn with_threads(threads: usize) -> Self {
         ParallelismConfig {
@@ -417,7 +411,7 @@ impl<'a> Analysis<'a> {
     /// Table 6: ambiguous double-message classification. Multi-link
     /// adjacency members are omitted, as everywhere in the paper's
     /// analysis: the IS-IS timeline cannot arbitrate them.
-    pub fn table6(&self) -> (Table6, AmbiguityCounts) {
+    pub fn table6(&self) -> Table6 {
         let timeline = LinkStateTimeline::new(&self.output.is_transitions);
         let ambiguous: Vec<_> = self
             .output
@@ -428,13 +422,10 @@ impl<'a> Analysis<'a> {
             .copied()
             .collect();
         let (_, counts) = classify_ambiguous(&ambiguous, &timeline, self.config.match_window);
-        (
-            Table6 {
-                counts,
-                total_ambiguous: ambiguous.len() as u64,
-            },
+        Table6 {
             counts,
-        )
+            total_ambiguous: ambiguous.len() as u64,
+        }
     }
 
     /// §4.3 false-positive report: syslog failures with no IS-IS match.
@@ -1084,8 +1075,11 @@ mod tests {
     fn table6_classifies_everything() {
         let data = run(&ScenarioParams::tiny(25));
         let a = analysis(&data);
-        let (t6, counts) = a.table6();
-        assert_eq!(t6.total_ambiguous, counts.down_total() + counts.up_total());
+        let t6 = a.table6();
+        assert_eq!(
+            t6.total_ambiguous,
+            t6.counts.down_total() + t6.counts.up_total()
+        );
     }
 
     #[test]
@@ -1111,7 +1105,7 @@ mod tests {
         let _ = format!("{}", a.table3());
         let _ = format!("{}", a.table4());
         let _ = format!("{}", a.table5());
-        let _ = format!("{}", a.table6().0);
+        let _ = format!("{}", a.table6());
         let _ = format!("{}", a.table7());
         let _ = format!("{}", a.ks_tests(LinkClass::Cpe));
     }

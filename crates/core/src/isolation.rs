@@ -96,20 +96,12 @@ impl IsolationOutcome {
     }
 }
 
-/// Run the isolation sweep with the default event-merge tolerance.
-pub fn analyze(
-    failures: &[Failure],
-    topo: &Topology,
-    link_of_ix: &[Option<LinkId>],
-) -> IsolationOutcome {
-    analyze_with_tolerance(failures, topo, link_of_ix, DEFAULT_EVENT_TOLERANCE)
-}
-
-/// Default separation below which consecutive failures belong to the same
+/// The separation below which consecutive failures belong to the same
 /// outage *event*: failures within one IGP convergence/flap cycle of each
 /// other describe one operational incident, not many (a flapping access
-/// link is one event per episode burst, not thirty).
-pub const DEFAULT_EVENT_TOLERANCE: Duration = Duration::from_secs(60);
+/// link is one event per episode burst, not thirty). Isolation *downtime*
+/// is unaffected: the sweep still sees the up-gaps inside an event.
+pub const EVENT_TOLERANCE: Duration = Duration::from_secs(60);
 
 /// Run the isolation sweep.
 ///
@@ -117,15 +109,14 @@ pub const DEFAULT_EVENT_TOLERANCE: Duration = Duration::from_secs(60);
 /// * `topo` — the reconstructed topology (links + customers);
 /// * `link_of_ix` — translation from analysis link indices to topology
 ///   link ids, indexed by `LinkIx` (built by the caller by matching
-///   subnets);
-/// * `tolerance` — failures separated by at most this much join the same
-///   event component (0 = strict interval overlap). Isolation *downtime*
-///   is unaffected: the sweep still sees the up-gaps inside a component.
-pub fn analyze_with_tolerance(
+///   subnets).
+///
+/// Failures separated by at most [`EVENT_TOLERANCE`] join the same event
+/// component.
+pub fn analyze(
     failures: &[Failure],
     topo: &Topology,
     link_of_ix: &[Option<LinkId>],
-    tolerance: Duration,
 ) -> IsolationOutcome {
     // Sort by start time to form overlap components.
     let mut sorted: Vec<&Failure> = failures.iter().collect();
@@ -135,7 +126,7 @@ pub fn analyze_with_tolerance(
     let mut comp: Vec<&Failure> = Vec::new();
     let mut comp_end = Timestamp::EPOCH;
     for f in sorted {
-        if comp.is_empty() || f.start <= comp_end + tolerance {
+        if comp.is_empty() || f.start <= comp_end + EVENT_TOLERANCE {
             comp_end = comp_end.max(f.end);
             comp.push(f);
         } else {

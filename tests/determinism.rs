@@ -16,7 +16,7 @@ fn fingerprint(params: &ScenarioParams) -> String {
 fn fingerprint_with(a: &Analysis<'_>) -> String {
     let t4 = a.table4();
     let t3 = a.table3();
-    let (t6, _) = a.table6();
+    let t6 = a.table6();
     format!(
         "{}|{}|{}|{:.3}|{:.3}|{}|{}|{}|{}",
         t4.isis_failures,

@@ -29,7 +29,7 @@ fn blessing() -> bool {
 
 /// Every paper exhibit the analysis derives, as one JSON document.
 fn tables_json(a: &Analysis<'_>) -> Value {
-    let (table6, ambiguity) = a.table6();
+    let table6 = a.table6();
     serde_json::json!({
         "table1": (serde_json::to_value(&a.table1()).unwrap()),
         "table2": (serde_json::to_value(&a.table2()).unwrap()),
@@ -37,7 +37,7 @@ fn tables_json(a: &Analysis<'_>) -> Value {
         "table4": (serde_json::to_value(&a.table4()).unwrap()),
         "table5": (serde_json::to_value(&a.table5()).unwrap()),
         "table6": (serde_json::to_value(&table6).unwrap()),
-        "ambiguity": (serde_json::to_value(&ambiguity).unwrap()),
+        "ambiguity": (serde_json::to_value(&table6.counts).unwrap()),
         "table7": (serde_json::to_value(&a.table7()).unwrap()),
         "counters": (serde_json::to_value(&a.report.counters).unwrap()),
     })

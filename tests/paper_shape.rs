@@ -155,7 +155,8 @@ fn ks_verdicts_match_paper() {
 #[test]
 fn table6_spurious_dominates_downs_lost_dominates_ups() {
     let a = analysis();
-    let (t6, counts) = a.table6();
+    let t6 = a.table6();
+    let counts = t6.counts;
     // Paper: 461 double-downs, 202 double-ups; more downs than ups.
     assert!(counts.down_total() > counts.up_total());
     assert!(
